@@ -102,7 +102,11 @@ def _cmd_rip(args) -> int:
 
 def _cmd_code(args) -> int:
     A = _load_dict(args.dictionary, args, sparsity=args.sparsity)
-    y = read_matrix_text(args.measurement).reshape(-1)
+    y = read_matrix_text(args.measurement)
+    if y.shape[1] != 1:
+        raise ValueError(
+            f"{args.measurement}: measurement must be one column, got shape {y.shape}"
+        )
     if args.method == "omp":
         result = block_omp(A, y, s=args.sparsity, tol=args.tol)
     else:

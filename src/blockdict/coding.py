@@ -2,25 +2,28 @@
 
 Both methods report the residual as ||y - A x||_2 relative to ||y||_2
 (absolute when y = 0) and break ties toward the lowest block indices.
+The exhaustive oracle and the learner share one batched kernel,
+`_min_residual_codes`, which holds the minimum-residual rule.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .core import BlockDict, BlockSparseVec
-from .errors import CapacityError, RankError
-from .rip import DEFAULT_ENUMERATION_CAP
+from .errors import RankError
+from .rip import DEFAULT_ENUMERATION_CAP, _enumerate_supports, _support_columns
 
 DEFAULT_CODING_TOL = 1e-10
 
 METHOD_OMP = "block-omp"
 METHOD_EXHAUSTIVE = "exhaustive-oracle"
+
+# supports x columns residual entries per chunk of the minimum-residual coder
+_CODE_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -43,27 +46,21 @@ class CodingResult:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _solve_on_support(
-    A: BlockDict, y: np.ndarray, support, check_rank: bool = False
-) -> tuple[np.ndarray, float]:
-    """Least squares on the given blocks; returns (full code vector, abs residual)."""
-    cols = A.restrict(support)
-    sol, _, rank, _ = np.linalg.lstsq(cols, y, rcond=None)
-    if check_rank and rank < cols.shape[1]:
-        raise RankError(
-            f"selected sub-dictionary on blocks {tuple(support)} is rank-deficient "
-            f"(rank {rank} < {cols.shape[1]} columns)"
-        )
-    values = np.zeros(A.structure.total_dim)
-    for pos, i in enumerate(sorted(support)):
-        values[A.structure.block_slice(i)] = sol[
-            pos * A.structure.alpha : (pos + 1) * A.structure.alpha
-        ]
-    return values, float(np.linalg.norm(y - cols @ sol))
-
-
 def _relative(abs_residual: float, y_norm: float) -> float:
     return abs_residual if y_norm == 0 else abs_residual / y_norm
+
+
+def _check_measurement(A: BlockDict, y, s: int | None) -> tuple[np.ndarray, int]:
+    """(y as a flat float vector, s defaulted to A.structure.s), both validated."""
+    s = A.structure.s if s is None else int(s)
+    if not 1 <= s <= A.structure.K:
+        raise ValueError(f"s must satisfy 1 <= s <= K, got s={s}, K={A.structure.K}")
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if y.shape[0] != A.ambient_dim:
+        raise ValueError(
+            f"measurement has length {y.shape[0]}, expected {A.ambient_dim}"
+        )
+    return y, s
 
 
 def block_omp(
@@ -92,14 +89,7 @@ def block_omp(
     RankError
         When the selected sub-dictionary is rank-deficient.
     """
-    s = A.structure.s if s is None else int(s)
-    if not 1 <= s <= A.structure.K:
-        raise ValueError(f"s must satisfy 1 <= s <= K, got s={s}, K={A.structure.K}")
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.shape[0] != A.ambient_dim:
-        raise ValueError(
-            f"measurement has length {y.shape[0]}, expected {A.ambient_dim}"
-        )
+    y, s = _check_measurement(A, y, s)
     y_norm = float(np.linalg.norm(y))
     values = np.zeros(A.structure.total_dim)
     abs_res = y_norm
@@ -119,11 +109,63 @@ def block_omp(
         if scores[best] <= 0.0:
             break
         selected.append(best + 1)
-        values, abs_res = _solve_on_support(A, y, selected, check_rank=True)
+        rows = _support_columns(np.array([sorted(selected)]), A.structure.alpha)[0]
+        cols = A.data[:, rows]
+        sol, _, rank, _ = np.linalg.lstsq(cols, y, rcond=None)
+        if rank < cols.shape[1]:
+            raise RankError(
+                f"selected sub-dictionary on blocks {tuple(selected)} is rank-deficient "
+                f"(rank {rank} < {cols.shape[1]} columns)"
+            )
+        values = np.zeros(A.structure.total_dim)
+        values[rows] = sol
+        abs_res = float(np.linalg.norm(y - cols @ sol))
         residual = y - A.data @ values
 
     code = BlockSparseVec.from_values(A.structure, values, tol=0.0)
     return CodingResult(code, _relative(abs_res, y_norm), METHOD_OMP)
+
+
+def _min_residual_codes(
+    A: BlockDict, Y: np.ndarray, s: int, tol: float, cap: int = DEFAULT_ENUMERATION_CAP
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-residual s-block code of every column y of the P x N matrix Y.
+
+    The one rule behind `exhaustive_code` and the learner: least squares on
+    every size-s support, the smallest residual wins, and supports within
+    tol*||y|| of it count as tied, going to the lexicographically first.
+    Each support is solved once for a chunk of columns and only the winning
+    supports are re-solved, on their own columns; chunks hold about
+    _CODE_CHUNK residuals, so memory stays bounded as C(K, s) grows.
+    Returns (K*alpha x N codes, absolute residual norms).
+
+    Raises CapacityError when C(K, s) exceeds cap.
+    """
+    supports = _enumerate_supports(A.structure.K, s, cap)
+    rows = _support_columns(supports, A.structure.alpha)
+    N = Y.shape[1]
+    X = np.zeros((A.structure.total_dim, N))
+    res = np.empty(N)
+    window = tol * np.linalg.norm(Y, axis=0)
+    step = max(1, _CODE_CHUNK // len(supports))
+    residuals = np.empty((len(supports), min(step, N)))
+    for start in range(0, N, step):
+        Yc = Y[:, start : start + step]
+        R = residuals[:, : Yc.shape[1]]
+        for k, r in enumerate(rows):
+            cols = A.data[:, r]
+            sol, ssq, _, _ = np.linalg.lstsq(cols, Yc, rcond=None)
+            # lstsq reports residual sums of squares only at full column rank
+            R[k] = np.sqrt(ssq) if ssq.size else np.linalg.norm(Yc - cols @ sol, axis=0)
+        # first support (lexicographic order) within each column's tie window
+        winner = np.argmax(R <= R.min(axis=0) + window[start : start + step], axis=0)
+        for k in np.flatnonzero(np.bincount(winner)):
+            on = start + np.nonzero(winner == k)[0]
+            cols = A.data[:, rows[k]]
+            sol = np.linalg.lstsq(cols, Y[:, on], rcond=None)[0]
+            X[np.ix_(rows[k], on)] = sol
+            res[on] = np.linalg.norm(Y[:, on] - cols @ sol, axis=0)
+    return X, res
 
 
 def exhaustive_code(
@@ -135,44 +177,17 @@ def exhaustive_code(
 ) -> CodingResult:
     """Minimum-residual s-block-sparse code by enumerating every support.
 
-    Solves least squares on each of the C(K, s) size-s supports and keeps
-    the smallest residual; supports whose residual is within tol of the
-    minimum count as tied, and the lexicographically smallest tied support
-    wins.
+    The one-column case of `_min_residual_codes`: C(K, s) least-squares
+    solves plus one for the winner, with ties within tol going to the
+    lexicographically smallest support.
 
     Raises
     ------
     CapacityError
         When C(K, s) exceeds cap.
     """
-    s = A.structure.s if s is None else int(s)
-    if not 1 <= s <= A.structure.K:
-        raise ValueError(f"s must satisfy 1 <= s <= K, got s={s}, K={A.structure.K}")
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.shape[0] != A.ambient_dim:
-        raise ValueError(
-            f"measurement has length {y.shape[0]}, expected {A.ambient_dim}"
-        )
-    K = A.structure.K
-    total = math.comb(K, s)
-    if total > cap:
-        raise CapacityError(
-            f"C({K}, {s}) = {total} supports exceeds the enumeration cap {cap}"
-        )
+    y, s = _check_measurement(A, y, s)
+    X, res = _min_residual_codes(A, y[:, None], s, tol, cap)
+    code = BlockSparseVec.from_values(A.structure, X[:, 0], tol=0.0)
     y_norm = float(np.linalg.norm(y))
-    if y_norm == 0:
-        code = BlockSparseVec.from_values(A.structure, np.zeros(A.structure.total_dim), tol=0.0)
-        return CodingResult(code, 0.0, METHOD_EXHAUSTIVE)
-
-    supports = list(combinations(range(1, K + 1), s))
-    residuals = np.empty(total)
-    for idx, sup in enumerate(supports):
-        cols = A.restrict(sup)
-        sol, _, _, _ = np.linalg.lstsq(cols, y, rcond=None)
-        residuals[idx] = np.linalg.norm(y - cols @ sol)
-    best_res = residuals.min()
-    # first support (lexicographic order) within the tie window
-    winner = int(np.nonzero(residuals <= best_res + tol * y_norm)[0][0])
-    values, abs_res = _solve_on_support(A, y, supports[winner])
-    code = BlockSparseVec.from_values(A.structure, values, tol=0.0)
-    return CodingResult(code, _relative(abs_res, y_norm), METHOD_EXHAUSTIVE)
+    return CodingResult(code, _relative(float(res[0]), y_norm), METHOD_EXHAUSTIVE)

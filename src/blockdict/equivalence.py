@@ -14,7 +14,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .errors import HypothesisViolationError, RankError
 from .rip import (
     DEFAULT_ENUMERATION_CAP,
     RipReport,
+    _sample_supports,
     rip_constant_exact,
     rip_lower_bound_sampled,
 )
@@ -427,54 +427,21 @@ def verify_theorem_instance(
     else:
         rip = rip_lower_bound_sampled(A, level, n_samples=200, seed=seed)
 
-    total = math.comb(K, s)
-    if total <= max_supports:
-        family = list(combinations(range(1, K + 1), s))
-    else:
-        rng = np.random.default_rng(seed)
-        picked: set[Support] = set()
-        while len(picked) < max_supports:
-            picked.add(
-                tuple(sorted(int(i) + 1 for i in rng.choice(K, size=s, replace=False)))
-            )
-        family = sorted(picked)
-
-    hypothesis: list[dict] = []
-    holds = True
-    for sup in family:
+    def probe(sup) -> dict:
         try:
             res = construct_kappa(A, B, sup, n_probes=n_probes, seed=seed, tol=probe_tol)
-            entry = {
-                "support": list(sup),
-                "kappa": list(res.kappa),
-                "consistent": res.consistent,
-            }
-            holds = holds and res.consistent
         except HypothesisViolationError as exc:
-            entry = {"support": list(sup), "error": str(exc)}
-            holds = False
-        hypothesis.append(entry)
+            return {"support": list(sup), "error": str(exc)}
+        return {"support": list(sup), "kappa": list(res.kappa), "consistent": res.consistent}
 
+    family = sorted(map(tuple, _sample_supports(K, s, max_supports, seed).tolist()))
+    hypothesis = [probe(sup) for sup in family]
+    holds = all(entry.get("consistent", False) for entry in hypothesis)
     certificate = recover_equivalence(A, B, tol)
-
-    singles: list[dict] = []
-    singleton_map: dict[int, Support] = {}
-    for i in range(1, K + 1):
-        try:
-            res = construct_kappa(A, B, (i,), n_probes=n_probes, seed=seed, tol=probe_tol)
-            singles.append(
-                {"support": [i], "kappa": list(res.kappa), "consistent": res.consistent}
-            )
-            if res.consistent:
-                singleton_map[i] = res.kappa
-        except HypothesisViolationError as exc:
-            singles.append({"support": [i], "error": str(exc)})
-
-    if certificate.permutation is None or len(singleton_map) < K:
-        agreement = None if certificate.permutation is None else False
-    else:
-        agreement = all(
-            singleton_map[i] == (certificate.permutation(i),) for i in range(1, K + 1)
-        )
+    singles = [probe((i,)) for i in range(1, K + 1)]
+    agreement = None if certificate.permutation is None else all(
+        entry.get("consistent", False) and entry["kappa"] == [certificate.permutation(i)]
+        for i, entry in enumerate(singles, start=1)
+    )
 
     return TheoremReport(rip, tuple(hypothesis), holds, certificate, tuple(singles), agreement)

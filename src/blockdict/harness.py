@@ -1,10 +1,10 @@
 """Synthetic instances, a baseline block dictionary learner, and experiments.
 
-The learner alternates minimum-residual s-block coding of all samples
-(every size-s support enumerated, block-OMP once C(K, s) exceeds the
-enumeration cap) with per-block least-squares dictionary updates (each
-updated block re-orthonormalized), reseeding blocks that go unused from
-the worst-coded sample. Everything is deterministic given the config seed.
+The learner alternates coding all samples by `exhaustive_code`'s
+minimum-residual rule (block-OMP once C(K, s) exceeds the enumeration cap)
+with per-block least-squares dictionary updates (each updated block
+re-orthonormalized), reseeding blocks that go unused from the worst-coded
+sample. Everything is deterministic given the config seed.
 """
 
 from __future__ import annotations
@@ -13,12 +13,12 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from itertools import combinations
 
 import numpy as np
 
-from .coding import DEFAULT_CODING_TOL, block_omp
+from .coding import DEFAULT_CODING_TOL, _min_residual_codes, block_omp
 from .core import BlockDict, BlockSparseVec, BlockStructure
 from .errors import RankError
 from .equivalence import (
@@ -85,43 +85,35 @@ class ExperimentConfig:
             raise ValueError(f"rip_mode must be 'exact' or 'sampled', got {self.rip_mode!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "structure": {
-                "K": self.structure.K,
-                "alpha": self.structure.alpha,
-                "s": self.structure.s,
-                "beta": self.structure.beta,
-            },
-            "ambient_dim": self.ambient_dim,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "noise_level": self.noise_level,
-            "learner_iterations": self.learner_iterations,
-            "coefficient_scale": self.coefficient_scale,
-            "dict_mode": self.dict_mode,
-            "rank_tol": self.rank_tol,
-            "certificate_tol": self.certificate_tol,
-            "coding_tol": self.coding_tol,
-            "rip_mode": self.rip_mode,
-            "rip_samples": self.rip_samples,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> ExperimentConfig:
-        d = dict(d)
-        st = d.pop("structure")
-        structure = BlockStructure(
-            K=int(st["K"]),
-            alpha=int(st["alpha"]),
-            s=int(st["s"]),
-            beta=int(st.get("beta", 1)),
-        )
-        return cls(structure=structure, **d)
+        """Config from its `to_dict` form; ValueError names bad or missing keys."""
+        _check_keys(d, cls, "experiment config")
+        _check_keys(d["structure"], BlockStructure, "structure")
+        structure = BlockStructure(**{k: int(v) for k, v in d["structure"].items()})
+        return cls(**{**d, "structure": structure})
 
     @classmethod
     def from_json_file(cls, path) -> ExperimentConfig:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _check_keys(d, cls, what: str) -> None:
+    """ValueError unless d is a dict whose keys are fields of cls, none missing."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
+    known = {f.name for f in fields(cls)}
+    required = {f.name for f in fields(cls) if f.default is MISSING}
+    problems = [
+        f"{label} keys {sorted(keys)}"
+        for label, keys in (("unknown", set(d) - known), ("missing", required - set(d)))
+        if keys
+    ]
+    if problems:
+        raise ValueError(f"{what}: {'; '.join(problems)}")
 
 
 def _substream(seed: int, tag: int) -> np.random.Generator:
@@ -235,57 +227,24 @@ class LearnTrace:
 def _code_all(B: BlockDict, Y: np.ndarray, s: int, tol: float):
     """Minimum-residual s-block code of every column of Y.
 
-    Returns (codes matrix, abs residual norms). Each sample gets the code
-    `exhaustive_code` would give it: least squares on every size-s
-    support, the smallest residual, and ties within tol*||y|| going to the
-    lexicographically first support. Each support is solved for all
-    samples in one lstsq call. The supports are enumerated twice, once for
-    every sample's minimum and once to pick the winners, so memory does
-    not grow with their number.
-
-    When C(K, s) exceeds DEFAULT_ENUMERATION_CAP, each sample is block-OMP
-    coded instead. A sample whose selected sub-dictionary is then
+    Returns (codes matrix, abs residual norms) from `coding`'s batched
+    kernel, so each sample gets the code `exhaustive_code` would give it.
+    When C(K, s) exceeds DEFAULT_ENUMERATION_CAP, each sample is
+    block-OMP coded instead. A sample whose selected sub-dictionary is then
     rank-deficient (degenerate mid-learning state) is left uncoded for the
     round; its full residual makes it the natural reseeding source.
     """
-    structure = B.structure
-    n = Y.shape[1]
-    X = np.zeros((structure.total_dim, n))
-    y_norm = np.linalg.norm(Y, axis=0)
-    res = y_norm.copy()
-    if math.comb(structure.K, s) > DEFAULT_ENUMERATION_CAP:
-        for c in range(n):
-            try:
-                r = block_omp(B, Y[:, c], s=s, tol=tol)
-            except RankError:
-                continue
-            X[:, c] = r.code.values
-            res[c] = np.linalg.norm(Y[:, c] - B.data @ r.code.values)
-        return X, res
-
-    def fits():
-        for sup in combinations(range(1, structure.K + 1), s):
-            cols = B.restrict(sup)
-            sol = np.linalg.lstsq(cols, Y, rcond=None)[0]
-            yield sup, sol, np.linalg.norm(Y - cols @ sol, axis=0)
-
-    best = np.full(n, np.inf)
-    for _, _, r in fits():
-        np.minimum(best, r, out=best)
-    window = best + tol * y_norm
-    coded = np.zeros(n, dtype=bool)
-    for sup, sol, r in fits():
-        win = np.nonzero(~coded & (r <= window))[0]
-        if win.size == 0:
+    if math.comb(B.structure.K, s) <= DEFAULT_ENUMERATION_CAP:
+        return _min_residual_codes(B, Y, s, tol)
+    X = np.zeros((B.structure.total_dim, Y.shape[1]))
+    res = np.linalg.norm(Y, axis=0)
+    for c in range(Y.shape[1]):
+        try:
+            r = block_omp(B, Y[:, c], s=s, tol=tol)
+        except RankError:
             continue
-        rows = np.concatenate(
-            [np.arange(sl.start, sl.stop) for sl in map(structure.block_slice, sup)]
-        )
-        X[np.ix_(rows, win)] = sol[:, win]
-        res[win] = r[win]
-        coded[win] = True
-        if coded.all():
-            break
+        X[:, c] = r.code.values
+        res[c] = np.linalg.norm(Y[:, c] - B.data @ r.code.values)
     return X, res
 
 
@@ -415,11 +374,9 @@ def learn_dictionary(
     """Alternating-minimization block dictionary learner.
 
     Each iteration codes all samples against the current dictionary with
-    the minimum-residual s-block code (`exhaustive_code`'s rule, batched
-    over the samples; block-OMP when C(K, s) exceeds the enumeration cap)
-    and records the objective (sum of squared coding residuals), then
-    sweeps the blocks: each block is refit to the residual that keeps
-    its own contribution by the best orthonormal
+    `_code_all` and records the objective (sum of squared coding
+    residuals), then sweeps the blocks: each block is refit to the
+    residual that keeps its own contribution by the best orthonormal
     rank-alpha factorization (truncated SVD, the closed form of the
     per-block least-squares update followed by re-orthonormalization).
     Blocks that go unused or duplicate another block's span are reseeded

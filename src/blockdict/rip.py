@@ -5,7 +5,12 @@ where G is the Gram matrix of the columns of the blocks in T, so that
 (1 - delta) ||x||^2 <= ||A x||^2 <= (1 + delta) ||x||^2 holds for every x
 supported on T. The level-t constant is the max of delta_T over all
 t-element supports, computed by exact enumeration or bounded from below
-by seeded sampling.
+by seeded sampling, with every delta_T read from one Gram matrix A^T A
+and batched eigenvalue calls.
+
+This module also holds the library's one support-enumeration layer
+(lexicographic enumeration under a cap, seeded distinct sampling), which
+span checks, exhaustive coding and theorem verification share.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -21,6 +26,45 @@ from .core import BlockDict, Support, as_support
 from .errors import CapacityError
 
 DEFAULT_ENUMERATION_CAP = 10**6
+
+# supports per batched eigvalsh call, so memory stays bounded up to the cap
+_RIP_CHUNK = 4096
+
+
+def _enumerate_supports(K: int, t: int, cap: int) -> np.ndarray:
+    """All C(K, t) size-t supports in lexicographic order, one per row.
+
+    Raises CapacityError when C(K, t) exceeds cap.
+    """
+    total = math.comb(K, t)
+    if total > cap:
+        raise CapacityError(
+            f"C({K}, {t}) = {total} supports exceeds the enumeration cap {cap}"
+        )
+    flat = chain.from_iterable(combinations(range(1, K + 1), t))
+    return np.fromiter(flat, dtype=np.intp, count=total * t).reshape(total, t)
+
+
+def _sample_supports(K: int, t: int, n: int, seed: int) -> np.ndarray:
+    """n distinct size-t supports drawn from seed, one per row in draw order.
+
+    Every support, in lexicographic order, when n >= C(K, t).
+    """
+    total = math.comb(K, t)
+    if n >= total:
+        return _enumerate_supports(K, t, total)
+    rng = np.random.default_rng(seed)
+    seen: dict[Support, None] = {}
+    while len(seen) < n:
+        seen[tuple(np.sort(rng.choice(K, size=t, replace=False)) + 1)] = None
+    return np.array(list(seen), dtype=np.intp)
+
+
+def _support_columns(supports: np.ndarray, alpha: int) -> np.ndarray:
+    """Dictionary column indices of the blocks of each support, one row each."""
+    cols = (supports - 1)[:, :, None] * alpha + np.arange(alpha)
+    return cols.reshape(len(supports), -1)
+
 
 MODE_EXACT = "exact-enumeration"
 MODE_SAMPLED = "sampled-lower-bound"
@@ -49,6 +93,33 @@ class RipReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
+def _support_deltas(gram: np.ndarray, supports: np.ndarray, alpha: int) -> np.ndarray:
+    """delta_T for every row T of `supports`, read from the blocks' Gram matrix."""
+    deltas = np.empty(len(supports))
+    for start in range(0, len(supports), _RIP_CHUNK):
+        idx = _support_columns(supports[start : start + _RIP_CHUNK], alpha)
+        eigs = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
+        deltas[start : start + len(idx)] = np.maximum(eigs[:, -1] - 1.0, 1.0 - eigs[:, 0])
+    return deltas
+
+
+def _rip_report(A: BlockDict, t: int, supports: np.ndarray, mode: str) -> RipReport:
+    """Max of delta_T over the given supports, all from the one Gram A^T A.
+
+    The first maximizer is the worst support.
+    """
+    deltas = _support_deltas(A.data.T @ A.data, supports, A.structure.alpha)
+    k = int(np.argmax(deltas))
+    worst = tuple(int(i) for i in supports[k])
+    return RipReport(t, float(deltas[k]), mode, worst, len(supports))
+
+
+def _check_level(A: BlockDict, t: int) -> None:
+    K = A.structure.K
+    if not 1 <= t <= K:
+        raise ValueError(f"level t must satisfy 1 <= t <= K, got t={t}, K={K}")
+
+
 def rip_constant_for_support(A: BlockDict, T) -> float:
     """Restricted isometry constant of the columns of A restricted to blocks T.
 
@@ -60,9 +131,9 @@ def rip_constant_for_support(A: BlockDict, T) -> float:
     if not sup:
         raise ValueError("support must be nonempty")
     cols = A.restrict(sup)
-    gram = cols.T @ cols
-    eigs = np.linalg.eigvalsh(gram)
-    return float(max(eigs[-1] - 1.0, 1.0 - eigs[0]))
+    # in the Gram of its own columns, the support is blocks 1..len(sup)
+    own = np.arange(1, len(sup) + 1)[None]
+    return float(_support_deltas(cols.T @ cols, own, A.structure.alpha)[0])
 
 
 def rip_constant_exact(
@@ -89,23 +160,8 @@ def rip_constant_exact(
     CapacityError
         If C(K, t) > cap; use `rip_lower_bound_sampled` instead.
     """
-    K = A.structure.K
-    if not 1 <= t <= K:
-        raise ValueError(f"level t must satisfy 1 <= t <= K, got t={t}, K={K}")
-    total = math.comb(K, t)
-    if total > cap:
-        raise CapacityError(
-            f"C({K}, {t}) = {total} supports exceeds the enumeration cap {cap}; "
-            "use rip_lower_bound_sampled"
-        )
-    best = -np.inf
-    worst: Support = ()
-    for sup in combinations(range(1, K + 1), t):
-        d = rip_constant_for_support(A, sup)
-        if d > best:
-            best = d
-            worst = sup
-    return RipReport(t, float(best), MODE_EXACT, worst, total)
+    _check_level(A, t)
+    return _rip_report(A, t, _enumerate_supports(A.structure.K, t, cap), MODE_EXACT)
 
 
 def rip_lower_bound_sampled(
@@ -113,37 +169,13 @@ def rip_lower_bound_sampled(
 ) -> RipReport:
     """Lower bound on the level-t constant from sampled supports.
 
-    Draws distinct supports uniformly at random (deterministically from
-    `seed`) and maximizes over them, so the result never exceeds the exact
-    constant. When n_samples >= C(K, t) every support is examined and the
-    bound is tight.
+    Maximizes over the distinct supports that the shared sampler draws from
+    `seed` (every support once n_samples >= C(K, t), making the bound
+    tight), so the result never exceeds the exact constant. worst_support
+    is the first maximizer in draw order.
     """
-    K = A.structure.K
-    if not 1 <= t <= K:
-        raise ValueError(f"level t must satisfy 1 <= t <= K, got t={t}, K={K}")
+    _check_level(A, t)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    total = math.comb(K, t)
-    best = -np.inf
-    worst: Support = ()
-    if n_samples >= total:
-        for sup in combinations(range(1, K + 1), t):
-            d = rip_constant_for_support(A, sup)
-            if d > best:
-                best = d
-                worst = sup
-        examined = total
-    else:
-        rng = np.random.default_rng(seed)
-        seen: set[Support] = set()
-        while len(seen) < n_samples:
-            sup = tuple(sorted(int(i) + 1 for i in rng.choice(K, size=t, replace=False)))
-            if sup in seen:
-                continue
-            seen.add(sup)
-            d = rip_constant_for_support(A, sup)
-            if d > best:
-                best = d
-                worst = sup
-        examined = len(seen)
-    return RipReport(t, float(best), MODE_SAMPLED, worst, examined)
+    supports = _sample_supports(A.structure.K, t, n_samples, seed)
+    return _rip_report(A, t, supports, MODE_SAMPLED)

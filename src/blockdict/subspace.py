@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import BlockDict, as_support
 from .errors import CapacityError
-from .rip import DEFAULT_ENUMERATION_CAP
+from .rip import DEFAULT_ENUMERATION_CAP, _enumerate_supports
 
 DEFAULT_RANK_TOL = 1e-8
 
@@ -138,7 +138,7 @@ def check_lemma1(
         raise CapacityError(
             f"C({K}, {s})^2 = {n_supports ** 2} pairs exceeds the enumeration cap {cap}"
         )
-    supports = list(combinations(range(1, K + 1), s))
+    supports = _enumerate_supports(K, s, cap)
     bases = [orthonormal_basis(A.restrict(sup), tol) for sup in supports]
     for a, b in combinations(range(len(supports)), 2):
         if spans_equal(bases[a], bases[b], tol):

@@ -113,6 +113,16 @@ class TestCode:
             assert payload["residual_norm"] < 1e-10
             assert np.max(np.abs(np.array(payload["coefficients"]) - x)) < 1e-8
 
+    def test_multi_column_measurement_exit_code(self, workdir, capsys):
+        # flattened, this 2 x 2 file would be a length-4 measurement for A
+        write_matrix_text(workdir / "A.txt", np.eye(4)[:, :2])
+        write_matrix_text(workdir / "y.txt", np.array([[1.0, 0.0], [2.0, 0.0]]))
+        rc = run_cli([
+            "code", workdir / "A.txt", workdir / "y.txt", "--alpha", 1, "--sparsity", 1,
+        ])
+        assert rc == 2
+        assert "one column" in capsys.readouterr().err
+
 
 class TestEquiv:
     def test_equivalent_pair(self, workdir, capsys):
@@ -160,16 +170,18 @@ class TestKappa:
         assert rc == 4
 
 
+BASE_CONFIG = {
+    "structure": {"K": 4, "alpha": 2, "s": 2, "beta": 1},
+    "ambient_dim": 20,
+    "n_samples": 50,
+    "seed": 3,
+    "learner_iterations": 5,
+}
+
+
 class TestLearnAndExperiment:
     def make_config(self, workdir, **overrides):
-        config = {
-            "structure": {"K": 4, "alpha": 2, "s": 2, "beta": 1},
-            "ambient_dim": 20,
-            "n_samples": 50,
-            "seed": 3,
-            "learner_iterations": 5,
-        }
-        config.update(overrides)
+        config = {**BASE_CONFIG, **overrides}
         path = workdir / "config.json"
         path.write_text(json.dumps(config))
         return path
@@ -214,6 +226,25 @@ class TestLearnAndExperiment:
                                     "ambient_dim": 5, "n_samples": 10, "seed": 0}))
         rc = run_cli(["experiment", "--config", path])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["experiment", "learn"])
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({**BASE_CONFIG, "n_iterations": 5}, "unknown keys ['n_iterations']"),
+            ({k: v for k, v in BASE_CONFIG.items() if k != "structure"},
+             "missing keys ['structure']"),
+            ([BASE_CONFIG], "must be a JSON object"),
+        ],
+        ids=["unknown-key", "missing-structure", "list-top-level"],
+    )
+    def test_malformed_config_exit_code(self, workdir, capsys, command, payload, message):
+        path = workdir / "bad.json"
+        path.write_text(json.dumps(payload))
+        write_matrix_text(workdir / "Y.txt", np.zeros((20, 50)))
+        args = ["experiment"] if command == "experiment" else ["learn", workdir / "Y.txt"]
+        assert run_cli([*args, "--config", path]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestVerify:

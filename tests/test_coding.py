@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,14 @@ from blockdict import (
     BlockStructure,
     CapacityError,
     block_omp,
+    codes_to_matrix,
     exhaustive_code,
     gen_codes,
     gen_dictionary,
 )
+
+from blockdict import coding
+from blockdict.coding import _min_residual_codes
 
 from conftest import make_rip_instance, projector
 
@@ -133,3 +139,39 @@ class TestOracleDominance:
         greedy = block_omp(A, y, s=2, tol=0.0)
         oracle = exhaustive_code(A, y, s=2, tol=0.0)
         assert oracle.residual_norm <= greedy.residual_norm + 1e-12
+
+
+class TestBatchKernel:
+    @pytest.mark.parametrize("chunk", [1, 15 * 7])
+    def test_chunked_batch_matches_per_column_calls(self, monkeypatch, chunk):
+        # 15 supports: chunk 1 codes one column at a time, 105 seven at a time
+        A, _, used = make_rip_instance(16, 6, 2, 2, seed=40)
+        st = A.structure
+        rng = np.random.default_rng(used)
+        Y = A.data @ codes_to_matrix(gen_codes(st, 30, seed=used + 1))
+        Y = Y + 1e-2 * rng.standard_normal(Y.shape)
+        Y[:, 4] = 0.0
+        monkeypatch.setattr(coding, "_CODE_CHUNK", chunk)
+        X, res = _min_residual_codes(A, Y, st.s, 1e-10)
+        supports = list(combinations(range(1, 7), 2))
+        for c in range(Y.shape[1]):
+            one = exhaustive_code(A, Y[:, c], s=st.s, tol=1e-10)
+            assert np.max(np.abs(X[:, c] - one.code.values)) <= 1e-12
+            assert abs(res[c] - np.linalg.norm(Y[:, c] - A.data @ X[:, c])) <= 1e-12
+            # projector oracle: smallest residual over all supports
+            oracle = min(
+                np.linalg.norm(Y[:, c] - projector(A.restrict(sup)) @ Y[:, c])
+                for sup in supports
+            )
+            assert res[c] == pytest.approx(oracle, abs=1e-12)
+        assert not X[:, 4].any() and res[4] == 0.0
+
+    def test_one_column_solve_count(self, monkeypatch):
+        A = gen_dictionary(14, BlockStructure(K=6, alpha=2, s=2), seed=2)
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(
+            np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k)
+        )
+        exhaustive_code(A, np.random.default_rng(2).standard_normal(14), s=2)
+        assert len(calls) == 15 + 1

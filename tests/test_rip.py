@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,6 +14,9 @@ from blockdict import (
     rip_constant_for_support,
     rip_lower_bound_sampled,
 )
+
+from blockdict import rip
+from blockdict.rip import _enumerate_supports, _sample_supports
 
 from conftest import ge_rank, make_rip_instance, rip_brute_force
 
@@ -132,6 +136,56 @@ class TestSampled:
         sampled = rip_lower_bound_sampled(A, 5, n_samples=10, seed=seed)
         assert sampled.delta <= exact.delta
         assert sampled.supports_examined == 10
+
+
+class TestSupportLayer:
+    def test_enumeration_is_lexicographic(self):
+        supports = _enumerate_supports(5, 3, cap=10)
+        assert [tuple(map(int, row)) for row in supports] == list(
+            combinations(range(1, 6), 3)
+        )
+
+    def test_enumeration_cap(self):
+        assert len(_enumerate_supports(6, 3, cap=20)) == 20
+        with pytest.raises(CapacityError):
+            _enumerate_supports(6, 3, cap=19)
+
+    def test_sampler_distinct_sorted_and_seeded(self):
+        drawn = _sample_supports(10, 4, 30, seed=5)
+        rows = [tuple(map(int, row)) for row in drawn]
+        assert drawn.shape == (30, 4)
+        assert len(set(rows)) == 30
+        assert all(list(row) == sorted(row) and 1 <= row[0] and row[-1] <= 10
+                   for row in rows)
+        assert np.array_equal(drawn, _sample_supports(10, 4, 30, seed=5))
+        assert not np.array_equal(drawn, _sample_supports(10, 4, 30, seed=6))
+
+    @pytest.mark.parametrize("n", [15, 16, 1000])
+    def test_sampler_returns_every_support_when_budget_allows(self, n):
+        assert np.array_equal(_sample_supports(6, 2, n, seed=0),
+                              _enumerate_supports(6, 2, cap=15))
+
+    def test_sampled_bound_pinned(self):
+        # values recorded from the per-support implementation this replaced
+        A = gen_dictionary(20, BlockStructure(K=10, alpha=2, s=3), seed=11)
+        report = rip_lower_bound_sampled(A, 5, 20, seed=42)
+        assert report.worst_support == (3, 4, 7, 8, 10)
+        assert report.delta == pytest.approx(1.453125487289455, abs=1e-12)
+        assert report.supports_examined == 20
+
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_gram_path_across_chunk_boundaries(self, monkeypatch, level):
+        monkeypatch.setattr(rip, "_RIP_CHUNK", 4)
+        A = gen_dictionary(14, BlockStructure(K=7, alpha=2, s=2), seed=3)
+        supports = list(combinations(range(1, 8), level))
+        assert len(supports) % 4 != 0
+        deltas = [rip_constant_for_support(A, sup) for sup in supports]
+        report = rip_constant_exact(A, level)
+        assert report.delta == pytest.approx(max(deltas), abs=1e-12)
+        assert report.worst_support == supports[int(np.argmax(deltas))]
+        oracle_delta, oracle_worst = rip_brute_force(A, level)
+        assert report.delta == pytest.approx(oracle_delta, abs=1e-12)
+        assert report.worst_support == oracle_worst
 
 
 def test_report_json_shape():
