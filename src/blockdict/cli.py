@@ -18,6 +18,7 @@ from .coding import DEFAULT_CODING_TOL, block_omp, exhaustive_code
 from .core import BlockDict, BlockStructure
 from .equivalence import (
     DEFAULT_CERTIFICATE_TOL,
+    DEFAULT_PROBE_TOL,
     construct_kappa,
     recover_equivalence,
     verify_theorem_instance,
@@ -231,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--support", required=True, help="comma-separated 1-based blocks")
     p.add_argument("--probes", type=int, default=8)
-    add_common(p, tol_default=1e-8)
+    add_common(p, tol_default=DEFAULT_PROBE_TOL)
     p.set_defaults(func=_cmd_kappa)
 
     p = sub.add_parser("learn", help="learn a dictionary from samples")

@@ -3,6 +3,9 @@
 Block indices are 1-based everywhere in the public API and in serialized
 output; internal storage is plain 0-based numpy. All types are immutable
 after construction and all operations are pure functions.
+
+The library's one numerical-rank rule, `_numerical_rank`, lives here: the
+count of singular values above tol times the largest.
 """
 
 from __future__ import annotations
@@ -54,6 +57,16 @@ class BlockStructure:
         if not 1 <= i <= self.K:
             raise IndexError(f"block index {i} out of range 1..{self.K}")
         return slice((i - 1) * self.alpha, i * self.alpha)
+
+
+def _numerical_rank(svals: np.ndarray, tol: float) -> np.ndarray:
+    """Count of singular values above tol times the largest, over the last axis.
+
+    svals is descending on its last axis, as numpy's svd returns it; all zero
+    gives 0, and full rank is svals.shape[-1].
+    """
+    top = svals[..., :1]
+    return np.sum((svals > tol * top) & (top > 0), axis=-1)
 
 
 def as_support(indices, K: int) -> Support:
@@ -125,12 +138,10 @@ class BlockDict:
 
     def block_ranks(self, tol: float = 1e-10) -> tuple[int, ...]:
         """Numerical rank of each block (singular values > tol * largest)."""
-        ranks = []
-        for i in range(1, self.structure.K + 1):
-            svals = np.linalg.svd(self.block(i), compute_uv=False)
-            top = svals[0] if svals.size else 0.0
-            ranks.append(int(np.sum(svals > tol * top)) if top > 0 else 0)
-        return tuple(ranks)
+        K, alpha = self.structure.K, self.structure.alpha
+        blocks = self.data.reshape(self.ambient_dim, K, alpha).transpose(1, 0, 2)
+        svals = np.linalg.svd(blocks, compute_uv=False)
+        return tuple(int(r) for r in _numerical_rank(svals, tol))
 
 
 @dataclass(frozen=True)
@@ -156,13 +167,12 @@ class BlockSparseVec:
             raise ValueError(
                 f"support size {len(sup)} exceeds sparsity level s={self.structure.s}"
             )
-        for i in range(1, self.structure.K + 1):
-            blk = vals[self.structure.block_slice(i)]
+        nonzero = np.flatnonzero(np.any(vals.reshape(self.structure.K, -1) != 0, axis=1)) + 1
+        if tuple(nonzero) != sup:
+            i = int(min(set(nonzero) ^ set(sup)))  # first offending block
             if i in sup:
-                if not np.any(np.abs(blk) > 0):
-                    raise ValueError(f"block {i} is in the support but is all zero")
-            elif np.any(blk != 0):
-                raise ValueError(f"block {i} is outside the support but nonzero")
+                raise ValueError(f"block {i} is in the support but is all zero")
+            raise ValueError(f"block {i} is outside the support but nonzero")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "support", sup)
 
@@ -178,10 +188,9 @@ class BlockSparseVec:
                 f"vector has length {vals.shape[0]}, expected {structure.total_dim}"
             )
         sup = block_support(vals, structure, tol=tol)
-        clean = np.zeros_like(vals)
-        for i in sup:
-            clean[structure.block_slice(i)] = vals[structure.block_slice(i)]
-        return cls(structure, clean, sup)
+        keep = np.zeros(structure.K, dtype=bool)
+        keep[[i - 1 for i in sup]] = True
+        return cls(structure, np.where(np.repeat(keep, structure.alpha), vals, 0.0), sup)
 
 
 def make_indicator(structure: BlockStructure, i: int, j: int) -> BlockSparseVec:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coding import DEFAULT_CODING_TOL, exhaustive_code
-from .core import BlockDict, BlockStructure, Support, as_support
+from .core import BlockDict, BlockStructure, Support, _numerical_rank, as_support
 from .errors import HypothesisViolationError, RankError
 from .rip import (
     DEFAULT_ENUMERATION_CAP,
@@ -31,6 +31,8 @@ from .subspace import DEFAULT_RANK_TOL, orthonormal_basis, spans_equal
 
 DEFAULT_CERTIFICATE_TOL = 1e-6
 DEFAULT_INVERTIBILITY_TOL = 1e-8
+DEFAULT_PROBE_TOL = 1e-8
+MAX_HYPOTHESIS_SUPPORTS = 128
 
 STATUS_EQUIVALENT = "equivalent"
 STATUS_NOT_EQUIVALENT = "not-equivalent"
@@ -94,11 +96,8 @@ class BlockDiagonal:
 
     def is_invertible(self, tol: float = DEFAULT_INVERTIBILITY_TOL) -> bool:
         """All blocks have smallest singular value above tol times the largest."""
-        for blk in self.blocks:
-            svals = np.linalg.svd(blk, compute_uv=False)
-            if svals[0] == 0 or svals[-1] <= tol * svals[0]:
-                return False
-        return True
+        svals = np.linalg.svd(np.stack(self.blocks), compute_uv=False)
+        return bool(np.all(_numerical_rank(svals, tol) == self.structure.alpha))
 
     def dense(self) -> np.ndarray:
         """The full K*alpha x K*alpha block-diagonal matrix."""
@@ -203,7 +202,7 @@ def solve_block_transform(
             f"blocks must share shape P x alpha, got {A_block.shape} and {B_block.shape}"
         )
     svals = np.linalg.svd(B_block, compute_uv=False)
-    if svals[0] == 0 or svals[-1] <= rank_tol * svals[0]:
+    if _numerical_rank(svals, rank_tol) < svals.size:
         raise RankError("target block is rank-deficient")
     M, _, _, _ = np.linalg.lstsq(B_block, A_block, rcond=None)
     err = float(np.linalg.norm(A_block - B_block @ M, "fro"))
@@ -317,7 +316,7 @@ def construct_kappa(
     S,
     n_probes: int = 8,
     seed: int = 0,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_PROBE_TOL,
 ) -> KappaResult:
     """Find the B-support spanning the same measurements as the A-blocks in S.
 
@@ -401,16 +400,13 @@ def verify_theorem_instance(
     n_probes: int = 8,
     seed: int = 0,
     tol: float = DEFAULT_CERTIFICATE_TOL,
-    probe_tol: float = 1e-8,
-    max_supports: int = 128,
-    rip_cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> TheoremReport:
     """Check that block-sparse representability of B implies equivalence to A.
 
     The report carries (1) the restricted isometry constant of A at level
     min(2s, K), (2) a hypothesis section probing construct_kappa on a
     family of size-s supports (all of them when there are at most
-    max_supports, else a seeded sample), (3) the recovered equivalence
+    MAX_HYPOTHESIS_SUPPORTS, else a seeded sample), (3) the recovered equivalence
     certificate, and (4) whether kappa restricted to singletons equals the
     recovered permutation. All findings are report fields; probe failures
     are recorded, not raised.
@@ -422,19 +418,19 @@ def verify_theorem_instance(
         raise ValueError(f"s must satisfy 1 <= s <= K, got s={s}, K={K}")
 
     level = min(2 * s, K)
-    if math.comb(K, level) <= rip_cap:
-        rip = rip_constant_exact(A, level, cap=rip_cap)
+    if math.comb(K, level) <= DEFAULT_ENUMERATION_CAP:
+        rip = rip_constant_exact(A, level)
     else:
         rip = rip_lower_bound_sampled(A, level, n_samples=200, seed=seed)
 
     def probe(sup) -> dict:
         try:
-            res = construct_kappa(A, B, sup, n_probes=n_probes, seed=seed, tol=probe_tol)
+            res = construct_kappa(A, B, sup, n_probes=n_probes, seed=seed)
         except HypothesisViolationError as exc:
             return {"support": list(sup), "error": str(exc)}
         return {"support": list(sup), "kappa": list(res.kappa), "consistent": res.consistent}
 
-    family = sorted(map(tuple, _sample_supports(K, s, max_supports, seed).tolist()))
+    family = sorted(map(tuple, _sample_supports(K, s, MAX_HYPOTHESIS_SUPPORTS, seed).tolist()))
     hypothesis = [probe(sup) for sup in family]
     holds = all(entry.get("consistent", False) for entry in hypothesis)
     certificate = recover_equivalence(A, B, tol)

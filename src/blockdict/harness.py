@@ -33,10 +33,11 @@ from .rip import (
     rip_constant_exact,
     rip_lower_bound_sampled,
 )
-from .subspace import DEFAULT_RANK_TOL
+from .subspace import DEFAULT_RANK_TOL, _spans_equal_stacked
 
 MODE_GAUSSIAN = "gaussian"
 MODE_BLOCK_ORTH = "per-block-orthonormal"
+MAX_GENERATION_RETRIES = 1000
 
 # sub-stream tags so every pipeline stage gets an independent generator
 _STREAM_DICT = 0
@@ -89,10 +90,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> ExperimentConfig:
-        """Config from its `to_dict` form; ValueError names bad or missing keys."""
+        """Config from its `to_dict` form; ValueError names bad, missing or mistyped keys."""
         _check_keys(d, cls, "experiment config")
         _check_keys(d["structure"], BlockStructure, "structure")
-        structure = BlockStructure(**{k: int(v) for k, v in d["structure"].items()})
+        structure = BlockStructure(**d["structure"])
         return cls(**{**d, "structure": structure})
 
     @classmethod
@@ -101,8 +102,12 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
 
+# JSON types each annotation accepts: bools are not numbers, floats not ints
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
 def _check_keys(d, cls, what: str) -> None:
-    """ValueError unless d is a dict whose keys are fields of cls, none missing."""
+    """ValueError unless d is a dict of the fields of cls, none missing, typed right."""
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
     known = {f.name for f in fields(cls)}
@@ -114,6 +119,10 @@ def _check_keys(d, cls, what: str) -> None:
     ]
     if problems:
         raise ValueError(f"{what}: {'; '.join(problems)}")
+    for f in fields(cls):
+        accepted = _JSON_TYPES.get(f.type, object)
+        if f.name in d and (isinstance(d[f.name], bool) or not isinstance(d[f.name], accepted)):
+            raise ValueError(f"{what}: key {f.name!r} must be {f.type}, got {d[f.name]!r}")
 
 
 def _substream(seed: int, tag: int) -> np.random.Generator:
@@ -217,11 +226,7 @@ class LearnTrace:
     stalled: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "objectives": self.objectives,
-            "reseed_events": self.reseed_events,
-            "stalled": self.stalled,
-        }
+        return asdict(self)
 
 
 def _code_all(B: BlockDict, Y: np.ndarray, s: int, tol: float):
@@ -472,16 +477,11 @@ def learn_dictionary(
             coeffs[:r] = svals[:r, None] * Vt[:r, :]
             X[sl, :][:, active] = coeffs
         # purge duplicated spans: the lower-energy twin restarts elsewhere
-        for i in range(1, structure.K + 1):
-            for j in range(i + 1, structure.K + 1):
-                cos = np.linalg.svd(
-                    data[:, structure.block_slice(i)].T @ data[:, structure.block_slice(j)],
-                    compute_uv=False,
-                )
-                if cos.min() > 1.0 - 1e-6:
-                    ei = float(np.sum(X[structure.block_slice(i), :] ** 2))
-                    ej = float(np.sum(X[structure.block_slice(j), :] ** 2))
-                    reseed(i if ei < ej else j, it, res, X, "duplicate")
+        for i, j in combinations(range(1, structure.K + 1), 2):
+            bi, bj = structure.block_slice(i), structure.block_slice(j)
+            if _spans_equal_stacked(data[:, bi], data[:, bj], 1e-6):
+                twin = i if np.sum(X[bi] ** 2) < np.sum(X[bj] ** 2) else j
+                reseed(twin, it, res, X, "duplicate")
     return BlockDict(structure, data), trace
 
 
@@ -500,17 +500,7 @@ class ExperimentReport:
     wall_clock_sec: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "rip": self.rip,
-            "generation_retries": self.generation_retries,
-            "underdetermined": self.underdetermined,
-            "trace": self.trace,
-            "certificate": self.certificate,
-            "coding_residuals": self.coding_residuals,
-            "stage_errors": self.stage_errors,
-            "wall_clock_sec": self.wall_clock_sec,
-        }
+        return asdict(self)
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -525,12 +515,12 @@ def _rip_for_config(A: BlockDict, config: ExperimentConfig) -> RipReport:
     )
 
 
-def run_experiment(config: ExperimentConfig, max_generation_retries: int = 1000) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Full pipeline: generate, synthesize, learn, and certify.
 
     Generates a ground-truth dictionary (re-drawing with seed+1 while its
     restricted isometry constant is not below 1, up to
-    max_generation_retries), synthesizes noisy or exact samples, learns a
+    MAX_GENERATION_RETRIES), synthesizes noisy or exact samples, learns a
     dictionary, and recovers the equivalence certificate against the
     truth. Stage failures are recorded in the report, not raised. The
     report is identical across runs with the same config except for
@@ -545,7 +535,7 @@ def run_experiment(config: ExperimentConfig, max_generation_retries: int = 1000)
     stage = "gen_dictionary"
     try:
         truth = None
-        for retry in range(max_generation_retries + 1):
+        for retry in range(MAX_GENERATION_RETRIES + 1):
             candidate = gen_dictionary(
                 config.ambient_dim, structure,
                 seed=dict_seed + retry, mode=config.dict_mode,
@@ -559,7 +549,7 @@ def run_experiment(config: ExperimentConfig, max_generation_retries: int = 1000)
         if truth is None:
             raise ValueError(
                 f"no dictionary with restricted isometry constant below 1 found in "
-                f"{max_generation_retries + 1} draws"
+                f"{MAX_GENERATION_RETRIES + 1} draws"
             )
 
         stage = "gen_codes"

@@ -1,23 +1,22 @@
 """Span algebra over column-blocks.
 
-Subspaces are carried as orthonormal bases obtained from the SVD with a
-relative rank tolerance. Span equality is decided through principal
-angles; two spans of equal dimension are equal when every principal
-cosine is at least 1 - tol, i.e. every principal angle is below
-arccos(1 - tol) ~ sqrt(2 tol).
+Subspaces are carried as orthonormal bases obtained from the SVD with the
+library's one rank rule, `core._numerical_rank`. Span equality is decided
+by one kernel over stacked bases, `_spans_equal_stacked`: two spans of
+equal dimension are equal when every principal cosine is at least 1 - tol,
+i.e. every principal angle is below arccos(1 - tol) ~ sqrt(2 tol).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .core import BlockDict, as_support
+from .core import BlockDict, _numerical_rank, as_support
 from .errors import CapacityError
-from .rip import DEFAULT_ENUMERATION_CAP, _enumerate_supports
+from .rip import DEFAULT_ENUMERATION_CAP, _enumerate_supports, _support_columns
 
 DEFAULT_RANK_TOL = 1e-8
 
@@ -58,12 +57,21 @@ def orthonormal_basis(M, tol: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ValueError(f"expected a nonempty 2-D matrix, got shape {arr.shape}")
-    if arr.shape[1] == 0:
-        return SubspaceBasis(arr.shape[0], arr[:, :0])
     U, svals, _ = np.linalg.svd(arr, full_matrices=False)
-    top = svals[0] if svals.size else 0.0
-    rank = int(np.sum(svals > tol * top)) if top > 0 else 0
-    return SubspaceBasis(arr.shape[0], U[:, :rank])
+    return SubspaceBasis(arr.shape[0], U[:, : int(_numerical_rank(svals, tol))])
+
+
+def _cosines(Q1: np.ndarray, Q2: np.ndarray) -> np.ndarray:
+    """Principal cosines, descending, of stacked orthonormal bases (..., P, d)."""
+    return np.clip(np.linalg.svd(np.swapaxes(Q1, -1, -2) @ Q2, compute_uv=False), 0.0, 1.0)
+
+
+def _spans_equal_stacked(Q1: np.ndarray, Q2: np.ndarray, tol: float) -> np.ndarray:
+    """Per pair of stacked (..., P, d) orthonormal bases: every principal cosine >= 1 - tol.
+
+    Leading axes broadcast; pairs of dimension 0 are equal.
+    """
+    return np.all(_cosines(Q1, Q2) >= 1.0 - tol, axis=-1)
 
 
 def principal_cosines(Q1: SubspaceBasis, Q2: SubspaceBasis) -> np.ndarray:
@@ -72,10 +80,7 @@ def principal_cosines(Q1: SubspaceBasis, Q2: SubspaceBasis) -> np.ndarray:
         raise ValueError(
             f"ambient dimensions differ: {Q1.ambient_dim} vs {Q2.ambient_dim}"
         )
-    if Q1.dim == 0 or Q2.dim == 0:
-        return np.empty(0)
-    cos = np.linalg.svd(Q1.basis.T @ Q2.basis, compute_uv=False)
-    return np.clip(cos, 0.0, 1.0)
+    return _cosines(Q1.basis, Q2.basis)
 
 
 def spans_equal(M1, M2, tol: float = DEFAULT_RANK_TOL) -> bool:
@@ -90,11 +95,7 @@ def spans_equal(M1, M2, tol: float = DEFAULT_RANK_TOL) -> bool:
         raise ValueError(
             f"ambient dimensions differ: {Q1.ambient_dim} vs {Q2.ambient_dim}"
         )
-    if Q1.dim != Q2.dim:
-        return False
-    if Q1.dim == 0:
-        return True
-    return bool(principal_cosines(Q1, Q2).min() >= 1.0 - tol)
+    return Q1.dim == Q2.dim and bool(_spans_equal_stacked(Q1.basis, Q2.basis, tol))
 
 
 def subspace_intersection(M1, M2, tol: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
@@ -138,10 +139,13 @@ def check_lemma1(
         raise CapacityError(
             f"C({K}, {s})^2 = {n_supports ** 2} pairs exceeds the enumeration cap {cap}"
         )
-    supports = _enumerate_supports(K, s, cap)
-    bases = [orthonormal_basis(A.restrict(sup), tol) for sup in supports]
-    for a, b in combinations(range(len(supports)), 2):
-        if spans_equal(bases[a], bases[b], tol):
+    cols = _support_columns(_enumerate_supports(K, s, cap), A.structure.alpha)
+    U, svals, _ = np.linalg.svd(A.data[:, cols].transpose(1, 0, 2), full_matrices=False)
+    ranks = _numerical_rank(svals, tol)
+    # each support against every later one of its rank: O(C(K, s) P s alpha) memory
+    for a, r in enumerate(ranks):
+        later = a + 1 + np.flatnonzero(ranks[a + 1 :] == r)
+        if later.size and np.any(_spans_equal_stacked(U[a, :, :r], U[later, :, :r], tol)):
             return False
     return True
 
@@ -162,6 +166,4 @@ def check_lemma2(A: BlockDict, S, S2, tol: float = DEFAULT_RANK_TOL) -> bool:
         )
     inter = subspace_intersection(A.restrict(sup1), A.restrict(sup2), tol)
     common = tuple(sorted(set(sup1) & set(sup2)))
-    if not common:
-        return inter.dim == 0
     return spans_equal(inter, orthonormal_basis(A.restrict(common), tol), tol)

@@ -235,8 +235,18 @@ class TestLearnAndExperiment:
             ({k: v for k, v in BASE_CONFIG.items() if k != "structure"},
              "missing keys ['structure']"),
             ([BASE_CONFIG], "must be a JSON object"),
+            ({**BASE_CONFIG, "n_samples": "50"}, "key 'n_samples' must be int"),
+            ({**BASE_CONFIG, "noise_level": "0.1"}, "key 'noise_level' must be float"),
+            ({**BASE_CONFIG, "learner_iterations": None},
+             "key 'learner_iterations' must be int"),
+            ({**BASE_CONFIG, "structure": {**BASE_CONFIG["structure"], "K": 4.7}},
+             "structure: key 'K' must be int"),
+            ({**BASE_CONFIG, "structure": {**BASE_CONFIG["structure"], "alpha": True}},
+             "structure: key 'alpha' must be int"),
+            ({**BASE_CONFIG, "seed": 1.5}, "key 'seed' must be int"),
         ],
-        ids=["unknown-key", "missing-structure", "list-top-level"],
+        ids=["unknown-key", "missing-structure", "list-top-level", "string-int",
+             "string-float", "null-int", "float-K", "bool-alpha", "float-seed"],
     )
     def test_malformed_config_exit_code(self, workdir, capsys, command, payload, message):
         path = workdir / "bad.json"

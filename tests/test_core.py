@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 
 from blockdict import (
+    BlockDiagonal,
     BlockDict,
     BlockSparseVec,
     BlockStructure,
+    RankError,
     as_support,
     block_support,
     make_indicator,
+    solve_block_transform,
     split_columns,
 )
+from blockdict.core import _numerical_rank
 
 
 @pytest.fixture
@@ -170,6 +174,21 @@ class TestBlockSparseVec:
         with pytest.raises(ValueError):
             BlockSparseVec(st52, v, (1, 2))
 
+    @pytest.mark.parametrize(
+        "nonzero, support, message",
+        [
+            ((0, 4, 6), (1,), "block 3 is outside the support but nonzero"),
+            ((9,), (2, 4), "block 2 is in the support but is all zero"),
+            ((2, 9), (3, 5), "block 2 is outside the support but nonzero"),
+            ((4,), (1, 2), "block 1 is in the support but is all zero"),
+        ],
+    )
+    def test_first_offending_block_named(self, st52, nonzero, support, message):
+        v = np.zeros(10)
+        v[list(nonzero)] = 1.0
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BlockSparseVec(st52, v, support)
+
     def test_from_values_detects_support(self, st52):
         v = np.zeros(10)
         v[2] = 0.5
@@ -223,3 +242,32 @@ class TestBlockDict:
         data[:, 0:2] = np.eye(4)[:, :2]
         A = BlockDict(st52, data)
         assert A.block_ranks() == (2, 0, 0, 0, 0)
+
+
+# (second singular value, rank) at tol = 2**-10 for blocks diag(1, t) and zero
+TOL = 2.0**-10
+RANK_CASES = [(None, 0), (0.0, 1), (TOL / 2, 1), (TOL, 1), (2 * TOL, 2), (1.0, 2)]
+
+
+@pytest.mark.parametrize("t, rank", RANK_CASES)
+def test_rank_rule_boundaries(t, rank):
+    """The one rank rule: singular values strictly above tol * largest; zero has rank 0."""
+    square = np.zeros((2, 2)) if t is None else np.diag([1.0, t])
+    block = np.vstack([square, np.zeros((2, 2))])
+    svals = np.linalg.svd(block, compute_uv=False)
+    assert _numerical_rank(svals, TOL) == rank
+    A = BlockDict(BlockStructure(K=2, alpha=2, s=1), np.hstack([block, np.eye(4)[:, :2]]))
+    assert A.block_ranks(TOL) == (rank, 2)
+    D = BlockDiagonal(BlockStructure(K=2, alpha=2, s=1), (np.eye(2), square))
+    assert D.is_invertible(TOL) == (rank == 2)
+    if rank == 2:
+        solve_block_transform(np.ones((4, 2)), block, rank_tol=TOL)
+    else:
+        with pytest.raises(RankError):
+            solve_block_transform(np.ones((4, 2)), block, rank_tol=TOL)
+
+
+def test_rank_rule_stacked():
+    svals = np.array([[[4.0, 2.0, 0.0], [0.0, 0.0, 0.0]], [[1.0, 1.0, 1.0], [3.0, 3e-9, 0.0]]])
+    assert _numerical_rank(svals, 1e-8).tolist() == [[2, 0], [3, 1]]
+    assert _numerical_rank(np.empty((3, 0)), 1e-8).tolist() == [0, 0, 0]

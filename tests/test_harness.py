@@ -179,6 +179,18 @@ class TestLearnDictionary:
         with pytest.raises(ValueError):
             learn_dictionary(np.zeros((7, 10)), config)
 
+    def test_duplicate_spans_are_purged(self):
+        # every sample on one line: each active block is refit to that line,
+        # so two blocks share a span and the purge reseeds one of them
+        st = BlockStructure(K=4, alpha=1, s=2)
+        config = ExperimentConfig(st, ambient_dim=6, n_samples=30, seed=0,
+                                  learner_iterations=15)
+        Y = np.outer(np.arange(1.0, 7.0), np.linspace(1.0, 2.0, 30))
+        _, trace = learn_dictionary(Y, config, init=gen_dictionary(6, st, seed=100))
+        reasons = [event["reason"] for event in trace.reseed_events]
+        assert "duplicate" in reasons
+        assert set(reasons) <= {"dead", "duplicate"}
+
 
 class TestLearnerCoding:
     def test_matches_exhaustive_code_per_sample(self):

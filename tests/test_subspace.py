@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -155,11 +157,44 @@ class TestLemma1:
         assert report.delta < 1.0
         assert check_lemma1(A, 2)
         # oracle: exhaustive pair loop with the projector-difference criterion
-        from itertools import combinations
-
         supports = list(combinations(range(1, 7), 2))
         for a, b in combinations(supports, 2):
             assert not spans_equal_oracle(A.restrict(a), A.restrict(b))
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-6])
+    def test_matches_per_pair_spans_equal(self, tol):
+        """Batched check against a loop over pairs, across the equality threshold.
+
+        Block 1 is zero, block 2 has rank 1 and block 5 mixes block 3 plus a
+        perturbation eps; a principal angle of eps ~ sqrt(2 tol) sits at the
+        threshold, so both outcomes occur.
+        """
+        rng = np.random.default_rng(0)
+        structure = BlockStructure(K=5, alpha=2, s=2)
+        base = gen_dictionary(10, structure, seed=4)
+        base = base.with_block(1, np.zeros((10, 2)))
+        base = base.with_block(2, np.outer(rng.standard_normal(10), [1.0, -2.0]))
+        outcomes = set()
+        for eps in [0.0, *np.geomspace(1e-6, 1e-1, 16)]:
+            noise = rng.standard_normal((10, 2))
+            mixed = base.block(3) @ np.array([[2.0, 1.0], [0.5, 1.0]])
+            A = base.with_block(5, mixed + eps * noise / np.linalg.norm(noise))
+            for s in (1, 2):
+                supports = list(combinations(range(1, 6), s))
+                bases = [orthonormal_basis(A.restrict(sup), tol) for sup in supports]
+                expected = not any(
+                    spans_equal(bases[a], bases[b], tol)
+                    for a, b in combinations(range(len(bases)), 2)
+                )
+                assert check_lemma1(A, s, tol) == expected, (eps, s)
+                outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    def test_two_zero_blocks_share_the_zero_span(self):
+        A = gen_dictionary(8, BlockStructure(K=4, alpha=2, s=1), seed=9)
+        assert check_lemma1(A.with_block(1, np.zeros((8, 2))), 1)
+        A = A.with_block(1, np.zeros((8, 2))).with_block(3, np.zeros((8, 2)))
+        assert not check_lemma1(A, 1)
 
     def test_capacity(self):
         structure = BlockStructure(K=40, alpha=1, s=20)
@@ -190,6 +225,11 @@ class TestLemma2:
             v = inter.basis @ rng.standard_normal(inter.dim)
             assert in_span(v, A.block(2))
 
+    def test_disjoint_supports_with_intersecting_spans(self):
+        # four generic lines in R^3: any two planes they span share a line
+        A = gen_dictionary(3, BlockStructure(K=4, alpha=1, s=2), seed=1, mode="gaussian")
+        assert not check_lemma2(A, (1, 2), (3, 4))
+
     def test_wrong_size_rejected(self):
         A, _, _ = make_rip_instance(16, 6, 2, 2, seed=7)
         with pytest.raises(ValueError):
@@ -206,3 +246,4 @@ def test_principal_cosines_range():
     assert cos.shape == (3,)
     assert np.all((cos >= 0) & (cos <= 1))
     assert np.all(np.diff(cos) <= 1e-12)  # descending
+    assert principal_cosines(Q1, orthonormal_basis(np.zeros((8, 2)))).shape == (0,)
