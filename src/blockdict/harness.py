@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .coding import DEFAULT_CODING_TOL, _min_residual_codes, block_omp
+from .coding import _CODE_CHUNK, DEFAULT_CODING_TOL, _min_residual_codes, block_omp
 from .core import BlockDict, BlockSparseVec, BlockStructure
 from .errors import RankError
 from .equivalence import (
@@ -30,6 +30,7 @@ from .equivalence import (
 from .rip import (
     DEFAULT_ENUMERATION_CAP,
     RipReport,
+    _enumerate_supports,
     rip_constant_exact,
     rip_lower_bound_sampled,
 )
@@ -38,6 +39,8 @@ from .subspace import DEFAULT_RANK_TOL, _spans_equal_stacked
 MODE_GAUSSIAN = "gaussian"
 MODE_BLOCK_ORTH = "per-block-orthonormal"
 MAX_GENERATION_RETRIES = 1000
+DISCOVERY_MEMBER_TOL = 1e-7  # relative residual of a verified cluster member
+DISCOVERY_MAX_PARTNERS = 18
 
 # sub-stream tags so every pipeline stage gets an independent generator
 _STREAM_DICT = 0
@@ -72,14 +75,15 @@ class ExperimentConfig:
                 f"{self.structure.s * self.structure.alpha}; no dictionary can then "
                 "have a restricted isometry constant below 1"
             )
-        if self.n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
-        if self.noise_level < 0:
-            raise ValueError(f"noise_level must be nonnegative, got {self.noise_level}")
-        if self.learner_iterations < 1:
-            raise ValueError(
-                f"learner_iterations must be >= 1, got {self.learner_iterations}"
-            )
+        for name in ("n_samples", "learner_iterations", "rip_samples"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{f.name} must be finite and nonnegative, got {value}")
+            if f.name == "coefficient_scale" and value == 0:
+                raise ValueError(f"{f.name} must be positive, got {value}")
         if self.dict_mode not in (MODE_GAUSSIAN, MODE_BLOCK_ORTH):
             raise ValueError(f"unknown dictionary mode {self.dict_mode!r}")
         if self.rip_mode not in ("exact", "sampled"):
@@ -264,15 +268,17 @@ def _reseed_block(P: int, alpha: int, direction: np.ndarray, rng) -> np.ndarray:
     return Q[:, :alpha]
 
 
-def _discover_block_spans(Y: np.ndarray, structure: BlockStructure,
-                          member_tol: float = 1e-7, max_partners: int = 18):
+def _discover_block_spans(Y: np.ndarray, structure: BlockStructure):
     """Candidate block spans from exact sample clustering.
 
     Noiseless samples sharing a support lie in one s*alpha-dimensional
     subspace, so a candidate span built from a seed sample and a few
     aligned partners can be verified exactly by counting zero-residual
-    members. Pairwise intersections of the verified cluster spans then
-    isolate the alpha-dimensional block spans the clusters share.
+    members. Partner tuples are screened in stacked chunks by the cheap
+    residual 1 - ||Q^T y||^2 / ||y||^2 <= (10 * DISCOVERY_MEMBER_TOL)^2,
+    which every member passes, so the exact test still sees, in order, every
+    tuple it could accept. Pairwise intersections of the verified cluster
+    spans then isolate the alpha-dimensional block spans the clusters share.
     """
     from .subspace import orthonormal_basis, spans_equal, subspace_intersection
 
@@ -288,6 +294,7 @@ def _discover_block_spans(Y: np.ndarray, structure: BlockStructure,
     Yk = Y[:, keep]
     nk = Yk.shape[1]
     norms_k = norms[keep]
+    step = max(1, _CODE_CHUNK // (dim * nk))
 
     unassigned = np.ones(nk, dtype=bool)
     clusters = []
@@ -297,17 +304,25 @@ def _discover_block_spans(Y: np.ndarray, structure: BlockStructure,
         seed_idx = cand[int(np.argmax(norms_k[cand]))]
         cos = np.abs(Yn[:, cand].T @ Yn[:, seed_idx])
         partners = cand[np.argsort(-cos)]
-        partners = partners[partners != seed_idx][:max_partners]
+        partners = partners[partners != seed_idx][:DISCOVERY_MAX_PARTNERS]
+        tuples = _enumerate_supports(len(partners), dim - 1, DEFAULT_ENUMERATION_CAP) - 1
+        trials = np.insert(partners[tuples], 0, seed_idx, axis=1)
         found = None
-        for triple in combinations(range(len(partners)), dim - 1):
-            cols = Yk[:, [seed_idx, *partners[list(triple)]]]
-            Q, _ = np.linalg.qr(cols)
-            if np.linalg.svd(cols, compute_uv=False)[-1] <= 1e-10 * norms_k[seed_idx]:
-                continue
-            resid = np.linalg.norm(Yk - Q @ (Q.T @ Yk), axis=0) / norms_k
-            members = resid < member_tol
-            if members.sum() >= dim + 2:
-                found = members
+        for chunk in np.array_split(trials, range(step, len(trials), step)):
+            Qt = np.linalg.qr(Yk[:, chunk].transpose(1, 0, 2))[0].transpose(0, 2, 1)
+            energy = ((Qt.reshape(-1, P) @ Yk) ** 2).reshape(len(chunk), dim, nk).sum(axis=1)
+            possible = 1 - energy / norms_k**2 <= (10 * DISCOVERY_MEMBER_TOL) ** 2
+            for idx in chunk[possible.sum(axis=1) >= dim + 2]:
+                cols = Yk[:, idx]
+                Q, _ = np.linalg.qr(cols)
+                if np.linalg.svd(cols, compute_uv=False)[-1] <= 1e-10 * norms_k[seed_idx]:
+                    continue
+                resid = np.linalg.norm(Yk - Q @ (Q.T @ Yk), axis=0) / norms_k
+                members = resid < DISCOVERY_MEMBER_TOL
+                if members.sum() >= dim + 2:
+                    found = members
+                    break
+            if found is not None:
                 break
         if found is None:
             unassigned[seed_idx] = False

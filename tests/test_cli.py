@@ -244,9 +244,22 @@ class TestLearnAndExperiment:
             ({**BASE_CONFIG, "structure": {**BASE_CONFIG["structure"], "alpha": True}},
              "structure: key 'alpha' must be int"),
             ({**BASE_CONFIG, "seed": 1.5}, "key 'seed' must be int"),
+            ({**BASE_CONFIG, "coefficient_scale": 0}, "coefficient_scale must be positive"),
+            ({**BASE_CONFIG, "coefficient_scale": float("inf")},
+             "coefficient_scale must be finite"),
+            ({**BASE_CONFIG, "rip_mode": "sampled", "rip_samples": 0},
+             "rip_samples must be >= 1"),
+            ({**BASE_CONFIG, "noise_level": float("nan")}, "noise_level must be finite"),
+            ({**BASE_CONFIG, "rank_tol": -1e-8}, "rank_tol must be finite and nonnegative"),
+            ({**BASE_CONFIG, "certificate_tol": -1e-6},
+             "certificate_tol must be finite and nonnegative"),
+            ({**BASE_CONFIG, "coding_tol": -1e-10},
+             "coding_tol must be finite and nonnegative"),
         ],
         ids=["unknown-key", "missing-structure", "list-top-level", "string-int",
-             "string-float", "null-int", "float-K", "bool-alpha", "float-seed"],
+             "string-float", "null-int", "float-K", "bool-alpha", "float-seed",
+             "zero-scale", "inf-scale", "zero-rip-samples", "nan-noise",
+             "negative-rank-tol", "negative-certificate-tol", "negative-coding-tol"],
     )
     def test_malformed_config_exit_code(self, workdir, capsys, command, payload, message):
         path = workdir / "bad.json"

@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from blockdict import (
     run_experiment,
     trace_to_csv,
 )
-from blockdict.harness import _code_all
+from blockdict import harness
+from blockdict.harness import _code_all, _discover_block_spans
+from blockdict.subspace import orthonormal_basis, spans_equal, subspace_intersection
 
 from conftest import make_rip_instance
 
@@ -221,6 +224,136 @@ class TestLearnerCoding:
             assert res[c] == np.linalg.norm(Y[:, c] - A.data @ values)
 
 
+def reference_discovery(Y, structure, log):
+    """Cluster discovery testing every partner tuple exactly, one at a time.
+
+    The per-trial loop the stacked screen must reproduce; `log` collects the
+    index of each accepted trial and the number of rank-deficient skips.
+    """
+    P, N = Y.shape
+    dim = structure.s * structure.alpha
+    if N < dim + 2 or structure.s >= structure.K:
+        return []
+    norms = np.linalg.norm(Y, axis=0)
+    keep = norms > 0
+    if keep.sum() < dim + 2:
+        return []
+    Yn = Y[:, keep] / norms[keep]
+    Yk = Y[:, keep]
+    nk = Yk.shape[1]
+    norms_k = norms[keep]
+
+    unassigned = np.ones(nk, dtype=bool)
+    clusters = []
+    max_clusters = min(3 * math.comb(structure.K, structure.s), 60)
+    while unassigned.sum() >= dim + 2 and len(clusters) < max_clusters:
+        cand = np.nonzero(unassigned)[0]
+        seed_idx = cand[int(np.argmax(norms_k[cand]))]
+        cos = np.abs(Yn[:, cand].T @ Yn[:, seed_idx])
+        partners = cand[np.argsort(-cos)]
+        partners = partners[partners != seed_idx][:18]
+        found = None
+        for trial, triple in enumerate(combinations(range(len(partners)), dim - 1)):
+            cols = Yk[:, [seed_idx, *partners[list(triple)]]]
+            Q, _ = np.linalg.qr(cols)
+            if np.linalg.svd(cols, compute_uv=False)[-1] <= 1e-10 * norms_k[seed_idx]:
+                log["skips"] += 1
+                continue
+            resid = np.linalg.norm(Yk - Q @ (Q.T @ Yk), axis=0) / norms_k
+            members = resid < 1e-7
+            if members.sum() >= dim + 2:
+                found = members
+                log["hits"].append(trial)
+                break
+        if found is None:
+            unassigned[seed_idx] = False
+            continue
+        clusters.append(orthonormal_basis(Yk[:, found]))
+        unassigned &= ~found
+
+    blocks = []
+    for a, b in combinations(range(len(clusters)), 2):
+        inter = subspace_intersection(clusters[a], clusters[b], tol=1e-7)
+        if inter.dim == structure.alpha and not any(
+            spans_equal(inter, blk, tol=1e-6) for blk in blocks
+        ):
+            blocks.append(inter)
+            if len(blocks) == structure.K:
+                return blocks
+    return blocks
+
+
+def criterion7_samples(seed, n_samples=300, noise=0.0):
+    st = BlockStructure(K=6, alpha=2, s=2)
+    A = gen_dictionary(16, st, seed=seed)
+    Y = A.data @ codes_to_matrix(gen_codes(st, n_samples, seed=seed + 1))
+    return st, Y + noise * np.random.default_rng(seed + 2).standard_normal(Y.shape)
+
+
+def planted_boundary_samples():
+    """Three 2-D support spans over three lines in R^6, the middle one thin.
+
+    Span {1, 3} holds its seed, one exact partner and samples at relative
+    residuals 0.5e-7 and 0.99e-7, so it is a cluster only when both count as
+    members, and a screen cut below 0.98 * DISCOVERY_MEMBER_TOL**2 loses it;
+    samples at 1.1, 2, 9 and 11 (x 1e-7) straddle the membership cut and
+    the screen's bound without being members.
+    """
+    rng = np.random.default_rng(5)
+    E = np.linalg.qr(rng.standard_normal((6, 3)))[0]
+    cols = []
+    for pair in ((0, 1), (1, 2)):
+        cols += [E[:, pair] @ (rng.uniform(0.5, 1.0, 2) * rng.choice([-1, 1], 2)) for _ in range(8)]
+    span = E[:, [0, 2]]
+    cols += [span @ np.array([1.5, 1.2]), span @ np.array([1.1, 0.4])]
+    for r in (0.5, 0.99, 1.1, 2, 9, 11):
+        u = rng.standard_normal(6)
+        u -= span @ (span.T @ u)
+        a = span @ rng.uniform(0.5, 1.0, 2)
+        cols.append(a + r * 1e-7 * np.linalg.norm(a) * u / np.linalg.norm(u))
+    return BlockStructure(K=3, alpha=1, s=2), np.column_stack(cols)
+
+
+def duplicated_samples():
+    # each of the 40 largest samples twice: tuples holding a seed and its
+    # copy are rank-deficient and take the singular-value skip
+    st, Y = criterion7_samples(11)
+    top = np.argsort(-np.linalg.norm(Y, axis=0))[:40]
+    return st, np.hstack([Y, Y[:, top]])
+
+
+class TestDiscoverBlockSpans:
+    def assert_matches_reference(self, st, Y):
+        log = {"hits": [], "skips": 0}
+        expected = reference_discovery(Y, st, log)
+        got = _discover_block_spans(Y, st)
+        assert [b.basis.tobytes() for b in got] == [b.basis.tobytes() for b in expected]
+        return expected, log
+
+    @pytest.mark.parametrize("seed", [0, 7, 232])
+    def test_noiseless_criterion7(self, seed):
+        expected, _ = self.assert_matches_reference(*criterion7_samples(seed))
+        assert len(expected) == 6
+
+    def test_noisy(self):
+        self.assert_matches_reference(*criterion7_samples(3, n_samples=40, noise=1e-3))
+
+    def test_planted_residuals_straddle_the_cuts(self):
+        expected, _ = self.assert_matches_reference(*planted_boundary_samples())
+        assert len(expected) == 3
+
+    @pytest.mark.parametrize("chunk", [None, 1, 7])
+    def test_rank_deficient_tuples_across_chunks(self, monkeypatch, chunk):
+        st, Y = duplicated_samples()
+        if chunk is not None:
+            # trials per chunk are _CODE_CHUNK // (s * alpha * N)
+            monkeypatch.setattr(harness, "_CODE_CHUNK", chunk * st.s * st.alpha * Y.shape[1])
+        expected, log = self.assert_matches_reference(st, Y)
+        assert log["skips"] > 0
+        assert max(log["hits"]) >= 7
+        assert len(expected) == 6
+
+
 class TestExperimentConfig:
     def test_rejects_infeasible_ambient(self):
         with pytest.raises(ValueError):
@@ -270,6 +403,20 @@ class TestRunExperiment:
         clean = run_experiment(small_config())
         noisy = run_experiment(small_config(noise_level=0.1))
         assert sum(noisy.coding_residuals) > sum(clean.coding_residuals)
+
+    def test_noisy_run_at_criterion7_shape(self):
+        # the noisy benchmark shape: no cluster is ever verified at noise 1e-3,
+        # so discovery screens every partner tuple of every seed sample
+        config = ExperimentConfig(
+            structure=BlockStructure(K=6, alpha=2, s=2), ambient_dim=16, n_samples=300,
+            seed=1, noise_level=1e-3, learner_iterations=30,
+        )
+        r1, r2 = (json.loads(run_experiment(config).to_json()) for _ in range(2))
+        r1.pop("wall_clock_sec")
+        r2.pop("wall_clock_sec")
+        assert r1["stage_errors"] == []
+        assert r1["certificate"] is not None
+        assert r1 == r2
 
     def test_underdetermined_flagged(self):
         report = run_experiment(small_config(n_samples=2))
