@@ -7,9 +7,11 @@ restricted isometry constant is below 1), synthesize block-sparse
 samples, learn a dictionary by alternating minimum-residual block coding
 with per-block updates, and certify the result against the truth.
 
-The learner initializes blocks from intersections of exactly-fitting
-sample clusters, which on noiseless data usually recovers the true block
-spans outright. It then codes every sample with its minimum-residual
+The learner initializes blocks from intersections of sample clusters,
+which usually recovers the true block spans outright: the clusters fit
+exactly on noiseless data, and with noise the config's noise_level sets
+how closely they must fit (noisy runs end within about noise_level of the
+true block spans). It then codes every sample with its minimum-residual
 s-block code over all C(K, s) supports. Under delta_2s < 1 that code is
 unique, so at the true dictionary every sample gets its true code, the
 objective is zero and the learner stops after one iteration. Greedy

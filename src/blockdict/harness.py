@@ -1,10 +1,12 @@
 """Synthetic instances, a baseline block dictionary learner, and experiments.
 
-The learner alternates coding all samples by `exhaustive_code`'s
-minimum-residual rule (block-OMP once C(K, s) exceeds the enumeration cap)
-with per-block least-squares dictionary updates (each updated block
-re-orthonormalized), reseeding blocks that go unused from the worst-coded
-sample. Everything is deterministic given the config seed.
+The learner starts from block spans found by clustering the samples by
+support span, with tolerances scaled by the config's noise_level, and
+intersecting the clusters. It then alternates coding all samples by
+`exhaustive_code`'s minimum-residual rule (block-OMP once C(K, s) exceeds
+the enumeration cap) with per-block least-squares dictionary updates (each
+updated block re-orthonormalized), reseeding blocks that go unused from the
+worst-coded sample. Everything is deterministic given the config seed.
 """
 
 from __future__ import annotations
@@ -142,8 +144,8 @@ def gen_dictionary(
     """Random dictionary, deterministic given seed.
 
     gaussian: i.i.d. standard normal entries. per-block-orthonormal: each
-    block's alpha columns are orthonormalized, so every block Gram is the
-    identity.
+    block's alpha columns are orthonormalized (one QR over the stack of
+    blocks), so every block Gram is the identity.
     """
     if ambient_dim < structure.alpha:
         raise ValueError(
@@ -155,11 +157,9 @@ def gen_dictionary(
     raw = rng.standard_normal((ambient_dim, structure.total_dim))
     if mode == MODE_GAUSSIAN:
         return BlockDict(structure, raw)
-    data = np.empty_like(raw)
-    for i in range(1, structure.K + 1):
-        Q, _ = np.linalg.qr(raw[:, structure.block_slice(i)])
-        data[:, structure.block_slice(i)] = Q
-    return BlockDict(structure, data)
+    shape = (ambient_dim, structure.K, structure.alpha)
+    Q = np.linalg.qr(raw.reshape(shape).transpose(1, 0, 2))[0]
+    return BlockDict(structure, Q.transpose(1, 0, 2).reshape(raw.shape))
 
 
 def gen_codes(
@@ -268,17 +268,30 @@ def _reseed_block(P: int, alpha: int, direction: np.ndarray, rng) -> np.ndarray:
     return Q[:, :alpha]
 
 
-def _discover_block_spans(Y: np.ndarray, structure: BlockStructure):
-    """Candidate block spans from exact sample clustering.
+def _discover_block_spans(Y: np.ndarray, structure: BlockStructure, noise_level: float = 0.0):
+    """Candidate block spans from sample clustering, with noise-scaled tolerances.
 
-    Noiseless samples sharing a support lie in one s*alpha-dimensional
-    subspace, so a candidate span built from a seed sample and a few
-    aligned partners can be verified exactly by counting zero-residual
-    members. Partner tuples are screened in stacked chunks by the cheap
-    residual 1 - ||Q^T y||^2 / ||y||^2 <= (10 * DISCOVERY_MEMBER_TOL)^2,
-    which every member passes, so the exact test still sees, in order, every
-    tuple it could accept. Pairwise intersections of the verified cluster
-    spans then isolate the alpha-dimensional block spans the clusters share.
+    Samples sharing a support lie in one s*alpha-dimensional subspace up to
+    noise, so the span of a seed sample and s*alpha - 1 aligned partners is
+    a hypothesis verified by the samples it fits. Partner tuples are
+    screened in stacked chunks by the cheap residual 1 - ||Q^T y||^2 /
+    ||y||^2; tuples with enough possible members are tested in order.
+    Pairwise intersections of the cluster spans then isolate the block
+    spans the clusters share.
+
+    A member's noise outside its span has RMS norm nu = noise_level *
+    sqrt(P - s*alpha), so members lie within the relative residual
+    DISCOVERY_MEMBER_TOL + 3 nu / ||y|| (tight cut); the loose cut doubles
+    the noise term. Noiseless, this is the exact test: no refit, clusters
+    of s*alpha + 2, a screen at (10 * DISCOVERY_MEMBER_TOL)^2 that every
+    member passes. Under noise it is LO-RANSAC (Chum, Matas & Kittler,
+    2003): a hypothesis's loose members are refit three times to their top
+    s*alpha singular vectors at the tight cut, and the cluster needs
+    2 s*alpha + 2 members and no sample between the cuts. The first
+    screened hypothesis decides a noisy seed, so where noise closes that
+    gap discovery returns no blocks at one hypothesis per seed. Noisy
+    clusters are intersected largest first, allowing 1 - cos of the tight
+    cut's median angle.
     """
     from .subspace import orthonormal_basis, spans_equal, subspace_intersection
 
@@ -296,45 +309,69 @@ def _discover_block_spans(Y: np.ndarray, structure: BlockStructure):
     norms_k = norms[keep]
     step = max(1, _CODE_CHUNK // (dim * nk))
 
-    unassigned = np.ones(nk, dtype=bool)
-    clusters = []
-    max_clusters = min(3 * math.comb(structure.K, structure.s), 60)
-    while unassigned.sum() >= dim + 2 and len(clusters) < max_clusters:
-        cand = np.nonzero(unassigned)[0]
-        seed_idx = cand[int(np.argmax(norms_k[cand]))]
+    noisy = noise_level > 0
+    slack = 3 * noise_level * math.sqrt(P - dim) / norms_k
+    tight = DISCOVERY_MEMBER_TOL + slack
+    loose = DISCOVERY_MEMBER_TOL + 2 * slack
+    screen_cut = (10 * DISCOVERY_MEMBER_TOL + 2 * slack) ** 2
+    refits = 3 if noisy else 0
+    min_members = (2 if noisy else 1) * dim + 2
+    inter_tol = 1e-7 + float(np.median(slack)) ** 2 / 2
+    dedupe_tol = max(1e-6, inter_tol)
+
+    def residual(Q):
+        return np.linalg.norm(Yk - Q @ (Q.T @ Yk), axis=0) / norms_k
+
+    def cluster_of(seed_idx, cand):
+        """(span, members) of the seed's first accepted hypothesis, or None."""
         cos = np.abs(Yn[:, cand].T @ Yn[:, seed_idx])
         partners = cand[np.argsort(-cos)]
         partners = partners[partners != seed_idx][:DISCOVERY_MAX_PARTNERS]
         tuples = _enumerate_supports(len(partners), dim - 1, DEFAULT_ENUMERATION_CAP) - 1
         trials = np.insert(partners[tuples], 0, seed_idx, axis=1)
-        found = None
         for chunk in np.array_split(trials, range(step, len(trials), step)):
             Qt = np.linalg.qr(Yk[:, chunk].transpose(1, 0, 2))[0].transpose(0, 2, 1)
             energy = ((Qt.reshape(-1, P) @ Yk) ** 2).reshape(len(chunk), dim, nk).sum(axis=1)
-            possible = 1 - energy / norms_k**2 <= (10 * DISCOVERY_MEMBER_TOL) ** 2
-            for idx in chunk[possible.sum(axis=1) >= dim + 2]:
+            possible = 1 - energy / norms_k**2 <= screen_cut
+            for idx in chunk[possible.sum(axis=1) >= min_members]:
                 cols = Yk[:, idx]
                 Q, _ = np.linalg.qr(cols)
                 if np.linalg.svd(cols, compute_uv=False)[-1] <= 1e-10 * norms_k[seed_idx]:
                     continue
-                resid = np.linalg.norm(Yk - Q @ (Q.T @ Yk), axis=0) / norms_k
-                members = resid < DISCOVERY_MEMBER_TOL
-                if members.sum() >= dim + 2:
-                    found = members
-                    break
-            if found is not None:
-                break
-        if found is None:
+                r = residual(Q)
+                members = r < loose
+                for _ in range(refits):
+                    Q = np.linalg.svd(Yk[:, members], full_matrices=False)[0][:, :dim]
+                    r = residual(Q)
+                    members = r < tight
+                if members.sum() >= min_members and np.array_equal(members, r < loose):
+                    return Q, members
+                if noisy:
+                    return None
+        return None
+
+    unassigned = np.ones(nk, dtype=bool)
+    clusters, sizes = [], []
+    max_clusters = min(3 * math.comb(structure.K, structure.s), 60)
+    while unassigned.sum() >= dim + 2 and len(clusters) < max_clusters:
+        cand = np.nonzero(unassigned)[0]
+        seed_idx = cand[int(np.argmax(norms_k[cand]))]
+        hit = cluster_of(seed_idx, cand)
+        if hit is None:
             unassigned[seed_idx] = False
             continue
-        clusters.append(orthonormal_basis(Yk[:, found]))
+        Q, found = hit
+        clusters.append(orthonormal_basis(Q if noisy else Yk[:, found]))
+        sizes.append(int(found.sum()))
         unassigned &= ~found
+    if noisy:  # larger clusters have better-fitted spans: intersect those first
+        clusters = [clusters[c] for c in sorted(range(len(clusters)), key=lambda c: -sizes[c])]
 
     blocks = []
     for a, b in combinations(range(len(clusters)), 2):
-        inter = subspace_intersection(clusters[a], clusters[b], tol=1e-7)
+        inter = subspace_intersection(clusters[a], clusters[b], tol=inter_tol)
         if inter.dim == structure.alpha and not any(
-            spans_equal(inter, blk, tol=1e-6) for blk in blocks
+            spans_equal(inter, blk, tol=dedupe_tol) for blk in blocks
         ):
             blocks.append(inter)
             if len(blocks) == structure.K:
@@ -369,11 +406,12 @@ def _farthest_point_block(Y: np.ndarray, data: np.ndarray, filled: int,
     return Q[:, : structure.alpha]
 
 
-def _initial_dictionary(Y: np.ndarray, structure: BlockStructure, rng) -> np.ndarray:
+def _initial_dictionary(Y: np.ndarray, structure: BlockStructure, rng,
+                        noise_level: float = 0.0) -> np.ndarray:
     """Cluster-intersection blocks where discoverable, farthest-point otherwise."""
     P = Y.shape[0]
     data = np.zeros((P, structure.total_dim))
-    blocks = _discover_block_spans(Y, structure)
+    blocks = _discover_block_spans(Y, structure, noise_level)
     filled = 0
     for basis in blocks[: structure.K]:
         data[:, structure.block_slice(filled + 1)] = basis.basis
@@ -403,12 +441,15 @@ def learn_dictionary(
     from the worst-coded sample and logged. Stops after the configured
     iterations or when the objective stalls.
 
-    The default initialization clusters samples into exact support-span
-    groups and intersects the cluster spans pairwise: in noiseless data
-    the intersection of two overlapping support spans is exactly the span
-    of the shared blocks, so discovered intersections start blocks where
-    cold alternation rarely arrives. Blocks the clustering cannot supply
-    fall back to worst-fit samples and their aligned peers.
+    The default initialization clusters samples into support-span groups
+    and intersects the cluster spans pairwise: the intersection of two
+    overlapping support spans is the span of the shared blocks, so
+    discovered intersections start blocks where cold alternation rarely
+    arrives. The clustering tolerances come from config.noise_level, which
+    should be the noise standard deviation of the samples: 0 asks for exact
+    clusters, a positive level for clusters fitted to within that noise
+    (see `_discover_block_spans`). Blocks the clustering cannot supply fall
+    back to worst-fit samples and their aligned peers.
 
     Parameters
     ----------
@@ -436,7 +477,9 @@ def learn_dictionary(
             stacklevel=2,
         )
     if init is None:
-        data = _initial_dictionary(Y, structure, _substream(config.seed, _STREAM_INIT))
+        data = _initial_dictionary(
+            Y, structure, _substream(config.seed, _STREAM_INIT), config.noise_level
+        )
     else:
         if init.ambient_dim != P or init.structure.total_dim != structure.total_dim:
             raise ValueError("init dictionary does not match the sample/structure shape")
