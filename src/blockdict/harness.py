@@ -2,11 +2,13 @@
 
 The learner starts from block spans found by clustering the samples by
 support span, with tolerances scaled by the config's noise_level, and
-intersecting the clusters. It then alternates coding all samples by
-`exhaustive_code`'s minimum-residual rule (block-OMP once C(K, s) exceeds
-the enumeration cap) with per-block least-squares dictionary updates (each
-updated block re-orthonormalized), reseeding blocks that go unused from the
-worst-coded sample. Everything is deterministic given the config seed.
+intersecting the clusters; blocks the clustering cannot supply start at
+zero. It then alternates coding all samples by `exhaustive_code`'s
+minimum-residual rule (block-OMP once C(K, s) exceeds the enumeration cap)
+with per-block least-squares dictionary updates (each updated block
+re-orthonormalized). Blocks that go unused, the missing ones included, are
+reseeded from the worst coding residual and its most aligned peers.
+Everything is deterministic given the config seed.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .rip import (
     rip_constant_exact,
     rip_lower_bound_sampled,
 )
-from .subspace import DEFAULT_RANK_TOL, _spans_equal_stacked
+from .subspace import DEFAULT_RANK_TOL
 
 MODE_GAUSSIAN = "gaussian"
 MODE_BLOCK_ORTH = "per-block-orthonormal"
@@ -48,7 +50,6 @@ DISCOVERY_MAX_PARTNERS = 18
 _STREAM_DICT = 0
 _STREAM_CODES = 1
 _STREAM_NOISE = 2
-_STREAM_INIT = 3
 _STREAM_RESEED = 4
 
 
@@ -257,17 +258,6 @@ def _code_all(B: BlockDict, Y: np.ndarray, s: int, tol: float):
     return X, res
 
 
-def _reseed_block(P: int, alpha: int, direction: np.ndarray, rng) -> np.ndarray:
-    """Orthonormal block whose first column follows `direction` (random if zero)."""
-    M = np.empty((P, alpha))
-    norm = np.linalg.norm(direction)
-    M[:, 0] = direction / norm if norm > 0 else rng.standard_normal(P)
-    if alpha > 1:
-        M[:, 1:] = rng.standard_normal((P, alpha - 1))
-    Q, _ = np.linalg.qr(M)
-    return Q[:, :alpha]
-
-
 def _discover_block_spans(Y: np.ndarray, structure: BlockStructure, noise_level: float = 0.0):
     """Candidate block spans from sample clustering, with noise-scaled tolerances.
 
@@ -379,51 +369,6 @@ def _discover_block_spans(Y: np.ndarray, structure: BlockStructure, noise_level:
     return blocks
 
 
-def _farthest_point_block(Y: np.ndarray, data: np.ndarray, filled: int,
-                          structure: BlockStructure, rng) -> np.ndarray:
-    """One orthonormal block from the worst-fit sample and its aligned peers."""
-    P, N = Y.shape
-    if filled:
-        cols = data[:, : filled * structure.alpha]
-        sol, _, _, _ = np.linalg.lstsq(cols, Y, rcond=None)
-        res = np.linalg.norm(Y - cols @ sol, axis=0)
-    else:
-        res = np.linalg.norm(Y, axis=0)
-    seed_idx = int(np.argmax(res))
-    ref = Y[:, seed_idx]
-    ref_norm = np.linalg.norm(ref)
-    if ref_norm == 0:
-        M = rng.standard_normal((P, structure.alpha))
-    else:
-        norms = np.maximum(np.linalg.norm(Y, axis=0), 1e-300)
-        cos = np.abs(Y.T @ ref) / (norms * ref_norm)
-        cos[seed_idx] = np.inf
-        partners = np.argsort(-cos)[: structure.alpha]
-        M = Y[:, partners].copy()
-        if np.linalg.matrix_rank(M) < structure.alpha:
-            M = M + 1e-8 * ref_norm * rng.standard_normal(M.shape)
-    Q, _ = np.linalg.qr(M)
-    return Q[:, : structure.alpha]
-
-
-def _initial_dictionary(Y: np.ndarray, structure: BlockStructure, rng,
-                        noise_level: float = 0.0) -> np.ndarray:
-    """Cluster-intersection blocks where discoverable, farthest-point otherwise."""
-    P = Y.shape[0]
-    data = np.zeros((P, structure.total_dim))
-    blocks = _discover_block_spans(Y, structure, noise_level)
-    filled = 0
-    for basis in blocks[: structure.K]:
-        data[:, structure.block_slice(filled + 1)] = basis.basis
-        filled += 1
-    while filled < structure.K:
-        data[:, structure.block_slice(filled + 1)] = _farthest_point_block(
-            Y, data, filled, structure, rng
-        )
-        filled += 1
-    return data
-
-
 def learn_dictionary(
     samples: np.ndarray,
     config: ExperimentConfig,
@@ -437,8 +382,9 @@ def learn_dictionary(
     residual that keeps its own contribution by the best orthonormal
     rank-alpha factorization (truncated SVD, the closed form of the
     per-block least-squares update followed by re-orthonormalization).
-    Blocks that go unused or duplicate another block's span are reseeded
-    from the worst-coded sample and logged. Stops after the configured
+    Blocks left unused are then refilled, farthest point first, from the
+    worst coding residual and its alpha - 1 most aligned residuals, and
+    logged; this is the only restart rule. Stops after the configured
     iterations or when the objective stalls.
 
     The default initialization clusters samples into support-span groups
@@ -448,15 +394,16 @@ def learn_dictionary(
     arrives. The clustering tolerances come from config.noise_level, which
     should be the noise standard deviation of the samples: 0 asks for exact
     clusters, a positive level for clusters fitted to within that noise
-    (see `_discover_block_spans`). Blocks the clustering cannot supply fall
-    back to worst-fit samples and their aligned peers.
+    (see `_discover_block_spans`). Blocks the clustering cannot supply
+    start at zero, unused, and are refilled in iteration 0.
 
     Parameters
     ----------
-    samples : array, shape (P, N)
+    samples : array, shape (P, N), finite
     config : ExperimentConfig
     init : BlockDict, optional
-        Starting dictionary; overrides the cluster-intersection default.
+        Starting dictionary with the config's K and alpha; overrides the
+        cluster-intersection default.
 
     Returns
     -------
@@ -468,6 +415,9 @@ def learn_dictionary(
             f"samples must have shape (ambient_dim, N) = ({config.ambient_dim}, N), "
             f"got {Y.shape}"
         )
+    bad = np.nonzero(~np.isfinite(Y).all(axis=0))[0]
+    if bad.size:
+        raise ValueError(f"samples {bad.tolist()} hold non-finite values")
     structure = config.structure
     P, N = Y.shape
     if N < structure.total_dim:
@@ -477,26 +427,16 @@ def learn_dictionary(
             stacklevel=2,
         )
     if init is None:
-        data = _initial_dictionary(
-            Y, structure, _substream(config.seed, _STREAM_INIT), config.noise_level
-        )
+        data = np.zeros((P, structure.total_dim))
+        for i, basis in enumerate(_discover_block_spans(Y, structure, config.noise_level), 1):
+            data[:, structure.block_slice(i)] = basis.basis
     else:
-        if init.ambient_dim != P or init.structure.total_dim != structure.total_dim:
-            raise ValueError("init dictionary does not match the sample/structure shape")
+        got = (init.ambient_dim, init.structure.K, init.structure.alpha)
+        need = (P, structure.K, structure.alpha)
+        if got != need:
+            raise ValueError(f"init dictionary has (P, K, alpha) = {got}, expected {need}")
         data = init.data.copy()
     reseed_rng = _substream(config.seed, _STREAM_RESEED)
-
-    def reseed(i, it, res, X, reason):
-        worst = int(np.argmax(res))
-        direction = Y[:, worst] - data @ X[:, worst]
-        data[:, structure.block_slice(i)] = _reseed_block(
-            P, structure.alpha, direction, reseed_rng
-        )
-        X[structure.block_slice(i), :] = 0.0
-        trace.reseed_events.append(
-            {"iteration": it, "block": i, "sample": worst, "reason": reason}
-        )
-
     trace = LearnTrace()
     prev_obj = None
     for it in range(config.learner_iterations):
@@ -512,12 +452,13 @@ def learn_dictionary(
             break
         prev_obj = objective
 
+        dead = []
         for i in range(1, structure.K + 1):
             sl = structure.block_slice(i)
             Xi = X[sl, :]
             active = np.nonzero(np.any(Xi != 0, axis=0))[0]
             if active.size == 0:
-                reseed(i, it, res, X, "dead")
+                dead.append(i)
                 continue
             # residual that keeps block i's own contribution
             R = Y[:, active] - data @ X[:, active] + data[:, sl] @ Xi[:, active]
@@ -534,12 +475,26 @@ def learn_dictionary(
             coeffs = np.zeros((structure.alpha, active.size))
             coeffs[:r] = svals[:r, None] * Vt[:r, :]
             X[sl, :][:, active] = coeffs
-        # purge duplicated spans: the lower-energy twin restarts elsewhere
-        for i, j in combinations(range(1, structure.K + 1), 2):
-            bi, bj = structure.block_slice(i), structure.block_slice(j)
-            if _spans_equal_stacked(data[:, bi], data[:, bj], 1e-6):
-                twin = i if np.sum(X[bi] ** 2) < np.sum(X[bj] ** 2) else j
-                reseed(twin, it, res, X, "duplicate")
+        # refill dead blocks farthest point first: each is projected out of
+        # the residuals before the next picks its worst sample
+        R = Y - data @ X
+        for i in dead:
+            norms = np.linalg.norm(R, axis=0)
+            worst = int(np.argmax(norms))
+            if norms[worst] == 0:
+                M = reseed_rng.standard_normal((P, structure.alpha))
+            else:
+                cos = np.abs(R.T @ R[:, worst]) / np.maximum(norms * norms[worst], 1e-300)
+                cos[worst] = np.inf
+                M = R[:, np.argsort(-cos)[: structure.alpha]]
+                if np.linalg.matrix_rank(M) < structure.alpha:
+                    M = M + 1e-8 * norms[worst] * reseed_rng.standard_normal(M.shape)
+            Q = np.linalg.qr(M)[0]
+            data[:, structure.block_slice(i)] = Q
+            R -= Q @ (Q.T @ R)
+            trace.reseed_events.append(
+                {"iteration": it, "block": i, "sample": worst, "reason": "dead"}
+            )
     return BlockDict(structure, data), trace
 
 

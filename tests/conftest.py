@@ -8,9 +8,16 @@ stacked nullspace.
 
 from __future__ import annotations
 
-from itertools import combinations
+import os
 
-import numpy as np
+# one BLAS thread, set before numpy loads: threaded BLAS makes timings swing
+# with the load on other cores (CI sets the same)
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from itertools import combinations  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 from blockdict import (
     BlockDict,

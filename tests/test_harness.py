@@ -193,17 +193,19 @@ class TestLearnDictionary:
         with pytest.raises(ValueError):
             learn_dictionary(np.zeros((7, 10)), config)
 
-    def test_duplicate_spans_are_purged(self):
-        # every sample on one line: each active block is refit to that line,
-        # so two blocks share a span and the purge reseeds one of them
-        st = BlockStructure(K=4, alpha=1, s=2)
-        config = ExperimentConfig(st, ambient_dim=6, n_samples=30, seed=0,
-                                  learner_iterations=15)
-        Y = np.outer(np.arange(1.0, 7.0), np.linspace(1.0, 2.0, 30))
-        _, trace = learn_dictionary(Y, config, init=gen_dictionary(6, st, seed=100))
-        reasons = [event["reason"] for event in trace.reseed_events]
-        assert "duplicate" in reasons
-        assert set(reasons) <= {"dead", "duplicate"}
+    def test_init_with_other_block_shape_rejected(self):
+        # K=8, alpha=1 has the same K*alpha as the config's K=4, alpha=2
+        config = small_config()
+        Y = np.random.default_rng(0).standard_normal((20, 60))
+        init = gen_dictionary(20, BlockStructure(K=8, alpha=1, s=2), seed=1)
+        with pytest.raises(ValueError, match=r"\(P, K, alpha\) = \(20, 8, 1\)"):
+            learn_dictionary(Y, config, init=init)
+
+    def test_non_finite_samples_rejected(self):
+        Y = np.random.default_rng(0).standard_normal((20, 60))
+        Y[4, 3], Y[0, 7] = np.nan, -np.inf
+        with pytest.raises(ValueError, match=r"samples \[3, 7\] hold non-finite values"):
+            learn_dictionary(Y, small_config())
 
 
 class TestLearnerCoding:
@@ -458,6 +460,38 @@ class TestNoisyDiscovery:
             u -= E[:, :2] @ (E[:, :2].T @ u)
             off.append(E[:, :2] @ rng.uniform(0.5, 1.0, 2) + 1.5 * cut * u / np.linalg.norm(u))
         assert _discover_block_spans(np.column_stack([Y, *off]), st, noise_level=noise) == []
+
+
+class TestDeadBlockReseed:
+    def test_missing_block_is_refilled_in_iteration_zero(self, monkeypatch):
+        # discovery supplies true blocks 1-5 only: block 6 starts at zero, so
+        # the first coding leaves it dead and the reseed fills it
+        noise, reached = 1e-3, []
+        for seed in range(1, 11):
+            st, Y = criterion7_samples(seed, noise=noise)
+            truth = gen_dictionary(16, st, seed=seed)
+            known = [orthonormal_basis(truth.block(i)) for i in range(1, 6)]
+            monkeypatch.setattr(harness, "_discover_block_spans", lambda *a, b=known, **k: b)
+            learned, trace = learn_dictionary(Y, criterion7_config(seed, noise))
+            assert [e["block"] for e in trace.reseed_events if e["iteration"] == 0] == [6]
+            reached.append(worst_block_sin(truth, learned) <= 10 * noise)
+        assert sum(reached) >= 9, reached
+
+    def test_cold_start_refills_each_block_elsewhere(self, monkeypatch):
+        # nothing discovered: every block is dead, and each refill is projected
+        # out of the residuals, so the next starts from another sample and
+        # the refilled blocks are mutually orthogonal
+        st, Y = criterion7_samples(2)
+        monkeypatch.setattr(harness, "_discover_block_spans", lambda *a, **k: [])
+        config = ExperimentConfig(st, ambient_dim=16, n_samples=300, seed=2,
+                                  learner_iterations=1)
+        learned, trace = learn_dictionary(Y, config)
+        events = trace.reseed_events
+        assert [(e["iteration"], e["block"], e["reason"]) for e in events] == [
+            (0, i, "dead") for i in range(1, 7)
+        ]
+        assert len({e["sample"] for e in events}) == 6
+        assert np.allclose(learned.data.T @ learned.data, np.eye(12), atol=1e-8)
 
 
 class TestExperimentConfig:
