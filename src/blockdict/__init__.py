@@ -58,6 +58,7 @@ from .harness import (
     gen_block_permutation,
     gen_codes,
     gen_dictionary,
+    gen_rip_dictionary,
     learn_dictionary,
     run_experiment,
     trace_to_csv,
@@ -68,6 +69,7 @@ from .rip import (
     MODE_EXACT,
     MODE_SAMPLED,
     RipReport,
+    rip_constant,
     rip_constant_exact,
     rip_constant_for_support,
     rip_lower_bound_sampled,

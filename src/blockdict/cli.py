@@ -41,6 +41,8 @@ from .subspace import DEFAULT_RANK_TOL
 
 
 def _structure_from_args(args, n_cols: int) -> BlockStructure:
+    if args.alpha < 1:
+        raise ValueError(f"alpha must be >= 1, got {args.alpha}")
     if n_cols % args.alpha != 0:
         raise ValueError(
             f"matrix has {n_cols} columns, not divisible by alpha={args.alpha}"
@@ -263,6 +265,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in ("tol", "span_tol"):
+            if not getattr(args, name, 0.0) >= 0:
+                raise ValueError(f"--{name.replace('_', '-')} must be nonnegative, "
+                                 f"got {getattr(args, name)}")
         return args.func(args)
     except CapacityError as exc:
         sys.stderr.write(f"capacity error: {exc}\n")

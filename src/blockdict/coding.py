@@ -50,8 +50,10 @@ def _relative(abs_residual: float, y_norm: float) -> float:
     return abs_residual if y_norm == 0 else abs_residual / y_norm
 
 
-def _check_measurement(A: BlockDict, y, s: int | None) -> tuple[np.ndarray, int]:
-    """(y as a flat float vector, s defaulted to A.structure.s), both validated."""
+def _check_measurement(A: BlockDict, y, s: int | None, tol: float) -> tuple[np.ndarray, int]:
+    """(y as a flat float vector, s defaulted to A.structure.s), validated with tol >= 0."""
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     s = A.structure.s if s is None else int(s)
     if not 1 <= s <= A.structure.K:
         raise ValueError(f"s must satisfy 1 <= s <= K, got s={s}, K={A.structure.K}")
@@ -89,7 +91,7 @@ def block_omp(
     RankError
         When the selected sub-dictionary is rank-deficient.
     """
-    y, s = _check_measurement(A, y, s)
+    y, s = _check_measurement(A, y, s, tol)
     y_norm = float(np.linalg.norm(y))
     values = np.zeros(A.structure.total_dim)
     abs_res = y_norm
@@ -186,7 +188,7 @@ def exhaustive_code(
     CapacityError
         When C(K, s) exceeds cap.
     """
-    y, s = _check_measurement(A, y, s)
+    y, s = _check_measurement(A, y, s, tol)
     X, res = _min_residual_codes(A, y[:, None], s, tol, cap)
     code = BlockSparseVec.from_values(A.structure, X[:, 0], tol=0.0)
     y_norm = float(np.linalg.norm(y))

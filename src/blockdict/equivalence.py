@@ -11,7 +11,6 @@ induced by exact block-sparse coding.
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -20,13 +19,9 @@ import numpy as np
 from .coding import DEFAULT_CODING_TOL, exhaustive_code
 from .core import BlockDict, BlockStructure, Support, _numerical_rank, as_support
 from .errors import HypothesisViolationError, RankError
-from .rip import (
-    DEFAULT_ENUMERATION_CAP,
-    RipReport,
-    _sample_supports,
-    rip_constant_exact,
-    rip_lower_bound_sampled,
-)
+from .rip import RipReport, _sample_supports, rip_constant
+# not called here: bench/tracing.py rebinds these names in this module
+from .rip import rip_constant_exact, rip_lower_bound_sampled  # noqa: F401
 from .subspace import DEFAULT_RANK_TOL, orthonormal_basis, spans_equal
 
 DEFAULT_CERTIFICATE_TOL = 1e-6
@@ -404,7 +399,8 @@ def verify_theorem_instance(
     """Check that block-sparse representability of B implies equivalence to A.
 
     The report carries (1) the restricted isometry constant of A at level
-    min(2s, K), (2) a hypothesis section probing construct_kappa on a
+    min(2s, K) (`rip_constant`: exact up to the enumeration cap, else
+    sampled from seed), (2) a hypothesis section probing construct_kappa on a
     family of size-s supports (all of them when there are at most
     MAX_HYPOTHESIS_SUPPORTS, else a seeded sample), (3) the recovered equivalence
     certificate, and (4) whether kappa restricted to singletons equals the
@@ -417,11 +413,7 @@ def verify_theorem_instance(
     if not 1 <= s <= K:
         raise ValueError(f"s must satisfy 1 <= s <= K, got s={s}, K={K}")
 
-    level = min(2 * s, K)
-    if math.comb(K, level) <= DEFAULT_ENUMERATION_CAP:
-        rip = rip_constant_exact(A, level)
-    else:
-        rip = rip_lower_bound_sampled(A, level, n_samples=200, seed=seed)
+    rip = rip_constant(A, min(2 * s, K), seed)
 
     def probe(sup) -> dict:
         try:

@@ -31,13 +31,9 @@ from .equivalence import (
     BlockPermutation,
     recover_equivalence,
 )
-from .rip import (
-    DEFAULT_ENUMERATION_CAP,
-    RipReport,
-    _enumerate_supports,
-    rip_constant_exact,
-    rip_lower_bound_sampled,
-)
+from .rip import DEFAULT_ENUMERATION_CAP, RipReport, _enumerate_supports, rip_constant
+# not called here: bench/tracing.py rebinds these names in this module
+from .rip import rip_constant_exact, rip_lower_bound_sampled  # noqa: F401
 from .subspace import DEFAULT_RANK_TOL
 
 MODE_GAUSSIAN = "gaussian"
@@ -68,17 +64,10 @@ class ExperimentConfig:
     rank_tol: float = DEFAULT_RANK_TOL
     certificate_tol: float = DEFAULT_CERTIFICATE_TOL
     coding_tol: float = DEFAULT_CODING_TOL
-    rip_mode: str = "exact"
-    rip_samples: int = 200
 
     def __post_init__(self):
-        if self.ambient_dim < self.structure.s * self.structure.alpha:
-            raise ValueError(
-                f"ambient_dim {self.ambient_dim} is below s*alpha = "
-                f"{self.structure.s * self.structure.alpha}; no dictionary can then "
-                "have a restricted isometry constant below 1"
-            )
-        for name in ("n_samples", "learner_iterations", "rip_samples"):
+        _check_ambient(self.ambient_dim, self.structure)
+        for name in ("n_samples", "learner_iterations"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for f in fields(self):
@@ -89,8 +78,6 @@ class ExperimentConfig:
                 raise ValueError(f"{f.name} must be positive, got {value}")
         if self.dict_mode not in (MODE_GAUSSIAN, MODE_BLOCK_ORTH):
             raise ValueError(f"unknown dictionary mode {self.dict_mode!r}")
-        if self.rip_mode not in ("exact", "sampled"):
-            raise ValueError(f"rip_mode must be 'exact' or 'sampled', got {self.rip_mode!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -132,6 +119,16 @@ def _check_keys(d, cls, what: str) -> None:
             raise ValueError(f"{what}: key {f.name!r} must be {f.type}, got {d[f.name]!r}")
 
 
+def _check_ambient(ambient_dim: int, structure: BlockStructure) -> None:
+    """ValueError when every level-min(2s, K) sub-dictionary is rank-deficient."""
+    bound = min(2 * structure.s, structure.K) * structure.alpha
+    if ambient_dim < bound:
+        raise ValueError(
+            f"ambient_dim {ambient_dim} is below min(2s, K)*alpha = {bound}; no "
+            "dictionary can then have a restricted isometry constant below 1"
+        )
+
+
 def _substream(seed: int, tag: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), tag])
 
@@ -161,6 +158,31 @@ def gen_dictionary(
     shape = (ambient_dim, structure.K, structure.alpha)
     Q = np.linalg.qr(raw.reshape(shape).transpose(1, 0, 2))[0]
     return BlockDict(structure, Q.transpose(1, 0, 2).reshape(raw.shape))
+
+
+def gen_rip_dictionary(
+    ambient_dim: int,
+    structure: BlockStructure,
+    seed: int,
+    mode: str = MODE_BLOCK_ORTH,
+) -> tuple[BlockDict, RipReport, int]:
+    """First dictionary of seeds seed, seed+1, ... with constant below 1.
+
+    The constant is `rip_constant` at level min(2s, K), sampled (above the
+    cap) from the draw's seed. Returns (dictionary, its RipReport, the
+    winning seed's offset from seed); raises ValueError after
+    MAX_GENERATION_RETRIES + 1 draws.
+    """
+    _check_ambient(ambient_dim, structure)
+    for retry in range(MAX_GENERATION_RETRIES + 1):
+        A = gen_dictionary(ambient_dim, structure, seed=seed + retry, mode=mode)
+        report = rip_constant(A, min(2 * structure.s, structure.K), seed + retry)
+        if report.delta < 1.0:
+            return A, report, retry
+    raise ValueError(
+        f"no dictionary with restricted isometry constant below 1 found in "
+        f"{MAX_GENERATION_RETRIES + 1} draws"
+    )
 
 
 def gen_codes(
@@ -519,23 +541,14 @@ class ExperimentReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _rip_for_config(A: BlockDict, config: ExperimentConfig) -> RipReport:
-    level = min(2 * config.structure.s, config.structure.K)
-    if config.rip_mode == "exact":
-        return rip_constant_exact(A, level)
-    return rip_lower_bound_sampled(
-        A, level, n_samples=config.rip_samples, seed=config.seed
-    )
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Full pipeline: generate, synthesize, learn, and certify.
 
-    Generates a ground-truth dictionary (re-drawing with seed+1 while its
-    restricted isometry constant is not below 1, up to
-    MAX_GENERATION_RETRIES), synthesizes noisy or exact samples, learns a
-    dictionary, and recovers the equivalence certificate against the
-    truth. Stage failures are recorded in the report, not raised. The
+    Draws a ground-truth dictionary with `gen_rip_dictionary` (restricted
+    isometry constant below 1 at level min(2s, K), exact up to the
+    enumeration cap, else sampled), synthesizes noisy or exact samples,
+    learns a dictionary, and recovers the equivalence certificate against
+    the truth. Stage failures are recorded in the report, not raised. The
     report is identical across runs with the same config except for
     wall_clock_sec.
     """
@@ -547,23 +560,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     stage = "gen_dictionary"
     try:
-        truth = None
-        for retry in range(MAX_GENERATION_RETRIES + 1):
-            candidate = gen_dictionary(
-                config.ambient_dim, structure,
-                seed=dict_seed + retry, mode=config.dict_mode,
-            )
-            rip = _rip_for_config(candidate, config)
-            if rip.delta < 1.0:
-                truth = candidate
-                report.rip = rip.to_dict()
-                report.generation_retries = retry
-                break
-        if truth is None:
-            raise ValueError(
-                f"no dictionary with restricted isometry constant below 1 found in "
-                f"{MAX_GENERATION_RETRIES + 1} draws"
-            )
+        truth, rip, report.generation_retries = gen_rip_dictionary(
+            config.ambient_dim, structure, dict_seed, config.dict_mode
+        )
+        report.rip = rip.to_dict()
 
         stage = "gen_codes"
         codes = gen_codes(

@@ -6,7 +6,8 @@ where G is the Gram matrix of the columns of the blocks in T, so that
 supported on T. The level-t constant is the max of delta_T over all
 t-element supports, computed by exact enumeration or bounded from below
 by seeded sampling, with every delta_T read from one Gram matrix A^T A
-and batched eigenvalue calls.
+and batched eigenvalue calls; `rip_constant` picks between the two by
+the enumeration cap.
 
 This module also holds the library's one support-enumeration layer
 (lexicographic enumeration under a cap, seeded distinct sampling), which
@@ -179,3 +180,11 @@ def rip_lower_bound_sampled(
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     supports = _sample_supports(A.structure.K, t, n_samples, seed)
     return _rip_report(A, t, supports, MODE_SAMPLED)
+
+
+def rip_constant(A: BlockDict, t: int, seed: int) -> RipReport:
+    """Level-t constant: exact while C(K, t) <= DEFAULT_ENUMERATION_CAP, else
+    the sampled lower bound over 200 supports drawn from seed."""
+    if math.comb(A.structure.K, t) <= DEFAULT_ENUMERATION_CAP:
+        return rip_constant_exact(A, t)
+    return rip_lower_bound_sampled(A, t, n_samples=200, seed=seed)

@@ -24,9 +24,8 @@ from blockdict import (
     BlockStructure,
     gen_block_diagonal,
     gen_block_permutation,
-    gen_dictionary,
+    gen_rip_dictionary,
     make_equivalent_dict,
-    rip_constant_exact,
 )
 
 
@@ -106,23 +105,13 @@ def projector(M, tol: float = 1e-10) -> np.ndarray:
     return M @ np.linalg.pinv(M, rcond=tol)
 
 
-def make_rip_instance(P, K, alpha, s, seed, level=None, mode="per-block-orthonormal",
-                      max_tries=2000, delta_below=1.0):
-    """Seeded dictionary whose exact level constant is below a target (retrying seeds).
+def make_rip_instance(P, K, alpha, s, seed):
+    """Seeded dictionary with level-min(2s, K) constant below 1, by `gen_rip_dictionary`.
 
-    Returns (dictionary, exact RipReport, seed actually used).
+    Returns (dictionary, RipReport, seed actually used).
     """
-    structure = BlockStructure(K=K, alpha=alpha, s=s)
-    level = 2 * s if level is None else level
-    level = min(level, K)
-    for offset in range(max_tries):
-        A = gen_dictionary(P, structure, seed=seed + offset, mode=mode)
-        report = rip_constant_exact(A, level)
-        if report.delta < delta_below:
-            return A, report, seed + offset
-    raise AssertionError(
-        f"no instance with delta < {delta_below} after {max_tries} draws"
-    )
+    A, report, retries = gen_rip_dictionary(P, BlockStructure(K=K, alpha=alpha, s=s), seed)
+    return A, report, seed + retries
 
 
 def make_equivalent_pair(P, K, alpha, s, seed, max_condition=10.0):

@@ -26,35 +26,17 @@ from blockdict import (
     make_equivalent_dict,
     recover_equivalence,
     rip_constant_exact,
-    rip_constant_for_support,
     rip_lower_bound_sampled,
     run_experiment,
     verify_theorem_instance,
 )
 
-from conftest import rip_brute_force
+from conftest import make_rip_instance, rip_brute_force
 
 
 def _report(criterion, ok, detail=""):
     print(f"[acceptance] criterion {criterion}: {'PASS' if ok else 'FAIL'}"
           + (f" — {detail}" if detail else ""))
-
-
-def _qualifying_instance(P, structure, start_seed, level):
-    """First seed >= start_seed whose dictionary has exact delta(level) < 1.
-
-    Rejection uses an early-bail sweep; the survivor is re-verified by
-    exact enumeration through the library call.
-    """
-    seed = start_seed
-    supports = list(combinations(range(1, structure.K + 1), level))
-    while True:
-        A = gen_dictionary(P, structure, seed=seed)
-        if all(rip_constant_for_support(A, sup) < 1.0 for sup in supports):
-            report = rip_constant_exact(A, level)
-            if report.delta < 1.0:
-                return A, report, seed
-        seed += 1
 
 
 ST62 = BlockStructure(K=6, alpha=2, s=2)
@@ -66,7 +48,7 @@ def instances_p16():
     out = []
     seed = 0
     for _ in range(100):
-        A, report, seed = _qualifying_instance(16, ST62, seed, level=4)
+        A, report, seed = make_rip_instance(16, 6, 2, 2, seed)
         out.append((A, report, seed))
         seed += 1
     return out
@@ -151,7 +133,7 @@ class TestCriterion4:
         for P in ambient_dims:
             seed = 0
             for _ in range(per_dim):
-                A, report, seed = _qualifying_instance(P, ST62, seed, level=4)
+                A, report, seed = make_rip_instance(P, 6, 2, 2, seed)
                 x = gen_codes(ST62, 1, seed=seed + 500_000)[0]
                 y = A.data @ x.values
                 oracle = exhaustive_code(A, y, s=2)
@@ -181,7 +163,7 @@ class TestCriterion5:
         bad = []
         seed = 0
         for trial in range(50):
-            A, _, seed = _qualifying_instance(16, st, seed, level=4)
+            A, _, seed = make_rip_instance(16, st.K, st.alpha, st.s, seed)
             perm = gen_block_permutation(5, seed=seed + 10_000)
             diag = gen_block_diagonal(st, seed=seed + 20_000)
             B = make_equivalent_dict(A, perm, diag)
@@ -211,7 +193,7 @@ class TestCriterion6:
         bad = []
         seed = 0
         for trial in range(50):
-            A, _, seed = _qualifying_instance(16, st, seed, level=4)
+            A, _, seed = make_rip_instance(16, st.K, st.alpha, st.s, seed)
             rng = np.random.default_rng(seed + 1_000_000)
             corrupted = int(rng.integers(1, 7))
             block = np.linalg.qr(rng.standard_normal((16, 2)))[0]

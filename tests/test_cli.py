@@ -92,6 +92,12 @@ class TestRip:
         rc = run_cli(["rip", workdir / "missing.txt", "--alpha", 2, "--level", 2])
         assert rc == 2
 
+    def test_zero_alpha_exit_code(self, workdir, capsys):
+        gen_files(workdir)
+        rc = run_cli(["rip", workdir / "A.txt", "--alpha", 0, "--level", 2])
+        assert rc == 2
+        assert "alpha must be >= 1, got 0" in capsys.readouterr().err
+
 
 class TestCode:
     def test_omp_and_exhaustive_agree_on_planted(self, workdir, capsys):
@@ -123,6 +129,17 @@ class TestCode:
         assert rc == 2
         assert "one column" in capsys.readouterr().err
 
+    def test_negative_tol_exit_code(self, workdir, capsys):
+        A, _, _ = make_rip_instance(16, 6, 2, 2, seed=40)
+        write_matrix_text(workdir / "A.txt", A.data)
+        write_matrix_text(workdir / "y.txt", A.data[:, [6, 10]] @ np.ones(2))
+        rc = run_cli([
+            "code", workdir / "A.txt", workdir / "y.txt", "--alpha", 2, "--sparsity", 2,
+            "--method", "exhaustive", "--tol", -1,
+        ])
+        assert rc == 2
+        assert "--tol must be nonnegative" in capsys.readouterr().err
+
 
 class TestEquiv:
     def test_equivalent_pair(self, workdir, capsys):
@@ -142,6 +159,14 @@ class TestEquiv:
         rc = run_cli(["equiv", workdir / "A.txt", workdir / "B.txt", "--alpha", 2])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["status"] == "not-equivalent"
+
+    def test_negative_span_tol_exit_code(self, workdir, capsys):
+        A, _, _ = make_rip_instance(16, 5, 2, 2, seed=41)
+        write_matrix_text(workdir / "A.txt", A.data)
+        rc = run_cli(["equiv", workdir / "A.txt", workdir / "A.txt", "--alpha", 2,
+                      "--span-tol", -1])
+        assert rc == 2
+        assert "--span-tol must be nonnegative" in capsys.readouterr().err
 
 
 class TestKappa:
@@ -247,8 +272,6 @@ class TestLearnAndExperiment:
             ({**BASE_CONFIG, "coefficient_scale": 0}, "coefficient_scale must be positive"),
             ({**BASE_CONFIG, "coefficient_scale": float("inf")},
              "coefficient_scale must be finite"),
-            ({**BASE_CONFIG, "rip_mode": "sampled", "rip_samples": 0},
-             "rip_samples must be >= 1"),
             ({**BASE_CONFIG, "noise_level": float("nan")}, "noise_level must be finite"),
             ({**BASE_CONFIG, "rank_tol": -1e-8}, "rank_tol must be finite and nonnegative"),
             ({**BASE_CONFIG, "certificate_tol": -1e-6},
@@ -258,7 +281,7 @@ class TestLearnAndExperiment:
         ],
         ids=["unknown-key", "missing-structure", "list-top-level", "string-int",
              "string-float", "null-int", "float-K", "bool-alpha", "float-seed",
-             "zero-scale", "inf-scale", "zero-rip-samples", "nan-noise",
+             "zero-scale", "inf-scale", "nan-noise",
              "negative-rank-tol", "negative-certificate-tol", "negative-coding-tol"],
     )
     def test_malformed_config_exit_code(self, workdir, capsys, command, payload, message):

@@ -23,7 +23,7 @@ from conftest import make_rip_instance, projector
 class TestBlockOmp:
     @pytest.mark.parametrize("seed", range(5))
     def test_single_active_block(self, seed):
-        A, _, _ = make_rip_instance(16, 6, 2, 1, seed=seed, level=2)
+        A, _, _ = make_rip_instance(16, 6, 2, 1, seed=seed)
         rng = np.random.default_rng(seed)
         i = int(rng.integers(1, 7))
         c = rng.standard_normal(2)
@@ -128,6 +128,16 @@ class TestExhaustive:
         A = gen_dictionary(12, BlockStructure(K=4, alpha=2, s=2), seed=0)
         with pytest.raises(ValueError):
             exhaustive_code(A, np.zeros(9))
+
+    def test_negative_tol_rejected(self):
+        # a negative tie window holds no support, so argmax would pick the first
+        A, _, _ = make_rip_instance(16, 6, 2, 2, seed=40)
+        y = A.block(4) @ np.ones(2) + A.block(6) @ np.ones(2)
+        for coder in (exhaustive_code, block_omp):
+            for tol in (-1.0, float("nan")):
+                with pytest.raises(ValueError, match="tol must be nonnegative"):
+                    coder(A, y, s=2, tol=tol)
+        assert exhaustive_code(A, y, s=2, tol=0.0).code.support == (4, 6)
 
 
 class TestOracleDominance:

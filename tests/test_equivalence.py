@@ -245,7 +245,7 @@ class TestVerifyTheoremInstance:
         assert payload["hypothesis"]["supports_checked"] == 10
 
     def test_single_block_dictionary(self):
-        A, _, _ = make_rip_instance(6, 1, 2, 1, seed=3, level=1)
+        A, _, _ = make_rip_instance(6, 1, 2, 1, seed=3)
         cert = recover_equivalence(A, A)
         report = verify_theorem_instance(A, A, s=1, n_probes=3, seed=0)
         assert cert.permutation.pi == (1,)

@@ -18,8 +18,10 @@ from blockdict import (
     gen_block_permutation,
     gen_codes,
     gen_dictionary,
+    gen_rip_dictionary,
     exhaustive_code,
     learn_dictionary,
+    rip_lower_bound_sampled,
     run_experiment,
     trace_to_csv,
 )
@@ -27,7 +29,7 @@ from blockdict import harness
 from blockdict.harness import _code_all, _discover_block_spans
 from blockdict.subspace import orthonormal_basis, spans_equal, subspace_intersection
 
-from conftest import make_rip_instance
+from conftest import make_rip_instance, rip_brute_force
 
 
 def small_config(**overrides):
@@ -82,6 +84,55 @@ class TestGenDictionary:
             for i in range(1, K + 1):
                 expected[:, st.block_slice(i)] = np.linalg.qr(raw[:, st.block_slice(i)])[0]
             assert gen_dictionary(P, st, seed=seed).data.tobytes() == expected.tobytes()
+
+
+class TestGenRipDictionary:
+    @pytest.mark.parametrize("P,K,seeds", [(12, 4, (0, 5, 9, 10, 11)), (16, 6, (0, 7, 20))])
+    def test_retries_are_the_first_offset_below_one(self, P, K, seeds):
+        # the independent oracle decides each draw (P=12 seeds 10, 11 take no retry)
+        st = BlockStructure(K=K, alpha=2, s=2)
+        for seed in seeds:
+            A, report, retries = gen_rip_dictionary(P, st, seed)
+            deltas = [rip_brute_force(gen_dictionary(P, st, seed=seed + o), 4)[0]
+                      for o in range(retries + 1)]
+            assert all(d >= 1.0 for d in deltas[:-1]) and deltas[-1] < 1.0
+            assert np.array_equal(A.data, gen_dictionary(P, st, seed=seed + retries).data)
+            assert report.mode == "exact-enumeration" and report.level == 4
+            assert abs(report.delta - deltas[-1]) <= 1e-12
+
+    def test_gives_up_after_the_retry_cap(self, monkeypatch):
+        # a square gaussian dictionary: none of 2,000 draws has delta_3 < 1
+        st = BlockStructure(K=3, alpha=2, s=2)
+        draws = []
+        real = harness.gen_dictionary
+
+        def counted(*args, **kwargs):
+            draws.append(kwargs["seed"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "gen_dictionary", counted)
+        with pytest.raises(ValueError, match="found in 1001 draws"):
+            gen_rip_dictionary(6, st, 5, mode="gaussian")
+        assert draws == list(range(5, 5 + harness.MAX_GENERATION_RETRIES + 1))
+        config = ExperimentConfig(st, ambient_dim=6, n_samples=10, seed=0,
+                                  dict_mode="gaussian")
+        report = run_experiment(config)
+        assert [e["stage"] for e in report.stage_errors] == ["gen_dictionary"]
+        assert "found in 1001 draws" in report.stage_errors[0]["error"]
+        assert report.rip is None and report.certificate is None
+
+    def test_samples_above_the_enumeration_cap(self):
+        # C(30, 8) = 5,852,925 supports at level min(2s, K) = 8
+        st = BlockStructure(K=30, alpha=1, s=4)
+        A, report, retries = gen_rip_dictionary(64, st, 3)
+        assert report.mode == "sampled-lower-bound"
+        assert report.level == 8 and report.supports_examined == 200
+        assert report.delta < 1.0
+        assert report == rip_lower_bound_sampled(A, 8, 200, seed=3 + retries)
+
+    def test_refuses_ambient_below_the_level_floor(self):
+        with pytest.raises(ValueError, match=r"min\(2s, K\)\*alpha = 8"):
+            gen_rip_dictionary(7, BlockStructure(K=6, alpha=2, s=2), 0)
 
 
 class TestGenCodes:
@@ -496,13 +547,17 @@ class TestDeadBlockReseed:
 
 class TestExperimentConfig:
     def test_rejects_infeasible_ambient(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(
-                structure=BlockStructure(K=4, alpha=3, s=2),
-                ambient_dim=5,
-                n_samples=10,
-                seed=0,
-            )
+        # (K, alpha, s, P): below s*alpha, then between s*alpha and the
+        # level-min(2s, K) floor, where every level sub-dictionary is singular
+        for K, alpha, s, P in [(4, 3, 2, 5), (6, 2, 2, 6), (3, 2, 2, 4)]:
+            bound = min(2 * s, K) * alpha
+            with pytest.raises(ValueError, match=rf"min\(2s, K\)\*alpha = {bound}"):
+                ExperimentConfig(
+                    structure=BlockStructure(K=K, alpha=alpha, s=s),
+                    ambient_dim=P,
+                    n_samples=10,
+                    seed=0,
+                )
 
     def test_json_round_trip(self, tmp_path):
         config = small_config()

@@ -138,6 +138,16 @@ class TestSampled:
         assert sampled.supports_examined == 10
 
 
+class TestLevelRule:
+    def test_exact_up_to_the_cap_and_sampled_above(self, monkeypatch):
+        # C(6, 4) = 15 supports: exact at a cap of 15, sampled (all 15) at 14
+        A = gen_dictionary(16, BlockStructure(K=6, alpha=2, s=2), seed=5)
+        monkeypatch.setattr(rip, "DEFAULT_ENUMERATION_CAP", 15)
+        assert rip.rip_constant(A, 4, seed=0) == rip_constant_exact(A, 4)
+        monkeypatch.setattr(rip, "DEFAULT_ENUMERATION_CAP", 14)
+        assert rip.rip_constant(A, 4, seed=0) == rip_lower_bound_sampled(A, 4, 200, seed=0)
+
+
 class TestSupportLayer:
     def test_enumeration_is_lexicographic(self):
         supports = _enumerate_supports(5, 3, cap=10)
