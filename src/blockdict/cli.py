@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Subcommands: gen, rip, code, equiv, kappa, learn, verify, experiment.
-Matrices travel in the shared text format; reports are JSON (CSV is
-available for convergence traces). Exit codes: 0 success, 2 bad
-arguments, 3 capacity error, 4 hypothesis violation, 1 internal error.
+Matrices travel in the shared text format; reports are JSON (`learn` and
+`experiment` also write convergence traces as CSV). Each subcommand takes
+only the flags it reads. Exit codes: 0 success, 2 bad arguments or an
+unknown flag, 3 capacity error, 4 hypothesis violation, 1 internal error.
 """
 
 from __future__ import annotations
@@ -40,32 +41,24 @@ from .rip import rip_constant_exact, rip_lower_bound_sampled
 from .subspace import DEFAULT_RANK_TOL
 
 
-def _structure_from_args(args, n_cols: int) -> BlockStructure:
-    if args.alpha < 1:
-        raise ValueError(f"alpha must be >= 1, got {args.alpha}")
-    if n_cols % args.alpha != 0:
-        raise ValueError(
-            f"matrix has {n_cols} columns, not divisible by alpha={args.alpha}"
-        )
-    K = n_cols // args.alpha
-    s = getattr(args, "sparsity", None) or 1
-    return BlockStructure(K=K, alpha=args.alpha, s=s)
-
-
-def _load_dict(path, args, sparsity: int | None = None) -> BlockDict:
+def _load_dict(path, alpha: int, s: int = 1) -> BlockDict:
     data = read_matrix_text(path)
-    structure = _structure_from_args(args, data.shape[1])
-    if sparsity is not None:
-        structure = BlockStructure(structure.K, structure.alpha, sparsity)
-    return BlockDict(structure, data)
+    if alpha < 1:
+        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    if data.shape[1] % alpha != 0:
+        raise ValueError(
+            f"matrix has {data.shape[1]} columns, not divisible by alpha={alpha}"
+        )
+    return BlockDict(BlockStructure(K=data.shape[1] // alpha, alpha=alpha, s=s), data)
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+    text = text if text.endswith("\n") else text + "\n"
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def _parse_support(spec: str) -> tuple[int, ...]:
@@ -94,7 +87,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_rip(args) -> int:
-    A = _load_dict(args.dictionary, args)
+    A = _load_dict(args.dictionary, args.alpha)
     if args.mode == "exact":
         report = rip_constant_exact(A, args.level)
     else:
@@ -104,7 +97,7 @@ def _cmd_rip(args) -> int:
 
 
 def _cmd_code(args) -> int:
-    A = _load_dict(args.dictionary, args, sparsity=args.sparsity)
+    A = _load_dict(args.dictionary, args.alpha, args.sparsity)
     y = read_matrix_text(args.measurement)
     if y.shape[1] != 1:
         raise ValueError(
@@ -119,8 +112,8 @@ def _cmd_code(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    A = _load_dict(args.dict_a, args)
-    B = _load_dict(args.dict_b, args)
+    A = _load_dict(args.dict_a, args.alpha)
+    B = _load_dict(args.dict_b, args.alpha)
     cert = recover_equivalence(A, B, tol=args.tol, span_tol=args.span_tol)
     _emit(args, cert.to_json(indent=2))
     return 0
@@ -128,8 +121,8 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_kappa(args) -> int:
     support = _parse_support(args.support)
-    A = _load_dict(args.dict_a, args, sparsity=max(len(support), 1))
-    B = _load_dict(args.dict_b, args, sparsity=max(len(support), 1))
+    A = _load_dict(args.dict_a, args.alpha, max(len(support), 1))
+    B = _load_dict(args.dict_b, args.alpha, max(len(support), 1))
     result = construct_kappa(A, B, support, n_probes=args.probes, seed=args.seed,
                              tol=args.tol)
     _emit(args, json.dumps(result.to_dict(), indent=2))
@@ -150,8 +143,8 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    A = _load_dict(args.dict_a, args, sparsity=args.sparsity)
-    B = _load_dict(args.dict_b, args, sparsity=args.sparsity)
+    A = _load_dict(args.dict_a, args.alpha, args.sparsity)
+    B = _load_dict(args.dict_b, args.alpha, args.sparsity)
     report = verify_theorem_instance(
         A, B, s=args.sparsity, n_probes=args.probes, seed=args.seed, tol=args.tol
     )
@@ -168,9 +161,7 @@ def _cmd_experiment(args) -> int:
         _emit(args, report.to_json(indent=2))
     for err in report.stage_errors:
         sys.stderr.write(f"stage {err['stage']} failed: {err['error']}\n")
-    if report.stage_errors:
-        return 4 if "HypothesisViolation" in report.stage_errors[0]["error"] else 1
-    return 0
+    return 1 if report.stage_errors else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -180,14 +171,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, tol_default=None):
-        p.add_argument("--seed", type=int, default=0, help="RNG seed")
-        if tol_default is not None:
-            p.add_argument("--tol", type=float, default=tol_default, help="tolerance")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+    # each subcommand lists, as parents, exactly the shared flags its handler reads
+    seed, out, fmt = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    seed.add_argument("--seed", type=int, default=0, help="RNG seed")
+    out.add_argument("--out", help="output path (default: stdout)")
+    fmt.add_argument("--format", choices=["json", "csv"], default="json")
 
-    p = sub.add_parser("gen", help="generate a dictionary and/or codes to files")
+    p = sub.add_parser("gen", parents=[seed],
+                       help="generate a dictionary and/or codes to files")
     p.add_argument("--ambient-dim", type=int, required=True)
     p.add_argument("--blocks", type=int, required=True, help="number of blocks K")
     p.add_argument("--alpha", type=int, required=True, help="block width")
@@ -199,63 +190,64 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dict", help="write the dictionary here")
     p.add_argument("--out-codes", help="write the code matrix here")
     p.add_argument("--out-samples", help="write dictionary @ codes here")
-    add_common(p)
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("rip", help="restricted isometry constant of a dictionary")
+    p = sub.add_parser("rip", parents=[seed, out],
+                       help="restricted isometry constant of a dictionary")
     p.add_argument("dictionary", help="matrix file")
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--level", type=int, required=True, help="support size t")
     p.add_argument("--mode", choices=["exact", "sampled"], default="exact")
     p.add_argument("--samples", type=int, default=200, help="sampled supports")
-    add_common(p)
     p.set_defaults(func=_cmd_rip)
 
-    p = sub.add_parser("code", help="block-sparse code of one measurement")
+    p = sub.add_parser("code", parents=[out], help="block-sparse code of one measurement")
     p.add_argument("dictionary")
     p.add_argument("measurement", help="matrix file with one column")
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--sparsity", type=int, required=True)
     p.add_argument("--method", choices=["omp", "exhaustive"], default="omp")
-    add_common(p, tol_default=DEFAULT_CODING_TOL)
+    p.add_argument("--tol", type=float, default=DEFAULT_CODING_TOL, help="tolerance")
     p.set_defaults(func=_cmd_code)
 
-    p = sub.add_parser("equiv", help="equivalence certificate between two dictionaries")
+    p = sub.add_parser("equiv", parents=[out],
+                       help="equivalence certificate between two dictionaries")
     p.add_argument("dict_a")
     p.add_argument("dict_b")
     p.add_argument("--alpha", type=int, required=True)
+    p.add_argument("--tol", type=float, default=DEFAULT_CERTIFICATE_TOL, help="tolerance")
     p.add_argument("--span-tol", type=float, default=DEFAULT_RANK_TOL)
-    add_common(p, tol_default=DEFAULT_CERTIFICATE_TOL)
     p.set_defaults(func=_cmd_equiv)
 
-    p = sub.add_parser("kappa", help="support correspondence by probing")
+    p = sub.add_parser("kappa", parents=[seed, out],
+                       help="support correspondence by probing")
     p.add_argument("dict_a")
     p.add_argument("dict_b")
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--support", required=True, help="comma-separated 1-based blocks")
     p.add_argument("--probes", type=int, default=8)
-    add_common(p, tol_default=DEFAULT_PROBE_TOL)
+    p.add_argument("--tol", type=float, default=DEFAULT_PROBE_TOL, help="tolerance")
     p.set_defaults(func=_cmd_kappa)
 
-    p = sub.add_parser("learn", help="learn a dictionary from samples")
+    p = sub.add_parser("learn", parents=[out, fmt], help="learn a dictionary from samples")
     p.add_argument("samples", help="matrix file, one sample per column")
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--out-dict", help="write the learned dictionary here")
-    add_common(p)
     p.set_defaults(func=_cmd_learn)
 
-    p = sub.add_parser("verify", help="end-to-end identifiability report for a pair")
+    p = sub.add_parser("verify", parents=[seed, out],
+                       help="end-to-end identifiability report for a pair")
     p.add_argument("dict_a")
     p.add_argument("dict_b")
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--sparsity", type=int, required=True)
     p.add_argument("--probes", type=int, default=8)
-    add_common(p, tol_default=DEFAULT_CERTIFICATE_TOL)
+    p.add_argument("--tol", type=float, default=DEFAULT_CERTIFICATE_TOL, help="tolerance")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("experiment", help="run a full experiment from a config JSON")
+    p = sub.add_parser("experiment", parents=[out, fmt],
+                       help="run a full experiment from a config JSON")
     p.add_argument("--config", required=True)
-    add_common(p)
     p.set_defaults(func=_cmd_experiment)
 
     return parser

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlockDict, BlockSparseVec
+from .core import BlockDict, BlockSparseVec, _check_tols
 from .errors import RankError
 from .rip import DEFAULT_ENUMERATION_CAP, _enumerate_supports, _support_columns
 
@@ -52,8 +52,7 @@ def _relative(abs_residual: float, y_norm: float) -> float:
 
 def _check_measurement(A: BlockDict, y, s: int | None, tol: float) -> tuple[np.ndarray, int]:
     """(y as a flat float vector, s defaulted to A.structure.s), validated with tol >= 0."""
-    if not tol >= 0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
+    _check_tols(tol=tol)
     s = A.structure.s if s is None else int(s)
     if not 1 <= s <= A.structure.K:
         raise ValueError(f"s must satisfy 1 <= s <= K, got s={s}, K={A.structure.K}")

@@ -5,7 +5,8 @@ output; internal storage is plain 0-based numpy. All types are immutable
 after construction and all operations are pure functions.
 
 The library's one numerical-rank rule, `_numerical_rank`, lives here: the
-count of singular values above tol times the largest.
+count of singular values above tol times the largest. So does the one
+tolerance check, `_check_tols`, that coding, matching and certificates run first.
 """
 
 from __future__ import annotations
@@ -67,6 +68,13 @@ def _numerical_rank(svals: np.ndarray, tol: float) -> np.ndarray:
     """
     top = svals[..., :1]
     return np.sum((svals > tol * top) & (top > 0), axis=-1)
+
+
+def _check_tols(**tols: float) -> None:
+    """ValueError naming the first of tols that is negative or NaN."""
+    for name, value in tols.items():
+        if not value >= 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 def as_support(indices, K: int) -> Support:
@@ -210,8 +218,7 @@ def make_indicator(structure: BlockStructure, i: int, j: int) -> BlockSparseVec:
 
 def block_support(v, structure: BlockStructure, tol: float = DEFAULT_SUPPORT_TOL) -> Support:
     """Indices of blocks whose max-magnitude entry exceeds tol (1-based)."""
-    if tol < 0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
+    _check_tols(tol=tol)
     vals = np.asarray(v, dtype=float).reshape(-1)
     if vals.shape[0] != structure.total_dim:
         raise ValueError(

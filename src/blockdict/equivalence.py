@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coding import DEFAULT_CODING_TOL, exhaustive_code
-from .core import BlockDict, BlockStructure, Support, _numerical_rank, as_support
+from .core import BlockDict, BlockStructure, Support, _check_tols, _numerical_rank, as_support
 from .errors import HypothesisViolationError, RankError
 from .rip import RipReport, _sample_supports, rip_constant
 # not called here: bench/tracing.py rebinds these names in this module
@@ -159,6 +159,7 @@ def match_blocks(A: BlockDict, B: BlockDict, tol: float = DEFAULT_RANK_TOL) -> M
     restricted isometry constant below 1 rules out); blocks with none, or
     a non-injective assignment, mark it not-equivalent.
     """
+    _check_tols(tol=tol)
     _check_same_shape(A, B)
     K = A.structure.K
     a_bases = [orthonormal_basis(A.block(i), tol) for i in range(1, K + 1)]
@@ -190,6 +191,7 @@ def solve_block_transform(
     Returns (M, relative Frobenius residual). Raises RankError when
     B_block is column-rank-deficient.
     """
+    _check_tols(rank_tol=rank_tol)
     A_block = np.asarray(A_block, dtype=float)
     B_block = np.asarray(B_block, dtype=float)
     if A_block.shape != B_block.shape or A_block.ndim != 2:
@@ -220,6 +222,7 @@ def recover_equivalence(
     block residual is at most tol. Match failures surface as certificate
     statuses, never exceptions.
     """
+    _check_tols(tol=tol, span_tol=span_tol, invertibility_tol=invertibility_tol)
     report = match_blocks(A, B, span_tol)
     if report.status != "matched":
         return EquivalenceCertificate(report.status, None, None, None)
@@ -327,6 +330,7 @@ def construct_kappa(
         When some probe admits no |S|-block-sparse code in B within tol:
         B cannot reproduce A's measurements on this support.
     """
+    _check_tols(tol=tol)
     _check_same_shape(A, B)
     sup = as_support(S, A.structure.K)
     if not sup:
@@ -407,6 +411,7 @@ def verify_theorem_instance(
     recovered permutation. All findings are report fields; probe failures
     are recorded, not raised.
     """
+    _check_tols(tol=tol)
     _check_same_shape(A, B)
     s = A.structure.s if s is None else int(s)
     K = A.structure.K

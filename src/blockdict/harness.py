@@ -66,6 +66,8 @@ class ExperimentConfig:
     coding_tol: float = DEFAULT_CODING_TOL
 
     def __post_init__(self):
+        if self.structure.beta != 1:  # every stage codes one column per sample
+            raise ValueError(f"structure: key 'beta' must be 1, got {self.structure.beta}")
         _check_ambient(self.ambient_dim, self.structure)
         for name in ("n_samples", "learner_iterations"):
             if getattr(self, name) < 1:

@@ -1,6 +1,8 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from blockdict import (
     rip_constant_exact,
     write_matrix_text,
 )
-from blockdict.cli import main
+from blockdict.cli import build_parser, main
 
 from conftest import make_equivalent_pair, make_rip_instance
 
@@ -278,11 +280,14 @@ class TestLearnAndExperiment:
              "certificate_tol must be finite and nonnegative"),
             ({**BASE_CONFIG, "coding_tol": -1e-10},
              "coding_tol must be finite and nonnegative"),
+            ({**BASE_CONFIG, "structure": {**BASE_CONFIG["structure"], "beta": 3}},
+             "structure: key 'beta' must be 1, got 3"),
         ],
         ids=["unknown-key", "missing-structure", "list-top-level", "string-int",
              "string-float", "null-int", "float-K", "bool-alpha", "float-seed",
              "zero-scale", "inf-scale", "nan-noise",
-             "negative-rank-tol", "negative-certificate-tol", "negative-coding-tol"],
+             "negative-rank-tol", "negative-certificate-tol", "negative-coding-tol",
+             "beta-3"],
     )
     def test_malformed_config_exit_code(self, workdir, capsys, command, payload, message):
         path = workdir / "bad.json"
@@ -322,3 +327,40 @@ def test_bad_subcommand_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# a valid command line per subcommand, to which an unread flag is appended
+BASE_ARGS = {
+    "gen": ["--ambient-dim", "16", "--blocks", "6", "--alpha", "2", "--sparsity", "2"],
+    "rip": ["A.txt", "--alpha", "2", "--level", "4"],
+    "code": ["A.txt", "y.txt", "--alpha", "2", "--sparsity", "2"],
+    "equiv": ["A.txt", "B.txt", "--alpha", "2"],
+    "kappa": ["A.txt", "B.txt", "--alpha", "2", "--support", "1"],
+    "learn": ["Y.txt", "--config", "config.json"],
+    "verify": ["A.txt", "B.txt", "--alpha", "2", "--sparsity", "2"],
+    "experiment": ["--config", "config.json"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("gen", "--out"), ("gen", "--format"), ("rip", "--format"), ("code", "--seed"),
+     ("code", "--format"), ("equiv", "--seed"), ("equiv", "--format"),
+     ("kappa", "--format"), ("learn", "--seed"), ("verify", "--format"),
+     ("experiment", "--seed")],
+)
+def test_unread_flag_exit_code(command, flag):
+    argv = [command, *BASE_ARGS[command]]
+    build_parser().parse_args(argv)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, {"--seed": "1", "--out": "x.txt", "--format": "csv"}[flag]])
+    assert exc.value.code == 2
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("blockdict ")]
+    parsed = [build_parser().parse_args(shlex.split(line)[1:]) for line in lines]
+    assert {args.command for args in parsed} == set(BASE_ARGS)

@@ -111,8 +111,10 @@ class TestBlockSupport:
             block_support(np.zeros(9), st52)
 
     def test_negative_tol(self, st52):
-        with pytest.raises(ValueError):
-            block_support(np.zeros(10), st52, tol=-1.0)
+        # nothing exceeds a NaN tolerance, so the support would come back empty
+        for tol in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="tol must be nonnegative"):
+                block_support(np.ones(10), st52, tol=tol)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_zeroing_off_support_is_identity(self, st52, seed):

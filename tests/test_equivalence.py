@@ -13,6 +13,7 @@ from blockdict import (
     apply_transform,
     compose_transforms,
     construct_kappa,
+    equivalence,
     gen_block_diagonal,
     gen_block_permutation,
     gen_dictionary,
@@ -103,6 +104,13 @@ class TestMatchBlocks:
         with pytest.raises(ValueError):
             match_blocks(A, B)
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_bad_tol_rejected(self, tol):
+        # no span is equal to itself at a negative or NaN tolerance
+        A = gen_dictionary(16, BlockStructure(K=5, alpha=2, s=2), seed=0)
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            match_blocks(A, A, tol=tol)
+
 
 class TestSolveBlockTransform:
     def test_identity(self):
@@ -135,6 +143,14 @@ class TestSolveBlockTransform:
         B[0, 1] = 2.0  # rank 1
         with pytest.raises(RankError):
             solve_block_transform(np.eye(6)[:, :2], B)
+
+    def test_negative_rank_tol_rejected(self):
+        # a negative rank_tol counts every singular value, so rank 1 passed as full
+        B = np.zeros((6, 2))
+        B[0, 0] = 1.0
+        B[0, 1] = 2.0
+        with pytest.raises(ValueError, match="rank_tol must be nonnegative"):
+            solve_block_transform(np.eye(6)[:, :2], B, rank_tol=-1.0)
 
 
 class TestRecoverEquivalence:
@@ -172,6 +188,17 @@ class TestRecoverEquivalence:
         assert set(payload) == {"status", "pi", "D_blocks", "residual"}
         assert payload["pi"] == [1, 2, 3]
         assert len(payload["D_blocks"]) == 3
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("tol", -1.0), ("tol", float("nan")), ("span_tol", -1.0),
+         ("invertibility_tol", -1.0)],
+    )
+    def test_bad_tolerances_rejected(self, name, value):
+        # each one used to give a wrong certificate for A against itself
+        A = gen_dictionary(16, BlockStructure(K=5, alpha=2, s=2), seed=4)
+        with pytest.raises(ValueError, match=f"^{name} must be nonnegative"):
+            recover_equivalence(A, A, **{name: value})
 
 
 class TestApplyTransform:
@@ -230,6 +257,16 @@ class TestConstructKappa:
         r2 = construct_kappa(A, B, (2, 4), n_probes=6, seed=3)
         assert r1 == r2
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_bad_tol_rejected_before_probing(self, monkeypatch, tol):
+        A, B, _, _, _ = make_equivalent_pair(16, 5, 2, 2, seed=510)
+        calls = []
+        monkeypatch.setattr(equivalence, "exhaustive_code",
+                            lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            construct_kappa(A, B, (2, 4), n_probes=2, tol=tol)
+        assert calls == []
+
 
 class TestVerifyTheoremInstance:
     @pytest.mark.parametrize("seed", range(3))
@@ -265,3 +302,14 @@ class TestVerifyTheoremInstance:
             else:
                 assert entry.get("consistent") is True
         assert report.certificate.status == "not-equivalent"
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_bad_tol_rejected_before_probing(self, monkeypatch, tol):
+        # tol=-1 used to report a holding hypothesis with a not-equivalent certificate
+        A, B, _, _, _ = make_equivalent_pair(16, 5, 2, 2, seed=41)
+        calls = []
+        monkeypatch.setattr(equivalence, "construct_kappa",
+                            lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            verify_theorem_instance(A, B, s=2, tol=tol)
+        assert calls == []
