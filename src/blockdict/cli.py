@@ -10,6 +10,7 @@ unknown flag, 3 capacity error, 4 hypothesis violation, 1 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -165,14 +166,13 @@ def _cmd_experiment(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="blockdict",
-        description="Block-sparse dictionary identifiability toolkit",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+    Parser = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = Parser(prog="blockdict",
+                    description="Block-sparse dictionary identifiability toolkit")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=Parser)
 
     # each subcommand lists, as parents, exactly the shared flags its handler reads
-    seed, out, fmt = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    seed, out, fmt = (Parser(add_help=False) for _ in range(3))
     seed.add_argument("--seed", type=int, default=0, help="RNG seed")
     out.add_argument("--out", help="output path (default: stdout)")
     fmt.add_argument("--format", choices=["json", "csv"], default="json")

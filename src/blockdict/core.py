@@ -146,6 +146,7 @@ class BlockDict:
 
     def block_ranks(self, tol: float = 1e-10) -> tuple[int, ...]:
         """Numerical rank of each block (singular values > tol * largest)."""
+        _check_tols(tol=tol)
         K, alpha = self.structure.K, self.structure.alpha
         blocks = self.data.reshape(self.ambient_dim, K, alpha).transpose(1, 0, 2)
         svals = np.linalg.svd(blocks, compute_uv=False)

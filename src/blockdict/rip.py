@@ -57,8 +57,8 @@ def _sample_supports(K: int, t: int, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     seen: dict[Support, None] = {}
     while len(seen) < n:
-        seen[tuple(np.sort(rng.choice(K, size=t, replace=False)) + 1)] = None
-    return np.array(list(seen), dtype=np.intp)
+        seen[tuple(sorted(rng.choice(K, size=t, replace=False).tolist()))] = None
+    return np.array(list(seen), dtype=np.intp) + 1
 
 
 def _support_columns(supports: np.ndarray, alpha: int) -> np.ndarray:

@@ -5,6 +5,8 @@ library's one rank rule, `core._numerical_rank`. Span equality is decided
 by one kernel over stacked bases, `_spans_equal_stacked`: two spans of
 equal dimension are equal when every principal cosine is at least 1 - tol,
 i.e. every principal angle is below arccos(1 - tol) ~ sqrt(2 tol).
+`check_lemma1` runs that kernel only on the support pairs that pass a
+Frobenius pre-screen, computed in blocks no larger than the stacked bases.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlockDict, _numerical_rank, as_support
+from .core import BlockDict, _check_tols, _numerical_rank, as_support
 from .errors import CapacityError
 from .rip import DEFAULT_ENUMERATION_CAP, _enumerate_supports, _support_columns
 
@@ -52,6 +54,7 @@ def orthonormal_basis(M, tol: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
     Rank is the number of singular values above tol times the largest;
     an all-zero or empty M yields a dimension-0 basis.
     """
+    _check_tols(tol=tol)
     arr = np.asarray(M, dtype=float)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
@@ -74,12 +77,19 @@ def _spans_equal_stacked(Q1: np.ndarray, Q2: np.ndarray, tol: float) -> np.ndarr
     return np.all(_cosines(Q1, Q2) >= 1.0 - tol, axis=-1)
 
 
+def _two_bases(M1, M2, tol: float) -> tuple[SubspaceBasis, SubspaceBasis]:
+    """Orthonormal bases of M1 and M2 (kept if already bases), in one ambient space."""
+    _check_tols(tol=tol)
+    Q1 = M1 if isinstance(M1, SubspaceBasis) else orthonormal_basis(M1, tol)
+    Q2 = M2 if isinstance(M2, SubspaceBasis) else orthonormal_basis(M2, tol)
+    if Q1.ambient_dim != Q2.ambient_dim:
+        raise ValueError(f"ambient dimensions differ: {Q1.ambient_dim} vs {Q2.ambient_dim}")
+    return Q1, Q2
+
+
 def principal_cosines(Q1: SubspaceBasis, Q2: SubspaceBasis) -> np.ndarray:
     """Cosines of the principal angles between two subspaces, descending."""
-    if Q1.ambient_dim != Q2.ambient_dim:
-        raise ValueError(
-            f"ambient dimensions differ: {Q1.ambient_dim} vs {Q2.ambient_dim}"
-        )
+    Q1, Q2 = _two_bases(Q1, Q2, DEFAULT_RANK_TOL)
     return _cosines(Q1.basis, Q2.basis)
 
 
@@ -89,12 +99,7 @@ def spans_equal(M1, M2, tol: float = DEFAULT_RANK_TOL) -> bool:
     True iff both spans have the same dimension d (at rank tolerance tol)
     and all d principal cosines are >= 1 - tol.
     """
-    Q1 = M1 if isinstance(M1, SubspaceBasis) else orthonormal_basis(M1, tol)
-    Q2 = M2 if isinstance(M2, SubspaceBasis) else orthonormal_basis(M2, tol)
-    if Q1.ambient_dim != Q2.ambient_dim:
-        raise ValueError(
-            f"ambient dimensions differ: {Q1.ambient_dim} vs {Q2.ambient_dim}"
-        )
+    Q1, Q2 = _two_bases(M1, M2, tol)
     return Q1.dim == Q2.dim and bool(_spans_equal_stacked(Q1.basis, Q2.basis, tol))
 
 
@@ -104,12 +109,7 @@ def subspace_intersection(M1, M2, tol: float = DEFAULT_RANK_TOL) -> SubspaceBasi
     Principal vectors whose cosine is >= 1 - tol are kept; a dimension-0
     intersection is a valid (empty) basis, never an error.
     """
-    Q1 = M1 if isinstance(M1, SubspaceBasis) else orthonormal_basis(M1, tol)
-    Q2 = M2 if isinstance(M2, SubspaceBasis) else orthonormal_basis(M2, tol)
-    if Q1.ambient_dim != Q2.ambient_dim:
-        raise ValueError(
-            f"ambient dimensions differ: {Q1.ambient_dim} vs {Q2.ambient_dim}"
-        )
+    Q1, Q2 = _two_bases(M1, M2, tol)
     if Q1.dim == 0 or Q2.dim == 0:
         return SubspaceBasis(Q1.ambient_dim, Q1.basis[:, :0])
     U, cos, _ = np.linalg.svd(Q1.basis.T @ Q2.basis)
@@ -126,10 +126,13 @@ def check_lemma1(
     """Whether all distinct size-s block supports of A span distinct subspaces.
 
     This is the span-separation property that a restricted isometry
-    constant below 1 at level 2s guarantees.
+    constant below 1 at level 2s guarantees. One batched SVD gives every
+    support's basis; a Frobenius pre-screen in O(C(K, s) P s alpha) memory
+    sends only the same-rank pairs near equality to the exact kernel.
 
     Raises CapacityError when C(K, s)^2 exceeds cap.
     """
+    _check_tols(tol=tol)
     s = A.structure.s if s is None else int(s)
     K = A.structure.K
     if not 1 <= s <= K:
@@ -142,11 +145,21 @@ def check_lemma1(
     cols = _support_columns(_enumerate_supports(K, s, cap), A.structure.alpha)
     U, svals, _ = np.linalg.svd(A.data[:, cols].transpose(1, 0, 2), full_matrices=False)
     ranks = _numerical_rank(svals, tol)
-    # each support against every later one of its rank: O(C(K, s) P s alpha) memory
-    for a, r in enumerate(ranks):
-        later = a + 1 + np.flatnonzero(ranks[a + 1 :] == r)
-        if later.size and np.any(_spans_equal_stacked(U[a, :, :r], U[later, :, :r], tol)):
-            return False
+    n, P, d = U.shape
+    # with columns past each rank zeroed, ||U_a^T U_b||_F^2 sums the squared principal
+    # cosines, >= r (1 - tol)^2 for equal rank-r spans (every r is 0 once tol >= 1):
+    # only pairs above that floor reach the kernel
+    U *= np.arange(d) < ranks[:, None, None]
+    flat = U.transpose(0, 2, 1).reshape(n * d, P)
+    floor = ranks * (1.0 - tol) ** 2 - 1e-9
+    step = max(1, P // (s * A.structure.alpha))  # blocks of <= n P d entries
+    for lo in range(0, n, step):
+        fro2 = np.square(flat[lo * d : (lo + step) * d] @ flat[lo * d :].T)
+        fro2 = fro2.reshape(-1, d, n - lo, d).sum(axis=(1, 3))
+        same = ranks[lo : lo + step, None] == ranks[lo:]
+        for a, b in lo + np.argwhere(np.triu(same & (fro2 >= floor[lo : lo + step, None]), 1)):
+            if _spans_equal_stacked(U[a, :, : ranks[a]], U[b, :, : ranks[a]], tol):
+                return False
     return True
 
 
@@ -157,6 +170,7 @@ def check_lemma2(A: BlockDict, S, S2, tol: float = DEFAULT_RANK_TOL) -> bool:
     span trivial, so the check passes exactly when the computed
     intersection has dimension 0.
     """
+    _check_tols(tol=tol)
     s = A.structure.s
     sup1 = as_support(S, A.structure.K)
     sup2 = as_support(S2, A.structure.K)

@@ -85,6 +85,13 @@ class TestRip:
         assert payload["mode"] == "sampled-lower-bound"
         assert payload["supports_examined"] == 5
 
+    def test_abbreviated_flags_exit_code(self, workdir):
+        gen_files(workdir)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["rip", workdir / "A.txt", "--alpha", 2, "--level", 4,
+                     "--mode", "sampled", "--samp", 5, "--se", 3])
+        assert exc.value.code == 2
+
     def test_capacity_exit_code(self, workdir):
         write_matrix_text(workdir / "big.txt", np.eye(40))
         rc = run_cli(["rip", workdir / "big.txt", "--alpha", 1, "--level", 20])

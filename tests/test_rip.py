@@ -175,6 +175,23 @@ class TestSupportLayer:
         assert np.array_equal(_sample_supports(6, 2, n, seed=0),
                               _enumerate_supports(6, 2, cap=15))
 
+    @pytest.mark.parametrize("K, t, n", [(12, 4, 200), (6, 2, 5), (30, 4, 200),
+                                         (6, 2, 15), (5, 3, 40)])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    def test_sampler_pinned_to_sort_and_shift_loop(self, K, t, n, seed):
+        # the draw loop this sampler replaced: sort each numpy draw and add 1
+        if n >= math.comb(K, t):
+            expected = np.array(list(combinations(range(1, K + 1), t)), dtype=np.intp)
+        else:
+            rng = np.random.default_rng(seed)
+            seen = {}
+            while len(seen) < n:
+                seen[tuple(np.sort(rng.choice(K, size=t, replace=False)) + 1)] = None
+            expected = np.array(list(seen), dtype=np.intp)
+        drawn = _sample_supports(K, t, n, seed)
+        assert drawn.dtype == expected.dtype and drawn.shape == expected.shape
+        assert drawn.tobytes() == expected.tobytes()
+
     def test_sampled_bound_pinned(self):
         # values recorded from the per-support implementation this replaced
         A = gen_dictionary(20, BlockStructure(K=10, alpha=2, s=3), seed=11)

@@ -1,3 +1,4 @@
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -15,6 +16,8 @@ from blockdict import (
     spans_equal,
     subspace_intersection,
 )
+
+from blockdict import subspace
 
 from conftest import ge_rank, in_span, make_rip_instance, nullspace_intersection, projector
 
@@ -190,6 +193,53 @@ class TestLemma1:
                 outcomes.add(expected)
         assert outcomes == {True, False}
 
+    @pytest.mark.parametrize("first, second", [(6, 7), (7, 8)])
+    def test_matches_per_pair_spans_equal_across_screen_chunks(self, first, second):
+        """K=10, alpha=2, s=2, P=12: 45 supports screened in 15 chunks of 3.
+
+        Block `second` becomes a mix of block `first`, so the first equal pair
+        in order is (1, first) with (1, second): supports 4 and 5 share the
+        second chunk for (6, 7), supports 5 and 6 straddle its end for (7, 8).
+        Chunk 0 holds no equal pair, so a wrong chunk offset would miss it.
+        """
+        rng = np.random.default_rng(1)
+        structure = BlockStructure(K=10, alpha=2, s=2)
+        base = gen_dictionary(12, structure, seed=8)
+        supports = list(combinations(range(1, 11), 2))
+        for eps in (0.0, 1e-9, 1e-3):
+            noise = rng.standard_normal((12, 2))
+            mixed = base.block(first) @ np.array([[1.0, -0.5], [2.0, 1.0]])
+            A = base.with_block(second, mixed + eps * noise / np.linalg.norm(noise))
+            bases = [orthonormal_basis(A.restrict(sup)) for sup in supports]
+            expected = not any(spans_equal(bases[a], bases[b])
+                               for a, b in combinations(range(len(bases)), 2))
+            assert check_lemma1(A, 2) == expected == (eps == 1e-3), eps
+
+    @pytest.mark.parametrize("tol", [1.0, 1.5])
+    def test_tol_at_least_one_equates_all_supports(self, tol):
+        # no singular value exceeds tol times the largest, so every span has
+        # rank 0 and all supports, even orthogonal ones, span the same subspace
+        A = BlockDict(BlockStructure(K=4, alpha=2, s=1), np.eye(10)[:, :8])
+        assert A.block_ranks(tol) == (0, 0, 0, 0)
+        assert check_lemma1(A, 1) and check_lemma1(A, 2)
+        assert not check_lemma1(A, 1, tol) and not check_lemma1(A, 2, tol)
+        assert spans_equal(A.block(1), A.block(2), tol)
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_zero_block_screened_without_warning(self, monkeypatch, s):
+        # supports holding the zero block are rank deficient; with the columns
+        # past their rank zeroed, the screen passes none of their pairs
+        kernel_calls = []
+        kernel = subspace._spans_equal_stacked
+        monkeypatch.setattr(subspace, "_spans_equal_stacked",
+                            lambda *args: kernel_calls.append(args) or kernel(*args))
+        A = gen_dictionary(12, BlockStructure(K=6, alpha=2, s=2), seed=5)
+        A = A.with_block(4, np.zeros((12, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert check_lemma1(A, s)
+        assert kernel_calls == []
+
     def test_two_zero_blocks_share_the_zero_span(self):
         A = gen_dictionary(8, BlockStructure(K=4, alpha=2, s=1), seed=9)
         assert check_lemma1(A.with_block(1, np.zeros((8, 2))), 1)
@@ -247,3 +297,25 @@ def test_principal_cosines_range():
     assert np.all((cos >= 0) & (cos <= 1))
     assert np.all(np.diff(cos) <= 1e-12)  # descending
     assert principal_cosines(Q1, orthonormal_basis(np.zeros((8, 2)))).shape == (0,)
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan")])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda A, tol: orthonormal_basis(A.block(1), tol),
+        lambda A, tol: spans_equal(A.block(1), A.block(1), tol),
+        lambda A, tol: spans_equal(orthonormal_basis(A.block(1)),
+                                   orthonormal_basis(A.block(2)), tol),
+        lambda A, tol: subspace_intersection(A.block(1), A.block(2), tol),
+        lambda A, tol: check_lemma1(A, 1, tol),
+        lambda A, tol: check_lemma2(A, (1, 2), (2, 3), tol),
+        lambda A, tol: A.block_ranks(tol),
+    ],
+    ids=["orthonormal_basis", "spans_equal", "spans_equal_bases",
+         "subspace_intersection", "check_lemma1", "check_lemma2", "block_ranks"],
+)
+def test_negative_or_nan_tol_rejected(entry, tol):
+    A, _, _ = make_rip_instance(16, 5, 2, 2, seed=41)
+    with pytest.raises(ValueError, match="tol"):
+        entry(A, tol)
