@@ -5,12 +5,15 @@ Block-sparse coding: greedy and exact
 block_omp greedily selects the block most correlated with the residual;
 exhaustive_code solves least squares on every size-s support and is the
 ground-truth oracle. With a restricted isometry constant below 1 the
-exact coder provably returns the planted code.
+exact coder provably returns the planted code. gen_codes returns planted
+codes as the columns of a K*alpha x N matrix; BlockSparseVec.from_values
+reads a column's block support.
 """
 
 import numpy as np
 
 from blockdict import (
+    BlockSparseVec,
     BlockStructure,
     block_omp,
     exhaustive_code,
@@ -28,7 +31,7 @@ for seed in range(500):
         break
 print(f"dictionary: P=48, delta_4 = {report.delta:.3f}")
 
-x = gen_codes(structure, 1, seed=3)[0]
+x = BlockSparseVec.from_values(structure, gen_codes(structure, 1, seed=3)[:, 0])
 y = A.data @ x.values
 print("planted support:", x.support)
 

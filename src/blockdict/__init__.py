@@ -53,7 +53,6 @@ from .harness import (
     ExperimentConfig,
     ExperimentReport,
     LearnTrace,
-    codes_to_matrix,
     gen_block_diagonal,
     gen_block_permutation,
     gen_codes,

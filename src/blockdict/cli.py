@@ -30,7 +30,6 @@ from .harness import (
     MODE_BLOCK_ORTH,
     MODE_GAUSSIAN,
     ExperimentConfig,
-    codes_to_matrix,
     gen_codes,
     gen_dictionary,
     learn_dictionary,
@@ -75,9 +74,8 @@ def _cmd_gen(args) -> int:
     if args.out_dict:
         write_matrix_text(args.out_dict, A.data)
     if args.out_codes or args.out_samples:
-        codes = gen_codes(structure, args.n_samples, seed=args.seed + 1,
-                          coefficient_scale=args.scale)
-        X = codes_to_matrix(codes)
+        X = gen_codes(structure, args.n_samples, seed=args.seed + 1,
+                      coefficient_scale=args.scale)
         if args.out_codes:
             write_matrix_text(args.out_codes, X)
         if args.out_samples:

@@ -5,8 +5,9 @@ output; internal storage is plain 0-based numpy. All types are immutable
 after construction and all operations are pure functions.
 
 The library's one numerical-rank rule, `_numerical_rank`, lives here: the
-count of singular values above tol times the largest. So does the one
-tolerance check, `_check_tols`, that coding, matching and certificates run first.
+count of singular values above tol times the largest. So do the one
+tolerance check, `_check_tols`, that coding, matching and certificates run
+first, and the one sparsity check, `_check_s`.
 """
 
 from __future__ import annotations
@@ -46,8 +47,7 @@ class BlockStructure:
             raise ValueError(f"alpha must be >= 1, got {self.alpha}")
         if self.beta < 1:
             raise ValueError(f"beta must be >= 1, got {self.beta}")
-        if not 1 <= self.s <= self.K:
-            raise ValueError(f"s must satisfy 1 <= s <= K, got s={self.s}, K={self.K}")
+        _check_s(self, self.s)
 
     @property
     def total_dim(self) -> int:
@@ -75,6 +75,14 @@ def _check_tols(**tols: float) -> None:
     for name, value in tols.items():
         if not value >= 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
+def _check_s(structure: BlockStructure, s: int | None) -> int:
+    """s defaulted to structure.s; ValueError unless 1 <= s <= K."""
+    s = structure.s if s is None else int(s)
+    if not 1 <= s <= structure.K:
+        raise ValueError(f"s must satisfy 1 <= s <= K, got s={s}, K={structure.K}")
+    return s
 
 
 def as_support(indices, K: int) -> Support:

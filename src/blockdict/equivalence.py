@@ -17,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coding import DEFAULT_CODING_TOL, exhaustive_code
-from .core import BlockDict, BlockStructure, Support, _check_tols, _numerical_rank, as_support
+from .core import (
+    BlockDict, BlockStructure, Support, _check_s, _check_tols, _numerical_rank, as_support,
+)
 from .errors import HypothesisViolationError, RankError
 from .rip import RipReport, _sample_supports, rip_constant
 # not called here: bench/tracing.py rebinds these names in this module
@@ -413,10 +415,8 @@ def verify_theorem_instance(
     """
     _check_tols(tol=tol)
     _check_same_shape(A, B)
-    s = A.structure.s if s is None else int(s)
+    s = _check_s(A.structure, s)
     K = A.structure.K
-    if not 1 <= s <= K:
-        raise ValueError(f"s must satisfy 1 <= s <= K, got s={s}, K={K}")
 
     rip = rip_constant(A, min(2 * s, K), seed)
 

@@ -6,9 +6,10 @@ intersecting the clusters; blocks the clustering cannot supply start at
 zero. It then alternates coding all samples by `exhaustive_code`'s
 minimum-residual rule (block-OMP once C(K, s) exceeds the enumeration cap)
 with per-block least-squares dictionary updates (each updated block
-re-orthonormalized). Blocks that go unused, the missing ones included, are
-reseeded from the worst coding residual and its most aligned peers.
-Everything is deterministic given the config seed.
+re-orthonormalized). A block coded in fewer than alpha samples is dead, an
+unused or missing one included; reseeding it from the worst coding
+residual and its most aligned peers is the only fallback. Everything is
+deterministic given the config seed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .coding import _CODE_CHUNK, DEFAULT_CODING_TOL, _min_residual_codes, block_omp
-from .core import BlockDict, BlockSparseVec, BlockStructure
+from .core import BlockDict, BlockStructure
 from .errors import RankError
 from .equivalence import (
     DEFAULT_CERTIFICATE_TOL,
@@ -192,35 +193,27 @@ def gen_codes(
     n_samples: int,
     seed: int,
     coefficient_scale: float = 1.0,
-) -> list[BlockSparseVec]:
-    """Random s-block-sparse code vectors, deterministic given seed.
+) -> np.ndarray:
+    """Random s-block-sparse codes as the columns of a K*alpha x N matrix.
 
-    Each sample draws a uniform size-s support and fills the active blocks
-    with signed coefficients of magnitude in [0.1, 1] times
-    coefficient_scale, so every active entry is bounded away from zero.
+    Deterministic given seed. Each sample draws a uniform size-s support
+    and fills the active blocks with signed coefficients of magnitude in
+    [0.1, 1] times coefficient_scale, so every active entry is bounded away
+    from zero. `BlockSparseVec.from_values` turns a column into a vector
+    object with its support.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if coefficient_scale <= 0:
         raise ValueError(f"coefficient_scale must be positive, got {coefficient_scale}")
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n_samples):
-        support = tuple(
-            sorted(int(i) + 1 for i in rng.choice(structure.K, size=structure.s, replace=False))
-        )
-        values = np.zeros(structure.total_dim)
-        for i in support:
+    X = np.zeros((structure.total_dim, n_samples))
+    for c in range(n_samples):
+        for i in sorted(rng.choice(structure.K, size=structure.s, replace=False)):
             magnitude = rng.uniform(0.1, 1.0, size=structure.alpha)
             sign = rng.integers(0, 2, size=structure.alpha) * 2 - 1
-            values[structure.block_slice(i)] = coefficient_scale * sign * magnitude
-        out.append(BlockSparseVec(structure, values, support))
-    return out
-
-
-def codes_to_matrix(codes: list[BlockSparseVec]) -> np.ndarray:
-    """Stack code vectors as columns of a K*alpha x N matrix."""
-    return np.column_stack([c.values for c in codes])
+            X[structure.block_slice(int(i) + 1), c] = coefficient_scale * sign * magnitude
+    return X
 
 
 def gen_block_permutation(K: int, seed: int) -> BlockPermutation:
@@ -406,10 +399,13 @@ def learn_dictionary(
     residual that keeps its own contribution by the best orthonormal
     rank-alpha factorization (truncated SVD, the closed form of the
     per-block least-squares update followed by re-orthonormalization).
-    Blocks left unused are then refilled, farthest point first, from the
-    worst coding residual and its alpha - 1 most aligned residuals, and
-    logged; this is the only restart rule. Stops after the configured
-    iterations or when the objective stalls.
+    A block active in fewer than alpha samples cannot be fitted and is
+    dead, whether unused or under-used; its codes are dropped, so the
+    residual holds what it coded. Dead blocks are then refilled,
+    farthest point first, from the worst coding residual and its alpha - 1
+    most aligned residuals (padded with random columns when there are
+    fewer than alpha samples), and logged; this is the only fallback.
+    Stops after the configured iterations or when the objective stalls.
 
     The default initialization clusters samples into support-span groups
     and intersects the cluster spans pairwise: the intersection of two
@@ -443,6 +439,7 @@ def learn_dictionary(
     if bad.size:
         raise ValueError(f"samples {bad.tolist()} hold non-finite values")
     structure = config.structure
+    alpha = structure.alpha
     P, N = Y.shape
     if N < structure.total_dim:
         warnings.warn(
@@ -481,24 +478,16 @@ def learn_dictionary(
             sl = structure.block_slice(i)
             Xi = X[sl, :]
             active = np.nonzero(np.any(Xi != 0, axis=0))[0]
-            if active.size == 0:
+            if active.size < alpha:  # too few samples to determine the block:
+                Xi[:] = 0  # drop its codes, so the residuals carry them
                 dead.append(i)
                 continue
             # residual that keeps block i's own contribution
             R = Y[:, active] - data @ X[:, active] + data[:, sl] @ Xi[:, active]
             # best orthonormal rank-alpha fit of R and its coefficients
             U, svals, Vt = np.linalg.svd(R, full_matrices=False)
-            r = min(structure.alpha, svals.size)
-            block = U[:, :r]
-            if r < structure.alpha:
-                # too few active samples to determine the block; keep old
-                # directions orthogonalized against the fitted ones
-                Q, _ = np.linalg.qr(np.hstack([block, data[:, sl]]))
-                block = Q[:, : structure.alpha]
-            data[:, sl] = block
-            coeffs = np.zeros((structure.alpha, active.size))
-            coeffs[:r] = svals[:r, None] * Vt[:r, :]
-            X[sl, :][:, active] = coeffs
+            data[:, sl] = U[:, :alpha]
+            X[sl, active] = svals[:alpha, None] * Vt[:alpha, :]
         # refill dead blocks farthest point first: each is projected out of
         # the residuals before the next picks its worst sample
         R = Y - data @ X
@@ -506,12 +495,14 @@ def learn_dictionary(
             norms = np.linalg.norm(R, axis=0)
             worst = int(np.argmax(norms))
             if norms[worst] == 0:
-                M = reseed_rng.standard_normal((P, structure.alpha))
+                M = reseed_rng.standard_normal((P, alpha))
             else:
                 cos = np.abs(R.T @ R[:, worst]) / np.maximum(norms * norms[worst], 1e-300)
                 cos[worst] = np.inf
-                M = R[:, np.argsort(-cos)[: structure.alpha]]
-                if np.linalg.matrix_rank(M) < structure.alpha:
+                M = R[:, np.argsort(-cos)[:alpha]]
+                if M.shape[1] < alpha:  # fewer samples than block columns
+                    M = np.hstack([M, reseed_rng.standard_normal((P, alpha - M.shape[1]))])
+                if np.linalg.matrix_rank(M) < alpha:
                     M = M + 1e-8 * norms[worst] * reseed_rng.standard_normal(M.shape)
             Q = np.linalg.qr(M)[0]
             data[:, structure.block_slice(i)] = Q
@@ -568,13 +559,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         report.rip = rip.to_dict()
 
         stage = "gen_codes"
-        codes = gen_codes(
+        X = gen_codes(
             structure, config.n_samples, seed=codes_seed,
             coefficient_scale=config.coefficient_scale,
         )
 
         stage = "synthesize"
-        Y = truth.data @ codes_to_matrix(codes)
+        Y = truth.data @ X
         if config.noise_level > 0:
             Y = Y + config.noise_level * _substream(
                 config.seed, _STREAM_NOISE

@@ -1,8 +1,8 @@
 """Plain-text matrix files shared by the CLI and the library.
 
-Format: first line "rows cols" as two decimal integers, then `rows` lines
-each holding `cols` whitespace-separated floating-point values. UTF-8,
-LF line endings, no comments.
+Format: first line "rows cols" as two positive decimal integers, then exactly
+`rows` lines each holding `cols` whitespace-separated floating-point values,
+then only whitespace. UTF-8, LF line endings, no comments.
 """
 
 from __future__ import annotations
@@ -17,9 +17,11 @@ def write_matrix_text(path, M) -> None:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={arr.ndim}")
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError("matrix entries must all be finite")
     rows, cols = arr.shape
+    if rows < 1 or cols < 1:
+        raise ValueError(f"dimensions must be positive, got {rows}x{cols}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("matrix entries must all be finite")
     lines = [f"{rows} {cols}"]
     for r in range(rows):
         lines.append(" ".join(repr(float(v)) for v in arr[r]))
@@ -47,6 +49,8 @@ def read_matrix_text(path) -> np.ndarray:
                     f"{path}: row {r + 1} has {len(parts)} values, expected {cols}"
                 )
             data[r] = [float(p) for p in parts]
+        if fh.read().strip():
+            raise ValueError(f"{path}: data past the declared {rows} rows")
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: matrix entries must all be finite")
     return data

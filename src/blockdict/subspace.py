@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlockDict, _check_tols, _numerical_rank, as_support
+from .core import BlockDict, _check_s, _check_tols, _numerical_rank, as_support
 from .errors import CapacityError
 from .rip import DEFAULT_ENUMERATION_CAP, _enumerate_supports, _support_columns
 
@@ -133,10 +133,8 @@ def check_lemma1(
     Raises CapacityError when C(K, s)^2 exceeds cap.
     """
     _check_tols(tol=tol)
-    s = A.structure.s if s is None else int(s)
+    s = _check_s(A.structure, s)
     K = A.structure.K
-    if not 1 <= s <= K:
-        raise ValueError(f"s must satisfy 1 <= s <= K, got s={s}, K={K}")
     n_supports = math.comb(K, s)
     if n_supports * n_supports > cap:
         raise CapacityError(

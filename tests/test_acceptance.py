@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from blockdict import (
+    BlockSparseVec,
     BlockStructure,
     ExperimentConfig,
     HypothesisViolationError,
@@ -134,7 +135,8 @@ class TestCriterion4:
             seed = 0
             for _ in range(per_dim):
                 A, report, seed = make_rip_instance(P, 6, 2, 2, seed)
-                x = gen_codes(ST62, 1, seed=seed + 500_000)[0]
+                X = gen_codes(ST62, 1, seed=seed + 500_000)
+                x = BlockSparseVec.from_values(ST62, X[:, 0])
                 y = A.data @ x.values
                 oracle = exhaustive_code(A, y, s=2)
                 err = float(np.max(np.abs(oracle.code.values - x.values)))

@@ -101,6 +101,12 @@ class TestRip:
         rc = run_cli(["rip", workdir / "missing.txt", "--alpha", 2, "--level", 2])
         assert rc == 2
 
+    def test_extra_rows_exit_code(self, workdir, capsys):
+        (workdir / "F.txt").write_text("2 2\n1 0\n0 1\n1 1\n")
+        rc = run_cli(["rip", workdir / "F.txt", "--alpha", 1, "--level", 1])
+        assert rc == 2
+        assert "past the declared 2 rows" in capsys.readouterr().err
+
     def test_zero_alpha_exit_code(self, workdir, capsys):
         gen_files(workdir)
         rc = run_cli(["rip", workdir / "A.txt", "--alpha", 0, "--level", 2])

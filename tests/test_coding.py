@@ -5,10 +5,10 @@ import pytest
 
 from blockdict import (
     BlockDict,
+    BlockSparseVec,
     BlockStructure,
     CapacityError,
     block_omp,
-    codes_to_matrix,
     exhaustive_code,
     gen_codes,
     gen_dictionary,
@@ -86,8 +86,8 @@ class TestExhaustive:
     def test_recovers_exact_code_under_rip(self, seed):
         A, report, used_seed = make_rip_instance(24, 6, 2, 2, seed=50 + 10 * seed)
         assert report.delta < 1.0
-        codes = gen_codes(A.structure, 1, seed=used_seed)
-        x = codes[0]
+        X = gen_codes(A.structure, 1, seed=used_seed)
+        x = BlockSparseVec.from_values(A.structure, X[:, 0])
         y = A.data @ x.values
         result = exhaustive_code(A, y, s=2)
         assert result.residual_norm < 1e-10
@@ -158,7 +158,7 @@ class TestBatchKernel:
         A, _, used = make_rip_instance(16, 6, 2, 2, seed=40)
         st = A.structure
         rng = np.random.default_rng(used)
-        Y = A.data @ codes_to_matrix(gen_codes(st, 30, seed=used + 1))
+        Y = A.data @ gen_codes(st, 30, seed=used + 1)
         Y = Y + 1e-2 * rng.standard_normal(Y.shape)
         Y[:, 4] = 0.0
         monkeypatch.setattr(coding, "_CODE_CHUNK", chunk)

@@ -13,7 +13,6 @@ from blockdict import (
     BlockStructure,
     ExperimentConfig,
     block_omp,
-    codes_to_matrix,
     gen_block_diagonal,
     gen_block_permutation,
     gen_codes,
@@ -135,21 +134,53 @@ class TestGenRipDictionary:
             gen_rip_dictionary(7, BlockStructure(K=6, alpha=2, s=2), 0)
 
 
+def code_vectors(structure, X):
+    return [BlockSparseVec.from_values(structure, x) for x in X.T]
+
+
+def old_gen_codes_matrix(structure, n_samples, seed, coefficient_scale=1.0):
+    """The former list-of-vectors generator, stacked column by column."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n_samples):
+        support = tuple(
+            sorted(int(i) + 1 for i in rng.choice(structure.K, size=structure.s, replace=False))
+        )
+        values = np.zeros(structure.total_dim)
+        for i in support:
+            magnitude = rng.uniform(0.1, 1.0, size=structure.alpha)
+            sign = rng.integers(0, 2, size=structure.alpha) * 2 - 1
+            values[structure.block_slice(i)] = coefficient_scale * sign * magnitude
+        out.append(BlockSparseVec(structure, values, support))
+    return np.column_stack([c.values for c in out])
+
+
 class TestGenCodes:
+    @pytest.mark.parametrize("seed", [0, 1, 17, 2**40])
+    @pytest.mark.parametrize(
+        "K, alpha, s, scale", [(6, 2, 2, 1.0), (5, 3, 2, 2.5), (4, 1, 4, 0.3)]
+    )
+    def test_matches_former_generator_bytewise(self, seed, K, alpha, s, scale):
+        st = BlockStructure(K=K, alpha=alpha, s=s)
+        X = gen_codes(st, 37, seed=seed, coefficient_scale=scale)
+        old = old_gen_codes_matrix(st, 37, seed, coefficient_scale=scale)
+        assert X.shape == (K * alpha, 37) and X.flags.c_contiguous
+        assert X.tobytes() == old.tobytes()
+
     def test_support_size_exact(self):
         st = BlockStructure(K=6, alpha=2, s=2)
-        for c in gen_codes(st, 50, seed=1):
+        for c in code_vectors(st, gen_codes(st, 50, seed=1)):
             assert len(c.support) == 2
 
     def test_full_support_when_s_equals_K(self):
         st = BlockStructure(K=3, alpha=2, s=3)
-        for c in gen_codes(st, 10, seed=2):
+        for c in code_vectors(st, gen_codes(st, 10, seed=2)):
             assert c.support == (1, 2, 3)
 
     def test_coefficients_bounded_away_from_zero(self):
         st = BlockStructure(K=5, alpha=3, s=2)
         scale = 2.5
-        for c in gen_codes(st, 40, seed=3, coefficient_scale=scale):
+        for c in code_vectors(st, gen_codes(st, 40, seed=3, coefficient_scale=scale)):
             for i in c.support:
                 blk = c.values[st.block_slice(i)]
                 assert np.all(np.abs(blk) >= 0.1 * scale - 1e-12)
@@ -159,8 +190,7 @@ class TestGenCodes:
         st = BlockStructure(K=5, alpha=2, s=2)
         a = gen_codes(st, 20, seed=7)
         b = gen_codes(st, 20, seed=7)
-        for x, y in zip(a, b):
-            assert np.array_equal(x.values, y.values)
+        assert np.array_equal(a, b)
 
     def test_support_distribution_uniform(self):
         # chi-square over all C(6,2)=15 supports on 10^4 samples
@@ -168,7 +198,7 @@ class TestGenCodes:
         from itertools import combinations
 
         cells = {sup: 0 for sup in combinations(range(1, 7), 2)}
-        for c in gen_codes(st, 10_000, seed=11):
+        for c in code_vectors(st, gen_codes(st, 10_000, seed=11)):
             cells[c.support] += 1
         _, p = scipy.stats.chisquare(list(cells.values()))
         assert p > 0.01
@@ -193,8 +223,7 @@ class TestLearnDictionary:
     def test_fixed_point_at_truth(self):
         A, _, used = make_rip_instance(20, 4, 2, 2, seed=21)
         config = small_config(seed=used)
-        codes = gen_codes(config.structure, 60, seed=used + 1)
-        Y = A.data @ codes_to_matrix(codes)
+        Y = A.data @ gen_codes(config.structure, 60, seed=used + 1)
         learned, trace = learn_dictionary(Y, config, init=A)
         assert trace.objectives[0] <= 1e-20
         assert trace.stalled
@@ -204,11 +233,11 @@ class TestLearnDictionary:
         # criterion-7 geometry: greedy coding at the truth is wrong here,
         # the minimum-residual code is not
         A, _, used = make_rip_instance(16, 6, 2, 2, seed=100)
-        codes = gen_codes(A.structure, 300, seed=used + 1)
-        Y = A.data @ codes_to_matrix(codes)
+        X = gen_codes(A.structure, 300, seed=used + 1)
+        Y = A.data @ X
         omp_misses = sum(
             block_omp(A, Y[:, c]).code.support != code.support
-            for c, code in enumerate(codes)
+            for c, code in enumerate(code_vectors(A.structure, X))
         )
         assert omp_misses >= 1
         config = ExperimentConfig(
@@ -226,11 +255,37 @@ class TestLearnDictionary:
         with pytest.warns(UserWarning):
             learn_dictionary(rng.standard_normal((20, 1)), config)
 
+    def test_under_used_block_is_reseeded_as_dead(self):
+        # 60 samples on blocks 1-3 and one on blocks 1 and 4: block 4 has
+        # fewer than alpha active samples, so the sweep reseeds it
+        A, _, used = make_rip_instance(20, 4, 2, 2, seed=21)
+        rng = np.random.default_rng(used)
+        X = np.zeros((8, 61))
+        X[:6, :60] = gen_codes(BlockStructure(K=3, alpha=2, s=2), 60, seed=used + 1)
+        X[[0, 1, 6, 7], 60] = rng.uniform(0.5, 1.0, size=4)
+        init = BlockDict(A.structure, A.data + 1e-3 * rng.standard_normal(A.data.shape))
+        learned, trace = learn_dictionary(A.data @ X, small_config(seed=used), init=init)
+        dead = {"iteration": 0, "block": 4, "sample": 60, "reason": "dead"}
+        assert dead in trace.reseed_events
+        # the reseed starts from sample 60's whole residual, block 4's share in it
+        assert trace.objectives[1] < trace.objectives[0]
+        gram = learned.block(4).T @ learned.block(4)
+        assert np.max(np.abs(gram - np.eye(2))) <= 1e-12
+
+    def test_reseed_with_fewer_samples_than_block_columns(self):
+        config = small_config(n_samples=1)
+        Y = np.random.default_rng(0).standard_normal((20, 1))
+        with pytest.warns(UserWarning):
+            learned, trace = learn_dictionary(Y, config)
+        assert trace.reseed_events
+        for i in range(1, 5):
+            gram = learned.block(i).T @ learned.block(i)
+            assert np.max(np.abs(gram - np.eye(2))) <= 1e-12
+
     def test_objective_non_increasing_in_noiseless_run(self):
         config = small_config(seed=5, learner_iterations=15)
         A, _, used = make_rip_instance(20, 4, 2, 2, seed=31)
-        codes = gen_codes(config.structure, 60, seed=used + 1)
-        Y = A.data @ codes_to_matrix(codes)
+        Y = A.data @ gen_codes(config.structure, 60, seed=used + 1)
         _, trace = learn_dictionary(Y, config)
         reseed_iters = {e["iteration"] for e in trace.reseed_events}
         objs = trace.objectives
@@ -265,7 +320,7 @@ class TestLearnerCoding:
         st = A.structure
         rng = np.random.default_rng(used)
         B = BlockDict(st, A.data + 0.05 * rng.standard_normal(A.data.shape))
-        Y = A.data @ codes_to_matrix(gen_codes(st, 200, seed=used + 1))
+        Y = A.data @ gen_codes(st, 200, seed=used + 1)
         Y = Y + 1e-2 * rng.standard_normal(Y.shape)
         X, res = _code_all(B, Y, st.s, 1e-10)
         for c in range(Y.shape[1]):
@@ -350,7 +405,7 @@ def reference_discovery(Y, structure, log):
 def criterion7_samples(seed, n_samples=300, noise=0.0):
     st = BlockStructure(K=6, alpha=2, s=2)
     A = gen_dictionary(16, st, seed=seed)
-    Y = A.data @ codes_to_matrix(gen_codes(st, n_samples, seed=seed + 1))
+    Y = A.data @ gen_codes(st, n_samples, seed=seed + 1)
     return st, Y + noise * np.random.default_rng(seed + 2).standard_normal(Y.shape)
 
 

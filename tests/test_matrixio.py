@@ -48,3 +48,24 @@ def test_non_finite_rejected(tmp_path):
         read_matrix_text(path)
     with pytest.raises(ValueError):
         write_matrix_text(path, np.array([[np.inf]]))
+
+
+def test_rows_past_the_header_count_rejected(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("2 2\n1 2\n3 4\n5 6\n")
+    with pytest.raises(ValueError, match="past the declared 2 rows"):
+        read_matrix_text(path)
+
+
+def test_trailing_blank_line_accepted(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("2 2\n1 2\n3 4\n\n")
+    assert np.array_equal(read_matrix_text(path), [[1.0, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_empty_matrix_not_written(tmp_path, shape):
+    path = tmp_path / "m.txt"
+    with pytest.raises(ValueError, match="dimensions must be positive"):
+        write_matrix_text(path, np.zeros(shape))
+    assert not path.exists()
