@@ -91,11 +91,7 @@ def block_omp(
     y, s = _check_measurement(A, y, s, tol)
     y_norm = float(np.linalg.norm(y))
     values = np.zeros(A.structure.total_dim)
-    abs_res = y_norm
-    if y_norm == 0:
-        code = BlockSparseVec.from_values(A.structure, values, tol=0.0)
-        return CodingResult(code, 0.0, METHOD_OMP)
-
+    abs_res = y_norm  # y = 0 skips the loop: the zero code, residual 0
     selected: list[int] = []
     residual = y.copy()
     while len(selected) < s and _relative(abs_res, y_norm) > tol:
@@ -126,7 +122,7 @@ def block_omp(
 
 
 def _min_residual_codes(
-    A: BlockDict, Y: np.ndarray, s: int, tol: float, cap: int = DEFAULT_ENUMERATION_CAP
+    A: BlockDict, Y: np.ndarray, s: int, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-residual s-block code of every column y of the P x N matrix Y.
 
@@ -138,9 +134,9 @@ def _min_residual_codes(
     _CODE_CHUNK residuals, so memory stays bounded as C(K, s) grows.
     Returns (K*alpha x N codes, absolute residual norms).
 
-    Raises CapacityError when C(K, s) exceeds cap.
+    Raises CapacityError when C(K, s) exceeds DEFAULT_ENUMERATION_CAP.
     """
-    supports = _enumerate_supports(A.structure.K, s, cap)
+    supports = _enumerate_supports(A.structure.K, s, DEFAULT_ENUMERATION_CAP)
     rows = _support_columns(supports, A.structure.alpha)
     N = Y.shape[1]
     X = np.zeros((A.structure.total_dim, N))
@@ -168,11 +164,7 @@ def _min_residual_codes(
 
 
 def exhaustive_code(
-    A: BlockDict,
-    y,
-    s: int | None = None,
-    tol: float = DEFAULT_CODING_TOL,
-    cap: int = DEFAULT_ENUMERATION_CAP,
+    A: BlockDict, y, s: int | None = None, tol: float = DEFAULT_CODING_TOL
 ) -> CodingResult:
     """Minimum-residual s-block-sparse code by enumerating every support.
 
@@ -183,10 +175,10 @@ def exhaustive_code(
     Raises
     ------
     CapacityError
-        When C(K, s) exceeds cap.
+        When C(K, s) exceeds DEFAULT_ENUMERATION_CAP.
     """
     y, s = _check_measurement(A, y, s, tol)
-    X, res = _min_residual_codes(A, y[:, None], s, tol, cap)
+    X, res = _min_residual_codes(A, y[:, None], s, tol)
     code = BlockSparseVec.from_values(A.structure, X[:, 0], tol=0.0)
     y_norm = float(np.linalg.norm(y))
     return CodingResult(code, _relative(float(res[0]), y_norm), METHOD_EXHAUSTIVE)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_SUPPORT_TOL = 1e-9
+DEFAULT_RANK_TOL = 1e-8  # the tol of `_numerical_rank` wherever a caller gives none
 
 # A block support: strictly increasing 1-based block indices.
 Support = tuple[int, ...]
@@ -152,7 +153,7 @@ class BlockDict:
         data[:, self.structure.block_slice(i)] = block
         return BlockDict(self.structure, data)
 
-    def block_ranks(self, tol: float = 1e-10) -> tuple[int, ...]:
+    def block_ranks(self, tol: float = DEFAULT_RANK_TOL) -> tuple[int, ...]:
         """Numerical rank of each block (singular values > tol * largest)."""
         _check_tols(tol=tol)
         K, alpha = self.structure.K, self.structure.alpha
@@ -200,10 +201,6 @@ class BlockSparseVec:
         Entries in blocks whose max magnitude is <= tol are zeroed out.
         """
         vals = np.array(values, dtype=float).reshape(-1)
-        if vals.shape[0] != structure.total_dim:
-            raise ValueError(
-                f"vector has length {vals.shape[0]}, expected {structure.total_dim}"
-            )
         sup = block_support(vals, structure, tol=tol)
         keep = np.zeros(structure.K, dtype=bool)
         keep[[i - 1 for i in sup]] = True

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import DEFAULT_CODING_TOL, exhaustive_code
+from .coding import DEFAULT_CODING_TOL, _relative, exhaustive_code
 from .core import (
     BlockDict, BlockStructure, Support, _check_s, _check_tols, _numerical_rank, as_support,
 )
@@ -205,8 +205,7 @@ def solve_block_transform(
         raise RankError("target block is rank-deficient")
     M, _, _, _ = np.linalg.lstsq(B_block, A_block, rcond=None)
     err = float(np.linalg.norm(A_block - B_block @ M, "fro"))
-    denom = float(np.linalg.norm(A_block, "fro"))
-    return M, (err if denom == 0 else err / denom)
+    return M, _relative(err, float(np.linalg.norm(A_block, "fro")))
 
 
 def recover_equivalence(
@@ -221,8 +220,9 @@ def recover_equivalence(
     Matches block spans, then solves one least-squares transform per
     matched pair. The certificate is `equivalent` only when the matching
     is a bijection, every transform is invertible, and the worst relative
-    block residual is at most tol. Match failures surface as certificate
-    statuses, never exceptions.
+    block residual is at most tol. A rank-deficient matched pair leaves its
+    transform undetermined, so the certificate is `ambiguous`. Match
+    failures surface as certificate statuses, never exceptions.
     """
     _check_tols(tol=tol, span_tol=span_tol, invertibility_tol=invertibility_tol)
     report = match_blocks(A, B, span_tol)
@@ -232,7 +232,10 @@ def recover_equivalence(
     blocks = []
     residual = 0.0
     for i in range(1, A.structure.K + 1):
-        M, rel = solve_block_transform(A.block(i), B.block(perm(i)), span_tol)
+        try:
+            M, rel = solve_block_transform(A.block(i), B.block(perm(i)), span_tol)
+        except RankError:
+            return EquivalenceCertificate(STATUS_AMBIGUOUS, None, None, None)
         blocks.append(M)
         residual = max(residual, rel)
     diag = BlockDiagonal(A.structure, tuple(blocks))
@@ -258,18 +261,16 @@ def make_equivalent_dict(
 ) -> BlockDict:
     """Build B with apply_transform(B, perm, D) equal to A.
 
-    Block perm(i) of B is A_i @ inv(D_i); D must be invertible.
+    Block perm(i) of B is A_i @ inv(D_i): `apply_transform` of A by the
+    inverse permutation and the inverse blocks. D must be invertible.
     """
-    if perm.K != A.structure.K:
+    if perm.K != A.structure.K:  # checked before the inverse blocks are indexed
         raise ValueError(f"permutation is on {perm.K} blocks, dictionary has {A.structure.K}")
     if not D.is_invertible():
         raise ValueError("all transform blocks must be invertible")
-    data = np.empty_like(A.data)
-    for i in range(1, A.structure.K + 1):
-        data[:, A.structure.block_slice(perm(i))] = A.block(i) @ np.linalg.inv(
-            D.blocks[i - 1]
-        )
-    return BlockDict(A.structure, data)
+    inv = perm.inverse()
+    blocks = tuple(np.linalg.inv(D.blocks[i - 1]) for i in inv.pi)
+    return apply_transform(A, inv, BlockDiagonal(D.structure, blocks))
 
 
 def compose_transforms(

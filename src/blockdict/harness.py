@@ -61,7 +61,6 @@ class ExperimentConfig:
     noise_level: float = 0.0
     learner_iterations: int = 30
     coefficient_scale: float = 1.0
-    dict_mode: str = MODE_BLOCK_ORTH
     rank_tol: float = DEFAULT_RANK_TOL
     certificate_tol: float = DEFAULT_CERTIFICATE_TOL
     coding_tol: float = DEFAULT_CODING_TOL
@@ -79,8 +78,6 @@ class ExperimentConfig:
                 raise ValueError(f"{f.name} must be finite and nonnegative, got {value}")
             if f.name == "coefficient_scale" and value == 0:
                 raise ValueError(f"{f.name} must be positive, got {value}")
-        if self.dict_mode not in (MODE_GAUSSIAN, MODE_BLOCK_ORTH):
-            raise ValueError(f"unknown dictionary mode {self.dict_mode!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -100,7 +97,7 @@ class ExperimentConfig:
 
 
 # JSON types each annotation accepts: bools are not numbers, floats not ints
-_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+_JSON_TYPES = {"int": (int,), "float": (int, float)}
 
 
 def _check_keys(d, cls, what: str) -> None:
@@ -164,21 +161,19 @@ def gen_dictionary(
 
 
 def gen_rip_dictionary(
-    ambient_dim: int,
-    structure: BlockStructure,
-    seed: int,
-    mode: str = MODE_BLOCK_ORTH,
+    ambient_dim: int, structure: BlockStructure, seed: int
 ) -> tuple[BlockDict, RipReport, int]:
     """First dictionary of seeds seed, seed+1, ... with constant below 1.
 
-    The constant is `rip_constant` at level min(2s, K), sampled (above the
-    cap) from the draw's seed. Returns (dictionary, its RipReport, the
-    winning seed's offset from seed); raises ValueError after
-    MAX_GENERATION_RETRIES + 1 draws.
+    Each draw is per-block-orthonormal, so every block Gram is the
+    identity. The constant is `rip_constant` at level min(2s, K), sampled
+    (above the cap) from the draw's seed. Returns (dictionary, its
+    RipReport, the winning seed's offset from seed); raises ValueError
+    after MAX_GENERATION_RETRIES + 1 draws.
     """
     _check_ambient(ambient_dim, structure)
     for retry in range(MAX_GENERATION_RETRIES + 1):
-        A = gen_dictionary(ambient_dim, structure, seed=seed + retry, mode=mode)
+        A = gen_dictionary(ambient_dim, structure, seed=seed + retry)
         report = rip_constant(A, min(2 * structure.s, structure.K), seed + retry)
         if report.delta < 1.0:
             return A, report, retry
@@ -554,7 +549,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     stage = "gen_dictionary"
     try:
         truth, rip, report.generation_retries = gen_rip_dictionary(
-            config.ambient_dim, structure, dict_seed, config.dict_mode
+            config.ambient_dim, structure, dict_seed
         )
         report.rip = rip.to_dict()
 

@@ -137,9 +137,7 @@ def rip_constant_for_support(A: BlockDict, T) -> float:
     return float(_support_deltas(cols.T @ cols, own, A.structure.alpha)[0])
 
 
-def rip_constant_exact(
-    A: BlockDict, t: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> RipReport:
+def rip_constant_exact(A: BlockDict, t: int) -> RipReport:
     """Level-t constant by enumerating all C(K, t) supports.
 
     Parameters
@@ -147,8 +145,6 @@ def rip_constant_exact(
     A : BlockDict
     t : int
         Support size to examine, 1 <= t <= K.
-    cap : int
-        Refuse enumeration when C(K, t) exceeds this count.
 
     Returns
     -------
@@ -159,10 +155,11 @@ def rip_constant_exact(
     Raises
     ------
     CapacityError
-        If C(K, t) > cap; use `rip_lower_bound_sampled` instead.
+        If C(K, t) > DEFAULT_ENUMERATION_CAP; use `rip_lower_bound_sampled` instead.
     """
     _check_level(A, t)
-    return _rip_report(A, t, _enumerate_supports(A.structure.K, t, cap), MODE_EXACT)
+    supports = _enumerate_supports(A.structure.K, t, DEFAULT_ENUMERATION_CAP)
+    return _rip_report(A, t, supports, MODE_EXACT)
 
 
 def rip_lower_bound_sampled(

@@ -16,11 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlockDict, _check_s, _check_tols, _numerical_rank, as_support
+from .core import DEFAULT_RANK_TOL, BlockDict, _check_s, _check_tols, _numerical_rank, as_support
 from .errors import CapacityError
 from .rip import DEFAULT_ENUMERATION_CAP, _enumerate_supports, _support_columns
-
-DEFAULT_RANK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -107,22 +105,15 @@ def subspace_intersection(M1, M2, tol: float = DEFAULT_RANK_TOL) -> SubspaceBasi
     """Orthonormal basis of the intersection of two column spans.
 
     Principal vectors whose cosine is >= 1 - tol are kept; a dimension-0
-    intersection is a valid (empty) basis, never an error.
+    intersection, as from a dimension-0 input, is a valid (empty) basis.
     """
     Q1, Q2 = _two_bases(M1, M2, tol)
-    if Q1.dim == 0 or Q2.dim == 0:
-        return SubspaceBasis(Q1.ambient_dim, Q1.basis[:, :0])
     U, cos, _ = np.linalg.svd(Q1.basis.T @ Q2.basis)
     keep = np.clip(cos, 0.0, 1.0) >= 1.0 - tol
     return SubspaceBasis(Q1.ambient_dim, Q1.basis @ U[:, : int(np.sum(keep))])
 
 
-def check_lemma1(
-    A: BlockDict,
-    s: int | None = None,
-    tol: float = DEFAULT_RANK_TOL,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> bool:
+def check_lemma1(A: BlockDict, s: int | None = None, tol: float = DEFAULT_RANK_TOL) -> bool:
     """Whether all distinct size-s block supports of A span distinct subspaces.
 
     This is the span-separation property that a restricted isometry
@@ -130,17 +121,18 @@ def check_lemma1(
     support's basis; a Frobenius pre-screen in O(C(K, s) P s alpha) memory
     sends only the same-rank pairs near equality to the exact kernel.
 
-    Raises CapacityError when C(K, s)^2 exceeds cap.
+    Raises CapacityError when C(K, s)^2 exceeds DEFAULT_ENUMERATION_CAP.
     """
     _check_tols(tol=tol)
     s = _check_s(A.structure, s)
     K = A.structure.K
-    n_supports = math.comb(K, s)
-    if n_supports * n_supports > cap:
+    n_pairs = math.comb(K, s) ** 2
+    if n_pairs > DEFAULT_ENUMERATION_CAP:
         raise CapacityError(
-            f"C({K}, {s})^2 = {n_supports ** 2} pairs exceeds the enumeration cap {cap}"
+            f"C({K}, {s})^2 = {n_pairs} pairs exceeds the enumeration cap {DEFAULT_ENUMERATION_CAP}"
         )
-    cols = _support_columns(_enumerate_supports(K, s, cap), A.structure.alpha)
+    supports = _enumerate_supports(K, s, DEFAULT_ENUMERATION_CAP)
+    cols = _support_columns(supports, A.structure.alpha)
     U, svals, _ = np.linalg.svd(A.data[:, cols].transpose(1, 0, 2), full_matrices=False)
     ranks = _numerical_rank(svals, tol)
     n, P, d = U.shape

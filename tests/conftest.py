@@ -18,15 +18,27 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 from itertools import combinations  # noqa: E402
 
 import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from blockdict import (
     BlockDict,
     BlockStructure,
     gen_block_diagonal,
     gen_block_permutation,
+    gen_dictionary,
     gen_rip_dictionary,
     make_equivalent_dict,
 )
+
+RANK_DEFICIENT_SVALS = pytest.mark.parametrize(
+    "svals", [(0.0, 0.0), (1.0, 5e-9)], ids=["zero-block", "near-singular-block"]
+)
+
+
+def rank_deficient_dict(svals):
+    """P=12, K=4, alpha=2, s=2 dictionary whose block 2 has singular values svals."""
+    A = gen_dictionary(12, BlockStructure(K=4, alpha=2, s=2), seed=3)
+    return A.with_block(2, A.block(2) @ np.diag(svals))
 
 
 def ge_rank(M, tol: float = 1e-10) -> int:

@@ -16,7 +16,9 @@ from blockdict import (
 )
 from blockdict.cli import build_parser, main
 
-from conftest import make_equivalent_pair, make_rip_instance
+from conftest import (
+    RANK_DEFICIENT_SVALS, make_equivalent_pair, make_rip_instance, rank_deficient_dict,
+)
 
 
 def run_cli(args):
@@ -175,6 +177,13 @@ class TestEquiv:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["status"] == "not-equivalent"
 
+    @RANK_DEFICIENT_SVALS
+    def test_rank_deficient_block_is_ambiguous(self, workdir, capsys, svals):
+        write_matrix_text(workdir / "A.txt", rank_deficient_dict(svals).data)
+        rc = run_cli(["equiv", workdir / "A.txt", workdir / "A.txt", "--alpha", 2])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "ambiguous"
+
     def test_negative_span_tol_exit_code(self, workdir, capsys):
         A, _, _ = make_rip_instance(16, 5, 2, 2, seed=41)
         write_matrix_text(workdir / "A.txt", A.data)
@@ -272,6 +281,7 @@ class TestLearnAndExperiment:
         "payload, message",
         [
             ({**BASE_CONFIG, "n_iterations": 5}, "unknown keys ['n_iterations']"),
+            ({**BASE_CONFIG, "dict_mode": "gaussian"}, "unknown keys ['dict_mode']"),
             ({k: v for k, v in BASE_CONFIG.items() if k != "structure"},
              "missing keys ['structure']"),
             ([BASE_CONFIG], "must be a JSON object"),
@@ -296,7 +306,7 @@ class TestLearnAndExperiment:
             ({**BASE_CONFIG, "structure": {**BASE_CONFIG["structure"], "beta": 3}},
              "structure: key 'beta' must be 1, got 3"),
         ],
-        ids=["unknown-key", "missing-structure", "list-top-level", "string-int",
+        ids=["unknown-key", "dict-mode-key", "missing-structure", "list-top-level", "string-int",
              "string-float", "null-int", "float-K", "bool-alpha", "float-seed",
              "zero-scale", "inf-scale", "nan-noise",
              "negative-rank-tol", "negative-certificate-tol", "negative-coding-tol",
@@ -325,6 +335,16 @@ class TestVerify:
         assert payload["hypothesis"]["holds"] is True
         assert payload["conclusion"]["status"] == "equivalent"
         assert payload["agreement"]["equal"] is True
+
+    @RANK_DEFICIENT_SVALS
+    def test_rank_deficient_block_is_ambiguous(self, workdir, capsys, svals):
+        write_matrix_text(workdir / "A.txt", rank_deficient_dict(svals).data)
+        rc = run_cli(["verify", workdir / "A.txt", workdir / "A.txt",
+                      "--alpha", 2, "--sparsity", 2, "--probes", 2])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["conclusion"]["status"] == "ambiguous"
+        assert payload["agreement"]["equal"] is None
 
 
 def test_console_entry_point(tmp_path):

@@ -8,6 +8,7 @@ from blockdict import (
     BlockSparseVec,
     BlockStructure,
     CapacityError,
+    RankError,
     block_omp,
     exhaustive_code,
     gen_codes,
@@ -73,6 +74,23 @@ class TestBlockOmp:
         y = np.array([1.0, 0.0, 0.0, 0.0])
         assert block_omp(A, y, s=1).code.support == (1,)
 
+    def test_stops_when_no_block_correlates(self, monkeypatch):
+        # the columns span the first 12 coordinates and y is e16: every score is 0
+        st = BlockStructure(K=6, alpha=2, s=2)
+        A = BlockDict(st, np.vstack([gen_dictionary(12, st, seed=0).data, np.zeros((4, 12))]))
+        solves = []
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: solves.append(a))
+        result = block_omp(A, np.eye(16)[:, 15])
+        assert solves == []
+        assert result.code.support == () and result.residual_norm == 1.0
+
+    def test_rank_deficient_selection_raises(self):
+        # blocks [e1, e2] and [e1, e3]: y = e1 + e2 + e3 selects both, rank 3 < 4
+        E = np.eye(4)
+        A = BlockDict(BlockStructure(K=2, alpha=2, s=2), E[:, [0, 1, 0, 2]])
+        with pytest.raises(RankError, match=r"blocks \(1, 2\) is rank-deficient"):
+            block_omp(A, E[:, 0] + E[:, 1] + E[:, 2])
+
     def test_shape_errors(self):
         A = gen_dictionary(12, BlockStructure(K=4, alpha=2, s=2), seed=0)
         with pytest.raises(ValueError):
@@ -119,10 +137,11 @@ class TestExhaustive:
         assert result.code.support == (1,)
 
     def test_capacity_error(self):
+        # C(40, 20) ~ 1.4e11 supports, above the fixed enumeration cap
         structure = BlockStructure(K=40, alpha=1, s=20)
         A = BlockDict(structure, np.eye(40))
         with pytest.raises(CapacityError):
-            exhaustive_code(A, np.ones(40), s=20, cap=10**4)
+            exhaustive_code(A, np.ones(40), s=20)
 
     def test_shape_error(self):
         A = gen_dictionary(12, BlockStructure(K=4, alpha=2, s=2), seed=0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from blockdict import (
+    DEFAULT_RANK_TOL,
     BlockDiagonal,
     BlockDict,
     BlockSparseVec,
@@ -10,10 +11,14 @@ from blockdict import (
     as_support,
     block_support,
     make_indicator,
+    orthonormal_basis,
     solve_block_transform,
     split_columns,
 )
+from blockdict import core, subspace
 from blockdict.core import _numerical_rank
+
+from conftest import rank_deficient_dict
 
 
 @pytest.fixture
@@ -244,6 +249,14 @@ class TestBlockDict:
         data[:, 0:2] = np.eye(4)[:, :2]
         A = BlockDict(st52, data)
         assert A.block_ranks() == (2, 0, 0, 0, 0)
+
+    def test_block_ranks_default_is_the_rank_tol(self):
+        # singular values (1, 5e-9): rank 1 at DEFAULT_RANK_TOL = 1e-8, as the
+        # span functions count it
+        A = rank_deficient_dict((1.0, 5e-9))
+        assert A.block_ranks() == (2, 1, 2, 2)
+        assert orthonormal_basis(A.block(2)).dim == 1
+        assert DEFAULT_RANK_TOL == subspace.DEFAULT_RANK_TOL == core.DEFAULT_RANK_TOL == 1e-8
 
 
 # (second singular value, rank) at tol = 2**-10 for blocks diag(1, t) and zero

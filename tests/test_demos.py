@@ -1,4 +1,4 @@
-"""Every demo script runs to completion.
+"""Every demo script runs to completion, with warnings turned into errors.
 
 Each demo runs in its own scratch directory, since the learning demo
 writes `experiment_report.json` to the working directory.
@@ -26,7 +26,7 @@ def test_demo_runs(demo, tmp_path):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        [sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -24,7 +24,9 @@ from blockdict import (
     verify_theorem_instance,
 )
 
-from conftest import make_equivalent_pair, make_rip_instance
+from conftest import (
+    RANK_DEFICIENT_SVALS, make_equivalent_pair, make_rip_instance, rank_deficient_dict,
+)
 
 
 class TestBlockPermutation:
@@ -97,6 +99,15 @@ class TestMatchBlocks:
         report = match_blocks(A, B)
         assert report.status == "not-equivalent"
         assert len(report.unmatched) == 5
+
+    def test_non_injective_assignment(self):
+        # A = [X, X M, Z] against B = [X, W, Z]: A's blocks 1 and 2 both land on 1
+        B = gen_dictionary(16, BlockStructure(K=3, alpha=2, s=1), seed=4)
+        A = B.with_block(2, B.block(1) @ np.array([[2.0, 1.0], [0.0, 1.0]]))
+        report = match_blocks(A, B)
+        assert report.status == "not-equivalent" and report.permutation is None
+        assert report.matches == {1: (1,), 2: (1,), 3: (3,)}
+        assert report.unmatched == () and report.ambiguous == ()
 
     def test_shape_mismatch(self):
         A = gen_dictionary(16, BlockStructure(K=5, alpha=2, s=2), seed=0)
@@ -182,6 +193,16 @@ class TestRecoverEquivalence:
         assert cert.status == "not-equivalent"
         assert cert.permutation is None
 
+    @RANK_DEFICIENT_SVALS
+    def test_rank_deficient_pair_is_ambiguous(self, svals):
+        # the matched pair's transform is not determined: a status, not a RankError
+        A = rank_deficient_dict(svals)
+        cert = recover_equivalence(A, A)
+        assert cert.to_dict() == {"status": "ambiguous", "pi": None, "D_blocks": None,
+                                  "residual": None}
+        report = verify_theorem_instance(A, A, s=2, n_probes=2)
+        assert report.certificate == cert and report.agreement is None
+
     def test_certificate_json_shape(self):
         A = gen_dictionary(12, BlockStructure(K=3, alpha=2, s=1), seed=6)
         payload = json.loads(recover_equivalence(A, A).to_json())
@@ -214,6 +235,12 @@ class TestApplyTransform:
         A, B, perm, diag, _ = make_equivalent_pair(16, 5, 2, 2, seed=400 + 10 * seed)
         again = apply_transform(B, perm, diag)
         assert np.max(np.abs(again.data - A.data)) < 1e-10
+
+    @pytest.mark.parametrize("K", [2, 4])
+    def test_make_equivalent_rejects_a_permutation_of_other_size(self, K):
+        A = gen_dictionary(8, BlockStructure(K=3, alpha=2, s=1), seed=1)
+        with pytest.raises(ValueError, match=f"permutation is on {K} blocks, dictionary has 3"):
+            make_equivalent_dict(A, gen_block_permutation(K, 0), gen_block_diagonal(A.structure, 0))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_composition_law(self, seed):

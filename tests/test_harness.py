@@ -100,21 +100,22 @@ class TestGenRipDictionary:
             assert abs(report.delta - deltas[-1]) <= 1e-12
 
     def test_gives_up_after_the_retry_cap(self, monkeypatch):
-        # a square gaussian dictionary: none of 2,000 draws has delta_3 < 1
+        # every draw repeats block 1 as block 2, so support (1, 2, 3) is
+        # rank-deficient and no draw has delta_3 < 1
         st = BlockStructure(K=3, alpha=2, s=2)
         draws = []
         real = harness.gen_dictionary
 
-        def counted(*args, **kwargs):
+        def repeated(*args, **kwargs):
             draws.append(kwargs["seed"])
-            return real(*args, **kwargs)
+            A = real(*args, **kwargs)
+            return A.with_block(2, A.block(1))
 
-        monkeypatch.setattr(harness, "gen_dictionary", counted)
+        monkeypatch.setattr(harness, "gen_dictionary", repeated)
         with pytest.raises(ValueError, match="found in 1001 draws"):
-            gen_rip_dictionary(6, st, 5, mode="gaussian")
+            gen_rip_dictionary(6, st, 5)
         assert draws == list(range(5, 5 + harness.MAX_GENERATION_RETRIES + 1))
-        config = ExperimentConfig(st, ambient_dim=6, n_samples=10, seed=0,
-                                  dict_mode="gaussian")
+        config = ExperimentConfig(st, ambient_dim=6, n_samples=10, seed=0)
         report = run_experiment(config)
         assert [e["stage"] for e in report.stage_errors] == ["gen_dictionary"]
         assert "found in 1001 draws" in report.stage_errors[0]["error"]
@@ -341,6 +342,17 @@ class TestLearnerCoding:
             values = block_omp(A, Y[:, c], s=st.s, tol=1e-10).code.values
             assert np.array_equal(X[:, c], values)
             assert res[c] == np.linalg.norm(Y[:, c] - A.data @ values)
+
+    def test_above_cap_rank_deficient_sample_stays_uncoded(self, monkeypatch):
+        # blocks [e1, e2] and [e1, e3]: block-OMP on e1 + e2 + e3 selects both, a
+        # rank-3 sub-dictionary of 4 columns, so that sample keeps code 0, residual ||y||
+        monkeypatch.setattr(harness, "DEFAULT_ENUMERATION_CAP", 0)
+        E = np.eye(4)
+        B = BlockDict(BlockStructure(K=2, alpha=2, s=2), E[:, [0, 1, 0, 2]])
+        Y = np.column_stack([E[:, 0] + E[:, 1] + E[:, 2], 2 * E[:, 1]])
+        X, res = _code_all(B, Y, 2, 1e-10)
+        assert X[:, 0].tolist() == [0, 0, 0, 0] and res[0] == np.linalg.norm(Y[:, 0])
+        assert X[:, 1].tolist() == [0, 2, 0, 0] and res[1] == 0
 
 
 def reference_discovery(Y, structure, log):

@@ -91,6 +91,13 @@ class TestSpansEqual:
 
 
 class TestSubspaceIntersection:
+    @pytest.mark.parametrize("zero_first", [True, False])
+    def test_dimension_zero_input(self, zero_first):
+        M = np.random.default_rng(0).standard_normal((6, 2))
+        pair = (np.zeros((6, 2)), M) if zero_first else (M, np.zeros((6, 2)))
+        inter = subspace_intersection(*pair)
+        assert inter.ambient_dim == 6 and inter.basis.shape == (6, 0)
+
     def test_same_space(self):
         rng = np.random.default_rng(0)
         M = rng.standard_normal((6, 3))
@@ -247,10 +254,11 @@ class TestLemma1:
         assert not check_lemma1(A, 1)
 
     def test_capacity(self):
+        # C(40, 20)^2 support pairs, above the fixed enumeration cap
         structure = BlockStructure(K=40, alpha=1, s=20)
         A = BlockDict(structure, np.eye(40))
         with pytest.raises(CapacityError):
-            check_lemma1(A, 20, cap=10**4)
+            check_lemma1(A, 20)
 
 
 class TestLemma2:
