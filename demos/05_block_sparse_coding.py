@@ -3,8 +3,8 @@ Block-sparse coding: greedy and exact
 =====================================
 
 block_omp greedily selects the block most correlated with the residual;
-exhaustive_code solves least squares on every size-s support and is the
-ground-truth oracle. With a restricted isometry constant below 1 the
+exhaustive_code scores every size-s support by its projection residual
+and is the ground-truth oracle. With a restricted isometry constant below 1 the
 exact coder provably returns the planted code. gen_codes returns planted
 codes as the columns of a K*alpha x N matrix; BlockSparseVec.from_values
 reads a column's block support.

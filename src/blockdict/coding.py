@@ -2,8 +2,8 @@
 
 Both methods report the residual as ||y - A x||_2 relative to ||y||_2
 (absolute when y = 0) and break ties toward the lowest block indices.
-The exhaustive oracle and the learner share one batched kernel,
-`_min_residual_codes`, which holds the minimum-residual rule.
+The exhaustive oracle and the learner share one stacked-QR projection
+kernel, `_min_residual_codes`, which holds the minimum-residual rule.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlockDict, BlockSparseVec, _check_s, _check_tols
+from .core import DEFAULT_RANK_TOL, BlockDict, BlockSparseVec, _check_s, _check_tols
+from .core import _numerical_rank
 from .errors import RankError
 from .rip import DEFAULT_ENUMERATION_CAP, _enumerate_supports, _support_columns
 
@@ -33,6 +34,7 @@ class CodingResult:
     code: BlockSparseVec
     residual_norm: float
     method: str
+    tied: bool = False  # exhaustive codes: a second support lies in the tie window
 
     def to_dict(self) -> dict:
         return {
@@ -123,44 +125,50 @@ def block_omp(
 
 def _min_residual_codes(
     A: BlockDict, Y: np.ndarray, s: int, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minimum-residual s-block code of every column y of the P x N matrix Y.
 
-    The one rule behind `exhaustive_code` and the learner: least squares on
-    every size-s support, the smallest residual wins, and supports within
+    The one rule behind `exhaustive_code` and the learner: the projection
+    residual on every size-s support, the smallest wins, and supports within
     tol*||y|| of it count as tied, going to the lexicographically first.
-    Each support is solved once for a chunk of columns and only the winning
-    supports are re-solved, on their own columns; chunks hold about
-    _CODE_CHUNK residuals, so memory stays bounded as C(K, s) grows.
-    Returns (K*alpha x N codes, absolute residual norms).
+    Residuals are ||Y - Q Q^T Y|| from stacked QR factors (lstsq where sorted
+    |diag R| is rank-short); only winners are solved, on their own columns.
+    Column chunks of about _CODE_CHUNK residuals and support blocks of about
+    _CODE_CHUNK factor and projection entries bound memory as C(K, s) and N
+    grow. Returns (K*alpha x N codes, absolute residual norms, tie flags).
 
     Raises CapacityError when C(K, s) exceeds DEFAULT_ENUMERATION_CAP.
     """
     supports = _enumerate_supports(A.structure.K, s, DEFAULT_ENUMERATION_CAP)
     rows = _support_columns(supports, A.structure.alpha)
-    N = Y.shape[1]
+    (P, N), width = Y.shape, rows.shape[1]
     X = np.zeros((A.structure.total_dim, N))
-    res = np.empty(N)
+    res, tied = np.empty(N), np.empty(N, dtype=bool)
     window = tol * np.linalg.norm(Y, axis=0)
     step = max(1, _CODE_CHUNK // len(supports))
-    residuals = np.empty((len(supports), min(step, N)))
+    block = max(1, _CODE_CHUNK // (P * (width + min(step, N))))
     for start in range(0, N, step):
         Yc = Y[:, start : start + step]
-        R = residuals[:, : Yc.shape[1]]
-        for k, r in enumerate(rows):
-            cols = A.data[:, r]
-            sol, ssq, _, _ = np.linalg.lstsq(cols, Yc, rcond=None)
-            # lstsq reports residual sums of squares only at full column rank
-            R[k] = np.sqrt(ssq) if ssq.size else np.linalg.norm(Yc - cols @ sol, axis=0)
+        R = np.empty((len(supports), Yc.shape[1]))
+        for b in range(0, len(supports), block):
+            Q, T = np.linalg.qr(A.data.T[rows[b : b + block]].transpose(0, 2, 1))
+            R[b : b + block] = np.linalg.norm(Yc - Q @ (Q.transpose(0, 2, 1) @ Yc), axis=1)
+            diag = np.sort(np.abs(np.diagonal(T, axis1=1, axis2=2)))[:, ::-1]
+            for k in b + np.flatnonzero(_numerical_rank(diag, DEFAULT_RANK_TOL) < width):
+                cols = A.data[:, rows[k]]
+                sol, ssq, _, _ = np.linalg.lstsq(cols, Yc, rcond=None)
+                # lstsq reports residual sums of squares only at full column rank
+                R[k] = np.sqrt(ssq) if ssq.size else np.linalg.norm(Yc - cols @ sol, axis=0)
         # first support (lexicographic order) within each column's tie window
-        winner = np.argmax(R <= R.min(axis=0) + window[start : start + step], axis=0)
+        near = R <= R.min(axis=0) + window[start : start + step]
+        winner, tied[start : start + step] = near.argmax(axis=0), near.sum(axis=0) > 1
         for k in np.flatnonzero(np.bincount(winner)):
             on = start + np.nonzero(winner == k)[0]
             cols = A.data[:, rows[k]]
             sol = np.linalg.lstsq(cols, Y[:, on], rcond=None)[0]
             X[np.ix_(rows[k], on)] = sol
             res[on] = np.linalg.norm(Y[:, on] - cols @ sol, axis=0)
-    return X, res
+    return X, res, tied
 
 
 def exhaustive_code(
@@ -168,9 +176,9 @@ def exhaustive_code(
 ) -> CodingResult:
     """Minimum-residual s-block-sparse code by enumerating every support.
 
-    The one-column case of `_min_residual_codes`: C(K, s) least-squares
-    solves plus one for the winner, with ties within tol going to the
-    lexicographically smallest support.
+    The one-column case of `_min_residual_codes`: stacked QR projections
+    over all C(K, s) supports and one least-squares solve for the winner;
+    ties within tol go to the lexicographically smallest support (`tied`).
 
     Raises
     ------
@@ -178,7 +186,7 @@ def exhaustive_code(
         When C(K, s) exceeds DEFAULT_ENUMERATION_CAP.
     """
     y, s = _check_measurement(A, y, s, tol)
-    X, res = _min_residual_codes(A, y[:, None], s, tol)
+    X, res, tied = _min_residual_codes(A, y[:, None], s, tol)
     code = BlockSparseVec.from_values(A.structure, X[:, 0], tol=0.0)
     y_norm = float(np.linalg.norm(y))
-    return CodingResult(code, _relative(float(res[0]), y_norm), METHOD_EXHAUSTIVE)
+    return CodingResult(code, _relative(float(res[0]), y_norm), METHOD_EXHAUSTIVE, bool(tied[0]))

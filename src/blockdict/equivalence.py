@@ -330,8 +330,8 @@ def construct_kappa(
     Raises
     ------
     HypothesisViolationError
-        When some probe admits no |S|-block-sparse code in B within tol:
-        B cannot reproduce A's measurements on this support.
+        When some probe has no |S|-block-sparse code in B within tol (B cannot
+        reproduce A's measurements on S) or tied ones (kappa is not unique).
     """
     _check_tols(tol=tol)
     _check_same_shape(A, B)
@@ -353,6 +353,8 @@ def construct_kappa(
                 f"probe {p} on support {sup} has no {len(sup)}-block-sparse code in B "
                 f"(relative residual {result.residual_norm:.3e} > {tol:.1e})"
             )
+        if result.tied:
+            raise HypothesisViolationError(f"probe {p} on support {sup} has tied codes in B")
         probe_supports.append(result.code.support)
     counts = Counter(probe_supports)
     consistent = len(counts) == 1

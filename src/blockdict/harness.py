@@ -257,7 +257,7 @@ def _code_all(B: BlockDict, Y: np.ndarray, s: int, tol: float):
     round; its full residual makes it the natural reseeding source.
     """
     if math.comb(B.structure.K, s) <= DEFAULT_ENUMERATION_CAP:
-        return _min_residual_codes(B, Y, s, tol)
+        return _min_residual_codes(B, Y, s, tol)[:2]
     X = np.zeros((B.structure.total_dim, Y.shape[1]))
     res = np.linalg.norm(Y, axis=0)
     for c in range(Y.shape[1]):

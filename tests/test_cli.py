@@ -346,6 +346,16 @@ class TestVerify:
         assert payload["conclusion"]["status"] == "ambiguous"
         assert payload["agreement"]["equal"] is None
 
+    def test_tied_probes_are_recorded(self, workdir, capsys):
+        write_matrix_text(workdir / "A.txt", rank_deficient_dict((0.0, 0.0)).data)
+        rc = run_cli(["verify", workdir / "A.txt", workdir / "A.txt",
+                      "--alpha", 2, "--sparsity", 2])
+        assert rc == 0
+        hypothesis = json.loads(capsys.readouterr().out)["hypothesis"]
+        assert hypothesis["holds"] is False
+        errors = [e["support"] for e in hypothesis["details"] if "error" in e]
+        assert errors == [[1, 2], [2, 3], [2, 4]]
+
 
 def test_console_entry_point(tmp_path):
     # the installed script and python -m both expose the same CLI

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -18,7 +19,7 @@ from blockdict import (
 from blockdict import coding
 from blockdict.coding import _min_residual_codes
 
-from conftest import make_rip_instance, projector
+from conftest import RANK_DEFICIENT_SVALS, make_rip_instance, projector, rank_deficient_dict
 
 
 class TestBlockOmp:
@@ -158,6 +159,14 @@ class TestExhaustive:
                     coder(A, y, s=2, tol=tol)
         assert exhaustive_code(A, y, s=2, tol=0.0).code.support == (4, 6)
 
+    def test_ties_are_flagged(self):
+        A = gen_dictionary(12, BlockStructure(K=4, alpha=2, s=1), seed=6)
+        rng = np.random.default_rng(6)
+        assert not exhaustive_code(A, A.block(1) @ rng.standard_normal(2), s=1).tied
+        assert exhaustive_code(A, np.zeros(12), s=1).tied  # every support fits 0
+        A = A.with_block(3, A.block(1))
+        assert exhaustive_code(A, A.block(1) @ rng.standard_normal(2), s=1).tied
+
 
 class TestOracleDominance:
     @pytest.mark.parametrize("seed", range(10))
@@ -181,7 +190,7 @@ class TestBatchKernel:
         Y = Y + 1e-2 * rng.standard_normal(Y.shape)
         Y[:, 4] = 0.0
         monkeypatch.setattr(coding, "_CODE_CHUNK", chunk)
-        X, res = _min_residual_codes(A, Y, st.s, 1e-10)
+        X, res, _ = _min_residual_codes(A, Y, st.s, 1e-10)
         supports = list(combinations(range(1, 7), 2))
         for c in range(Y.shape[1]):
             one = exhaustive_code(A, Y[:, c], s=st.s, tol=1e-10)
@@ -196,6 +205,7 @@ class TestBatchKernel:
         assert not X[:, 4].any() and res[4] == 0.0
 
     def test_one_column_solve_count(self, monkeypatch):
+        # full rank: supports are scored by projection, only the winner is solved
         A = gen_dictionary(14, BlockStructure(K=6, alpha=2, s=2), seed=2)
         calls = []
         lstsq = np.linalg.lstsq
@@ -203,4 +213,102 @@ class TestBatchKernel:
             np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k)
         )
         exhaustive_code(A, np.random.default_rng(2).standard_normal(14), s=2)
-        assert len(calls) == 15 + 1
+        assert len(calls) == 1
+
+    def test_rank_short_supports_keep_lstsq(self, monkeypatch):
+        # block 2 zeroed: its 5 supports are solved by lstsq, then the winner
+        A = gen_dictionary(14, BlockStructure(K=6, alpha=2, s=2), seed=2)
+        A = A.with_block(2, np.zeros((14, 2)))
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(
+            np.linalg, "lstsq", lambda *a, **k: calls.append(a[0]) or lstsq(*a, **k)
+        )
+        exhaustive_code(A, np.random.default_rng(2).standard_normal(14), s=2)
+        assert len(calls) == 5 + 1
+        assert [np.linalg.matrix_rank(M) for M in calls] == [2] * 5 + [4]
+
+    def test_memory_stays_bounded(self):
+        # 15,504 supports: factored in blocks, not all at once
+        st = BlockStructure(K=20, alpha=2, s=5)
+        A = gen_dictionary(40, st, seed=1)
+        Y = np.random.default_rng(1).standard_normal((40, 4))
+        tracemalloc.start()
+        try:
+            _min_residual_codes(A, Y, st.s, 1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+
+
+def lstsq_reference_codes(A, Y, s, tol):
+    """The per-support least-squares coder the projection kernel replaced."""
+    supports = list(combinations(range(1, A.structure.K + 1), s))
+    rows = [np.r_[tuple(A.structure.block_slice(i) for i in sup)] for sup in supports]
+    N = Y.shape[1]
+    X = np.zeros((A.structure.total_dim, N))
+    res = np.empty(N)
+    window = tol * np.linalg.norm(Y, axis=0)
+    step = max(1, coding._CODE_CHUNK // len(supports))
+    for start in range(0, N, step):
+        Yc = Y[:, start : start + step]
+        R = np.empty((len(supports), Yc.shape[1]))
+        for k, r in enumerate(rows):
+            cols = A.data[:, r]
+            sol, ssq, _, _ = np.linalg.lstsq(cols, Yc, rcond=None)
+            R[k] = np.sqrt(ssq) if ssq.size else np.linalg.norm(Yc - cols @ sol, axis=0)
+        winner = np.argmax(R <= R.min(axis=0) + window[start : start + step], axis=0)
+        for k in np.flatnonzero(np.bincount(winner)):
+            on = start + np.nonzero(winner == k)[0]
+            cols = A.data[:, rows[k]]
+            sol = np.linalg.lstsq(cols, Y[:, on], rcond=None)[0]
+            X[np.ix_(rows[k], on)] = sol
+            res[on] = np.linalg.norm(Y[:, on] - cols @ sol, axis=0)
+    return X, res
+
+
+def coder_inputs(A, n, seed):
+    """Exact, noisy, random and all-zero columns for A at its sparsity."""
+    rng = np.random.default_rng(seed)
+    Y = A.data @ gen_codes(A.structure, n, seed=seed)
+    Y[:, n // 3 :] += 1e-3 * rng.standard_normal((A.ambient_dim, n - n // 3))
+    Y[:, 1] = rng.standard_normal(A.ambient_dim)
+    Y[:, 2] = 0.0
+    return Y
+
+
+class TestProjectionOracle:
+    """The stacked-QR coder gives the per-support lstsq coder's bytes."""
+
+    @staticmethod
+    def assert_same_bytes(A, Y, s):
+        X, res, _ = _min_residual_codes(A, Y, s, 1e-10)
+        X_ref, res_ref = lstsq_reference_codes(A, Y, s, 1e-10)
+        assert np.array_equal(X, X_ref)
+        assert np.array_equal(res, res_ref)
+
+    @pytest.mark.parametrize("chunk", [1, coding._CODE_CHUNK])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_shapes(self, monkeypatch, chunk, seed):
+        rng = np.random.default_rng(300 + seed)
+        K, alpha = int(rng.integers(3, 9)), int(rng.integers(1, 4))
+        s = int(rng.integers(1, min(3, K) + 1))
+        P = int(rng.integers(s * alpha, K * alpha + 3))
+        A = gen_dictionary(P, BlockStructure(K=K, alpha=alpha, s=s), seed=seed)
+        monkeypatch.setattr(coding, "_CODE_CHUNK", chunk)
+        self.assert_same_bytes(A, coder_inputs(A, 24, seed), s)
+
+    @pytest.mark.parametrize("chunk", [1, coding._CODE_CHUNK])
+    @RANK_DEFICIENT_SVALS
+    def test_rank_short_block(self, monkeypatch, chunk, svals):
+        A = rank_deficient_dict(svals)
+        monkeypatch.setattr(coding, "_CODE_CHUNK", chunk)
+        self.assert_same_bytes(A, coder_inputs(A, 24, 7), 2)
+
+    @pytest.mark.parametrize("chunk", [1, coding._CODE_CHUNK])
+    def test_repeated_block(self, monkeypatch, chunk):
+        A = gen_dictionary(12, BlockStructure(K=4, alpha=2, s=2), seed=3)
+        A = A.with_block(3, A.block(1))
+        monkeypatch.setattr(coding, "_CODE_CHUNK", chunk)
+        self.assert_same_bytes(A, coder_inputs(A, 24, 8), 2)

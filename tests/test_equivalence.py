@@ -284,6 +284,12 @@ class TestConstructKappa:
         r2 = construct_kappa(A, B, (2, 4), n_probes=6, seed=3)
         assert r1 == r2
 
+    def test_tied_probe_violates_hypothesis(self):
+        # block 2 zeroed: y = 0 fits every support, so kappa((2,)) is not unique
+        A = rank_deficient_dict((0.0, 0.0))
+        with pytest.raises(HypothesisViolationError, match=r"^probe 0 on support \(2,\) has tied"):
+            construct_kappa(A, A, (2,), n_probes=2)
+
     @pytest.mark.parametrize("tol", [-1.0, float("nan")])
     def test_bad_tol_rejected_before_probing(self, monkeypatch, tol):
         A, B, _, _, _ = make_equivalent_pair(16, 5, 2, 2, seed=510)
@@ -315,6 +321,14 @@ class TestVerifyTheoremInstance:
         assert cert.permutation.pi == (1,)
         assert report.certificate.status == "equivalent"
         assert report.agreement is True
+
+    def test_tied_probes_fail_exactly_on_the_zero_blocks_supports(self):
+        A = rank_deficient_dict((0.0, 0.0))
+        report = verify_theorem_instance(A, A, s=2, n_probes=8)
+        assert not report.hypothesis_holds
+        for entry in report.hypothesis_supports + report.kappa_singletons:
+            assert ("error" in entry) == (2 in entry["support"])
+            assert "error" in entry or entry["consistent"]
 
     def test_corrupted_block_fails_exactly_on_its_supports(self):
         A, _, used = make_rip_instance(16, 6, 2, 2, seed=700)
