@@ -1,14 +1,16 @@
 """Block-sparse coding: greedy block-OMP and an exhaustive oracle.
 
-Both methods report the residual as ||y - A x||_2 relative to ||y||_2
-(absolute when y = 0) and break ties toward the lowest block indices.
-The exhaustive oracle and the learner share one stacked-QR projection
-kernel, `_min_residual_codes`, which holds the minimum-residual rule.
+Both methods reject non-finite measurements, report the residual as
+||y - A x||_2 relative to ||y||_2 (absolute when y = 0) and break ties
+toward the lowest block indices. The exhaustive oracle and the learner share
+one projection kernel, `_min_residual_codes`, which holds the minimum-residual
+rule: it ranks supports by energy and re-checks only what that cannot settle.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,14 +55,15 @@ def _relative(abs_residual: float, y_norm: float) -> float:
 
 
 def _check_measurement(A: BlockDict, y, s: int | None, tol: float) -> tuple[np.ndarray, int]:
-    """(y as a flat float vector, s defaulted to A.structure.s), validated with tol >= 0."""
+    """(y as a flat finite float vector, s defaulted to A.structure.s), validated with tol >= 0."""
     _check_tols(tol=tol)
     s = _check_s(A.structure, s)
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape[0] != A.ambient_dim:
-        raise ValueError(
-            f"measurement has length {y.shape[0]}, expected {A.ambient_dim}"
-        )
+        raise ValueError(f"measurement has length {y.shape[0]}, expected {A.ambient_dim}")
+    if not np.isfinite(y).all():
+        bad = np.flatnonzero(~np.isfinite(y)).tolist()
+        raise ValueError(f"measurement holds non-finite values at entries {bad}")
     return y, s
 
 
@@ -123,6 +126,25 @@ def block_omp(
     return CodingResult(code, _relative(abs_res, y_norm), METHOD_OMP)
 
 
+def _support_residuals(A: BlockDict, rows, Y, ks, block, ysq=None) -> np.ndarray:
+    """Residuals ||y - Q Q^T y|| of supports ks on Y, from stacked QR (lstsq where rank-short),
+    inf elsewhere; squared, as energies ||y||^2 - ||Q^T y||^2, given ysq = ||y||^2."""
+    R = np.full((len(rows), Y.shape[1]), np.inf)
+    for b in range(0, len(ks), block):
+        kb = ks[b : b + block]
+        Q, T = np.linalg.qr(A.data.T[rows[kb]].transpose(0, 2, 1))
+        Z = Q.transpose(0, 2, 1) @ Y
+        R[kb] = np.linalg.norm(Y - Q @ Z, axis=1) if ysq is None else ysq - np.square(Z).sum(axis=1)
+        diag = np.sort(np.abs(np.diagonal(T, axis1=1, axis2=2)))[:, ::-1]
+        for k in kb[_numerical_rank(diag, DEFAULT_RANK_TOL) < rows.shape[1]]:
+            cols = A.data[:, rows[k]]
+            sol, ssq, _, _ = np.linalg.lstsq(cols, Y, rcond=None)
+            # lstsq reports residual sums of squares only at full column rank
+            R[k] = np.sqrt(ssq) if ssq.size else np.linalg.norm(Y - cols @ sol, axis=0)
+            R[k] = R[k] if ysq is None else R[k] ** 2
+    return R
+
+
 def _min_residual_codes(
     A: BlockDict, Y: np.ndarray, s: int, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -131,42 +153,43 @@ def _min_residual_codes(
     The one rule behind `exhaustive_code` and the learner: the projection
     residual on every size-s support, the smallest wins, and supports within
     tol*||y|| of it count as tied, going to the lexicographically first.
-    Residuals are ||Y - Q Q^T Y|| from stacked QR factors (lstsq where sorted
-    |diag R| is rank-short); only winners are solved, on their own columns.
-    Column chunks of about _CODE_CHUNK residuals and support blocks of about
-    _CODE_CHUNK factor and projection entries bound memory as C(K, s) and N
-    grow. Returns (K*alpha x N codes, absolute residual norms, tie flags).
+    Supports are ranked by energy (`_support_residuals`), which misses the
+    squared residual by under margin = 2 (sqrt(s*alpha) + 2)(P + s*alpha) eps
+    ||y||^2 (twice a first-order rounding bound; Higham, ch. 3). Candidates,
+    energies at most (sqrt(min energy + margin) + tol*||y||)^2 + margin, hold
+    the tie window: a column with one is decided, the rest get their
+    candidates' exact residuals, and only winners are solved. Column chunks of
+    about _CODE_CHUNK residuals and support blocks of about _CODE_CHUNK factor
+    and projection entries bound memory. Returns (codes, residual norms, ties).
 
     Raises CapacityError when C(K, s) exceeds DEFAULT_ENUMERATION_CAP.
     """
     supports = _enumerate_supports(A.structure.K, s, DEFAULT_ENUMERATION_CAP)
     rows = _support_columns(supports, A.structure.alpha)
-    (P, N), width = Y.shape, rows.shape[1]
+    (P, N), width, fp = Y.shape, rows.shape[1], np.finfo(float)
     X = np.zeros((A.structure.total_dim, N))
-    res, tied = np.empty(N), np.empty(N, dtype=bool)
-    window = tol * np.linalg.norm(Y, axis=0)
+    res, tied = np.empty(N), np.zeros(N, dtype=bool)
+    ysq = np.square(Y).sum(axis=0)
+    window, margin = tol * np.sqrt(ysq), 2 * (math.sqrt(width) + 2) * (P + width) * fp.eps * ysq
+    margin[margin < fp.tiny] = np.inf  # an underflowing margin bounds nothing
     step = max(1, _CODE_CHUNK // len(supports))
     block = max(1, _CODE_CHUNK // (P * (width + min(step, N))))
-    for start in range(0, N, step):
-        Yc = Y[:, start : start + step]
-        R = np.empty((len(supports), Yc.shape[1]))
-        for b in range(0, len(supports), block):
-            Q, T = np.linalg.qr(A.data.T[rows[b : b + block]].transpose(0, 2, 1))
-            R[b : b + block] = np.linalg.norm(Yc - Q @ (Q.transpose(0, 2, 1) @ Yc), axis=1)
-            diag = np.sort(np.abs(np.diagonal(T, axis1=1, axis2=2)))[:, ::-1]
-            for k in b + np.flatnonzero(_numerical_rank(diag, DEFAULT_RANK_TOL) < width):
-                cols = A.data[:, rows[k]]
-                sol, ssq, _, _ = np.linalg.lstsq(cols, Yc, rcond=None)
-                # lstsq reports residual sums of squares only at full column rank
-                R[k] = np.sqrt(ssq) if ssq.size else np.linalg.norm(Yc - cols @ sol, axis=0)
-        # first support (lexicographic order) within each column's tie window
-        near = R <= R.min(axis=0) + window[start : start + step]
-        winner, tied[start : start + step] = near.argmax(axis=0), near.sum(axis=0) > 1
+    for c in (slice(start, start + step) for start in range(0, N, step)):
+        E = _support_residuals(A, rows, Y[:, c], np.arange(len(rows)), block, ysq[c])
+        bound = (np.sqrt(np.abs(E.min(axis=0) + margin[c])) + window[c]) ** 2 + margin[c]
+        cand = ~(E > bound)  # NaN energies and bounds make candidates
+        winner = cand.argmax(axis=0)
+        if (again := np.flatnonzero(cand.sum(axis=0) > 1)).size:
+            ks = np.flatnonzero(cand[:, again].any(axis=1))
+            R = _support_residuals(A, rows, Y[:, c.start + again], ks, block)
+            # first support (lexicographic order) within each column's tie window
+            near = R <= R.min(axis=0) + window[c.start + again]
+            winner[again], tied[c.start + again] = near.argmax(axis=0), near.sum(axis=0) > 1
         for k in np.flatnonzero(np.bincount(winner)):
-            on = start + np.nonzero(winner == k)[0]
+            on = c.start + np.nonzero(winner == k)[0]
             cols = A.data[:, rows[k]]
             sol = np.linalg.lstsq(cols, Y[:, on], rcond=None)[0]
-            X[np.ix_(rows[k], on)] = sol
+            X[rows[k][:, None], on] = sol
             res[on] = np.linalg.norm(Y[:, on] - cols @ sol, axis=0)
     return X, res, tied
 
@@ -176,8 +199,8 @@ def exhaustive_code(
 ) -> CodingResult:
     """Minimum-residual s-block-sparse code by enumerating every support.
 
-    The one-column case of `_min_residual_codes`: stacked QR projections
-    over all C(K, s) supports and one least-squares solve for the winner;
+    The one-column case of `_min_residual_codes` (energy ranking of all
+    C(K, s) supports, exact re-check of near ties, one solve for the winner);
     ties within tol go to the lexicographically smallest support (`tied`).
 
     Raises

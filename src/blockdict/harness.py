@@ -310,6 +310,8 @@ def _discover_block_spans(Y: np.ndarray, structure: BlockStructure, noise_level:
     nk = Yk.shape[1]
     norms_k = norms[keep]
     step = max(1, _CODE_CHUNK // (dim * nk))
+    most = min(nk - 1, DISCOVERY_MAX_PARTNERS)  # the first seed's partners, the most any seed has
+    table = _enumerate_supports(most, dim - 1, DEFAULT_ENUMERATION_CAP) - 1  # partner tuples
 
     noisy = noise_level > 0
     slack = 3 * noise_level * math.sqrt(P - dim) / norms_k
@@ -329,7 +331,7 @@ def _discover_block_spans(Y: np.ndarray, structure: BlockStructure, noise_level:
         cos = np.abs(Yn[:, cand].T @ Yn[:, seed_idx])
         partners = cand[np.argsort(-cos)]
         partners = partners[partners != seed_idx][:DISCOVERY_MAX_PARTNERS]
-        tuples = _enumerate_supports(len(partners), dim - 1, DEFAULT_ENUMERATION_CAP) - 1
+        tuples = table[(table < len(partners)).all(axis=1)]  # still lexicographic
         trials = np.insert(partners[tuples], 0, seed_idx, axis=1)
         for chunk in np.array_split(trials, range(step, len(trials), step)):
             Qt = np.linalg.qr(Yk[:, chunk].transpose(1, 0, 2))[0].transpose(0, 2, 1)

@@ -1,4 +1,5 @@
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -363,6 +364,29 @@ def test_console_entry_point(tmp_path):
         [sys.executable, "-m", "blockdict", "--help"], capture_output=True, text=True
     )
     assert proc.returncode == 0
+    assert "experiment" in proc.stdout
+
+
+def test_runtime_needs_only_numpy():
+    # numpy is the only runtime dependency: every module imports, and the CLI
+    # starts, with scipy and pytest blocked
+    import blockdict
+
+    code = """
+import importlib, pkgutil, sys
+sys.modules["scipy"] = sys.modules["pytest"] = None
+import blockdict
+for info in pkgutil.iter_modules(blockdict.__path__):
+    if info.name != "__main__":  # the entry point runs the CLI on import
+        importlib.import_module("blockdict." + info.name)
+from blockdict.cli import main
+main(["--help"])
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(blockdict.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
     assert "experiment" in proc.stdout
 
 

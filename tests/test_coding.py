@@ -18,6 +18,7 @@ from blockdict import (
 
 from blockdict import coding
 from blockdict.coding import _min_residual_codes
+from blockdict.rip import _enumerate_supports, _support_columns
 
 from conftest import RANK_DEFICIENT_SVALS, make_rip_instance, projector, rank_deficient_dict
 
@@ -158,6 +159,17 @@ class TestExhaustive:
                 with pytest.raises(ValueError, match="tol must be nonnegative"):
                     coder(A, y, s=2, tol=tol)
         assert exhaustive_code(A, y, s=2, tol=0.0).code.support == (4, 6)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_measurement_rejected(self, bad):
+        A = gen_dictionary(16, BlockStructure(K=6, alpha=2, s=2), seed=1)
+        y = np.ones(16)
+        y[[3, 9]] = bad
+        for coder in (exhaustive_code, block_omp):
+            with pytest.raises(ValueError, match=r"non-finite values at entries \[3, 9\]"):
+                coder(A, y)
+            with pytest.raises(ValueError, match="non-finite"):
+                coder(A, np.full(16, bad))
 
     def test_ties_are_flagged(self):
         A = gen_dictionary(12, BlockStructure(K=4, alpha=2, s=1), seed=6)
@@ -312,3 +324,169 @@ class TestProjectionOracle:
         A = A.with_block(3, A.block(1))
         monkeypatch.setattr(coding, "_CODE_CHUNK", chunk)
         self.assert_same_bytes(A, coder_inputs(A, 24, 8), 2)
+
+    def test_learner_shape(self):
+        # the learner's coding call: K=6, alpha=2, s=2, P=16, N=300 at noise 1e-3
+        A, _, used = make_rip_instance(16, 6, 2, 2, seed=1)
+        Y = A.data @ gen_codes(A.structure, 300, seed=used + 1)
+        Y += 1e-3 * np.random.default_rng(used).standard_normal(Y.shape)
+        self.assert_same_bytes(A, Y, 2)
+
+
+def spy_rechecks(monkeypatch):
+    """Record (support indices, columns) of every exact re-check the kernel makes."""
+    calls = []
+    support_residuals = coding._support_residuals
+
+    def spy(A, rows, Y, ks, block, ysq=None):
+        if ysq is None:
+            calls.append((ks.copy(), Y.copy()))
+        return support_residuals(A, rows, Y, ks, block, ysq)
+
+    monkeypatch.setattr(coding, "_support_residuals", spy)
+    return calls
+
+
+ENERGY_TOL = 1e-8  # tie window of the candidate tests, wide enough to place columns at its edge
+
+
+def between_supports(A, s, rng):
+    """Columns on the segment between two supports' projections of one vector.
+
+    Bisection finds where the two lstsq residuals meet (a true near-tie),
+    and where they differ by 0.5, 1 -/+ 1e-3 and 2 tie windows (window edge).
+    """
+    supports = list(combinations(range(1, A.structure.K + 1), s))
+    a, b = (A.restrict(supports[i]) for i in rng.choice(len(supports), 2, replace=False))
+    z = rng.standard_normal(A.ambient_dim)
+    pa, pb = projector(a) @ z, projector(b) @ z
+
+    def gap(t):
+        y = (1 - t) * pa + t * pb
+        dist = [np.linalg.norm(y - M @ np.linalg.lstsq(M, y, rcond=None)[0]) for M in (a, b)]
+        return (dist[0] - dist[1]) / np.linalg.norm(y), y
+
+    cols = []
+    for target in (0.0, 0.5, 1 - 1e-3, 1 + 1e-3, 2.0):
+        for sign in (1, -1):
+            lo, hi = 0.0, 1.0  # gap(0) < 0 < gap(1)
+            for _ in range(80):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if gap(mid)[0] < sign * target * ENERGY_TOL else (lo, mid)
+            cols.append(gap(lo)[1])
+    return np.column_stack(cols)
+
+
+def reference_window(A, Y, s, tol):
+    """Supports x columns: inside each column's tie window by per-support lstsq residuals."""
+    R = np.array([
+        [np.linalg.norm(y - M @ np.linalg.lstsq(M, y, rcond=None)[0]) for y in Y.T]
+        for M in (A.restrict(sup) for sup in combinations(range(1, A.structure.K + 1), s))
+    ])
+    return R <= R.min(axis=0) + tol * np.linalg.norm(Y, axis=0)
+
+
+class TestEnergyRanking:
+    """The energy ranking's candidates hold every support of the exact tie window."""
+
+    @staticmethod
+    def assert_candidates_hold_window(monkeypatch, A, Y, s):
+        calls = spy_rechecks(monkeypatch)
+        window = reference_window(A, Y, s, ENERGY_TOL)
+        for c in range(Y.shape[1]):
+            calls.clear()
+            X, _, tied = _min_residual_codes(A, Y[:, [c]], s, ENERGY_TOL)
+            assert np.array_equal(X, lstsq_reference_codes(A, Y[:, [c]], s, ENERGY_TOL)[0])
+            if calls:  # re-checked: its candidates are the supports re-checked
+                candidates = set(np.concatenate([ks for ks, _ in calls]).tolist())
+                assert set(np.flatnonzero(window[:, c])) <= candidates
+            else:  # decided by its one candidate, the reference winner
+                assert window[:, c].sum() == 1 and not tied[0]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_dictionaries(self, monkeypatch, seed):
+        rng = np.random.default_rng(500 + seed)
+        K, alpha, s = int(rng.integers(3, 7)), int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        A = gen_dictionary(int(rng.integers(s * alpha + 1, K * alpha + 3)),
+                           BlockStructure(K=K, alpha=alpha, s=s), seed=seed)
+        Y = np.column_stack([coder_inputs(A, 12, seed), between_supports(A, s, rng)])
+        Y = np.column_stack([Y, 1e-160 * Y[:, :4]])  # ||y||^2 underflows
+        self.assert_candidates_hold_window(monkeypatch, A, Y, s)
+
+    @RANK_DEFICIENT_SVALS
+    def test_rank_short_block(self, monkeypatch, svals):
+        A = rank_deficient_dict(svals)
+        rng = np.random.default_rng(9)
+        Y = np.column_stack([coder_inputs(A, 12, 9), between_supports(A, 2, rng)])
+        self.assert_candidates_hold_window(monkeypatch, A, Y, 2)
+
+    def test_repeated_block(self, monkeypatch):
+        A = gen_dictionary(12, BlockStructure(K=4, alpha=2, s=2), seed=3)
+        A = A.with_block(3, A.block(1))
+        rng = np.random.default_rng(10)
+        Y = np.column_stack([coder_inputs(A, 12, 10), between_supports(A, 2, rng)])
+        self.assert_candidates_hold_window(monkeypatch, A, Y, 2)
+
+    def test_one_span_in_two_bases_without_a_window(self):
+        # blocks 1 and 3 span one plane in two bases, so supports (1, j) and (3, j)
+        # differ only by rounding; at tol 0 the margin alone keeps the exact winner
+        A = gen_dictionary(12, BlockStructure(K=4, alpha=2, s=2), seed=3)
+        A = A.with_block(3, A.block(1) @ np.array([[2.0, 1.0], [0.5, 3.0]]))
+        Y = coder_inputs(A, 60, 11)
+        supports = _enumerate_supports(4, 2, 6)
+        rows = _support_columns(supports, 2)
+
+        def each_column(ysq=None):  # the kernel's residuals, one column at a time
+            return np.column_stack([
+                coding._support_residuals(
+                    A, rows, Y[:, [c]], np.arange(6), 6, None if ysq is None else ysq[[c]]
+                )[:, 0]
+                for c in range(Y.shape[1])
+            ])
+
+        R, E = each_column(), each_column(np.square(Y).sum(axis=0))
+        assert (E.argmin(axis=0) != R.argmin(axis=0)).any()  # energies misorder twins
+        winners = (R <= R.min(axis=0)).argmax(axis=0)
+        for c in np.flatnonzero(Y.any(axis=0)):
+            X, _, _ = _min_residual_codes(A, Y[:, [c]], 2, 0.0)
+            blocks = np.flatnonzero(X[:, 0].reshape(4, 2).any(axis=1)) + 1
+            assert np.array_equal(blocks, supports[winners[c]])
+
+    def test_underflowing_columns_take_the_exact_path(self, monkeypatch):
+        A = gen_dictionary(16, BlockStructure(K=6, alpha=2, s=2), seed=1)
+        Y = 1e-160 * coder_inputs(A, 6, 1)
+        assert (np.square(Y).sum(axis=0) < np.finfo(float).tiny).all()  # ||y||^2 underflows
+        calls = spy_rechecks(monkeypatch)
+        X, res, tied = _min_residual_codes(A, Y, 2, 1e-10)
+        (ks, Yo), = calls
+        assert np.array_equal(ks, np.arange(15)) and np.array_equal(Yo, Y)
+        X_ref, res_ref = lstsq_reference_codes(A, Y, 2, 1e-10)
+        assert np.array_equal(X, X_ref) and np.array_equal(res, res_ref)
+
+
+class TestExactPathCount:
+    def test_full_rank_noisy_batch_rechecks_only_multi_candidate_columns(self, monkeypatch):
+        # zero columns have every support in their window; no other column has two candidates
+        A, _, used = make_rip_instance(16, 6, 2, 2, seed=1)
+        Y = A.data @ gen_codes(A.structure, 300, seed=used + 1)
+        Y += 1e-3 * np.random.default_rng(used).standard_normal(Y.shape)
+        Y[:, [7, 150]] = 0.0
+        calls = spy_rechecks(monkeypatch)
+        _, _, tied = _min_residual_codes(A, Y, 2, 1e-10)
+        (ks, Yo), = calls
+        assert np.array_equal(ks, np.arange(15)) and not Yo.any() and Yo.shape[1] == 2
+        assert np.flatnonzero(tied).tolist() == [7, 150]
+
+    def test_repeated_block_rechecks_every_column_coded_on_it(self, monkeypatch):
+        A, _, used = make_rip_instance(16, 6, 2, 2, seed=1)
+        A = A.with_block(4, A.block(1))
+        Y = A.data @ gen_codes(A.structure, 300, seed=used + 1)
+        Y += 1e-3 * np.random.default_rng(used).standard_normal(Y.shape)
+        calls = spy_rechecks(monkeypatch)
+        X, _, tied = _min_residual_codes(A, Y, 2, 1e-10)
+        on_block_1 = np.flatnonzero(X[A.structure.block_slice(1)].any(axis=0))
+        assert not X[A.structure.block_slice(4)].any()  # ties go to the first support
+        (_, Yo), = calls
+        assert np.array_equal(Yo, Y[:, on_block_1])
+        assert np.array_equal(np.flatnonzero(tied), on_block_1)
+        assert 0 < on_block_1.size < 300
