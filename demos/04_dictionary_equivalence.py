@@ -31,7 +31,7 @@ for seed in range(2000):
         break
 
 perm = gen_block_permutation(5, seed=99)
-diag = gen_block_diagonal(structure, seed=100, max_condition=10.0)
+diag = gen_block_diagonal(structure, seed=100)
 B = make_equivalent_dict(A, perm, diag)
 print("planted permutation:", perm.pi)
 

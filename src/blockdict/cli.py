@@ -71,17 +71,16 @@ def _parse_support(spec: str) -> tuple[int, ...]:
 def _cmd_gen(args) -> int:
     structure = BlockStructure(K=args.blocks, alpha=args.alpha, s=args.sparsity)
     A = gen_dictionary(args.ambient_dim, structure, seed=args.seed, mode=args.mode)
-    if args.out_dict:
-        write_matrix_text(args.out_dict, A.data)
-    if args.out_codes or args.out_samples:
+    outputs = [(args.out_dict, A.data)]
+    if args.out_codes or args.out_samples:  # drawn before any file is written
         X = gen_codes(structure, args.n_samples, seed=args.seed + 1,
                       coefficient_scale=args.scale)
-        if args.out_codes:
-            write_matrix_text(args.out_codes, X)
-        if args.out_samples:
-            write_matrix_text(args.out_samples, A.data @ X)
-    if not (args.out_dict or args.out_codes or args.out_samples):
+        outputs += [(args.out_codes, X), (args.out_samples, A.data @ X)]
+    if not any(path for path, _ in outputs):
         raise ValueError("nothing to do: pass --out-dict, --out-codes, or --out-samples")
+    for path, M in outputs:
+        if path:
+            write_matrix_text(path, M)
     return 0
 
 

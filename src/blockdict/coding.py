@@ -122,7 +122,7 @@ def block_omp(
         abs_res = float(np.linalg.norm(y - cols @ sol))
         residual = y - A.data @ values
 
-    code = BlockSparseVec.from_values(A.structure, values, tol=0.0)
+    code = BlockSparseVec(A.structure, values)
     return CodingResult(code, _relative(abs_res, y_norm), METHOD_OMP)
 
 
@@ -210,6 +210,6 @@ def exhaustive_code(
     """
     y, s = _check_measurement(A, y, s, tol)
     X, res, tied = _min_residual_codes(A, y[:, None], s, tol)
-    code = BlockSparseVec.from_values(A.structure, X[:, 0], tol=0.0)
+    code = BlockSparseVec(A.structure, X[:, 0])
     y_norm = float(np.linalg.norm(y))
     return CodingResult(code, _relative(float(res[0]), y_norm), METHOD_EXHAUSTIVE, bool(tied[0]))

@@ -12,7 +12,7 @@ first, and the one sparsity check, `_check_s`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -164,47 +164,38 @@ class BlockDict:
 
 @dataclass(frozen=True)
 class BlockSparseVec:
-    """A flat K*alpha vector whose nonzero entries live in at most s blocks."""
+    """A flat K*alpha vector whose nonzero entries live in at most s blocks.
+
+    The support is read from the values: the 1-based indices of the blocks
+    with a nonzero entry.
+    """
 
     structure: BlockStructure
     values: np.ndarray
-    support: Support
+    support: Support = field(init=False)
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float).reshape(-1)
-        if vals.shape[0] != self.structure.total_dim:
-            raise ValueError(
-                f"vector has length {vals.shape[0]}, "
-                f"expected K*alpha = {self.structure.total_dim}"
-            )
+        sup = block_support(vals, self.structure, tol=0.0)  # checks the length
         if vals.size and not np.all(np.isfinite(vals)):
             raise ValueError("vector entries must all be finite")
-        vals.setflags(write=False)
-        sup = as_support(self.support, self.structure.K)
         if len(sup) > self.structure.s:
             raise ValueError(
                 f"support size {len(sup)} exceeds sparsity level s={self.structure.s}"
             )
-        nonzero = np.flatnonzero(np.any(vals.reshape(self.structure.K, -1) != 0, axis=1)) + 1
-        if tuple(nonzero) != sup:
-            i = int(min(set(nonzero) ^ set(sup)))  # first offending block
-            if i in sup:
-                raise ValueError(f"block {i} is in the support but is all zero")
-            raise ValueError(f"block {i} is outside the support but nonzero")
+        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "support", sup)
 
     @classmethod
     def from_values(cls, structure: BlockStructure, values, tol: float = 0.0) -> BlockSparseVec:
-        """Build a block-sparse vector, detecting the support at tolerance tol.
-
-        Entries in blocks whose max magnitude is <= tol are zeroed out.
-        """
+        """Build a block-sparse vector, zeroing the blocks whose max magnitude is <= tol."""
         vals = np.array(values, dtype=float).reshape(-1)
-        sup = block_support(vals, structure, tol=tol)
         keep = np.zeros(structure.K, dtype=bool)
-        keep[[i - 1 for i in sup]] = True
-        return cls(structure, np.where(np.repeat(keep, structure.alpha), vals, 0.0), sup)
+        keep[[i - 1 for i in block_support(vals, structure, tol=tol)]] = True
+        # non-finite entries stay, for the constructor to reject
+        keep = np.repeat(keep, structure.alpha) | ~np.isfinite(vals)
+        return cls(structure, np.where(keep, vals, 0.0))
 
 
 def make_indicator(structure: BlockStructure, i: int, j: int) -> BlockSparseVec:
@@ -219,7 +210,7 @@ def make_indicator(structure: BlockStructure, i: int, j: int) -> BlockSparseVec:
         raise IndexError(f"within-block index {j} out of range 1..{structure.alpha}")
     values = np.zeros(structure.total_dim)
     values[(i - 1) * structure.alpha + (j - 1)] = 1.0
-    return BlockSparseVec(structure, values, (i,))
+    return BlockSparseVec(structure, values)
 
 
 def block_support(v, structure: BlockStructure, tol: float = DEFAULT_SUPPORT_TOL) -> Support:

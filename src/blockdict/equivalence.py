@@ -213,7 +213,6 @@ def recover_equivalence(
     B: BlockDict,
     tol: float = DEFAULT_CERTIFICATE_TOL,
     span_tol: float = DEFAULT_RANK_TOL,
-    invertibility_tol: float = DEFAULT_INVERTIBILITY_TOL,
 ) -> EquivalenceCertificate:
     """Recover a permutation and block transforms carrying B onto A.
 
@@ -224,7 +223,7 @@ def recover_equivalence(
     transform undetermined, so the certificate is `ambiguous`. Match
     failures surface as certificate statuses, never exceptions.
     """
-    _check_tols(tol=tol, span_tol=span_tol, invertibility_tol=invertibility_tol)
+    _check_tols(tol=tol, span_tol=span_tol)
     report = match_blocks(A, B, span_tol)
     if report.status != "matched":
         return EquivalenceCertificate(report.status, None, None, None)
@@ -239,7 +238,7 @@ def recover_equivalence(
         blocks.append(M)
         residual = max(residual, rel)
     diag = BlockDiagonal(A.structure, tuple(blocks))
-    ok = diag.is_invertible(invertibility_tol) and residual <= tol
+    ok = diag.is_invertible() and residual <= tol
     status = STATUS_EQUIVALENT if ok else STATUS_NOT_EQUIVALENT
     return EquivalenceCertificate(status, perm, diag, float(residual))
 

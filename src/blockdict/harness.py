@@ -35,7 +35,6 @@ from .equivalence import (
 from .rip import DEFAULT_ENUMERATION_CAP, RipReport, _enumerate_supports, rip_constant
 # not called here: bench/tracing.py rebinds these names in this module
 from .rip import rip_constant_exact, rip_lower_bound_sampled  # noqa: F401
-from .subspace import DEFAULT_RANK_TOL
 
 MODE_GAUSSIAN = "gaussian"
 MODE_BLOCK_ORTH = "per-block-orthonormal"
@@ -60,24 +59,19 @@ class ExperimentConfig:
     seed: int
     noise_level: float = 0.0
     learner_iterations: int = 30
-    coefficient_scale: float = 1.0
-    rank_tol: float = DEFAULT_RANK_TOL
     certificate_tol: float = DEFAULT_CERTIFICATE_TOL
-    coding_tol: float = DEFAULT_CODING_TOL
 
     def __post_init__(self):
         if self.structure.beta != 1:  # every stage codes one column per sample
             raise ValueError(f"structure: key 'beta' must be 1, got {self.structure.beta}")
         _check_ambient(self.ambient_dim, self.structure)
-        for name in ("n_samples", "learner_iterations"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, least in (("seed", 0), ("n_samples", 1), ("learner_iterations", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "float" and not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{f.name} must be finite and nonnegative, got {value}")
-            if f.name == "coefficient_scale" and value == 0:
-                raise ValueError(f"{f.name} must be positive, got {value}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -194,13 +188,13 @@ def gen_codes(
     Deterministic given seed. Each sample draws a uniform size-s support
     and fills the active blocks with signed coefficients of magnitude in
     [0.1, 1] times coefficient_scale, so every active entry is bounded away
-    from zero. `BlockSparseVec.from_values` turns a column into a vector
-    object with its support.
+    from zero. `BlockSparseVec(structure, X[:, c])` turns a column into a
+    vector object with its support.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if coefficient_scale <= 0:
-        raise ValueError(f"coefficient_scale must be positive, got {coefficient_scale}")
+    if not (math.isfinite(coefficient_scale) and coefficient_scale > 0):
+        raise ValueError(f"coefficient_scale must be finite and positive, got {coefficient_scale}")
     rng = np.random.default_rng(seed)
     X = np.zeros((structure.total_dim, n_samples))
     for c in range(n_samples):
@@ -217,19 +211,15 @@ def gen_block_permutation(K: int, seed: int) -> BlockPermutation:
     return BlockPermutation(K, tuple(int(v) + 1 for v in rng.permutation(K)))
 
 
-def gen_block_diagonal(
-    structure: BlockStructure, seed: int, max_condition: float = 10.0
-) -> BlockDiagonal:
-    """Random invertible block transforms with condition number <= max_condition."""
-    if max_condition < 1:
-        raise ValueError(f"max_condition must be >= 1, got {max_condition}")
+def gen_block_diagonal(structure: BlockStructure, seed: int) -> BlockDiagonal:
+    """Random invertible block transforms, each with condition number at most 10."""
     rng = np.random.default_rng(seed)
     alpha = structure.alpha
     blocks = []
     for _ in range(structure.K):
         U, _ = np.linalg.qr(rng.standard_normal((alpha, alpha)))
         V, _ = np.linalg.qr(rng.standard_normal((alpha, alpha)))
-        svals = rng.uniform(1.0, max_condition, size=alpha)
+        svals = rng.uniform(1.0, 10.0, size=alpha)
         blocks.append(U @ np.diag(svals) @ V.T)
     return BlockDiagonal(structure, tuple(blocks))
 
@@ -246,8 +236,8 @@ class LearnTrace:
         return asdict(self)
 
 
-def _code_all(B: BlockDict, Y: np.ndarray, s: int, tol: float):
-    """Minimum-residual s-block code of every column of Y.
+def _code_all(B: BlockDict, Y: np.ndarray):
+    """Minimum-residual code of every column of Y at B's sparsity and DEFAULT_CODING_TOL.
 
     Returns (codes matrix, abs residual norms) from `coding`'s batched
     kernel, so each sample gets the code `exhaustive_code` would give it.
@@ -256,6 +246,7 @@ def _code_all(B: BlockDict, Y: np.ndarray, s: int, tol: float):
     rank-deficient (degenerate mid-learning state) is left uncoded for the
     round; its full residual makes it the natural reseeding source.
     """
+    s, tol = B.structure.s, DEFAULT_CODING_TOL
     if math.comb(B.structure.K, s) <= DEFAULT_ENUMERATION_CAP:
         return _min_residual_codes(B, Y, s, tol)[:2]
     X = np.zeros((B.structure.total_dim, Y.shape[1]))
@@ -384,9 +375,7 @@ def _discover_block_spans(Y: np.ndarray, structure: BlockStructure, noise_level:
 
 
 def learn_dictionary(
-    samples: np.ndarray,
-    config: ExperimentConfig,
-    init: BlockDict | None = None,
+    samples: np.ndarray, config: ExperimentConfig
 ) -> tuple[BlockDict, LearnTrace]:
     """Alternating-minimization block dictionary learner.
 
@@ -404,7 +393,7 @@ def learn_dictionary(
     fewer than alpha samples), and logged; this is the only fallback.
     Stops after the configured iterations or when the objective stalls.
 
-    The default initialization clusters samples into support-span groups
+    The initialization clusters samples into support-span groups
     and intersects the cluster spans pairwise: the intersection of two
     overlapping support spans is the span of the shared blocks, so
     discovered intersections start blocks where cold alternation rarely
@@ -418,9 +407,6 @@ def learn_dictionary(
     ----------
     samples : array, shape (P, N), finite
     config : ExperimentConfig
-    init : BlockDict, optional
-        Starting dictionary with the config's K and alpha; overrides the
-        cluster-intersection default.
 
     Returns
     -------
@@ -444,22 +430,15 @@ def learn_dictionary(
             "recovery is under-determined",
             stacklevel=2,
         )
-    if init is None:
-        data = np.zeros((P, structure.total_dim))
-        for i, basis in enumerate(_discover_block_spans(Y, structure, config.noise_level), 1):
-            data[:, structure.block_slice(i)] = basis.basis
-    else:
-        got = (init.ambient_dim, init.structure.K, init.structure.alpha)
-        need = (P, structure.K, structure.alpha)
-        if got != need:
-            raise ValueError(f"init dictionary has (P, K, alpha) = {got}, expected {need}")
-        data = init.data.copy()
+    data = np.zeros((P, structure.total_dim))
+    for i, basis in enumerate(_discover_block_spans(Y, structure, config.noise_level), 1):
+        data[:, structure.block_slice(i)] = basis.basis
     reseed_rng = _substream(config.seed, _STREAM_RESEED)
     trace = LearnTrace()
     prev_obj = None
     for it in range(config.learner_iterations):
         B = BlockDict(structure, data)
-        X, res = _code_all(B, Y, structure.s, config.coding_tol)
+        X, res = _code_all(B, Y)
         objective = float(np.sum(res**2))
         trace.objectives.append(objective)
         if objective <= 1e-24 or (
@@ -556,10 +535,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         report.rip = rip.to_dict()
 
         stage = "gen_codes"
-        X = gen_codes(
-            structure, config.n_samples, seed=codes_seed,
-            coefficient_scale=config.coefficient_scale,
-        )
+        X = gen_codes(structure, config.n_samples, seed=codes_seed)
 
         stage = "synthesize"
         Y = truth.data @ X
@@ -576,13 +552,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         report.trace = trace.to_dict()
 
         stage = "recover"
-        cert = recover_equivalence(
-            truth, learned, tol=config.certificate_tol, span_tol=config.rank_tol
-        )
+        cert = recover_equivalence(truth, learned, tol=config.certificate_tol)
         report.certificate = cert.to_dict()
 
         stage = "final_coding"
-        _, res = _code_all(learned, Y, structure.s, config.coding_tol)
+        _, res = _code_all(learned, Y)
         report.coding_residuals = [float(v) for v in res]
     except Exception as exc:  # recorded, not raised: the report is the contract
         report.stage_errors.append({"stage": stage, "error": f"{type(exc).__name__}: {exc}"})

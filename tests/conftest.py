@@ -126,10 +126,10 @@ def make_rip_instance(P, K, alpha, s, seed):
     return A, report, seed + retries
 
 
-def make_equivalent_pair(P, K, alpha, s, seed, max_condition=10.0):
+def make_equivalent_pair(P, K, alpha, s, seed):
     """(A, B, perm, diag, rip report) with A the transform of B by (perm, diag)."""
     A, report, _ = make_rip_instance(P, K, alpha, s, seed)
     perm = gen_block_permutation(K, seed=seed + 1000)
-    diag = gen_block_diagonal(A.structure, seed=seed + 2000, max_condition=max_condition)
+    diag = gen_block_diagonal(A.structure, seed=seed + 2000)
     B = make_equivalent_dict(A, perm, diag)
     return A, B, perm, diag, report

@@ -61,7 +61,7 @@ class TestCriterion1:
         for idx, (A, report, seed) in enumerate(instances_p16):
             assert report.delta < 1.0  # verified by exact enumeration
             perm = gen_block_permutation(6, seed=seed + 10_000)
-            diag = gen_block_diagonal(ST62, seed=seed + 20_000, max_condition=10.0)
+            diag = gen_block_diagonal(ST62, seed=seed + 20_000)
             B = make_equivalent_dict(A, perm, diag)
             cert = recover_equivalence(A, B)
             d_err = (

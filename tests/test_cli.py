@@ -59,6 +59,24 @@ class TestGen:
         gen_files(workdir, seed=5)
         assert (workdir / "A.txt").read_text() == first
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--scale", "nan"], "coefficient_scale must be finite and positive, got nan"),
+         (["--scale", "inf"], "coefficient_scale must be finite and positive, got inf"),
+         (["--n-samples", 0], "n_samples must be >= 1, got 0")],
+        ids=["nan-scale", "inf-scale", "no-samples"],
+    )
+    def test_bad_codes_write_no_file(self, workdir, capsys, flags, message):
+        # the codes are drawn before any file is written, the dictionary's included
+        rc = run_cli([
+            "gen", "--ambient-dim", 8, "--blocks", 4, "--alpha", 2, "--sparsity", 1,
+            "--n-samples", 2, *flags,
+            "--out-dict", workdir / "A.txt", "--out-codes", workdir / "X.txt",
+        ])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert list(workdir.iterdir()) == []
+
     def test_requires_an_output(self, workdir):
         rc = run_cli([
             "gen", "--ambient-dim", 16, "--blocks", 6, "--alpha", 2, "--sparsity", 2,
@@ -295,21 +313,22 @@ class TestLearnAndExperiment:
             ({**BASE_CONFIG, "structure": {**BASE_CONFIG["structure"], "alpha": True}},
              "structure: key 'alpha' must be int"),
             ({**BASE_CONFIG, "seed": 1.5}, "key 'seed' must be int"),
-            ({**BASE_CONFIG, "coefficient_scale": 0}, "coefficient_scale must be positive"),
+            ({**BASE_CONFIG, "seed": -1}, "seed must be >= 0, got -1"),
+            # removed keys are unknown, whatever their value
+            ({**BASE_CONFIG, "coefficient_scale": 0}, "unknown keys ['coefficient_scale']"),
             ({**BASE_CONFIG, "coefficient_scale": float("inf")},
-             "coefficient_scale must be finite"),
+             "unknown keys ['coefficient_scale']"),
             ({**BASE_CONFIG, "noise_level": float("nan")}, "noise_level must be finite"),
-            ({**BASE_CONFIG, "rank_tol": -1e-8}, "rank_tol must be finite and nonnegative"),
+            ({**BASE_CONFIG, "rank_tol": -1e-8}, "unknown keys ['rank_tol']"),
             ({**BASE_CONFIG, "certificate_tol": -1e-6},
              "certificate_tol must be finite and nonnegative"),
-            ({**BASE_CONFIG, "coding_tol": -1e-10},
-             "coding_tol must be finite and nonnegative"),
+            ({**BASE_CONFIG, "coding_tol": -1e-10}, "unknown keys ['coding_tol']"),
             ({**BASE_CONFIG, "structure": {**BASE_CONFIG["structure"], "beta": 3}},
              "structure: key 'beta' must be 1, got 3"),
         ],
         ids=["unknown-key", "dict-mode-key", "missing-structure", "list-top-level", "string-int",
              "string-float", "null-int", "float-K", "bool-alpha", "float-seed",
-             "zero-scale", "inf-scale", "nan-noise",
+             "negative-seed", "zero-scale", "inf-scale", "nan-noise",
              "negative-rank-tol", "negative-certificate-tol", "negative-coding-tol",
              "beta-3"],
     )

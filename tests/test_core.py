@@ -9,7 +9,10 @@ from blockdict import (
     BlockStructure,
     RankError,
     as_support,
+    block_omp,
     block_support,
+    exhaustive_code,
+    gen_dictionary,
     make_indicator,
     orthonormal_basis,
     solve_block_transform,
@@ -164,37 +167,51 @@ class TestSplitColumns:
 
 class TestBlockSparseVec:
     def test_support_too_large(self, st52):
-        v = np.ones(10)
-        with pytest.raises(ValueError):
-            BlockSparseVec(st52, v, (1, 2, 3))
+        with pytest.raises(ValueError, match="^support size 5 exceeds sparsity level s=2$"):
+            BlockSparseVec(st52, np.ones(10))
 
     def test_nonzero_off_support(self, st52):
+        # the support is read from the values, so no nonzero block is off it
         v = np.zeros(10)
         v[0] = 1.0
         v[4] = 1.0
-        with pytest.raises(ValueError):
-            BlockSparseVec(st52, v, (1,))
+        assert BlockSparseVec(st52, v).support == (1, 3)
 
     def test_zero_block_in_support(self, st52):
+        # ... and no all-zero block is in it
         v = np.zeros(10)
         v[0] = 1.0
-        with pytest.raises(ValueError):
-            BlockSparseVec(st52, v, (1, 2))
+        assert BlockSparseVec(st52, v).support == (1,)
 
-    @pytest.mark.parametrize(
-        "nonzero, support, message",
-        [
-            ((0, 4, 6), (1,), "block 3 is outside the support but nonzero"),
-            ((9,), (2, 4), "block 2 is in the support but is all zero"),
-            ((2, 9), (3, 5), "block 2 is outside the support but nonzero"),
-            ((4,), (1, 2), "block 1 is in the support but is all zero"),
-        ],
-    )
-    def test_first_offending_block_named(self, st52, nonzero, support, message):
+    def test_support_is_the_nonzero_blocks(self, st52):
+        A = gen_dictionary(8, st52, seed=1)
         v = np.zeros(10)
-        v[list(nonzero)] = 1.0
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            BlockSparseVec(st52, v, support)
+        v[[0, 5]] = 1.0, 1e-12  # block 1, and block 3 below tol 1e-9
+        x = np.zeros(10)
+        x[[2, 3, 8, 9]] = 0.5, -1.0, 0.25, 2.0  # blocks 2 and 5
+        y = A.data @ x + 1e-3 * np.random.default_rng(2).standard_normal(8)
+        codes = [
+            BlockSparseVec.from_values(st52, v, tol=0.0),
+            BlockSparseVec.from_values(st52, v, tol=1e-9),
+            make_indicator(st52, 4, 2),
+            *(f(A, m).code for f in (block_omp, exhaustive_code) for m in (y, np.zeros(8))),
+        ]
+        for code in codes:
+            blocks = code.values.reshape(5, 2)
+            assert code.support == tuple(int(i) + 1 for i in np.flatnonzero(blocks.any(axis=1)))
+        assert [c.support for c in codes] == [(1, 3), (1,), (4,), (2, 5), (), (2, 5), ()]
+
+    def test_length_and_finiteness_checked(self, st52):
+        with pytest.raises(ValueError, match="^vector has length 9, expected K\\*alpha = 10$"):
+            BlockSparseVec(st52, np.ones(9))
+        with pytest.raises(ValueError, match="^vector entries must all be finite$"):
+            BlockSparseVec(st52, np.array([np.inf] + [0.0] * 9))
+
+    def test_from_values_keeps_non_finite_entries_to_reject(self, st52):
+        # a NaN block's max magnitude is NaN, never above tol, yet it must not be zeroed
+        for v in ([np.nan, 1.0] + [0.0] * 8, [0.0] * 9 + [-np.inf]):
+            with pytest.raises(ValueError, match="^vector entries must all be finite$"):
+                BlockSparseVec.from_values(st52, v, tol=1e-9)
 
     def test_from_values_detects_support(self, st52):
         v = np.zeros(10)

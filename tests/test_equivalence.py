@@ -212,8 +212,7 @@ class TestRecoverEquivalence:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("tol", -1.0), ("tol", float("nan")), ("span_tol", -1.0),
-         ("invertibility_tol", -1.0)],
+        [("tol", -1.0), ("tol", float("nan")), ("span_tol", -1.0)],
     )
     def test_bad_tolerances_rejected(self, name, value):
         # each one used to give a wrong certificate for A against itself

@@ -1,6 +1,7 @@
 import json
 import math
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,6 +42,12 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def start_learner_at(monkeypatch, B):
+    """Make `learn_dictionary` start from B's blocks as they are, in place of discovery."""
+    blocks = [SimpleNamespace(basis=B.block(i)) for i in range(1, B.structure.K + 1)]
+    monkeypatch.setattr(harness, "_discover_block_spans", lambda *a, **k: blocks)
 
 
 class TestGenDictionary:
@@ -152,7 +159,8 @@ def old_gen_codes_matrix(structure, n_samples, seed, coefficient_scale=1.0):
             magnitude = rng.uniform(0.1, 1.0, size=structure.alpha)
             sign = rng.integers(0, 2, size=structure.alpha) * 2 - 1
             values[structure.block_slice(i)] = coefficient_scale * sign * magnitude
-        out.append(BlockSparseVec(structure, values, support))
+        out.append(BlockSparseVec(structure, values))
+        assert out[-1].support == support
     return np.column_stack([c.values for c in out])
 
 
@@ -167,6 +175,12 @@ class TestGenCodes:
         old = old_gen_codes_matrix(st, 37, seed, coefficient_scale=scale)
         assert X.shape == (K * alpha, 37) and X.flags.c_contiguous
         assert X.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_scale_rejected(self, scale):
+        message = f"^coefficient_scale must be finite and positive, got {scale}$"
+        with pytest.raises(ValueError, match=message):
+            gen_codes(BlockStructure(K=4, alpha=2, s=1), 3, seed=0, coefficient_scale=scale)
 
     def test_support_size_exact(self):
         st = BlockStructure(K=6, alpha=2, s=2)
@@ -214,23 +228,24 @@ class TestGenTransforms:
 
     def test_diagonal_condition_bound(self):
         st = BlockStructure(K=5, alpha=3, s=2)
-        D = gen_block_diagonal(st, seed=6, max_condition=10.0)
+        D = gen_block_diagonal(st, seed=6)
         for blk in D.blocks:
             svals = np.linalg.svd(blk, compute_uv=False)
             assert svals[0] / svals[-1] <= 10.0 + 1e-9
 
 
 class TestLearnDictionary:
-    def test_fixed_point_at_truth(self):
+    def test_fixed_point_at_truth(self, monkeypatch):
         A, _, used = make_rip_instance(20, 4, 2, 2, seed=21)
         config = small_config(seed=used)
         Y = A.data @ gen_codes(config.structure, 60, seed=used + 1)
-        learned, trace = learn_dictionary(Y, config, init=A)
+        start_learner_at(monkeypatch, A)
+        learned, trace = learn_dictionary(Y, config)
         assert trace.objectives[0] <= 1e-20
         assert trace.stalled
         assert np.array_equal(learned.data, A.data)
 
-    def test_fixed_point_at_truth_where_block_omp_miscodes(self):
+    def test_fixed_point_at_truth_where_block_omp_miscodes(self, monkeypatch):
         # criterion-7 geometry: greedy coding at the truth is wrong here,
         # the minimum-residual code is not
         A, _, used = make_rip_instance(16, 6, 2, 2, seed=100)
@@ -245,7 +260,8 @@ class TestLearnDictionary:
             structure=A.structure, ambient_dim=16, n_samples=300, seed=used,
             learner_iterations=30,
         )
-        learned, trace = learn_dictionary(Y, config, init=A)
+        start_learner_at(monkeypatch, A)
+        learned, trace = learn_dictionary(Y, config)
         assert trace.objectives[0] <= 1e-20
         assert trace.stalled
         assert np.array_equal(learned.data, A.data)
@@ -256,7 +272,7 @@ class TestLearnDictionary:
         with pytest.warns(UserWarning):
             learn_dictionary(rng.standard_normal((20, 1)), config)
 
-    def test_under_used_block_is_reseeded_as_dead(self):
+    def test_under_used_block_is_reseeded_as_dead(self, monkeypatch):
         # 60 samples on blocks 1-3 and one on blocks 1 and 4: block 4 has
         # fewer than alpha active samples, so the sweep reseeds it
         A, _, used = make_rip_instance(20, 4, 2, 2, seed=21)
@@ -265,7 +281,8 @@ class TestLearnDictionary:
         X[:6, :60] = gen_codes(BlockStructure(K=3, alpha=2, s=2), 60, seed=used + 1)
         X[[0, 1, 6, 7], 60] = rng.uniform(0.5, 1.0, size=4)
         init = BlockDict(A.structure, A.data + 1e-3 * rng.standard_normal(A.data.shape))
-        learned, trace = learn_dictionary(A.data @ X, small_config(seed=used), init=init)
+        start_learner_at(monkeypatch, init)
+        learned, trace = learn_dictionary(A.data @ X, small_config(seed=used))
         dead = {"iteration": 0, "block": 4, "sample": 60, "reason": "dead"}
         assert dead in trace.reseed_events
         # the reseed starts from sample 60's whole residual, block 4's share in it
@@ -300,14 +317,6 @@ class TestLearnDictionary:
         with pytest.raises(ValueError):
             learn_dictionary(np.zeros((7, 10)), config)
 
-    def test_init_with_other_block_shape_rejected(self):
-        # K=8, alpha=1 has the same K*alpha as the config's K=4, alpha=2
-        config = small_config()
-        Y = np.random.default_rng(0).standard_normal((20, 60))
-        init = gen_dictionary(20, BlockStructure(K=8, alpha=1, s=2), seed=1)
-        with pytest.raises(ValueError, match=r"\(P, K, alpha\) = \(20, 8, 1\)"):
-            learn_dictionary(Y, config, init=init)
-
     def test_non_finite_samples_rejected(self):
         Y = np.random.default_rng(0).standard_normal((20, 60))
         Y[4, 3], Y[0, 7] = np.nan, -np.inf
@@ -323,7 +332,7 @@ class TestLearnerCoding:
         B = BlockDict(st, A.data + 0.05 * rng.standard_normal(A.data.shape))
         Y = A.data @ gen_codes(st, 200, seed=used + 1)
         Y = Y + 1e-2 * rng.standard_normal(Y.shape)
-        X, res = _code_all(B, Y, st.s, 1e-10)
+        X, res = _code_all(B, Y)
         for c in range(Y.shape[1]):
             oracle = exhaustive_code(B, Y[:, c], s=st.s, tol=1e-10)
             assert BlockSparseVec.from_values(st, X[:, c], tol=0.0).support == (
@@ -337,7 +346,7 @@ class TestLearnerCoding:
         assert math.comb(st.K, st.s) > DEFAULT_ENUMERATION_CAP
         A = gen_dictionary(30, st, seed=8)
         Y = np.random.default_rng(9).standard_normal((30, 4))
-        X, res = _code_all(A, Y, st.s, 1e-10)
+        X, res = _code_all(A, Y)
         for c in range(Y.shape[1]):
             values = block_omp(A, Y[:, c], s=st.s, tol=1e-10).code.values
             assert np.array_equal(X[:, c], values)
@@ -350,7 +359,7 @@ class TestLearnerCoding:
         E = np.eye(4)
         B = BlockDict(BlockStructure(K=2, alpha=2, s=2), E[:, [0, 1, 0, 2]])
         Y = np.column_stack([E[:, 0] + E[:, 1] + E[:, 2], 2 * E[:, 1]])
-        X, res = _code_all(B, Y, 2, 1e-10)
+        X, res = _code_all(B, Y)
         assert X[:, 0].tolist() == [0, 0, 0, 0] and res[0] == np.linalg.norm(Y[:, 0])
         assert X[:, 1].tolist() == [0, 2, 0, 0] and res[1] == 0
 
