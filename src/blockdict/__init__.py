@@ -38,7 +38,6 @@ from .equivalence import (
     MatchReport,
     TheoremReport,
     apply_transform,
-    compose_transforms,
     construct_kappa,
     make_equivalent_dict,
     match_blocks,

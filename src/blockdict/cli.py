@@ -72,15 +72,19 @@ def _cmd_gen(args) -> int:
     structure = BlockStructure(K=args.blocks, alpha=args.alpha, s=args.sparsity)
     A = gen_dictionary(args.ambient_dim, structure, seed=args.seed, mode=args.mode)
     outputs = [(args.out_dict, A.data)]
-    if args.out_codes or args.out_samples:  # drawn before any file is written
+    if args.out_codes or args.out_samples:
         X = gen_codes(structure, args.n_samples, seed=args.seed + 1,
                       coefficient_scale=args.scale)
-        outputs += [(args.out_codes, X), (args.out_samples, A.data @ X)]
-    if not any(path for path, _ in outputs):
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected below as non-finite
+            outputs += [(args.out_codes, X), (args.out_samples, A.data @ X)]
+    outputs = [(path, M) for path, M in outputs if path]
+    if not outputs:
         raise ValueError("nothing to do: pass --out-dict, --out-codes, or --out-samples")
+    for path, M in outputs:  # every output is checked before any file is written
+        if not np.all(np.isfinite(M)):
+            raise ValueError(f"{path}: matrix entries must all be finite")
     for path, M in outputs:
-        if path:
-            write_matrix_text(path, M)
+        write_matrix_text(path, M)
     return 0
 
 

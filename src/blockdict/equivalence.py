@@ -272,26 +272,6 @@ def make_equivalent_dict(
     return apply_transform(A, inv, BlockDiagonal(D.structure, blocks))
 
 
-def compose_transforms(
-    p1: BlockPermutation,
-    D1: BlockDiagonal,
-    p2: BlockPermutation,
-    D2: BlockDiagonal,
-) -> tuple[BlockPermutation, BlockDiagonal]:
-    """The single transform equal to applying (p1, D1) then (p2, D2).
-
-    apply_transform(apply_transform(B, p1, D1), p2, D2) equals
-    apply_transform(B, q, F) for the returned (q, F).
-    """
-    if p1.K != p2.K:
-        raise ValueError("permutations act on different block counts")
-    q = BlockPermutation(p1.K, tuple(p1(p2(i)) for i in range(1, p1.K + 1)))
-    blocks = tuple(
-        D1.blocks[p2(i) - 1] @ D2.blocks[i - 1] for i in range(1, p1.K + 1)
-    )
-    return q, BlockDiagonal(D1.structure, blocks)
-
-
 @dataclass(frozen=True)
 class KappaResult:
     """Support correspondence found by probing one source support."""

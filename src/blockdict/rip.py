@@ -49,16 +49,26 @@ def _enumerate_supports(K: int, t: int, cap: int) -> np.ndarray:
 def _sample_supports(K: int, t: int, n: int, seed: int) -> np.ndarray:
     """n distinct size-t supports drawn from seed, one per row in draw order.
 
+    Each draw takes rng.random(K) keys and keeps the blocks of the t smallest,
+    sorted; repeats are skipped. Draws come in batches of the supports still
+    missing times C(K, t) / (C(K, t) - found), the expected draws per new
+    support; the result is the same as drawing one support at a time.
     Every support, in lexicographic order, when n >= C(K, t).
     """
     total = math.comb(K, t)
     if n >= total:
         return _enumerate_supports(K, t, total)
     rng = np.random.default_rng(seed)
-    seen: dict[Support, None] = {}
-    while len(seen) < n:
-        seen[tuple(sorted(rng.choice(K, size=t, replace=False).tolist()))] = None
-    return np.array(list(seen), dtype=np.intp) + 1
+    row = np.dtype((np.void, t * np.dtype(np.intp).itemsize))  # exact key per support
+    kept = np.empty((0, t), dtype=np.intp)
+    while len(kept) < n:
+        draws = -(-(n - len(kept)) * total // (total - len(kept)))
+        keys = rng.random((draws, K))
+        new = np.sort(np.argpartition(keys, t - 1, axis=1)[:, :t], axis=1) + 1
+        rows = np.concatenate([kept, new])
+        _, first = np.unique(rows.view(row).ravel(), return_index=True)
+        kept = rows[np.sort(first)[:n]]
+    return kept
 
 
 def _support_columns(supports: np.ndarray, alpha: int) -> np.ndarray:

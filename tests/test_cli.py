@@ -77,6 +77,19 @@ class TestGen:
         assert message in capsys.readouterr().err
         assert list(workdir.iterdir()) == []
 
+    def test_overflowing_samples_write_no_file(self, workdir, capsys, recwarn):
+        # A and X are finite; only Y = A X overflows
+        rc = run_cli([
+            "gen", "--ambient-dim", 8, "--blocks", 4, "--alpha", 2, "--sparsity", 2,
+            "--n-samples", 3, "--scale", "1e308", "--mode", "gaussian",
+            "--out-dict", workdir / "A.txt", "--out-codes", workdir / "X.txt",
+            "--out-samples", workdir / "Y.txt",
+        ])
+        assert rc == 2
+        assert "Y.txt: matrix entries must all be finite" in capsys.readouterr().err
+        assert list(workdir.iterdir()) == []
+        assert not recwarn.list
+
     def test_requires_an_output(self, workdir):
         rc = run_cli([
             "gen", "--ambient-dim", 16, "--blocks", 6, "--alpha", 2, "--sparsity", 2,

@@ -11,7 +11,6 @@ from blockdict import (
     HypothesisViolationError,
     RankError,
     apply_transform,
-    compose_transforms,
     construct_kappa,
     equivalence,
     gen_block_diagonal,
@@ -241,19 +240,6 @@ class TestApplyTransform:
         with pytest.raises(ValueError, match=f"permutation is on {K} blocks, dictionary has 3"):
             make_equivalent_dict(A, gen_block_permutation(K, 0), gen_block_diagonal(A.structure, 0))
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_composition_law(self, seed):
-        st = BlockStructure(K=5, alpha=2, s=2)
-        B = gen_dictionary(14, st, seed=seed)
-        p1 = gen_block_permutation(5, seed=seed + 1)
-        p2 = gen_block_permutation(5, seed=seed + 2)
-        D1 = gen_block_diagonal(st, seed=seed + 3)
-        D2 = gen_block_diagonal(st, seed=seed + 4)
-        two_steps = apply_transform(apply_transform(B, p1, D1), p2, D2)
-        q, F = compose_transforms(p1, D1, p2, D2)
-        one_step = apply_transform(B, q, F)
-        assert np.max(np.abs(two_steps.data - one_step.data)) < 1e-10
-
 
 class TestConstructKappa:
     @pytest.mark.parametrize("seed", range(4))
@@ -342,6 +328,22 @@ class TestVerifyTheoremInstance:
             else:
                 assert entry.get("consistent") is True
         assert report.certificate.status == "not-equivalent"
+
+    def test_family_is_sampled_above_the_support_cap(self, monkeypatch):
+        monkeypatch.setattr(equivalence, "MAX_HYPOTHESIS_SUPPORTS", 6)
+        A, B, _, _, _ = make_equivalent_pair(16, 5, 2, 2, seed=600)
+
+        def family(seed):
+            report = verify_theorem_instance(A, B, s=2, n_probes=2, seed=seed)
+            assert report.hypothesis_holds
+            return [tuple(entry["support"]) for entry in report.hypothesis_supports]
+
+        first = family(0)
+        assert len(first) == len(set(first)) == 6  # of C(5, 2) = 10
+        assert first == sorted(first)
+        assert all(list(sup) == sorted(sup) and len(sup) == 2 for sup in first)
+        assert family(0) == first
+        assert family(1) != first
 
     @pytest.mark.parametrize("tol", [-1.0, float("nan")])
     def test_bad_tol_rejected_before_probing(self, monkeypatch, tol):

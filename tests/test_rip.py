@@ -148,6 +148,18 @@ class TestLevelRule:
         assert rip.rip_constant(A, 4, seed=0) == rip_lower_bound_sampled(A, 4, 200, seed=0)
 
 
+def _one_draw_at_a_time(K, t, n, seed):
+    """The sampler's draw rule, one support per draw: rng.random(K) keys, the
+    blocks of the t smallest, sorted and shifted to 1-based, repeats skipped."""
+    if n >= math.comb(K, t):
+        return np.array(list(combinations(range(1, K + 1), t)), dtype=np.intp)
+    rng = np.random.default_rng(seed)
+    seen = {}
+    while len(seen) < n:
+        seen[tuple(np.sort(np.argsort(rng.random(K))[:t]) + 1)] = None
+    return np.array(list(seen), dtype=np.intp)
+
+
 class TestSupportLayer:
     def test_enumeration_is_lexicographic(self):
         supports = _enumerate_supports(5, 3, cap=10)
@@ -179,25 +191,25 @@ class TestSupportLayer:
                                          (6, 2, 15), (5, 3, 40)])
     @pytest.mark.parametrize("seed", [0, 1, 7, 123])
     def test_sampler_pinned_to_sort_and_shift_loop(self, K, t, n, seed):
-        # the draw loop this sampler replaced: sort each numpy draw and add 1
-        if n >= math.comb(K, t):
-            expected = np.array(list(combinations(range(1, K + 1), t)), dtype=np.intp)
-        else:
-            rng = np.random.default_rng(seed)
-            seen = {}
-            while len(seen) < n:
-                seen[tuple(np.sort(rng.choice(K, size=t, replace=False)) + 1)] = None
-            expected = np.array(list(seen), dtype=np.intp)
+        expected = _one_draw_at_a_time(K, t, n, seed)
         drawn = _sample_supports(K, t, n, seed)
         assert drawn.dtype == expected.dtype and drawn.shape == expected.shape
         assert drawn.tobytes() == expected.tobytes()
 
+    def test_sampler_where_a_packed_key_would_overflow(self):
+        K, t, n = 70, 12, 128
+        assert K**t >= 2**63
+        drawn = _sample_supports(K, t, n, seed=3)
+        assert drawn.shape == (n, t) and drawn.dtype == np.intp
+        assert len({tuple(row) for row in drawn.tolist()}) == n
+        assert drawn.tobytes() == _one_draw_at_a_time(K, t, n, seed=3).tobytes()
+
     def test_sampled_bound_pinned(self):
-        # values recorded from the per-support implementation this replaced
+        # recorded from rip_constant_for_support over _one_draw_at_a_time's supports
         A = gen_dictionary(20, BlockStructure(K=10, alpha=2, s=3), seed=11)
         report = rip_lower_bound_sampled(A, 5, 20, seed=42)
-        assert report.worst_support == (3, 4, 7, 8, 10)
-        assert report.delta == pytest.approx(1.453125487289455, abs=1e-12)
+        assert report.worst_support == (1, 3, 4, 6, 9)
+        assert report.delta == pytest.approx(1.462202940994704, abs=1e-12)
         assert report.supports_examined == 20
 
     @pytest.mark.parametrize("level", [2, 3])
