@@ -5,9 +5,9 @@ where G is the Gram matrix of the columns of the blocks in T, so that
 (1 - delta) ||x||^2 <= ||A x||^2 <= (1 + delta) ||x||^2 holds for every x
 supported on T. The level-t constant is the max of delta_T over all
 t-element supports, computed by exact enumeration or bounded from below
-by seeded sampling, with every delta_T read from one Gram matrix A^T A
-and batched eigenvalue calls; `rip_constant` picks between the two by
-the enumeration cap.
+by seeded sampling, with each delta_T that a block-norm bound cannot rule
+out read from one Gram matrix A^T A by batched eigenvalue calls;
+`rip_constant` picks between the two by the enumeration cap.
 
 This module also holds the library's one support-enumeration layer
 (lexicographic enumeration under a cap, seeded distinct sampling), which
@@ -30,6 +30,8 @@ DEFAULT_ENUMERATION_CAP = 10**6
 
 # supports per batched eigvalsh call, so memory stays bounded up to the cap
 _RIP_CHUNK = 4096
+# past this many supports, this many are eigen-solved before bounds prune the rest
+_RIP_HEAD = 16
 
 
 def _enumerate_supports(K: int, t: int, cap: int) -> np.ndarray:
@@ -73,7 +75,7 @@ def _sample_supports(K: int, t: int, n: int, seed: int) -> np.ndarray:
 
 def _support_columns(supports: np.ndarray, alpha: int) -> np.ndarray:
     """Dictionary column indices of the blocks of each support, one row each."""
-    cols = (supports - 1)[:, :, None] * alpha + np.arange(alpha)
+    cols = supports[:, :, None] * alpha - np.arange(alpha, 0, -1)
     return cols.reshape(len(supports), -1)
 
 
@@ -104,12 +106,35 @@ class RipReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf and NaN bounds are never skipped
+def _support_bounds(gram: np.ndarray, supports: np.ndarray, alpha: int) -> np.ndarray:
+    """Upper bound on delta_T = ||E_T||_2, E = gram - I, for each row T of `supports`.
+
+    ||E_T||_2 is at most the Perron root r of N_T, the t x t norms of E_T's blocks
+    (spectral when alpha = 2, else Frobenius). Collatz-Wielandt on N_T + I gives
+    r <= max_i (N_T x)_i / x_i for any x > 0; here x = (N_T + I)^3 1.
+    """
+    K = len(gram) // alpha
+    E = (gram - np.eye(len(gram))).reshape(K, alpha, K, alpha)
+    if alpha == 2:  # [[a, b], [c, d]] has singular values (|a+d, c-b| +- |a-d, b+c|) / 2
+        a, b, c, d = E[:, 0, :, 0], E[:, 0, :, 1], E[:, 1, :, 0], E[:, 1, :, 1]
+        N = (np.hypot(a + d, c - b) + np.hypot(a - d, b + c)) / 2
+    else:
+        N = np.sqrt((E * E).sum(axis=(1, 3)))
+    member = np.zeros((len(supports), K))
+    member[np.arange(len(supports))[:, None], supports - 1] = 1.0
+    x = np.ones(member.shape)  # positive; its entries off T are never read
+    for _ in range(3):
+        x += (x * member) @ N  # (N_T + I) x on T
+    return ((x * member) @ N / x * member).max(axis=1)
+
+
 def _support_deltas(gram: np.ndarray, supports: np.ndarray, alpha: int) -> np.ndarray:
     """delta_T for every row T of `supports`, read from the blocks' Gram matrix."""
     deltas = np.empty(len(supports))
     for start in range(0, len(supports), _RIP_CHUNK):
         idx = _support_columns(supports[start : start + _RIP_CHUNK], alpha)
-        eigs = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
+        eigs = np.linalg.eigvalsh(gram.take(idx[:, :, None] * len(gram) + idx[:, None, :]))
         deltas[start : start + len(idx)] = np.maximum(eigs[:, -1] - 1.0, 1.0 - eigs[:, 0])
     return deltas
 
@@ -117,11 +142,30 @@ def _support_deltas(gram: np.ndarray, supports: np.ndarray, alpha: int) -> np.nd
 def _rip_report(A: BlockDict, t: int, supports: np.ndarray, mode: str) -> RipReport:
     """Max of delta_T over the given supports, all from the one Gram A^T A.
 
-    The first maximizer is the worst support.
+    The first maximizer is the worst support. Past _RIP_HEAD supports, the _RIP_HEAD
+    of largest bound are eigen-solved, then only the others whose bound can still
+    reach their max: the rest can neither pass nor tie it.
     """
-    deltas = _support_deltas(A.data.T @ A.data, supports, A.structure.alpha)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned of
+        gram = A.data.T @ A.data
+    if not np.isfinite(gram).all():
+        raise ValueError("the Gram matrix A^T A is not finite: its entries overflow")
+    alpha = A.structure.alpha
+    if len(supports) <= _RIP_HEAD:
+        deltas = _support_deltas(gram, supports, alpha)
+    else:
+        bounds = _support_bounds(gram, supports, alpha)
+        deltas = np.full(len(supports), -np.inf)
+        head = np.argpartition(bounds, -_RIP_HEAD)[-_RIP_HEAD:]
+        deltas[head] = _support_deltas(gram, supports[head], alpha)
+        # eigvalsh errs by a small multiple of d^2 eps ||G_T||, d = t alpha and
+        # ||G_T|| <= 1 + bound, which covers the bound's own rounding too; a NaN
+        # bound is never skipped
+        slack = 16 * (t * alpha) ** 2 * np.finfo(float).eps * (1.0 + bounds)
+        rest = np.flatnonzero(~(bounds + slack < deltas.max()) & np.isneginf(deltas))
+        deltas[rest] = _support_deltas(gram, supports[rest], alpha)
     k = int(np.argmax(deltas))
-    worst = tuple(int(i) for i in supports[k])
+    worst = tuple(supports[k].tolist())
     return RipReport(t, float(deltas[k]), mode, worst, len(supports))
 
 
@@ -195,3 +239,13 @@ def rip_constant(A: BlockDict, t: int, seed: int) -> RipReport:
     if math.comb(A.structure.K, t) <= DEFAULT_ENUMERATION_CAP:
         return rip_constant_exact(A, t)
     return rip_lower_bound_sampled(A, t, n_samples=200, seed=seed)
+
+
+def _top_bound_delta(A: BlockDict, t: int, seed: int) -> float:
+    """delta_T, as `rip_constant(A, t, seed)` computes it, of its support of largest bound."""
+    K, alpha = A.structure.K, A.structure.alpha
+    n = math.comb(K, t)  # the sampler returns every support, in order, when n = C(K, t)
+    supports = _sample_supports(K, t, n if n <= DEFAULT_ENUMERATION_CAP else 200, seed)
+    gram = A.data.T @ A.data
+    top = supports[[np.argmax(_support_bounds(gram, supports, alpha))]]
+    return float(_support_deltas(gram, top, alpha)[0])

@@ -141,6 +141,14 @@ class TestRip:
         assert rc == 2
         assert "past the declared 2 rows" in capsys.readouterr().err
 
+    def test_overflowing_gram_exit_code(self, workdir, capsys):
+        # filterwarnings = error would turn an overflow warning into exit 1
+        write_matrix_text(workdir / "O.txt", np.full((8, 8), 1e200))
+        rc = run_cli(["rip", workdir / "O.txt", "--alpha", 2, "--level", 2])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "not finite" in err and "Warning" not in err
+
     def test_zero_alpha_exit_code(self, workdir, capsys):
         gen_files(workdir)
         rc = run_cli(["rip", workdir / "A.txt", "--alpha", 0, "--level", 2])

@@ -16,7 +16,7 @@ from blockdict import (
 )
 
 from blockdict import rip
-from blockdict.rip import _enumerate_supports, _sample_supports
+from blockdict.rip import _enumerate_supports, _sample_supports, _support_bounds
 
 from conftest import ge_rank, make_rip_instance, rip_brute_force
 
@@ -225,6 +225,128 @@ class TestSupportLayer:
         oracle_delta, oracle_worst = rip_brute_force(A, level)
         assert report.delta == pytest.approx(oracle_delta, abs=1e-12)
         assert report.worst_support == oracle_worst
+
+
+def all_supports_report(A, supports):
+    """Reference: delta_T of every support, then the first maximizer."""
+    deltas = rip._support_deltas(A.data.T @ A.data, supports, A.structure.alpha)
+    k = int(np.argmax(deltas))
+    return float(deltas[k]), tuple(int(i) for i in supports[k])
+
+
+def pruned_report(A, t, supports):
+    report = rip._rip_report(A, t, supports, rip.MODE_EXACT)
+    return report.delta, report.worst_support
+
+
+class TestPrunedReport:
+    """Bound-then-solve reports are the all-supports reports, bit for bit."""
+
+    @pytest.mark.parametrize("mode", ["per-block-orthonormal", "gaussian"])
+    @pytest.mark.parametrize("K,P", [(12, 48), (6, 16)])
+    def test_seeded_dictionaries(self, K, P, mode):
+        st = BlockStructure(K=K, alpha=2, s=2)
+        supports = _enumerate_supports(K, 4, math.comb(K, 4))
+        for seed in range(100):
+            A = gen_dictionary(P, st, seed=seed, mode=mode)
+            assert pruned_report(A, 4, supports) == all_supports_report(A, supports), seed
+
+    @pytest.mark.parametrize("level", [2, 4])
+    def test_ties_from_a_duplicated_and_a_zero_block(self, level):
+        # supports holding blocks 2 and 5, or block 9, all have delta about 1
+        A = gen_dictionary(48, BlockStructure(K=12, alpha=2, s=2), seed=4)
+        A = A.with_block(5, A.block(2)).with_block(9, np.zeros((48, 2)))
+        supports = _enumerate_supports(12, level, 10**6)
+        assert pruned_report(A, level, supports) == all_supports_report(A, supports)
+        assert rip_constant_exact(A, level).delta >= 1.0
+        for seed in range(5):
+            drawn = _sample_supports(12, level, 40, seed)
+            report = rip_lower_bound_sampled(A, level, 40, seed)
+            assert (report.delta, report.worst_support) == all_supports_report(A, drawn)
+
+    @pytest.mark.parametrize("mode", ["per-block-orthonormal", "gaussian"])
+    @pytest.mark.parametrize("K,alpha,P,t", [
+        (8, 3, 30, 3),  # Frobenius block norms
+        (20, 2, 16, 1),  # one block per support, past the head
+        (24, 1, 12, 2),
+        (6, 2, 16, 6),  # t = K: a single support
+    ])
+    def test_block_widths_and_levels(self, K, alpha, P, t, mode):
+        st = BlockStructure(K=K, alpha=alpha, s=1)
+        supports = _enumerate_supports(K, t, 10**6)
+        for seed in range(20):
+            A = gen_dictionary(P, st, seed=seed, mode=mode)
+            assert pruned_report(A, t, supports) == all_supports_report(A, supports), seed
+
+    @pytest.mark.parametrize("seed", [13, 15, 39])
+    def test_a_bound_rounded_below_its_delta_is_still_solved(self, seed):
+        # 40 copies of one block: every delta_T ties, and at these seeds the computed
+        # bound is an ulp below the computed delta, so only the margin keeps (1,)
+        block = np.random.default_rng(seed).standard_normal((6, 2))
+        A = BlockDict(BlockStructure(K=40, alpha=2, s=1), np.tile(block, 40))
+        supports = _enumerate_supports(40, 1, 10**6)
+        assert pruned_report(A, 1, supports) == all_supports_report(A, supports)
+        assert pruned_report(A, 1, supports)[1] == (1,)
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_bounds_that_overflow_are_never_skipped(self, alpha):
+        # the Gram is finite, but the bound's power steps overflow to inf / inf = NaN
+        st = BlockStructure(K=24 // alpha, alpha=alpha, s=1)
+        supports = _enumerate_supports(st.K, 2, 10**6)
+        for seed in range(3):
+            A = BlockDict(st, np.random.default_rng(seed).standard_normal((8, 24)) * 1e150)
+            assert np.isnan(_support_bounds(A.data.T @ A.data, supports, alpha)).any()
+            assert pruned_report(A, 2, supports) == all_supports_report(A, supports)
+
+    def test_sampled_mode(self):
+        A = gen_dictionary(48, BlockStructure(K=12, alpha=2, s=2), seed=7)
+        for seed in range(20):
+            report = rip_lower_bound_sampled(A, 4, 200, seed)
+            expected = all_supports_report(A, _sample_supports(12, 4, 200, seed))
+            assert (report.delta, report.worst_support) == expected
+
+    def test_small_chunks_and_head(self, monkeypatch):
+        monkeypatch.setattr(rip, "_RIP_CHUNK", 3)
+        st = BlockStructure(K=12, alpha=2, s=2)
+        supports = _enumerate_supports(12, 4, 10**6)
+        for head in (1, 5, 16):
+            monkeypatch.setattr(rip, "_RIP_HEAD", head)
+            for seed in range(10):
+                A = gen_dictionary(48, st, seed=seed)
+                assert pruned_report(A, 4, supports) == all_supports_report(A, supports)
+
+    def test_most_supports_are_never_eigen_solved(self, monkeypatch):
+        solved = []
+        real = rip._support_deltas
+
+        def counted(gram, supports, alpha):
+            solved.append(len(supports))
+            return real(gram, supports, alpha)
+
+        monkeypatch.setattr(rip, "_support_deltas", counted)
+        A = gen_dictionary(48, BlockStructure(K=12, alpha=2, s=2), seed=1)
+        rip_constant_exact(A, 4)
+        assert solved[0] == rip._RIP_HEAD and sum(solved) < 495 // 2
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["per-block-orthonormal", "gaussian"])
+    def test_bounds_hold(self, alpha, mode):
+        st = BlockStructure(K=7, alpha=alpha, s=1)
+        for seed in range(10):
+            A = gen_dictionary(3 * alpha + 4, st, seed=seed, mode=mode)
+            gram = A.data.T @ A.data
+            for t in (1, 2, 4, 7):
+                supports = _enumerate_supports(7, t, 10**6)
+                deltas = rip._support_deltas(gram, supports, alpha)
+                assert np.all(_support_bounds(gram, supports, alpha) >= deltas - 1e-12)
+
+    def test_overflowing_gram_is_refused(self):
+        # filterwarnings = error: an overflow warning would fail this test too
+        A = BlockDict(BlockStructure(K=4, alpha=2, s=2), np.full((8, 8), 1e200))
+        with pytest.raises(ValueError, match="not finite"):
+            rip_constant_exact(A, 2)
+        with pytest.raises(ValueError, match="not finite"):
+            rip_lower_bound_sampled(A, 2, 3, seed=0)
 
 
 def test_report_json_shape():
