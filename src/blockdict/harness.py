@@ -33,7 +33,6 @@ from .equivalence import (
     recover_equivalence,
 )
 from .rip import DEFAULT_ENUMERATION_CAP, RipReport, _enumerate_supports, rip_constant
-from .rip import _top_bound_delta
 # not called here: bench/tracing.py rebinds these names in this module
 from .rip import rip_constant_exact, rip_lower_bound_sampled  # noqa: F401
 
@@ -162,18 +161,14 @@ def gen_rip_dictionary(
 
     Each draw is per-block-orthonormal, so every block Gram is the
     identity. The constant is `rip_constant` at level min(2s, K), sampled
-    (above the cap) from the draw's seed, once its one support of largest
-    bound has delta_T < 1. Returns (dictionary, its RipReport, the winning
-    seed's offset from seed); raises ValueError after
-    MAX_GENERATION_RETRIES + 1 draws.
+    (above the cap) from the draw's seed. Returns (dictionary, its
+    RipReport, the winning seed's offset from seed); raises ValueError
+    after MAX_GENERATION_RETRIES + 1 draws.
     """
     _check_ambient(ambient_dim, structure)
-    level = min(2 * structure.s, structure.K)
     for retry in range(MAX_GENERATION_RETRIES + 1):
         A = gen_dictionary(ambient_dim, structure, seed=seed + retry)
-        if _top_bound_delta(A, level, seed + retry) >= 1.0:
-            continue  # rip_constant's delta is at least this one, bit for bit
-        report = rip_constant(A, level, seed + retry)
+        report = rip_constant(A, min(2 * structure.s, structure.K), seed + retry)
         if report.delta < 1.0:
             return A, report, retry
     raise ValueError(

@@ -28,7 +28,7 @@ from .errors import CapacityError
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
-# supports per batched eigvalsh call, so memory stays bounded up to the cap
+# supports per batched eigvalsh call or bound step, so memory stays bounded up to the cap
 _RIP_CHUNK = 4096
 # past this many supports, this many are eigen-solved before bounds prune the rest
 _RIP_HEAD = 16
@@ -75,7 +75,7 @@ def _sample_supports(K: int, t: int, n: int, seed: int) -> np.ndarray:
 
 def _support_columns(supports: np.ndarray, alpha: int) -> np.ndarray:
     """Dictionary column indices of the blocks of each support, one row each."""
-    cols = supports[:, :, None] * alpha - np.arange(alpha, 0, -1)
+    cols = (supports - 1)[:, :, None] * alpha + np.arange(alpha)
     return cols.reshape(len(supports), -1)
 
 
@@ -121,12 +121,24 @@ def _support_bounds(gram: np.ndarray, supports: np.ndarray, alpha: int) -> np.nd
         N = (np.hypot(a + d, c - b) + np.hypot(a - d, b + c)) / 2
     else:
         N = np.sqrt((E * E).sum(axis=(1, 3)))
-    member = np.zeros((len(supports), K))
-    member[np.arange(len(supports))[:, None], supports - 1] = 1.0
-    x = np.ones(member.shape)  # positive; its entries off T are never read
-    for _ in range(3):
-        x += (x * member) @ N  # (N_T + I) x on T
-    return ((x * member) @ N / x * member).max(axis=1)
+    bounds = np.empty(len(supports))
+    for start in range(0, len(supports), _RIP_CHUNK):
+        s = supports[start : start + _RIP_CHUNK].T - 1
+        NT = N.take(s[:, None] * K + s)  # NT[i, j, m] = N[T_m(i), T_m(j)]
+        x = np.ones(s.shape)
+        for _ in range(3):
+            x += (NT * x).sum(axis=1)
+        bounds[start : start + s.shape[1]] = ((NT * x).sum(axis=1) / x).max(axis=0)
+    return bounds
+
+
+def _gram(M: np.ndarray) -> np.ndarray:
+    """M^T M; raises ValueError when its entries overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned of
+        gram = M.T @ M
+    if not np.isfinite(gram).all():
+        raise ValueError("the Gram matrix A^T A is not finite: its entries overflow")
+    return gram
 
 
 def _support_deltas(gram: np.ndarray, supports: np.ndarray, alpha: int) -> np.ndarray:
@@ -146,11 +158,7 @@ def _rip_report(A: BlockDict, t: int, supports: np.ndarray, mode: str) -> RipRep
     of largest bound are eigen-solved, then only the others whose bound can still
     reach their max: the rest can neither pass nor tie it.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned of
-        gram = A.data.T @ A.data
-    if not np.isfinite(gram).all():
-        raise ValueError("the Gram matrix A^T A is not finite: its entries overflow")
-    alpha = A.structure.alpha
+    gram, alpha = _gram(A.data), A.structure.alpha
     if len(supports) <= _RIP_HEAD:
         deltas = _support_deltas(gram, supports, alpha)
     else:
@@ -164,7 +172,7 @@ def _rip_report(A: BlockDict, t: int, supports: np.ndarray, mode: str) -> RipRep
         slack = 16 * (t * alpha) ** 2 * np.finfo(float).eps * (1.0 + bounds)
         rest = np.flatnonzero(~(bounds + slack < deltas.max()) & np.isneginf(deltas))
         deltas[rest] = _support_deltas(gram, supports[rest], alpha)
-    k = int(np.argmax(deltas))
+    k = int(deltas.argmax())
     worst = tuple(supports[k].tolist())
     return RipReport(t, float(deltas[k]), mode, worst, len(supports))
 
@@ -188,7 +196,7 @@ def rip_constant_for_support(A: BlockDict, T) -> float:
     cols = A.restrict(sup)
     # in the Gram of its own columns, the support is blocks 1..len(sup)
     own = np.arange(1, len(sup) + 1)[None]
-    return float(_support_deltas(cols.T @ cols, own, A.structure.alpha)[0])
+    return float(_support_deltas(_gram(cols), own, A.structure.alpha)[0])
 
 
 def rip_constant_exact(A: BlockDict, t: int) -> RipReport:
@@ -239,13 +247,3 @@ def rip_constant(A: BlockDict, t: int, seed: int) -> RipReport:
     if math.comb(A.structure.K, t) <= DEFAULT_ENUMERATION_CAP:
         return rip_constant_exact(A, t)
     return rip_lower_bound_sampled(A, t, n_samples=200, seed=seed)
-
-
-def _top_bound_delta(A: BlockDict, t: int, seed: int) -> float:
-    """delta_T, as `rip_constant(A, t, seed)` computes it, of its support of largest bound."""
-    K, alpha = A.structure.K, A.structure.alpha
-    n = math.comb(K, t)  # the sampler returns every support, in order, when n = C(K, t)
-    supports = _sample_supports(K, t, n if n <= DEFAULT_ENUMERATION_CAP else 200, seed)
-    gram = A.data.T @ A.data
-    top = supports[[np.argmax(_support_bounds(gram, supports, alpha))]]
-    return float(_support_deltas(gram, top, alpha)[0])

@@ -21,7 +21,6 @@ from blockdict import (
     gen_rip_dictionary,
     exhaustive_code,
     learn_dictionary,
-    rip_constant,
     rip_lower_bound_sampled,
     run_experiment,
     trace_to_csv,
@@ -137,28 +136,6 @@ class TestGenRipDictionary:
         assert report.level == 8 and report.supports_examined == 200
         assert report.delta < 1.0
         assert report == rip_lower_bound_sampled(A, 8, 200, seed=3 + retries)
-
-    @pytest.mark.parametrize("P,K,alpha,s,seeds", [
-        # the dictionary seeds of criterion 7's experiments 0-49
-        (16, 6, 2, 2, [int(harness._substream(e, harness._STREAM_DICT).integers(2**63))
-                       for e in range(50)]),
-        # above the enumeration cap: the shape of test_samples_above_the_enumeration_cap,
-        # and a narrower one where draws are rejected
-        (64, 30, 1, 4, [3]),
-        (48, 30, 1, 4, range(3, 13)),
-    ])
-    def test_matches_a_full_report_per_draw(self, P, K, alpha, s, seeds):
-        st = BlockStructure(K=K, alpha=alpha, s=s)
-        level = min(2 * s, K)
-        for seed in seeds:
-            for retry in range(harness.MAX_GENERATION_RETRIES + 1):
-                B = gen_dictionary(P, st, seed=seed + retry)
-                expected = rip_constant(B, level, seed + retry)
-                if expected.delta < 1.0:
-                    break
-            A, report, retries = gen_rip_dictionary(P, st, seed)
-            assert (report, retries) == (expected, retry), seed
-            assert A.data.tobytes() == B.data.tobytes()
 
     def test_refuses_ambient_below_the_level_floor(self):
         with pytest.raises(ValueError, match=r"min\(2s, K\)\*alpha = 8"):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -347,6 +348,19 @@ class TestPrunedReport:
             rip_constant_exact(A, 2)
         with pytest.raises(ValueError, match="not finite"):
             rip_lower_bound_sampled(A, 2, 3, seed=0)
+        with pytest.raises(ValueError, match="not finite"):
+            rip_constant_for_support(A, (1, 2))
+
+    def test_memory_stays_bounded(self):
+        # 44,850 supports of 300 blocks: bounded per support, in chunks, not per block
+        A = gen_dictionary(20, BlockStructure(K=300, alpha=1, s=1), seed=1)
+        tracemalloc.start()
+        try:
+            rip_constant_exact(A, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
 
 def test_report_json_shape():
