@@ -258,7 +258,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for name in ("tol", "span_tol"):
+        for name in ("tol", "span_tol", "seed"):  # checked before any file is read or written
             if not getattr(args, name, 0.0) >= 0:
                 raise ValueError(f"--{name.replace('_', '-')} must be nonnegative, "
                                  f"got {getattr(args, name)}")

@@ -3,14 +3,15 @@
 Both methods reject non-finite measurements, report the residual as
 ||y - A x||_2 relative to ||y||_2 (absolute when y = 0) and break ties
 toward the lowest block indices. The exhaustive oracle and the learner share
-one projection kernel, `_min_residual_codes`, which holds the minimum-residual
-rule: it ranks supports by energy and re-checks only what that cannot settle.
+one kernel: `_factor` once per (dictionary, s), then `_min_residual_codes`, the
+minimum-residual rule, which re-checks only what an energy ranking cannot settle.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ METHOD_EXHAUSTIVE = "exhaustive-oracle"
 
 # supports x columns residual entries per chunk of the minimum-residual coder
 _CODE_CHUNK = 2**16
+_Factor = namedtuple("_Factor", "A rows Q short")  # what `_factor` returns
 
 
 @dataclass(frozen=True)
@@ -126,18 +128,33 @@ def block_omp(
     return CodingResult(code, _relative(abs_res, y_norm), METHOD_OMP)
 
 
-def _support_residuals(A: BlockDict, rows, Y, ks, block, ysq=None) -> np.ndarray:
+def _qr(A: BlockDict, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked Q of the supports with column table rows, and which of them are rank-short."""
+    Q, T = np.linalg.qr(A.data.T[rows].transpose(0, 2, 1))
+    diag = np.sort(np.abs(np.diagonal(T, axis1=1, axis2=2)))[:, ::-1]
+    return Q, _numerical_rank(diag, DEFAULT_RANK_TOL) < rows.shape[1]
+
+
+def _factor(A: BlockDict, s: int) -> _Factor:
+    """Factor step: the column table of A's size-s supports and, while they fit _CODE_CHUNK
+    entries, their stacked Q and rank-short flags (else None). CapacityError past the cap."""
+    rows = _support_columns(_enumerate_supports(A.structure.K, s, DEFAULT_ENUMERATION_CAP),
+                            A.structure.alpha)
+    fits = rows.size * A.ambient_dim <= _CODE_CHUNK
+    return _Factor(A, rows, *(_qr(A, rows) if fits else (None, None)))
+
+
+def _support_residuals(F: _Factor, Y, ks, block, ysq=None) -> np.ndarray:
     """Residuals ||y - Q Q^T y|| of supports ks on Y, from stacked QR (lstsq where rank-short),
     inf elsewhere; squared, as energies ||y||^2 - ||Q^T y||^2, given ysq = ||y||^2."""
-    R = np.full((len(rows), Y.shape[1]), np.inf)
+    R = np.full((len(F.rows), Y.shape[1]), np.inf)
     for b in range(0, len(ks), block):
         kb = ks[b : b + block]
-        Q, T = np.linalg.qr(A.data.T[rows[kb]].transpose(0, 2, 1))
+        Q, short = _qr(F.A, F.rows[kb]) if F.Q is None else (F.Q[kb], F.short[kb])
         Z = Q.transpose(0, 2, 1) @ Y
         R[kb] = np.linalg.norm(Y - Q @ Z, axis=1) if ysq is None else ysq - np.square(Z).sum(axis=1)
-        diag = np.sort(np.abs(np.diagonal(T, axis1=1, axis2=2)))[:, ::-1]
-        for k in kb[_numerical_rank(diag, DEFAULT_RANK_TOL) < rows.shape[1]]:
-            cols = A.data[:, rows[k]]
+        for k in kb[short]:
+            cols = F.A.data[:, F.rows[k]]
             sol, ssq, _, _ = np.linalg.lstsq(cols, Y, rcond=None)
             # lstsq reports residual sums of squares only at full column rank
             R[k] = np.sqrt(ssq) if ssq.size else np.linalg.norm(Y - cols @ sol, axis=0)
@@ -145,14 +162,12 @@ def _support_residuals(A: BlockDict, rows, Y, ks, block, ysq=None) -> np.ndarray
     return R
 
 
-def _min_residual_codes(
-    A: BlockDict, Y: np.ndarray, s: int, tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Minimum-residual s-block code of every column y of the P x N matrix Y.
+def _min_residual_codes(F: _Factor, Y: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
+    """Minimum-residual s-block code of every column y of the P x N matrix Y, from F.
 
-    The one rule behind `exhaustive_code` and the learner: the projection
-    residual on every size-s support, the smallest wins, and supports within
-    tol*||y|| of it count as tied, going to the lexicographically first.
+    The code step, and the one rule behind `exhaustive_code` and the learner: the
+    projection residual on every size-s support, the smallest wins, and supports
+    within tol*||y|| of it count as tied, going to the lexicographically first.
     Supports are ranked by energy (`_support_residuals`), which misses the
     squared residual by under margin = 2 (sqrt(s*alpha) + 2)(P + s*alpha) eps
     ||y||^2 (twice a first-order rounding bound; Higham, ch. 3). Candidates,
@@ -161,35 +176,31 @@ def _min_residual_codes(
     candidates' exact residuals, and only winners are solved. Column chunks of
     about _CODE_CHUNK residuals and support blocks of about _CODE_CHUNK factor
     and projection entries bound memory. Returns (codes, residual norms, ties).
-
-    Raises CapacityError when C(K, s) exceeds DEFAULT_ENUMERATION_CAP.
     """
-    supports = _enumerate_supports(A.structure.K, s, DEFAULT_ENUMERATION_CAP)
-    rows = _support_columns(supports, A.structure.alpha)
-    (P, N), width, fp = Y.shape, rows.shape[1], np.finfo(float)
-    X = np.zeros((A.structure.total_dim, N))
+    (P, N), width, fp = Y.shape, F.rows.shape[1], np.finfo(float)
+    X = np.zeros((F.A.structure.total_dim, N))
     res, tied = np.empty(N), np.zeros(N, dtype=bool)
     ysq = np.square(Y).sum(axis=0)
     window, margin = tol * np.sqrt(ysq), 2 * (math.sqrt(width) + 2) * (P + width) * fp.eps * ysq
     margin[margin < fp.tiny] = np.inf  # an underflowing margin bounds nothing
-    step = max(1, _CODE_CHUNK // len(supports))
+    step = max(1, _CODE_CHUNK // len(F.rows))
     block = max(1, _CODE_CHUNK // (P * (width + min(step, N))))
     for c in (slice(start, start + step) for start in range(0, N, step)):
-        E = _support_residuals(A, rows, Y[:, c], np.arange(len(rows)), block, ysq[c])
+        E = _support_residuals(F, Y[:, c], np.arange(len(F.rows)), block, ysq[c])
         bound = (np.sqrt(np.abs(E.min(axis=0) + margin[c])) + window[c]) ** 2 + margin[c]
         cand = ~(E > bound)  # NaN energies and bounds make candidates
         winner = cand.argmax(axis=0)
         if (again := np.flatnonzero(cand.sum(axis=0) > 1)).size:
             ks = np.flatnonzero(cand[:, again].any(axis=1))
-            R = _support_residuals(A, rows, Y[:, c.start + again], ks, block)
+            R = _support_residuals(F, Y[:, c.start + again], ks, block)
             # first support (lexicographic order) within each column's tie window
             near = R <= R.min(axis=0) + window[c.start + again]
             winner[again], tied[c.start + again] = near.argmax(axis=0), near.sum(axis=0) > 1
         for k in np.flatnonzero(np.bincount(winner)):
             on = c.start + np.nonzero(winner == k)[0]
-            cols = A.data[:, rows[k]]
+            cols = F.A.data[:, F.rows[k]]
             sol = np.linalg.lstsq(cols, Y[:, on], rcond=None)[0]
-            X[rows[k][:, None], on] = sol
+            X[F.rows[k][:, None], on] = sol
             res[on] = np.linalg.norm(Y[:, on] - cols @ sol, axis=0)
     return X, res, tied
 
@@ -209,7 +220,12 @@ def exhaustive_code(
         When C(K, s) exceeds DEFAULT_ENUMERATION_CAP.
     """
     y, s = _check_measurement(A, y, s, tol)
-    X, res, tied = _min_residual_codes(A, y[:, None], s, tol)
-    code = BlockSparseVec(A.structure, X[:, 0])
+    return _exhaustive(_factor(A, s), y, tol)
+
+
+def _exhaustive(F: _Factor, y: np.ndarray, tol: float) -> CodingResult:
+    """`exhaustive_code` of a validated measurement y against the factor F."""
+    X, res, tied = _min_residual_codes(F, y[:, None], tol)
+    code = BlockSparseVec(F.A.structure, X[:, 0])
     y_norm = float(np.linalg.norm(y))
     return CodingResult(code, _relative(float(res[0]), y_norm), METHOD_EXHAUSTIVE, bool(tied[0]))

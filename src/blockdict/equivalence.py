@@ -16,13 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import DEFAULT_CODING_TOL, _relative, exhaustive_code
+from .coding import DEFAULT_CODING_TOL, _check_measurement, _exhaustive, _factor, _relative
 from .core import (
     BlockDict, BlockStructure, Support, _check_s, _check_tols, _numerical_rank, as_support,
 )
 from .errors import HypothesisViolationError, RankError
 from .rip import RipReport, _sample_supports, rip_constant
 # not called here: bench/tracing.py rebinds these names in this module
+from .coding import exhaustive_code  # noqa: F401
 from .rip import rip_constant_exact, rip_lower_bound_sampled  # noqa: F401
 from .subspace import DEFAULT_RANK_TOL, orthonormal_basis, spans_equal
 
@@ -317,6 +318,11 @@ def construct_kappa(
     sup = as_support(S, A.structure.K)
     if not sup:
         raise ValueError("support must be nonempty")
+    return _probe_kappa(A, _factor(B, len(sup)), sup, n_probes, seed, tol)
+
+
+def _probe_kappa(A: BlockDict, F, sup: Support, n_probes: int, seed, tol: float) -> KappaResult:
+    """`construct_kappa` on a nonempty support, each probe coded against F, B's factor at |sup|."""
     if n_probes < 1:
         raise ValueError(f"n_probes must be >= 1, got {n_probes}")
     rng = np.random.default_rng([int(seed), *sup])
@@ -325,8 +331,8 @@ def construct_kappa(
         t = np.zeros(A.structure.total_dim)
         for i in sup:
             t[A.structure.block_slice(i)] = rng.standard_normal(A.structure.alpha)
-        y = A.data @ t
-        result = exhaustive_code(B, y, s=len(sup), tol=min(tol, DEFAULT_CODING_TOL))
+        y, _ = _check_measurement(F.A, A.data @ t, len(sup), tol)
+        result = _exhaustive(F, y, min(tol, DEFAULT_CODING_TOL))
         if result.residual_norm > tol:
             raise HypothesisViolationError(
                 f"probe {p} on support {sup} has no {len(sup)}-block-sparse code in B "
@@ -404,12 +410,13 @@ def verify_theorem_instance(
 
     def probe(sup) -> dict:
         try:
-            res = construct_kappa(A, B, sup, n_probes=n_probes, seed=seed)
+            res = _probe_kappa(A, factors[len(sup)], sup, n_probes, seed, DEFAULT_PROBE_TOL)
         except HypothesisViolationError as exc:
             return {"support": list(sup), "error": str(exc)}
         return {"support": list(sup), "kappa": list(res.kappa), "consistent": res.consistent}
 
     family = sorted(map(tuple, _sample_supports(K, s, MAX_HYPOTHESIS_SUPPORTS, seed).tolist()))
+    factors = {k: _factor(B, k) for k in {s, 1}}  # every probe codes against one of these
     hypothesis = [probe(sup) for sup in family]
     holds = all(entry.get("consistent", False) for entry in hypothesis)
     certificate = recover_equivalence(A, B, tol)

@@ -23,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .coding import _CODE_CHUNK, DEFAULT_CODING_TOL, _min_residual_codes, block_omp
+from .coding import _CODE_CHUNK, DEFAULT_CODING_TOL, _factor, _min_residual_codes, block_omp
 from .core import BlockDict, BlockStructure
 from .errors import RankError
 from .equivalence import (
@@ -248,7 +248,7 @@ def _code_all(B: BlockDict, Y: np.ndarray):
     """
     s, tol = B.structure.s, DEFAULT_CODING_TOL
     if math.comb(B.structure.K, s) <= DEFAULT_ENUMERATION_CAP:
-        return _min_residual_codes(B, Y, s, tol)[:2]
+        return _min_residual_codes(_factor(B, s), Y, tol)[:2]
     X = np.zeros((B.structure.total_dim, Y.shape[1]))
     res = np.linalg.norm(Y, axis=0)
     for c in range(Y.shape[1]):

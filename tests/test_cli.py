@@ -464,6 +464,20 @@ def test_unread_flag_exit_code(command, flag):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "command, extra, out",
+    [("gen", [], "--out-dict"), ("rip", ["--mode", "exact"], "--out"),
+     ("rip", ["--mode", "sampled"], "--out"), ("kappa", [], "--out"), ("verify", [], "--out")],
+)
+def test_negative_seed_exit_code(command, extra, out, tmp_path, capsys):
+    # refused with the other flag checks, before any file is read or written
+    argv = [command, *BASE_ARGS[command], *extra, out, str(tmp_path / "out.txt")]
+    assert build_parser().parse_args([*argv, "--seed", "0"]).seed == 0
+    assert main([*argv, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --seed must be nonnegative, got -1\n"
+    assert not (tmp_path / "out.txt").exists()
+
+
 def test_readme_cli_examples_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]

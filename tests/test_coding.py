@@ -17,10 +17,15 @@ from blockdict import (
 )
 
 from blockdict import coding
-from blockdict.coding import _min_residual_codes
-from blockdict.rip import _enumerate_supports, _support_columns
+from blockdict.coding import _factor, _min_residual_codes
+from blockdict.rip import _enumerate_supports
 
 from conftest import RANK_DEFICIENT_SVALS, make_rip_instance, projector, rank_deficient_dict
+
+
+def min_residual_codes(A, Y, s, tol):
+    """The kernel as `exhaustive_code` runs it: factor A at s, then code Y."""
+    return _min_residual_codes(_factor(A, s), Y, tol)
 
 
 class TestBlockOmp:
@@ -202,7 +207,7 @@ class TestBatchKernel:
         Y = Y + 1e-2 * rng.standard_normal(Y.shape)
         Y[:, 4] = 0.0
         monkeypatch.setattr(coding, "_CODE_CHUNK", chunk)
-        X, res, _ = _min_residual_codes(A, Y, st.s, 1e-10)
+        X, res, _ = min_residual_codes(A, Y, st.s, 1e-10)
         supports = list(combinations(range(1, 7), 2))
         for c in range(Y.shape[1]):
             one = exhaustive_code(A, Y[:, c], s=st.s, tol=1e-10)
@@ -247,11 +252,36 @@ class TestBatchKernel:
         Y = np.random.default_rng(1).standard_normal((40, 4))
         tracemalloc.start()
         try:
-            _min_residual_codes(A, Y, st.s, 1e-10)
+            min_residual_codes(A, Y, st.s, 1e-10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
+
+    def test_one_factor_codes_twice_within_the_bound(self):
+        # the factor keeps no stacked Q at this shape: each code step factors block by block
+        st = BlockStructure(K=20, alpha=2, s=5)
+        A = gen_dictionary(40, st, seed=1)
+        Y = np.random.default_rng(1).standard_normal((40, 4))
+        tracemalloc.start()
+        try:
+            F = _factor(A, st.s)
+            first = _min_residual_codes(F, Y, 1e-10)
+            second = _min_residual_codes(F, Y, 1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert F.Q is None and F.short is None
+        assert peak <= 16 * 2**20
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+    @pytest.mark.parametrize("K, s, kept", [(6, 2, True), (20, 5, False)])
+    def test_factor_keeps_q_while_it_fits(self, K, s, kept):
+        A = gen_dictionary(40, BlockStructure(K=K, alpha=2, s=s), seed=1)
+        F = _factor(A, s)
+        assert (F.Q is not None) == kept == (F.rows.size * 40 <= coding._CODE_CHUNK)
+        if kept:  # one Q and rank flag per support, in lexicographic order
+            assert F.Q.shape == (len(F.rows), 40, 2 * s) and not F.short.any()
 
 
 def lstsq_reference_codes(A, Y, s, tol):
@@ -295,7 +325,7 @@ class TestProjectionOracle:
 
     @staticmethod
     def assert_same_bytes(A, Y, s):
-        X, res, _ = _min_residual_codes(A, Y, s, 1e-10)
+        X, res, _ = min_residual_codes(A, Y, s, 1e-10)
         X_ref, res_ref = lstsq_reference_codes(A, Y, s, 1e-10)
         assert np.array_equal(X, X_ref)
         assert np.array_equal(res, res_ref)
@@ -338,10 +368,10 @@ def spy_rechecks(monkeypatch):
     calls = []
     support_residuals = coding._support_residuals
 
-    def spy(A, rows, Y, ks, block, ysq=None):
+    def spy(F, Y, ks, block, ysq=None):
         if ysq is None:
             calls.append((ks.copy(), Y.copy()))
-        return support_residuals(A, rows, Y, ks, block, ysq)
+        return support_residuals(F, Y, ks, block, ysq)
 
     monkeypatch.setattr(coding, "_support_residuals", spy)
     return calls
@@ -395,7 +425,7 @@ class TestEnergyRanking:
         window = reference_window(A, Y, s, ENERGY_TOL)
         for c in range(Y.shape[1]):
             calls.clear()
-            X, _, tied = _min_residual_codes(A, Y[:, [c]], s, ENERGY_TOL)
+            X, _, tied = min_residual_codes(A, Y[:, [c]], s, ENERGY_TOL)
             assert np.array_equal(X, lstsq_reference_codes(A, Y[:, [c]], s, ENERGY_TOL)[0])
             if calls:  # re-checked: its candidates are the supports re-checked
                 candidates = set(np.concatenate([ks for ks, _ in calls]).tolist())
@@ -433,13 +463,12 @@ class TestEnergyRanking:
         A = gen_dictionary(12, BlockStructure(K=4, alpha=2, s=2), seed=3)
         A = A.with_block(3, A.block(1) @ np.array([[2.0, 1.0], [0.5, 3.0]]))
         Y = coder_inputs(A, 60, 11)
-        supports = _enumerate_supports(4, 2, 6)
-        rows = _support_columns(supports, 2)
+        supports, F = _enumerate_supports(4, 2, 6), _factor(A, 2)
 
         def each_column(ysq=None):  # the kernel's residuals, one column at a time
             return np.column_stack([
                 coding._support_residuals(
-                    A, rows, Y[:, [c]], np.arange(6), 6, None if ysq is None else ysq[[c]]
+                    F, Y[:, [c]], np.arange(6), 6, None if ysq is None else ysq[[c]]
                 )[:, 0]
                 for c in range(Y.shape[1])
             ])
@@ -448,7 +477,7 @@ class TestEnergyRanking:
         assert (E.argmin(axis=0) != R.argmin(axis=0)).any()  # energies misorder twins
         winners = (R <= R.min(axis=0)).argmax(axis=0)
         for c in np.flatnonzero(Y.any(axis=0)):
-            X, _, _ = _min_residual_codes(A, Y[:, [c]], 2, 0.0)
+            X, _, _ = min_residual_codes(A, Y[:, [c]], 2, 0.0)
             blocks = np.flatnonzero(X[:, 0].reshape(4, 2).any(axis=1)) + 1
             assert np.array_equal(blocks, supports[winners[c]])
 
@@ -457,7 +486,7 @@ class TestEnergyRanking:
         Y = 1e-160 * coder_inputs(A, 6, 1)
         assert (np.square(Y).sum(axis=0) < np.finfo(float).tiny).all()  # ||y||^2 underflows
         calls = spy_rechecks(monkeypatch)
-        X, res, tied = _min_residual_codes(A, Y, 2, 1e-10)
+        X, res, tied = min_residual_codes(A, Y, 2, 1e-10)
         (ks, Yo), = calls
         assert np.array_equal(ks, np.arange(15)) and np.array_equal(Yo, Y)
         X_ref, res_ref = lstsq_reference_codes(A, Y, 2, 1e-10)
@@ -472,7 +501,7 @@ class TestExactPathCount:
         Y += 1e-3 * np.random.default_rng(used).standard_normal(Y.shape)
         Y[:, [7, 150]] = 0.0
         calls = spy_rechecks(monkeypatch)
-        _, _, tied = _min_residual_codes(A, Y, 2, 1e-10)
+        _, _, tied = min_residual_codes(A, Y, 2, 1e-10)
         (ks, Yo), = calls
         assert np.array_equal(ks, np.arange(15)) and not Yo.any() and Yo.shape[1] == 2
         assert np.flatnonzero(tied).tolist() == [7, 150]
@@ -483,7 +512,7 @@ class TestExactPathCount:
         Y = A.data @ gen_codes(A.structure, 300, seed=used + 1)
         Y += 1e-3 * np.random.default_rng(used).standard_normal(Y.shape)
         calls = spy_rechecks(monkeypatch)
-        X, _, tied = _min_residual_codes(A, Y, 2, 1e-10)
+        X, _, tied = min_residual_codes(A, Y, 2, 1e-10)
         on_block_1 = np.flatnonzero(X[A.structure.block_slice(1)].any(axis=0))
         assert not X[A.structure.block_slice(4)].any()  # ties go to the first support
         (_, Yo), = calls

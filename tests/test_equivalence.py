@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -9,10 +10,12 @@ from blockdict import (
     BlockPermutation,
     BlockStructure,
     HypothesisViolationError,
+    KappaResult,
     RankError,
     apply_transform,
     construct_kappa,
     equivalence,
+    exhaustive_code,
     gen_block_diagonal,
     gen_block_permutation,
     gen_dictionary,
@@ -278,9 +281,7 @@ class TestConstructKappa:
     @pytest.mark.parametrize("tol", [-1.0, float("nan")])
     def test_bad_tol_rejected_before_probing(self, monkeypatch, tol):
         A, B, _, _, _ = make_equivalent_pair(16, 5, 2, 2, seed=510)
-        calls = []
-        monkeypatch.setattr(equivalence, "exhaustive_code",
-                            lambda *a, **k: calls.append(a))
+        calls = spy_factor(monkeypatch)
         with pytest.raises(ValueError, match="tol must be nonnegative"):
             construct_kappa(A, B, (2, 4), n_probes=2, tol=tol)
         assert calls == []
@@ -349,9 +350,90 @@ class TestVerifyTheoremInstance:
     def test_bad_tol_rejected_before_probing(self, monkeypatch, tol):
         # tol=-1 used to report a holding hypothesis with a not-equivalent certificate
         A, B, _, _, _ = make_equivalent_pair(16, 5, 2, 2, seed=41)
-        calls = []
-        monkeypatch.setattr(equivalence, "construct_kappa",
-                            lambda *a, **k: calls.append(a))
+        calls = spy_factor(monkeypatch)
         with pytest.raises(ValueError, match="tol must be nonnegative"):
             verify_theorem_instance(A, B, s=2, tol=tol)
         assert calls == []
+
+
+def per_probe_kappa(A, F, sup, n_probes, seed, tol):
+    """`construct_kappa` with each probe coded by the public `exhaustive_code`, unfactored."""
+    B = F.A
+    rng = np.random.default_rng([seed, *sup])
+    found = []
+    for p in range(n_probes):
+        t = np.zeros(A.structure.total_dim)
+        for i in sup:
+            t[A.structure.block_slice(i)] = rng.standard_normal(A.structure.alpha)
+        res = exhaustive_code(B, A.data @ t, s=len(sup), tol=min(tol, 1e-10))
+        if res.residual_norm > tol:
+            raise HypothesisViolationError(
+                f"probe {p} on support {sup} has no {len(sup)}-block-sparse code in B "
+                f"(relative residual {res.residual_norm:.3e} > {tol:.1e})"
+            )
+        if res.tied:
+            raise HypothesisViolationError(f"probe {p} on support {sup} has tied codes in B")
+        found.append(res.code.support)
+    counts = Counter(found)
+    top = max(counts.values())
+    kappa = min(k for k, c in counts.items() if c == top)
+    return KappaResult(sup, kappa, len(counts) == 1, tuple(found))
+
+
+def spy_factor(monkeypatch):
+    """Record the sparsity of every factor `equivalence` builds."""
+    calls = []
+    factor = equivalence._factor
+    monkeypatch.setattr(equivalence, "_factor", lambda B, s: calls.append(s) or factor(B, s))
+    return calls
+
+
+def factored_fixture(name):
+    """(A, B) at P=16, K=6, alpha=2, s=2: a planted pair, one with a corrupted block of B,
+    or a planted pair whose B has a repeated or a zero block (rank-short supports)."""
+    A, B, perm, diag, _ = make_equivalent_pair(16, 6, 2, 2, seed=800)
+    rng = np.random.default_rng(801)
+    if name == "corrupted":
+        return A, B.with_block(3, np.linalg.qr(rng.standard_normal((16, 2)))[0])
+    if name != "planted":
+        B = B.with_block(4, B.block(1) if name == "repeated-block" else np.zeros((16, 2)))
+    return apply_transform(B, perm, diag), B
+
+
+FIXTURES = ("planted", "corrupted", "repeated-block", "zero-block")
+
+
+class TestFactoredProbes:
+    """Probes coded against one factor of B give the per-probe coder's report."""
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_report_matches_per_probe_coding(self, monkeypatch, name, s):
+        A, B = factored_fixture(name)
+        factors = spy_factor(monkeypatch)
+        report = verify_theorem_instance(A, B, s=s, n_probes=4, seed=3).to_dict()
+        assert sorted(factors) == sorted({s, 1})  # once per sparsity
+        monkeypatch.setattr(equivalence, "_probe_kappa", per_probe_kappa)
+        assert report == verify_theorem_instance(A, B, s=s, n_probes=4, seed=3).to_dict()
+        errors = [e["error"] for e in report["hypothesis"]["details"] if "error" in e]
+        if name == "planted":
+            assert report["hypothesis"]["holds"] and report["agreement"]["equal"] is True
+        elif name == "corrupted":
+            assert errors and all("has no" in e for e in errors)
+        else:  # rank-short supports and tied codes: the same text and probe index
+            assert errors and all("tied codes" in e for e in errors)
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    @pytest.mark.parametrize("sup", [(2,), (1, 4), (2, 5), (3, 6)])
+    def test_construct_kappa_factors_once(self, monkeypatch, name, sup):
+        A, B = factored_fixture(name)
+        factors = spy_factor(monkeypatch)
+        try:
+            expected = per_probe_kappa(A, equivalence._factor(B, len(sup)), sup, 5, 7, 1e-8)
+        except HypothesisViolationError as exc:
+            with pytest.raises(HypothesisViolationError) as got:
+                construct_kappa(A, B, sup, n_probes=5, seed=7)
+            assert str(got.value) == str(exc)
+        else:
+            assert construct_kappa(A, B, sup, n_probes=5, seed=7) == expected
+        assert factors == [len(sup), len(sup)]  # the reference's factor, then the call's
