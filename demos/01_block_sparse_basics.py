@@ -5,17 +5,12 @@ Block-sparse vectors and dictionaries
 The model: a length K*alpha vector split into K blocks of height alpha,
 with at most s blocks active. This script builds the running example
 [1, 2, 0, 0, 0, 0, 0, 3, 0, 0] (K=5, alpha=2), extracts its support,
-and shows indicator vectors and the beta > 1 column-splitting reduction.
+and shows an indicator vector.
 """
 
 import numpy as np
 
-from blockdict import (
-    BlockStructure,
-    block_support,
-    make_indicator,
-    split_columns,
-)
+from blockdict import BlockStructure, block_support, make_indicator
 
 structure = BlockStructure(K=5, alpha=2, s=2)
 
@@ -27,11 +22,3 @@ print("active blocks:", block_support(v, structure, tol=0.0))
 # indicator with a single 1 at entry j of block i
 e = make_indicator(structure, i=4, j=2)
 print("\nindicator (i=4, j=2):", e.values, "support:", e.support)
-
-# beta > 1 codes reduce to per-column processing
-wide = BlockStructure(K=2, alpha=2, s=1, beta=2)
-code = np.array([[1.0, 5.0], [2.0, 6.0], [0.0, 0.0], [0.0, 0.0]])
-cols = split_columns(code, wide)
-print("\nbeta=2 code splits into columns:")
-for c, col in enumerate(cols):
-    print(f"  column {c + 1}: {col}  support {block_support(col, wide, tol=0.0)}")

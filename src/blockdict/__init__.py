@@ -23,11 +23,9 @@ from .core import (
     as_support,
     block_support,
     make_indicator,
-    split_columns,
 )
 from .equivalence import (
     DEFAULT_CERTIFICATE_TOL,
-    DEFAULT_INVERTIBILITY_TOL,
     STATUS_AMBIGUOUS,
     STATUS_EQUIVALENT,
     STATUS_NOT_EQUIVALENT,
@@ -78,7 +76,6 @@ from .subspace import (
     check_lemma1,
     check_lemma2,
     orthonormal_basis,
-    principal_cosines,
     spans_equal,
     subspace_intersection,
 )

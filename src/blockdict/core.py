@@ -28,17 +28,15 @@ class BlockStructure:
     """Shape parameters of the block-sparse model.
 
     A code vector has K contiguous blocks of height alpha (flat length
-    K*alpha, or a K*alpha x beta matrix when beta > 1) of which at most
-    s blocks are nonzero.
+    K*alpha) of which at most s blocks are nonzero.
     """
 
     K: int
     alpha: int
     s: int
-    beta: int = 1
 
     def __post_init__(self):
-        for name in ("K", "alpha", "s", "beta"):
+        for name in ("K", "alpha", "s"):
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
@@ -46,8 +44,6 @@ class BlockStructure:
             raise ValueError(f"K must be >= 1, got {self.K}")
         if self.alpha < 1:
             raise ValueError(f"alpha must be >= 1, got {self.alpha}")
-        if self.beta < 1:
-            raise ValueError(f"beta must be >= 1, got {self.beta}")
         _check_s(self, self.s)
 
     @property
@@ -153,14 +149,6 @@ class BlockDict:
         data[:, self.structure.block_slice(i)] = block
         return BlockDict(self.structure, data)
 
-    def block_ranks(self, tol: float = DEFAULT_RANK_TOL) -> tuple[int, ...]:
-        """Numerical rank of each block (singular values > tol * largest)."""
-        _check_tols(tol=tol)
-        K, alpha = self.structure.K, self.structure.alpha
-        blocks = self.data.reshape(self.ambient_dim, K, alpha).transpose(1, 0, 2)
-        svals = np.linalg.svd(blocks, compute_uv=False)
-        return tuple(int(r) for r in _numerical_rank(svals, tol))
-
 
 @dataclass(frozen=True)
 class BlockSparseVec:
@@ -224,19 +212,3 @@ def block_support(v, structure: BlockStructure, tol: float = DEFAULT_SUPPORT_TOL
     per_block = np.abs(vals).reshape(structure.K, structure.alpha).max(axis=1)
     return tuple(int(i) + 1 for i in np.nonzero(per_block > tol)[0])
 
-
-def split_columns(code, structure: BlockStructure) -> list[np.ndarray]:
-    """Split a K*alpha x beta code matrix into its beta columns.
-
-    Reduces the beta > 1 model to beta independent flat vectors;
-    stacking the outputs column-wise reproduces the input.
-    """
-    arr = np.asarray(code, dtype=float)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    if arr.shape != (structure.total_dim, structure.beta):
-        raise ValueError(
-            f"code has shape {arr.shape}, expected "
-            f"{(structure.total_dim, structure.beta)}"
-        )
-    return [arr[:, c].copy() for c in range(structure.beta)]

@@ -28,7 +28,6 @@ from .rip import rip_constant_exact, rip_lower_bound_sampled  # noqa: F401
 from .subspace import DEFAULT_RANK_TOL, orthonormal_basis, spans_equal
 
 DEFAULT_CERTIFICATE_TOL = 1e-6
-DEFAULT_INVERTIBILITY_TOL = 1e-8
 DEFAULT_PROBE_TOL = 1e-8
 MAX_HYPOTHESIS_SUPPORTS = 128
 
@@ -49,10 +48,6 @@ class BlockPermutation:
         if len(pi) != self.K or sorted(pi) != list(range(1, self.K + 1)):
             raise ValueError(f"pi must be a permutation of 1..{self.K}, got {pi}")
         object.__setattr__(self, "pi", pi)
-
-    @classmethod
-    def identity(cls, K: int) -> BlockPermutation:
-        return cls(K, tuple(range(1, K + 1)))
 
     def __call__(self, i: int) -> int:
         if not 1 <= i <= self.K:
@@ -92,19 +87,10 @@ class BlockDiagonal:
             frozen.append(arr)
         object.__setattr__(self, "blocks", tuple(frozen))
 
-    def is_invertible(self, tol: float = DEFAULT_INVERTIBILITY_TOL) -> bool:
+    def is_invertible(self, tol: float = DEFAULT_RANK_TOL) -> bool:
         """All blocks have smallest singular value above tol times the largest."""
         svals = np.linalg.svd(np.stack(self.blocks), compute_uv=False)
         return bool(np.all(_numerical_rank(svals, tol) == self.structure.alpha))
-
-    def dense(self) -> np.ndarray:
-        """The full K*alpha x K*alpha block-diagonal matrix."""
-        n = self.structure.total_dim
-        out = np.zeros((n, n))
-        for i in range(self.structure.K):
-            sl = self.structure.block_slice(i + 1)
-            out[sl, sl] = self.blocks[i]
-        return out
 
 
 @dataclass(frozen=True)

@@ -62,8 +62,6 @@ class ExperimentConfig:
     certificate_tol: float = DEFAULT_CERTIFICATE_TOL
 
     def __post_init__(self):
-        if self.structure.beta != 1:  # every stage codes one column per sample
-            raise ValueError(f"structure: key 'beta' must be 1, got {self.structure.beta}")
         _check_ambient(self.ambient_dim, self.structure)
         for name, least in (("seed", 0), ("n_samples", 1), ("learner_iterations", 1)):
             if getattr(self, name) < least:
@@ -288,9 +286,9 @@ def _discover_block_spans(Y: np.ndarray, structure: BlockStructure, noise_level:
     """
     from .subspace import orthonormal_basis, spans_equal, subspace_intersection
 
-    P, N = Y.shape
+    P = Y.shape[0]
     dim = structure.s * structure.alpha
-    if N < dim + 2 or structure.s >= structure.K:
+    if structure.s >= structure.K:
         return []
     norms = np.linalg.norm(Y, axis=0)
     keep = norms > 0

@@ -55,11 +55,14 @@ def _sample_supports(K: int, t: int, n: int, seed: int) -> np.ndarray:
     sorted; repeats are skipped. Draws come in batches of the supports still
     missing times C(K, t) / (C(K, t) - found), the expected draws per new
     support; the result is the same as drawing one support at a time.
-    Every support, in lexicographic order, when n >= C(K, t).
+    Every support, in lexicographic order, when n >= C(K, t). Raises
+    CapacityError when min(n, C(K, t)) exceeds DEFAULT_ENUMERATION_CAP.
     """
     total = math.comb(K, t)
     if n >= total:
-        return _enumerate_supports(K, t, total)
+        return _enumerate_supports(K, t, DEFAULT_ENUMERATION_CAP)
+    if n > DEFAULT_ENUMERATION_CAP:
+        raise CapacityError(f"n = {n} supports exceeds the enumeration cap {DEFAULT_ENUMERATION_CAP}")
     rng = np.random.default_rng(seed)
     row = np.dtype((np.void, t * np.dtype(np.intp).itemsize))  # exact key per support
     kept = np.empty((0, t), dtype=np.intp)
@@ -232,7 +235,8 @@ def rip_lower_bound_sampled(
     Maximizes over the distinct supports that the shared sampler draws from
     `seed` (every support once n_samples >= C(K, t), making the bound
     tight), so the result never exceeds the exact constant. worst_support
-    is the first maximizer in draw order.
+    is the first maximizer in draw order. Raises CapacityError when
+    min(n_samples, C(K, t)) exceeds DEFAULT_ENUMERATION_CAP.
     """
     _check_level(A, t)
     if n_samples < 1:

@@ -85,12 +85,6 @@ def _two_bases(M1, M2, tol: float) -> tuple[SubspaceBasis, SubspaceBasis]:
     return Q1, Q2
 
 
-def principal_cosines(Q1: SubspaceBasis, Q2: SubspaceBasis) -> np.ndarray:
-    """Cosines of the principal angles between two subspaces, descending."""
-    Q1, Q2 = _two_bases(Q1, Q2, DEFAULT_RANK_TOL)
-    return _cosines(Q1.basis, Q2.basis)
-
-
 def spans_equal(M1, M2, tol: float = DEFAULT_RANK_TOL) -> bool:
     """Whether the column spans of M1 and M2 coincide.
 

@@ -244,7 +244,7 @@ class TestCriterion7:
 class TestCriterion8:
     def test_experiment_determinism(self, tmp_path):
         config = {
-            "structure": {"K": 4, "alpha": 2, "s": 2, "beta": 1},
+            "structure": {"K": 4, "alpha": 2, "s": 2},
             "ambient_dim": 20,
             "n_samples": 50,
             "seed": 11,

@@ -126,10 +126,13 @@ class TestRip:
                      "--mode", "sampled", "--samp", 5, "--se", 3])
         assert exc.value.code == 2
 
-    def test_capacity_exit_code(self, workdir):
+    def test_capacity_exit_code(self, workdir, capsys):
+        # C(40, 20) supports, enumerated or sampled, are over the enumeration cap
         write_matrix_text(workdir / "big.txt", np.eye(40))
-        rc = run_cli(["rip", workdir / "big.txt", "--alpha", 1, "--level", 20])
-        assert rc == 3
+        for mode in (["--mode", "exact"], ["--mode", "sampled", "--samples", 10**15]):
+            rc = run_cli(["rip", workdir / "big.txt", "--alpha", 1, "--level", 20, *mode])
+            assert rc == 3
+            assert "capacity error" in capsys.readouterr().err
 
     def test_bad_file_exit_code(self, workdir):
         rc = run_cli(["rip", workdir / "missing.txt", "--alpha", 2, "--level", 2])
@@ -260,7 +263,7 @@ class TestKappa:
 
 
 BASE_CONFIG = {
-    "structure": {"K": 4, "alpha": 2, "s": 2, "beta": 1},
+    "structure": {"K": 4, "alpha": 2, "s": 2},
     "ambient_dim": 20,
     "n_samples": 50,
     "seed": 3,
@@ -344,14 +347,14 @@ class TestLearnAndExperiment:
             ({**BASE_CONFIG, "certificate_tol": -1e-6},
              "certificate_tol must be finite and nonnegative"),
             ({**BASE_CONFIG, "coding_tol": -1e-10}, "unknown keys ['coding_tol']"),
-            ({**BASE_CONFIG, "structure": {**BASE_CONFIG["structure"], "beta": 3}},
-             "structure: key 'beta' must be 1, got 3"),
+            ({**BASE_CONFIG, "structure": {**BASE_CONFIG["structure"], "beta": 1}},
+             "structure: unknown keys ['beta']"),
         ],
         ids=["unknown-key", "dict-mode-key", "missing-structure", "list-top-level", "string-int",
              "string-float", "null-int", "float-K", "bool-alpha", "float-seed",
              "negative-seed", "zero-scale", "inf-scale", "nan-noise",
              "negative-rank-tol", "negative-certificate-tol", "negative-coding-tol",
-             "beta-3"],
+             "beta-key"],
     )
     def test_malformed_config_exit_code(self, workdir, capsys, command, payload, message):
         path = workdir / "bad.json"

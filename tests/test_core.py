@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from blockdict import (
     make_indicator,
     orthonormal_basis,
     solve_block_transform,
-    split_columns,
 )
 from blockdict import core, subspace
 from blockdict.core import _numerical_rank
@@ -31,7 +32,7 @@ def st52():
 
 class TestBlockStructure:
     def test_valid(self):
-        st = BlockStructure(K=4, alpha=3, s=2, beta=2)
+        st = BlockStructure(K=4, alpha=3, s=2)
         assert st.total_dim == 12
         assert st.block_slice(1) == slice(0, 3)
         assert st.block_slice(4) == slice(9, 12)
@@ -43,7 +44,7 @@ class TestBlockStructure:
             dict(K=3, alpha=0, s=1),
             dict(K=3, alpha=1, s=0),
             dict(K=3, alpha=1, s=4),
-            dict(K=3, alpha=1, s=1, beta=0),
+            dict(K=3, alpha=1.5, s=1),
         ],
     )
     def test_invalid(self, kwargs):
@@ -134,35 +135,6 @@ class TestBlockSupport:
         for i in sup:
             masked[st52.block_slice(i)] = v[st52.block_slice(i)]
         assert np.array_equal(masked, v)
-
-
-class TestSplitColumns:
-    def test_single_column_identity(self):
-        st = BlockStructure(K=2, alpha=2, s=1, beta=1)
-        code = np.array([[1.0], [2.0], [0.0], [0.0]])
-        out = split_columns(code, st)
-        assert len(out) == 1
-        assert np.array_equal(out[0], code[:, 0])
-
-    def test_two_columns(self):
-        st = BlockStructure(K=2, alpha=2, s=1, beta=2)
-        code = np.array([[1.0, 5.0], [2.0, 6.0], [0.0, 0.0], [0.0, 0.0]])
-        out = split_columns(code, st)
-        assert np.array_equal(out[0], [1, 2, 0, 0])
-        assert np.array_equal(out[1], [5, 6, 0, 0])
-
-    def test_shape_mismatch(self):
-        st = BlockStructure(K=2, alpha=2, s=1, beta=2)
-        with pytest.raises(ValueError):
-            split_columns(np.zeros((4, 3)), st)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_reassembly_round_trip(self, seed):
-        rng = np.random.default_rng(seed)
-        st = BlockStructure(K=3, alpha=2, s=2, beta=4)
-        code = rng.standard_normal((st.total_dim, st.beta))
-        out = split_columns(code, st)
-        assert np.array_equal(np.column_stack(out), code)
 
 
 class TestBlockSparseVec:
@@ -261,20 +233,6 @@ class TestBlockDict:
         assert np.array_equal(B.block(3), blk)
         assert np.all(A.block(3) == 0)  # original untouched
 
-    def test_block_ranks(self, st52):
-        data = np.zeros((4, 10))
-        data[:, 0:2] = np.eye(4)[:, :2]
-        A = BlockDict(st52, data)
-        assert A.block_ranks() == (2, 0, 0, 0, 0)
-
-    def test_block_ranks_default_is_the_rank_tol(self):
-        # singular values (1, 5e-9): rank 1 at DEFAULT_RANK_TOL = 1e-8, as the
-        # span functions count it
-        A = rank_deficient_dict((1.0, 5e-9))
-        assert A.block_ranks() == (2, 1, 2, 2)
-        assert orthonormal_basis(A.block(2)).dim == 1
-        assert DEFAULT_RANK_TOL == subspace.DEFAULT_RANK_TOL == core.DEFAULT_RANK_TOL == 1e-8
-
 
 # (second singular value, rank) at tol = 2**-10 for blocks diag(1, t) and zero
 TOL = 2.0**-10
@@ -288,8 +246,6 @@ def test_rank_rule_boundaries(t, rank):
     block = np.vstack([square, np.zeros((2, 2))])
     svals = np.linalg.svd(block, compute_uv=False)
     assert _numerical_rank(svals, TOL) == rank
-    A = BlockDict(BlockStructure(K=2, alpha=2, s=1), np.hstack([block, np.eye(4)[:, :2]]))
-    assert A.block_ranks(TOL) == (rank, 2)
     D = BlockDiagonal(BlockStructure(K=2, alpha=2, s=1), (np.eye(2), square))
     assert D.is_invertible(TOL) == (rank == 2)
     if rank == 2:
@@ -303,3 +259,9 @@ def test_rank_rule_stacked():
     svals = np.array([[[4.0, 2.0, 0.0], [0.0, 0.0, 0.0]], [[1.0, 1.0, 1.0], [3.0, 3e-9, 0.0]]])
     assert _numerical_rank(svals, 1e-8).tolist() == [[2, 0], [3, 1]]
     assert _numerical_rank(np.empty((3, 0)), 1e-8).tolist() == [0, 0, 0]
+    # singular values (1, 5e-9): rank 1 at DEFAULT_RANK_TOL = 1e-8, the default
+    # of the span functions and of the invertibility check alike
+    assert orthonormal_basis(rank_deficient_dict((1.0, 5e-9)).block(2)).dim == 1
+    assert DEFAULT_RANK_TOL == subspace.DEFAULT_RANK_TOL == core.DEFAULT_RANK_TOL == 1e-8
+    tol = inspect.signature(BlockDiagonal.is_invertible).parameters["tol"].default
+    assert tol is DEFAULT_RANK_TOL

@@ -32,11 +32,6 @@ from conftest import (
 
 
 class TestBlockPermutation:
-    def test_identity(self):
-        p = BlockPermutation.identity(4)
-        assert p.pi == (1, 2, 3, 4)
-        assert p(3) == 3
-
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):
             BlockPermutation(3, (1, 1, 2))
@@ -62,14 +57,6 @@ class TestBlockDiagonal:
         assert good.is_invertible()
         singular = BlockDiagonal(st, (np.eye(2), np.array([[1.0, 0.0], [0.0, 0.0]])))
         assert not singular.is_invertible()
-
-    def test_dense_layout(self):
-        st = BlockStructure(K=2, alpha=2, s=1)
-        D = BlockDiagonal(st, (np.array([[1.0, 2.0], [3.0, 4.0]]), np.eye(2)))
-        dense = D.dense()
-        assert np.array_equal(dense[:2, :2], [[1, 2], [3, 4]])
-        assert np.array_equal(dense[2:, 2:], np.eye(2))
-        assert np.all(dense[:2, 2:] == 0) and np.all(dense[2:, :2] == 0)
 
 
 class TestMatchBlocks:
@@ -226,7 +213,7 @@ class TestRecoverEquivalence:
 class TestApplyTransform:
     def test_identity_transform(self):
         B = gen_dictionary(12, BlockStructure(K=4, alpha=2, s=2), seed=7)
-        perm = BlockPermutation.identity(4)
+        perm = BlockPermutation(4, (1, 2, 3, 4))
         diag = BlockDiagonal(B.structure, tuple(np.eye(2) for _ in range(4)))
         out = apply_transform(B, perm, diag)
         assert np.array_equal(out.data, B.data)

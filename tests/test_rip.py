@@ -111,6 +111,15 @@ class TestExact:
 
 
 class TestSampled:
+    @pytest.mark.parametrize("n", [10**15, 10**6 + 1])
+    def test_capacity_error(self, n):
+        # C(40, 20) is about 1.4e11: the enumeration (n >= C) and the draw (n < C)
+        # are both refused above the cap before anything is allocated
+        A = BlockDict(BlockStructure(K=40, alpha=1, s=20), np.eye(40))
+        assert n > rip.DEFAULT_ENUMERATION_CAP
+        with pytest.raises(CapacityError, match="exceeds the enumeration cap"):
+            rip_lower_bound_sampled(A, 20, n_samples=n, seed=0)
+
     def test_exhausts_all_supports_when_budget_allows(self):
         A = gen_dictionary(16, BlockStructure(K=6, alpha=2, s=2), seed=5)
         exact = rip_constant_exact(A, 4)
@@ -141,11 +150,11 @@ class TestSampled:
 
 class TestLevelRule:
     def test_exact_up_to_the_cap_and_sampled_above(self, monkeypatch):
-        # C(6, 4) = 15 supports: exact at a cap of 15, sampled (all 15) at 14
-        A = gen_dictionary(16, BlockStructure(K=6, alpha=2, s=2), seed=5)
-        monkeypatch.setattr(rip, "DEFAULT_ENUMERATION_CAP", 15)
+        # C(10, 4) = 210 supports: exact at a cap of 210, 200 sampled at 209
+        A = gen_dictionary(20, BlockStructure(K=10, alpha=2, s=2), seed=5)
+        monkeypatch.setattr(rip, "DEFAULT_ENUMERATION_CAP", 210)
         assert rip.rip_constant(A, 4, seed=0) == rip_constant_exact(A, 4)
-        monkeypatch.setattr(rip, "DEFAULT_ENUMERATION_CAP", 14)
+        monkeypatch.setattr(rip, "DEFAULT_ENUMERATION_CAP", 209)
         assert rip.rip_constant(A, 4, seed=0) == rip_lower_bound_sampled(A, 4, 200, seed=0)
 
 
