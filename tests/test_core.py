@@ -233,6 +233,16 @@ class TestBlockDict:
         assert np.array_equal(B.block(3), blk)
         assert np.all(A.block(3) == 0)  # original untouched
 
+    def test_block_ranks_default_is_the_rank_tol(self):
+        # singular values (1, 5e-9): rank 1 at DEFAULT_RANK_TOL = 1e-8, the default
+        # of the span functions and of the invertibility check alike
+        A = rank_deficient_dict((1.0, 5e-9))
+        ranks = tuple(orthonormal_basis(A.block(j)).dim for j in range(1, 5))
+        assert ranks == (2, 1, 2, 2)
+        assert DEFAULT_RANK_TOL == subspace.DEFAULT_RANK_TOL == core.DEFAULT_RANK_TOL == 1e-8
+        tol = inspect.signature(BlockDiagonal.is_invertible).parameters["tol"].default
+        assert tol is DEFAULT_RANK_TOL
+
 
 # (second singular value, rank) at tol = 2**-10 for blocks diag(1, t) and zero
 TOL = 2.0**-10
@@ -259,9 +269,3 @@ def test_rank_rule_stacked():
     svals = np.array([[[4.0, 2.0, 0.0], [0.0, 0.0, 0.0]], [[1.0, 1.0, 1.0], [3.0, 3e-9, 0.0]]])
     assert _numerical_rank(svals, 1e-8).tolist() == [[2, 0], [3, 1]]
     assert _numerical_rank(np.empty((3, 0)), 1e-8).tolist() == [0, 0, 0]
-    # singular values (1, 5e-9): rank 1 at DEFAULT_RANK_TOL = 1e-8, the default
-    # of the span functions and of the invertibility check alike
-    assert orthonormal_basis(rank_deficient_dict((1.0, 5e-9)).block(2)).dim == 1
-    assert DEFAULT_RANK_TOL == subspace.DEFAULT_RANK_TOL == core.DEFAULT_RANK_TOL == 1e-8
-    tol = inspect.signature(BlockDiagonal.is_invertible).parameters["tol"].default
-    assert tol is DEFAULT_RANK_TOL
