@@ -8,6 +8,8 @@ of the restricted Gram matrix. Exact enumeration visits all C(K, t)
 supports; the sampled variant gives a deterministic lower bound.
 """
 
+import json
+
 import numpy as np
 
 from blockdict import (
@@ -41,4 +43,4 @@ sampled = rip_lower_bound_sampled(A, 4, n_samples=5, seed=0)
 exact = rip_constant_exact(A, 4)
 print(f"\nsampled lower bound from 5 supports: {sampled.delta:.4f} "
       f"<= exact {exact.delta:.4f}")
-print("\nreport JSON:", exact.to_json())
+print("\nreport JSON:", json.dumps(exact.to_dict()))

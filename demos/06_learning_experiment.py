@@ -44,7 +44,7 @@ print("mean final coding residual:",
       sum(report.coding_residuals) / len(report.coding_residuals))
 
 with open("experiment_report.json", "w") as fh:
-    fh.write(report.to_json())
+    fh.write(json.dumps(report.to_dict(), indent=2))
 print("\nfull report written to experiment_report.json")
 print("same config + seed reproduces this report byte-for-byte",
       "(only wall_clock_sec differs)")

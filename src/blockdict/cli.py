@@ -94,7 +94,7 @@ def _cmd_rip(args) -> int:
         report = rip_constant_exact(A, args.level)
     else:
         report = rip_lower_bound_sampled(A, args.level, args.samples, args.seed)
-    _emit(args, report.to_json(indent=2))
+    _emit(args, json.dumps(report.to_dict(), indent=2))
     return 0
 
 
@@ -109,7 +109,7 @@ def _cmd_code(args) -> int:
         result = block_omp(A, y, s=args.sparsity, tol=args.tol)
     else:
         result = exhaustive_code(A, y, s=args.sparsity, tol=args.tol)
-    _emit(args, result.to_json(indent=2))
+    _emit(args, json.dumps(result.to_dict(), indent=2))
     return 0
 
 
@@ -117,7 +117,7 @@ def _cmd_equiv(args) -> int:
     A = _load_dict(args.dict_a, args.alpha)
     B = _load_dict(args.dict_b, args.alpha)
     cert = recover_equivalence(A, B, tol=args.tol, span_tol=args.span_tol)
-    _emit(args, cert.to_json(indent=2))
+    _emit(args, json.dumps(cert.to_dict(), indent=2))
     return 0
 
 
@@ -150,7 +150,7 @@ def _cmd_verify(args) -> int:
     report = verify_theorem_instance(
         A, B, s=args.sparsity, n_probes=args.probes, seed=args.seed, tol=args.tol
     )
-    _emit(args, report.to_json(indent=2))
+    _emit(args, json.dumps(report.to_dict(), indent=2))
     return 0
 
 
@@ -160,7 +160,7 @@ def _cmd_experiment(args) -> int:
     if args.format == "csv" and report.trace is not None:
         _emit(args, trace_to_csv(report.trace))
     else:
-        _emit(args, report.to_json(indent=2))
+        _emit(args, json.dumps(report.to_dict(), indent=2))
     for err in report.stage_errors:
         sys.stderr.write(f"stage {err['stage']} failed: {err['error']}\n")
     return 1 if report.stage_errors else 0

@@ -1,7 +1,8 @@
 """Block-sparse coding: greedy block-OMP and an exhaustive oracle.
 
-Both methods reject non-finite measurements, report the residual as
-||y - A x||_2 relative to ||y||_2 (absolute when y = 0) and break ties
+Both methods reject non-finite measurements, code y times the power of two that puts
+its largest entry in [0.5, 1) (exact; ||y||^2 then neither overflows nor underflows), report
+the residual as ||y - A x||_2 relative to ||y||_2 (absolute when y = 0) and break ties
 toward the lowest block indices. The exhaustive oracle and the learner share
 one kernel: `_factor` once per (dictionary, s), then `_min_residual_codes`, the
 minimum-residual rule, which re-checks only what an energy ranking cannot settle.
@@ -9,7 +10,6 @@ minimum-residual rule, which re-checks only what an energy ranking cannot settle
 
 from __future__ import annotations
 
-import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -48,25 +48,29 @@ class CodingResult:
             "method": self.method,
         }
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
 
 def _relative(abs_residual: float, y_norm: float) -> float:
     return abs_residual if y_norm == 0 else abs_residual / y_norm
 
 
-def _check_measurement(A: BlockDict, y, s: int | None, tol: float) -> tuple[np.ndarray, int]:
-    """(y as a flat finite float vector, s defaulted to A.structure.s), validated with tol >= 0."""
+def _unit_scale(y: np.ndarray) -> tuple[np.ndarray, int]:
+    """(y * 2**-e, e) for the e that puts max |y| in [0.5, 1) (e = 0 for y = 0); exact.
+    ValueError when y holds non-finite values."""
+    if not np.isfinite(y).all():
+        bad = np.flatnonzero(~np.isfinite(y)).tolist()
+        raise ValueError(f"measurement holds non-finite values at entries {bad}")
+    e = int(np.frexp(np.abs(y).max(initial=0.0))[1])
+    return np.ldexp(y, -e), e
+
+
+def _check_measurement(A: BlockDict, y, s: int | None, tol: float) -> tuple[np.ndarray, int, int]:
+    """(y flat at `_unit_scale`, its exponent e, s defaulted to A.structure.s); tol >= 0."""
     _check_tols(tol=tol)
     s = _check_s(A.structure, s)
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape[0] != A.ambient_dim:
         raise ValueError(f"measurement has length {y.shape[0]}, expected {A.ambient_dim}")
-    if not np.isfinite(y).all():
-        bad = np.flatnonzero(~np.isfinite(y)).tolist()
-        raise ValueError(f"measurement holds non-finite values at entries {bad}")
-    return y, s
+    return (*_unit_scale(y), s)
 
 
 def block_omp(
@@ -95,7 +99,7 @@ def block_omp(
     RankError
         When the selected sub-dictionary is rank-deficient.
     """
-    y, s = _check_measurement(A, y, s, tol)
+    y, e, s = _check_measurement(A, y, s, tol)
     y_norm = float(np.linalg.norm(y))
     values = np.zeros(A.structure.total_dim)
     abs_res = y_norm  # y = 0 skips the loop: the zero code, residual 0
@@ -124,7 +128,7 @@ def block_omp(
         abs_res = float(np.linalg.norm(y - cols @ sol))
         residual = y - A.data @ values
 
-    code = BlockSparseVec(A.structure, values)
+    code = BlockSparseVec(A.structure, np.ldexp(values, e))
     return CodingResult(code, _relative(abs_res, y_norm), METHOD_OMP)
 
 
@@ -219,13 +223,8 @@ def exhaustive_code(
     CapacityError
         When C(K, s) exceeds DEFAULT_ENUMERATION_CAP.
     """
-    y, s = _check_measurement(A, y, s, tol)
-    return _exhaustive(_factor(A, s), y, tol)
-
-
-def _exhaustive(F: _Factor, y: np.ndarray, tol: float) -> CodingResult:
-    """`exhaustive_code` of a validated measurement y against the factor F."""
-    X, res, tied = _min_residual_codes(F, y[:, None], tol)
-    code = BlockSparseVec(F.A.structure, X[:, 0])
-    y_norm = float(np.linalg.norm(y))
-    return CodingResult(code, _relative(float(res[0]), y_norm), METHOD_EXHAUSTIVE, bool(tied[0]))
+    y, e, s = _check_measurement(A, y, s, tol)
+    X, res, tied = _min_residual_codes(_factor(A, s), y[:, None], tol)
+    residual = _relative(float(res[0]), float(np.linalg.norm(y)))
+    return CodingResult(BlockSparseVec(A.structure, np.ldexp(X[:, 0], e)), residual,
+                        METHOD_EXHAUSTIVE, bool(tied[0]))

@@ -10,18 +10,18 @@ induced by exact block-sparse coding.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import DEFAULT_CODING_TOL, _check_measurement, _exhaustive, _factor, _relative
+from .coding import DEFAULT_CODING_TOL, _factor, _min_residual_codes, _relative, _unit_scale
 from .core import (
     BlockDict, BlockStructure, Support, _check_s, _check_tols, _numerical_rank, as_support,
+    block_support,
 )
 from .errors import HypothesisViolationError, RankError
-from .rip import RipReport, _sample_supports, rip_constant
+from .rip import RipReport, _sample_supports, _support_columns, rip_constant
 # not called here: bench/tracing.py rebinds these names in this module
 from .coding import exhaustive_code  # noqa: F401
 from .rip import rip_constant_exact, rip_lower_bound_sampled  # noqa: F401
@@ -89,6 +89,7 @@ class BlockDiagonal:
 
     def is_invertible(self, tol: float = DEFAULT_RANK_TOL) -> bool:
         """All blocks have smallest singular value above tol times the largest."""
+        _check_tols(tol=tol)
         svals = np.linalg.svd(np.stack(self.blocks), compute_uv=False)
         return bool(np.all(_numerical_rank(svals, tol) == self.structure.alpha))
 
@@ -122,9 +123,6 @@ class EquivalenceCertificate:
             ),
             "residual": self.residual,
         }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def _check_same_shape(A: BlockDict, B: BlockDict) -> None:
@@ -312,21 +310,22 @@ def _probe_kappa(A: BlockDict, F, sup: Support, n_probes: int, seed, tol: float)
     if n_probes < 1:
         raise ValueError(f"n_probes must be >= 1, got {n_probes}")
     rng = np.random.default_rng([int(seed), *sup])
+    cols = _support_columns(np.array([sup]), A.structure.alpha)[0]
     probe_supports: list[Support] = []
     for p in range(n_probes):
         t = np.zeros(A.structure.total_dim)
-        for i in sup:
-            t[A.structure.block_slice(i)] = rng.standard_normal(A.structure.alpha)
-        y, _ = _check_measurement(F.A, A.data @ t, len(sup), tol)
-        result = _exhaustive(F, y, min(tol, DEFAULT_CODING_TOL))
-        if result.residual_norm > tol:
+        t[cols] = rng.standard_normal(len(cols))
+        y, _ = _unit_scale(A.data @ t)
+        X, res, tied = _min_residual_codes(F, y[:, None], min(tol, DEFAULT_CODING_TOL))
+        residual = _relative(float(res[0]), float(np.linalg.norm(y)))
+        if residual > tol:
             raise HypothesisViolationError(
                 f"probe {p} on support {sup} has no {len(sup)}-block-sparse code in B "
-                f"(relative residual {result.residual_norm:.3e} > {tol:.1e})"
+                f"(relative residual {residual:.3e} > {tol:.1e})"
             )
-        if result.tied:
+        if tied[0]:
             raise HypothesisViolationError(f"probe {p} on support {sup} has tied codes in B")
-        probe_supports.append(result.code.support)
+        probe_supports.append(block_support(X[:, 0], A.structure, tol=0.0))
     counts = Counter(probe_supports)
     consistent = len(counts) == 1
     # majority support; ties go to the lexicographically smallest
@@ -363,9 +362,6 @@ class TheoremReport:
                 "equal": self.agreement,
             },
         }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def verify_theorem_instance(

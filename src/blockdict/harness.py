@@ -504,9 +504,6 @@ class ExperimentReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Full pipeline: generate, synthesize, learn, and certify.

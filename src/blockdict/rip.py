@@ -16,7 +16,6 @@ span checks, exhaustive coding and theorem verification share.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations
@@ -104,9 +103,6 @@ class RipReport:
             "worst_support": list(self.worst_support),
             "supports_examined": self.supports_examined,
         }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf and NaN bounds are never skipped

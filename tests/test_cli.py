@@ -261,6 +261,21 @@ class TestKappa:
         ])
         assert rc == 4
 
+    def test_overflowing_probe_exit_code(self, workdir, capsys):
+        # seed 1's first probe on block 1, whose entries are all the largest float, overflows
+        B = np.random.default_rng(0).standard_normal((6, 6))
+        A = B.copy()
+        A[:, :2] = np.finfo(float).max
+        write_matrix_text(workdir / "A.txt", A)
+        write_matrix_text(workdir / "B.txt", B)
+        with np.errstate(over="ignore"):  # filterwarnings = error would make it exit 1
+            rc = run_cli([
+                "kappa", workdir / "A.txt", workdir / "B.txt",
+                "--alpha", 2, "--support", "1", "--probes", 4, "--seed", 1,
+            ])
+        assert rc == 2
+        assert "non-finite values" in capsys.readouterr().err
+
 
 BASE_CONFIG = {
     "structure": {"K": 4, "alpha": 2, "s": 2},

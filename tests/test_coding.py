@@ -185,6 +185,38 @@ class TestExhaustive:
         assert exhaustive_code(A, A.block(1) @ rng.standard_normal(2), s=1).tied
 
 
+class TestScale:
+    """Both coders code y at a power-of-two scale, so 2**k y gets 2**k times y's code."""
+
+    @staticmethod
+    def instance():
+        A = gen_dictionary(8, BlockStructure(K=4, alpha=2, s=2), seed=1)
+        x = np.zeros(8)
+        x[[0, 1, 4, 5]] = [1, 2, 3, 4]
+        return A, A.data @ x
+
+    @pytest.mark.parametrize("coder", [exhaustive_code, block_omp])
+    def test_power_of_two_scales_are_exact(self, coder):
+        A, y = self.instance()
+        ref = coder(A, y)
+        for k in range(-1000, 1001, 5):
+            got = coder(A, np.ldexp(y, k))
+            assert np.array_equal(got.code.values, np.ldexp(ref.code.values, k)), k
+            assert got.residual_norm == ref.residual_norm, k
+            assert got.tied == ref.tied, k
+
+    @pytest.mark.parametrize("c", [1e-170, 1e155])
+    def test_supports_at_extreme_scales(self, c):
+        # ||c y||^2 underflows at 1e-170 and overflows at 1e155; filterwarnings = error
+        A, y = self.instance()
+        exact = exhaustive_code(A, c * y)
+        assert exact.code.support == (1, 3) and not exact.tied
+        assert exact.residual_norm < 1e-12
+        greedy, ref = block_omp(A, c * y), block_omp(A, y)
+        assert greedy.code.support == ref.code.support == (3, 4)  # greedy's miss, at any scale
+        assert greedy.residual_norm == pytest.approx(ref.residual_norm, rel=1e-12)
+
+
 class TestOracleDominance:
     @pytest.mark.parametrize("seed", range(10))
     def test_exhaustive_never_worse_than_greedy(self, seed):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from blockdict import (
+    BlockDict,
     BlockDiagonal,
     BlockPermutation,
     BlockStructure,
@@ -57,6 +58,13 @@ class TestBlockDiagonal:
         assert good.is_invertible()
         singular = BlockDiagonal(st, (np.eye(2), np.array([[1.0, 0.0], [0.0, 0.0]])))
         assert not singular.is_invertible()
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_bad_tol_rejected(self, tol):
+        # a negative tol used to count the zero singular value and call this invertible
+        D = BlockDiagonal(BlockStructure(K=2, alpha=2, s=1), (np.eye(2), np.diag([1.0, 0.0])))
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            D.is_invertible(tol)
 
 
 class TestMatchBlocks:
@@ -194,7 +202,7 @@ class TestRecoverEquivalence:
 
     def test_certificate_json_shape(self):
         A = gen_dictionary(12, BlockStructure(K=3, alpha=2, s=1), seed=6)
-        payload = json.loads(recover_equivalence(A, A).to_json())
+        payload = json.loads(json.dumps(recover_equivalence(A, A).to_dict()))
         assert set(payload) == {"status", "pi", "D_blocks", "residual"}
         assert payload["pi"] == [1, 2, 3]
         assert len(payload["D_blocks"]) == 3
@@ -252,6 +260,30 @@ class TestConstructKappa:
         B = gen_dictionary(16, A.structure, seed=999)
         with pytest.raises(HypothesisViolationError):
             construct_kappa(A, B, (1, 2), n_probes=4, seed=0)
+
+    @pytest.mark.parametrize("k", [-900, -520, 510, 900])
+    def test_power_of_two_scaled_pair(self, k):
+        A, B, _, _, _ = make_equivalent_pair(16, 5, 2, 2, seed=510)
+        A2, B2 = (BlockDict(D.structure, np.ldexp(D.data, k)) for D in (A, B))
+        for sup in [(2,), (2, 4), (1, 3, 5)]:
+            assert construct_kappa(A2, B2, sup, n_probes=6, seed=3) == construct_kappa(
+                A, B, sup, n_probes=6, seed=3)
+
+    def test_support_larger_than_the_structure_sparsity(self):
+        # probes code at |S| blocks, whatever s the structures carry
+        A, _, _ = make_rip_instance(16, 5, 2, 2, seed=42)
+        res = construct_kappa(A, A, (1, 2, 3))
+        assert res.kappa == (1, 2, 3) and res.consistent
+        report = verify_theorem_instance(A, A, s=3)
+        assert report.hypothesis_holds and report.certificate.status == "equivalent"
+
+    def test_overflowing_probe_is_a_value_error(self):
+        # seed 1 draws t = (0.53, 1.24) on block 1, whose entries are all the largest float
+        B = gen_dictionary(6, BlockStructure(K=3, alpha=2, s=1), seed=0)
+        A = B.with_block(1, np.full((6, 2), np.finfo(float).max))
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match=r"^measurement holds non-finite values at entries \[0, 1,"):
+            construct_kappa(A, B, (1,), n_probes=4, seed=1)
 
     def test_deterministic(self):
         A, B, _, _, _ = make_equivalent_pair(16, 5, 2, 2, seed=510)

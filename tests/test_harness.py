@@ -664,8 +664,8 @@ class TestRunExperiment:
         assert d["certificate"]["status"] in {"equivalent", "not-equivalent", "ambiguous"}
 
     def test_deterministic_modulo_wall_clock(self):
-        r1 = json.loads(run_experiment(small_config()).to_json())
-        r2 = json.loads(run_experiment(small_config()).to_json())
+        r1 = json.loads(json.dumps(run_experiment(small_config()).to_dict()))
+        r2 = json.loads(json.dumps(run_experiment(small_config()).to_dict()))
         r1.pop("wall_clock_sec")
         r2.pop("wall_clock_sec")
         assert r1 == r2
@@ -679,7 +679,7 @@ class TestRunExperiment:
         # the noisy benchmark shape: discovery finds the support clusters
         # with noise-scaled tolerances, and the run must be reproducible
         config = criterion7_config(1, 1e-3)
-        r1, r2 = (json.loads(run_experiment(config).to_json()) for _ in range(2))
+        r1, r2 = (json.loads(json.dumps(run_experiment(config).to_dict())) for _ in range(2))
         r1.pop("wall_clock_sec")
         r2.pop("wall_clock_sec")
         assert r1["stage_errors"] == []

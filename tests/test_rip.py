@@ -375,7 +375,7 @@ class TestPrunedReport:
 def test_report_json_shape():
     A = gen_dictionary(16, BlockStructure(K=6, alpha=2, s=2), seed=1)
     report = rip_constant_exact(A, 2)
-    payload = json.loads(report.to_json())
+    payload = json.loads(json.dumps(report.to_dict()))
     assert set(payload) == {"level", "delta", "mode", "worst_support", "supports_examined"}
     assert payload["level"] == 2
     assert all(isinstance(i, int) for i in payload["worst_support"])
