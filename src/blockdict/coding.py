@@ -66,7 +66,8 @@ def _unit_scale(y: np.ndarray) -> tuple[np.ndarray, int]:
 def _check_measurement(A: BlockDict, y, s: int | None, tol: float) -> tuple[np.ndarray, int, int]:
     """(y flat at `_unit_scale`, its exponent e, s defaulted to A.structure.s); tol >= 0."""
     _check_tols(tol=tol)
-    s = _check_s(A.structure, s)
+    if (s := _check_s(A.structure, s)) > A.structure.s:
+        raise ValueError(f"s={s} exceeds the dictionary's block sparsity s={A.structure.s}")
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape[0] != A.ambient_dim:
         raise ValueError(f"measurement has length {y.shape[0]}, expected {A.ambient_dim}")

@@ -305,6 +305,7 @@ def construct_kappa(
     return _probe_kappa(A, _factor(B, len(sup)), sup, n_probes, seed, tol)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing probe is refused, not warned of
 def _probe_kappa(A: BlockDict, F, sup: Support, n_probes: int, seed, tol: float) -> KappaResult:
     """`construct_kappa` on a nonempty support, each probe coded against F, B's factor at |sup|."""
     if n_probes < 1:

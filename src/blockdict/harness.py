@@ -19,7 +19,7 @@ import math
 import time
 import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from itertools import combinations
+from itertools import combinations, compress
 
 import numpy as np
 
@@ -32,7 +32,8 @@ from .equivalence import (
     BlockPermutation,
     recover_equivalence,
 )
-from .rip import DEFAULT_ENUMERATION_CAP, RipReport, _enumerate_supports, rip_constant
+from .rip import DEFAULT_ENUMERATION_CAP, MODE_EXACT, RipReport, _enumerate_supports
+from .rip import _rayleigh_floors, rip_constant
 # not called here: bench/tracing.py rebinds these names in this module
 from .rip import rip_constant_exact, rip_lower_bound_sampled  # noqa: F401
 
@@ -159,16 +160,25 @@ def gen_rip_dictionary(
 
     Each draw is per-block-orthonormal, so every block Gram is the
     identity. The constant is `rip_constant` at level min(2s, K), sampled
-    (above the cap) from the draw's seed. Returns (dictionary, its
-    RipReport, the winning seed's offset from seed); raises ValueError
-    after MAX_GENERATION_RETRIES + 1 draws.
+    (above the cap) from the draw's seed. Draws come in batches of 1, 1, 2,
+    4, ... up to 16; once reports are exact, draws whose `rip._rayleigh_floors`
+    floor is >= 1, which `rip_constant` would reject, are skipped. Returns
+    (dictionary, its RipReport, the winning seed's offset from seed); raises
+    ValueError after MAX_GENERATION_RETRIES + 1 draws.
     """
     _check_ambient(ambient_dim, structure)
-    for retry in range(MAX_GENERATION_RETRIES + 1):
-        A = gen_dictionary(ambient_dim, structure, seed=seed + retry)
-        report = rip_constant(A, min(2 * structure.s, structure.K), seed + retry)
-        if report.delta < 1.0:
-            return A, report, retry
+    level, retry, exact = min(2 * structure.s, structure.K), 0, False
+    while retry <= MAX_GENERATION_RETRIES:  # each batch as large as the draws before it
+        offsets = range(retry, min(retry + min(max(retry, 1), 16), MAX_GENERATION_RETRIES + 1))
+        draws = [gen_dictionary(ambient_dim, structure, seed=seed + o) for o in offsets]
+        screen = exact and len(draws) > 1  # a sampled constant can lie below a floor
+        checked = ~(_rayleigh_floors(draws, level) >= 1.0) if screen else [True] * len(draws)
+        for o, A in compress(zip(offsets, draws), checked):  # NaN floors are checked
+            report = rip_constant(A, level, seed + o)
+            if report.delta < 1.0:
+                return A, report, o
+            exact = report.mode == MODE_EXACT
+        retry = offsets.stop
     raise ValueError(
         f"no dictionary with restricted isometry constant below 1 found in "
         f"{MAX_GENERATION_RETRIES + 1} draws"
@@ -265,10 +275,10 @@ def _discover_block_spans(Y: np.ndarray, structure: BlockStructure, noise_level:
     Samples sharing a support lie in one s*alpha-dimensional subspace up to
     noise, so the span of a seed sample and s*alpha - 1 aligned partners is
     a hypothesis verified by the samples it fits. Partner tuples are
-    screened in stacked chunks by the cheap residual 1 - ||Q^T y||^2 /
-    ||y||^2; tuples with enough possible members are tested in order.
-    Pairwise intersections of the cluster spans then isolate the block
-    spans the clusters share.
+    screened in stacked chunks of 1, 2, 4, ... trials by the cheap residual
+    1 - ||Q^T y||^2 / ||y||^2; tuples with enough possible members are
+    tested in order. Pairwise intersections of the cluster spans, from one
+    stacked SVD, then isolate the block spans the clusters share.
 
     A member's noise outside its span has RMS norm nu = noise_level *
     sqrt(P - s*alpha), so members lie within the relative residual
@@ -284,7 +294,7 @@ def _discover_block_spans(Y: np.ndarray, structure: BlockStructure, noise_level:
     clusters are intersected largest first, allowing 1 - cos of the tight
     cut's median angle.
     """
-    from .subspace import orthonormal_basis, spans_equal, subspace_intersection
+    from .subspace import SubspaceBasis, _spans_equal_stacked, orthonormal_basis
 
     P = Y.shape[0]
     dim = structure.s * structure.alpha
@@ -322,7 +332,9 @@ def _discover_block_spans(Y: np.ndarray, structure: BlockStructure, noise_level:
         partners = partners[partners != seed_idx][:DISCOVERY_MAX_PARTNERS]
         tuples = table[(table < len(partners)).all(axis=1)]  # still lexicographic
         trials = np.insert(partners[tuples], 0, seed_idx, axis=1)
-        for chunk in np.array_split(trials, range(step, len(trials), step)):
+        lo, size = 0, 1
+        while lo < len(trials):  # chunks of 1, 2, 4, ... up to step trials: hits come early
+            chunk, lo, size = trials[lo : lo + size], lo + size, min(2 * size, step)
             Qt = np.linalg.qr(Yk[:, chunk].transpose(1, 0, 2))[0].transpose(0, 2, 1)
             energy = ((Qt.reshape(-1, P) @ Yk) ** 2).reshape(len(chunk), dim, nk).sum(axis=1)
             possible = 1 - energy / norms_k**2 <= screen_cut
@@ -360,16 +372,23 @@ def _discover_block_spans(Y: np.ndarray, structure: BlockStructure, noise_level:
     if noisy:  # larger clusters have better-fitted spans: intersect those first
         clusters = [clusters[c] for c in sorted(range(len(clusters)), key=lambda c: -sizes[c])]
 
+    # one stacked SVD per pair of cluster dimensions (noiseless clusters can be rank-deficient)
+    pairs = list(combinations(range(len(clusters)), 2))
+    dims = [(clusters[a].dim, clusters[b].dim) for a, b in pairs]
+    inters = {}
+    for group in set(dims):
+        at = [i for i, d in enumerate(dims) if d == group]
+        Qa, Qb = (np.stack([clusters[pairs[i][j]].basis for i in at]) for j in (0, 1))
+        U, cos, _ = np.linalg.svd(Qa.transpose(0, 2, 1) @ Qb)
+        kept = (np.clip(cos, 0.0, 1.0) >= 1.0 - inter_tol).sum(axis=1) == structure.alpha
+        inters.update((i, Qa[k] @ U[k, :, : structure.alpha]) for k, i in enumerate(at) if kept[k])
     blocks = []
-    for a, b in combinations(range(len(clusters)), 2):
-        inter = subspace_intersection(clusters[a], clusters[b], tol=inter_tol)
-        if inter.dim == structure.alpha and not any(
-            spans_equal(inter, blk, tol=dedupe_tol) for blk in blocks
-        ):
-            blocks.append(inter)
+    for i in sorted(inters):  # lexicographic pair order
+        if not (blocks and _spans_equal_stacked(inters[i], np.array(blocks), dedupe_tol).any()):
+            blocks.append(inters[i])
             if len(blocks) == structure.K:
-                return blocks
-    return blocks
+                break
+    return [SubspaceBasis(P, inter) for inter in blocks]
 
 
 def learn_dictionary(

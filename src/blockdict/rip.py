@@ -131,6 +131,31 @@ def _support_bounds(gram: np.ndarray, supports: np.ndarray, alpha: int) -> np.nd
     return bounds
 
 
+def _slack(t: int, alpha: int, bound):
+    """Rounding allowance for a computed delta_T near bound: eigvalsh errs by a small
+    multiple of d^2 eps ||G_T||, d = t alpha, and ||G_T|| <= 1 + delta_T."""
+    return 16 * (t * alpha) ** 2 * np.finfo(float).eps * (1.0 + bound)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a NaN floor rules nothing out
+def _rayleigh_floors(draws: list[BlockDict], t: int) -> np.ndarray:
+    """Per draw, a lower bound on its exact level-t constant less `_slack`: delta_T >=
+    x^T G_T x / x^T x - 1 with x = G_T^6 1, for each size-t support T of one stacked Gram G.
+    Column T of X holds x_T, zero off T, so G_T x_T is column T of mask * (G X)."""
+    alpha, data = draws[0].structure.alpha, np.stack([A.data for A in draws])
+    supports = _enumerate_supports(draws[0].structure.K, t, DEFAULT_ENUMERATION_CAP)
+    gram, bound = np.swapaxes(data, 1, 2) @ data, -np.inf
+    for start in range(0, len(supports), step := max(1, _RIP_CHUNK // len(draws))):
+        cols = _support_columns(supports[start : start + step], alpha)
+        y = mask = np.zeros((gram.shape[1], len(cols)))
+        mask[cols.T, np.arange(len(cols))] = 1.0
+        for _ in range(7):
+            x, y = y, mask * (gram @ y)
+        quotients = (x * y).sum(axis=1) / (x * x).sum(axis=1)
+        bound = np.maximum(bound, quotients.max(axis=1) - 1.0)  # NaN stays NaN
+    return bound - _slack(t, alpha, bound)
+
+
 def _gram(M: np.ndarray) -> np.ndarray:
     """M^T M; raises ValueError when its entries overflow."""
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned of
@@ -165,11 +190,10 @@ def _rip_report(A: BlockDict, t: int, supports: np.ndarray, mode: str) -> RipRep
         deltas = np.full(len(supports), -np.inf)
         head = np.argpartition(bounds, -_RIP_HEAD)[-_RIP_HEAD:]
         deltas[head] = _support_deltas(gram, supports[head], alpha)
-        # eigvalsh errs by a small multiple of d^2 eps ||G_T||, d = t alpha and
-        # ||G_T|| <= 1 + bound, which covers the bound's own rounding too; a NaN
-        # bound is never skipped
-        slack = 16 * (t * alpha) ** 2 * np.finfo(float).eps * (1.0 + bounds)
-        rest = np.flatnonzero(~(bounds + slack < deltas.max()) & np.isneginf(deltas))
+        # the slack at the bound covers the bound's own rounding too; a NaN bound is
+        # never skipped
+        rest = np.flatnonzero(~(bounds + _slack(t, alpha, bounds) < deltas.max())
+                              & np.isneginf(deltas))
         deltas[rest] = _support_deltas(gram, supports[rest], alpha)
     k = int(deltas.argmax())
     worst = tuple(supports[k].tolist())

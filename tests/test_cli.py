@@ -261,20 +261,31 @@ class TestKappa:
         ])
         assert rc == 4
 
-    def test_overflowing_probe_exit_code(self, workdir, capsys):
+    @staticmethod
+    def overflowing_pair(workdir):
         # seed 1's first probe on block 1, whose entries are all the largest float, overflows
         B = np.random.default_rng(0).standard_normal((6, 6))
         A = B.copy()
         A[:, :2] = np.finfo(float).max
         write_matrix_text(workdir / "A.txt", A)
         write_matrix_text(workdir / "B.txt", B)
-        with np.errstate(over="ignore"):  # filterwarnings = error would make it exit 1
-            rc = run_cli([
-                "kappa", workdir / "A.txt", workdir / "B.txt",
-                "--alpha", 2, "--support", "1", "--probes", 4, "--seed", 1,
-            ])
-        assert rc == 2
+        return [workdir / "A.txt", workdir / "B.txt",
+                "--alpha", 2, "--support", "1", "--probes", 4, "--seed", 1]
+
+    def test_overflowing_probe_exit_code(self, workdir, capsys):
+        # filterwarnings = error: an overflow warning would make it exit 1
+        assert run_cli(["kappa", *self.overflowing_pair(workdir)]) == 2
         assert "non-finite values" in capsys.readouterr().err
+
+    def test_overflowing_probe_warns_of_nothing(self, workdir):
+        import blockdict
+
+        args = ["-W", "error", "-m", "blockdict", "kappa", *self.overflowing_pair(workdir)]
+        env = {**os.environ, "PYTHONPATH": str(Path(blockdict.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, *map(str, args)], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 2, proc.stderr
+        assert "non-finite values" in proc.stderr and "Warning" not in proc.stderr
 
 
 BASE_CONFIG = {

@@ -217,6 +217,14 @@ class TestScale:
         assert greedy.residual_norm == pytest.approx(ref.residual_norm, rel=1e-12)
 
 
+@pytest.mark.parametrize("coder", [block_omp, exhaustive_code])
+def test_s_above_the_structure_is_refused(coder):
+    # s=3 passes 1 <= s <= K, but no code of A may hold more than its s=2 blocks
+    A = gen_dictionary(8, BlockStructure(K=4, alpha=2, s=2), seed=0)
+    with pytest.raises(ValueError, match=r"s=3 exceeds the dictionary's block sparsity s=2"):
+        coder(A, A.data[:, 0], s=3)
+
+
 class TestOracleDominance:
     @pytest.mark.parametrize("seed", range(10))
     def test_exhaustive_never_worse_than_greedy(self, seed):

@@ -21,6 +21,7 @@ from blockdict import (
     gen_rip_dictionary,
     exhaustive_code,
     learn_dictionary,
+    rip_constant,
     rip_lower_bound_sampled,
     run_experiment,
     trace_to_csv,
@@ -128,6 +129,39 @@ class TestGenRipDictionary:
         assert "found in 1001 draws" in report.stage_errors[0]["error"]
         assert report.rip is None and report.certificate is None
 
+    @pytest.mark.parametrize("P", [16, 24, 40])
+    def test_matches_the_one_draw_at_a_time_loop(self, P):
+        # seed 41 at P=16 and every seed at P=40 qualify at draw 0; seed 0 at P=16 takes 41
+        st = BlockStructure(K=6, alpha=2, s=2)
+        retries = []
+        for seed in (0, 41, 500, 2000, 7777):
+            A, report, retry = gen_rip_dictionary(P, st, seed)
+            ref_A, ref_report, ref_retry = one_draw_at_a_time(P, st, seed)
+            assert A.data.tobytes() == ref_A.data.tobytes()
+            assert (report, retry) == (ref_report, ref_retry)
+            retries.append(retry)
+        assert 0 in retries
+
+    def test_floors_spare_most_exact_constants(self, monkeypatch):
+        st = BlockStructure(K=6, alpha=2, s=2)
+        draws, checked = [], []
+        real_gen, real_rip = harness.gen_dictionary, harness.rip_constant
+
+        def gen(*args, **kwargs):
+            draws.append(kwargs["seed"])
+            return real_gen(*args, **kwargs)
+
+        def rip_constant(A, level, seed):
+            checked.append(seed)
+            return real_rip(A, level, seed)
+
+        monkeypatch.setattr(harness, "gen_dictionary", gen)
+        monkeypatch.setattr(harness, "rip_constant", rip_constant)
+        _, _, retry = gen_rip_dictionary(16, st, 0)
+        assert retry == 41 and draws == list(range(len(draws)))
+        assert len(draws) <= retry + 16 and checked[0] == 0 and checked[-1] == retry
+        assert len(checked) < 10
+
     def test_samples_above_the_enumeration_cap(self):
         # C(30, 8) = 5,852,925 supports at level min(2s, K) = 8
         st = BlockStructure(K=30, alpha=1, s=4)
@@ -140,6 +174,16 @@ class TestGenRipDictionary:
     def test_refuses_ambient_below_the_level_floor(self):
         with pytest.raises(ValueError, match=r"min\(2s, K\)\*alpha = 8"):
             gen_rip_dictionary(7, BlockStructure(K=6, alpha=2, s=2), 0)
+
+
+def one_draw_at_a_time(P, st, seed):
+    """The generation loop without batches or floors: every draw through `rip_constant`."""
+    for retry in range(harness.MAX_GENERATION_RETRIES + 1):
+        A = gen_dictionary(P, st, seed=seed + retry)
+        report = rip_constant(A, min(2 * st.s, st.K), seed + retry)
+        if report.delta < 1.0:
+            return A, report, retry
+    raise AssertionError("no draw qualifies")
 
 
 def code_vectors(structure, X):
@@ -492,6 +536,16 @@ class TestDiscoverBlockSpans:
         assert log["skips"] > 0
         assert max(log["hits"]) >= 7
         assert len(expected) == 6
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("samples", [
+        lambda: criterion7_samples(3, n_samples=40, noise=1e-3), planted_boundary_samples,
+    ], ids=["noisy", "planted"])
+    def test_capped_chunks_match_the_reference(self, monkeypatch, samples, chunk):
+        # chunks double from one trial up to the cap that _CODE_CHUNK sets
+        st, Y = samples()
+        monkeypatch.setattr(harness, "_CODE_CHUNK", chunk * st.s * st.alpha * Y.shape[1])
+        self.assert_matches_reference(st, Y)
 
 
 def worst_block_sin(truth, learned):

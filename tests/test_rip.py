@@ -372,6 +372,27 @@ class TestPrunedReport:
         assert peak <= 16 * 2**20
 
 
+class TestRayleighFloors:
+    """A stacked batch's floors never pass a draw's exact constant."""
+
+    @pytest.mark.parametrize("P,K", [(16, 6), (12, 4)])
+    def test_floor_at_most_the_exact_constant(self, P, K):
+        st = BlockStructure(K=K, alpha=2, s=2)
+        draws = [gen_dictionary(P, st, seed=seed) for seed in range(208)]
+        floors = np.concatenate([rip._rayleigh_floors(draws[i : i + 16], 4)
+                                 for i in range(0, len(draws), 16)])
+        deltas = np.array([rip_constant_exact(A, 4).delta for A in draws])
+        assert np.all(floors <= deltas)
+        # the floors rule out most draws the exact constant rejects (85% at K=4, 98% at K=6)
+        assert np.mean(floors[deltas >= 1.0] >= 1.0) > 0.8
+
+    def test_overflowing_gram_gives_a_nan_floor(self):
+        # filterwarnings = error: the overflow is not warned of
+        A = gen_dictionary(16, BlockStructure(K=6, alpha=2, s=2), seed=0)
+        floors = rip._rayleigh_floors([A, A.with_block(2, np.full((16, 2), 1e200))], 4)
+        assert floors[0] >= 1.0 and np.isnan(floors[1])
+
+
 def test_report_json_shape():
     A = gen_dictionary(16, BlockStructure(K=6, alpha=2, s=2), seed=1)
     report = rip_constant_exact(A, 2)
