@@ -5,9 +5,9 @@ where G is the Gram matrix of the columns of the blocks in T, so that
 (1 - delta) ||x||^2 <= ||A x||^2 <= (1 + delta) ||x||^2 holds for every x
 supported on T. The level-t constant is the max of delta_T over all
 t-element supports, computed by exact enumeration or bounded from below
-by seeded sampling, with each delta_T that a block-norm bound cannot rule
-out read from one Gram matrix A^T A by batched eigenvalue calls;
-`rip_constant` picks between the two by the enumeration cap.
+by seeded sampling, with each delta_T that a block-norm bound and then a
+Gelfand bound cannot rule out read from one Gram matrix A^T A by batched
+eigenvalue calls; `rip_constant` picks between the two by the enumeration cap.
 
 This module also holds the library's one support-enumeration layer
 (lexicographic enumeration under a cap, seeded distinct sampling), which
@@ -16,6 +16,7 @@ span checks, exhaustive coding and theorem verification share.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations
@@ -29,31 +30,38 @@ DEFAULT_ENUMERATION_CAP = 10**6
 
 # supports per batched eigvalsh call or bound step, so memory stays bounded up to the cap
 _RIP_CHUNK = 4096
-# past this many supports, this many are eigen-solved before bounds prune the rest
+# past this many supports, bounds prune the eigen-solves
 _RIP_HEAD = 16
 
 
 def _enumerate_supports(K: int, t: int, cap: int) -> np.ndarray:
-    """All C(K, t) size-t supports in lexicographic order, one per row.
+    """All C(K, t) size-t supports in lexicographic order, one per row, read-only.
 
-    Raises CapacityError when C(K, t) exceeds cap.
+    Raises CapacityError when C(K, t) exceeds cap. Memoised up to _RIP_CHUNK rows.
     """
     total = math.comb(K, t)
     if total > cap:
         raise CapacityError(
             f"C({K}, {t}) = {total} supports exceeds the enumeration cap {cap}"
         )
+    return (_lexicographic if total <= _RIP_CHUNK else _lexicographic.__wrapped__)(K, t)
+
+
+@functools.lru_cache(maxsize=64)
+def _lexicographic(K: int, t: int) -> np.ndarray:
     flat = chain.from_iterable(combinations(range(1, K + 1), t))
-    return np.fromiter(flat, dtype=np.intp, count=total * t).reshape(total, t)
+    table = np.fromiter(flat, dtype=np.intp, count=math.comb(K, t) * t).reshape(-1, t)
+    table.setflags(write=False)
+    return table
 
 
 def _sample_supports(K: int, t: int, n: int, seed: int) -> np.ndarray:
     """n distinct size-t supports drawn from seed, one per row in draw order.
 
     Each draw takes rng.random(K) keys and keeps the blocks of the t smallest,
-    sorted; repeats are skipped. Draws come in batches of the supports still
-    missing times C(K, t) / (C(K, t) - found), the expected draws per new
-    support; the result is the same as drawing one support at a time.
+    sorted; repeats (keyed by the int64 sum of 2^(b - 1), by row bytes past K = 63)
+    are skipped. Draws come in batches of the missing supports times C(K, t) /
+    (C(K, t) - found), the expected draws per new one: the same as one at a time.
     Every support, in lexicographic order, when n >= C(K, t). Raises
     CapacityError when min(n, C(K, t)) exceeds DEFAULT_ENUMERATION_CAP.
     """
@@ -63,14 +71,14 @@ def _sample_supports(K: int, t: int, n: int, seed: int) -> np.ndarray:
     if n > DEFAULT_ENUMERATION_CAP:
         raise CapacityError(f"n = {n} supports exceeds the enumeration cap {DEFAULT_ENUMERATION_CAP}")
     rng = np.random.default_rng(seed)
-    row = np.dtype((np.void, t * np.dtype(np.intp).itemsize))  # exact key per support
+    row = np.dtype((np.void, t * np.dtype(np.intp).itemsize))
     kept = np.empty((0, t), dtype=np.intp)
     while len(kept) < n:
         draws = -(-(n - len(kept)) * total // (total - len(kept)))
-        keys = rng.random((draws, K))
-        new = np.sort(np.argpartition(keys, t - 1, axis=1)[:, :t], axis=1) + 1
+        new = np.sort(np.argpartition(rng.random((draws, K)), t - 1, axis=1)[:, :t], axis=1) + 1
         rows = np.concatenate([kept, new])
-        _, first = np.unique(rows.view(row).ravel(), return_index=True)
+        keys = np.left_shift(1, rows - 1) @ np.ones(t, np.int64) if K <= 63 else rows.view(row)
+        _, first = np.unique(keys.ravel(), return_index=True)
         kept = rows[np.sort(first)[:n]]
     return kept
 
@@ -96,13 +104,7 @@ class RipReport:
     supports_examined: int
 
     def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "delta": self.delta,
-            "mode": self.mode,
-            "worst_support": list(self.worst_support),
-            "supports_examined": self.supports_examined,
-        }
+        return {**vars(self), "worst_support": list(self.worst_support)}
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf and NaN bounds are never skipped
@@ -122,7 +124,7 @@ def _support_bounds(gram: np.ndarray, supports: np.ndarray, alpha: int) -> np.nd
         N = np.sqrt((E * E).sum(axis=(1, 3)))
     bounds = np.empty(len(supports))
     for start in range(0, len(supports), _RIP_CHUNK):
-        s = supports[start : start + _RIP_CHUNK].T - 1
+        s = np.subtract(supports[start : start + _RIP_CHUNK].T, 1, order="C")
         NT = N.take(s[:, None] * K + s)  # NT[i, j, m] = N[T_m(i), T_m(j)]
         x = np.ones(s.shape)
         for _ in range(3):
@@ -175,29 +177,42 @@ def _support_deltas(gram: np.ndarray, supports: np.ndarray, alpha: int) -> np.nd
     return deltas
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf and NaN bounds are never skipped
+def _gelfand_bounds(gram: np.ndarray, supports: np.ndarray, alpha: int) -> np.ndarray:
+    """||E_T^8||_F^(1/8) >= ||E_T||_2 = delta_T for each row T of `supports`, E = gram - I."""
+    bounds = np.empty(len(supports))
+    for start in range(0, len(supports), _RIP_CHUNK):
+        idx = _support_columns(supports[start : start + _RIP_CHUNK], alpha)
+        E = gram.take(idx[:, :, None] * len(gram) + idx[:, None, :]) - np.eye(idx.shape[1])
+        E8 = np.linalg.matrix_power(E, 8)  # three squarings
+        bounds[start : start + len(idx)] = np.square(E8).sum(axis=(1, 2)) ** (1 / 16)
+    return bounds
+
+
 def _rip_report(A: BlockDict, t: int, supports: np.ndarray, mode: str) -> RipReport:
     """Max of delta_T over the given supports, all from the one Gram A^T A.
 
-    The first maximizer is the worst support. Past _RIP_HEAD supports, the _RIP_HEAD
-    of largest bound are eigen-solved, then only the others whose bound can still
-    reach their max: the rest can neither pass nor tie it.
+    The first maximizer is the worst support. Past _RIP_HEAD supports, the block-norm
+    bound, then the Gelfand bound on the supports it keeps, has its top support solved
+    and drops those whose bound plus `_slack` falls short of the max. E_T = G_T - I is
+    symmetric: ||E_T^8||_F^(1/8) = (sum of l^16 over its d = t alpha eigenvalues)^(1/16) >=
+    delta_T. A squaring X X errs by <= d eps ||X||_F^2 <= d^1.5 eps ||X^2||_F, so the bound
+    by ~d^1.5 eps relative, inside 16 d^2 eps; underflow, by < 2^-63; NaN and inf stay.
     """
     gram, alpha = _gram(A.data), A.structure.alpha
     if len(supports) <= _RIP_HEAD:
         deltas = _support_deltas(gram, supports, alpha)
     else:
-        bounds = _support_bounds(gram, supports, alpha)
-        deltas = np.full(len(supports), -np.inf)
-        head = np.argpartition(bounds, -_RIP_HEAD)[-_RIP_HEAD:]
-        deltas[head] = _support_deltas(gram, supports[head], alpha)
-        # the slack at the bound covers the bound's own rounding too; a NaN bound is
-        # never skipped
-        rest = np.flatnonzero(~(bounds + _slack(t, alpha, bounds) < deltas.max())
-                              & np.isneginf(deltas))
+        deltas, near = np.full(len(supports), -np.inf), np.arange(len(supports))
+        for bound in (_support_bounds, _gelfand_bounds):
+            bounds = bound(gram, supports[near], alpha)
+            if np.isneginf(deltas[top := near[bounds.argmax()]]):  # a NaN bound is the argmax
+                deltas[top] = _support_deltas(gram, supports[top, None], alpha)[0]
+            near = near[~(bounds + _slack(t, alpha, bounds) < deltas.max())]  # NaN stays
+        rest = near[np.isneginf(deltas[near])]
         deltas[rest] = _support_deltas(gram, supports[rest], alpha)
     k = int(deltas.argmax())
-    worst = tuple(supports[k].tolist())
-    return RipReport(t, float(deltas[k]), mode, worst, len(supports))
+    return RipReport(t, float(deltas[k]), mode, tuple(supports[k].tolist()), len(supports))
 
 
 def _check_level(A: BlockDict, t: int) -> None:

@@ -1,10 +1,10 @@
 """Span algebra over column-blocks.
 
-Subspaces are carried as orthonormal bases obtained from the SVD with the
-library's one rank rule, `core._numerical_rank`. Span equality is decided
-by one kernel over stacked bases, `_spans_equal_stacked`: two spans of
-equal dimension are equal when every principal cosine is at least 1 - tol,
-i.e. every principal angle is below arccos(1 - tol) ~ sqrt(2 tol).
+Subspaces are carried as orthonormal bases, from the SVD or a QR certified
+full rank, under the library's one rank rule, `core._numerical_rank`. Span
+equality is decided by one kernel over stacked bases, `_spans_equal_stacked`:
+two spans of equal dimension are equal when every principal cosine is at
+least 1 - tol, i.e. every principal angle is below arccos(1 - tol) ~ sqrt(2 tol).
 `check_lemma1` runs that kernel only on the support pairs that pass a
 Frobenius pre-screen, computed in blocks no larger than the stacked bases.
 """
@@ -110,10 +110,13 @@ def subspace_intersection(M1, M2, tol: float = DEFAULT_RANK_TOL) -> SubspaceBasi
 def check_lemma1(A: BlockDict, s: int | None = None, tol: float = DEFAULT_RANK_TOL) -> bool:
     """Whether all distinct size-s block supports of A span distinct subspaces.
 
-    This is the span-separation property that a restricted isometry
-    constant below 1 at level 2s guarantees. One batched SVD gives every
-    support's basis; a Frobenius pre-screen in O(C(K, s) P s alpha) memory
-    sends only the same-rank pairs near equality to the exact kernel.
+    This is the span-separation property that a restricted isometry constant below 1
+    at level 2s guarantees. Bases come from one batched QR M_T = Q_T R_T; a Frobenius
+    pre-screen in O(C(K, s) P s alpha) memory sends only the same-rank pairs near
+    equality to the exact kernel, on the SVD's bases. With d = s alpha, prod |r_ii| =
+    |det R_T| = prod s_i and s_i <= ||R_T||_F give s_d / s_1 >= c_T = prod (|r_ii| / ||R_T||_F),
+    so c_T > tol + 16 P d^2 eps (1 + tol), allowing for QR's and the SVD's backward errors,
+    certifies rank d; other supports take the SVD and the rank rule.
 
     Raises CapacityError when C(K, s)^2 exceeds DEFAULT_ENUMERATION_CAP.
     """
@@ -126,10 +129,16 @@ def check_lemma1(A: BlockDict, s: int | None = None, tol: float = DEFAULT_RANK_T
             f"C({K}, {s})^2 = {n_pairs} pairs exceeds the enumeration cap {DEFAULT_ENUMERATION_CAP}"
         )
     supports = _enumerate_supports(K, s, DEFAULT_ENUMERATION_CAP)
-    cols = _support_columns(supports, A.structure.alpha)
-    U, svals, _ = np.linalg.svd(A.data[:, cols].transpose(1, 0, 2), full_matrices=False)
-    ranks = _numerical_rank(svals, tol)
+    M = A.data[:, _support_columns(supports, A.structure.alpha)].transpose(1, 0, 2)
+    U, R = np.linalg.qr(M)
     n, P, d = U.shape
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # NaN certifies nothing
+        cert = np.prod(abs(R.diagonal(0, 1, 2)) / np.linalg.norm(R, axis=(1, 2))[:, None], axis=1)
+    ranks, eps = np.full(n, d), np.finfo(float).eps
+    rest = np.flatnonzero(~(cert > tol + 16 * P * d * d * eps * (1 + tol)))
+    if rest.size:
+        U[rest], svals, _ = np.linalg.svd(M[rest], full_matrices=False)
+        ranks[rest] = _numerical_rank(svals, tol)
     # with columns past each rank zeroed, ||U_a^T U_b||_F^2 sums the squared principal
     # cosines, >= r (1 - tol)^2 for equal rank-r spans (every r is 0 once tol >= 1):
     # only pairs above that floor reach the kernel
@@ -139,10 +148,11 @@ def check_lemma1(A: BlockDict, s: int | None = None, tol: float = DEFAULT_RANK_T
     step = max(1, P // (s * A.structure.alpha))  # blocks of <= n P d entries
     for lo in range(0, n, step):
         fro2 = np.square(flat[lo * d : (lo + step) * d] @ flat[lo * d :].T)
-        fro2 = fro2.reshape(-1, d, n - lo, d).sum(axis=(1, 3))
+        fro2 = (fro2.reshape(-1, d) @ np.ones(d)).reshape(-1, d, n - lo).sum(axis=1)
         same = ranks[lo : lo + step, None] == ranks[lo:]
         for a, b in lo + np.argwhere(np.triu(same & (fro2 >= floor[lo : lo + step, None]), 1)):
-            if _spans_equal_stacked(U[a, :, : ranks[a]], U[b, :, : ranks[a]], tol):
+            V = np.linalg.svd(M[[a, b]], full_matrices=False)[0][..., : ranks[a]]
+            if _spans_equal_stacked(V[0], V[1], tol):
                 return False
     return True
 

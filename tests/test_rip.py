@@ -214,6 +214,21 @@ class TestSupportLayer:
         assert len({tuple(row) for row in drawn.tolist()}) == n
         assert drawn.tobytes() == _one_draw_at_a_time(K, t, n, seed=3).tobytes()
 
+    @pytest.mark.parametrize("K", [63, 64])
+    def test_sampler_on_both_sides_of_the_int64_bitmask(self, K):
+        # K = 63 keys supports by bits 0..62 of an int64, K = 64 by their row bytes
+        for seed in range(3):
+            drawn = _sample_supports(K, 5, 300, seed)
+            assert drawn.tobytes() == _one_draw_at_a_time(K, 5, 300, seed).tobytes()
+
+    def test_small_tables_are_memoised_and_read_only(self, monkeypatch):
+        table = _enumerate_supports(12, 4, 10**6)
+        assert _enumerate_supports(12, 4, 10**6) is table and not table.flags.writeable
+        monkeypatch.setattr(rip, "_RIP_CHUNK", 494)  # C(12, 4) = 495 rows: not memoised
+        big = _enumerate_supports(12, 4, 10**6)
+        assert big is not table and not big.flags.writeable
+        assert np.array_equal(big, table)
+
     def test_sampled_bound_pinned(self):
         # recorded from rip_constant_for_support over _one_draw_at_a_time's supports
         A = gen_dictionary(20, BlockStructure(K=10, alpha=2, s=3), seed=11)
@@ -247,6 +262,19 @@ def all_supports_report(A, supports):
 def pruned_report(A, t, supports):
     report = rip._rip_report(A, t, supports, rip.MODE_EXACT)
     return report.delta, report.worst_support
+
+
+def record_solves(monkeypatch):
+    """The supports, as tuples, that `_rip_report` hands to the eigen-solver."""
+    solved = []
+    real = rip._support_deltas
+
+    def counted(gram, supports, alpha):
+        solved.extend(map(tuple, supports.tolist()))
+        return real(gram, supports, alpha)
+
+    monkeypatch.setattr(rip, "_support_deltas", counted)
+    return solved
 
 
 class TestPrunedReport:
@@ -326,17 +354,16 @@ class TestPrunedReport:
                 assert pruned_report(A, 4, supports) == all_supports_report(A, supports)
 
     def test_most_supports_are_never_eigen_solved(self, monkeypatch):
-        solved = []
-        real = rip._support_deltas
-
-        def counted(gram, supports, alpha):
-            solved.append(len(supports))
-            return real(gram, supports, alpha)
-
-        monkeypatch.setattr(rip, "_support_deltas", counted)
-        A = gen_dictionary(48, BlockStructure(K=12, alpha=2, s=2), seed=1)
-        rip_constant_exact(A, 4)
-        assert solved[0] == rip._RIP_HEAD and sum(solved) < 495 // 2
+        # K=12, t=4: of 495 exact or 200 sampled supports, the bounds leave about 2
+        solved = record_solves(monkeypatch)
+        st = BlockStructure(K=12, alpha=2, s=2)
+        for report in (rip_constant_exact, lambda A, t: rip_lower_bound_sampled(A, t, 200, 1)):
+            counts = []
+            for seed in range(100):
+                solved.clear()
+                report(gen_dictionary(48, st, seed=seed), 4)
+                counts.append(len(solved))
+            assert counts[1] <= 3 and np.mean(counts) <= 3, counts
 
     @pytest.mark.parametrize("alpha", [1, 2, 3])
     @pytest.mark.parametrize("mode", ["per-block-orthonormal", "gaussian"])
@@ -370,6 +397,55 @@ class TestPrunedReport:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
+
+
+class TestGelfandBounds:
+    """||E_T^8||_F^(1/8) plus the slack is never below a computed delta_T."""
+
+    @staticmethod
+    def bounds_and_deltas(A, t):
+        gram, alpha = A.data.T @ A.data, A.structure.alpha
+        supports = _enumerate_supports(A.structure.K, t, 10**6)
+        bounds = rip._gelfand_bounds(gram, supports, alpha)
+        return supports, bounds, rip._slack(t, alpha, bounds), rip._support_deltas(gram, supports, alpha)
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**300, 2.0**-300])
+    @pytest.mark.parametrize("alpha", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["per-block-orthonormal", "gaussian"])
+    def test_bound_holds_and_reports_match(self, alpha, mode, scale):
+        st = BlockStructure(K=7, alpha=alpha, s=1)
+        for seed in range(10):
+            A = gen_dictionary(3 * alpha + 4, st, seed=seed, mode=mode)
+            A = BlockDict(st, A.data * scale)
+            for t in (1, 2, 4, 7):
+                supports, bounds, slack, deltas = self.bounds_and_deltas(A, t)
+                assert not np.any(bounds + slack < deltas), (seed, t)  # NaN is never below
+                assert pruned_report(A, t, supports) == all_supports_report(A, supports)
+
+    def test_a_power_that_overflows_is_always_solved(self, monkeypatch):
+        # Gram entries near 2^132: the block-norm bounds stay finite, E_T^8 overflows
+        st = BlockStructure(K=12, alpha=2, s=2)
+        A = BlockDict(st, gen_dictionary(48, st, seed=2, mode="gaussian").data * 2.0**66)
+        supports, bounds, _, deltas = self.bounds_and_deltas(A, 4)
+        block_bounds = _support_bounds(A.data.T @ A.data, supports, 2)
+        assert np.isfinite(block_bounds).all() and not np.isfinite(bounds).any()
+        solved = record_solves(monkeypatch)
+        assert pruned_report(A, 4, supports) == all_supports_report(A, supports)
+        # every support the block-norm bound keeps reaches the Gelfand stage and is solved
+        kept = ~(block_bounds + rip._slack(4, 2, block_bounds) < deltas.max())
+        assert kept.sum() > 2 and {tuple(row) for row in supports[kept].tolist()} <= set(solved)
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_a_power_that_underflows_never_hides_the_maximizer(self, alpha):
+        # E = gram - I has entries near 2^-140, so E^8 underflows to zero
+        st = BlockStructure(K=12 // alpha, alpha=alpha, s=1)
+        for seed in range(5):
+            noise = np.random.default_rng(seed).standard_normal((12, 12))
+            A = BlockDict(st, np.eye(12) + 2.0**-140 * noise)
+            for t in (2, 3):
+                supports, bounds, _, _ = self.bounds_and_deltas(A, t)
+                assert np.all(bounds == 0.0)
+                assert pruned_report(A, t, supports) == all_supports_report(A, supports)
 
 
 class TestRayleighFloors:

@@ -17,6 +17,8 @@ from blockdict import (
 )
 
 from blockdict import subspace
+from blockdict.core import _numerical_rank
+from blockdict.rip import _enumerate_supports, _support_columns
 
 from conftest import ge_rank, in_span, make_rip_instance, nullspace_intersection, projector
 
@@ -258,6 +260,109 @@ class TestLemma1:
         A = BlockDict(structure, np.eye(40))
         with pytest.raises(CapacityError):
             check_lemma1(A, 20)
+
+
+def lemma1_all_svd(A, s, tol=1e-8):
+    """Reference: `check_lemma1` with every support's basis and rank from the SVD."""
+    supports = _enumerate_supports(A.structure.K, s, 10**6)
+    cols = _support_columns(supports, A.structure.alpha)
+    U, svals, _ = np.linalg.svd(A.data[:, cols].transpose(1, 0, 2), full_matrices=False)
+    ranks = _numerical_rank(svals, tol)
+    n, P, d = U.shape
+    U *= np.arange(d) < ranks[:, None, None]
+    flat = U.transpose(0, 2, 1).reshape(n * d, P)
+    floor = ranks * (1.0 - tol) ** 2 - 1e-9
+    step = max(1, P // (s * A.structure.alpha))
+    for lo in range(0, n, step):
+        fro2 = np.square(flat[lo * d : (lo + step) * d] @ flat[lo * d :].T)
+        fro2 = fro2.reshape(-1, d, n - lo, d).sum(axis=(1, 3))
+        same = ranks[lo : lo + step, None] == ranks[lo:]
+        for a, b in lo + np.argwhere(np.triu(same & (fro2 >= floor[lo : lo + step, None]), 1)):
+            if subspace._spans_equal_stacked(U[a, :, : ranks[a]], U[b, :, : ranks[a]], tol):
+                return False
+    return True
+
+
+def special_blocks(kind):
+    """K=6, alpha=2, P=16 with block 4 zero, a copy of block 2 mixed, rank 1, or inside
+    the span of blocks 1 and 2."""
+    A = gen_dictionary(16, BlockStructure(K=6, alpha=2, s=2), seed=11)
+    mix = np.array([[2.0, 1.0], [-0.5, 1.0]])
+    block = {
+        "zero": np.zeros((16, 2)),
+        "duplicate": A.block(2) @ mix,
+        "rank-1": np.outer(A.block(3)[:, 0], [1.0, -3.0]),
+        "in-span": A.block(1) @ mix + A.block(2) @ mix.T,
+    }[kind]
+    return A.with_block(4, block)
+
+
+class TestLemma1Certificate:
+    """The determinant certificate leaves every answer to the all-SVD check."""
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-8, 1e-6, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("scale", [1.0, 2.0**500, 2.0**-500])
+    @pytest.mark.parametrize("kind", ["zero", "duplicate", "rank-1", "in-span"])
+    def test_special_blocks_match_the_svd_reference(self, kind, scale, tol):
+        A = special_blocks(kind)
+        A = BlockDict(A.structure, A.data * scale)
+        for s in (1, 2, 3):
+            assert check_lemma1(A, s, tol) == lemma1_all_svd(A, s, tol), s
+
+    @pytest.mark.parametrize("kind, s, expected", [
+        ("zero", 1, True), ("zero", 2, True), ("duplicate", 1, False),
+        ("duplicate", 2, False), ("rank-1", 2, True), ("in-span", 1, True),
+        ("in-span", 2, False),
+    ])
+    def test_special_blocks_at_the_default_tol(self, kind, s, expected):
+        assert check_lemma1(special_blocks(kind), s) == expected
+
+    @pytest.mark.parametrize("mode", ["per-block-orthonormal", "gaussian"])
+    def test_seeded_dictionaries_match_the_svd_reference(self, mode):
+        st = BlockStructure(K=12, alpha=2, s=2)
+        for seed in range(200):
+            A = gen_dictionary(48, st, seed=seed, mode=mode)
+            assert check_lemma1(A, 2) == lemma1_all_svd(A, 2), seed
+
+    @pytest.mark.parametrize("P, alpha", [(3, 2), (5, 3)])
+    def test_supports_wider_than_the_ambient_space(self, P, alpha):
+        # QR's R_T is P x d here; a certified support spans all of R^P
+        st = BlockStructure(K=5, alpha=alpha, s=1)
+        for seed in range(5):
+            A = gen_dictionary(P, st, seed=seed, mode="gaussian")
+            for s in (1, 2, 3):
+                for tol in (0.0, 1e-8, 0.5):
+                    assert check_lemma1(A, s, tol) == lemma1_all_svd(A, s, tol), (seed, s, tol)
+
+    @pytest.mark.parametrize("seed", [10, 15, 17])
+    def test_the_allowance_keeps_a_borderline_support_on_the_svd(self, seed):
+        # block 1 is [a, k a + 1e-9 v]; tol is the least at which the SVD's rank rule
+        # gives it rank 1, and there its certificate value still exceeds tol, so only
+        # the allowance stops a rank-2 certificate; at rank 1 it spans block 2's line
+        rng = np.random.default_rng(seed)
+        a, v, g = rng.standard_normal((3, 6))
+        block = np.column_stack([a, rng.standard_normal() * a + 1e-9 * v])
+        svals = np.linalg.svd(block, compute_uv=False)
+        tol = svals[1] / svals[0]
+        while _numerical_rank(svals, tol) == 2:
+            tol = np.nextafter(tol, 1.0)
+        R = np.linalg.qr(block)[1]
+        assert np.prod(np.abs(np.diag(R)) / np.linalg.norm(R)) > tol
+        A = BlockDict(BlockStructure(K=3, alpha=2, s=1),
+                      np.column_stack([block, a, 2 * a, g, rng.standard_normal(6)]))
+        assert check_lemma1(A, 1, tol) == lemma1_all_svd(A, 1, tol) is False
+
+    def test_generic_supports_take_no_svd(self, monkeypatch):
+        # the rank rule runs only on the SVD of supports the certificate leaves
+        ranked = []
+        rank = subspace._numerical_rank
+        monkeypatch.setattr(subspace, "_numerical_rank",
+                            lambda svals, tol: ranked.append(len(svals)) or rank(svals, tol))
+        st = BlockStructure(K=12, alpha=2, s=2)
+        assert check_lemma1(gen_dictionary(48, st, seed=0), 2)
+        assert ranked == []
+        assert check_lemma1(special_blocks("zero"), 2)
+        assert ranked == [5]  # the five supports holding the zero block
 
 
 class TestLemma2:
