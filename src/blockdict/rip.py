@@ -60,8 +60,8 @@ def _sample_supports(K: int, t: int, n: int, seed: int) -> np.ndarray:
 
     Each draw takes rng.random(K) keys and keeps the blocks of the t smallest,
     sorted; repeats (keyed by the int64 sum of 2^(b - 1), by row bytes past K = 63)
-    are skipped. Draws come in batches of the missing supports times C(K, t) /
-    (C(K, t) - found), the expected draws per new one: the same as one at a time.
+    are skipped; draws come first in a batch of C ln((C + 1/2) / (C - n + 1/2)), at most
+    C = C(K, t), then of the missing times C / (C - found): the stream of one at a time.
     Every support, in lexicographic order, when n >= C(K, t). Raises
     CapacityError when min(n, C(K, t)) exceeds DEFAULT_ENUMERATION_CAP.
     """
@@ -73,13 +73,14 @@ def _sample_supports(K: int, t: int, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     row = np.dtype((np.void, t * np.dtype(np.intp).itemsize))
     kept = np.empty((0, t), dtype=np.intp)
+    draws = min(total, math.ceil(total * math.log((total + 0.5) / (total - n + 0.5))))
     while len(kept) < n:
-        draws = -(-(n - len(kept)) * total // (total - len(kept)))
         new = np.sort(np.argpartition(rng.random((draws, K)), t - 1, axis=1)[:, :t], axis=1) + 1
         rows = np.concatenate([kept, new])
         keys = np.left_shift(1, rows - 1) @ np.ones(t, np.int64) if K <= 63 else rows.view(row)
         _, first = np.unique(keys.ravel(), return_index=True)
         kept = rows[np.sort(first)[:n]]
+        draws = -(-(n - len(kept)) * total // (total - len(kept)))
     return kept
 
 

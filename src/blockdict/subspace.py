@@ -5,8 +5,8 @@ full rank, under the library's one rank rule, `core._numerical_rank`. Span
 equality is decided by one kernel over stacked bases, `_spans_equal_stacked`:
 two spans of equal dimension are equal when every principal cosine is at
 least 1 - tol, i.e. every principal angle is below arccos(1 - tol) ~ sqrt(2 tol).
-`check_lemma1` runs that kernel only on the support pairs that pass a
-Frobenius pre-screen, computed in blocks no larger than the stacked bases.
+`check_lemma1` first tries a certificate from one Gram of the block-whitened A;
+where it fails, that kernel runs only on support pairs passing a Frobenius pre-screen.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import numpy as np
 
 from .core import DEFAULT_RANK_TOL, BlockDict, _check_s, _check_tols, _numerical_rank, as_support
 from .errors import CapacityError
-from .rip import DEFAULT_ENUMERATION_CAP, _enumerate_supports, _support_columns
+from .rip import (DEFAULT_ENUMERATION_CAP, _enumerate_supports, _slack, _support_bounds,
+                  _support_columns, _support_deltas)
 
 
 @dataclass(frozen=True)
@@ -110,24 +111,52 @@ def subspace_intersection(M1, M2, tol: float = DEFAULT_RANK_TOL) -> SubspaceBasi
 def check_lemma1(A: BlockDict, s: int | None = None, tol: float = DEFAULT_RANK_TOL) -> bool:
     """Whether all distinct size-s block supports of A span distinct subspaces.
 
-    This is the span-separation property that a restricted isometry constant below 1
-    at level 2s guarantees. Bases come from one batched QR M_T = Q_T R_T; a Frobenius
-    pre-screen in O(C(K, s) P s alpha) memory sends only the same-rank pairs near
-    equality to the exact kernel, on the SVD's bases. With d = s alpha, prod |r_ii| =
-    |det R_T| = prod s_i and s_i <= ||R_T||_F give s_d / s_1 >= c_T = prod (|r_ii| / ||R_T||_F),
-    so c_T > tol + 16 P d^2 eps (1 + tol), allowing for QR's and the SVD's backward errors,
-    certifies rank d; other supports take the SVD and the rank rule.
+    This is the span-separation property that a restricted isometry constant below 1 at
+    level 2s guarantees. Let Q be A with each block replaced by its SVD's U. If S != S' have
+    all principal cosines >= 1 - tol >= 0 and j is in S' - S, a unit v = Q_j u has v - P_S v =
+    Q_T [u; -y] on T = S + {j}, of squared norm <= 1 - (1 - tol)^2: sigma_min(Q_T) <=
+    sqrt(tol (2 - tol)). And S in T has A_S = Q_S diag(R_i): sigma_d / sigma_1 (A_S) >= rho_T =
+    kappa sigma_min(Q_T) / sqrt(s + 1), kappa = least block sigma_min / greatest block sigma_max.
+    With e = 16 P (s + 1)^2 alpha^2 eps bounding an SVD's relative backward error, a basis from
+    M is within an angle e sigma_1 / sigma_d of span M; to first order kappa errs by 2e (taken
+    off it), the blocks' bases move rho_T by 3e, the rank rule needs e (1 + tol), the fallback's
+    largest angle moves by a / rho_T, a = 5 (s + 1) e, and its cosines by 3e. So True when each
+    (s + 1)-block T has rho_T > tol + a and sigma_min(Q_T) > sqrt((tol + 3e)(2 - tol)) + a / rho_T,
+    lmin(Q_T^T Q_T) from `rip._support_bounds`, else eigvalsh, less `rip._slack` and e.
+
+    Otherwise bases come from one batched QR M_T = Q_T R_T; a Frobenius pre-screen in
+    O(C(K, s) P d) memory, d = s alpha, sends only the same-rank pairs near equality to the
+    exact kernel, on the SVD's bases. prod |r_ii| = |det R_T| = prod s_i and s_i <= ||R_T||_F
+    give s_d / s_1 >= c_T = prod (|r_ii| / ||R_T||_F), so c_T > tol + 16 P d^2 eps (1 + tol),
+    allowing for QR's and the SVD's errors, certifies rank d; others take the SVD's rank rule.
 
     Raises CapacityError when C(K, s)^2 exceeds DEFAULT_ENUMERATION_CAP.
     """
     _check_tols(tol=tol)
     s = _check_s(A.structure, s)
-    K = A.structure.K
+    (P, n), K, alpha = A.data.shape, A.structure.K, A.structure.alpha
     n_pairs = math.comb(K, s) ** 2
     if n_pairs > DEFAULT_ENUMERATION_CAP:
         raise CapacityError(
             f"C({K}, {s})^2 = {n_pairs} pairs exceeds the enumeration cap {DEFAULT_ENUMERATION_CAP}"
         )
+    # (s + 1) alpha > P makes every lmin 0; past these scales the fallback may under/overflow
+    if (s + 1) * alpha <= P and 1e-250 < np.abs(A.data).max() < np.sqrt(np.finfo(float).max / P):
+        U, sv, _ = np.linalg.svd(A.data.reshape(P, K, alpha).swapaxes(0, 1), full_matrices=False)
+        gram = (W := U.swapaxes(0, 1).reshape(P, n)).T @ W  # Q^T Q
+        T = _enumerate_supports(K, s + 1, DEFAULT_ENUMERATION_CAP)
+        e = 16 * P * ((s + 1) * alpha) ** 2 * np.finfo(float).eps
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # NaN certifies nothing
+            kappa, a = sv[:, -1].min() / sv[:, 0].max() - 2 * e, 5 * (s + 1) * e
+            lo = 1 - (bound := _support_bounds(gram, T, alpha)) - _slack(s + 1, alpha, bound) - e
+            for solve in (False, True):
+                if solve:  # G_T / (s + 1) has eigenvalues in [0, 1]: delta_T = 1 - lmin / (s + 1)
+                    lo[~ok] = (s + 1) * (1 - _support_deltas(gram / (s + 1), T[~ok], alpha)) - (
+                        _slack(s + 1, alpha, s) + e)
+                rho = kappa * np.sqrt(lo / (s + 1))
+                ok = (rho > tol + a) & (np.sqrt(lo) > np.sqrt((tol + 3 * e) * (2 - tol)) + a / rho)
+                if ok.all():
+                    return True
     supports = _enumerate_supports(K, s, DEFAULT_ENUMERATION_CAP)
     M = A.data[:, _support_columns(supports, A.structure.alpha)].transpose(1, 0, 2)
     U, R = np.linalg.qr(M)

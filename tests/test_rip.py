@@ -221,6 +221,29 @@ class TestSupportLayer:
             drawn = _sample_supports(K, 5, 300, seed)
             assert drawn.tobytes() == _one_draw_at_a_time(K, 5, 300, seed).tobytes()
 
+    def test_sampler_first_batch_is_the_expected_draw_count(self, monkeypatch):
+        # the coupon-collector expectation sum_{i < n} C / (C - i), at most C = C(K, t),
+        # so the screen's 200 of C(12, 4) = 495 mostly take one batch
+        batches, default_rng = [], np.random.default_rng
+
+        class Counted:
+            def __init__(self, seed):
+                self.rng, self.seed = default_rng(seed), seed
+
+            def random(self, shape):
+                batches.append((self.seed, shape[0]))
+                return self.rng.random(shape)
+
+        monkeypatch.setattr(np.random, "default_rng", Counted)
+        for seed in range(1, 51):
+            _sample_supports(12, 4, 200, seed)
+        first = {seed: rows for seed, rows in reversed(batches)}
+        assert all(abs(rows - sum(495 / (495 - i) for i in range(200))) < 1 for rows in first.values())
+        assert len(batches) < 2 * len(first)
+        batches.clear()
+        _sample_supports(6, 2, 14, seed=0)
+        assert batches[0] == (0, 15)
+
     def test_small_tables_are_memoised_and_read_only(self, monkeypatch):
         table = _enumerate_supports(12, 4, 10**6)
         assert _enumerate_supports(12, 4, 10**6) is table and not table.flags.writeable

@@ -365,6 +365,105 @@ class TestLemma1Certificate:
         assert ranked == [5]  # the five supports holding the zero block
 
 
+def rotated_copy(mode, seed, theta, P=16):
+    """K=6, alpha=2: block 4 spans block 2's span with one direction turned by theta out of
+    it, so the two blocks' principal cosines are 1 and cos(theta)."""
+    A = gen_dictionary(P, BlockStructure(K=6, alpha=2, s=2), seed=seed, mode=mode)
+    Q = np.linalg.qr(A.block(2))[0]
+    w = np.random.default_rng(seed).standard_normal(P)
+    w -= Q @ (Q.T @ w)
+    Q[:, 1] = np.cos(theta) * Q[:, 1] + np.sin(theta) * w / np.linalg.norm(w)
+    return A.with_block(4, Q @ np.array([[2.0, 1.0], [-0.5, 1.0]]))
+
+
+def record_qr(monkeypatch):
+    """Every np.linalg.qr call from here on, as a list that grows."""
+    calls, qr = [], np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *args, **kw: calls.append(1) or qr(*args, **kw))
+    return calls
+
+
+class TestWhitenedCertificate:
+    """The one-Gram certificate answers True only where the all-SVD check does."""
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-8, 1e-6, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("scale", [1.0, 2.0**500, 2.0**-500])
+    @pytest.mark.parametrize("mode", ["per-block-orthonormal", "gaussian"])
+    def test_rotated_block_matches_the_svd_reference(self, mode, scale, tol):
+        # 1 - cos(theta) at half and twice tol (0 and 1e-6 at tol 0)
+        for gap in (tol / 2, 2 * tol if tol else 1e-6):
+            A = rotated_copy(mode, 5, np.arccos(max(1.0 - gap, -1.0)))
+            A = BlockDict(A.structure, A.data * scale)
+            for s in (1, 2, 3):
+                assert check_lemma1(A, s, tol) == lemma1_all_svd(A, s, tol), (gap, s)
+            if 0 < tol < 0.5:  # at s = 1 blocks 2 and 4 are the only pair near equality
+                assert lemma1_all_svd(A, 1, tol) == (gap > tol), gap
+
+    @pytest.mark.parametrize("mode, seed", [
+        ("per-block-orthonormal", 20), ("gaussian", 2), ("gaussian", 13),
+    ])
+    def test_the_allowance_keeps_an_exact_copy_off_at_tol_zero(self, mode, seed):
+        # theta = 0: on every T holding blocks 2 and 4 the whitened Gram's least eigenvalue is
+        # 0 up to rounding, which leaves it above tol (2 - tol) = 0 for these seeds, while the
+        # fallback's cosines round to 1: only the allowance keeps the certificate off
+        A = rotated_copy(mode, seed, 0.0)
+        assert check_lemma1(A, 1, 0.0) == lemma1_all_svd(A, 1, 0.0) is False
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-11])
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-8, 1e-6, 0.5])
+    def test_ill_conditioned_block_matches_the_svd_reference(self, tol, eps):
+        # block 4 = [a, a + eps v]: kappa ~ eps, which the rank margin must beat
+        rng = np.random.default_rng(3)
+        a, v = rng.standard_normal((2, 16))
+        A = gen_dictionary(16, BlockStructure(K=6, alpha=2, s=2), seed=3, mode="gaussian")
+        A = A.with_block(4, np.column_stack([a, a + eps * v]))
+        for s in (1, 2, 3):
+            assert check_lemma1(A, s, tol) == lemma1_all_svd(A, s, tol), s
+
+    @pytest.mark.parametrize("mode", ["per-block-orthonormal", "gaussian"])
+    def test_seeded_dictionaries_reach_no_qr(self, monkeypatch, mode):
+        st = BlockStructure(K=12, alpha=2, s=2)
+        dicts = [gen_dictionary(48, st, seed=seed, mode=mode) for seed in range(200)]
+        calls = record_qr(monkeypatch)
+        assert all(check_lemma1(A, 2) for A in dicts)
+        assert calls == []
+
+    @pytest.mark.parametrize("mode", ["per-block-orthonormal", "gaussian"])
+    def test_wide_supports_certify_without_qr(self, monkeypatch, mode):
+        # P=64, K=8, alpha=4, s=4: d = 16, where the determinant certificate cannot clear
+        # the default tol, and lmax(G_T) > 2 on (s + 1)-block unions, so only eigvalsh clears them
+        st = BlockStructure(K=8, alpha=4, s=4)
+        dicts = [gen_dictionary(64, st, seed=seed, mode=mode) for seed in range(3)]
+        calls = record_qr(monkeypatch)
+        assert all(check_lemma1(A, 4) for A in dicts)
+        assert calls == []
+        monkeypatch.undo()
+        assert all(lemma1_all_svd(A, 4) for A in dicts)
+
+    @pytest.mark.parametrize("top", [1e308, 2.0**-1040])
+    def test_entries_near_the_ends_of_the_float_range_fall_back(self, monkeypatch, top):
+        # at 1e308 the fallback's SVDs of three-block supports overflow (it answers False at
+        # s = 3), at 2^-1040 its singular values are subnormal: the certificate, whose own
+        # bases stay accurate, leaves both to the fallback rather than answer otherwise
+        A = gen_dictionary(16, BlockStructure(K=6, alpha=2, s=2), seed=1, mode="gaussian")
+        A = BlockDict(A.structure, A.data / np.abs(A.data).max() * top)
+        expected = [lemma1_all_svd(A, s) for s in (1, 2, 3)]
+        calls = record_qr(monkeypatch)
+        answers = [check_lemma1(A, s) for s in (1, 2, 3)]
+        assert len(calls) == 3
+        if top > 1:
+            assert answers == expected == [True, True, False]
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-8, 2.0])
+    def test_one_support_and_blocks_wider_than_the_ambient_space(self, tol):
+        # s = K leaves no (s + 1)-block union and no pair; alpha > P leaves no whitening
+        A = gen_dictionary(8, BlockStructure(K=3, alpha=2, s=3), seed=1)
+        assert check_lemma1(A, 3, tol)
+        A = BlockDict(BlockStructure(K=3, alpha=4, s=1), np.random.default_rng(1).standard_normal((3, 12)))
+        for s in (1, 2):
+            assert check_lemma1(A, s, tol) == lemma1_all_svd(A, s, tol), s
+
+
 class TestLemma2:
     def test_equal_supports(self):
         A, _, _ = make_rip_instance(16, 6, 2, 2, seed=7)
