@@ -75,6 +75,7 @@ from .subspace import (
     SubspaceBasis,
     check_lemma1,
     check_lemma2,
+    lemma2_all_pairs,
     orthonormal_basis,
     spans_equal,
     subspace_intersection,

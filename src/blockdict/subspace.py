@@ -32,9 +32,7 @@ class SubspaceBasis:
     def __post_init__(self):
         arr = np.array(self.basis, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != self.ambient_dim:
-            raise ValueError(
-                f"basis must be {self.ambient_dim} x dim, got shape {arr.shape}"
-            )
+            raise ValueError(f"basis must be {self.ambient_dim} x dim, got shape {arr.shape}")
         if arr.shape[1]:
             gram = arr.T @ arr
             if not np.allclose(gram, np.eye(arr.shape[1]), atol=1e-8):
@@ -108,6 +106,14 @@ def subspace_intersection(M1, M2, tol: float = DEFAULT_RANK_TOL) -> SubspaceBasi
     return SubspaceBasis(Q1.ambient_dim, Q1.basis @ U[:, : int(np.sum(keep))])
 
 
+def _pair_supports(K: int, s: int) -> np.ndarray:
+    """The size-s supports; CapacityError when their C(K, s)^2 ordered pairs exceed the cap."""
+    if (n_pairs := math.comb(K, s) ** 2) > DEFAULT_ENUMERATION_CAP:
+        raise CapacityError(f"C({K}, {s})^2 = {n_pairs} pairs exceeds the enumeration cap "
+                            f"{DEFAULT_ENUMERATION_CAP}")
+    return _enumerate_supports(K, s, DEFAULT_ENUMERATION_CAP)
+
+
 def check_lemma1(A: BlockDict, s: int | None = None, tol: float = DEFAULT_RANK_TOL) -> bool:
     """Whether all distinct size-s block supports of A span distinct subspaces.
 
@@ -127,7 +133,8 @@ def check_lemma1(A: BlockDict, s: int | None = None, tol: float = DEFAULT_RANK_T
     Otherwise bases come from one batched QR M_T = Q_T R_T; a Frobenius pre-screen in
     O(C(K, s) P d) memory, d = s alpha, sends only the same-rank pairs near equality to the
     exact kernel, on the SVD's bases. prod |r_ii| = |det R_T| = prod s_i and s_i <= ||R_T||_F
-    give s_d / s_1 >= c_T = prod (|r_ii| / ||R_T||_F), so c_T > tol + 16 P d^2 eps (1 + tol),
+    give s_d / s_1 >= c_T = prod (|r_ii| / ||R_T||_F), R_T at its largest entry's power of two
+    (exact; else subnormal entries give c_T = inf), so c_T > tol + 16 P d^2 eps (1 + tol),
     allowing for QR's and the SVD's errors, certifies rank d; others take the SVD's rank rule.
 
     Raises CapacityError when C(K, s)^2 exceeds DEFAULT_ENUMERATION_CAP.
@@ -135,11 +142,7 @@ def check_lemma1(A: BlockDict, s: int | None = None, tol: float = DEFAULT_RANK_T
     _check_tols(tol=tol)
     s = _check_s(A.structure, s)
     (P, n), K, alpha = A.data.shape, A.structure.K, A.structure.alpha
-    n_pairs = math.comb(K, s) ** 2
-    if n_pairs > DEFAULT_ENUMERATION_CAP:
-        raise CapacityError(
-            f"C({K}, {s})^2 = {n_pairs} pairs exceeds the enumeration cap {DEFAULT_ENUMERATION_CAP}"
-        )
+    supports = _pair_supports(K, s)
     # (s + 1) alpha > P makes every lmin 0; past these scales the fallback may under/overflow
     if (s + 1) * alpha <= P and 1e-250 < np.abs(A.data).max() < np.sqrt(np.finfo(float).max / P):
         U, sv, _ = np.linalg.svd(A.data.reshape(P, K, alpha).swapaxes(0, 1), full_matrices=False)
@@ -157,10 +160,10 @@ def check_lemma1(A: BlockDict, s: int | None = None, tol: float = DEFAULT_RANK_T
                 ok = (rho > tol + a) & (np.sqrt(lo) > np.sqrt((tol + 3 * e) * (2 - tol)) + a / rho)
                 if ok.all():
                     return True
-    supports = _enumerate_supports(K, s, DEFAULT_ENUMERATION_CAP)
     M = A.data[:, _support_columns(supports, A.structure.alpha)].transpose(1, 0, 2)
     U, R = np.linalg.qr(M)
     n, P, d = U.shape
+    R = np.ldexp(R, -np.frexp(abs(R).max(axis=(1, 2)))[1][:, None, None])  # exact: no underflow
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # NaN certifies nothing
         cert = np.prod(abs(R.diagonal(0, 1, 2)) / np.linalg.norm(R, axis=(1, 2))[:, None], axis=1)
     ranks, eps = np.full(n, d), np.finfo(float).eps
@@ -186,21 +189,46 @@ def check_lemma1(A: BlockDict, s: int | None = None, tol: float = DEFAULT_RANK_T
     return True
 
 
+def lemma2_all_pairs(A: BlockDict, s: int | None = None,
+                     tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """Entry (a, b): whether Span{A_S} & Span{A_S'} = Span{A_(S & S')} for the a-th and b-th
+    size-s supports S, S' in lexicographic order (Lemma 2). CapacityError past C(K, s)^2 > cap."""
+    _check_tols(tol=tol)
+    return _lemma2_pairs(A, _pair_supports(A.structure.K, _check_s(A.structure, s)), tol)
+
+
+def _lemma2_pairs(A: BlockDict, supports: np.ndarray, tol: float) -> np.ndarray:
+    """Lemma 2 on all ordered pairs of the sorted rows of supports: batched SVDs give each support's
+    basis U, each pair's A_(S & S') basis C (blocks of S outside S' zeroed) and cosines and vectors
+    W of U_a^T U_b; a pair holds when rank C of them are >= 1 - tol and U_a W_r spans C."""
+    (P, _), n, alpha = A.data.shape, len(supports), A.structure.alpha
+    M = A.data[:, _support_columns(supports, alpha)].transpose(1, 0, 2)
+    keep = np.repeat((supports[:, None, :, None] == supports[None, :, None]).any(-1), alpha, -1)
+    U, svals, _ = np.linalg.svd(M, full_matrices=False)
+    ranks, d, holds = _numerical_rank(svals, tol), U.shape[-1], np.empty((n, n), dtype=bool)
+    U *= np.arange(d) < ranks[:, None, None]  # bases zero past their ranks
+    step = max(1, 2**20 // (n * P * d))  # stacked arrays of about 2^20 entries
+    for a in (slice(lo, lo + step) for lo in range(0, n, step)):
+        C, svals, _ = np.linalg.svd(M[a, None] * keep[a, :, None], full_matrices=False)
+        C *= np.arange(d) < (common := _numerical_rank(svals, tol))[..., None, None]
+        W, cos, _ = np.linalg.svd(np.swapaxes(U[a], 1, 2)[:, None] @ U)
+        # cosines past min(rank a, rank b) come from the bases' zero padding
+        r = np.minimum(np.sum(cos >= 1.0 - tol, axis=-1), np.minimum(ranks[a, None], ranks))
+        inter = U[a, None] @ (W * (np.arange(d) < r[..., None, None]))  # zero past r, as C
+        pad = np.eye(d) * (np.arange(d) >= r[..., None, None])  # past r: one shared unit vector
+        inter, C = (np.concatenate([Q, pad], axis=-2) for Q in (inter, C))
+        holds[a] = (r == common) & _spans_equal_stacked(inter, C, tol)
+    return holds
+
+
 def check_lemma2(A: BlockDict, S, S2, tol: float = DEFAULT_RANK_TOL) -> bool:
     """Whether Span{A_S} intersected with Span{A_S2} equals Span{A_(S & S2)}.
 
-    Both supports must have size s. Disjoint supports make the right-hand
-    span trivial, so the check passes exactly when the computed
-    intersection has dimension 0.
-    """
+    Both supports must have size s; the one-pair view of `lemma2_all_pairs`: disjoint
+    supports pass exactly when their spans meet only in 0."""
     _check_tols(tol=tol)
-    s = A.structure.s
-    sup1 = as_support(S, A.structure.K)
-    sup2 = as_support(S2, A.structure.K)
-    if len(sup1) != s or len(sup2) != s:
-        raise ValueError(
-            f"both supports must have size s={s}, got {len(sup1)} and {len(sup2)}"
-        )
-    inter = subspace_intersection(A.restrict(sup1), A.restrict(sup2), tol)
-    common = tuple(sorted(set(sup1) & set(sup2)))
-    return spans_equal(inter, orthonormal_basis(A.restrict(common), tol), tol)
+    pair = [as_support(S, A.structure.K), as_support(S2, A.structure.K)]
+    if {len(pair[0]), len(pair[1])} != {A.structure.s}:
+        raise ValueError(f"both supports must have size s={A.structure.s}, "
+                         f"got {len(pair[0])} and {len(pair[1])}")
+    return bool(_lemma2_pairs(A, np.array(pair), tol)[0, 1])

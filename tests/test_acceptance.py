@@ -16,7 +16,7 @@ from blockdict import (
     ExperimentConfig,
     HypothesisViolationError,
     check_lemma1,
-    check_lemma2,
+    lemma2_all_pairs,
     block_omp,
     construct_kappa,
     exhaustive_code,
@@ -89,10 +89,9 @@ class TestCriterion2:
             if not check_lemma1(A, 2):
                 bad.append((idx, "lemma1"))
                 continue
-            for S in supports:
-                for S2 in supports:
-                    if not check_lemma2(A, S, S2):
-                        bad.append((idx, "lemma2", S, S2))
+            holds = lemma2_all_pairs(A, 2)  # every ordered pair, supports in lexicographic order
+            assert holds.shape == (len(supports), len(supports))
+            bad += [(idx, "lemma2", supports[a], supports[b]) for a, b in np.argwhere(~holds)]
         ok = not bad
         _report(2, ok, f"100 instances x (lemma1 + {len(supports) ** 2} lemma2 pairs), "
                        f"failures: {bad[:5]}")

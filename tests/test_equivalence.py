@@ -456,3 +456,43 @@ class TestFactoredProbes:
         else:
             assert construct_kappa(A, B, sup, n_probes=5, seed=7) == expected
         assert factors == [len(sup), len(sup)]  # the reference's factor, then the call's
+
+
+def overflow_fixture(kind):
+    """(A, B) at P=6, K=3, alpha=2: A's block 1 is [max/2 * ones, 0] and its block 2 is zero,
+    so a probe on (1,) or (1, 2) overflows when its first coefficient exceeds 2 in size, and
+    is otherwise along ones; B has no code of ones on one or two blocks ("no-code"), or
+    several, with ones in blocks 2 and 3 ("tied")."""
+    B = gen_dictionary(6, BlockStructure(K=3, alpha=2, s=2), seed=0)
+    if kind == "tied":
+        for i in (2, 3):
+            B = B.with_block(i, np.column_stack([np.ones(6), B.block(i)[:, 1]]))
+    big = np.column_stack([np.full(6, np.finfo(float).max / 2), np.zeros(6)])
+    return B.with_block(1, big).with_block(2, np.zeros((6, 2))), B
+
+
+class TestProbeOrder:
+    """Probes coded together report the first failing probe, as coded one at a time."""
+
+    # first coefficients: (1,) at seed 0 draws 0.10, -0.82, -0.57, 0.39, -2.68, so probe 0
+    # fails before probe 4 overflows, and at seed 23 draws 2.12 first; (1, 2) at seed 14
+    # draws -0.63, -2.36, so probe 1 overflows after probe 0, and at seed 43 draws 2.11 first
+    @pytest.mark.parametrize("sup, seed, overflow_first", [
+        ((1,), 0, False), ((1,), 23, True), ((1, 2), 14, False), ((1, 2), 43, True),
+    ])
+    @pytest.mark.parametrize("kind", ["no-code", "tied"])
+    def test_first_failure_wins_over_a_later_overflow(self, kind, sup, seed, overflow_first):
+        A, B = overflow_fixture(kind)
+        draws = np.random.default_rng([seed, *sup]).standard_normal((6, 2 * len(sup)))[:, 0]
+        overflows = np.abs(draws) > 2
+        assert overflows.any() and overflows[0] == overflow_first
+        expected = (r"^measurement holds non-finite values at entries \[0, 1, 2, 3, 4, 5\]$"
+                    if overflow_first else
+                    rf"^probe 0 on support \({sup[0]},( 2)?\) has (no {len(sup)}-block|tied)")
+        with np.errstate(over="ignore"):
+            with pytest.raises((HypothesisViolationError, ValueError), match=expected) as ref:
+                per_probe_kappa(A, equivalence._factor(B, len(sup)), sup, 6, seed, 1e-8)
+            with pytest.raises(type(ref.value)) as got:
+                construct_kappa(A, B, sup, n_probes=6, seed=seed)
+        assert str(got.value) == str(ref.value)
+        assert ("tied" in str(got.value)) == (kind == "tied" and not overflow_first)

@@ -1,5 +1,5 @@
 import warnings
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from blockdict import (
     check_lemma1,
     check_lemma2,
     gen_dictionary,
+    lemma2_all_pairs,
     orthonormal_basis,
     spans_equal,
     subspace_intersection,
@@ -454,6 +455,17 @@ class TestWhitenedCertificate:
         if top > 1:
             assert answers == expected == [True, True, False]
 
+    @pytest.mark.parametrize("K", [5, 6, 8])
+    def test_subnormal_dictionaries_match_the_svd_reference(self, K):
+        # at 2^-1040 ||R_T||_F underflows to 0 unless R_T is first brought to its own power
+        # of two; unscaled, the certificate read c_T = inf as full rank on dependent supports
+        for seed in range(30):
+            A = gen_dictionary(16, BlockStructure(K=K, alpha=2, s=2), seed=seed, mode="gaussian")
+            A = BlockDict(A.structure, np.ldexp(A.data, -1040))
+            for tol in (0.0, 1e-8, 1e-6, 0.5):
+                for s in (1, 2):
+                    assert check_lemma1(A, s, tol) == lemma1_all_svd(A, s, tol), (seed, tol, s)
+
     @pytest.mark.parametrize("tol", [0.0, 1e-8, 2.0])
     def test_one_support_and_blocks_wider_than_the_ambient_space(self, tol):
         # s = K leaves no (s + 1)-block union and no pair; alpha > P leaves no whitening
@@ -499,6 +511,96 @@ class TestLemma2:
             check_lemma2(A, (1, 9), (2, 3))
 
 
+def lemma2_one_pair(A, tol=1e-8):
+    """Reference: Lemma 2 on every ordered pair of size-s supports, one pair at a time, as
+    `subspace_intersection` and `spans_equal` decide it, on each block set's own SVD basis."""
+    supports = [tuple(S) for S in _enumerate_supports(A.structure.K, A.structure.s, 10**6).tolist()]
+    bases = {}
+
+    def basis(S):
+        if S not in bases:
+            U, svals, _ = np.linalg.svd(A.restrict(S), full_matrices=False)
+            bases[S] = U[:, : _numerical_rank(svals, tol)]
+        return bases[S]
+
+    def holds(S, S2):
+        W, cos, _ = np.linalg.svd(basis(S).T @ basis(S2))
+        inter = basis(S) @ W[:, : np.sum(cos >= 1.0 - tol)]
+        common = basis(tuple(sorted(set(S) & set(S2))))
+        return inter.shape == common.shape and bool(
+            np.all(np.linalg.svd(inter.T @ common, compute_uv=False) >= 1.0 - tol))
+
+    return np.array([[holds(S, S2) for S2 in supports] for S in supports])
+
+
+def lemma2_fixture(seed, kind):
+    """A criterion-shape dictionary (P=16, K=6, alpha=2, s=2, delta_4 < 1), with block 4 a
+    mixed copy of block 2, block 3 inside the span of blocks 1 and 2, or block 5 zero."""
+    A, _, _ = make_rip_instance(16, 6, 2, 2, seed)
+    mix = np.array([[2.0, 1.0], [-0.5, 1.0]])
+    if kind == "repeated":
+        return A.with_block(4, A.block(2) @ mix)
+    if kind == "in-span":
+        return A.with_block(3, A.block(1) @ mix + A.block(2) @ mix.T)
+    return A.with_block(5, np.zeros((16, 2))) if kind == "zero" else A
+
+
+LEMMA2_KINDS = ("seeded", "repeated", "in-span", "zero")
+
+
+class TestLemma2AllPairs:
+    """The stacked kernel gives the one-pair check's answer on every ordered pair."""
+
+    def test_seeded_dictionaries_match_the_one_pair_check(self):
+        # 20 dictionaries, every fourth left as drawn and the rest given one special block
+        supports = list(combinations(range(1, 7), 2))
+        false = dict.fromkeys(LEMMA2_KINDS, 0)
+        for seed in range(20):
+            kind = LEMMA2_KINDS[seed % 4]
+            A = lemma2_fixture(300 + seed, kind)
+            holds = lemma2_all_pairs(A)
+            assert holds.shape == (15, 15)
+            one_pair = [[check_lemma2(A, S, S2) for S2 in supports] for S in supports]
+            assert holds.tolist() == one_pair, (seed, kind)
+            assert np.array_equal(holds, lemma2_one_pair(A)), (seed, kind)
+            false[kind] += int(np.sum(~holds))
+        # block 4 repeats block 2's span, so (2, j) and (4, j) share it beyond block j; block 3
+        # in span(1, 2) makes (1, 3) and (2, 3) both span span(1, 2), beyond their block 3
+        assert false["seeded"] == false["zero"] == 0
+        assert false["repeated"] > 0 and false["in-span"] > 0
+
+    @pytest.mark.parametrize("kind", LEMMA2_KINDS)
+    @pytest.mark.parametrize("tol", [1e-12, 1e-4, 0.3, 1.0, 2.0])
+    def test_tolerances_match_the_reference(self, kind, tol):
+        A = lemma2_fixture(7, kind)
+        assert np.array_equal(lemma2_all_pairs(A, tol=tol), lemma2_one_pair(A, tol))
+
+    def test_repeated_block_fails_exactly_where_the_spans_meet(self):
+        # block 4 spans block 2's plane: S and S2 fail iff each holds 2 or 4 and their
+        # shared blocks hold neither, so the plane lies in both spans but not in the shared one
+        supports = list(combinations(range(1, 7), 2))
+        holds = lemma2_all_pairs(lemma2_fixture(0, "repeated"))
+        for (a, S), (b, S2) in product(enumerate(supports), repeat=2):
+            meet = {2, 4} & set(S) and {2, 4} & set(S2) and not {2, 4} & set(S) & set(S2)
+            assert holds[a, b] == (not meet), (S, S2)
+        assert np.sum(~holds) == 2 * 4 * 4  # (2, j) against (4, k), j, k not in {2, 4}
+
+    @pytest.mark.parametrize("P", [8, 5])
+    def test_supports_of_rank_below_s_alpha(self, P):
+        # s = 3 with block 2 a mixed copy of block 1; at P = 5 every support is wider than R^P
+        A = gen_dictionary(P, BlockStructure(K=5, alpha=2, s=3), seed=2, mode="gaussian")
+        A = A.with_block(2, A.block(1) @ np.array([[1.0, 2.0], [0.0, 1.0]]))
+        assert np.array_equal(lemma2_all_pairs(A), lemma2_one_pair(A))
+
+    def test_capacity(self):
+        # C(40, 20)^2 support pairs, above the fixed enumeration cap
+        A = BlockDict(BlockStructure(K=40, alpha=1, s=20), np.eye(40))
+        with pytest.raises(CapacityError, match="pairs exceeds the enumeration cap"):
+            lemma2_all_pairs(A, 20)
+        with pytest.raises(CapacityError):
+            lemma2_all_pairs(BlockDict(BlockStructure(K=1001, alpha=1, s=1), np.eye(1001)))
+
+
 @pytest.mark.parametrize("tol", [-1.0, float("nan")])
 @pytest.mark.parametrize(
     "entry",
@@ -510,9 +612,10 @@ class TestLemma2:
         lambda A, tol: subspace_intersection(A.block(1), A.block(2), tol),
         lambda A, tol: check_lemma1(A, 1, tol),
         lambda A, tol: check_lemma2(A, (1, 2), (2, 3), tol),
+        lambda A, tol: lemma2_all_pairs(A, 2, tol),
     ],
     ids=["orthonormal_basis", "spans_equal", "spans_equal_bases",
-         "subspace_intersection", "check_lemma1", "check_lemma2"],
+         "subspace_intersection", "check_lemma1", "check_lemma2", "lemma2_all_pairs"],
 )
 def test_negative_or_nan_tol_rejected(entry, tol):
     A, _, _ = make_rip_instance(16, 5, 2, 2, seed=41)
