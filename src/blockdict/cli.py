@@ -254,9 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache  # main's parser: built on its first call, reused after, never handed out
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         for name in ("tol", "span_tol", "seed"):  # checked before any file is read or written
             if not getattr(args, name, 0.0) >= 0:

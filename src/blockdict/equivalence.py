@@ -25,7 +25,8 @@ from .rip import RipReport, _sample_supports, _support_columns, rip_constant
 # not called here: bench/tracing.py rebinds these names in this module
 from .coding import exhaustive_code  # noqa: F401
 from .rip import rip_constant_exact, rip_lower_bound_sampled  # noqa: F401
-from .subspace import DEFAULT_RANK_TOL, orthonormal_basis, spans_equal
+from .subspace import orthonormal_basis, spans_equal  # noqa: F401
+from .subspace import DEFAULT_RANK_TOL, _spans_equal_stacked
 
 DEFAULT_CERTIFICATE_TOL = 1e-6
 DEFAULT_PROBE_TOL = 1e-8
@@ -139,17 +140,21 @@ def match_blocks(A: BlockDict, B: BlockDict, tol: float = DEFAULT_RANK_TOL) -> M
     targets mark the report ambiguous (B has duplicated spans, which a
     restricted isometry constant below 1 rules out); blocks with none, or
     a non-injective assignment, mark it not-equivalent.
+    Spans compare as in `spans_equal`, from one batched SVD of the 2K blocks
+    and one `_spans_equal_stacked` call per rank present on both sides. At
+    tol = 0 a match is decided by the last bit of an SVD; tol > 0 (default
+    1e-8) is the supported regime.
     """
     _check_tols(tol=tol)
     _check_same_shape(A, B)
-    K = A.structure.K
-    a_bases = [orthonormal_basis(A.block(i), tol) for i in range(1, K + 1)]
-    b_bases = [orthonormal_basis(B.block(j), tol) for j in range(1, K + 1)]
-    matches: dict[int, tuple[int, ...]] = {}
-    for i in range(1, K + 1):
-        matches[i] = tuple(
-            j for j in range(1, K + 1) if spans_equal(a_bases[i - 1], b_bases[j - 1], tol)
-        )
+    P, K, alpha = A.ambient_dim, A.structure.K, A.structure.alpha
+    blocks = np.hstack([A.data, B.data]).reshape(P, 2 * K, alpha).swapaxes(0, 1)
+    U, svals, _ = np.linalg.svd(blocks, full_matrices=False)
+    ranks, equal = _numerical_rank(svals, tol), np.zeros((K, K), dtype=bool)
+    for r in set(ranks[:K].tolist()) & set(ranks[K:].tolist()):
+        a, b = np.flatnonzero(ranks[:K] == r), np.flatnonzero(ranks[K:] == r)
+        equal[np.ix_(a, b)] = _spans_equal_stacked(U[a, None, :, :r], U[None, K + b, :, :r], tol)
+    matches = {i: tuple((np.flatnonzero(equal[i - 1]) + 1).tolist()) for i in range(1, K + 1)}
     unmatched = tuple(i for i in range(1, K + 1) if len(matches[i]) == 0)
     ambiguous = tuple(i for i in range(1, K + 1) if len(matches[i]) > 1)
     if ambiguous:
@@ -281,7 +286,7 @@ def construct_kappa(
 
     Draws n_probes random coefficient vectors supported on S in one draw
     (stream derived from seed and S), measures y = A t, and exactly codes
-    each y in B at block-sparsity |S|, all in one kernel call when |S| > 1.
+    each y in B at block-sparsity |S|, all probes in one kernel call.
     If every probe decodes to the same support, that support is returned
     with the consistency flag set; otherwise the majority support is
     returned with the flag cleared.
@@ -312,11 +317,7 @@ def _probe_kappa(A: BlockDict, F, sup: Support, n_probes: int, seed, tol: float)
     Y = A.data[:, cols] @ rng.standard_normal((n_probes, len(cols))).T
     n_ok = int(np.argmin([*np.isfinite(Y).all(axis=0), False]))  # probes before an overflow
     Z = np.ldexp(Y[:, :n_ok], -np.frexp(np.abs(Y[:, :n_ok]).max(axis=0, initial=0.0))[1])
-    # singleton probes keep a call each: bench/run.py keeps every output, so RSS grows with rate
-    step = max(n_ok, 1) if len(sup) > 1 else 1
-    codes = [_min_residual_codes(F, Z[:, lo : lo + step], min(tol, DEFAULT_CODING_TOL))
-             for lo in range(0, max(n_ok, 1), step)]
-    X, res, tied = map(np.hstack, zip(*codes))
+    X, res, tied = _min_residual_codes(F, Z, min(tol, DEFAULT_CODING_TOL))
     probe_supports: list[Support] = []
     for p in range(n_probes):
         if p == n_ok:

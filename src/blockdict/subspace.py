@@ -88,7 +88,8 @@ def spans_equal(M1, M2, tol: float = DEFAULT_RANK_TOL) -> bool:
     """Whether the column spans of M1 and M2 coincide.
 
     True iff both spans have the same dimension d (at rank tolerance tol)
-    and all d principal cosines are >= 1 - tol.
+    and all d principal cosines are >= 1 - tol. At tol = 0 the answer is
+    decided by the last bit of an SVD; tol > 0 (default 1e-8) is the supported regime.
     """
     Q1, Q2 = _two_bases(M1, M2, tol)
     return Q1.dim == Q2.dim and bool(_spans_equal_stacked(Q1.basis, Q2.basis, tol))
@@ -192,7 +193,9 @@ def check_lemma1(A: BlockDict, s: int | None = None, tol: float = DEFAULT_RANK_T
 def lemma2_all_pairs(A: BlockDict, s: int | None = None,
                      tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Entry (a, b): whether Span{A_S} & Span{A_S'} = Span{A_(S & S')} for the a-th and b-th
-    size-s supports S, S' in lexicographic order (Lemma 2). CapacityError past C(K, s)^2 > cap."""
+    size-s supports S, S' in lexicographic order (Lemma 2). CapacityError past C(K, s)^2 > cap.
+    At tol = 0 an entry is decided by the last bit of an SVD; tol > 0 (default 1e-8) is the
+    supported regime."""
     _check_tols(tol=tol)
     return _lemma2_pairs(A, _pair_supports(A.structure.K, _check_s(A.structure, s)), tol)
 
@@ -225,7 +228,8 @@ def check_lemma2(A: BlockDict, S, S2, tol: float = DEFAULT_RANK_TOL) -> bool:
     """Whether Span{A_S} intersected with Span{A_S2} equals Span{A_(S & S2)}.
 
     Both supports must have size s; the one-pair view of `lemma2_all_pairs`: disjoint
-    supports pass exactly when their spans meet only in 0."""
+    supports pass exactly when their spans meet only in 0. At tol = 0 the answer is decided
+    by the last bit of an SVD; tol > 0 (default 1e-8) is the supported regime."""
     _check_tols(tol=tol)
     pair = [as_support(S, A.structure.K), as_support(S2, A.structure.K)]
     if {len(pair[0]), len(pair[1])} != {A.structure.s}:

@@ -15,6 +15,7 @@ from blockdict import (
     rip_constant_exact,
     write_matrix_text,
 )
+from blockdict import cli
 from blockdict.cli import build_parser, main
 
 from conftest import (
@@ -505,6 +506,41 @@ def test_negative_seed_exit_code(command, extra, out, tmp_path, capsys):
     assert main([*argv, "--seed", "-1"]) == 2
     assert capsys.readouterr().err == "error: --seed must be nonnegative, got -1\n"
     assert not (tmp_path / "out.txt").exists()
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch, capsys):
+    # one process: verify, an unknown flag, a negative seed, then verify again
+    A, B, _, _, _ = make_equivalent_pair(16, 5, 2, 2, seed=44)
+    write_matrix_text(tmp_path / "A.txt", A.data)
+    write_matrix_text(tmp_path / "B.txt", B.data)
+    argv = ["verify", str(tmp_path / "A.txt"), str(tmp_path / "B.txt"), "--alpha", "2",
+            "--sparsity", "2"]
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    try:
+        assert main([*argv, "--seed", "3", "--out", str(tmp_path / "v1.json")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--frobnicate"])
+        assert exc.value.code == 2
+        assert main([*argv, "--seed", "-1", "--out", str(tmp_path / "bad.json")]) == 2
+        # a parser from build_parser is the caller's to change: main accepts what it did
+        mutated = build_parser()
+        mutated.add_argument("--extra")
+        assert mutated.parse_args(["--extra", "x", *argv]).extra == "x"
+        with pytest.raises(SystemExit) as exc:
+            main(["--extra", "x", *argv])
+        assert exc.value.code == 2
+        assert main([*argv, "--seed", "3", "--out", str(tmp_path / "v2.json")]) == 0
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()
+    assert (tmp_path / "v1.json").read_bytes() == (tmp_path / "v2.json").read_bytes()
+    assert not (tmp_path / "bad.json").exists()
+    assert build_parser() is not build_parser()
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --frobnicate" in err
+    assert "error: --seed must be nonnegative, got -1" in err
 
 
 def test_readme_cli_examples_parse():

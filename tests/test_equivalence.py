@@ -12,6 +12,7 @@ from blockdict import (
     BlockStructure,
     HypothesisViolationError,
     KappaResult,
+    MatchReport,
     RankError,
     apply_transform,
     construct_kappa,
@@ -22,8 +23,10 @@ from blockdict import (
     gen_dictionary,
     make_equivalent_dict,
     match_blocks,
+    orthonormal_basis,
     recover_equivalence,
     solve_block_transform,
+    spans_equal,
     verify_theorem_instance,
 )
 
@@ -118,6 +121,76 @@ class TestMatchBlocks:
         A = gen_dictionary(16, BlockStructure(K=5, alpha=2, s=2), seed=0)
         with pytest.raises(ValueError, match="tol must be nonnegative"):
             match_blocks(A, A, tol=tol)
+
+
+def loop_match_blocks(A, B, tol=1e-8):
+    """`match_blocks` as a K^2 loop: an `orthonormal_basis` per block, a `spans_equal` per pair."""
+    K = A.structure.K
+    a_bases = [orthonormal_basis(A.block(i), tol) for i in range(1, K + 1)]
+    b_bases = [orthonormal_basis(B.block(j), tol) for j in range(1, K + 1)]
+    matches = {i: tuple(j for j in range(1, K + 1) if spans_equal(a, b_bases[j - 1], tol))
+               for i, a in enumerate(a_bases, start=1)}
+    unmatched = tuple(i for i in matches if not matches[i])
+    ambiguous = tuple(i for i in matches if len(matches[i]) > 1)
+    targets = [m[0] for m in matches.values() if m]
+    if ambiguous:
+        status = "ambiguous"
+    elif unmatched or len(set(targets)) != K:
+        status = "not-equivalent"
+    else:
+        return MatchReport("matched", BlockPermutation(K, tuple(targets)), matches, (), ())
+    return MatchReport(status, None, matches, unmatched, ambiguous)
+
+
+def match_fixture(name, seed):
+    """(A, B) at P=16, K=6, alpha=2: a random pair, a planted equivalent, the planted pair with
+    a repeated block span in B, or with a rank-1 block 3 and a zero block 5 in A, in B, or in
+    both (A's blocks made deficient before B is planted from it)."""
+    st = BlockStructure(K=6, alpha=2, s=2)
+    A = gen_dictionary(16, st, seed=seed)
+    deficient = lambda D, i, j: D.with_block(i, D.block(i) @ np.diag([1.0, 0.0])).with_block(
+        j, np.zeros((16, 2)))
+    if name == "deficient-both":
+        A = deficient(A, 3, 5)
+    perm = gen_block_permutation(6, seed=seed + 1)
+    B = make_equivalent_dict(A, perm, gen_block_diagonal(st, seed=seed + 2))
+    if name == "random":
+        B = gen_dictionary(16, st, seed=seed + 100)
+    elif name == "repeated":
+        B = B.with_block(perm(4), B.block(perm(1)) @ np.array([[1.0, 1.0], [0.0, 1.0]]))
+    elif name == "deficient-a":
+        A = deficient(A, 3, 5)
+    elif name == "deficient-b":
+        B = deficient(B, perm(3), perm(5))
+    return A, B
+
+
+class TestStackedMatch:
+    """The stacked `match_blocks` gives the K^2 loop's report and certificate."""
+
+    EXPECTED = {"random": "not-equivalent", "planted": "matched", "repeated": "ambiguous",
+                "deficient-a": "not-equivalent", "deficient-b": "not-equivalent",
+                "deficient-both": "matched"}
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-8, 1e-4, 0.5])
+    @pytest.mark.parametrize("name", list(EXPECTED))
+    def test_matches_the_pairwise_loop(self, monkeypatch, name, tol):
+        for seed in (0, 10, 20):
+            A, B = match_fixture(name, seed)
+            report = match_blocks(A, B, tol)
+            assert report == loop_match_blocks(A, B, tol)
+            if tol <= 1e-4:
+                assert report.status == self.EXPECTED[name]
+            cert = recover_equivalence(A, B, span_tol=tol).to_dict()
+            with monkeypatch.context() as m:
+                m.setattr(equivalence, "match_blocks", loop_match_blocks)
+                assert cert == recover_equivalence(A, B, span_tol=tol).to_dict()
+
+    def test_match_indices_are_python_ints(self):
+        A, B = match_fixture("deficient-both", 0)
+        report = match_blocks(A, B)
+        assert all(type(j) is int for m in report.matches.values() for j in m)
+        assert recover_equivalence(A, B).status == "ambiguous"  # rank-short matched blocks
 
 
 class TestSolveBlockTransform:
@@ -496,3 +569,46 @@ class TestProbeOrder:
                 construct_kappa(A, B, sup, n_probes=6, seed=seed)
         assert str(got.value) == str(ref.value)
         assert ("tied" in str(got.value)) == (kind == "tied" and not overflow_first)
+
+
+class TestSingletonProbes:
+    """A singleton's probes are coded in one kernel call and read one at a time."""
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_every_singleton_matches_per_probe_coding(self, monkeypatch, name, seed):
+        A, B = factored_fixture(name)
+        F = equivalence._factor(B, 1)
+        calls = []
+        code = equivalence._min_residual_codes
+        monkeypatch.setattr(equivalence, "_min_residual_codes",
+                            lambda F, Z, tol: calls.append(Z.shape[1]) or code(F, Z, tol))
+        errors = []
+        for i in range(1, 7):
+            try:
+                expected = per_probe_kappa(A, F, (i,), 5, seed, 1e-8)
+            except HypothesisViolationError as exc:
+                with pytest.raises(HypothesisViolationError) as got:
+                    equivalence._probe_kappa(A, F, (i,), 5, seed, 1e-8)
+                assert str(got.value) == str(exc)
+                errors.append(str(exc))
+            else:
+                assert equivalence._probe_kappa(A, F, (i,), 5, seed, 1e-8) == expected
+        assert calls == [5] * 6  # one call per singleton, all five probes in it
+        if name == "repeated-block":  # A's blocks over B's blocks 1 and 4 tie
+            assert len(errors) == 2 and all("tied codes" in e for e in errors)
+
+    @pytest.mark.parametrize("n_probes", [5, 6])
+    def test_overflow_after_finite_probes(self, n_probes):
+        # B codes ones on block 1 alone: at seed 0 probes 0-3 decode to (1,), probe 4 overflows
+        A, B = overflow_fixture("no-code")
+        B = B.with_block(1, np.column_stack([np.ones(6), B.block(1)[:, 1]]))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError) as ref:
+                per_probe_kappa(A, equivalence._factor(B, 1), (1,), n_probes, 0, 1e-8)
+            with pytest.raises(type(ref.value)) as got:
+                construct_kappa(A, B, (1,), n_probes=n_probes, seed=0)
+            assert construct_kappa(A, B, (1,), n_probes=4, seed=0) == per_probe_kappa(
+                A, equivalence._factor(B, 1), (1,), 4, 0, 1e-8)
+        assert str(got.value) == str(ref.value)
+        assert str(got.value).startswith("measurement holds non-finite values")
