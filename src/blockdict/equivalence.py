@@ -20,13 +20,14 @@ from .core import (
     BlockDict, BlockStructure, Support, _check_s, _check_tols, _numerical_rank, as_support,
     block_support,
 )
-from .errors import HypothesisViolationError, RankError
-from .rip import RipReport, _sample_supports, _support_columns, rip_constant
+from .errors import CapacityError, HypothesisViolationError, RankError
+from .rip import (DEFAULT_ENUMERATION_CAP, RipReport, _sample_supports, _support_columns,
+                  rip_constant)
 # not called here: bench/tracing.py rebinds these names in this module
 from .coding import exhaustive_code  # noqa: F401
 from .rip import rip_constant_exact, rip_lower_bound_sampled  # noqa: F401
 from .subspace import orthonormal_basis, spans_equal  # noqa: F401
-from .subspace import DEFAULT_RANK_TOL, _spans_equal_stacked
+from .subspace import DEFAULT_RANK_TOL, _bases, _spans_equal_stacked
 
 DEFAULT_CERTIFICATE_TOL = 1e-6
 DEFAULT_PROBE_TOL = 1e-8
@@ -140,7 +141,7 @@ def match_blocks(A: BlockDict, B: BlockDict, tol: float = DEFAULT_RANK_TOL) -> M
     targets mark the report ambiguous (B has duplicated spans, which a
     restricted isometry constant below 1 rules out); blocks with none, or
     a non-injective assignment, mark it not-equivalent.
-    Spans compare as in `spans_equal`, from one batched SVD of the 2K blocks
+    Spans compare as in `spans_equal`, from one `_bases` call on the 2K blocks
     and one `_spans_equal_stacked` call per rank present on both sides. At
     tol = 0 a match is decided by the last bit of an SVD; tol > 0 (default
     1e-8) is the supported regime.
@@ -149,8 +150,8 @@ def match_blocks(A: BlockDict, B: BlockDict, tol: float = DEFAULT_RANK_TOL) -> M
     _check_same_shape(A, B)
     P, K, alpha = A.ambient_dim, A.structure.K, A.structure.alpha
     blocks = np.hstack([A.data, B.data]).reshape(P, 2 * K, alpha).swapaxes(0, 1)
-    U, svals, _ = np.linalg.svd(blocks, full_matrices=False)
-    ranks, equal = _numerical_rank(svals, tol), np.zeros((K, K), dtype=bool)
+    U, ranks = _bases(blocks, tol)
+    equal = np.zeros((K, K), dtype=bool)
     for r in set(ranks[:K].tolist()) & set(ranks[K:].tolist()):
         a, b = np.flatnonzero(ranks[:K] == r), np.flatnonzero(ranks[K:] == r)
         equal[np.ix_(a, b)] = _spans_equal_stacked(U[a, None, :, :r], U[None, K + b, :, :r], tol)
@@ -293,6 +294,8 @@ def construct_kappa(
 
     Raises
     ------
+    CapacityError
+        When n_probes exceeds DEFAULT_ENUMERATION_CAP.
     HypothesisViolationError
         When some probe has no |S|-block-sparse code in B within tol (B cannot
         reproduce A's measurements on S) or tied ones (kappa is not unique).
@@ -312,6 +315,9 @@ def _probe_kappa(A: BlockDict, F, sup: Support, n_probes: int, seed, tol: float)
     """`construct_kappa` on a nonempty support, coded against F, B's factor at |sup|."""
     if n_probes < 1:
         raise ValueError(f"n_probes must be >= 1, got {n_probes}")
+    if n_probes > DEFAULT_ENUMERATION_CAP:  # refused before its draw is allocated
+        raise CapacityError(f"n_probes = {n_probes} exceeds the enumeration cap "
+                            f"{DEFAULT_ENUMERATION_CAP}")
     rng = np.random.default_rng([int(seed), *sup])
     cols = _support_columns(np.array([sup]), A.structure.alpha)[0]
     Y = A.data[:, cols] @ rng.standard_normal((n_probes, len(cols))).T

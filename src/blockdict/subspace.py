@@ -1,11 +1,10 @@
 """Span algebra over column-blocks.
 
-Subspaces are carried as orthonormal bases, from the SVD or a QR certified
-full rank, under the library's one rank rule, `core._numerical_rank`. Span
-equality is decided by one kernel over stacked bases, `_spans_equal_stacked`:
-two spans of equal dimension are equal when every principal cosine is at
-least 1 - tol, i.e. every principal angle is below arccos(1 - tol) ~ sqrt(2 tol).
-`check_lemma1` first tries a certificate from one Gram of the block-whitened A;
+Subspaces are carried as orthonormal bases from one batched SVD, `_bases`, zero past their
+ranks under the library's one rank rule, `core._numerical_rank`. Span equality is decided by one
+kernel over stacked bases, `_spans_equal_stacked`: two spans of equal dimension are equal when
+every principal cosine is at least 1 - tol, i.e. every principal angle is below arccos(1 - tol)
+~ sqrt(2 tol). `check_lemma1` first tries a certificate from one Gram of the block-whitened A;
 where it fails, that kernel runs only on support pairs passing a Frobenius pre-screen.
 """
 
@@ -57,8 +56,17 @@ def orthonormal_basis(M, tol: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ValueError(f"expected a nonempty 2-D matrix, got shape {arr.shape}")
-    U, svals, _ = np.linalg.svd(arr, full_matrices=False)
-    return SubspaceBasis(arr.shape[0], U[:, : int(_numerical_rank(svals, tol))])
+    U, rank = _bases(arr, tol)
+    return SubspaceBasis(arr.shape[0], U[:, : int(rank)])
+
+
+def _bases(M: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bases of stacked (..., P, d) matrices from one batched SVD, and their ranks under the
+    rank rule; each basis U has min(P, d) columns, zero past its rank."""
+    U, svals, _ = np.linalg.svd(M, full_matrices=False)
+    ranks = _numerical_rank(svals, tol)
+    U *= np.arange(U.shape[-1]) < ranks[..., None, None]
+    return U, ranks
 
 
 def _cosines(Q1: np.ndarray, Q2: np.ndarray) -> np.ndarray:
@@ -131,12 +139,9 @@ def check_lemma1(A: BlockDict, s: int | None = None, tol: float = DEFAULT_RANK_T
     (s + 1)-block T has rho_T > tol + a and sigma_min(Q_T) > sqrt((tol + 3e)(2 - tol)) + a / rho_T,
     lmin(Q_T^T Q_T) from `rip._support_bounds`, else eigvalsh, less `rip._slack` and e.
 
-    Otherwise bases come from one batched QR M_T = Q_T R_T; a Frobenius pre-screen in
-    O(C(K, s) P d) memory, d = s alpha, sends only the same-rank pairs near equality to the
-    exact kernel, on the SVD's bases. prod |r_ii| = |det R_T| = prod s_i and s_i <= ||R_T||_F
-    give s_d / s_1 >= c_T = prod (|r_ii| / ||R_T||_F), R_T at its largest entry's power of two
-    (exact; else subnormal entries give c_T = inf), so c_T > tol + 16 P d^2 eps (1 + tol),
-    allowing for QR's and the SVD's errors, certifies rank d; others take the SVD's rank rule.
+    Otherwise every support's basis and rank come from one batched SVD (`_bases`); a
+    Frobenius pre-screen in O(C(K, s) P d) memory, d = s alpha, sends only the same-rank
+    pairs near equality to the exact kernel.
 
     Raises CapacityError when C(K, s)^2 exceeds DEFAULT_ENUMERATION_CAP.
     """
@@ -161,31 +166,20 @@ def check_lemma1(A: BlockDict, s: int | None = None, tol: float = DEFAULT_RANK_T
                 ok = (rho > tol + a) & (np.sqrt(lo) > np.sqrt((tol + 3 * e) * (2 - tol)) + a / rho)
                 if ok.all():
                     return True
-    M = A.data[:, _support_columns(supports, A.structure.alpha)].transpose(1, 0, 2)
-    U, R = np.linalg.qr(M)
+    U, ranks = _bases(A.data[:, _support_columns(supports, alpha)].transpose(1, 0, 2), tol)
     n, P, d = U.shape
-    R = np.ldexp(R, -np.frexp(abs(R).max(axis=(1, 2)))[1][:, None, None])  # exact: no underflow
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # NaN certifies nothing
-        cert = np.prod(abs(R.diagonal(0, 1, 2)) / np.linalg.norm(R, axis=(1, 2))[:, None], axis=1)
-    ranks, eps = np.full(n, d), np.finfo(float).eps
-    rest = np.flatnonzero(~(cert > tol + 16 * P * d * d * eps * (1 + tol)))
-    if rest.size:
-        U[rest], svals, _ = np.linalg.svd(M[rest], full_matrices=False)
-        ranks[rest] = _numerical_rank(svals, tol)
     # with columns past each rank zeroed, ||U_a^T U_b||_F^2 sums the squared principal
     # cosines, >= r (1 - tol)^2 for equal rank-r spans (every r is 0 once tol >= 1):
     # only pairs above that floor reach the kernel
-    U *= np.arange(d) < ranks[:, None, None]
     flat = U.transpose(0, 2, 1).reshape(n * d, P)
     floor = ranks * (1.0 - tol) ** 2 - 1e-9
-    step = max(1, P // (s * A.structure.alpha))  # blocks of <= n P d entries
+    step = max(1, P // (s * alpha))  # blocks of <= n P d entries
     for lo in range(0, n, step):
         fro2 = np.square(flat[lo * d : (lo + step) * d] @ flat[lo * d :].T)
         fro2 = (fro2.reshape(-1, d) @ np.ones(d)).reshape(-1, d, n - lo).sum(axis=1)
         same = ranks[lo : lo + step, None] == ranks[lo:]
         for a, b in lo + np.argwhere(np.triu(same & (fro2 >= floor[lo : lo + step, None]), 1)):
-            V = np.linalg.svd(M[[a, b]], full_matrices=False)[0][..., : ranks[a]]
-            if _spans_equal_stacked(V[0], V[1], tol):
+            if _spans_equal_stacked(U[a, :, : ranks[a]], U[b, :, : ranks[a]], tol):
                 return False
     return True
 
@@ -207,13 +201,11 @@ def _lemma2_pairs(A: BlockDict, supports: np.ndarray, tol: float) -> np.ndarray:
     (P, _), n, alpha = A.data.shape, len(supports), A.structure.alpha
     M = A.data[:, _support_columns(supports, alpha)].transpose(1, 0, 2)
     keep = np.repeat((supports[:, None, :, None] == supports[None, :, None]).any(-1), alpha, -1)
-    U, svals, _ = np.linalg.svd(M, full_matrices=False)
-    ranks, d, holds = _numerical_rank(svals, tol), U.shape[-1], np.empty((n, n), dtype=bool)
-    U *= np.arange(d) < ranks[:, None, None]  # bases zero past their ranks
+    U, ranks = _bases(M, tol)
+    d, holds = U.shape[-1], np.empty((n, n), dtype=bool)
     step = max(1, 2**20 // (n * P * d))  # stacked arrays of about 2^20 entries
     for a in (slice(lo, lo + step) for lo in range(0, n, step)):
-        C, svals, _ = np.linalg.svd(M[a, None] * keep[a, :, None], full_matrices=False)
-        C *= np.arange(d) < (common := _numerical_rank(svals, tol))[..., None, None]
+        C, common = _bases(M[a, None] * keep[a, :, None], tol)
         W, cos, _ = np.linalg.svd(np.swapaxes(U[a], 1, 2)[:, None] @ U)
         # cosines past min(rank a, rank b) come from the bases' zero padding
         r = np.minimum(np.sum(cos >= 1.0 - tol, axis=-1), np.minimum(ranks[a, None], ranks))

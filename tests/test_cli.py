@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from blockdict import (
+    DEFAULT_ENUMERATION_CAP,
     BlockDict,
     BlockStructure,
     read_matrix_text,
@@ -261,6 +262,14 @@ class TestKappa:
             "--alpha", 2, "--support", "1,3", "--probes", 4,
         ])
         assert rc == 4
+
+    def test_probe_count_over_the_cap_exit_code(self, workdir, capsys):
+        # as rip --samples: more probes than the enumeration cap exit 3 before any draw
+        gen_files(workdir)
+        pair = [workdir / "A.txt", workdir / "A.txt", "--alpha", 2]
+        for cmd in (["kappa", *pair, "--support", "1,3"], ["verify", *pair, "--sparsity", 2]):
+            assert run_cli([*cmd, "--probes", DEFAULT_ENUMERATION_CAP + 1]) == 3
+            assert "capacity error" in capsys.readouterr().err
 
     @staticmethod
     def overflowing_pair(workdir):

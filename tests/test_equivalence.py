@@ -10,6 +10,8 @@ from blockdict import (
     BlockDiagonal,
     BlockPermutation,
     BlockStructure,
+    CapacityError,
+    DEFAULT_ENUMERATION_CAP,
     HypothesisViolationError,
     KappaResult,
     MatchReport,
@@ -369,6 +371,14 @@ class TestConstructKappa:
         A = rank_deficient_dict((0.0, 0.0))
         with pytest.raises(HypothesisViolationError, match=r"^probe 0 on support \(2,\) has tied"):
             construct_kappa(A, A, (2,), n_probes=2)
+
+    def test_probe_count_over_the_cap_refused_before_any_draw(self, monkeypatch):
+        A, B, _, _, _ = make_equivalent_pair(16, 5, 2, 2, seed=510)
+        draws, rng = [], np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: draws.append(a) or rng(*a))
+        with pytest.raises(CapacityError, match="n_probes = 1000001 exceeds the enumeration cap"):
+            construct_kappa(A, B, (2, 4), n_probes=DEFAULT_ENUMERATION_CAP + 1)
+        assert draws == []
 
     @pytest.mark.parametrize("tol", [-1.0, float("nan")])
     def test_bad_tol_rejected_before_probing(self, monkeypatch, tol):

@@ -299,7 +299,7 @@ def special_blocks(kind):
 
 
 class TestLemma1Certificate:
-    """The determinant certificate leaves every answer to the all-SVD check."""
+    """The fallback, one batched SVD of every support, answers as the all-SVD check does."""
 
     @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-8, 1e-6, 0.5, 1.0, 2.0])
     @pytest.mark.parametrize("scale", [1.0, 2.0**500, 2.0**-500])
@@ -327,7 +327,7 @@ class TestLemma1Certificate:
 
     @pytest.mark.parametrize("P, alpha", [(3, 2), (5, 3)])
     def test_supports_wider_than_the_ambient_space(self, P, alpha):
-        # QR's R_T is P x d here; a certified support spans all of R^P
+        # d > P: each support's basis has at most P columns, and a full-rank one spans R^P
         st = BlockStructure(K=5, alpha=alpha, s=1)
         for seed in range(5):
             A = gen_dictionary(P, st, seed=seed, mode="gaussian")
@@ -338,8 +338,8 @@ class TestLemma1Certificate:
     @pytest.mark.parametrize("seed", [10, 15, 17])
     def test_the_allowance_keeps_a_borderline_support_on_the_svd(self, seed):
         # block 1 is [a, k a + 1e-9 v]; tol is the least at which the SVD's rank rule
-        # gives it rank 1, and there its certificate value still exceeds tol, so only
-        # the allowance stops a rank-2 certificate; at rank 1 it spans block 2's line
+        # gives it rank 1, though prod |r_ii| / ||R||_F of its QR still exceeds tol;
+        # at rank 1 it spans block 2's line
         rng = np.random.default_rng(seed)
         a, v, g = rng.standard_normal((3, 6))
         block = np.column_stack([a, rng.standard_normal() * a + 1e-9 * v])
@@ -354,16 +354,13 @@ class TestLemma1Certificate:
         assert check_lemma1(A, 1, tol) == lemma1_all_svd(A, 1, tol) is False
 
     def test_generic_supports_take_no_svd(self, monkeypatch):
-        # the rank rule runs only on the SVD of supports the certificate leaves
-        ranked = []
-        rank = subspace._numerical_rank
-        monkeypatch.setattr(subspace, "_numerical_rank",
-                            lambda svals, tol: ranked.append(len(svals)) or rank(svals, tol))
+        # supports are factored only when the whitened certificate leaves them, all at once
+        calls = record_bases(monkeypatch)
         st = BlockStructure(K=12, alpha=2, s=2)
         assert check_lemma1(gen_dictionary(48, st, seed=0), 2)
-        assert ranked == []
+        assert calls == []
         assert check_lemma1(special_blocks("zero"), 2)
-        assert ranked == [5]  # the five supports holding the zero block
+        assert calls == [15]  # all C(6, 2) supports in one call
 
 
 def rotated_copy(mode, seed, theta, P=16):
@@ -377,10 +374,10 @@ def rotated_copy(mode, seed, theta, P=16):
     return A.with_block(4, Q @ np.array([[2.0, 1.0], [-0.5, 1.0]]))
 
 
-def record_qr(monkeypatch):
-    """Every np.linalg.qr call from here on, as a list that grows."""
-    calls, qr = [], np.linalg.qr
-    monkeypatch.setattr(np.linalg, "qr", lambda *args, **kw: calls.append(1) or qr(*args, **kw))
+def record_bases(monkeypatch):
+    """The number of supports of every `subspace._bases` call from here on, as a list that grows."""
+    calls, bases = [], subspace._bases
+    monkeypatch.setattr(subspace, "_bases", lambda M, tol: calls.append(len(M)) or bases(M, tol))
     return calls
 
 
@@ -425,40 +422,39 @@ class TestWhitenedCertificate:
     def test_seeded_dictionaries_reach_no_qr(self, monkeypatch, mode):
         st = BlockStructure(K=12, alpha=2, s=2)
         dicts = [gen_dictionary(48, st, seed=seed, mode=mode) for seed in range(200)]
-        calls = record_qr(monkeypatch)
+        calls = record_bases(monkeypatch)
         assert all(check_lemma1(A, 2) for A in dicts)
         assert calls == []
 
     @pytest.mark.parametrize("mode", ["per-block-orthonormal", "gaussian"])
     def test_wide_supports_certify_without_qr(self, monkeypatch, mode):
-        # P=64, K=8, alpha=4, s=4: d = 16, where the determinant certificate cannot clear
-        # the default tol, and lmax(G_T) > 2 on (s + 1)-block unions, so only eigvalsh clears them
+        # P=64, K=8, alpha=4, s=4: d = 16, and lmax(G_T) > 2 on (s + 1)-block unions, so only
+        # eigvalsh clears them
         st = BlockStructure(K=8, alpha=4, s=4)
         dicts = [gen_dictionary(64, st, seed=seed, mode=mode) for seed in range(3)]
-        calls = record_qr(monkeypatch)
+        calls = record_bases(monkeypatch)
         assert all(check_lemma1(A, 4) for A in dicts)
         assert calls == []
         monkeypatch.undo()
         assert all(lemma1_all_svd(A, 4) for A in dicts)
 
-    @pytest.mark.parametrize("top", [1e308, 2.0**-1040])
+    @pytest.mark.parametrize("top", [1e308, 2.0**-860, 2.0**-1040])
     def test_entries_near_the_ends_of_the_float_range_fall_back(self, monkeypatch, top):
         # at 1e308 the fallback's SVDs of three-block supports overflow (it answers False at
-        # s = 3), at 2^-1040 its singular values are subnormal: the certificate, whose own
-        # bases stay accurate, leaves both to the fallback rather than answer otherwise
+        # s = 3), at 2^-1040 its singular values are subnormal, and 2^-860 is below the gate
+        # with generic full-rank supports: the certificate, whose own bases stay accurate,
+        # leaves all three to the fallback rather than answer otherwise
         A = gen_dictionary(16, BlockStructure(K=6, alpha=2, s=2), seed=1, mode="gaussian")
         A = BlockDict(A.structure, A.data / np.abs(A.data).max() * top)
         expected = [lemma1_all_svd(A, s) for s in (1, 2, 3)]
-        calls = record_qr(monkeypatch)
+        calls = record_bases(monkeypatch)
         answers = [check_lemma1(A, s) for s in (1, 2, 3)]
-        assert len(calls) == 3
-        if top > 1:
-            assert answers == expected == [True, True, False]
+        assert len(calls) == 3  # one fallback call per s
+        assert answers == expected == ([True, True, False] if top > 1 else [True, True, True])
 
     @pytest.mark.parametrize("K", [5, 6, 8])
     def test_subnormal_dictionaries_match_the_svd_reference(self, K):
-        # at 2^-1040 ||R_T||_F underflows to 0 unless R_T is first brought to its own power
-        # of two; unscaled, the certificate read c_T = inf as full rank on dependent supports
+        # at 2^-1040 singular values are subnormal, and dependent supports must still rank short
         for seed in range(30):
             A = gen_dictionary(16, BlockStructure(K=K, alpha=2, s=2), seed=seed, mode="gaussian")
             A = BlockDict(A.structure, np.ldexp(A.data, -1040))
