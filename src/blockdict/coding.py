@@ -3,9 +3,10 @@
 Both methods reject non-finite measurements, code y times the power of two that puts
 its largest entry in [0.5, 1) (exact; ||y||^2 then neither overflows nor underflows), report
 the residual as ||y - A x||_2 relative to ||y||_2 (absolute when y = 0) and break ties
-toward the lowest block indices. The exhaustive oracle and the learner share
-one kernel: `_factor` once per (dictionary, s), then `_min_residual_codes`, the
-minimum-residual rule, which re-checks only what an energy ranking cannot settle.
+toward the lowest block indices. The exhaustive oracle and the learner share one kernel:
+`_factor` once per (dictionary, s), then `_min_residual_codes`, the minimum-residual rule,
+which re-checks only what an energy ranking cannot settle. A support's residual is one
+projection on its `_qr` basis, its least-squares residual at any rank (Golub & Van Loan 5.3).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .core import DEFAULT_RANK_TOL, BlockDict, BlockSparseVec, _check_s, _check_
 from .core import _numerical_rank
 from .errors import RankError
 from .rip import DEFAULT_ENUMERATION_CAP, _enumerate_supports, _support_columns
+from .subspace import _bases
 
 DEFAULT_CODING_TOL = 1e-10
 
@@ -28,7 +30,7 @@ METHOD_EXHAUSTIVE = "exhaustive-oracle"
 
 # supports x columns residual entries per chunk of the minimum-residual coder
 _CODE_CHUNK = 2**16
-_Factor = namedtuple("_Factor", "A rows Q short")  # what `_factor` returns
+_Factor = namedtuple("_Factor", "A rows Q")  # what `_factor` returns
 
 
 @dataclass(frozen=True)
@@ -53,13 +55,13 @@ def _relative(abs_residual: float, y_norm: float) -> float:
     return abs_residual if y_norm == 0 else abs_residual / y_norm
 
 
-def _unit_scale(y: np.ndarray) -> tuple[np.ndarray, int]:
-    """(y * 2**-e, e) for the e that puts max |y| in [0.5, 1) (e = 0 for y = 0); exact.
-    ValueError when y holds non-finite values."""
+def _unit_scale(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(y * 2**-e, e) for the e that puts max |y| of each column in [0.5, 1) (e = 0 for a zero
+    column); exact. ValueError when y holds non-finite values."""
     if not np.isfinite(y).all():
         bad = np.flatnonzero(~np.isfinite(y)).tolist()
         raise ValueError(f"measurement holds non-finite values at entries {bad}")
-    e = int(np.frexp(np.abs(y).max(initial=0.0))[1])
+    e = np.frexp(np.abs(y).max(axis=0, initial=0.0))[1]
     return np.ldexp(y, -e), e
 
 
@@ -133,53 +135,49 @@ def block_omp(
     return CodingResult(code, _relative(abs_res, y_norm), METHOD_OMP)
 
 
-def _qr(A: BlockDict, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked Q of the supports with column table rows, and which of them are rank-short."""
-    Q, T = np.linalg.qr(A.data.T[rows].transpose(0, 2, 1))
+def _qr(A: BlockDict, rows: np.ndarray) -> np.ndarray:
+    """Stacked orthonormal bases of the supports with column table rows: Q of one stacked QR,
+    or, where sorted |diag R| is rank-short, the SVD basis at lstsq's cut eps max(P, d)."""
+    Q, T = np.linalg.qr(M := A.data.T[rows].transpose(0, 2, 1))
     diag = np.sort(np.abs(np.diagonal(T, axis1=1, axis2=2)))[:, ::-1]
-    return Q, _numerical_rank(diag, DEFAULT_RANK_TOL) < rows.shape[1]
+    short = _numerical_rank(diag, DEFAULT_RANK_TOL) < rows.shape[1]
+    if short.any():  # spares full-rank blocks the fixed cost of an empty SVD call
+        Q[short] = _bases(M[short], np.finfo(float).eps * max(M.shape[1:]))[0]
+    return Q
 
 
 def _factor(A: BlockDict, s: int) -> _Factor:
     """Factor step: the column table of A's size-s supports and, while they fit _CODE_CHUNK
-    entries, their stacked Q and rank-short flags (else None). CapacityError past the cap."""
+    entries, their stacked bases from `_qr` (else None). CapacityError past the cap."""
     rows = _support_columns(_enumerate_supports(A.structure.K, s, DEFAULT_ENUMERATION_CAP),
                             A.structure.alpha)
-    fits = rows.size * A.ambient_dim <= _CODE_CHUNK
-    return _Factor(A, rows, *(_qr(A, rows) if fits else (None, None)))
+    return _Factor(A, rows, _qr(A, rows) if rows.size * A.ambient_dim <= _CODE_CHUNK else None)
 
 
 def _support_residuals(F: _Factor, Y, ks, block, ysq=None) -> np.ndarray:
-    """Residuals ||y - Q Q^T y|| of supports ks on Y, from stacked QR (lstsq where rank-short),
-    inf elsewhere; squared, as energies ||y||^2 - ||Q^T y||^2, given ysq = ||y||^2."""
+    """Residuals ||y - Q Q^T y|| of supports ks on Y, from their `_qr` bases Q, inf elsewhere;
+    squared, as energies ||y||^2 - ||Q^T y||^2, given ysq = ||y||^2."""
     R = np.full((len(F.rows), Y.shape[1]), np.inf)
     for b in range(0, len(ks), block):
         kb = ks[b : b + block]
-        Q, short = _qr(F.A, F.rows[kb]) if F.Q is None else (F.Q[kb], F.short[kb])
+        Q = _qr(F.A, F.rows[kb]) if F.Q is None else F.Q[kb]
         Z = Q.transpose(0, 2, 1) @ Y
         R[kb] = np.linalg.norm(Y - Q @ Z, axis=1) if ysq is None else ysq - np.square(Z).sum(axis=1)
-        for k in kb[short]:
-            cols = F.A.data[:, F.rows[k]]
-            sol, ssq, _, _ = np.linalg.lstsq(cols, Y, rcond=None)
-            # lstsq reports residual sums of squares only at full column rank
-            R[k] = np.sqrt(ssq) if ssq.size else np.linalg.norm(Y - cols @ sol, axis=0)
-            R[k] = R[k] if ysq is None else R[k] ** 2
     return R
 
 
 def _min_residual_codes(F: _Factor, Y: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
     """Minimum-residual s-block code of every column y of the P x N matrix Y, from F.
 
-    The code step, and the one rule behind `exhaustive_code` and the learner: the
-    projection residual on every size-s support, the smallest wins, and supports
-    within tol*||y|| of it count as tied, going to the lexicographically first.
-    Supports are ranked by energy (`_support_residuals`), which misses the
-    squared residual by under margin = 2 (sqrt(s*alpha) + 2)(P + s*alpha) eps
-    ||y||^2 (twice a first-order rounding bound; Higham, ch. 3). Candidates,
-    energies at most (sqrt(min energy + margin) + tol*||y||)^2 + margin, hold
-    the tie window: a column with one is decided, the rest get their
-    candidates' exact residuals, and only winners are solved. Column chunks of
-    about _CODE_CHUNK residuals and support blocks of about _CODE_CHUNK factor
+    The code step, and the one rule behind `exhaustive_code` and the learner: the projection
+    residual on every size-s support's `_qr` basis (its lstsq residual, rank-short or not), the
+    smallest wins, and supports within tol*||y|| of it count as tied, going to the
+    lexicographically first. Supports are ranked by energy (`_support_residuals`), which misses
+    the squared residual by under margin = 2 (sqrt(s*alpha) + 2)(P + s*alpha) eps ||y||^2
+    (twice a first-order rounding bound; Higham, ch. 3). Candidates, energies at most
+    (sqrt(min energy + margin) + tol*||y||)^2 + margin, hold the tie window: a column with one
+    is decided, the rest get their candidates' exact residuals, and only winners are solved.
+    Column chunks of about _CODE_CHUNK residuals and support blocks of about _CODE_CHUNK factor
     and projection entries bound memory. Returns (codes, residual norms, ties).
     """
     (P, N), width, fp = Y.shape, F.rows.shape[1], np.finfo(float)

@@ -322,7 +322,7 @@ def _probe_kappa(A: BlockDict, F, sup: Support, n_probes: int, seed, tol: float)
     cols = _support_columns(np.array([sup]), A.structure.alpha)[0]
     Y = A.data[:, cols] @ rng.standard_normal((n_probes, len(cols))).T
     n_ok = int(np.argmin([*np.isfinite(Y).all(axis=0), False]))  # probes before an overflow
-    Z = np.ldexp(Y[:, :n_ok], -np.frexp(np.abs(Y[:, :n_ok]).max(axis=0, initial=0.0))[1])
+    Z = _unit_scale(Y[:, :n_ok])[0]
     X, res, tied = _min_residual_codes(F, Z, min(tol, DEFAULT_CODING_TOL))
     probe_supports: list[Support] = []
     for p in range(n_probes):

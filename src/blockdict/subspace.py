@@ -149,9 +149,10 @@ def check_lemma1(A: BlockDict, s: int | None = None, tol: float = DEFAULT_RANK_T
     s = _check_s(A.structure, s)
     (P, n), K, alpha = A.data.shape, A.structure.K, A.structure.alpha
     supports = _pair_supports(K, s)
-    # (s + 1) alpha > P makes every lmin 0; past these scales the fallback may under/overflow
-    if (s + 1) * alpha <= P and 1e-250 < np.abs(A.data).max() < np.sqrt(np.finfo(float).max / P):
-        U, sv, _ = np.linalg.svd(A.data.reshape(P, K, alpha).swapaxes(0, 1), full_matrices=False)
+    if (s + 1) * alpha <= P:  # else every lmin is 0
+        # an exact power-of-two scale to max |entry| in [0.5, 1): every span is kept
+        M = np.ldexp(A.data, -np.frexp(np.abs(A.data).max(initial=0.0))[1])
+        U, sv, _ = np.linalg.svd(M.reshape(P, K, alpha).swapaxes(0, 1), full_matrices=False)
         gram = (W := U.swapaxes(0, 1).reshape(P, n)).T @ W  # Q^T Q
         T = _enumerate_supports(K, s + 1, DEFAULT_ENUMERATION_CAP)
         e = 16 * P * ((s + 1) * alpha) ** 2 * np.finfo(float).eps

@@ -272,18 +272,20 @@ class TestBatchKernel:
         exhaustive_code(A, np.random.default_rng(2).standard_normal(14), s=2)
         assert len(calls) == 1
 
-    def test_rank_short_supports_keep_lstsq(self, monkeypatch):
-        # block 2 zeroed: its 5 supports are solved by lstsq, then the winner
+    def test_rank_short_supports_take_svd_bases(self, monkeypatch):
+        # block 2 zeroed: its 5 supports take SVD bases in one call, only the winner is solved
         A = gen_dictionary(14, BlockStructure(K=6, alpha=2, s=2), seed=2)
         A = A.with_block(2, np.zeros((14, 2)))
-        calls = []
-        lstsq = np.linalg.lstsq
+        calls, bases = [], []
+        lstsq, svd_bases = np.linalg.lstsq, coding._bases
         monkeypatch.setattr(
             np.linalg, "lstsq", lambda *a, **k: calls.append(a[0]) or lstsq(*a, **k)
         )
+        monkeypatch.setattr(coding, "_bases", lambda M, tol: bases.append(M) or svd_bases(M, tol))
         exhaustive_code(A, np.random.default_rng(2).standard_normal(14), s=2)
-        assert len(calls) == 5 + 1
-        assert [np.linalg.matrix_rank(M) for M in calls] == [2] * 5 + [4]
+        assert [np.linalg.matrix_rank(M) for M in calls] == [4]
+        M, = bases  # the supports (1, 2) and (2, j), j > 2
+        assert np.linalg.matrix_rank(M).tolist() == [2] * 5
 
     def test_memory_stays_bounded(self):
         # 15,504 supports: factored in blocks, not all at once
@@ -311,17 +313,21 @@ class TestBatchKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert F.Q is None and F.short is None
+        assert F.Q is None
         assert peak <= 16 * 2**20
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
     @pytest.mark.parametrize("K, s, kept", [(6, 2, True), (20, 5, False)])
     def test_factor_keeps_q_while_it_fits(self, K, s, kept):
         A = gen_dictionary(40, BlockStructure(K=K, alpha=2, s=s), seed=1)
+        A = A.with_block(2, np.zeros((40, 2)))
         F = _factor(A, s)
         assert (F.Q is not None) == kept == (F.rows.size * 40 <= coding._CODE_CHUNK)
-        if kept:  # one Q and rank flag per support, in lexicographic order
-            assert F.Q.shape == (len(F.rows), 40, 2 * s) and not F.short.any()
+        if kept:  # one basis per support, in lexicographic order; zero past a support's rank
+            assert F.Q.shape == (len(F.rows), 40, 2 * s)
+            for k, sup in enumerate(_enumerate_supports(K, s, 10**6)):
+                Q, r = F.Q[k], 2 * (s - (2 in sup))
+                assert np.allclose(Q[:, :r].T @ Q[:, :r], np.eye(r)) and not Q[:, r:].any()
 
 
 def lstsq_reference_codes(A, Y, s, tol):
@@ -382,11 +388,18 @@ class TestProjectionOracle:
         self.assert_same_bytes(A, coder_inputs(A, 24, seed), s)
 
     @pytest.mark.parametrize("chunk", [1, coding._CODE_CHUNK])
-    @RANK_DEFICIENT_SVALS
+    @pytest.mark.parametrize("svals", [(0.0, 0.0), (1.0, 5e-9), (1.0, 1e-12)],
+                             ids=["zero-block", "near-singular-block", "weak-direction"])
     def test_rank_short_block(self, monkeypatch, chunk, svals):
+        # y along block 2's second singular direction: at (1, 1e-12) block 2 is rank-short
+        # under DEFAULT_RANK_TOL but full rank at lstsq's cut, so y codes on (1, 2)
         A = rank_deficient_dict(svals)
+        y = rank_deficient_dict((1.0, 1.0)).block(2)[:, 1] + 0.3 * A.block(1)[:, 0]
         monkeypatch.setattr(coding, "_CODE_CHUNK", chunk)
-        self.assert_same_bytes(A, coder_inputs(A, 24, 7), 2)
+        self.assert_same_bytes(A, np.column_stack([coder_inputs(A, 24, 7), y]), 2)
+        if svals == (1.0, 1e-12):
+            X, res, _ = min_residual_codes(A, y[:, None], 2, 1e-10)
+            assert X[:4, 0].all() and not X[4:, 0].any() and res[0] < 1e-12
 
     @pytest.mark.parametrize("chunk", [1, coding._CODE_CHUNK])
     def test_repeated_block(self, monkeypatch, chunk):

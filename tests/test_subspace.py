@@ -439,18 +439,21 @@ class TestWhitenedCertificate:
         assert all(lemma1_all_svd(A, 4) for A in dicts)
 
     @pytest.mark.parametrize("top", [1e308, 2.0**-860, 2.0**-1040])
-    def test_entries_near_the_ends_of_the_float_range_fall_back(self, monkeypatch, top):
-        # at 1e308 the fallback's SVDs of three-block supports overflow (it answers False at
-        # s = 3), at 2^-1040 its singular values are subnormal, and 2^-860 is below the gate
-        # with generic full-rank supports: the certificate, whose own bases stay accurate,
-        # leaves all three to the fallback rather than answer otherwise
+    def test_entries_near_the_ends_of_the_float_range_take_the_certificate(self, monkeypatch, top):
+        # the certificate reads A at an exact power-of-two scale, which keeps every span: at
+        # 1e308, where the fallback's SVDs of three-block supports overflow, and at 2^-860 and
+        # 2^-1040 (subnormal singular values) it answers as the all-SVD reference does on A
+        # brought into range, with no fallback call
         A = gen_dictionary(16, BlockStructure(K=6, alpha=2, s=2), seed=1, mode="gaussian")
         A = BlockDict(A.structure, A.data / np.abs(A.data).max() * top)
-        expected = [lemma1_all_svd(A, s) for s in (1, 2, 3)]
+        unit = BlockDict(A.structure, np.ldexp(A.data, -np.frexp(top)[1]))
+        expected = [lemma1_all_svd(unit, s) for s in (1, 2, 3)]
         calls = record_bases(monkeypatch)
-        answers = [check_lemma1(A, s) for s in (1, 2, 3)]
-        assert len(calls) == 3  # one fallback call per s
-        assert answers == expected == ([True, True, False] if top > 1 else [True, True, True])
+        assert [check_lemma1(A, s) for s in (1, 2, 3)] == expected == [True, True, True]
+        assert calls == []
+        if top < 1:  # block 2 in block 1's span: the fallback must still find the equal spans
+            mixed = A.with_block(2, A.block(1) @ np.array([[2.0, 1.0], [-0.5, 1.0]]))
+            assert [check_lemma1(mixed, s) for s in (1, 2, 3)] == [False] * 3
 
     @pytest.mark.parametrize("K", [5, 6, 8])
     def test_subnormal_dictionaries_match_the_svd_reference(self, K):
