@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import DEFAULT_CODING_TOL, _factor, _min_residual_codes, _relative, _unit_scale
-from .core import (
-    BlockDict, BlockStructure, Support, _check_s, _check_tols, _numerical_rank, as_support,
-    block_support,
-)
+from .coding import (_CODE_CHUNK, DEFAULT_CODING_TOL, _factor, _min_residual_codes, _relative,
+                     _unit_scale)
+from .core import (BlockDict, BlockStructure, Support, _check_s, _check_tols, _numerical_rank,
+                   as_support)
 from .errors import CapacityError, HypothesisViolationError, RankError
 from .rip import (DEFAULT_ENUMERATION_CAP, RipReport, _sample_supports, _support_columns,
                   rip_constant)
@@ -310,36 +309,51 @@ def construct_kappa(
     return _probe_kappa(A, _factor(B, len(sup)), sup, n_probes, seed, tol)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflowing probe is refused, not warned of
 def _probe_kappa(A: BlockDict, F, sup: Support, n_probes: int, seed, tol: float) -> KappaResult:
-    """`construct_kappa` on a nonempty support, coded against F, B's factor at |sup|."""
+    """`construct_kappa` on one support, against F: `_probe_supports`' result, errors raised."""
+    (res,) = _probe_supports(A, F, [sup], n_probes, seed, tol)
+    if isinstance(res, Exception):
+        raise res
+    return res
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing probe is refused, not warned of
+def _probe_supports(A: BlockDict, F, sups, n_probes: int, seed, tol: float) -> list:
+    """`construct_kappa` on nonempty supports of one size against F, B's factor at that size: per
+    support, its KappaResult or its first failing probe's error (HypothesisViolationError, or an
+    overflow's ValueError). Each support draws from its own stream; the finite probes of as many
+    supports as fit max(n_probes, _CODE_CHUNK // P) columns share one kernel call."""
     if n_probes < 1:
         raise ValueError(f"n_probes must be >= 1, got {n_probes}")
     if n_probes > DEFAULT_ENUMERATION_CAP:  # refused before its draw is allocated
         raise CapacityError(f"n_probes = {n_probes} exceeds the enumeration cap "
                             f"{DEFAULT_ENUMERATION_CAP}")
-    rng = np.random.default_rng([int(seed), *sup])
-    cols = _support_columns(np.array([sup]), A.structure.alpha)[0]
-    Y = A.data[:, cols] @ rng.standard_normal((n_probes, len(cols))).T
-    n_ok = int(np.argmin([*np.isfinite(Y).all(axis=0), False]))  # probes before an overflow
-    Z = _unit_scale(Y[:, :n_ok])[0]
-    X, res, tied = _min_residual_codes(F, Z, min(tol, DEFAULT_CODING_TOL))
-    probe_supports: list[Support] = []
-    for p in range(n_probes):
-        if p == n_ok:
-            _unit_scale(Y[:, p])  # raises the ValueError naming its non-finite entries
-        residual = _relative(float(res[p]), float(np.linalg.norm(Z[:, p])))
-        if residual > tol:
-            raise HypothesisViolationError(
-                f"probe {p} on support {sup} has no {len(sup)}-block-sparse code in B "
-                f"(relative residual {residual:.3e} > {tol:.1e})"
-            )
-        if tied[p]:
-            raise HypothesisViolationError(f"probe {p} on support {sup} has tied codes in B")
-        probe_supports.append(block_support(X[:, p], A.structure, tol=0.0))
-    counts = Counter(probe_supports)
-    winner = min(counts, key=lambda k: (-counts[k], k))  # majority; ties: lexicographically least
-    return KappaResult(sup, winner, len(counts) == 1, tuple(probe_supports))
+    alpha, out, step = A.structure.alpha, [], max(1, _CODE_CHUNK // A.ambient_dim // n_probes)
+    for batch in (sups[b : b + step] for b in range(0, len(sups), step)):
+        Ys = [A.data[:, c] @ np.random.default_rng([int(seed), *sup]).standard_normal(
+            (n_probes, c.size)).T
+            for sup, c in zip(batch, _support_columns(np.array(batch), alpha))]
+        n_ok = [int(np.argmin([*np.isfinite(Y).all(axis=0), False])) for Y in Ys]  # pre-overflow
+        Z = _unit_scale(np.hstack([Y[:, :n] for Y, n in zip(Ys, n_ok)]))[0]
+        X, res, tied = _min_residual_codes(F, Z, min(tol, DEFAULT_CODING_TOL))
+        res = np.divide(res, norm := np.linalg.norm(Z, axis=0), out=res, where=norm > 0)  # relative
+        found, ids = np.unique(np.abs(X).reshape(A.structure.K, alpha, -1).max(axis=1).T > 0,
+                               axis=0, return_inverse=True)  # each distinct support, read once
+        found, ids = [tuple((np.flatnonzero(f) + 1).tolist()) for f in found], ids.ravel().tolist()
+        for sup, Y, n, end in zip(batch, Ys, n_ok, np.cumsum(n_ok).tolist()):
+            r, on = res[end - n : end], slice(end - n, end)
+            try:  # the first failing probe's error: a violation, else an overflow's ValueError
+                if (p := int(np.argmax([*(r > tol) | tied[on], True]))) < n:
+                    raise HypothesisViolationError(f"probe {p} on support {sup} has " + (
+                        f"no {len(sup)}-block-sparse code in B (relative residual {r[p]:.3e} > "
+                        f"{tol:.1e})" if r[p] > tol else "tied codes in B"))
+                _unit_scale(Y[:, n : n + 1])  # names the overflowing probe's non-finite entries
+                counts = Counter(probes := tuple(found[i] for i in ids[on]))
+                winner = min(counts, key=lambda k: (-counts[k], k))  # majority, then least
+                out.append(KappaResult(sup, winner, len(counts) == 1, probes))
+            except (HypothesisViolationError, ValueError) as exc:
+                out.append(exc)
+    return out
 
 
 @dataclass(frozen=True)
@@ -388,9 +402,9 @@ def verify_theorem_instance(
     family of size-s supports (all of them when there are at most
     MAX_HYPOTHESIS_SUPPORTS, else a seeded sample), (3) the recovered equivalence
     certificate, and (4) whether kappa restricted to singletons equals the
-    recovered permutation. B is factored once at s and once at 1, and every
-    probe is coded against one of these (`construct_kappa`). All findings
-    are report fields; hypothesis violations are recorded, not raised.
+    recovered permutation. B is factored once at s and once at 1; the family's probes
+    are coded against the first in one `_probe_supports` call, the K singletons' in
+    another. Findings are report fields; hypothesis violations are recorded, not raised.
     """
     _check_tols(tol=tol)
     _check_same_shape(A, B)
@@ -399,19 +413,20 @@ def verify_theorem_instance(
 
     rip = rip_constant(A, min(2 * s, K), seed)
 
-    def probe(sup) -> dict:
-        try:
-            res = _probe_kappa(A, factors[len(sup)], sup, n_probes, seed, DEFAULT_PROBE_TOL)
-        except HypothesisViolationError as exc:
-            return {"support": list(sup), "error": str(exc)}
-        return {"support": list(sup), "kappa": list(res.kappa), "consistent": res.consistent}
+    def probe(sups) -> list[dict]:  # every support of one size in one `_probe_supports` call
+        found = _probe_supports(A, factors[len(sups[0])], sups, n_probes, seed, DEFAULT_PROBE_TOL)
+        if overflows := [res for res in found if isinstance(res, ValueError)]:
+            raise overflows[0]
+        return [{"support": list(sup), "error": str(res)} if isinstance(res, Exception) else
+                {"support": list(sup), "kappa": list(res.kappa), "consistent": res.consistent}
+                for sup, res in zip(sups, found)]
 
     family = sorted(map(tuple, _sample_supports(K, s, MAX_HYPOTHESIS_SUPPORTS, seed).tolist()))
     factors = {k: _factor(B, k) for k in {s, 1}}  # every probe codes against one of these
-    hypothesis = [probe(sup) for sup in family]
+    hypothesis = probe(family)
     holds = all(entry.get("consistent", False) for entry in hypothesis)
     certificate = recover_equivalence(A, B, tol)
-    singles = [probe((i,)) for i in range(1, K + 1)]
+    singles = probe([(i,) for i in range(1, K + 1)])
     agreement = None if certificate.permutation is None else all(
         entry.get("consistent", False) and entry["kappa"] == [certificate.permutation(i)]
         for i, entry in enumerate(singles, start=1)

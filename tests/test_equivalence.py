@@ -482,6 +482,41 @@ def per_probe_kappa(A, F, sup, n_probes, seed, tol):
     return KappaResult(sup, kappa, len(counts) == 1, tuple(found))
 
 
+def outcome(probe, *args):
+    """What `probe(*args)` returns, or the probe error it raises."""
+    try:
+        return probe(*args)
+    except (HypothesisViolationError, ValueError) as exc:
+        return exc
+
+
+def per_probe_supports(probed):
+    """`equivalence._probe_supports` as a loop of `per_probe_kappa`, one support at a time;
+    appends each support it probes to probed."""
+    def probe_supports(A, F, sups, n_probes, seed, tol):
+        return [outcome(per_probe_kappa, A, F, probed.append(sup) or sup, n_probes, seed, tol)
+                for sup in sups]
+    return probe_supports
+
+
+def assert_same_outcome(got, expected):
+    """Equal KappaResults, or errors of one type and text."""
+    assert type(got) is type(expected)
+    if isinstance(expected, Exception):
+        assert str(got) == str(expected)
+    else:
+        assert got == expected
+
+
+def spy_codes(monkeypatch):
+    """Record the column count of every `_min_residual_codes` call `equivalence` makes."""
+    calls = []
+    code = equivalence._min_residual_codes
+    monkeypatch.setattr(equivalence, "_min_residual_codes",
+                        lambda F, Z, tol: calls.append(Z.shape[1]) or code(F, Z, tol))
+    return calls
+
+
 def spy_factor(monkeypatch):
     """Record the sparsity of every factor `equivalence` builds."""
     calls = []
@@ -515,8 +550,11 @@ class TestFactoredProbes:
         factors = spy_factor(monkeypatch)
         report = verify_theorem_instance(A, B, s=s, n_probes=4, seed=3).to_dict()
         assert sorted(factors) == sorted({s, 1})  # once per sparsity
-        monkeypatch.setattr(equivalence, "_probe_kappa", per_probe_kappa)
+        probed = []
+        monkeypatch.setattr(equivalence, "_probe_supports", per_probe_supports(probed))
         assert report == verify_theorem_instance(A, B, s=s, n_probes=4, seed=3).to_dict()
+        details = report["hypothesis"]["details"] + report["agreement"]["kappa_singletons"]
+        assert probed == [tuple(e["support"]) for e in details]  # the reference, once per support
         errors = [e["error"] for e in report["hypothesis"]["details"] if "error" in e]
         if name == "planted":
             assert report["hypothesis"]["holds"] and report["agreement"]["equal"] is True
@@ -581,18 +619,84 @@ class TestProbeOrder:
         assert ("tied" in str(got.value)) == (kind == "tied" and not overflow_first)
 
 
+class TestBatchedProbes:
+    """All probes of one sparsity share one kernel call, within a bounded column budget, and
+    each support keeps the outcome it has when coded alone."""
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_verify_makes_one_call_per_sparsity(self, monkeypatch, name, s):
+        A, B = factored_fixture(name)
+        calls = spy_codes(monkeypatch)
+        report = verify_theorem_instance(A, B, s=s, n_probes=4, seed=3)
+        K = A.structure.K
+        assert len(report.hypothesis_supports) == (K if s == 1 else 15)
+        assert calls == [4 * len(report.hypothesis_supports), 4 * K]
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("n_probes", [4, 12])
+    def test_calls_stay_within_the_column_budget(self, monkeypatch, name, s, n_probes):
+        A, B = factored_fixture(name)
+        expected = verify_theorem_instance(A, B, s=s, n_probes=n_probes, seed=3).to_dict()
+        budget = 10  # columns: _CODE_CHUNK // P at P = 16
+        monkeypatch.setattr(equivalence, "_CODE_CHUNK", budget * A.ambient_dim)
+        calls = spy_codes(monkeypatch)
+        report = verify_theorem_instance(A, B, s=s, n_probes=n_probes, seed=3).to_dict()
+        assert report == expected
+        n_supports = report["hypothesis"]["supports_checked"] + A.structure.K
+        assert sum(calls) == n_probes * n_supports
+        assert max(calls) <= max(n_probes, budget) and len(calls) > 2
+
+    @pytest.mark.parametrize("name", ["corrupted", "repeated-block"])
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_mixed_outcomes_match_one_support_coding(self, monkeypatch, name, s):
+        A, B = factored_fixture(name)
+        F = equivalence._factor(B, s)
+        sups = list(combinations(range(1, 7), s))
+        calls = spy_codes(monkeypatch)
+        got = equivalence._probe_supports(A, F, sups, 5, 7, 1e-8)
+        assert calls == [5 * len(sups)]
+        for sup, res in zip(sups, got, strict=True):
+            assert_same_outcome(res, outcome(per_probe_kappa, A, F, sup, 5, 7, 1e-8))
+        errors = [str(res) for res in got if isinstance(res, Exception)]
+        assert errors and len(errors) < len(sups)  # failing and clean supports in one batch
+        failure = "has no" if name == "corrupted" else "tied codes"
+        assert all(failure in e for e in errors)
+
+    # seed 23 draws an overflow first on (1,), seed 43 on (1, 2) (TestProbeOrder); (2,) and
+    # (2, 3) measure A's zero block 2 and fail first
+    @pytest.mark.parametrize("sups, seed", [
+        ([(2,), (1,), (3,)], 23), ([(2, 3), (1, 2), (1, 3)], 43), ([(2,), (1,), (3,)], 0),
+    ])
+    @pytest.mark.parametrize("kind", ["no-code", "tied"])
+    def test_violation_before_a_later_supports_overflow(self, kind, sups, seed):
+        A, B = overflow_fixture(kind)
+        F = equivalence._factor(B, len(sups[0]))
+        with np.errstate(over="ignore"):
+            got = equivalence._probe_supports(A, F, sups, 6, seed, 1e-8)
+            expected = [outcome(per_probe_kappa, A, F, sup, 6, seed, 1e-8) for sup in sups]
+        for res, ref in zip(got, expected, strict=True):
+            assert_same_outcome(res, ref)
+        assert isinstance(got[0], HypothesisViolationError)
+        overflow = isinstance(got[1], ValueError)
+        assert overflow == (seed != 0)  # at seed 0, (1,) fails before its probe 4 overflows
+        if overflow:
+            assert str(got[1]).startswith("measurement holds non-finite values at entries [0, 1,")
+            with pytest.raises(ValueError) as one:
+                equivalence._probe_kappa(A, F, sups[1], 6, seed, 1e-8)
+            assert str(one.value) == str(got[1])
+
+
 class TestSingletonProbes:
-    """A singleton's probes are coded in one kernel call and read one at a time."""
+    """A singleton's probes are coded in one kernel call."""
 
     @pytest.mark.parametrize("name", FIXTURES)
     @pytest.mark.parametrize("seed", [0, 7])
     def test_every_singleton_matches_per_probe_coding(self, monkeypatch, name, seed):
         A, B = factored_fixture(name)
         F = equivalence._factor(B, 1)
-        calls = []
-        code = equivalence._min_residual_codes
-        monkeypatch.setattr(equivalence, "_min_residual_codes",
-                            lambda F, Z, tol: calls.append(Z.shape[1]) or code(F, Z, tol))
+        calls = spy_codes(monkeypatch)
         errors = []
         for i in range(1, 7):
             try:
