@@ -6,7 +6,8 @@ intersecting the clusters; blocks the clustering cannot supply start at
 zero. It then alternates coding all samples by `exhaustive_code`'s
 minimum-residual rule (block-OMP once C(K, s) exceeds the enumeration cap)
 with per-block least-squares dictionary updates (each updated block
-re-orthonormalized). A block coded in fewer than alpha samples is dead, an
+re-orthonormalized) until the objective moves by less than the noise floor
+noise_level sets. A block coded in fewer than alpha samples is dead, an
 unused or missing one included; reseeding it from the worst coding
 residual and its most aligned peers is the only fallback. Everything is
 deterministic given the config seed.
@@ -408,7 +409,16 @@ def learn_dictionary(
     farthest point first, from the worst coding residual and its alpha - 1
     most aligned residuals (padded with random columns when there are
     fewer than alpha samples), and logged; this is the only fallback.
-    Stops after the configured iterations or when the objective stalls.
+
+    Stops after the configured iterations, at a zero objective, or when
+    |change| <= max(1e-12 * previous, 0.1 * sigma^2 * sqrt(2N(P - s*alpha)))
+    with sigma = config.noise_level. At the truth each residual is a
+    sample's noise outside an (s*alpha)-dimensional support span, so the
+    objective is sigma^2 times a chi-square with N(P - s*alpha) degrees of
+    freedom, of standard deviation sigma^2 * sqrt(2N(P - s*alpha)); a change
+    below a tenth of it is below what the data resolve (noiseless, the
+    floor is 0). The zero threshold 1e-24 scales by 4^e, e the binary
+    exponent of max|Y|, so samples and sigma times a power of two stop alike.
 
     The initialization clusters samples into support-span groups
     and intersects the cluster spans pairwise: the intersection of two
@@ -453,14 +463,16 @@ def learn_dictionary(
     reseed_rng = _substream(config.seed, _STREAM_RESEED)
     trace = LearnTrace()
     prev_obj = None
+    zero = np.ldexp(1e-24, 2 * np.frexp(np.abs(Y).max(initial=0.0))[1])
+    floor = 0.1 * config.noise_level**2 * math.sqrt(2 * N * (P - structure.s * alpha))
     for it in range(config.learner_iterations):
         B = BlockDict(structure, data)
         X, res = _code_all(B, Y)
         objective = float(np.sum(res**2))
         trace.objectives.append(objective)
-        if objective <= 1e-24 or (
+        if objective <= zero or (
             prev_obj is not None
-            and abs(prev_obj - objective) <= 1e-12 * max(prev_obj, 1e-30)
+            and abs(prev_obj - objective) <= max(1e-12 * prev_obj, floor)
         ):
             trace.stalled = True
             break

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -43,6 +44,10 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+# the learner's noise floor 0.1 sigma^2 sqrt(2N(P - s alpha)) at small_config and sigma = 1e-2
+SMALL_FLOOR = 0.1 * 1e-2**2 * math.sqrt(2 * 60 * (20 - 2 * 2))
 
 
 def start_learner_at(monkeypatch, B):
@@ -356,6 +361,41 @@ class TestLearnDictionary:
                 continue
             assert objs[k] <= objs[k - 1] * (1 + 1e-9) + 1e-12
 
+    @pytest.mark.parametrize("seed,n_samples,noise", [
+        (0, 90, 0.0), (1, 90, 0.0), (2, 90, 0.0), (1, 300, 1e-3),
+    ])
+    def test_stop_is_scale_free(self, seed, n_samples, noise):
+        # samples and noise level times 2^k learn the same blocks in as many
+        # iterations: seed 1 stops at a zero objective, the rest run on
+        _, Y = criterion7_samples(seed, n_samples=n_samples, noise=noise)
+        runs = []
+        for k in (-50, 0, 40):
+            config = criterion7_config(seed, np.ldexp(noise, k))
+            learned, trace = learn_dictionary(np.ldexp(Y, k), replace(config, n_samples=n_samples))
+            runs.append((learned.data.tobytes(), len(trace.objectives)))
+        assert runs[0] == runs[1] == runs[2], [n for _, n in runs]
+
+    @pytest.mark.parametrize("noise,step,stops", [
+        (1e-2, 0.99 * SMALL_FLOOR, True), (1e-2, 1.01 * SMALL_FLOOR, False),
+        (0.0, 0.99 * SMALL_FLOOR, False), (0.0, 0.5e-12, True), (0.0, 2e-12, False),
+    ], ids=["under-floor", "over-floor", "noiseless", "under-relative", "over-relative"])
+    def test_noise_floor_threshold(self, monkeypatch, noise, step, stops):
+        # scripted objectives 1, 1 - step, 1 - 2 step, ...: the learner stops at
+        # the second when step <= max(1e-12 * 1, 0.1 sigma^2 sqrt(2N(P - s alpha)))
+        config = small_config(noise_level=noise, learner_iterations=6)
+        objectives = iter(1.0 - step * np.arange(6))
+
+        def scripted(B, Y):
+            res = np.zeros(Y.shape[1])
+            res[0] = math.sqrt(next(objectives))
+            return np.zeros((B.structure.total_dim, Y.shape[1])), res
+
+        monkeypatch.setattr(harness, "_code_all", scripted)
+        Y = np.random.default_rng(0).standard_normal((20, 60))
+        _, trace = learn_dictionary(Y, config)
+        assert trace.stalled == stops
+        assert len(trace.objectives) == (2 if stops else 6)
+
     def test_shape_mismatch(self):
         config = small_config()
         with pytest.raises(ValueError):
@@ -585,9 +625,11 @@ class TestNoisyDiscovery:
         assert worst_block_sin(A, A) <= 1e-15
         assert abs(worst_block_sin(A, swapped) - sn) <= 1e-12
 
-    @pytest.mark.parametrize("noise_level,seeds,floor", [(1e-3, range(1, 21), 18),
+    @pytest.mark.parametrize("noise_level,seeds,floor", [(1e-3, range(1, 21), 20),
+                                                         (3e-3, range(1, 21), 20),
                                                          (1e-4, range(1, 11), 10)])
     def test_learner_reaches_the_noise_floor(self, monkeypatch, noise_level, seeds, floor):
+        # and stops there: every run stalls within 5 objectives, not the 30 configured
         seen = {}
         recover = harness.recover_equivalence
 
@@ -596,12 +638,15 @@ class TestNoisyDiscovery:
             return recover(truth, learned, **kwargs)
 
         monkeypatch.setattr(harness, "recover_equivalence", capture)
-        sins = []
+        sins, lengths = [], []
         for seed in seeds:
-            assert run_experiment(criterion7_config(seed, noise_level)).stage_errors == []
+            report = run_experiment(criterion7_config(seed, noise_level))
+            assert report.stage_errors == [] and report.trace["stalled"]
             sins.append(worst_block_sin(seen["truth"], seen["learned"]))
+            lengths.append(len(report.trace["objectives"]))
         reached = sum(v <= 10 * noise_level for v in sins)
         assert reached >= floor, f"{reached}/{len(sins)} within 10 sigma: {sins}"
+        assert max(lengths) <= 5, lengths
 
     def test_blocks_within_the_member_angle(self):
         st, Y = criterion7_samples(3, noise=1e-3)
@@ -644,19 +689,23 @@ class TestNoisyDiscovery:
 
 
 class TestDeadBlockReseed:
-    def test_missing_block_is_refilled_in_iteration_zero(self, monkeypatch):
-        # discovery supplies true blocks 1-5 only: block 6 starts at zero, so
-        # the first coding leaves it dead and the reseed fills it
+    @pytest.mark.parametrize("missing,seeds,floor", [([6], range(1, 11), 9),
+                                                     ([5, 6], range(1, 21), 10)],
+                             ids=["one", "two"])
+    def test_missing_block_is_refilled_in_iteration_zero(self, monkeypatch, missing, seeds,
+                                                         floor):
+        # discovery supplies the other true blocks only: the missing ones start
+        # at zero, so the first coding leaves them dead and the reseeds fill them
         noise, reached = 1e-3, []
-        for seed in range(1, 11):
+        for seed in seeds:
             st, Y = criterion7_samples(seed, noise=noise)
             truth = gen_dictionary(16, st, seed=seed)
-            known = [orthonormal_basis(truth.block(i)) for i in range(1, 6)]
+            known = [orthonormal_basis(truth.block(i)) for i in range(1, 7 - len(missing))]
             monkeypatch.setattr(harness, "_discover_block_spans", lambda *a, b=known, **k: b)
             learned, trace = learn_dictionary(Y, criterion7_config(seed, noise))
-            assert [e["block"] for e in trace.reseed_events if e["iteration"] == 0] == [6]
+            assert [e["block"] for e in trace.reseed_events if e["iteration"] == 0] == missing
             reached.append(worst_block_sin(truth, learned) <= 10 * noise)
-        assert sum(reached) >= 9, reached
+        assert sum(reached) >= floor, reached
 
     def test_cold_start_refills_each_block_elsewhere(self, monkeypatch):
         # nothing discovered: every block is dead, and each refill is projected
