@@ -173,17 +173,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=Parser)
 
     # each subcommand lists, as parents, exactly the shared flags its handler reads
-    seed, out, fmt = (Parser(add_help=False) for _ in range(3))
+    seed, out, fmt, alpha, sparsity, probes, pair = (Parser(add_help=False) for _ in range(7))
     seed.add_argument("--seed", type=int, default=0, help="RNG seed")
     out.add_argument("--out", help="output path (default: stdout)")
     fmt.add_argument("--format", choices=["json", "csv"], default="json")
+    alpha.add_argument("--alpha", type=int, required=True, help="block width")
+    sparsity.add_argument("--sparsity", type=int, required=True, help="active blocks s")
+    probes.add_argument("--probes", type=int, default=8)
+    pair.add_argument("dict_a")
+    pair.add_argument("dict_b")
 
-    p = sub.add_parser("gen", parents=[seed],
+    p = sub.add_parser("gen", parents=[seed, alpha, sparsity],
                        help="generate a dictionary and/or codes to files")
     p.add_argument("--ambient-dim", type=int, required=True)
     p.add_argument("--blocks", type=int, required=True, help="number of blocks K")
-    p.add_argument("--alpha", type=int, required=True, help="block width")
-    p.add_argument("--sparsity", type=int, required=True, help="active blocks s")
     p.add_argument("--mode", choices=[MODE_GAUSSIAN, MODE_BLOCK_ORTH],
                    default=MODE_BLOCK_ORTH)
     p.add_argument("--n-samples", type=int, default=1)
@@ -193,40 +196,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-samples", help="write dictionary @ codes here")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("rip", parents=[seed, out],
+    p = sub.add_parser("rip", parents=[seed, out, alpha],
                        help="restricted isometry constant of a dictionary")
     p.add_argument("dictionary", help="matrix file")
-    p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--level", type=int, required=True, help="support size t")
     p.add_argument("--mode", choices=["exact", "sampled"], default="exact")
     p.add_argument("--samples", type=int, default=200, help="sampled supports")
     p.set_defaults(func=_cmd_rip)
 
-    p = sub.add_parser("code", parents=[out], help="block-sparse code of one measurement")
+    p = sub.add_parser("code", parents=[out, alpha, sparsity],
+                       help="block-sparse code of one measurement")
     p.add_argument("dictionary")
     p.add_argument("measurement", help="matrix file with one column")
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--sparsity", type=int, required=True)
     p.add_argument("--method", choices=["omp", "exhaustive"], default="omp")
     p.add_argument("--tol", type=float, default=DEFAULT_CODING_TOL, help="tolerance")
     p.set_defaults(func=_cmd_code)
 
-    p = sub.add_parser("equiv", parents=[out],
+    p = sub.add_parser("equiv", parents=[out, alpha, pair],
                        help="equivalence certificate between two dictionaries")
-    p.add_argument("dict_a")
-    p.add_argument("dict_b")
-    p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--tol", type=float, default=DEFAULT_CERTIFICATE_TOL, help="tolerance")
     p.add_argument("--span-tol", type=float, default=DEFAULT_RANK_TOL)
     p.set_defaults(func=_cmd_equiv)
 
-    p = sub.add_parser("kappa", parents=[seed, out],
+    p = sub.add_parser("kappa", parents=[seed, out, alpha, probes, pair],
                        help="support correspondence by probing")
-    p.add_argument("dict_a")
-    p.add_argument("dict_b")
-    p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--support", required=True, help="comma-separated 1-based blocks")
-    p.add_argument("--probes", type=int, default=8)
     p.add_argument("--tol", type=float, default=DEFAULT_PROBE_TOL, help="tolerance")
     p.set_defaults(func=_cmd_kappa)
 
@@ -236,13 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dict", help="write the learned dictionary here")
     p.set_defaults(func=_cmd_learn)
 
-    p = sub.add_parser("verify", parents=[seed, out],
+    p = sub.add_parser("verify", parents=[seed, out, alpha, sparsity, probes, pair],
                        help="end-to-end identifiability report for a pair")
-    p.add_argument("dict_a")
-    p.add_argument("dict_b")
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--sparsity", type=int, required=True)
-    p.add_argument("--probes", type=int, default=8)
     p.add_argument("--tol", type=float, default=DEFAULT_CERTIFICATE_TOL, help="tolerance")
     p.set_defaults(func=_cmd_verify)
 

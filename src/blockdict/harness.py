@@ -25,7 +25,7 @@ from itertools import combinations, compress
 import numpy as np
 
 from .coding import _CODE_CHUNK, DEFAULT_CODING_TOL, _factor, _min_residual_codes, block_omp
-from .core import BlockDict, BlockStructure
+from .core import DEFAULT_RANK_TOL, BlockDict, BlockStructure
 from .errors import RankError
 from .equivalence import (
     DEFAULT_CERTIFICATE_TOL,
@@ -35,6 +35,7 @@ from .equivalence import (
 )
 from .rip import DEFAULT_ENUMERATION_CAP, MODE_EXACT, RipReport, _enumerate_supports
 from .rip import _rayleigh_floors, rip_constant
+from .subspace import _bases, _spans_equal_stacked
 # not called here: bench/tracing.py rebinds these names in this module
 from .rip import rip_constant_exact, rip_lower_bound_sampled  # noqa: F401
 
@@ -277,9 +278,10 @@ def _discover_block_spans(Y: np.ndarray, structure: BlockStructure, noise_level:
     noise, so the span of a seed sample and s*alpha - 1 aligned partners is
     a hypothesis verified by the samples it fits. Partner tuples are
     screened in stacked chunks of 1, 2, 4, ... trials by the cheap residual
-    1 - ||Q^T y||^2 / ||y||^2; tuples with enough possible members are
-    tested in order. Pairwise intersections of the cluster spans, from one
-    stacked SVD, then isolate the block spans the clusters share.
+    1 - ||Q^T y||^2 / ||y||^2, Q from the chunk's stacked QR; tuples with
+    enough possible members are tested in order on that Q. Pairwise
+    intersections of the cluster spans, from one stacked SVD, then isolate
+    the block spans the clusters share, returned as orthonormal P x alpha arrays.
 
     A member's noise outside its span has RMS norm nu = noise_level *
     sqrt(P - s*alpha), so members lie within the relative residual
@@ -295,15 +297,11 @@ def _discover_block_spans(Y: np.ndarray, structure: BlockStructure, noise_level:
     clusters are intersected largest first, allowing 1 - cos of the tight
     cut's median angle.
     """
-    from .subspace import SubspaceBasis, _spans_equal_stacked, orthonormal_basis
-
     P = Y.shape[0]
     dim = structure.s * structure.alpha
-    if structure.s >= structure.K:
-        return []
     norms = np.linalg.norm(Y, axis=0)
     keep = norms > 0
-    if keep.sum() < dim + 2:
+    if structure.s >= structure.K or keep.sum() < dim + 2:
         return []
     Yn = Y[:, keep] / norms[keep]
     Yk = Y[:, keep]
@@ -336,12 +334,11 @@ def _discover_block_spans(Y: np.ndarray, structure: BlockStructure, noise_level:
         lo, size = 0, 1
         while lo < len(trials):  # chunks of 1, 2, 4, ... up to step trials: hits come early
             chunk, lo, size = trials[lo : lo + size], lo + size, min(2 * size, step)
-            Qt = np.linalg.qr(Yk[:, chunk].transpose(1, 0, 2))[0].transpose(0, 2, 1)
-            energy = ((Qt.reshape(-1, P) @ Yk) ** 2).reshape(len(chunk), dim, nk).sum(axis=1)
+            Qs = np.linalg.qr(Yk[:, chunk].transpose(1, 0, 2))[0]  # = each trial's own QR
+            energy = ((Qs.swapaxes(1, 2).reshape(-1, P) @ Yk) ** 2).reshape(-1, dim, nk).sum(axis=1)
             possible = 1 - energy / norms_k**2 <= screen_cut
-            for idx in chunk[possible.sum(axis=1) >= min_members]:
-                cols = Yk[:, idx]
-                Q, _ = np.linalg.qr(cols)
+            for k in np.flatnonzero(possible.sum(axis=1) >= min_members):
+                cols, Q = Yk[:, chunk[k]], Qs[k]
                 if np.linalg.svd(cols, compute_uv=False)[-1] <= 1e-10 * norms_k[seed_idx]:
                     continue
                 r = residual(Q)
@@ -367,7 +364,8 @@ def _discover_block_spans(Y: np.ndarray, structure: BlockStructure, noise_level:
             unassigned[seed_idx] = False
             continue
         Q, found = hit
-        clusters.append(orthonormal_basis(Q if noisy else Yk[:, found]))
+        U, rank = _bases(Q if noisy else Yk[:, found], DEFAULT_RANK_TOL)
+        clusters.append(U[:, : int(rank)])
         sizes.append(int(found.sum()))
         unassigned &= ~found
     if noisy:  # larger clusters have better-fitted spans: intersect those first
@@ -375,11 +373,11 @@ def _discover_block_spans(Y: np.ndarray, structure: BlockStructure, noise_level:
 
     # one stacked SVD per pair of cluster dimensions (noiseless clusters can be rank-deficient)
     pairs = list(combinations(range(len(clusters)), 2))
-    dims = [(clusters[a].dim, clusters[b].dim) for a, b in pairs]
+    dims = [(clusters[a].shape[1], clusters[b].shape[1]) for a, b in pairs]
     inters = {}
     for group in set(dims):
         at = [i for i, d in enumerate(dims) if d == group]
-        Qa, Qb = (np.stack([clusters[pairs[i][j]].basis for i in at]) for j in (0, 1))
+        Qa, Qb = (np.stack([clusters[pairs[i][j]] for i in at]) for j in (0, 1))
         U, cos, _ = np.linalg.svd(Qa.transpose(0, 2, 1) @ Qb)
         kept = (np.clip(cos, 0.0, 1.0) >= 1.0 - inter_tol).sum(axis=1) == structure.alpha
         inters.update((i, Qa[k] @ U[k, :, : structure.alpha]) for k, i in enumerate(at) if kept[k])
@@ -389,7 +387,7 @@ def _discover_block_spans(Y: np.ndarray, structure: BlockStructure, noise_level:
             blocks.append(inters[i])
             if len(blocks) == structure.K:
                 break
-    return [SubspaceBasis(P, inter) for inter in blocks]
+    return blocks
 
 
 def learn_dictionary(
@@ -459,7 +457,7 @@ def learn_dictionary(
         )
     data = np.zeros((P, structure.total_dim))
     for i, basis in enumerate(_discover_block_spans(Y, structure, config.noise_level), 1):
-        data[:, structure.block_slice(i)] = basis.basis
+        data[:, structure.block_slice(i)] = basis
     reseed_rng = _substream(config.seed, _STREAM_RESEED)
     trace = LearnTrace()
     prev_obj = None

@@ -49,8 +49,8 @@ def _enumerate_supports(K: int, t: int, cap: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _lexicographic(K: int, t: int) -> np.ndarray:
-    flat = chain.from_iterable(combinations(range(1, K + 1), t))
-    table = np.fromiter(flat, dtype=np.intp, count=math.comb(K, t) * t).reshape(-1, t)
+    flat, n = chain.from_iterable(combinations(range(1, K + 1), t)), math.comb(K, t)
+    table = np.fromiter(flat, dtype=np.intp, count=n * t).reshape(n, t)  # t = 0: one empty row
     table.setflags(write=False)
     return table
 

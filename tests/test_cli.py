@@ -14,9 +14,10 @@ from blockdict import (
     BlockStructure,
     read_matrix_text,
     rip_constant_exact,
+    trace_to_csv,
     write_matrix_text,
 )
-from blockdict import cli
+from blockdict import cli, harness
 from blockdict.cli import build_parser, main
 
 from conftest import (
@@ -154,6 +155,11 @@ class TestRip:
         assert rc == 2
         assert "not finite" in err and "Warning" not in err
 
+    def test_alpha_not_dividing_the_columns_exit_code(self, workdir, capsys):
+        gen_files(workdir)  # 12 columns
+        assert run_cli(["rip", workdir / "A.txt", "--alpha", 5, "--level", 1]) == 2
+        assert "matrix has 12 columns, not divisible by alpha=5" in capsys.readouterr().err
+
     def test_zero_alpha_exit_code(self, workdir, capsys):
         gen_files(workdir)
         rc = run_cli(["rip", workdir / "A.txt", "--alpha", 0, "--level", 2])
@@ -263,6 +269,15 @@ class TestKappa:
         ])
         assert rc == 4
 
+    @pytest.mark.parametrize("support", ["1,x", "1.5", "1;3"])
+    def test_non_integer_support_exit_code(self, workdir, capsys, support):
+        gen_files(workdir)
+        rc = run_cli(["kappa", workdir / "A.txt", workdir / "A.txt", "--alpha", 2,
+                      "--support", support])
+        assert rc == 2
+        assert f"support must be comma-separated integers, got {support!r}" in (
+            capsys.readouterr().err)
+
     def test_probe_count_over_the_cap_exit_code(self, workdir, capsys):
         # as rip --samples: more probes than the enumeration cap exit 3 before any draw
         gen_files(workdir)
@@ -348,6 +363,29 @@ class TestLearnAndExperiment:
         r2.pop("wall_clock_sec")
         assert r1 == r2
 
+    def test_experiment_csv_trace(self, workdir):
+        cfg = self.make_config(workdir)
+        assert run_cli(["experiment", "--config", cfg, "--out", workdir / "r.json"]) == 0
+        assert run_cli(["experiment", "--config", cfg, "--format", "csv",
+                        "--out", workdir / "trace.csv"]) == 0
+        trace = json.loads((workdir / "r.json").read_text())["trace"]
+        assert (workdir / "trace.csv").read_text() == trace_to_csv(trace)
+        assert len((workdir / "trace.csv").read_text().splitlines()) == 1 + len(
+            trace["objectives"])
+
+    def test_stage_error_exit_code(self, workdir, capsys, monkeypatch):
+        # a failing stage is recorded in the report, which is still written, and told on stderr
+        def fail(*args, **kwargs):
+            raise RuntimeError("no learner")
+
+        monkeypatch.setattr(harness, "learn_dictionary", fail)
+        cfg = self.make_config(workdir)
+        assert run_cli(["experiment", "--config", cfg, "--out", workdir / "r.json"]) == 1
+        assert capsys.readouterr().err == "stage learn failed: RuntimeError: no learner\n"
+        report = json.loads((workdir / "r.json").read_text())
+        assert report["stage_errors"] == [{"stage": "learn", "error": "RuntimeError: no learner"}]
+        assert report["rip"] is not None and report["certificate"] is None
+
     def test_experiment_bad_config_exit_code(self, workdir):
         path = workdir / "config.json"
         path.write_text(json.dumps({"structure": {"K": 4, "alpha": 3, "s": 2},
@@ -426,6 +464,18 @@ class TestVerify:
         assert payload["conclusion"]["status"] == "ambiguous"
         assert payload["agreement"]["equal"] is None
 
+    def test_overflowing_pair_is_refused_at_the_gram_check(self, workdir, capsys):
+        # kappa's overflowing pair: verify's restricted isometry constant comes first
+        B = np.random.default_rng(0).standard_normal((6, 6))
+        A = B.copy()
+        A[:, :2] = np.finfo(float).max
+        write_matrix_text(workdir / "A.txt", A)
+        write_matrix_text(workdir / "B.txt", B)
+        rc = run_cli(["verify", workdir / "A.txt", workdir / "B.txt", "--alpha", 2,
+                      "--sparsity", 2])
+        assert rc == 2
+        assert "the Gram matrix A^T A is not finite" in capsys.readouterr().err
+
     def test_tied_probes_are_recorded(self, workdir, capsys):
         write_matrix_text(workdir / "A.txt", rank_deficient_dict((0.0, 0.0)).data)
         rc = run_cli(["verify", workdir / "A.txt", workdir / "A.txt",
@@ -467,6 +517,16 @@ main(["--help"])
     )
     assert proc.returncode == 0, proc.stderr
     assert "experiment" in proc.stdout
+
+
+def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "recover_equivalence", fail)
+    write_matrix_text(tmp_path / "A.txt", np.eye(4))
+    assert run_cli(["equiv", tmp_path / "A.txt", tmp_path / "A.txt", "--alpha", 2]) == 1
+    assert capsys.readouterr().err == "internal error: KeyError: 'lost'\n"
 
 
 def test_bad_subcommand_exit_code():

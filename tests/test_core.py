@@ -217,6 +217,11 @@ class TestBlockDict:
         with pytest.raises(ValueError):
             BlockDict(st52, data)
 
+    @pytest.mark.parametrize("shape", [(10,), (2, 4, 10)], ids=["1-D", "3-D"])
+    def test_non_matrix_rejected(self, st52, shape):
+        with pytest.raises(ValueError, match=f"expected a 2-D matrix, got ndim={len(shape)}"):
+            BlockDict(st52, np.zeros(shape))
+
     def test_block_and_restrict(self, st52):
         data = np.arange(40, dtype=float).reshape(4, 10)
         A = BlockDict(st52, data)
@@ -232,6 +237,12 @@ class TestBlockDict:
         B = A.with_block(3, blk)
         assert np.array_equal(B.block(3), blk)
         assert np.all(A.block(3) == 0)  # original untouched
+
+    @pytest.mark.parametrize("shape", [(4, 3), (5, 2), (4,)])
+    def test_with_block_shape_checked(self, st52, shape):
+        A = BlockDict(st52, np.zeros((4, 10)))
+        with pytest.raises(ValueError, match=r"replacement block has shape .*, expected \(4, 2\)"):
+            A.with_block(3, np.ones(shape))
 
     def test_block_ranks_default_is_the_rank_tol(self):
         # singular values (1, 5e-9): rank 1 at DEFAULT_RANK_TOL = 1e-8, the default

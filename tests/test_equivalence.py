@@ -42,6 +42,11 @@ class TestBlockPermutation:
         with pytest.raises(ValueError):
             BlockPermutation(3, (1, 1, 2))
 
+    @pytest.mark.parametrize("i", [0, 4])
+    def test_call_out_of_range(self, i):
+        with pytest.raises(IndexError, match=rf"block index {i} out of range 1\.\.3"):
+            BlockPermutation(3, (2, 3, 1))(i)
+
     def test_inverse(self):
         p = BlockPermutation(4, (3, 1, 4, 2))
         q = p.inverse()
@@ -56,6 +61,12 @@ class TestBlockDiagonal:
             BlockDiagonal(st, (np.eye(2),))
         with pytest.raises(ValueError):
             BlockDiagonal(st, (np.eye(2), np.eye(3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_block_rejected(self, bad):
+        st = BlockStructure(K=2, alpha=2, s=1)
+        with pytest.raises(ValueError, match="block 2 has non-finite entries"):
+            BlockDiagonal(st, (np.eye(2), np.array([[1.0, bad], [0.0, 1.0]])))
 
     def test_invertibility(self):
         st = BlockStructure(K=2, alpha=2, s=1)
@@ -73,6 +84,13 @@ class TestBlockDiagonal:
 
 
 class TestMatchBlocks:
+    @pytest.mark.parametrize("check", [match_blocks, recover_equivalence], ids=lambda f: f.__name__)
+    def test_ambient_dimension_mismatch(self, check):
+        st = BlockStructure(K=3, alpha=2, s=1)
+        A, B = gen_dictionary(8, st, seed=0), gen_dictionary(10, st, seed=0)
+        with pytest.raises(ValueError, match="ambient dimensions differ: 8 vs 10"):
+            check(A, B)
+
     def test_identity_match(self):
         A = gen_dictionary(16, BlockStructure(K=5, alpha=2, s=2), seed=0)
         report = match_blocks(A, A)
@@ -227,6 +245,13 @@ class TestSolveBlockTransform:
         with pytest.raises(RankError):
             solve_block_transform(np.eye(6)[:, :2], B)
 
+    @pytest.mark.parametrize("shapes", [((6, 2), (6, 3)), ((6, 2), (5, 2)), ((6,), (6,))],
+                             ids=["alpha", "ambient", "vectors"])
+    def test_shape_mismatch(self, shapes):
+        a, b = (np.ones(shape) for shape in shapes)
+        with pytest.raises(ValueError, match="blocks must share shape P x alpha"):
+            solve_block_transform(a, b)
+
     def test_negative_rank_tol_rejected(self):
         # a negative rank_tol counts every singular value, so rank 1 passed as full
         B = np.zeros((6, 2))
@@ -307,6 +332,24 @@ class TestApplyTransform:
         again = apply_transform(B, perm, diag)
         assert np.max(np.abs(again.data - A.data)) < 1e-10
 
+    def test_apply_rejects_a_permutation_of_other_size(self):
+        B = gen_dictionary(8, BlockStructure(K=3, alpha=2, s=1), seed=1)
+        with pytest.raises(ValueError, match="permutation is on 4 blocks, dictionary has 3"):
+            apply_transform(B, gen_block_permutation(4, 0), gen_block_diagonal(B.structure, 0))
+
+    @pytest.mark.parametrize("K, alpha", [(4, 2), (3, 1)])
+    def test_apply_rejects_a_diagonal_of_other_structure(self, K, alpha):
+        B = gen_dictionary(8, BlockStructure(K=3, alpha=2, s=1), seed=1)
+        D = gen_block_diagonal(BlockStructure(K=K, alpha=alpha, s=1), 0)
+        with pytest.raises(ValueError, match="block-diagonal structure does not match"):
+            apply_transform(B, gen_block_permutation(3, 0), D)
+
+    def test_make_equivalent_rejects_a_singular_diagonal(self):
+        A = gen_dictionary(8, BlockStructure(K=2, alpha=2, s=1), seed=1)
+        D = BlockDiagonal(A.structure, (np.eye(2), np.diag([1.0, 0.0])))
+        with pytest.raises(ValueError, match="all transform blocks must be invertible"):
+            make_equivalent_dict(A, gen_block_permutation(2, 0), D)
+
     @pytest.mark.parametrize("K", [2, 4])
     def test_make_equivalent_rejects_a_permutation_of_other_size(self, K):
         A = gen_dictionary(8, BlockStructure(K=3, alpha=2, s=1), seed=1)
@@ -359,6 +402,16 @@ class TestConstructKappa:
         with np.errstate(over="ignore"), pytest.raises(
                 ValueError, match=r"^measurement holds non-finite values at entries \[0, 1,"):
             construct_kappa(A, B, (1,), n_probes=4, seed=1)
+
+    @pytest.mark.parametrize("S, n_probes, message", [
+        ((), 4, "support must be nonempty"),
+        ((2, 4), 0, "n_probes must be >= 1, got 0"),
+        ((2,), -3, "n_probes must be >= 1, got -3"),
+    ], ids=["empty-support", "no-probes", "negative-probes"])
+    def test_bad_support_or_probe_count_rejected(self, S, n_probes, message):
+        A, B, _, _, _ = make_equivalent_pair(16, 5, 2, 2, seed=510)
+        with pytest.raises(ValueError, match=message):
+            construct_kappa(A, B, S, n_probes=n_probes)
 
     def test_deterministic(self):
         A, B, _, _, _ = make_equivalent_pair(16, 5, 2, 2, seed=510)
@@ -684,7 +737,7 @@ class TestBatchedProbes:
         if overflow:
             assert str(got[1]).startswith("measurement holds non-finite values at entries [0, 1,")
             with pytest.raises(ValueError) as one:
-                equivalence._probe_kappa(A, F, sups[1], 6, seed, 1e-8)
+                construct_kappa(A, B, sups[1], 6, seed, 1e-8)
             assert str(one.value) == str(got[1])
 
 
@@ -703,11 +756,11 @@ class TestSingletonProbes:
                 expected = per_probe_kappa(A, F, (i,), 5, seed, 1e-8)
             except HypothesisViolationError as exc:
                 with pytest.raises(HypothesisViolationError) as got:
-                    equivalence._probe_kappa(A, F, (i,), 5, seed, 1e-8)
+                    construct_kappa(A, B, (i,), 5, seed, 1e-8)
                 assert str(got.value) == str(exc)
                 errors.append(str(exc))
             else:
-                assert equivalence._probe_kappa(A, F, (i,), 5, seed, 1e-8) == expected
+                assert construct_kappa(A, B, (i,), 5, seed, 1e-8) == expected
         assert calls == [5] * 6  # one call per singleton, all five probes in it
         if name == "repeated-block":  # A's blocks over B's blocks 1 and 4 tie
             assert len(errors) == 2 and all("tied codes" in e for e in errors)

@@ -2,7 +2,6 @@ import json
 import math
 from dataclasses import replace
 from itertools import combinations
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -52,7 +51,7 @@ SMALL_FLOOR = 0.1 * 1e-2**2 * math.sqrt(2 * 60 * (20 - 2 * 2))
 
 def start_learner_at(monkeypatch, B):
     """Make `learn_dictionary` start from B's blocks as they are, in place of discovery."""
-    blocks = [SimpleNamespace(basis=B.block(i)) for i in range(1, B.structure.K + 1)]
+    blocks = [B.block(i) for i in range(1, B.structure.K + 1)]
     monkeypatch.setattr(harness, "_discover_block_spans", lambda *a, **k: blocks)
 
 
@@ -551,7 +550,7 @@ class TestDiscoverBlockSpans:
         log = {"hits": [], "skips": 0}
         expected = reference_discovery(Y, st, log)
         got = _discover_block_spans(Y, st)
-        assert [b.basis.tobytes() for b in got] == [b.basis.tobytes() for b in expected]
+        assert [b.tobytes() for b in got] == [b.basis.tobytes() for b in expected]
         return expected, log
 
     @pytest.mark.parametrize("seed", [0, 7, 232])
@@ -586,6 +585,14 @@ class TestDiscoverBlockSpans:
         st, Y = samples()
         monkeypatch.setattr(harness, "_CODE_CHUNK", chunk * st.s * st.alpha * Y.shape[1])
         self.assert_matches_reference(st, Y)
+
+    def test_no_clustering_when_every_block_is_active(self, monkeypatch):
+        # s = K: every sample shares the one support, so no two spans meet in a block
+        st, Y = criterion7_samples(4)
+        qr, calls = np.linalg.qr, []
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
+        assert _discover_block_spans(Y, replace(st, s=st.K)) == []
+        assert calls == []
 
 
 def worst_block_sin(truth, learned):
@@ -653,7 +660,7 @@ class TestNoisyDiscovery:
         truth = gen_dictionary(16, st, seed=3)
         blocks = _discover_block_spans(Y, st, noise_level=1e-3)
         assert len(blocks) == 6
-        learned = BlockDict(st, np.hstack([b.basis for b in blocks]))
+        learned = BlockDict(st, np.hstack(blocks))
         assert worst_block_sin(truth, learned) <= 1e-2
 
     def test_no_blocks_when_noise_hides_the_clusters(self, monkeypatch):
@@ -700,7 +707,7 @@ class TestDeadBlockReseed:
         for seed in seeds:
             st, Y = criterion7_samples(seed, noise=noise)
             truth = gen_dictionary(16, st, seed=seed)
-            known = [orthonormal_basis(truth.block(i)) for i in range(1, 7 - len(missing))]
+            known = [orthonormal_basis(truth.block(i)).basis for i in range(1, 7 - len(missing))]
             monkeypatch.setattr(harness, "_discover_block_spans", lambda *a, b=known, **k: b)
             learned, trace = learn_dictionary(Y, criterion7_config(seed, noise))
             assert [e["block"] for e in trace.reseed_events if e["iteration"] == 0] == missing
@@ -722,6 +729,32 @@ class TestDeadBlockReseed:
         ]
         assert len({e["sample"] for e in events}) == 6
         assert np.allclose(learned.data.T @ learned.data, np.eye(12), atol=1e-8)
+
+
+class TestOneColumnSupports:
+    """s * alpha = 1: discovery's partner tuples are empty."""
+
+    def test_experiment_certifies(self):
+        config = ExperimentConfig(BlockStructure(K=4, alpha=1, s=1), ambient_dim=8, n_samples=40,
+                                  seed=0)
+        report = run_experiment(config)
+        assert report.stage_errors == []
+        assert report.certificate["status"] == "equivalent"
+
+    def test_zero_residuals_refill_from_the_reseed_stream(self):
+        # three copies of e_1 form one cluster and no block; the first refill takes e_1
+        # and leaves every residual zero, so the other three are drawn from the stream
+        e1 = np.eye(4)[:, 0]
+        config = ExperimentConfig(BlockStructure(K=4, alpha=1, s=1), ambient_dim=4, n_samples=3,
+                                  seed=5, learner_iterations=1)
+        with pytest.warns(UserWarning, match="under-determined"):
+            learned, trace = learn_dictionary(np.column_stack([e1] * 3), config)
+        assert [(e["block"], e["sample"]) for e in trace.reseed_events] == [
+            (1, 0), (2, 0), (3, 0), (4, 0)]
+        rng = harness._substream(5, harness._STREAM_RESEED)
+        drawn = [np.linalg.qr(rng.standard_normal((4, 1)))[0] for _ in range(3)]
+        assert np.array_equal(np.abs(learned.block(1)[:, 0]), e1)
+        assert np.array_equal(learned.data[:, 1:], np.hstack(drawn))
 
 
 class TestExperimentConfig:

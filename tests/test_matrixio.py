@@ -34,6 +34,27 @@ def test_bad_header(tmp_path):
         read_matrix_text(path)
 
 
+@pytest.mark.parametrize("header, message", [
+    ("2 x", "header must hold two integers"),
+    ("2.0 2", "header must hold two integers"),
+    ("0 2", "dimensions must be positive, got 0x2"),
+    ("2 -1", "dimensions must be positive, got 2x-1"),
+])
+def test_header_values_checked(tmp_path, header, message):
+    path = tmp_path / "m.txt"
+    path.write_text(f"{header}\n1 2\n3 4\n")
+    with pytest.raises(ValueError, match=message):
+        read_matrix_text(path)
+
+
+@pytest.mark.parametrize("shape", [(), (2, 2, 2)])
+def test_non_matrix_not_written(tmp_path, shape):
+    path = tmp_path / "m.txt"
+    with pytest.raises(ValueError, match=f"expected a 2-D matrix, got ndim={len(shape)}"):
+        write_matrix_text(path, np.ones(shape))
+    assert not path.exists()
+
+
 def test_wrong_value_count(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("2 2\n1 2\n3\n")

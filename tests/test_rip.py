@@ -128,6 +128,12 @@ class TestSampled:
         assert sampled.supports_examined == math.comb(6, 4)
         assert sampled.mode == "sampled-lower-bound"
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_samples_rejected(self, n):
+        A = orthonormal_dict(12, 5, 2, 2)
+        with pytest.raises(ValueError, match=f"n_samples must be >= 1, got {n}"):
+            rip_lower_bound_sampled(A, 3, n_samples=n, seed=0)
+
     def test_orthonormal_is_zero(self):
         A = orthonormal_dict(12, 5, 2, 2)
         report = rip_lower_bound_sampled(A, 3, n_samples=4, seed=7)
@@ -176,6 +182,10 @@ class TestSupportLayer:
         assert [tuple(map(int, row)) for row in supports] == list(
             combinations(range(1, 6), 3)
         )
+
+    def test_enumeration_of_the_empty_support(self):
+        # one empty row: discovery at s * alpha = 1 asks for the empty partner tuple
+        assert _enumerate_supports(5, 0, cap=10).shape == (1, 0)
 
     def test_enumeration_cap(self):
         assert len(_enumerate_supports(6, 3, cap=20)) == 20

@@ -51,6 +51,26 @@ class TestOrthonormalBasis:
         assert basis.dim == 0
         assert basis.ambient_dim == 5
 
+    def test_vector_is_one_column(self):
+        basis = orthonormal_basis(np.array([3.0, 0.0, -4.0]))
+        assert basis.dim == 1 and basis.ambient_dim == 3
+        assert np.allclose(np.abs(basis.basis[:, 0]), [0.6, 0.0, 0.8], atol=1e-15)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 2), (0, 2)], ids=["3-D", "no-rows"])
+    def test_not_a_nonempty_matrix_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"expected a nonempty 2-D matrix, got shape"):
+            orthonormal_basis(np.ones(shape))
+
+    @pytest.mark.parametrize("basis", [np.eye(3), np.eye(4)[:, :2].ravel()],
+                             ids=["wrong-ambient", "1-D"])
+    def test_subspace_basis_shape_checked(self, basis):
+        with pytest.raises(ValueError, match=r"basis must be 4 x dim, got shape"):
+            subspace.SubspaceBasis(4, basis)
+
+    def test_subspace_basis_orthonormality_checked(self):
+        with pytest.raises(ValueError, match="basis columns are not orthonormal"):
+            subspace.SubspaceBasis(3, np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]))
+
     def test_columns_orthonormal_and_span_preserved(self):
         rng = np.random.default_rng(10)
         M = rng.standard_normal((8, 3))
@@ -90,6 +110,13 @@ class TestSpansEqual:
 
     def test_zero_dim_spans_equal(self):
         assert spans_equal(np.zeros((4, 2)), np.zeros((4, 1)))
+
+
+@pytest.mark.parametrize("check", [spans_equal, subspace_intersection],
+                         ids=lambda f: f.__name__)
+def test_ambient_dimension_mismatch(check):
+    with pytest.raises(ValueError, match="ambient dimensions differ: 4 vs 3"):
+        check(np.eye(4)[:, :2], np.eye(3)[:, :2])
 
 
 class TestSubspaceIntersection:
