@@ -34,7 +34,7 @@ from .equivalence import (
     recover_equivalence,
 )
 from .rip import DEFAULT_ENUMERATION_CAP, MODE_EXACT, RipReport, _enumerate_supports
-from .rip import _rayleigh_floors, rip_constant
+from .rip import _rayleigh_floors, _support_columns, rip_constant
 from .subspace import _bases, _spans_equal_stacked
 # not called here: bench/tracing.py rebinds these names in this module
 from .rip import rip_constant_exact, rip_lower_bound_sampled  # noqa: F401
@@ -128,11 +128,25 @@ def _substream(seed: int, tag: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), tag])
 
 
+def _draw_dictionaries(ambient_dim: int, structure: BlockStructure, seeds, mode=MODE_BLOCK_ORTH):
+    """`gen_dictionary`'s data for each seed, stacked (n, P, K*alpha), with one QR over all
+    blocks of the batch: numpy factors each matrix of a stack on its own, so a draw's
+    bytes do not depend on its batch."""
+    if ambient_dim < structure.alpha:
+        raise ValueError(f"ambient_dim {ambient_dim} is below the block width {structure.alpha}")
+    if mode not in (MODE_GAUSSIAN, MODE_BLOCK_ORTH):
+        raise ValueError(f"unknown dictionary mode {mode!r}")
+    shape = (ambient_dim, structure.total_dim)
+    raw = np.stack([np.random.default_rng(seed).standard_normal(shape) for seed in seeds])
+    if mode == MODE_GAUSSIAN:
+        return raw
+    blocks = raw.reshape(len(raw), ambient_dim, structure.K, structure.alpha)
+    Q = np.linalg.qr(blocks.transpose(0, 2, 1, 3))[0]
+    return Q.transpose(0, 2, 1, 3).reshape(raw.shape)
+
+
 def gen_dictionary(
-    ambient_dim: int,
-    structure: BlockStructure,
-    seed: int,
-    mode: str = MODE_BLOCK_ORTH,
+    ambient_dim: int, structure: BlockStructure, seed: int, mode: str = MODE_BLOCK_ORTH
 ) -> BlockDict:
     """Random dictionary, deterministic given seed.
 
@@ -140,19 +154,7 @@ def gen_dictionary(
     block's alpha columns are orthonormalized (one QR over the stack of
     blocks), so every block Gram is the identity.
     """
-    if ambient_dim < structure.alpha:
-        raise ValueError(
-            f"ambient_dim {ambient_dim} is below the block width {structure.alpha}"
-        )
-    if mode not in (MODE_GAUSSIAN, MODE_BLOCK_ORTH):
-        raise ValueError(f"unknown dictionary mode {mode!r}")
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((ambient_dim, structure.total_dim))
-    if mode == MODE_GAUSSIAN:
-        return BlockDict(structure, raw)
-    shape = (ambient_dim, structure.K, structure.alpha)
-    Q = np.linalg.qr(raw.reshape(shape).transpose(1, 0, 2))[0]
-    return BlockDict(structure, Q.transpose(1, 0, 2).reshape(raw.shape))
+    return BlockDict(structure, _draw_dictionaries(ambient_dim, structure, [seed], mode)[0])
 
 
 def gen_rip_dictionary(
@@ -160,22 +162,23 @@ def gen_rip_dictionary(
 ) -> tuple[BlockDict, RipReport, int]:
     """First dictionary of seeds seed, seed+1, ... with constant below 1.
 
-    Each draw is per-block-orthonormal, so every block Gram is the
-    identity. The constant is `rip_constant` at level min(2s, K), sampled
-    (above the cap) from the draw's seed. Draws come in batches of 1, 1, 2,
-    4, ... up to 16; once reports are exact, draws whose `rip._rayleigh_floors`
+    Each draw is `gen_dictionary`'s per-block-orthonormal one. The constant
+    is `rip_constant` at level min(2s, K), sampled (above the cap) from the
+    draw's seed. Draws come in batches of 1, 1, 2, 4, ... up to 16, each one
+    stacked QR; once reports are exact, draws whose `rip._rayleigh_floors`
     floor is >= 1, which `rip_constant` would reject, are skipped. Returns
     (dictionary, its RipReport, the winning seed's offset from seed); raises
     ValueError after MAX_GENERATION_RETRIES + 1 draws.
     """
     _check_ambient(ambient_dim, structure)
-    level, retry, exact = min(2 * structure.s, structure.K), 0, False
+    level, alpha, retry, exact = min(2 * structure.s, structure.K), structure.alpha, 0, False
     while retry <= MAX_GENERATION_RETRIES:  # each batch as large as the draws before it
         offsets = range(retry, min(retry + min(max(retry, 1), 16), MAX_GENERATION_RETRIES + 1))
-        draws = [gen_dictionary(ambient_dim, structure, seed=seed + o) for o in offsets]
-        screen = exact and len(draws) > 1  # a sampled constant can lie below a floor
-        checked = ~(_rayleigh_floors(draws, level) >= 1.0) if screen else [True] * len(draws)
-        for o, A in compress(zip(offsets, draws), checked):  # NaN floors are checked
+        data = _draw_dictionaries(ambient_dim, structure, [seed + o for o in offsets])
+        screen = exact and len(data) > 1  # a sampled constant can lie below a floor
+        checked = ~(_rayleigh_floors(data, alpha, level) >= 1.0) if screen else [True] * len(data)
+        for o, D in compress(zip(offsets, data), checked):  # NaN floors are checked
+            A = BlockDict(structure, D)
             report = rip_constant(A, level, seed + o)
             if report.delta < 1.0:
                 return A, report, o
@@ -188,30 +191,27 @@ def gen_rip_dictionary(
 
 
 def gen_codes(
-    structure: BlockStructure,
-    n_samples: int,
-    seed: int,
-    coefficient_scale: float = 1.0,
+    structure: BlockStructure, n_samples: int, seed: int, coefficient_scale: float = 1.0
 ) -> np.ndarray:
     """Random s-block-sparse codes as the columns of a K*alpha x N matrix.
 
-    Deterministic given seed. Each sample draws a uniform size-s support
-    and fills the active blocks with signed coefficients of magnitude in
-    [0.1, 1] times coefficient_scale, so every active entry is bounded away
-    from zero. `BlockSparseVec(structure, X[:, c])` turns a column into a
-    vector object with its support.
+    Deterministic given seed. Sample c's support, uniform over size-s
+    supports, is the s blocks with the smallest keys in row c of one
+    `random((N, K))` draw; its active entries, in column order, take row c
+    of one `uniform(0.1, 1)` and one `integers(0, 2)` draw of N x s*alpha for
+    magnitudes and signs, times coefficient_scale, so each is bounded away
+    from zero. `BlockSparseVec(structure, X[:, c])` reads a column's support.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if not (math.isfinite(coefficient_scale) and coefficient_scale > 0):
         raise ValueError(f"coefficient_scale must be finite and positive, got {coefficient_scale}")
-    rng = np.random.default_rng(seed)
-    X = np.zeros((structure.total_dim, n_samples))
-    for c in range(n_samples):
-        for i in sorted(rng.choice(structure.K, size=structure.s, replace=False)):
-            magnitude = rng.uniform(0.1, 1.0, size=structure.alpha)
-            sign = rng.integers(0, 2, size=structure.alpha) * 2 - 1
-            X[structure.block_slice(int(i) + 1), c] = coefficient_scale * sign * magnitude
+    rng, N, alpha, s = np.random.default_rng(seed), n_samples, structure.alpha, structure.s
+    supports = np.sort(np.argsort(rng.random((N, structure.K)), axis=1)[:, :s], axis=1) + 1
+    magnitude = coefficient_scale * rng.uniform(0.1, 1.0, (N, s * alpha))
+    sign = rng.integers(0, 2, (N, s * alpha)) * 2 - 1
+    X = np.zeros((structure.total_dim, N))
+    X[_support_columns(supports, alpha), np.arange(N)[:, None]] = sign * magnitude
     return X
 
 

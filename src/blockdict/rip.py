@@ -141,14 +141,14 @@ def _slack(t: int, alpha: int, bound):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a NaN floor rules nothing out
-def _rayleigh_floors(draws: list[BlockDict], t: int) -> np.ndarray:
-    """Per draw, a lower bound on its exact level-t constant less `_slack`: delta_T >=
-    x^T G_T x / x^T x - 1 with x = G_T^6 1, for each size-t support T of one stacked Gram G.
-    Column T of X holds x_T, zero off T, so G_T x_T is column T of mask * (G X)."""
-    alpha, data = draws[0].structure.alpha, np.stack([A.data for A in draws])
-    supports = _enumerate_supports(draws[0].structure.K, t, DEFAULT_ENUMERATION_CAP)
+def _rayleigh_floors(data: np.ndarray, alpha: int, t: int) -> np.ndarray:
+    """Per draw data[k] of an (n, P, K*alpha) stack, a lower bound on its exact level-t
+    constant less `_slack`: delta_T >= x^T G_T x / x^T x - 1 with x = G_T^6 1, for each
+    size-t support T of one stacked Gram G. Column T of X holds x_T, zero off T, so
+    G_T x_T is column T of mask * (G X)."""
+    supports = _enumerate_supports(data.shape[2] // alpha, t, DEFAULT_ENUMERATION_CAP)
     gram, bound = np.swapaxes(data, 1, 2) @ data, -np.inf
-    for start in range(0, len(supports), step := max(1, _RIP_CHUNK // len(draws))):
+    for start in range(0, len(supports), step := max(1, _RIP_CHUNK // len(data))):
         cols = _support_columns(supports[start : start + step], alpha)
         y = mask = np.zeros((gram.shape[1], len(cols)))
         mask[cols.T, np.arange(len(cols))] = 1.0

@@ -117,6 +117,23 @@ def projector(M, tol: float = 1e-10) -> np.ndarray:
     return M @ np.linalg.pinv(M, rcond=tol)
 
 
+def sequential_gen_codes(structure, n_samples, seed, coefficient_scale=1.0):
+    """The former `gen_codes`: per sample, one `choice` of the support, then one
+    `uniform` and one `integers` draw per active block.
+
+    Tests that feed generated codes to the learner or the coder draw from it,
+    so their inputs do not move with `gen_codes`'s stream.
+    """
+    rng = np.random.default_rng(seed)
+    X = np.zeros((structure.total_dim, n_samples))
+    for c in range(n_samples):
+        for i in sorted(rng.choice(structure.K, size=structure.s, replace=False)):
+            magnitude = rng.uniform(0.1, 1.0, size=structure.alpha)
+            sign = rng.integers(0, 2, size=structure.alpha) * 2 - 1
+            X[structure.block_slice(int(i) + 1), c] = coefficient_scale * sign * magnitude
+    return X
+
+
 def make_rip_instance(P, K, alpha, s, seed):
     """Seeded dictionary with level-min(2s, K) constant below 1, by `gen_rip_dictionary`.
 

@@ -12,7 +12,6 @@ from blockdict import (
     RankError,
     block_omp,
     exhaustive_code,
-    gen_codes,
     gen_dictionary,
 )
 
@@ -20,7 +19,13 @@ from blockdict import coding
 from blockdict.coding import _factor, _min_residual_codes
 from blockdict.rip import _enumerate_supports
 
-from conftest import RANK_DEFICIENT_SVALS, make_rip_instance, projector, rank_deficient_dict
+from conftest import (
+    RANK_DEFICIENT_SVALS,
+    make_rip_instance,
+    projector,
+    rank_deficient_dict,
+    sequential_gen_codes,
+)
 
 
 def min_residual_codes(A, Y, s, tol):
@@ -111,7 +116,7 @@ class TestExhaustive:
     def test_recovers_exact_code_under_rip(self, seed):
         A, report, used_seed = make_rip_instance(24, 6, 2, 2, seed=50 + 10 * seed)
         assert report.delta < 1.0
-        X = gen_codes(A.structure, 1, seed=used_seed)
+        X = sequential_gen_codes(A.structure, 1, seed=used_seed)
         x = BlockSparseVec.from_values(A.structure, X[:, 0])
         y = A.data @ x.values
         result = exhaustive_code(A, y, s=2)
@@ -243,7 +248,7 @@ class TestBatchKernel:
         A, _, used = make_rip_instance(16, 6, 2, 2, seed=40)
         st = A.structure
         rng = np.random.default_rng(used)
-        Y = A.data @ gen_codes(st, 30, seed=used + 1)
+        Y = A.data @ sequential_gen_codes(st, 30, seed=used + 1)
         Y = Y + 1e-2 * rng.standard_normal(Y.shape)
         Y[:, 4] = 0.0
         monkeypatch.setattr(coding, "_CODE_CHUNK", chunk)
@@ -359,7 +364,7 @@ def lstsq_reference_codes(A, Y, s, tol):
 def coder_inputs(A, n, seed):
     """Exact, noisy, random and all-zero columns for A at its sparsity."""
     rng = np.random.default_rng(seed)
-    Y = A.data @ gen_codes(A.structure, n, seed=seed)
+    Y = A.data @ sequential_gen_codes(A.structure, n, seed=seed)
     Y[:, n // 3 :] += 1e-3 * rng.standard_normal((A.ambient_dim, n - n // 3))
     Y[:, 1] = rng.standard_normal(A.ambient_dim)
     Y[:, 2] = 0.0
@@ -411,7 +416,7 @@ class TestProjectionOracle:
     def test_learner_shape(self):
         # the learner's coding call: K=6, alpha=2, s=2, P=16, N=300 at noise 1e-3
         A, _, used = make_rip_instance(16, 6, 2, 2, seed=1)
-        Y = A.data @ gen_codes(A.structure, 300, seed=used + 1)
+        Y = A.data @ sequential_gen_codes(A.structure, 300, seed=used + 1)
         Y += 1e-3 * np.random.default_rng(used).standard_normal(Y.shape)
         self.assert_same_bytes(A, Y, 2)
 
@@ -550,7 +555,7 @@ class TestExactPathCount:
     def test_full_rank_noisy_batch_rechecks_only_multi_candidate_columns(self, monkeypatch):
         # zero columns have every support in their window; no other column has two candidates
         A, _, used = make_rip_instance(16, 6, 2, 2, seed=1)
-        Y = A.data @ gen_codes(A.structure, 300, seed=used + 1)
+        Y = A.data @ sequential_gen_codes(A.structure, 300, seed=used + 1)
         Y += 1e-3 * np.random.default_rng(used).standard_normal(Y.shape)
         Y[:, [7, 150]] = 0.0
         calls = spy_rechecks(monkeypatch)
@@ -562,7 +567,7 @@ class TestExactPathCount:
     def test_repeated_block_rechecks_every_column_coded_on_it(self, monkeypatch):
         A, _, used = make_rip_instance(16, 6, 2, 2, seed=1)
         A = A.with_block(4, A.block(1))
-        Y = A.data @ gen_codes(A.structure, 300, seed=used + 1)
+        Y = A.data @ sequential_gen_codes(A.structure, 300, seed=used + 1)
         Y += 1e-3 * np.random.default_rng(used).standard_normal(Y.shape)
         calls = spy_rechecks(monkeypatch)
         X, _, tied = min_residual_codes(A, Y, 2, 1e-10)

@@ -30,7 +30,7 @@ from blockdict import harness
 from blockdict.harness import _code_all, _discover_block_spans
 from blockdict.subspace import orthonormal_basis, spans_equal, subspace_intersection
 
-from conftest import make_rip_instance, rip_brute_force
+from conftest import make_rip_instance, rip_brute_force, sequential_gen_codes
 
 
 def small_config(**overrides):
@@ -116,14 +116,15 @@ class TestGenRipDictionary:
         # rank-deficient and no draw has delta_3 < 1
         st = BlockStructure(K=3, alpha=2, s=2)
         draws = []
-        real = harness.gen_dictionary
+        real = harness._draw_dictionaries
 
-        def repeated(*args, **kwargs):
-            draws.append(kwargs["seed"])
-            A = real(*args, **kwargs)
-            return A.with_block(2, A.block(1))
+        def repeated(ambient_dim, structure, seeds, *args):
+            draws.extend(seeds)
+            data = real(ambient_dim, structure, seeds, *args)
+            data[:, :, st.block_slice(2)] = data[:, :, st.block_slice(1)]
+            return data
 
-        monkeypatch.setattr(harness, "gen_dictionary", repeated)
+        monkeypatch.setattr(harness, "_draw_dictionaries", repeated)
         with pytest.raises(ValueError, match="found in 1001 draws"):
             gen_rip_dictionary(6, st, 5)
         assert draws == list(range(5, 5 + harness.MAX_GENERATION_RETRIES + 1))
@@ -149,22 +150,34 @@ class TestGenRipDictionary:
     def test_floors_spare_most_exact_constants(self, monkeypatch):
         st = BlockStructure(K=6, alpha=2, s=2)
         draws, checked = [], []
-        real_gen, real_rip = harness.gen_dictionary, harness.rip_constant
+        real_draw, real_rip = harness._draw_dictionaries, harness.rip_constant
 
-        def gen(*args, **kwargs):
-            draws.append(kwargs["seed"])
-            return real_gen(*args, **kwargs)
+        def draw(ambient_dim, structure, seeds, *args):
+            draws.extend(seeds)
+            return real_draw(ambient_dim, structure, seeds, *args)
 
         def rip_constant(A, level, seed):
             checked.append(seed)
             return real_rip(A, level, seed)
 
-        monkeypatch.setattr(harness, "gen_dictionary", gen)
+        monkeypatch.setattr(harness, "_draw_dictionaries", draw)
         monkeypatch.setattr(harness, "rip_constant", rip_constant)
         _, _, retry = gen_rip_dictionary(16, st, 0)
         assert retry == 41 and draws == list(range(len(draws)))
         assert len(draws) <= retry + 16 and checked[0] == 0 and checked[-1] == retry
         assert len(checked) < 10
+
+    @pytest.mark.parametrize("P,K,alpha,s", [(12, 4, 2, 2), (16, 6, 2, 2), (40, 30, 1, 4)])
+    def test_winner_is_its_own_draw_bytewise(self, P, K, alpha, s):
+        # one stacked QR per batch gives each draw the bytes of its one-draw
+        # gen_dictionary call; offsets reach 41 at P=16 and 35 above the cap at P=40
+        st = BlockStructure(K=K, alpha=alpha, s=s)
+        offsets = []
+        for seed in range(6):
+            A, _, offset = gen_rip_dictionary(P, st, seed)
+            assert A.data.tobytes() == gen_dictionary(P, st, seed=seed + offset).data.tobytes()
+            offsets.append(offset)
+        assert max(offsets) >= 2
 
     def test_samples_above_the_enumeration_cap(self):
         # C(30, 8) = 5,852,925 supports at level min(2s, K) = 8
@@ -194,22 +207,24 @@ def code_vectors(structure, X):
     return [BlockSparseVec.from_values(structure, x) for x in X.T]
 
 
-def old_gen_codes_matrix(structure, n_samples, seed, coefficient_scale=1.0):
-    """The former list-of-vectors generator, stacked column by column."""
+def per_column_codes(structure, n_samples, seed, coefficient_scale=1.0):
+    """`gen_codes`'s rule read one column at a time from its three draws."""
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n_samples):
-        support = tuple(
-            sorted(int(i) + 1 for i in rng.choice(structure.K, size=structure.s, replace=False))
-        )
-        values = np.zeros(structure.total_dim)
-        for i in support:
-            magnitude = rng.uniform(0.1, 1.0, size=structure.alpha)
-            sign = rng.integers(0, 2, size=structure.alpha) * 2 - 1
-            values[structure.block_slice(i)] = coefficient_scale * sign * magnitude
-        out.append(BlockSparseVec(structure, values))
-        assert out[-1].support == support
-    return np.column_stack([c.values for c in out])
+    K, alpha, s = structure.K, structure.alpha, structure.s
+    keys = rng.random((n_samples, K))
+    magnitudes = rng.uniform(0.1, 1.0, (n_samples, s, alpha))
+    signs = rng.integers(0, 2, (n_samples, s, alpha)) * 2 - 1
+    X = np.zeros((structure.total_dim, n_samples))
+    for c in range(n_samples):
+        for j, i in enumerate(sorted(np.argsort(keys[c])[:s])):
+            values = coefficient_scale * signs[c, j] * magnitudes[c, j]
+            X[structure.block_slice(int(i) + 1), c] = values
+    return X
+
+
+def active_entries(structure, X):
+    """Each column's active entries in row order, one row per column, shape (N, s, alpha)."""
+    return X.T[X.T != 0].reshape(X.shape[1], structure.s, structure.alpha)
 
 
 class TestGenCodes:
@@ -217,12 +232,12 @@ class TestGenCodes:
     @pytest.mark.parametrize(
         "K, alpha, s, scale", [(6, 2, 2, 1.0), (5, 3, 2, 2.5), (4, 1, 4, 0.3)]
     )
-    def test_matches_former_generator_bytewise(self, seed, K, alpha, s, scale):
+    def test_matches_the_per_column_reference_bytewise(self, seed, K, alpha, s, scale):
         st = BlockStructure(K=K, alpha=alpha, s=s)
         X = gen_codes(st, 37, seed=seed, coefficient_scale=scale)
-        old = old_gen_codes_matrix(st, 37, seed, coefficient_scale=scale)
+        ref = per_column_codes(st, 37, seed, coefficient_scale=scale)
         assert X.shape == (K * alpha, 37) and X.flags.c_contiguous
-        assert X.tobytes() == old.tobytes()
+        assert X.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_scale_rejected(self, scale):
@@ -266,6 +281,21 @@ class TestGenCodes:
         _, p = scipy.stats.chisquare(list(cells.values()))
         assert p > 0.01
 
+    def test_signs_balanced_per_active_slot(self):
+        st = BlockStructure(K=6, alpha=2, s=2)
+        positive = (active_entries(st, gen_codes(st, 10_000, seed=12)) > 0).sum(axis=0)
+        for count in positive.ravel():
+            assert scipy.stats.binomtest(int(count), 10_000).pvalue > 0.01
+
+    @pytest.mark.parametrize("scale", [1.0, 2.5])
+    def test_magnitudes_uniform_per_active_slot(self, scale):
+        # Kolmogorov-Smirnov against uniform on [0.1, 1] * scale, slot by slot
+        st = BlockStructure(K=5, alpha=3, s=2)
+        X = gen_codes(st, 5_000, seed=13, coefficient_scale=scale)
+        law = scipy.stats.uniform(loc=0.1 * scale, scale=0.9 * scale)
+        for slot in np.abs(active_entries(st, X)).reshape(5_000, -1).T:
+            assert scipy.stats.kstest(slot, law.cdf).pvalue > 0.01
+
 
 class TestGenTransforms:
     def test_permutation_deterministic_and_valid(self):
@@ -286,7 +316,7 @@ class TestLearnDictionary:
     def test_fixed_point_at_truth(self, monkeypatch):
         A, _, used = make_rip_instance(20, 4, 2, 2, seed=21)
         config = small_config(seed=used)
-        Y = A.data @ gen_codes(config.structure, 60, seed=used + 1)
+        Y = A.data @ sequential_gen_codes(config.structure, 60, seed=used + 1)
         start_learner_at(monkeypatch, A)
         learned, trace = learn_dictionary(Y, config)
         assert trace.objectives[0] <= 1e-20
@@ -297,7 +327,7 @@ class TestLearnDictionary:
         # criterion-7 geometry: greedy coding at the truth is wrong here,
         # the minimum-residual code is not
         A, _, used = make_rip_instance(16, 6, 2, 2, seed=100)
-        X = gen_codes(A.structure, 300, seed=used + 1)
+        X = sequential_gen_codes(A.structure, 300, seed=used + 1)
         Y = A.data @ X
         omp_misses = sum(
             block_omp(A, Y[:, c]).code.support != code.support
@@ -326,7 +356,7 @@ class TestLearnDictionary:
         A, _, used = make_rip_instance(20, 4, 2, 2, seed=21)
         rng = np.random.default_rng(used)
         X = np.zeros((8, 61))
-        X[:6, :60] = gen_codes(BlockStructure(K=3, alpha=2, s=2), 60, seed=used + 1)
+        X[:6, :60] = sequential_gen_codes(BlockStructure(K=3, alpha=2, s=2), 60, seed=used + 1)
         X[[0, 1, 6, 7], 60] = rng.uniform(0.5, 1.0, size=4)
         init = BlockDict(A.structure, A.data + 1e-3 * rng.standard_normal(A.data.shape))
         start_learner_at(monkeypatch, init)
@@ -351,7 +381,7 @@ class TestLearnDictionary:
     def test_objective_non_increasing_in_noiseless_run(self):
         config = small_config(seed=5, learner_iterations=15)
         A, _, used = make_rip_instance(20, 4, 2, 2, seed=31)
-        Y = A.data @ gen_codes(config.structure, 60, seed=used + 1)
+        Y = A.data @ sequential_gen_codes(config.structure, 60, seed=used + 1)
         _, trace = learn_dictionary(Y, config)
         reseed_iters = {e["iteration"] for e in trace.reseed_events}
         objs = trace.objectives
@@ -413,7 +443,7 @@ class TestLearnerCoding:
         st = A.structure
         rng = np.random.default_rng(used)
         B = BlockDict(st, A.data + 0.05 * rng.standard_normal(A.data.shape))
-        Y = A.data @ gen_codes(st, 200, seed=used + 1)
+        Y = A.data @ sequential_gen_codes(st, 200, seed=used + 1)
         Y = Y + 1e-2 * rng.standard_normal(Y.shape)
         X, res = _code_all(B, Y)
         for c in range(Y.shape[1]):
@@ -509,7 +539,7 @@ def reference_discovery(Y, structure, log):
 def criterion7_samples(seed, n_samples=300, noise=0.0):
     st = BlockStructure(K=6, alpha=2, s=2)
     A = gen_dictionary(16, st, seed=seed)
-    Y = A.data @ gen_codes(st, n_samples, seed=seed + 1)
+    Y = A.data @ sequential_gen_codes(st, n_samples, seed=seed + 1)
     return st, Y + noise * np.random.default_rng(seed + 2).standard_normal(Y.shape)
 
 

@@ -488,7 +488,8 @@ class TestRayleighFloors:
     def test_floor_at_most_the_exact_constant(self, P, K):
         st = BlockStructure(K=K, alpha=2, s=2)
         draws = [gen_dictionary(P, st, seed=seed) for seed in range(208)]
-        floors = np.concatenate([rip._rayleigh_floors(draws[i : i + 16], 4)
+        data = np.stack([A.data for A in draws])
+        floors = np.concatenate([rip._rayleigh_floors(data[i : i + 16], 2, 4)
                                  for i in range(0, len(draws), 16)])
         deltas = np.array([rip_constant_exact(A, 4).delta for A in draws])
         assert np.all(floors <= deltas)
@@ -498,7 +499,8 @@ class TestRayleighFloors:
     def test_overflowing_gram_gives_a_nan_floor(self):
         # filterwarnings = error: the overflow is not warned of
         A = gen_dictionary(16, BlockStructure(K=6, alpha=2, s=2), seed=0)
-        floors = rip._rayleigh_floors([A, A.with_block(2, np.full((16, 2), 1e200))], 4)
+        huge = A.with_block(2, np.full((16, 2), 1e200))
+        floors = rip._rayleigh_floors(np.stack([A.data, huge.data]), 2, 4)
         assert floors[0] >= 1.0 and np.isnan(floors[1])
 
 
