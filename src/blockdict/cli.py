@@ -105,10 +105,8 @@ def _cmd_code(args) -> int:
         raise ValueError(
             f"{args.measurement}: measurement must be one column, got shape {y.shape}"
         )
-    if args.method == "omp":
-        result = block_omp(A, y, s=args.sparsity, tol=args.tol)
-    else:
-        result = exhaustive_code(A, y, s=args.sparsity, tol=args.tol)
+    coder = block_omp if args.method == "omp" else exhaustive_code
+    result = coder(A, y, s=args.sparsity, tol=args.tol)
     _emit(args, json.dumps(result.to_dict(), indent=2))
     return 0
 

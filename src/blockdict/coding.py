@@ -1,12 +1,13 @@
-"""Block-sparse coding: greedy block-OMP and an exhaustive oracle.
+"""Block-sparse coding: greedy block-OMP and an exhaustive oracle, each over a batched kernel.
 
 Both methods reject non-finite measurements, code y times the power of two that puts
 its largest entry in [0.5, 1) (exact; ||y||^2 then neither overflows nor underflows), report
-the residual as ||y - A x||_2 relative to ||y||_2 (absolute when y = 0) and break ties
-toward the lowest block indices. The exhaustive oracle and the learner share one kernel:
-`_factor` once per (dictionary, s), then `_min_residual_codes`, the minimum-residual rule,
-which re-checks only what an energy ranking cannot settle. A support's residual is one
-projection on its `_qr` basis, its least-squares residual at any rank (Golub & Van Loan 5.3).
+the residual as ||y - A x||_2 relative to ||y||_2 (`_relative`: absolute when y = 0) and break
+ties toward the lowest block indices. Each is the one-column case of a kernel the learner runs
+on all its samples: `_omp_codes` for block-OMP, and for the oracle `_factor` once per
+(dictionary, s), then `_min_residual_codes`, the minimum-residual rule, which re-checks only
+what an energy ranking cannot settle. A support's residual is one projection on its `_qr`
+basis, its least-squares residual at any rank (Golub & Van Loan 5.3).
 """
 
 from __future__ import annotations
@@ -51,8 +52,10 @@ class CodingResult:
         }
 
 
-def _relative(abs_residual: float, y_norm: float) -> float:
-    return abs_residual if y_norm == 0 else abs_residual / y_norm
+def _relative(abs_residual, y_norm) -> np.ndarray:
+    """The relative residual, elementwise: abs_residual / y_norm, abs_residual where y_norm = 0."""
+    return np.divide(abs_residual, y_norm, out=np.array(abs_residual, dtype=float),
+                     where=np.asarray(y_norm) != 0)
 
 
 def _unit_scale(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -79,60 +82,69 @@ def _check_measurement(A: BlockDict, y, s: int | None, tol: float) -> tuple[np.n
 def block_omp(
     A: BlockDict, y, s: int | None = None, tol: float = DEFAULT_CODING_TOL
 ) -> CodingResult:
-    """Greedy block orthogonal matching pursuit.
+    """Greedy block orthogonal matching pursuit: the one-column case of `_omp_codes`.
 
-    Repeatedly selects the block whose columns correlate most with the
-    current residual (Euclidean norm of the block of A^T r; ties go to the
-    lowest index), re-solves least squares on all selected blocks, and
-    stops once s blocks are selected, the relative residual falls to tol,
-    or no block correlates with the residual at all.
-
-    Parameters
-    ----------
-    A : BlockDict
-        Dictionary; every block should have full column rank.
-    y : array of length A.ambient_dim
-    s : int, optional
-        Maximum number of blocks to select; defaults to A.structure.s.
-    tol : float
-        Relative-residual stopping tolerance.
-
-    Raises
-    ------
-    RankError
-        When the selected sub-dictionary is rank-deficient.
+    Repeatedly selects the block whose columns correlate most with the current
+    residual r (the norm of its block of A^T r; ties go to the lowest index),
+    re-solves least squares on all selected blocks, and stops once s blocks
+    (default A.structure.s) are selected, the relative residual falls to tol,
+    or no block correlates with r at all. Every block should have full column
+    rank: RankError when the selected sub-dictionary is rank-deficient.
     """
     y, e, s = _check_measurement(A, y, s, tol)
-    y_norm = float(np.linalg.norm(y))
-    values = np.zeros(A.structure.total_dim)
-    abs_res = y_norm  # y = 0 skips the loop: the zero code, residual 0
-    selected: list[int] = []
-    residual = y.copy()
-    while len(selected) < s and _relative(abs_res, y_norm) > tol:
-        correlations = A.data.T @ residual
-        scores = np.linalg.norm(
-            correlations.reshape(A.structure.K, A.structure.alpha), axis=1
-        )
-        scores[[i - 1 for i in selected]] = -1.0
-        best = int(np.argmax(scores))  # first max wins: lowest block index
-        if scores[best] <= 0.0:
-            break
-        selected.append(best + 1)
-        rows = _support_columns(np.array([sorted(selected)]), A.structure.alpha)[0]
-        cols = A.data[:, rows]
-        sol, _, rank, _ = np.linalg.lstsq(cols, y, rcond=None)
-        if rank < cols.shape[1]:
-            raise RankError(
-                f"selected sub-dictionary on blocks {tuple(selected)} is rank-deficient "
-                f"(rank {rank} < {cols.shape[1]} columns)"
-            )
-        values = np.zeros(A.structure.total_dim)
-        values[rows] = sol
-        abs_res = float(np.linalg.norm(y - cols @ sol))
-        residual = y - A.data @ values
+    X, res, steps, rank = _omp_codes(A, y[:, None], s, tol)
+    order = np.argsort(steps[0])[A.structure.K - np.count_nonzero(steps) :]  # selection order
+    if rank[0] < (width := order.size * A.structure.alpha):
+        raise RankError(f"selected sub-dictionary on blocks {tuple((order + 1).tolist())} is "
+                        f"rank-deficient (rank {rank[0]} < {width} columns)")
+    code = BlockSparseVec(A.structure, np.ldexp(X[:, 0], e))
+    return CodingResult(code, float(_relative(res[0], np.linalg.norm(y))), METHOD_OMP)
 
-    code = BlockSparseVec(A.structure, np.ldexp(values, e))
-    return CodingResult(code, _relative(abs_res, y_norm), METHOD_OMP)
+
+def _omp_codes(A: BlockDict, Y: np.ndarray, s: int, tol: float) -> tuple[np.ndarray, ...]:
+    """Block-OMP code of every column y of the P x N matrix Y, at most s blocks each.
+
+    `block_omp`'s rule, and the learner's above the enumeration cap, on y at `_unit_scale`: while
+    y's residual r exceeds tol ||y|| and y has fewer than s blocks, the block whose correlations
+    with r have the largest norm joins y's selection (the first such: equal columns tie exactly,
+    as each correlation is one dot product; none when all are 0), least squares on the selection
+    is solved from one stacked SVD at lstsq's cut eps max(P, d) under `_numerical_rank`, and r is
+    recomputed as y - A x; a rank-short selection stops with code 0 and residual ||y||. Every
+    product is per column (stacked matmuls on C-contiguous rows, norms as stacked dots), so a
+    column's bytes do not depend on its batch; column chunks of about _CODE_CHUNK selection
+    entries bound memory. Returns (codes, absolute residual norms, each block's step in each
+    column's selection (N x K, 0 = unselected), the rank of each column's last solve).
+    """
+    W, e = _unit_scale(Y)
+    (P, N), (K, alpha) = Y.shape, (A.structure.K, A.structure.alpha)
+    Wt, AT = np.ascontiguousarray(W.T), np.ascontiguousarray(A.data.T)  # rows: each y, A's columns
+    R, X = Wt.copy(), np.zeros((N, A.structure.total_dim))  # residual and code rows
+    steps, rank = np.zeros((N, K), dtype=int), np.zeros(N, dtype=int)
+    norm = np.sqrt((Wt[:, None] @ Wt[:, :, None])[:, 0, 0])
+    res = norm.copy()
+    step = max(1, _CODE_CHUNK // (P * s * alpha))
+    for live in (np.arange(N)[b : b + step] for b in range(0, N, step)):
+        for t in range(1, s + 1):
+            live = live[_relative(res[live], norm[live]) > tol]
+            C = (AT[:, None] @ R[live, None, :, None]).reshape(len(live), K, 1, alpha)
+            scores = (C @ C.swapaxes(2, 3))[..., 0, 0]  # squared block norms
+            scores[steps[live] > 0] = -1.0
+            go = scores.max(axis=1) > 0
+            live, best = live[go], scores.argmax(axis=1)[go]  # first max: the lowest block
+            if not live.size:
+                break
+            steps[live, best] = t
+            rows = _support_columns(np.nonzero(steps[live])[1].reshape(-1, t) + 1, alpha)
+            U, sv, Vt = np.linalg.svd(AT[rows].transpose(0, 2, 1), full_matrices=False)
+            rank[live] = _numerical_rank(sv, np.finfo(float).eps * max(P, t * alpha))
+            ok = rank[live] == t * alpha
+            X[live[~ok]], res[live[~ok]] = 0.0, norm[live[~ok]]
+            live, rows = live[ok], rows[ok]
+            z = (U[ok].swapaxes(1, 2) @ Wt[live, :, None]) / sv[ok, :, None]
+            X[live[:, None], rows] = (Vt[ok].swapaxes(1, 2) @ z)[..., 0]
+            R[live] = Wt[live] - (A.data @ X[live, :, None])[..., 0]
+            res[live] = np.sqrt((R[live, None] @ R[live, :, None])[:, 0, 0])
+    return np.ldexp(X.T, e), np.ldexp(res, e), steps, rank
 
 
 def _qr(A: BlockDict, rows: np.ndarray) -> np.ndarray:
@@ -224,6 +236,6 @@ def exhaustive_code(
     """
     y, e, s = _check_measurement(A, y, s, tol)
     X, res, tied = _min_residual_codes(_factor(A, s), y[:, None], tol)
-    residual = _relative(float(res[0]), float(np.linalg.norm(y)))
+    residual = float(_relative(res[0], np.linalg.norm(y)))
     return CodingResult(BlockSparseVec(A.structure, np.ldexp(X[:, 0], e)), residual,
                         METHOD_EXHAUSTIVE, bool(tied[0]))

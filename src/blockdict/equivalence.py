@@ -189,7 +189,7 @@ def solve_block_transform(
         raise RankError("target block is rank-deficient")
     M, _, _, _ = np.linalg.lstsq(B_block, A_block, rcond=None)
     err = float(np.linalg.norm(A_block - B_block @ M, "fro"))
-    return M, _relative(err, float(np.linalg.norm(A_block, "fro")))
+    return M, float(_relative(err, np.linalg.norm(A_block, "fro")))
 
 
 def recover_equivalence(
@@ -331,7 +331,7 @@ def _probe_supports(A: BlockDict, F, sups, n_probes: int, seed, tol: float) -> l
         n_ok = [int(np.argmin([*np.isfinite(Y).all(axis=0), False])) for Y in Ys]  # pre-overflow
         Z = _unit_scale(np.hstack([Y[:, :n] for Y, n in zip(Ys, n_ok)]))[0]
         X, res, tied = _min_residual_codes(F, Z, min(tol, DEFAULT_CODING_TOL))
-        res = np.divide(res, norm := np.linalg.norm(Z, axis=0), out=res, where=norm > 0)  # relative
+        res = _relative(res, np.linalg.norm(Z, axis=0))
         found, ids = np.unique(np.abs(X).reshape(A.structure.K, alpha, -1).max(axis=1).T > 0,
                                axis=0, return_inverse=True)  # each distinct support, read once
         found, ids = [tuple((np.flatnonzero(f) + 1).tolist()) for f in found], ids.ravel().tolist()

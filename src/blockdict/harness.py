@@ -3,14 +3,14 @@
 The learner starts from block spans found by clustering the samples by
 support span, with tolerances scaled by the config's noise_level, and
 intersecting the clusters; blocks the clustering cannot supply start at
-zero. It then alternates coding all samples by `exhaustive_code`'s
-minimum-residual rule (block-OMP once C(K, s) exceeds the enumeration cap)
-with per-block least-squares dictionary updates (each updated block
-re-orthonormalized) until the objective moves by less than the noise floor
-noise_level sets. A block coded in fewer than alpha samples is dead, an
-unused or missing one included; reseeding it from the worst coding
-residual and its most aligned peers is the only fallback. Everything is
-deterministic given the config seed.
+zero. It then alternates coding all samples in one batched kernel call,
+by `exhaustive_code`'s minimum-residual rule (`block_omp`'s once C(K, s)
+exceeds the enumeration cap), with per-block least-squares dictionary
+updates (each updated block re-orthonormalized) until the objective moves
+by less than the noise floor noise_level sets. A block coded in fewer
+than alpha samples is dead, an unused or missing one included; reseeding
+it from the worst coding residual and its most aligned peers is the only
+fallback. Everything is deterministic given the config seed.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ from itertools import combinations, compress
 
 import numpy as np
 
-from .coding import _CODE_CHUNK, DEFAULT_CODING_TOL, _factor, _min_residual_codes, block_omp
+from .coding import _CODE_CHUNK, DEFAULT_CODING_TOL, _factor, _min_residual_codes, _omp_codes
 from .core import DEFAULT_RANK_TOL, BlockDict, BlockStructure
-from .errors import RankError
 from .equivalence import (
     DEFAULT_CERTIFICATE_TOL,
     BlockDiagonal,
@@ -37,6 +36,7 @@ from .rip import DEFAULT_ENUMERATION_CAP, MODE_EXACT, RipReport, _enumerate_supp
 from .rip import _rayleigh_floors, _support_columns, rip_constant
 from .subspace import _bases, _spans_equal_stacked
 # not called here: bench/tracing.py rebinds these names in this module
+from .coding import block_omp  # noqa: F401
 from .rip import rip_constant_exact, rip_lower_bound_sampled  # noqa: F401
 
 MODE_GAUSSIAN = "gaussian"
@@ -247,28 +247,18 @@ class LearnTrace:
 
 
 def _code_all(B: BlockDict, Y: np.ndarray):
-    """Minimum-residual code of every column of Y at B's sparsity and DEFAULT_CODING_TOL.
+    """Code every column of Y at B's sparsity and DEFAULT_CODING_TOL with one batched kernel.
 
-    Returns (codes matrix, abs residual norms) from `coding`'s batched
-    kernel, so each sample gets the code `exhaustive_code` would give it.
-    When C(K, s) exceeds DEFAULT_ENUMERATION_CAP, each sample is
-    block-OMP coded instead. A sample whose selected sub-dictionary is then
-    rank-deficient (degenerate mid-learning state) is left uncoded for the
-    round; its full residual makes it the natural reseeding source.
+    Returns (codes matrix, abs residual norms): up to DEFAULT_ENUMERATION_CAP supports,
+    `_min_residual_codes`, so each sample gets the code `exhaustive_code` would give it;
+    above the cap, `_omp_codes`, so each sample gets its `block_omp` code. A sample whose
+    block-OMP selection is rank-deficient (degenerate mid-learning state) is left uncoded
+    for the round; its full residual makes it the natural reseeding source.
     """
     s, tol = B.structure.s, DEFAULT_CODING_TOL
     if math.comb(B.structure.K, s) <= DEFAULT_ENUMERATION_CAP:
         return _min_residual_codes(_factor(B, s), Y, tol)[:2]
-    X = np.zeros((B.structure.total_dim, Y.shape[1]))
-    res = np.linalg.norm(Y, axis=0)
-    for c in range(Y.shape[1]):
-        try:
-            r = block_omp(B, Y[:, c], s=s, tol=tol)
-        except RankError:
-            continue
-        X[:, c] = r.code.values
-        res[c] = np.linalg.norm(Y[:, c] - B.data @ r.code.values)
-    return X, res
+    return _omp_codes(B, Y, s, tol)[:2]
 
 
 def _discover_block_spans(Y: np.ndarray, structure: BlockStructure, noise_level: float = 0.0):

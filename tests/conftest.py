@@ -22,13 +22,18 @@ import pytest  # noqa: E402
 
 from blockdict import (
     BlockDict,
+    BlockSparseVec,
     BlockStructure,
+    CodingResult,
+    RankError,
     gen_block_diagonal,
     gen_block_permutation,
     gen_dictionary,
     gen_rip_dictionary,
     make_equivalent_dict,
 )
+from blockdict.coding import _check_measurement
+from blockdict.rip import _support_columns
 
 RANK_DEFICIENT_SVALS = pytest.mark.parametrize(
     "svals", [(0.0, 0.0), (1.0, 5e-9)], ids=["zero-block", "near-singular-block"]
@@ -132,6 +137,50 @@ def sequential_gen_codes(structure, n_samples, seed, coefficient_scale=1.0):
             sign = rng.integers(0, 2, size=structure.alpha) * 2 - 1
             X[structure.block_slice(int(i) + 1), c] = coefficient_scale * sign * magnitude
     return X
+
+
+def reference_block_omp(A, y, s=None, tol=1e-10):
+    """The former `block_omp`: one column at a time, an `lstsq` per greedy step.
+
+    Tests check the batched kernel against it: the same supports, the same
+    `RankError` decisions and messages, and coefficients close to rounding.
+    """
+    y, e, s = _check_measurement(A, y, s, tol)
+    y_norm = float(np.linalg.norm(y))
+    values = np.zeros(A.structure.total_dim)
+    abs_res = y_norm  # y = 0 skips the loop: the zero code, residual 0
+    selected: list[int] = []
+    residual = y.copy()
+    while len(selected) < s and _relative(abs_res, y_norm) > tol:
+        correlations = A.data.T @ residual
+        scores = np.linalg.norm(
+            correlations.reshape(A.structure.K, A.structure.alpha), axis=1
+        )
+        scores[[i - 1 for i in selected]] = -1.0
+        best = int(np.argmax(scores))  # first max wins: lowest block index
+        if scores[best] <= 0.0:
+            break
+        selected.append(best + 1)
+        rows = _support_columns(np.array([sorted(selected)]), A.structure.alpha)[0]
+        cols = A.data[:, rows]
+        sol, _, rank, _ = np.linalg.lstsq(cols, y, rcond=None)
+        if rank < cols.shape[1]:
+            raise RankError(
+                f"selected sub-dictionary on blocks {tuple(selected)} is rank-deficient "
+                f"(rank {rank} < {cols.shape[1]} columns)"
+            )
+        values = np.zeros(A.structure.total_dim)
+        values[rows] = sol
+        abs_res = float(np.linalg.norm(y - cols @ sol))
+        residual = y - A.data @ values
+
+    code = BlockSparseVec(A.structure, np.ldexp(values, e))
+    return CodingResult(code, _relative(abs_res, y_norm), "block-omp")
+
+
+def _relative(abs_residual: float, y_norm: float) -> float:
+    """The former scalar `coding._relative`, which `reference_block_omp` calls."""
+    return abs_residual if y_norm == 0 else abs_residual / y_norm
 
 
 def make_rip_instance(P, K, alpha, s, seed):

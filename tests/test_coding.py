@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from itertools import combinations
 
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 
 from blockdict import (
+    MODE_BLOCK_ORTH,
+    MODE_GAUSSIAN,
     BlockDict,
     BlockSparseVec,
     BlockStructure,
@@ -16,7 +19,7 @@ from blockdict import (
 )
 
 from blockdict import coding
-from blockdict.coding import _factor, _min_residual_codes
+from blockdict.coding import _factor, _min_residual_codes, _omp_codes
 from blockdict.rip import _enumerate_supports
 
 from conftest import (
@@ -24,6 +27,7 @@ from conftest import (
     make_rip_instance,
     projector,
     rank_deficient_dict,
+    reference_block_omp,
     sequential_gen_codes,
 )
 
@@ -90,11 +94,13 @@ class TestBlockOmp:
         # the columns span the first 12 coordinates and y is e16: every score is 0
         st = BlockStructure(K=6, alpha=2, s=2)
         A = BlockDict(st, np.vstack([gen_dictionary(12, st, seed=0).data, np.zeros((4, 12))]))
-        solves = []
-        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: solves.append(a))
+        solves, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: solves.append(a) or svd(*a, **k))
         result = block_omp(A, np.eye(16)[:, 15])
         assert solves == []
         assert result.code.support == () and result.residual_norm == 1.0
+        block_omp(A, A.data[:, 0])  # the spy sees the solve of a correlating measurement
+        assert solves
 
     def test_rank_deficient_selection_raises(self):
         # blocks [e1, e2] and [e1, e3]: y = e1 + e2 + e3 selects both, rank 3 < 4
@@ -103,12 +109,118 @@ class TestBlockOmp:
         with pytest.raises(RankError, match=r"blocks \(1, 2\) is rank-deficient"):
             block_omp(A, E[:, 0] + E[:, 1] + E[:, 2])
 
+    def test_rank_error_lists_blocks_in_selection_order(self):
+        # blocks [e1, e2] and [e1, e3]: y = e1 + 0.5 e2 + 2 e3 selects block 2, then block 1
+        E = np.eye(4)
+        A = BlockDict(BlockStructure(K=2, alpha=2, s=2), E[:, [0, 1, 0, 2]])
+        with pytest.raises(RankError, match=r"blocks \(2, 1\) is rank-deficient \(rank 3 < 4"):
+            block_omp(A, E[:, 0] + 0.5 * E[:, 1] + 2 * E[:, 2])
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3])
+    def test_equal_blocks_tie_to_the_lowest_at_any_position(self, alpha):
+        # block K repeats block 1 and y lies in their span: both score ||y||, the most any block
+        # can. Each correlation is one dot product, so the two scores are equal bytes wherever
+        # block K sits (one GEMV rounds a row by its position and could pick block K).
+        for K in range(2, 26):
+            A = gen_dictionary(4 * alpha + 6, BlockStructure(K=K, alpha=alpha, s=1), seed=K)
+            A = A.with_block(K, A.block(1))
+            y = A.block(1) @ np.random.default_rng(K + alpha).standard_normal(alpha)
+            assert block_omp(A, y, s=1).code.support == (1,), K
+
     def test_shape_errors(self):
         A = gen_dictionary(12, BlockStructure(K=4, alpha=2, s=2), seed=0)
         with pytest.raises(ValueError):
             block_omp(A, np.zeros(11))
         with pytest.raises(ValueError):
             block_omp(A, np.zeros(12), s=5)
+
+
+def omp_outcome(coder, A, y):
+    """(RankError message or None, support, values, relative residual) of coder on y."""
+    try:
+        r = coder(A, y)
+    except RankError as exc:
+        return str(exc), None, None, None
+    return None, r.code.support, r.code.values, r.residual_norm
+
+
+def first_pick_named(outcome, st, c, d):
+    """outcome with blocks c < d, equal columns, renamed so c is the one picked first.
+
+    The reference scores all blocks with one GEMV, which rounds a row by its position,
+    so it can break the exact tie between c and d toward d.
+    """
+    msg, support, values, residual = outcome
+    name = {c: d, d: c}
+    if msg is not None:
+        picks = [int(b) for b in re.search(r"blocks \(([\d, ]+?),?\)", msg)[1].split(",")]
+        if d in picks and (c not in picks or picks.index(d) < picks.index(c)):
+            msg = re.sub(r"blocks \(.*?\)", f"blocks {tuple(name.get(b, b) for b in picks)}", msg)
+    elif d in support and c not in support:
+        support = tuple(sorted(name.get(b, b) for b in support))
+        values = values.copy()
+        values[st.block_slice(c)], values[st.block_slice(d)] = values[st.block_slice(d)], 0.0
+    return msg, support, values, residual
+
+
+class TestOmpKernel:
+    """`_omp_codes` against the per-vector reference, and its batch independence."""
+
+    def test_matches_the_per_vector_reference(self):
+        rng, columns, raised = np.random.default_rng(32), 0, 0
+        for trial in range(240):
+            K = int(rng.integers(2, 25))
+            alpha, s = int(rng.integers(1, 4)), int(rng.integers(1, min(K, 5) + 1))
+            P = int(rng.integers(min(2 * s, K) * alpha, 3 * s * alpha + 3))
+            st = BlockStructure(K=K, alpha=alpha, s=s)
+            A = gen_dictionary(P, st, seed=trial, mode=(MODE_GAUSSIAN, MODE_BLOCK_ORTH)[trial % 2])
+            c, d = sorted(int(b) + 1 for b in rng.choice(K, 2, replace=False))
+            if dup := trial % 3 == 0:  # a duplicated block: rank-short selections, exact ties
+                A = A.with_block(d, A.block(c))
+            active = np.repeat(rng.permutation(K) < s, alpha)
+            Y = np.column_stack([rng.standard_normal((P, 3)) * [1.0, 1e200, 1e-200],
+                                 A.data @ (active * rng.standard_normal(K * alpha))])
+            for y in Y.T:
+                got = omp_outcome(block_omp, A, y)
+                ref = omp_outcome(reference_block_omp, A, y)
+                ref = first_pick_named(ref, st, c, d) if dup else ref
+                assert got[:2] == ref[:2], (trial, got[:2], ref[:2])
+                columns, raised = columns + 1, raised + (ref[0] is not None)
+                if ref[0] is None:
+                    assert np.max(np.abs(got[2] - ref[2]), initial=0.0) <= 1e-12 * np.max(
+                        np.abs(ref[2]), initial=0.0), trial
+                    assert abs(got[3] - ref[3]) <= 1e-12, trial
+        assert columns == 960 and raised > 0
+
+    @pytest.mark.parametrize("chunk", [1, coding._CODE_CHUNK])
+    def test_batch_bytes_equal_one_column_calls(self, monkeypatch, chunk):
+        # chunk 1 codes one column per chunk; the default codes all 12 in one
+        st = BlockStructure(K=8, alpha=2, s=3)
+        A = gen_dictionary(20, st, seed=5, mode=MODE_GAUSSIAN)
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal(20)
+        A = A.with_block(6, np.column_stack([A.block(2)[:, 0], v]))  # shares a column with block 2
+        Y = rng.standard_normal((20, 12)) * np.logspace(-200, 200, 12)
+        Y[:, 3] = 0.0
+        Y[:, 7] = A.data[:, [0, 1, 8]] @ rng.standard_normal(3)  # an exact fit
+        Y[:, 9] = A.block(2) @ [1.0, 0.5] + 2 * v  # selects blocks 6 and 2: rank 3 < 4
+        monkeypatch.setattr(coding, "_CODE_CHUNK", chunk)
+
+        def by_column(out):
+            X, res, steps, rank = out
+            return [(X[:, c].tobytes(), res[c].tobytes(), steps[c].tobytes(), rank[c].tobytes())
+                    for c in range(len(res))]
+
+        def code(Z):
+            return by_column(_omp_codes(A, Z, st.s, 1e-10))
+
+        batch = code(Y)
+        assert batch == [col for c in range(12) for col in code(Y[:, [c]])]
+        assert batch == code(Y[:, ::-1])[::-1]
+        assert batch == code(Y[:, :5]) + code(Y[:, 5:])
+        X, res, steps, rank = _omp_codes(A, Y, st.s, 1e-10)
+        assert np.flatnonzero(rank < st.alpha * np.count_nonzero(steps, axis=1)).tolist() == [9]
+        assert not X[:, 9].any() and res[9] == np.linalg.norm(Y[:, 9])
 
 
 class TestExhaustive:
