@@ -222,6 +222,19 @@ class TestOmpKernel:
         assert np.flatnonzero(rank < st.alpha * np.count_nonzero(steps, axis=1)).tolist() == [9]
         assert not X[:, 9].any() and res[9] == np.linalg.norm(Y[:, 9])
 
+    def test_memory_stays_bounded(self):
+        # 1,000 columns at P=40, s*alpha=10: in one chunk the stacked SVDs alone take ~12 MB
+        st = BlockStructure(K=20, alpha=2, s=5)
+        A = gen_dictionary(40, st, seed=1)
+        Y = np.random.default_rng(1).standard_normal((40, 1000))
+        tracemalloc.start()
+        try:
+            _omp_codes(A, Y, st.s, 1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20
+
 
 class TestExhaustive:
     @pytest.mark.parametrize("seed", range(8))
