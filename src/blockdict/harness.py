@@ -1,16 +1,16 @@
 """Synthetic instances, a baseline block dictionary learner, and experiments.
 
-The learner starts from block spans found by clustering the samples by
-support span, with tolerances scaled by the config's noise_level, and
-intersecting the clusters; blocks the clustering cannot supply start at
-zero. It then alternates coding all samples in one batched kernel call,
-by `exhaustive_code`'s minimum-residual rule (`block_omp`'s once C(K, s)
-exceeds the enumeration cap), with per-block least-squares dictionary
-updates (each updated block re-orthonormalized) until the objective moves
-by less than the noise floor noise_level sets. A block coded in fewer
-than alpha samples is dead, an unused or missing one included; reseeding
-it from the worst coding residual and its most aligned peers is the only
-fallback. Everything is deterministic given the config seed.
+The learner starts from block spans found by growing clusters of samples
+that share a support span, with tolerances scaled by the config's
+noise_level, and intersecting them; blocks the clustering cannot supply
+start at zero. It then alternates coding all samples in one batched kernel
+call, by `exhaustive_code`'s minimum-residual rule (`block_omp`'s once
+C(K, s) exceeds the enumeration cap), with per-block least-squares
+dictionary updates (each updated block re-orthonormalized) until the
+objective moves by less than the noise floor noise_level sets. A block
+coded in fewer than alpha samples is dead, an unused or missing one
+included; reseeding it from the worst coding residual and its most aligned
+peers is the only fallback. Everything is deterministic given the config seed.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .equivalence import (
     BlockPermutation,
     recover_equivalence,
 )
-from .rip import DEFAULT_ENUMERATION_CAP, MODE_EXACT, RipReport, _enumerate_supports
+from .rip import DEFAULT_ENUMERATION_CAP, MODE_EXACT, RipReport
 from .rip import _rayleigh_floors, _support_columns, rip_constant
 from .subspace import _bases, _spans_equal_stacked
 # not called here: bench/tracing.py rebinds these names in this module
@@ -43,7 +43,7 @@ MODE_GAUSSIAN = "gaussian"
 MODE_BLOCK_ORTH = "per-block-orthonormal"
 MAX_GENERATION_RETRIES = 1000
 DISCOVERY_MEMBER_TOL = 1e-7  # relative residual of a verified cluster member
-DISCOVERY_MAX_PARTNERS = 18
+DISCOVERY_RESTARTS = 3  # first partners a seed tries when s*alpha > 2
 
 # sub-stream tags so every pipeline stage gets an independent generator
 _STREAM_DICT = 0
@@ -264,28 +264,24 @@ def _code_all(B: BlockDict, Y: np.ndarray):
 def _discover_block_spans(Y: np.ndarray, structure: BlockStructure, noise_level: float = 0.0):
     """Candidate block spans from sample clustering, with noise-scaled tolerances.
 
-    Samples sharing a support lie in one s*alpha-dimensional subspace up to
-    noise, so the span of a seed sample and s*alpha - 1 aligned partners is
-    a hypothesis verified by the samples it fits. Partner tuples are
-    screened in stacked chunks of 1, 2, 4, ... trials by the cheap residual
-    1 - ||Q^T y||^2 / ||y||^2, Q from the chunk's stacked QR; tuples with
-    enough possible members are tested in order on that Q. Pairwise
-    intersections of the cluster spans, from one stacked SVD, then isolate
-    the block spans the clusters share, returned as orthonormal P x alpha arrays.
+    Samples sharing a support lie in one s*alpha-dimensional span up to noise.
+    A seed's hypothesis grows from its unit sample by nearest-subspace-
+    neighbour steps (Park, Caramanis & Sanghavi, NIPS 2014): restart t's first
+    partner is the t-th best by |cos|, each next vector the candidate with the
+    most energy in the span, and the last the one leaving the most samples
+    within the loose cut. Candidates within the screen cut of the span add no
+    dimension and are skipped.
 
-    A member's noise outside its span has RMS norm nu = noise_level *
+    Noise outside a member's span has RMS norm nu = noise_level *
     sqrt(P - s*alpha), so members lie within the relative residual
-    DISCOVERY_MEMBER_TOL + 3 nu / ||y|| (tight cut); the loose cut doubles
-    the noise term. Noiseless, this is the exact test: no refit, clusters
-    of s*alpha + 2, a screen at (10 * DISCOVERY_MEMBER_TOL)^2 that every
-    member passes. Under noise it is LO-RANSAC (Chum, Matas & Kittler,
-    2003): a hypothesis's loose members are refit three times to their top
-    s*alpha singular vectors at the tight cut, and the cluster needs
-    2 s*alpha + 2 members and no sample between the cuts. The first
-    screened hypothesis decides a noisy seed, so where noise closes that
-    gap discovery returns no blocks at one hypothesis per seed. Noisy
-    clusters are intersected largest first, allowing 1 - cos of the tight
-    cut's median angle.
+    DISCOVERY_MEMBER_TOL + 3 nu / ||y|| (tight cut; the loose cut doubles the
+    noise term). Noiseless, clusters need s*alpha + 2 members. Under noise it
+    is LO-RANSAC (Chum, Matas & Kittler, 2003): loose members are refit three
+    times to their top s*alpha singular vectors at the tight cut, a cluster
+    needs 2 s*alpha + 2 members and none between the cuts, and a seed's first
+    hypothesis decides it. Pairwise intersections of the clusters (noisy ones
+    largest first, within 1 - cos of the tight cut's median angle), from one
+    stacked SVD, are the block spans, as orthonormal P x alpha arrays.
     """
     P = Y.shape[0]
     dim = structure.s * structure.alpha
@@ -295,11 +291,8 @@ def _discover_block_spans(Y: np.ndarray, structure: BlockStructure, noise_level:
         return []
     Yn = Y[:, keep] / norms[keep]
     Yk = Y[:, keep]
-    nk = Yk.shape[1]
     norms_k = norms[keep]
-    step = max(1, _CODE_CHUNK // (dim * nk))
-    most = min(nk - 1, DISCOVERY_MAX_PARTNERS)  # the first seed's partners, the most any seed has
-    table = _enumerate_supports(most, dim - 1, DEFAULT_ENUMERATION_CAP) - 1  # partner tuples
+    step = max(1, _CODE_CHUNK // Yk.shape[1])  # candidates per last-pick product
 
     noisy = noise_level > 0
     slack = 3 * noise_level * math.sqrt(P - dim) / norms_k
@@ -316,34 +309,40 @@ def _discover_block_spans(Y: np.ndarray, structure: BlockStructure, noise_level:
 
     def cluster_of(seed_idx, cand):
         """(span, members) of the seed's first accepted hypothesis, or None."""
-        cos = np.abs(Yn[:, cand].T @ Yn[:, seed_idx])
-        partners = cand[np.argsort(-cos)]
-        partners = partners[partners != seed_idx][:DISCOVERY_MAX_PARTNERS]
-        tuples = table[(table < len(partners)).all(axis=1)]  # still lexicographic
-        trials = np.insert(partners[tuples], 0, seed_idx, axis=1)
-        lo, size = 0, 1
-        while lo < len(trials):  # chunks of 1, 2, 4, ... up to step trials: hits come early
-            chunk, lo, size = trials[lo : lo + size], lo + size, min(2 * size, step)
-            Qs = np.linalg.qr(Yk[:, chunk].transpose(1, 0, 2))[0]  # = each trial's own QR
-            energy = ((Qs.swapaxes(1, 2).reshape(-1, P) @ Yk) ** 2).reshape(-1, dim, nk).sum(axis=1)
-            possible = 1 - energy / norms_k**2 <= screen_cut
-            for k in np.flatnonzero(possible.sum(axis=1) >= min_members):
-                cols, Q = Yk[:, chunk[k]], Qs[k]
-                if np.linalg.svd(cols, compute_uv=False)[-1] <= 1e-10 * norms_k[seed_idx]:
-                    continue
+        partners = cand[np.argsort(-np.abs(Yn[:, cand].T @ Yn[:, seed_idx]))]
+        for first in partners[partners != seed_idx][: DISCOVERY_RESTARTS if dim > 2 else 1]:
+            chosen = [seed_idx]
+            while len(chosen) < dim:
+                Q = np.linalg.qr(Yn[:, chosen])[0]
+                R = Yn - Q @ (Q.T @ Yn)
+                left = np.einsum("ij,ij->j", R, R)  # each unit sample's squared distance to it
+                pool = cand[left[cand] > screen_cut[cand]]  # candidates that add a dimension
+                if pool.size == 0:
+                    break
+                if len(chosen) < dim - 1:
+                    take = len(chosen) == 1 and first in pool
+                    chosen.append(first if take else pool[np.argmin(left[pool])])
+                else:  # adding c leaves y's squared residual left - (u^T R y)^2, u = R c / |R c|
+                    U = R[:, pool] / np.sqrt(left[pool])
+                    kept = [((U[:, k : k + step].T @ R) ** 2 > left - loose**2).sum(axis=1)
+                            for k in range(0, pool.size, step)]
+                    chosen.append(pool[np.argmax(np.concatenate(kept))])
+            if len(chosen) < dim:  # no hypothesis: the candidates ran out
+                continue
+            Q = np.linalg.qr(Yn[:, chosen])[0]
+            r = residual(Q)
+            members = r < loose
+            for _ in range(refits):
+                Q = np.linalg.svd(Yk[:, members], full_matrices=False)[0][:, :dim]
                 r = residual(Q)
-                members = r < loose
-                for _ in range(refits):
-                    Q = np.linalg.svd(Yk[:, members], full_matrices=False)[0][:, :dim]
-                    r = residual(Q)
-                    members = r < tight
-                if members.sum() >= min_members and np.array_equal(members, r < loose):
-                    return Q, members
-                if noisy:
-                    return None
+                members = r < tight
+            if members.sum() >= min_members and np.array_equal(members, r < loose):
+                return Q, members
+            if noisy:
+                return None
         return None
 
-    unassigned = np.ones(nk, dtype=bool)
+    unassigned = np.ones(Yk.shape[1], dtype=bool)
     clusters, sizes = [], []
     max_clusters = min(3 * math.comb(structure.K, structure.s), 60)
     while unassigned.sum() >= dim + 2 and len(clusters) < max_clusters:
@@ -408,15 +407,15 @@ def learn_dictionary(
     floor is 0). The zero threshold 1e-24 scales by 4^e, e the binary
     exponent of max|Y|, so samples and sigma times a power of two stop alike.
 
-    The initialization clusters samples into support-span groups
-    and intersects the cluster spans pairwise: the intersection of two
-    overlapping support spans is the span of the shared blocks, so
-    discovered intersections start blocks where cold alternation rarely
-    arrives. The clustering tolerances come from config.noise_level, which
-    should be the noise standard deviation of the samples: 0 asks for exact
-    clusters, a positive level for clusters fitted to within that noise
-    (see `_discover_block_spans`). Blocks the clustering cannot supply
-    start at zero, unused, and are refilled in iteration 0.
+    The initialization grows support-span clusters of samples greedily,
+    one seed at a time, and intersects their spans pairwise: two overlapping
+    support spans meet in the span of their shared blocks, so discovered
+    intersections start blocks where cold alternation rarely arrives. The
+    clustering tolerances come from config.noise_level, the samples' noise
+    standard deviation: 0 asks for exact clusters, a positive level for
+    clusters fitted to within that noise (see `_discover_block_spans`).
+    Blocks the clustering cannot supply start at zero and are refilled in
+    iteration 0.
 
     Parameters
     ----------

@@ -184,7 +184,7 @@ class TestSupportLayer:
         )
 
     def test_enumeration_of_the_empty_support(self):
-        # one empty row: discovery at s * alpha = 1 asks for the empty partner tuple
+        # one empty row: C(K, 0) = 1, the empty support
         assert _enumerate_supports(5, 0, cap=10).shape == (1, 0)
 
     def test_enumeration_cap(self):
