@@ -264,24 +264,24 @@ def _code_all(B: BlockDict, Y: np.ndarray):
 def _discover_block_spans(Y: np.ndarray, structure: BlockStructure, noise_level: float = 0.0):
     """Candidate block spans from sample clustering, with noise-scaled tolerances.
 
-    Samples sharing a support lie in one s*alpha-dimensional span up to noise.
-    A seed's hypothesis grows from its unit sample by nearest-subspace-
-    neighbour steps (Park, Caramanis & Sanghavi, NIPS 2014): restart t's first
-    partner is the t-th best by |cos|, each next vector the candidate with the
-    most energy in the span, and the last the one leaving the most samples
-    within the loose cut. Candidates within the screen cut of the span add no
-    dimension and are skipped.
+    Samples sharing a support lie in one s*alpha-dimensional span up to noise. A
+    seed's hypothesis grows from its unit sample by nearest-subspace-neighbour steps
+    (Park, Caramanis & Sanghavi, NIPS 2014): restart t's first partner is the t-th
+    best by |cos|, each next vector the candidate with the most energy in the span,
+    and the last the one leaving the most samples within the loose cut. Each pick's
+    unit direction is deflated out of the samples' residuals, and candidates within
+    the screen cut of the span are skipped.
 
-    Noise outside a member's span has RMS norm nu = noise_level *
-    sqrt(P - s*alpha), so members lie within the relative residual
-    DISCOVERY_MEMBER_TOL + 3 nu / ||y|| (tight cut; the loose cut doubles the
-    noise term). Noiseless, clusters need s*alpha + 2 members. Under noise it
-    is LO-RANSAC (Chum, Matas & Kittler, 2003): loose members are refit three
-    times to their top s*alpha singular vectors at the tight cut, a cluster
-    needs 2 s*alpha + 2 members and none between the cuts, and a seed's first
-    hypothesis decides it. Pairwise intersections of the clusters (noisy ones
-    largest first, within 1 - cos of the tight cut's median angle), from one
-    stacked SVD, are the block spans, as orthonormal P x alpha arrays.
+    Noise outside a member's span has RMS norm nu = noise_level * sqrt(P - s*alpha),
+    so members lie within the relative residual DISCOVERY_MEMBER_TOL + 3 nu / ||y||
+    (tight cut; the loose cut doubles the noise term). Noiseless, clusters need
+    s*alpha + 2 members. Under noise it is LO-RANSAC (Chum, Matas & Kittler, 2003):
+    loose members are refit to their top s*alpha singular vectors at the tight cut
+    until the members repeat, at most three times; a cluster needs 2 s*alpha + 2
+    members and none between the cuts, and a seed's first hypothesis decides it.
+    Pairwise intersections of the clusters (noisy ones largest first, within 1 - cos
+    of the tight cut's median angle), from one stacked SVD, are the block spans, as
+    orthonormal P x alpha arrays.
     """
     P = Y.shape[0]
     dim = structure.s * structure.alpha
@@ -289,9 +289,8 @@ def _discover_block_spans(Y: np.ndarray, structure: BlockStructure, noise_level:
     keep = norms > 0
     if structure.s >= structure.K or keep.sum() < dim + 2:
         return []
-    Yn = Y[:, keep] / norms[keep]
-    Yk = Y[:, keep]
-    norms_k = norms[keep]
+    Yk, norms_k = Y[:, keep], norms[keep]
+    Yn = Yk / norms_k
     step = max(1, _CODE_CHUNK // Yk.shape[1])  # candidates per last-pick product
 
     noisy = noise_level > 0
@@ -303,39 +302,37 @@ def _discover_block_spans(Y: np.ndarray, structure: BlockStructure, noise_level:
     min_members = (2 if noisy else 1) * dim + 2
     inter_tol = 1e-7 + float(np.median(slack)) ** 2 / 2
     dedupe_tol = max(1e-6, inter_tol)
-
-    def residual(Q):
-        return np.linalg.norm(Yk - Q @ (Q.T @ Yk), axis=0) / norms_k
+    unit = np.einsum("ij,ij->j", Yn, Yn)
 
     def cluster_of(seed_idx, cand):
-        """(span, members) of the seed's first accepted hypothesis, or None."""
+        """(noisy span or None, members) of the seed's first accepted hypothesis, or None."""
         partners = cand[np.argsort(-np.abs(Yn[:, cand].T @ Yn[:, seed_idx]))]
         for first in partners[partners != seed_idx][: DISCOVERY_RESTARTS if dim > 2 else 1]:
-            chosen = [seed_idx]
-            while len(chosen) < dim:
-                Q = np.linalg.qr(Yn[:, chosen])[0]
-                R = Yn - Q @ (Q.T @ Yn)
+            R, left, pick, Q = Yn.copy(), unit, seed_idx, None
+            for grown in range(1, dim + 1):  # deflate R by each pick's unit direction
+                u = R[:, pick] / np.sqrt(left[pick])
+                R -= np.outer(u, u @ R)
                 left = np.einsum("ij,ij->j", R, R)  # each unit sample's squared distance to it
                 pool = cand[left[cand] > screen_cut[cand]]  # candidates that add a dimension
-                if pool.size == 0:
+                if grown == dim or pool.size == 0:
                     break
-                if len(chosen) < dim - 1:
-                    take = len(chosen) == 1 and first in pool
-                    chosen.append(first if take else pool[np.argmin(left[pool])])
+                if grown < dim - 1:
+                    pick = first if grown == 1 and first in pool else pool[np.argmin(left[pool])]
                 else:  # adding c leaves y's squared residual left - (u^T R y)^2, u = R c / |R c|
                     U = R[:, pool] / np.sqrt(left[pool])
                     kept = [((U[:, k : k + step].T @ R) ** 2 > left - loose**2).sum(axis=1)
                             for k in range(0, pool.size, step)]
-                    chosen.append(pool[np.argmax(np.concatenate(kept))])
-            if len(chosen) < dim:  # no hypothesis: the candidates ran out
+                    pick = pool[np.argmax(np.concatenate(kept))]
+            if grown < dim:  # no hypothesis: the candidates ran out
                 continue
-            Q = np.linalg.qr(Yn[:, chosen])[0]
-            r = residual(Q)
+            r = np.sqrt(left)
             members = r < loose
             for _ in range(refits):
                 Q = np.linalg.svd(Yk[:, members], full_matrices=False)[0][:, :dim]
-                r = residual(Q)
-                members = r < tight
+                r = np.linalg.norm(Yk - Q @ (Q.T @ Yk), axis=0) / norms_k
+                fitted, members = members, r < tight
+                if np.array_equal(members, fitted):  # a fixed point: later refits repeat this one
+                    break
             if members.sum() >= min_members and np.array_equal(members, r < loose):
                 return Q, members
             if noisy:
@@ -353,12 +350,15 @@ def _discover_block_spans(Y: np.ndarray, structure: BlockStructure, noise_level:
             unassigned[seed_idx] = False
             continue
         Q, found = hit
-        U, rank = _bases(Q if noisy else Yk[:, found], DEFAULT_RANK_TOL)
-        clusters.append(U[:, : int(rank)])
+        if not noisy:
+            U, rank = _bases(Yk[:, found], DEFAULT_RANK_TOL)
+            Q = U[:, : int(rank)]
+        clusters.append(Q)
         sizes.append(int(found.sum()))
         unassigned &= ~found
-    if noisy:  # larger clusters have better-fitted spans: intersect those first
-        clusters = [clusters[c] for c in sorted(range(len(clusters)), key=lambda c: -sizes[c])]
+    if noisy and clusters:  # larger clusters have better-fitted spans: intersect those first
+        U, ranks = _bases(np.stack(clusters), DEFAULT_RANK_TOL)
+        clusters = [U[c, :, : ranks[c]] for c in np.argsort(np.negative(sizes), kind="stable")]
 
     # one stacked SVD per pair of cluster dimensions (noiseless clusters can be rank-deficient)
     pairs = list(combinations(range(len(clusters)), 2))
