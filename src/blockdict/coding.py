@@ -6,8 +6,8 @@ the residual as ||y - A x||_2 relative to ||y||_2 (`_relative`: absolute when y 
 ties toward the lowest block indices. Each is the one-column case of a kernel the learner runs
 on all its samples: `_omp_codes` for block-OMP, and for the oracle `_factor` once per
 (dictionary, s), then `_min_residual_codes`, the minimum-residual rule, which re-checks only
-what an energy ranking cannot settle. A support's residual is one projection on its `_qr`
-basis, its least-squares residual at any rank (Golub & Van Loan 5.3).
+what an energy ranking cannot settle. A support's residual is its projection residual, its
+lstsq residual at any rank (Golub & Van Loan 5.3); the winner's comes from its solve's SVD (5.5).
 """
 
 from __future__ import annotations
@@ -135,8 +135,8 @@ def _omp_codes(A: BlockDict, Y: np.ndarray, s: int, tol: float) -> tuple[np.ndar
                 break
             steps[live, best] = t
             rows = _support_columns(np.nonzero(steps[live])[1].reshape(-1, t) + 1, alpha)
-            U, sv, Vt = np.linalg.svd(AT[rows].transpose(0, 2, 1), full_matrices=False)
-            rank[live] = _numerical_rank(sv, np.finfo(float).eps * max(P, t * alpha))
+            M = AT[rows].transpose(0, 2, 1)
+            U, rank[live], sv, Vt = _bases(M, np.finfo(float).eps * max(P, t * alpha))
             ok = rank[live] == t * alpha
             X[live[~ok]], res[live[~ok]] = 0.0, norm[live[~ok]]
             live, rows = live[ok], rows[ok]
@@ -188,9 +188,11 @@ def _min_residual_codes(F: _Factor, Y: np.ndarray, tol: float) -> tuple[np.ndarr
     the squared residual by under margin = 2 (sqrt(s*alpha) + 2)(P + s*alpha) eps ||y||^2
     (twice a first-order rounding bound; Higham, ch. 3). Candidates, energies at most
     (sqrt(min energy + margin) + tol*||y||)^2 + margin, hold the tie window: a column with one
-    is decided, the rest get their candidates' exact residuals, and only winners are solved.
-    Column chunks of about _CODE_CHUNK residuals and support blocks of about _CODE_CHUNK factor
-    and projection entries bound memory. Returns (codes, residual norms, ties).
+    is decided, the rest get their candidates' exact residuals. One `_bases` SVD of the distinct
+    winners at lstsq's cut eps max(P, d) gives each column x = V sv^-1 U^T y and its residual
+    ||y - U U^T y|| by per-column stacked products, so a column's bytes do not depend on its
+    batch. Column chunks of about _CODE_CHUNK residuals or basis entries and support blocks of
+    about _CODE_CHUNK factor and projection entries bound memory. Returns (codes, residuals, ties).
     """
     (P, N), width, fp = Y.shape, F.rows.shape[1], np.finfo(float)
     X = np.zeros((F.A.structure.total_dim, N))
@@ -198,7 +200,7 @@ def _min_residual_codes(F: _Factor, Y: np.ndarray, tol: float) -> tuple[np.ndarr
     ysq = np.square(Y).sum(axis=0)
     window, margin = tol * np.sqrt(ysq), 2 * (math.sqrt(width) + 2) * (P + width) * fp.eps * ysq
     margin[margin < fp.tiny] = np.inf  # an underflowing margin bounds nothing
-    step = max(1, _CODE_CHUNK // len(F.rows))
+    step = max(1, _CODE_CHUNK // max(len(F.rows), P * width))  # residuals, gathered bases
     block = max(1, _CODE_CHUNK // (P * (width + min(step, N))))
     for c in (slice(start, start + step) for start in range(0, N, step)):
         E = _support_residuals(F, Y[:, c], np.arange(len(F.rows)), block, ysq[c])
@@ -211,12 +213,14 @@ def _min_residual_codes(F: _Factor, Y: np.ndarray, tol: float) -> tuple[np.ndarr
             # first support (lexicographic order) within each column's tie window
             near = R <= R.min(axis=0) + window[c.start + again]
             winner[again], tied[c.start + again] = near.argmax(axis=0), near.sum(axis=0) > 1
-        for k in np.flatnonzero(np.bincount(winner)):
-            on = c.start + np.nonzero(winner == k)[0]
-            cols = F.A.data[:, F.rows[k]]
-            sol = np.linalg.lstsq(cols, Y[:, on], rcond=None)[0]
-            X[F.rows[k][:, None], on] = sol
-            res[on] = np.linalg.norm(Y[:, on] - cols @ sol, axis=0)
+        ks, k = np.unique(winner, return_inverse=True)
+        U, _, sv, Vt = _bases(F.A.data.T[F.rows[ks]].transpose(0, 2, 1), fp.eps * max(P, width))
+        Yt = np.ascontiguousarray(Y[:, c].T)
+        z = U[k].swapaxes(1, 2) @ Yt[:, :, None]
+        x = Vt[k].swapaxes(1, 2) @ (z / sv[k, :, None])
+        X[F.rows[ks[k]], np.arange(N)[c, None]] = x[..., 0]
+        R = Yt - (U[k] @ z)[..., 0]
+        res[c] = np.sqrt((R[:, None] @ R[:, :, None])[:, 0, 0])
     return X, res, tied
 
 
@@ -226,8 +230,9 @@ def exhaustive_code(
     """Minimum-residual s-block-sparse code by enumerating every support.
 
     The one-column case of `_min_residual_codes` (energy ranking of all
-    C(K, s) supports, exact re-check of near ties, one solve for the winner);
-    ties within tol go to the lexicographically smallest support (`tied`).
+    C(K, s) supports, exact re-check of near ties, the winner solved on its
+    SVD basis, whose projection residual is reported); ties within tol go to
+    the lexicographically smallest support (`tied`).
 
     Raises
     ------

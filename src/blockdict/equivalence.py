@@ -149,7 +149,7 @@ def match_blocks(A: BlockDict, B: BlockDict, tol: float = DEFAULT_RANK_TOL) -> M
     _check_same_shape(A, B)
     P, K, alpha = A.ambient_dim, A.structure.K, A.structure.alpha
     blocks = np.hstack([A.data, B.data]).reshape(P, 2 * K, alpha).swapaxes(0, 1)
-    U, ranks = _bases(blocks, tol)
+    U, ranks = _bases(blocks, tol)[:2]
     equal = np.zeros((K, K), dtype=bool)
     for r in set(ranks[:K].tolist()) & set(ranks[K:].tolist()):
         a, b = np.flatnonzero(ranks[:K] == r), np.flatnonzero(ranks[K:] == r)

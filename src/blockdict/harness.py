@@ -241,6 +241,7 @@ class LearnTrace:
     objectives: list[float] = field(default_factory=list)
     reseed_events: list[dict] = field(default_factory=list)
     stalled: bool = False
+    residuals = None  # unannotated, so in no report: a stalled learner's last coding residuals
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -250,7 +251,7 @@ def _code_all(B: BlockDict, Y: np.ndarray):
     """Code every column of Y at B's sparsity and DEFAULT_CODING_TOL with one batched kernel.
 
     Returns (codes matrix, abs residual norms): up to DEFAULT_ENUMERATION_CAP supports,
-    `_min_residual_codes`, so each sample gets the code `exhaustive_code` would give it;
+    `_min_residual_codes`, each sample's `exhaustive_code` code and projection residual;
     above the cap, `_omp_codes`, so each sample gets its `block_omp` code. A sample whose
     block-OMP selection is rank-deficient (degenerate mid-learning state) is left uncoded
     for the round; its full residual makes it the natural reseeding source.
@@ -351,13 +352,13 @@ def _discover_block_spans(Y: np.ndarray, structure: BlockStructure, noise_level:
             continue
         Q, found = hit
         if not noisy:
-            U, rank = _bases(Yk[:, found], DEFAULT_RANK_TOL)
+            U, rank = _bases(Yk[:, found], DEFAULT_RANK_TOL)[:2]
             Q = U[:, : int(rank)]
         clusters.append(Q)
         sizes.append(int(found.sum()))
         unassigned &= ~found
     if noisy and clusters:  # larger clusters have better-fitted spans: intersect those first
-        U, ranks = _bases(np.stack(clusters), DEFAULT_RANK_TOL)
+        U, ranks = _bases(np.stack(clusters), DEFAULT_RANK_TOL)[:2]
         clusters = [U[c, :, : ranks[c]] for c in np.argsort(np.negative(sizes), kind="stable")]
 
     # one stacked SVD per pair of cluster dimensions (noiseless clusters can be rank-deficient)
@@ -461,7 +462,7 @@ def learn_dictionary(
             prev_obj is not None
             and abs(prev_obj - objective) <= max(1e-12 * prev_obj, floor)
         ):
-            trace.stalled = True
+            trace.stalled, trace.residuals = True, res
             break
         prev_obj = objective
 
@@ -530,9 +531,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     isometry constant below 1 at level min(2s, K), exact up to the
     enumeration cap, else sampled), synthesizes noisy or exact samples,
     learns a dictionary, and recovers the equivalence certificate against
-    the truth. Stage failures are recorded in the report, not raised. The
-    report is identical across runs with the same config except for
-    wall_clock_sec.
+    the truth. The coding residuals are the learner's last ones when it
+    stalled (it coded the dictionary it returns), else a fresh `_code_all`'s.
+    Stage failures are recorded in the report, not raised. The report is
+    identical across runs with the same config except for wall_clock_sec.
     """
     start = time.perf_counter()
     report = ExperimentReport(config=config.to_dict())
@@ -569,8 +571,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         report.certificate = cert.to_dict()
 
         stage = "final_coding"
-        _, res = _code_all(learned, Y)
-        report.coding_residuals = [float(v) for v in res]
+        res = _code_all(learned, Y)[1] if trace.residuals is None else trace.residuals
+        report.coding_residuals = res.tolist()
     except Exception as exc:  # recorded, not raised: the report is the contract
         report.stage_errors.append({"stage": stage, "error": f"{type(exc).__name__}: {exc}"})
 

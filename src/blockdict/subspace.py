@@ -56,17 +56,20 @@ def orthonormal_basis(M, tol: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ValueError(f"expected a nonempty 2-D matrix, got shape {arr.shape}")
-    U, rank = _bases(arr, tol)
+    U, rank = _bases(arr, tol)[:2]
     return SubspaceBasis(arr.shape[0], U[:, : int(rank)])
 
 
-def _bases(M: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Bases of stacked (..., P, d) matrices from one batched SVD, and their ranks under the
-    rank rule; each basis U has min(P, d) columns, zero past its rank."""
-    U, svals, _ = np.linalg.svd(M, full_matrices=False)
-    ranks = _numerical_rank(svals, tol)
-    U *= np.arange(U.shape[-1]) < ranks[..., None, None]
-    return U, ranks
+def _bases(M: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
+    """(U, ranks, sv, Vt): one batched thin SVD U sv Vt of stacked (..., P, d) matrices and their
+    ranks under the rank rule; past its rank, U is 0 and sv 1, so U is an orthonormal basis with
+    min(P, d) columns and V (U^T y / sv) the minimum-norm least-squares solution at cut tol."""
+    U, sv, Vt = np.linalg.svd(M, full_matrices=False)
+    ranks = _numerical_rank(sv, tol)
+    past = np.arange(sv.shape[-1]) >= ranks[..., None]
+    U *= ~past[..., None, :]
+    sv[past] = 1.0
+    return U, ranks, sv, Vt
 
 
 def _cosines(Q1: np.ndarray, Q2: np.ndarray) -> np.ndarray:
@@ -167,7 +170,7 @@ def check_lemma1(A: BlockDict, s: int | None = None, tol: float = DEFAULT_RANK_T
                 ok = (rho > tol + a) & (np.sqrt(lo) > np.sqrt((tol + 3 * e) * (2 - tol)) + a / rho)
                 if ok.all():
                     return True
-    U, ranks = _bases(A.data[:, _support_columns(supports, alpha)].transpose(1, 0, 2), tol)
+    U, ranks = _bases(A.data[:, _support_columns(supports, alpha)].transpose(1, 0, 2), tol)[:2]
     n, P, d = U.shape
     # with columns past each rank zeroed, ||U_a^T U_b||_F^2 sums the squared principal
     # cosines, >= r (1 - tol)^2 for equal rank-r spans (every r is 0 once tol >= 1):
@@ -202,11 +205,11 @@ def _lemma2_pairs(A: BlockDict, supports: np.ndarray, tol: float) -> np.ndarray:
     (P, _), n, alpha = A.data.shape, len(supports), A.structure.alpha
     M = A.data[:, _support_columns(supports, alpha)].transpose(1, 0, 2)
     keep = np.repeat((supports[:, None, :, None] == supports[None, :, None]).any(-1), alpha, -1)
-    U, ranks = _bases(M, tol)
+    U, ranks = _bases(M, tol)[:2]
     d, holds = U.shape[-1], np.empty((n, n), dtype=bool)
     step = max(1, 2**20 // (n * P * d))  # stacked arrays of about 2^20 entries
     for a in (slice(lo, lo + step) for lo in range(0, n, step)):
-        C, common = _bases(M[a, None] * keep[a, :, None], tol)
+        C, common = _bases(M[a, None] * keep[a, :, None], tol)[:2]
         W, cos, _ = np.linalg.svd(np.swapaxes(U[a], 1, 2)[:, None] @ U)
         # cosines past min(rank a, rank b) come from the bases' zero padding
         r = np.minimum(np.sum(cos >= 1.0 - tol, axis=-1), np.minimum(ranks[a, None], ranks))

@@ -20,6 +20,7 @@ from blockdict import (
 
 from blockdict import coding
 from blockdict.coding import _factor, _min_residual_codes, _omp_codes
+from blockdict.core import _numerical_rank
 from blockdict.rip import _enumerate_supports
 
 from conftest import (
@@ -367,9 +368,9 @@ class TestOracleDominance:
 
 
 class TestBatchKernel:
-    @pytest.mark.parametrize("chunk", [1, 15 * 7])
+    @pytest.mark.parametrize("chunk", [1, 16 * 4 * 7])
     def test_chunked_batch_matches_per_column_calls(self, monkeypatch, chunk):
-        # 15 supports: chunk 1 codes one column at a time, 105 seven at a time
+        # a column gathers a 16 x 4 basis: chunk 1 codes one column at a time, 448 seven at a time
         A, _, used = make_rip_instance(16, 6, 2, 2, seed=40)
         st = A.structure
         rng = np.random.default_rng(used)
@@ -391,31 +392,80 @@ class TestBatchKernel:
             assert res[c] == pytest.approx(oracle, abs=1e-12)
         assert not X[:, 4].any() and res[4] == 0.0
 
+    @staticmethod
+    def spy_svds(monkeypatch):
+        """Record the stacked matrices of every `_bases` SVD the coder makes."""
+        calls, bases = [], coding._bases
+        monkeypatch.setattr(coding, "_bases", lambda M, tol: calls.append(M) or bases(M, tol))
+        return calls
+
     def test_one_column_solve_count(self, monkeypatch):
         # full rank: supports are scored by projection, only the winner is solved
         A = gen_dictionary(14, BlockStructure(K=6, alpha=2, s=2), seed=2)
-        calls = []
-        lstsq = np.linalg.lstsq
-        monkeypatch.setattr(
-            np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k)
-        )
+        calls = self.spy_svds(monkeypatch)
         exhaustive_code(A, np.random.default_rng(2).standard_normal(14), s=2)
-        assert len(calls) == 1
+        M, = calls
+        assert M.shape == (1, 14, 4)
 
     def test_rank_short_supports_take_svd_bases(self, monkeypatch):
         # block 2 zeroed: its 5 supports take SVD bases in one call, only the winner is solved
         A = gen_dictionary(14, BlockStructure(K=6, alpha=2, s=2), seed=2)
         A = A.with_block(2, np.zeros((14, 2)))
-        calls, bases = [], []
-        lstsq, svd_bases = np.linalg.lstsq, coding._bases
-        monkeypatch.setattr(
-            np.linalg, "lstsq", lambda *a, **k: calls.append(a[0]) or lstsq(*a, **k)
-        )
-        monkeypatch.setattr(coding, "_bases", lambda M, tol: bases.append(M) or svd_bases(M, tol))
+        calls = self.spy_svds(monkeypatch)
         exhaustive_code(A, np.random.default_rng(2).standard_normal(14), s=2)
-        assert [np.linalg.matrix_rank(M) for M in calls] == [4]
-        M, = bases  # the supports (1, 2) and (2, j), j > 2
-        assert np.linalg.matrix_rank(M).tolist() == [2] * 5
+        bases, solved = calls  # bases: the supports (1, 2) and (2, j), j > 2
+        assert np.linalg.matrix_rank(bases).tolist() == [2] * 5
+        assert np.linalg.matrix_rank(solved).tolist() == [4]
+
+    @pytest.mark.parametrize("chunk", [1, coding._CODE_CHUNK])
+    def test_batch_bytes_equal_one_column_calls(self, monkeypatch, chunk):
+        # chunk 1 ranks and solves one column at a time; the default all 12 at once
+        st = BlockStructure(K=6, alpha=2, s=2)
+        A = gen_dictionary(12, st, seed=5, mode=MODE_GAUSSIAN)
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal(12)
+        A = A.with_block(5, np.column_stack([A.block(2)[:, 0], v]))  # shares a column with block 2
+        A = A.with_block(6, A.block(1) @ [[2.0, 1.0], [0.5, 3.0]])  # block 1's span
+        Y = rng.standard_normal((12, 12)) * np.logspace(-200, 200, 12)
+        Y[:, 3] = 0.0
+        Y[:, 7] = A.data[:, [2, 3, 6, 7]] @ rng.standard_normal(4)  # an exact fit on (2, 4)
+        Y[:, 8] = A.data[:, [0, 1, 4, 5]] @ rng.standard_normal(4)  # ties (1, 3) with (3, 6)
+        Y[:, 9] = A.block(2) @ [1.0, 0.5] + 2 * v  # fits (2, 5) alone: rank 3 < 4
+        W, e = coding._unit_scale(Y)  # the coder's input, as `exhaustive_code` scales it
+        monkeypatch.setattr(coding, "_CODE_CHUNK", chunk)
+
+        def code(Z):
+            X, res, tied = min_residual_codes(A, Z, st.s, 1e-10)
+            return [(X[:, c].tobytes(), res[c].tobytes(), tied[c]) for c in range(len(res))]
+
+        batch = code(W)
+        assert batch == [col for c in range(12) for col in code(W[:, [c]])]
+        assert batch == code(W[:, ::-1])[::-1]
+        assert batch == code(W[:, :5]) + code(W[:, 5:])
+        X, res, tied = min_residual_codes(A, W, st.s, 1e-10)
+        for c in range(12):
+            one = exhaustive_code(A, Y[:, c], s=st.s, tol=1e-10)
+            assert one.code.values.tobytes() == np.ldexp(X[:, c], e[c]).tobytes(), c
+            assert one.residual_norm == coding._relative(res[c], np.linalg.norm(W[:, c])), c
+            assert one.tied == tied[c], c
+        assert tied[[3, 8]].all() and not tied[[7, 9]].any()  # blocks 1 and 6 tie elsewhere too
+        assert np.abs(Y[:, [0, 11]]).max(axis=0).tolist() < [1e-199, 1e201]
+        assert np.linalg.matrix_rank(A.restrict((2, 5))) == 3
+        assert np.flatnonzero(X[:, 9].reshape(6, 2).any(axis=1)).tolist() == [1, 4]
+        assert res[7] < 1e-15 and res[9] < 1e-15
+
+    def test_solve_memory_stays_bounded(self):
+        # 4,000 columns at P=400: one gathered P x d basis per column would take 25.6 MB
+        st = BlockStructure(K=4, alpha=2, s=1)
+        A = gen_dictionary(400, st, seed=1)
+        Y = np.random.default_rng(1).standard_normal((400, 4000))
+        tracemalloc.start()
+        try:
+            min_residual_codes(A, Y, st.s, 1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * Y.nbytes
 
     def test_memory_stays_bounded(self):
         # 15,504 supports: factored in blocks, not all at once
@@ -496,15 +546,48 @@ def coder_inputs(A, n, seed):
     return Y
 
 
+def svd_solve_reference(A, y, support):
+    """The coder's solve of one column on its winner: one SVD of the support's columns at
+    lstsq's cut, U zero and sv 1 past the rank, x = V sv^-1 U^T y and r = ||y - U U^T y||.
+    Returns (code, residual, the support's condition number at that rank)."""
+    rows = np.r_[tuple(A.structure.block_slice(i) for i in support)]
+    M = A.data[:, rows][None]
+    U, sv, Vt = np.linalg.svd(M, full_matrices=False)
+    rank = int(_numerical_rank(sv, np.finfo(float).eps * max(M.shape[1:]))[0])
+    kappa = sv[0, 0] / sv[0, rank - 1] if rank else 1.0
+    U[..., rank:], sv[:, rank:] = 0.0, 1.0
+    y = np.ascontiguousarray(y)[None]
+    z = U.swapaxes(1, 2) @ y[:, :, None]
+    x = np.zeros(A.structure.total_dim)
+    x[rows] = (Vt.swapaxes(1, 2) @ (z / sv[:, :, None]))[0, :, 0]
+    r = y - (U @ z)[..., 0]
+    return x, np.sqrt((r[:, None] @ r[:, :, None])[0, 0, 0]), kappa
+
+
+def assert_matches_references(A, Y, s, tol):
+    """The coder against the lstsq coder: the same supports (its winners, rank-short or not) and
+    tie flags; residuals and A x within 16 kappa eps ||y||, kappa the winner's condition
+    number; and, byte for byte, `svd_solve_reference` on each column's winner."""
+    X, res, tied = min_residual_codes(A, Y, s, tol)
+    X_ref, res_ref = lstsq_reference_codes(A, Y, s, tol)
+    window = reference_window(A, Y, s, tol)
+    assert np.array_equal(tied, window.sum(axis=0) > 1)
+    supports = list(combinations(range(1, A.structure.K + 1), s))
+    for c, k in enumerate(window.argmax(axis=0)):
+        x, r, kappa = svd_solve_reference(A, Y[:, c], supports[k])
+        assert X[:, c].tobytes() == x.tobytes() and res[c].tobytes() == r.tobytes(), c
+        bound = 16 * kappa * np.finfo(float).eps * np.linalg.norm(Y[:, c])
+        assert abs(res[c] - res_ref[c]) <= bound, (c, res[c] - res_ref[c], bound)
+        assert np.linalg.norm(A.data @ (X[:, c] - X_ref[:, c])) <= bound, c
+    return X, res, tied
+
+
 class TestProjectionOracle:
-    """The stacked-QR coder gives the per-support lstsq coder's bytes."""
+    """The stacked coder against the per-support lstsq coder and the one-column solve."""
 
     @staticmethod
     def assert_same_bytes(A, Y, s):
-        X, res, _ = min_residual_codes(A, Y, s, 1e-10)
-        X_ref, res_ref = lstsq_reference_codes(A, Y, s, 1e-10)
-        assert np.array_equal(X, X_ref)
-        assert np.array_equal(res, res_ref)
+        assert_matches_references(A, Y, s, 1e-10)
 
     @pytest.mark.parametrize("chunk", [1, coding._CODE_CHUNK])
     @pytest.mark.parametrize("seed", range(12))
@@ -544,6 +627,25 @@ class TestProjectionOracle:
         Y = A.data @ sequential_gen_codes(A.structure, 300, seed=used + 1)
         Y += 1e-3 * np.random.default_rng(used).standard_normal(Y.shape)
         self.assert_same_bytes(A, Y, 2)
+
+
+@pytest.mark.parametrize("sigma", [5e-9, 1e-10, 1e-12, 1e-14])
+def test_reported_residual_is_the_winners_projection_residual(sigma):
+    # the residual that ranks the winner is the one reported; lstsq's ||y - A x|| drifts from
+    # it by about kappa eps ||y|| on an ill-conditioned winner
+    A = rank_deficient_dict((1.0, sigma))
+    rng = np.random.default_rng(12)
+    Y = A.data @ sequential_gen_codes(A.structure, 100, seed=12)
+    Y = np.column_stack([Y + 1e-6 * rng.standard_normal(Y.shape), rng.standard_normal((12, 100))])
+    X, res, _ = min_residual_codes(A, Y, 2, 1e-10)
+    for c, y in enumerate(Y.T):
+        blocks = np.flatnonzero(X[:, c].reshape(4, 2).any(axis=1)) + 1
+        assert blocks.size == 2, c
+        M = A.restrict(blocks)
+        U, sv, _ = np.linalg.svd(M, full_matrices=False)
+        U = U[:, : int(np.sum(sv > np.finfo(float).eps * max(M.shape) * sv[0]))]
+        gap = abs(res[c] - np.linalg.norm(y - U @ (U.T @ y)))
+        assert gap <= 8 * np.finfo(float).eps * np.linalg.norm(y), (c, gap)
 
 
 def spy_rechecks(monkeypatch):
@@ -608,8 +710,7 @@ class TestEnergyRanking:
         window = reference_window(A, Y, s, ENERGY_TOL)
         for c in range(Y.shape[1]):
             calls.clear()
-            X, _, tied = min_residual_codes(A, Y[:, [c]], s, ENERGY_TOL)
-            assert np.array_equal(X, lstsq_reference_codes(A, Y[:, [c]], s, ENERGY_TOL)[0])
+            X, _, tied = assert_matches_references(A, Y[:, [c]], s, ENERGY_TOL)
             if calls:  # re-checked: its candidates are the supports re-checked
                 candidates = set(np.concatenate([ks for ks, _ in calls]).tolist())
                 assert set(np.flatnonzero(window[:, c])) <= candidates
@@ -669,11 +770,9 @@ class TestEnergyRanking:
         Y = 1e-160 * coder_inputs(A, 6, 1)
         assert (np.square(Y).sum(axis=0) < np.finfo(float).tiny).all()  # ||y||^2 underflows
         calls = spy_rechecks(monkeypatch)
-        X, res, tied = min_residual_codes(A, Y, 2, 1e-10)
+        assert_matches_references(A, Y, 2, 1e-10)
         (ks, Yo), = calls
         assert np.array_equal(ks, np.arange(15)) and np.array_equal(Yo, Y)
-        X_ref, res_ref = lstsq_reference_codes(A, Y, 2, 1e-10)
-        assert np.array_equal(X, X_ref) and np.array_equal(res, res_ref)
 
 
 class TestExactPathCount:

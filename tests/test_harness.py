@@ -997,6 +997,28 @@ class TestRunExperiment:
         report = run_experiment(small_config(n_samples=2))
         assert report.underdetermined
 
+    @pytest.mark.parametrize("iterations, stalled", [(30, True), (2, False)])
+    def test_final_coding_reuses_a_stalled_learners_residuals(self, monkeypatch, iterations,
+                                                               stalled):
+        # a stalled learner coded the dictionary it returns last, so only a run that hits the
+        # iteration cap codes once more; either way the residuals are those of a fresh coding
+        calls, learned = [], {}
+        code_all, learn = harness._code_all, harness.learn_dictionary
+        monkeypatch.setattr(harness, "_code_all", lambda B, Y: calls.append(1) or code_all(B, Y))
+
+        def keep(Y, config):
+            learned["B"], learned["trace"] = learn(Y, config)
+            learned["Y"] = Y
+            return learned["B"], learned["trace"]
+
+        monkeypatch.setattr(harness, "learn_dictionary", keep)
+        report = run_experiment(replace(criterion7_config(1, 1e-3), learner_iterations=iterations))
+        assert report.stage_errors == [] and report.trace["stalled"] == stalled
+        assert len(calls) == len(report.trace["objectives"]) + (not stalled)
+        assert "residuals" not in report.trace
+        fresh = code_all(learned["B"], learned["Y"])[1]
+        assert np.array(report.coding_residuals).tobytes() == fresh.tobytes()
+
 
 def test_trace_csv():
     out = trace_to_csv({"objectives": [2.0, 1.0, 0.5]})
