@@ -405,8 +405,10 @@ def learn_dictionary(
     objective is sigma^2 times a chi-square with N(P - s*alpha) degrees of
     freedom, of standard deviation sigma^2 * sqrt(2N(P - s*alpha)); a change
     below a tenth of it is below what the data resolve (noiseless, the
-    floor is 0). The zero threshold 1e-24 scales by 4^e, e the binary
-    exponent of max|Y|, so samples and sigma times a power of two stop alike.
+    floor is 0). The learner works on Y * 2^-e and sigma * 2^-e, e the
+    binary exponent of max|Y|, and reports objectives scaled back by 4^e:
+    the scaling is exact, so samples and sigma times any power of two learn
+    the same blocks, and a zero objective is one at most 1e-24 at that scale.
 
     The initialization grows support-span clusters of samples greedily,
     one seed at a time, and intersects their spans pairwise: two overlapping
@@ -445,25 +447,27 @@ def learn_dictionary(
             "recovery is under-determined",
             stacklevel=2,
         )
+    e = int(np.frexp(np.abs(Y).max(initial=0.0))[1])
+    Y, sigma = np.ldexp(Y, -e), math.ldexp(config.noise_level, -e)
     data = np.zeros((P, structure.total_dim))
-    for i, basis in enumerate(_discover_block_spans(Y, structure, config.noise_level), 1):
+    for i, basis in enumerate(_discover_block_spans(Y, structure, sigma), 1):
         data[:, structure.block_slice(i)] = basis
     reseed_rng = _substream(config.seed, _STREAM_RESEED)
     trace = LearnTrace()
     prev_obj = None
-    zero = np.ldexp(1e-24, 2 * np.frexp(np.abs(Y).max(initial=0.0))[1])
-    floor = 0.1 * config.noise_level**2 * math.sqrt(2 * N * (P - structure.s * alpha))
+    floor = 0.1 * sigma**2 * math.sqrt(2 * N * (P - structure.s * alpha))
     for it in range(config.learner_iterations):
         B = BlockDict(structure, data)
         X, res = _code_all(B, Y)
         objective = float(np.sum(res**2))
-        trace.objectives.append(objective)
-        if objective <= zero or (
-            prev_obj is not None
-            and abs(prev_obj - objective) <= max(1e-12 * prev_obj, floor)
-        ):
-            trace.stalled, trace.residuals = True, res
-            break
+        with np.errstate(over="ignore"):  # at the samples' scale, inf past the float range
+            trace.objectives.append(float(np.ldexp(objective, 2 * e)))
+            if objective <= 1e-24 or (
+                prev_obj is not None
+                and abs(prev_obj - objective) <= max(1e-12 * prev_obj, floor)
+            ):
+                trace.stalled, trace.residuals = True, np.ldexp(res, e)
+                break
         prev_obj = objective
 
         dead = []

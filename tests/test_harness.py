@@ -22,6 +22,7 @@ from blockdict import (
     gen_rip_dictionary,
     exhaustive_code,
     learn_dictionary,
+    recover_equivalence,
     rip_constant,
     rip_lower_bound_sampled,
     run_experiment,
@@ -405,23 +406,40 @@ class TestLearnDictionary:
             runs.append((learned.data.tobytes(), len(trace.objectives)))
         assert runs[0] == runs[1] == runs[2], [n for _, n in runs]
 
+    def test_same_blocks_at_every_power_of_two(self):
+        # samples times 2^k, past where their squares overflow or underflow, learn the same
+        # bytes and certify; the objectives are those at 2^0 times 4^k, inf past the range
+        st, Y = criterion7_samples(11)
+        truth = gen_dictionary(16, st, seed=11)
+        config = criterion7_config(11, 0.0)
+        base, base_trace = learn_dictionary(Y, config)
+        for k in (-1000, -600, 0, 600, 700):
+            learned, trace = learn_dictionary(np.ldexp(Y, k), config)
+            assert learned.data.tobytes() == base.data.tobytes(), k
+            assert recover_equivalence(truth, learned).status == "equivalent"
+            with np.errstate(over="ignore"):
+                assert trace.objectives == np.ldexp(base_trace.objectives, 2 * k).tolist(), k
+            assert trace.stalled
+
     @pytest.mark.parametrize("noise,step,stops", [
         (1e-2, 0.99 * SMALL_FLOOR, True), (1e-2, 1.01 * SMALL_FLOOR, False),
         (0.0, 0.99 * SMALL_FLOOR, False), (0.0, 0.5e-12, True), (0.0, 2e-12, False),
     ], ids=["under-floor", "over-floor", "noiseless", "under-relative", "over-relative"])
     def test_noise_floor_threshold(self, monkeypatch, noise, step, stops):
         # scripted objectives 1, 1 - step, 1 - 2 step, ...: the learner stops at
-        # the second when step <= max(1e-12 * 1, 0.1 sigma^2 sqrt(2N(P - s alpha)))
+        # the second when step <= max(1e-12 * 1, 0.1 sigma^2 sqrt(2N(P - s alpha)));
+        # it codes Y * 2^-e, e the binary exponent of max|Y|, so the script does too
         config = small_config(noise_level=noise, learner_iterations=6)
         objectives = iter(1.0 - step * np.arange(6))
+        Y = np.random.default_rng(0).standard_normal((20, 60))
+        e = int(np.frexp(np.abs(Y).max())[1])
 
         def scripted(B, Y):
             res = np.zeros(Y.shape[1])
-            res[0] = math.sqrt(next(objectives))
+            res[0] = math.ldexp(math.sqrt(next(objectives)), -e)
             return np.zeros((B.structure.total_dim, Y.shape[1])), res
 
         monkeypatch.setattr(harness, "_code_all", scripted)
-        Y = np.random.default_rng(0).standard_normal((20, 60))
         _, trace = learn_dictionary(Y, config)
         assert trace.stalled == stops
         assert len(trace.objectives) == (2 if stops else 6)
@@ -625,17 +643,18 @@ def shape_samples(K, alpha, s, P, n_samples, seed):
 
 
 def experiment_samples(monkeypatch, seed, noise_level):
-    """The samples `run_experiment` learns from at criterion7_config(seed, noise_level)."""
+    """(samples, noise level) that discovery sees in run_experiment(criterion7_config(seed,
+    noise_level)): the learner passes both at its own power-of-two scale."""
     seen = {}
 
-    def capture(Y, *args):
-        seen["Y"] = Y
+    def capture(Y, structure, noise_level):
+        seen.update(Y=Y, noise_level=noise_level)
         raise RuntimeError("samples captured")
 
     with monkeypatch.context() as m:
         m.setattr(harness, "_discover_block_spans", capture)
         run_experiment(criterion7_config(seed, noise_level))
-    return seen["Y"]
+    return seen["Y"], seen["noise_level"]
 
 
 class TestDiscoverBlockSpans:
@@ -661,11 +680,11 @@ class TestDiscoverBlockSpans:
     def test_noisy_matches_full_refit_reference(self, monkeypatch, seed, noise_level, source):
         # deflated growth and refits stopped at their fixed point decide as QR growth with
         # all three refits does, on the seeds TestNoisyDiscovery pins among others
+        st = BlockStructure(K=6, alpha=2, s=2)
         if source == "samples":
-            st, Y = criterion7_samples(seed, noise=noise_level)
+            Y = criterion7_samples(seed, noise=noise_level)[1]
         else:
-            st, Y = BlockStructure(K=6, alpha=2, s=2), experiment_samples(monkeypatch, seed,
-                                                                          noise_level)
+            Y, noise_level = experiment_samples(monkeypatch, seed, noise_level)
         expected, _ = self.assert_matches_reference(st, Y, noise_level)
         assert len(expected) >= 3
 
