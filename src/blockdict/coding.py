@@ -197,7 +197,7 @@ def _min_residual_codes(F: _Factor, Y: np.ndarray, tol: float) -> tuple[np.ndarr
     (P, N), width, fp = Y.shape, F.rows.shape[1], np.finfo(float)
     X = np.zeros((F.A.structure.total_dim, N))
     res, tied = np.empty(N), np.zeros(N, dtype=bool)
-    ysq = np.square(Y).sum(axis=0)
+    ysq = np.einsum("ij,ij->j", Y, Y)
     window, margin = tol * np.sqrt(ysq), 2 * (math.sqrt(width) + 2) * (P + width) * fp.eps * ysq
     margin[margin < fp.tiny] = np.inf  # an underflowing margin bounds nothing
     step = max(1, _CODE_CHUNK // max(len(F.rows), P * width))  # residuals, gathered bases

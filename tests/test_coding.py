@@ -467,6 +467,19 @@ class TestBatchKernel:
             tracemalloc.stop()
         assert peak <= 2 * Y.nbytes
 
+    def test_no_temporary_the_size_of_the_samples(self):
+        # the column norms come from a stacked dot: squaring Y first would copy its 12.8 MB
+        st = BlockStructure(K=4, alpha=2, s=1)
+        F = _factor(gen_dictionary(400, st, seed=1), st.s)
+        Y = np.random.default_rng(1).standard_normal((400, 4000))
+        tracemalloc.start()
+        try:
+            _min_residual_codes(F, Y, 1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= Y.nbytes / 4
+
     def test_memory_stays_bounded(self):
         # 15,504 supports: factored in blocks, not all at once
         st = BlockStructure(K=20, alpha=2, s=5)
