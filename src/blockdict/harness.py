@@ -32,7 +32,7 @@ from .equivalence import (
     BlockPermutation,
     recover_equivalence,
 )
-from .rip import DEFAULT_ENUMERATION_CAP, MODE_EXACT, RipReport
+from .rip import DEFAULT_ENUMERATION_CAP, RipReport
 from .rip import _rayleigh_floors, _support_columns, rip_constant
 from .subspace import _bases, _spans_equal_stacked
 # not called here: bench/tracing.py rebinds these names in this module
@@ -128,19 +128,19 @@ def _substream(seed: int, tag: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), tag])
 
 
-def _draw_dictionaries(ambient_dim: int, structure: BlockStructure, seeds, mode=MODE_BLOCK_ORTH):
-    """`gen_dictionary`'s data for each seed, stacked (n, P, K*alpha), with one QR over all
-    blocks of the batch: numpy factors each matrix of a stack on its own, so a draw's
-    bytes do not depend on its batch."""
+def _draw_dictionaries(ambient_dim: int, structure: BlockStructure, rng, n: int,
+                       mode=MODE_BLOCK_ORTH):
+    """The next n dictionaries of rng, one (n, P, K*alpha) normal draw, per-block-orthonormal
+    ones by one QR over all blocks of the stack: the stream and numpy's per-matrix
+    factoring give each draw the bytes of drawing it alone."""
     if ambient_dim < structure.alpha:
         raise ValueError(f"ambient_dim {ambient_dim} is below the block width {structure.alpha}")
     if mode not in (MODE_GAUSSIAN, MODE_BLOCK_ORTH):
         raise ValueError(f"unknown dictionary mode {mode!r}")
-    shape = (ambient_dim, structure.total_dim)
-    raw = np.stack([np.random.default_rng(seed).standard_normal(shape) for seed in seeds])
+    raw = rng.standard_normal((n, ambient_dim, structure.total_dim))
     if mode == MODE_GAUSSIAN:
         return raw
-    blocks = raw.reshape(len(raw), ambient_dim, structure.K, structure.alpha)
+    blocks = raw.reshape(n, ambient_dim, structure.K, structure.alpha)
     Q = np.linalg.qr(blocks.transpose(0, 2, 1, 3))[0]
     return Q.transpose(0, 2, 1, 3).reshape(raw.shape)
 
@@ -154,36 +154,36 @@ def gen_dictionary(
     block's alpha columns are orthonormalized (one QR over the stack of
     blocks), so every block Gram is the identity.
     """
-    return BlockDict(structure, _draw_dictionaries(ambient_dim, structure, [seed], mode)[0])
+    rng = np.random.default_rng(seed)
+    return BlockDict(structure, _draw_dictionaries(ambient_dim, structure, rng, 1, mode)[0])
 
 
 def gen_rip_dictionary(
     ambient_dim: int, structure: BlockStructure, seed: int
 ) -> tuple[BlockDict, RipReport, int]:
-    """First dictionary of seeds seed, seed+1, ... with constant below 1.
+    """First per-block-orthonormal draw of one `default_rng(seed)` stream with constant below 1.
 
-    Each draw is `gen_dictionary`'s per-block-orthonormal one. The constant
-    is `rip_constant` at level min(2s, K), sampled (above the cap) from the
-    draw's seed. Draws come in batches of 1, 1, 2, 4, ... up to 16, each one
-    stacked QR; once reports are exact, draws whose `rip._rayleigh_floors`
-    floor is >= 1, which `rip_constant` would reject, are skipped. Returns
-    (dictionary, its RipReport, the winning seed's offset from seed); raises
-    ValueError after MAX_GENERATION_RETRIES + 1 draws.
+    The constant of draw o is `rip_constant` at level min(2s, K), sampled
+    from seed + o above the enumeration cap. Draws come in batches of 16,
+    each one stacked QR; when the constant is exact, draws whose
+    `rip._rayleigh_floors` floor is >= 1, which it would reject, are
+    skipped. Draw 0 is `gen_dictionary(seed)`; later draws are not
+    `gen_dictionary(seed + o)`. Returns (dictionary, its RipReport, the
+    number of draws before it); raises ValueError after
+    MAX_GENERATION_RETRIES + 1 draws.
     """
     _check_ambient(ambient_dim, structure)
-    level, alpha, retry, exact = min(2 * structure.s, structure.K), structure.alpha, 0, False
-    while retry <= MAX_GENERATION_RETRIES:  # each batch as large as the draws before it
-        offsets = range(retry, min(retry + min(max(retry, 1), 16), MAX_GENERATION_RETRIES + 1))
-        data = _draw_dictionaries(ambient_dim, structure, [seed + o for o in offsets])
-        screen = exact and len(data) > 1  # a sampled constant can lie below a floor
-        checked = ~(_rayleigh_floors(data, alpha, level) >= 1.0) if screen else [True] * len(data)
-        for o, D in compress(zip(offsets, data), checked):  # NaN floors are checked
+    rng, level = np.random.default_rng(seed), min(2 * structure.s, structure.K)
+    exact = math.comb(structure.K, level) <= DEFAULT_ENUMERATION_CAP
+    for start in range(0, MAX_GENERATION_RETRIES + 1, 16):
+        n = min(16, MAX_GENERATION_RETRIES + 1 - start)
+        data = _draw_dictionaries(ambient_dim, structure, rng, n)
+        floors = _rayleigh_floors(data, structure.alpha, level) if exact else np.zeros(n)
+        for o, D in compress(enumerate(data, start), ~(floors >= 1.0)):  # NaN floors are checked
             A = BlockDict(structure, D)
             report = rip_constant(A, level, seed + o)
             if report.delta < 1.0:
                 return A, report, o
-            exact = report.mode == MODE_EXACT
-        retry = offsets.stop
     raise ValueError(
         f"no dictionary with restricted isometry constant below 1 found in "
         f"{MAX_GENERATION_RETRIES + 1} draws"
@@ -222,16 +222,12 @@ def gen_block_permutation(K: int, seed: int) -> BlockPermutation:
 
 
 def gen_block_diagonal(structure: BlockStructure, seed: int) -> BlockDiagonal:
-    """Random invertible block transforms, each with condition number at most 10."""
-    rng = np.random.default_rng(seed)
-    alpha = structure.alpha
-    blocks = []
-    for _ in range(structure.K):
-        U, _ = np.linalg.qr(rng.standard_normal((alpha, alpha)))
-        V, _ = np.linalg.qr(rng.standard_normal((alpha, alpha)))
-        svals = rng.uniform(1.0, 10.0, size=alpha)
-        blocks.append(U @ np.diag(svals) @ V.T)
-    return BlockDiagonal(structure, tuple(blocks))
+    """Random invertible block transforms U diag(sigma) V^T, each with condition number at
+    most 10: U and V orthonormalize two (K, alpha, alpha) normal draws, sigma ~ U[1, 10]."""
+    rng, shape = np.random.default_rng(seed), (structure.K, structure.alpha, structure.alpha)
+    U, V = (np.linalg.qr(rng.standard_normal(shape))[0] for _ in range(2))
+    svals = rng.uniform(1.0, 10.0, shape[:2])
+    return BlockDiagonal(structure, tuple((U * svals[:, None, :]) @ V.transpose(0, 2, 1)))
 
 
 @dataclass

@@ -186,7 +186,9 @@ def _relative(abs_residual: float, y_norm: float) -> float:
 def make_rip_instance(P, K, alpha, s, seed):
     """Seeded dictionary with level-min(2s, K) constant below 1, by `gen_rip_dictionary`.
 
-    Returns (dictionary, RipReport, seed actually used).
+    Returns (dictionary, RipReport, seed + the draws before it). The last is a
+    fresh seed for the instance's other draws, not the dictionary's own seed:
+    only a dictionary taken at its first draw is `gen_dictionary(seed)`.
     """
     A, report, retries = gen_rip_dictionary(P, BlockStructure(K=K, alpha=alpha, s=s), seed)
     return A, report, seed + retries

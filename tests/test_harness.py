@@ -2,7 +2,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -102,14 +102,15 @@ class TestGenDictionary:
 class TestGenRipDictionary:
     @pytest.mark.parametrize("P,K,seeds", [(12, 4, (0, 5, 9, 10, 11)), (16, 6, (0, 7, 20))])
     def test_retries_are_the_first_offset_below_one(self, P, K, seeds):
-        # the independent oracle decides each draw (P=12 seeds 10, 11 take no retry)
+        # the independent oracle decides each draw of the seed's stream (P=12 seeds 10, 11
+        # take no retry, P=16 seed 7 takes 78)
         st = BlockStructure(K=K, alpha=2, s=2)
         for seed in seeds:
             A, report, retries = gen_rip_dictionary(P, st, seed)
-            deltas = [rip_brute_force(gen_dictionary(P, st, seed=seed + o), 4)[0]
-                      for o in range(retries + 1)]
+            draws = list(islice(stream_draws(P, st, seed), retries + 1))
+            deltas = [rip_brute_force(D, 4)[0] for D in draws]
             assert all(d >= 1.0 for d in deltas[:-1]) and deltas[-1] < 1.0
-            assert np.array_equal(A.data, gen_dictionary(P, st, seed=seed + retries).data)
+            assert np.array_equal(A.data, draws[-1].data)
             assert report.mode == "exact-enumeration" and report.level == 4
             assert abs(report.delta - deltas[-1]) <= 1e-12
 
@@ -117,19 +118,20 @@ class TestGenRipDictionary:
         # every draw repeats block 1 as block 2, so support (1, 2, 3) is
         # rank-deficient and no draw has delta_3 < 1
         st = BlockStructure(K=3, alpha=2, s=2)
-        draws = []
+        batches, streams = [], set()
         real = harness._draw_dictionaries
 
-        def repeated(ambient_dim, structure, seeds, *args):
-            draws.extend(seeds)
-            data = real(ambient_dim, structure, seeds, *args)
+        def repeated(ambient_dim, structure, rng, n, *args):
+            batches.append(n)
+            streams.add(id(rng))
+            data = real(ambient_dim, structure, rng, n, *args)
             data[:, :, st.block_slice(2)] = data[:, :, st.block_slice(1)]
             return data
 
         monkeypatch.setattr(harness, "_draw_dictionaries", repeated)
         with pytest.raises(ValueError, match="found in 1001 draws"):
             gen_rip_dictionary(6, st, 5)
-        assert draws == list(range(5, 5 + harness.MAX_GENERATION_RETRIES + 1))
+        assert batches == [16] * 62 + [9] and len(streams) == 1  # 1,001 draws, one stream
         config = ExperimentConfig(st, ambient_dim=6, n_samples=10, seed=0)
         report = run_experiment(config)
         assert [e["stage"] for e in report.stage_errors] == ["gen_dictionary"]
@@ -138,7 +140,7 @@ class TestGenRipDictionary:
 
     @pytest.mark.parametrize("P", [16, 24, 40])
     def test_matches_the_one_draw_at_a_time_loop(self, P):
-        # seed 41 at P=16 and every seed at P=40 qualify at draw 0; seed 0 at P=16 takes 41
+        # seed 41 at P=16 and every seed at P=40 qualify at draw 0; seed 500 at P=16 takes 56
         st = BlockStructure(K=6, alpha=2, s=2)
         retries = []
         for seed in (0, 41, 500, 2000, 7777):
@@ -151,12 +153,12 @@ class TestGenRipDictionary:
 
     def test_floors_spare_most_exact_constants(self, monkeypatch):
         st = BlockStructure(K=6, alpha=2, s=2)
-        draws, checked = [], []
+        batches, checked = [], []
         real_draw, real_rip = harness._draw_dictionaries, harness.rip_constant
 
-        def draw(ambient_dim, structure, seeds, *args):
-            draws.extend(seeds)
-            return real_draw(ambient_dim, structure, seeds, *args)
+        def draw(ambient_dim, structure, rng, n, *args):
+            batches.append(n)
+            return real_draw(ambient_dim, structure, rng, n, *args)
 
         def rip_constant(A, level, seed):
             checked.append(seed)
@@ -165,19 +167,20 @@ class TestGenRipDictionary:
         monkeypatch.setattr(harness, "_draw_dictionaries", draw)
         monkeypatch.setattr(harness, "rip_constant", rip_constant)
         _, _, retry = gen_rip_dictionary(16, st, 0)
-        assert retry == 41 and draws == list(range(len(draws)))
-        assert len(draws) <= retry + 16 and checked[0] == 0 and checked[-1] == retry
+        assert retry == 21 and batches == [16, 16]
+        assert checked == sorted(checked) and checked[-1] == retry
         assert len(checked) < 10
 
     @pytest.mark.parametrize("P,K,alpha,s", [(12, 4, 2, 2), (16, 6, 2, 2), (40, 30, 1, 4)])
     def test_winner_is_its_own_draw_bytewise(self, P, K, alpha, s):
-        # one stacked QR per batch gives each draw the bytes of its one-draw
-        # gen_dictionary call; offsets reach 41 at P=16 and 35 above the cap at P=40
+        # one stacked QR per batch gives each draw the bytes of drawing it alone from
+        # the seed's stream; offsets reach 215 at P=16 and 115 above the cap at P=40
         st = BlockStructure(K=K, alpha=alpha, s=s)
         offsets = []
         for seed in range(6):
             A, _, offset = gen_rip_dictionary(P, st, seed)
-            assert A.data.tobytes() == gen_dictionary(P, st, seed=seed + offset).data.tobytes()
+            D = next(islice(stream_draws(P, st, seed), offset, None))
+            assert A.data.tobytes() == D.data.tobytes()
             offsets.append(offset)
         assert max(offsets) >= 2
 
@@ -195,10 +198,23 @@ class TestGenRipDictionary:
             gen_rip_dictionary(7, BlockStructure(K=6, alpha=2, s=2), 0)
 
 
+def stream_draws(P, st, seed):
+    """Per-block-orthonormal dictionaries drawn one at a time from one `default_rng(seed)`,
+    each block orthonormalized by a QR of its own."""
+    rng = np.random.default_rng(seed)
+    while True:
+        raw = rng.standard_normal((P, st.total_dim))
+        data = np.empty_like(raw)
+        for i in range(1, st.K + 1):
+            data[:, st.block_slice(i)] = np.linalg.qr(raw[:, st.block_slice(i)])[0]
+        yield BlockDict(st, data)
+
+
 def one_draw_at_a_time(P, st, seed):
     """The generation loop without batches or floors: every draw through `rip_constant`."""
+    draws = stream_draws(P, st, seed)
     for retry in range(harness.MAX_GENERATION_RETRIES + 1):
-        A = gen_dictionary(P, st, seed=seed + retry)
+        A = next(draws)
         report = rip_constant(A, min(2 * st.s, st.K), seed + retry)
         if report.delta < 1.0:
             return A, report, retry
@@ -328,7 +344,9 @@ class TestLearnDictionary:
     def test_fixed_point_at_truth_where_block_omp_miscodes(self, monkeypatch):
         # criterion-7 geometry: greedy coding at the truth is wrong here,
         # the minimum-residual code is not
-        A, _, used = make_rip_instance(16, 6, 2, 2, seed=100)
+        used = 232
+        A = gen_dictionary(16, BlockStructure(K=6, alpha=2, s=2), seed=used)
+        assert rip_constant(A, 4, used).delta < 1.0
         X = sequential_gen_codes(A.structure, 300, seed=used + 1)
         Y = A.data @ X
         omp_misses = sum(
