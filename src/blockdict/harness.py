@@ -128,8 +128,7 @@ def _substream(seed: int, tag: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), tag])
 
 
-def _draw_dictionaries(ambient_dim: int, structure: BlockStructure, rng, n: int,
-                       mode=MODE_BLOCK_ORTH):
+def _draw_dictionaries(ambient_dim: int, structure: BlockStructure, rng, n, mode=MODE_BLOCK_ORTH):
     """The next n dictionaries of rng, one (n, P, K*alpha) normal draw, per-block-orthonormal
     ones by one QR over all blocks of the stack: the stream and numpy's per-matrix
     factoring give each draw the bytes of drawing it alone."""
@@ -450,7 +449,7 @@ def learn_dictionary(
         data[:, structure.block_slice(i)] = basis
     reseed_rng = _substream(config.seed, _STREAM_RESEED)
     trace = LearnTrace()
-    prev_obj = None
+    prev_obj = math.nan  # compares false: no stall before the second objective
     floor = 0.1 * sigma**2 * math.sqrt(2 * N * (P - structure.s * alpha))
     for it in range(config.learner_iterations):
         B = BlockDict(structure, data)
@@ -458,10 +457,7 @@ def learn_dictionary(
         objective = float(np.sum(res**2))
         with np.errstate(over="ignore"):  # at the samples' scale, inf past the float range
             trace.objectives.append(float(np.ldexp(objective, 2 * e)))
-            if objective <= 1e-24 or (
-                prev_obj is not None
-                and abs(prev_obj - objective) <= max(1e-12 * prev_obj, floor)
-            ):
+            if objective <= 1e-24 or abs(prev_obj - objective) <= max(1e-12 * prev_obj, floor):
                 trace.stalled, trace.residuals = True, np.ldexp(res, e)
                 break
         prev_obj = objective
