@@ -142,7 +142,8 @@ def check_lemma1(A: BlockDict, s: int | None = None, tol: float = DEFAULT_RANK_T
     (s + 1)-block T has rho_T > tol + a and sigma_min(Q_T) > sqrt((tol + 3e)(2 - tol)) + a / rho_T,
     lmin(Q_T^T Q_T) from `rip._support_bounds`, else eigvalsh, less `rip._slack` and e.
 
-    Otherwise every support's basis and rank come from one batched SVD (`_bases`); a
+    Otherwise every support's basis and rank come from one batched SVD (`_bases`) of A at
+    the certificate's power-of-two scale, so the answer does not depend on A's scale; a
     Frobenius pre-screen in O(C(K, s) P d) memory, d = s alpha, sends only the same-rank
     pairs near equality to the exact kernel.
 
@@ -152,9 +153,9 @@ def check_lemma1(A: BlockDict, s: int | None = None, tol: float = DEFAULT_RANK_T
     s = _check_s(A.structure, s)
     (P, n), K, alpha = A.data.shape, A.structure.K, A.structure.alpha
     supports = _pair_supports(K, s)
+    # an exact power-of-two scale to max |entry| in [0.5, 1): every span is kept
+    M = np.ldexp(A.data, -np.frexp(np.abs(A.data).max(initial=0.0))[1])
     if (s + 1) * alpha <= P:  # else every lmin is 0
-        # an exact power-of-two scale to max |entry| in [0.5, 1): every span is kept
-        M = np.ldexp(A.data, -np.frexp(np.abs(A.data).max(initial=0.0))[1])
         U, sv, _ = np.linalg.svd(M.reshape(P, K, alpha).swapaxes(0, 1), full_matrices=False)
         gram = (W := U.swapaxes(0, 1).reshape(P, n)).T @ W  # Q^T Q
         T = _enumerate_supports(K, s + 1, DEFAULT_ENUMERATION_CAP)
@@ -170,7 +171,7 @@ def check_lemma1(A: BlockDict, s: int | None = None, tol: float = DEFAULT_RANK_T
                 ok = (rho > tol + a) & (np.sqrt(lo) > np.sqrt((tol + 3 * e) * (2 - tol)) + a / rho)
                 if ok.all():
                     return True
-    U, ranks = _bases(A.data[:, _support_columns(supports, alpha)].transpose(1, 0, 2), tol)[:2]
+    U, ranks = _bases(M[:, _support_columns(supports, alpha)].transpose(1, 0, 2), tol)[:2]
     n, P, d = U.shape
     # with columns past each rank zeroed, ||U_a^T U_b||_F^2 sums the squared principal
     # cosines, >= r (1 - tol)^2 for equal rank-r spans (every r is 0 once tol >= 1):

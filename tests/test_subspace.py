@@ -294,7 +294,8 @@ def lemma1_all_svd(A, s, tol=1e-8):
     """Reference: `check_lemma1` with every support's basis and rank from the SVD."""
     supports = _enumerate_supports(A.structure.K, s, 10**6)
     cols = _support_columns(supports, A.structure.alpha)
-    U, svals, _ = np.linalg.svd(A.data[:, cols].transpose(1, 0, 2), full_matrices=False)
+    M = np.ldexp(A.data, -np.frexp(np.abs(A.data).max(initial=0.0))[1])  # check_lemma1's scale
+    U, svals, _ = np.linalg.svd(M[:, cols].transpose(1, 0, 2), full_matrices=False)
     ranks = _numerical_rank(svals, tol)
     n, P, d = U.shape
     U *= np.arange(d) < ranks[:, None, None]
@@ -468,19 +469,20 @@ class TestWhitenedCertificate:
     @pytest.mark.parametrize("top", [1e308, 2.0**-860, 2.0**-1040])
     def test_entries_near_the_ends_of_the_float_range_take_the_certificate(self, monkeypatch, top):
         # the certificate reads A at an exact power-of-two scale, which keeps every span: at
-        # 1e308, where the fallback's SVDs of three-block supports overflow, and at 2^-860 and
+        # 1e308, where unscaled SVDs of three-block supports overflow, and at 2^-860 and
         # 2^-1040 (subnormal singular values) it answers as the all-SVD reference does on A
         # brought into range, with no fallback call
         A = gen_dictionary(16, BlockStructure(K=6, alpha=2, s=2), seed=1, mode="gaussian")
-        A = BlockDict(A.structure, A.data / np.abs(A.data).max() * top)
-        unit = BlockDict(A.structure, np.ldexp(A.data, -np.frexp(top)[1]))
+        unit = BlockDict(A.structure, A.data / np.abs(A.data).max())
+        A = BlockDict(A.structure, unit.data * top)
         expected = [lemma1_all_svd(unit, s) for s in (1, 2, 3)]
         calls = record_bases(monkeypatch)
         assert [check_lemma1(A, s) for s in (1, 2, 3)] == expected == [True, True, True]
         assert calls == []
-        if top < 1:  # block 2 in block 1's span: the fallback must still find the equal spans
-            mixed = A.with_block(2, A.block(1) @ np.array([[2.0, 1.0], [-0.5, 1.0]]))
-            assert [check_lemma1(mixed, s) for s in (1, 2, 3)] == [False] * 3
+        # block 2 in block 1's span: the fallback, at the same scale, still finds the equal spans
+        mixed = unit.with_block(2, unit.block(1) @ np.array([[2.0, 1.0], [-0.5, 1.0]]))
+        mixed = BlockDict(A.structure, mixed.data / np.abs(mixed.data).max() * top)
+        assert [check_lemma1(mixed, s) for s in (1, 2, 3)] == [False] * 3
 
     @pytest.mark.parametrize("K", [5, 6, 8])
     def test_subnormal_dictionaries_match_the_svd_reference(self, K):
