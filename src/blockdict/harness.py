@@ -249,12 +249,18 @@ def _code_all(B: BlockDict, Y: np.ndarray):
     `_min_residual_codes`, each sample's `exhaustive_code` code and projection residual;
     above the cap, `_omp_codes`, so each sample gets its `block_omp` code. A sample whose
     block-OMP selection is rank-deficient (degenerate mid-learning state) is left uncoded
-    for the round; its full residual makes it the natural reseeding source.
+    for the round; its full residual makes it the natural reseeding source. Y is coded at
+    Y * 2^-e, e the binary exponent of max|Y|, and both are scaled back by 2^e: the scaling is
+    exact, and no squared norm overflows or underflows (the learner's Y has e = 0).
     """
     s, tol = B.structure.s, DEFAULT_CODING_TOL
+    e = int(np.frexp(np.abs(Y).max(initial=0.0))[1])
+    W = np.ldexp(Y, -e)
     if math.comb(B.structure.K, s) <= DEFAULT_ENUMERATION_CAP:
-        return _min_residual_codes(_factor(B, s), Y, tol)[:2]
-    return _omp_codes(B, Y, s, tol)[:2]
+        X, res = _min_residual_codes(_factor(B, s), W, tol)[:2]
+    else:
+        X, res = _omp_codes(B, W, s, tol)[:2]
+    return np.ldexp(X, e), np.ldexp(res, e)
 
 
 def _discover_block_spans(Y: np.ndarray, structure: BlockStructure, noise_level: float = 0.0):

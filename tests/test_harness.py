@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from itertools import combinations, islice
 
@@ -1029,6 +1030,16 @@ class TestRunExperiment:
         report = run_experiment(config)
         assert report.stage_errors == []
         assert report.certificate["status"] == "equivalent"
+
+    def test_final_coding_past_the_squared_float_range(self):
+        # samples near 1e161, whose squares overflow: the final coding runs at a power-of-two
+        # scale, so it warns of nothing and every residual is finite
+        config = replace(criterion7_config(1, 1e160), learner_iterations=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_experiment(config)
+        assert report.stage_errors == [] and not report.trace["stalled"]
+        assert np.isfinite(report.coding_residuals).all()
 
     def test_underdetermined_flagged(self):
         report = run_experiment(small_config(n_samples=2))
