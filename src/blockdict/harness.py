@@ -20,7 +20,7 @@ import math
 import time
 import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from itertools import combinations, compress
+from itertools import compress
 
 import numpy as np
 
@@ -281,9 +281,11 @@ def _discover_block_spans(Y: np.ndarray, structure: BlockStructure, noise_level:
     loose members are refit to their top s*alpha singular vectors at the tight cut
     until the members repeat, at most three times; a cluster needs 2 s*alpha + 2
     members and none between the cuts, and a seed's first hypothesis decides it.
-    Pairwise intersections of the clusters (noisy ones largest first, within 1 - cos
-    of the tight cut's median angle), from one stacked SVD, are the block spans, as
-    orthonormal P x alpha arrays.
+    An accepted cluster's basis is one `_bases` SVD of its refit span (noiseless: of its
+    members), and one SVD per pair intersects it with each earlier cluster (Lemma 2:
+    support spans meet in their shared blocks' span), within 1 - cos of the tight cut's
+    median angle. Each alpha-dimensional intersection that no kept block spans is a block
+    span, as an orthonormal P x alpha array, in acceptance order; seeding stops at K.
     """
     P = Y.shape[0]
     dim = structure.s * structure.alpha
@@ -342,9 +344,10 @@ def _discover_block_spans(Y: np.ndarray, structure: BlockStructure, noise_level:
         return None
 
     unassigned = np.ones(Yk.shape[1], dtype=bool)
-    clusters, sizes = [], []
+    clusters, blocks = [], []
     max_clusters = min(3 * math.comb(structure.K, structure.s), 60)
-    while unassigned.sum() >= dim + 2 and len(clusters) < max_clusters:
+    while (unassigned.sum() >= dim + 2 and len(clusters) < max_clusters
+           and len(blocks) < structure.K):
         cand = np.nonzero(unassigned)[0]
         seed_idx = cand[int(np.argmax(norms_k[cand]))]
         hit = cluster_of(seed_idx, cand)
@@ -352,32 +355,18 @@ def _discover_block_spans(Y: np.ndarray, structure: BlockStructure, noise_level:
             unassigned[seed_idx] = False
             continue
         Q, found = hit
-        if not noisy:
-            U, rank = _bases(Yk[:, found], DEFAULT_RANK_TOL)[:2]
-            Q = U[:, : int(rank)]
+        U, rank = _bases(Yk[:, found] if Q is None else Q, DEFAULT_RANK_TOL)[:2]
+        Q = U[:, : int(rank)]  # noiseless clusters can be rank-deficient
+        for earlier in clusters:  # each earlier cluster's span meets this one's in shared blocks
+            W, cos, _ = np.linalg.svd(earlier.T @ Q)
+            inter = earlier @ W[:, : structure.alpha]
+            if (cos >= 1.0 - inter_tol).sum() == structure.alpha and not (
+                    blocks and _spans_equal_stacked(inter, np.array(blocks), dedupe_tol).any()):
+                blocks.append(inter)
+                if len(blocks) == structure.K:
+                    break
         clusters.append(Q)
-        sizes.append(int(found.sum()))
         unassigned &= ~found
-    if noisy and clusters:  # larger clusters have better-fitted spans: intersect those first
-        U, ranks = _bases(np.stack(clusters), DEFAULT_RANK_TOL)[:2]
-        clusters = [U[c, :, : ranks[c]] for c in np.argsort(np.negative(sizes), kind="stable")]
-
-    # one stacked SVD per pair of cluster dimensions (noiseless clusters can be rank-deficient)
-    pairs = list(combinations(range(len(clusters)), 2))
-    dims = [(clusters[a].shape[1], clusters[b].shape[1]) for a, b in pairs]
-    inters = {}
-    for group in set(dims):
-        at = [i for i, d in enumerate(dims) if d == group]
-        Qa, Qb = (np.stack([clusters[pairs[i][j]] for i in at]) for j in (0, 1))
-        U, cos, _ = np.linalg.svd(Qa.transpose(0, 2, 1) @ Qb)
-        kept = (np.clip(cos, 0.0, 1.0) >= 1.0 - inter_tol).sum(axis=1) == structure.alpha
-        inters.update((i, Qa[k] @ U[k, :, : structure.alpha]) for k, i in enumerate(at) if kept[k])
-    blocks = []
-    for i in sorted(inters):  # lexicographic pair order
-        if not (blocks and _spans_equal_stacked(inters[i], np.array(blocks), dedupe_tol).any()):
-            blocks.append(inters[i])
-            if len(blocks) == structure.K:
-                break
     return blocks
 
 
@@ -412,8 +401,9 @@ def learn_dictionary(
     the same blocks, and a zero objective is one at most 1e-24 at that scale.
 
     The initialization grows support-span clusters of samples greedily,
-    one seed at a time, and intersects their spans pairwise: two overlapping
-    support spans meet in the span of their shared blocks, so discovered
+    one seed at a time, intersects each accepted cluster's span with the
+    earlier ones, and stops once it holds K blocks: two overlapping support
+    spans meet in the span of their shared blocks, so discovered
     intersections start blocks where cold alternation rarely arrives. The
     clustering tolerances come from config.noise_level, the samples' noise
     standard deviation: 0 asks for exact clusters, a positive level for

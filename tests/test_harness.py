@@ -522,9 +522,10 @@ def reference_discovery(Y, structure, log, noise_level=0.0):
     candidates by their own distance to the span; the last pick takes, per
     candidate, its own QR of the grown span and counts the samples within the
     loose cut. No product is shared across candidates. Under noise every
-    hypothesis runs all three refits, and each noisy cluster's basis comes
-    from its own SVD. `log` counts the restarts whose first partner lies in
-    the seed's line and is skipped.
+    hypothesis runs all three refits. Each accepted cluster is intersected
+    with every earlier one, one pair at a time, and seeding stops once K
+    blocks are held. `log` counts the restarts whose first partner lies in
+    the seed's line and is skipped, and the clusters accepted.
     """
     P, N = Y.shape
     dim = structure.s * structure.alpha
@@ -581,9 +582,10 @@ def reference_discovery(Y, structure, log, noise_level=0.0):
         return orthonormal_basis(Q if noisy else Yk[:, found]), found
 
     unassigned = np.ones(nk, dtype=bool)
-    clusters, sizes = [], []
+    clusters, blocks = [], []
     max_clusters = min(3 * math.comb(structure.K, structure.s), 60)
-    while unassigned.sum() >= dim + 2 and len(clusters) < max_clusters:
+    while (unassigned.sum() >= dim + 2 and len(clusters) < max_clusters
+           and len(blocks) < structure.K):
         cand = np.nonzero(unassigned)[0]
         seed_idx = cand[int(np.argmax(norms_k[cand]))]
         partners = cand[np.argsort(-np.abs(Yn[:, cand].T @ Yn[:, seed_idx]))]
@@ -599,21 +601,17 @@ def reference_discovery(Y, structure, log, noise_level=0.0):
         if hit is None:
             unassigned[seed_idx] = False
             continue
+        for earlier in clusters:
+            inter = subspace_intersection(earlier, hit[0], tol=inter_tol)
+            if inter.dim == structure.alpha and not any(
+                spans_equal(inter, blk, tol=max(1e-6, inter_tol)) for blk in blocks
+            ):
+                blocks.append(inter)
+                if len(blocks) == structure.K:
+                    break
         clusters.append(hit[0])
-        sizes.append(int(hit[1].sum()))
         unassigned &= ~hit[1]
-    if noisy:
-        clusters = [clusters[c] for c in sorted(range(len(clusters)), key=lambda c: -sizes[c])]
-
-    blocks = []
-    for a, b in combinations(range(len(clusters)), 2):
-        inter = subspace_intersection(clusters[a], clusters[b], tol=inter_tol)
-        if inter.dim == structure.alpha and not any(
-            spans_equal(inter, blk, tol=max(1e-6, inter_tol)) for blk in blocks
-        ):
-            blocks.append(inter)
-            if len(blocks) == structure.K:
-                return blocks
+    log["clusters"] = len(clusters)
     return blocks
 
 
@@ -747,10 +745,36 @@ class TestDiscoverBlockSpans:
         assert calls.count("qr") == 0
         assert 0 < calls.count("svd") <= 3 * Y.shape[1]
 
+    @pytest.mark.parametrize("seed", [0, 7, 232])
+    def test_seeding_stops_at_the_cluster_that_completes_the_blocks(self, monkeypatch, seed):
+        # one `_bases` call per accepted cluster; the clusters before the last one hold fewer
+        # than K blocks between them, and all of them hold K
+        st, Y = criterion7_samples(seed)
+        clusters, bases = [], harness._bases
+
+        def record(M, tol):
+            U, rank, *rest = bases(M, tol)
+            clusters.append(U[:, : int(rank)])
+            return (U, rank, *rest)
+
+        monkeypatch.setattr(harness, "_bases", record)
+        assert len(_discover_block_spans(Y, st)) == st.K
+
+        def blocks_held(bases):
+            held = []
+            for a, b in combinations(bases, 2):
+                inter = subspace_intersection(a, b, tol=1e-7)
+                if inter.dim == st.alpha and not any(spans_equal(inter, h, 1e-6) for h in held):
+                    held.append(inter)
+            return len(held)
+
+        assert blocks_held(clusters[:-1]) < st.K == blocks_held(clusters)
+        assert len(clusters) < min(3 * math.comb(st.K, st.s), 60)
+
     def test_refits_stop_when_the_members_repeat(self, monkeypatch):
         # one noisy span {1, 2} over lines in R^6: every sample lies within the tight cut, so
         # refit 1 keeps the members it was fitted on and no second refit runs; the one
-        # cluster's basis then comes from one stacked SVD
+        # cluster's basis then comes from one SVD of its refit span
         noise = 1e-4
         rng = np.random.default_rng(9)
         E = np.linalg.qr(rng.standard_normal((6, 2)))[0]
@@ -760,7 +784,7 @@ class TestDiscoverBlockSpans:
         monkeypatch.setattr(np.linalg, "svd",
                             lambda M, *a, **k: shapes.append(M.shape) or svd(M, *a, **k))
         assert _discover_block_spans(Y, BlockStructure(K=3, alpha=1, s=2), noise) == []
-        assert shapes == [(6, 12), (1, 6, 2)]
+        assert shapes == [(6, 12), (6, 2)]
 
     def test_no_clustering_when_every_block_is_active(self, monkeypatch):
         # s = K: every sample shares the one support, so no two spans meet in a block
