@@ -525,7 +525,7 @@ def reference_discovery(Y, structure, log, noise_level=0.0):
     hypothesis runs all three refits. Each accepted cluster is intersected
     with every earlier one, one pair at a time, and seeding stops once K
     blocks are held. `log` counts the restarts whose first partner lies in
-    the seed's line and is skipped, and the clusters accepted.
+    the seed's line and is skipped.
     """
     P, N = Y.shape
     dim = structure.s * structure.alpha
@@ -611,7 +611,6 @@ def reference_discovery(Y, structure, log, noise_level=0.0):
                     break
         clusters.append(hit[0])
         unassigned &= ~hit[1]
-    log["clusters"] = len(clusters)
     return blocks
 
 
@@ -760,9 +759,9 @@ class TestDiscoverBlockSpans:
         monkeypatch.setattr(harness, "_bases", record)
         assert len(_discover_block_spans(Y, st)) == st.K
 
-        def blocks_held(bases):
+        def blocks_held(spans):
             held = []
-            for a, b in combinations(bases, 2):
+            for a, b in combinations(spans, 2):
                 inter = subspace_intersection(a, b, tol=1e-7)
                 if inter.dim == st.alpha and not any(spans_equal(inter, h, 1e-6) for h in held):
                     held.append(inter)
