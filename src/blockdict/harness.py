@@ -236,7 +236,7 @@ class LearnTrace:
     objectives: list[float] = field(default_factory=list)
     reseed_events: list[dict] = field(default_factory=list)
     stalled: bool = False
-    residuals = None  # unannotated, so in no report: a stalled learner's last coding residuals
+    residuals = None  # unannotated, so in no report: the returned dictionary's coding residuals
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -249,18 +249,13 @@ def _code_all(B: BlockDict, Y: np.ndarray):
     `_min_residual_codes`, each sample's `exhaustive_code` code and projection residual;
     above the cap, `_omp_codes`, so each sample gets its `block_omp` code. A sample whose
     block-OMP selection is rank-deficient (degenerate mid-learning state) is left uncoded
-    for the round; its full residual makes it the natural reseeding source. Y is coded at
-    Y * 2^-e, e the binary exponent of max|Y|, and both are scaled back by 2^e: the scaling is
-    exact, and no squared norm overflows or underflows (the learner's Y has e = 0).
+    for the round; its full residual makes it the natural reseeding source. Its one caller,
+    the learner, passes Y at its power-of-two scale, so no squared norm overflows.
     """
     s, tol = B.structure.s, DEFAULT_CODING_TOL
-    e = int(np.frexp(np.abs(Y).max(initial=0.0))[1])
-    W = np.ldexp(Y, -e)
     if math.comb(B.structure.K, s) <= DEFAULT_ENUMERATION_CAP:
-        X, res = _min_residual_codes(_factor(B, s), W, tol)[:2]
-    else:
-        X, res = _omp_codes(B, W, s, tol)[:2]
-    return np.ldexp(X, e), np.ldexp(res, e)
+        return _min_residual_codes(_factor(B, s), Y, tol)[:2]
+    return _omp_codes(B, Y, s, tol)[:2]
 
 
 def _discover_block_spans(Y: np.ndarray, structure: BlockStructure, noise_level: float = 0.0):
@@ -418,7 +413,7 @@ def learn_dictionary(
 
     Returns
     -------
-    (BlockDict, LearnTrace)
+    (BlockDict, LearnTrace): the trace reports the coding residuals of the dictionary it returns
     """
     Y = np.asarray(samples, dtype=float)
     if Y.ndim != 2 or Y.shape[0] != config.ambient_dim:
@@ -447,14 +442,16 @@ def learn_dictionary(
     trace = LearnTrace()
     prev_obj = math.nan  # compares false: no stall before the second objective
     floor = 0.1 * sigma**2 * math.sqrt(2 * N * (P - structure.s * alpha))
-    for it in range(config.learner_iterations):
+    for it in range(config.learner_iterations + 1):
         B = BlockDict(structure, data)
         X, res = _code_all(B, Y)
+        if it == config.learner_iterations:  # the cap: B is coded, and it is returned
+            break
         objective = float(np.sum(res**2))
         with np.errstate(over="ignore"):  # at the samples' scale, inf past the float range
             trace.objectives.append(float(np.ldexp(objective, 2 * e)))
             if objective <= 1e-24 or abs(prev_obj - objective) <= max(1e-12 * prev_obj, floor):
-                trace.stalled, trace.residuals = True, np.ldexp(res, e)
+                trace.stalled = True
                 break
         prev_obj = objective
 
@@ -495,7 +492,9 @@ def learn_dictionary(
             trace.reseed_events.append(
                 {"iteration": it, "block": i, "sample": worst, "reason": "dead"}
             )
-    return BlockDict(structure, data), trace
+    with np.errstate(over="ignore"):
+        trace.residuals = np.ldexp(res, e)
+    return B, trace
 
 
 @dataclass
@@ -523,8 +522,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     isometry constant below 1 at level min(2s, K), exact up to the
     enumeration cap, else sampled), synthesizes noisy or exact samples,
     learns a dictionary, and recovers the equivalence certificate against
-    the truth. The coding residuals are the learner's last ones when it
-    stalled (it coded the dictionary it returns), else a fresh `_code_all`'s.
+    the truth. The coding residuals are the learner's, of the dictionary it returns.
     Stage failures are recorded in the report, not raised. The report is
     identical across runs with the same config except for wall_clock_sec.
     """
@@ -557,14 +555,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             warnings.simplefilter("ignore")
             learned, trace = learn_dictionary(Y, config)
         report.trace = trace.to_dict()
+        report.coding_residuals = trace.residuals.tolist()
 
         stage = "recover"
         cert = recover_equivalence(truth, learned, tol=config.certificate_tol)
         report.certificate = cert.to_dict()
-
-        stage = "final_coding"
-        res = _code_all(learned, Y)[1] if trace.residuals is None else trace.residuals
-        report.coding_residuals = res.tolist()
     except Exception as exc:  # recorded, not raised: the report is the contract
         report.stage_errors.append({"stage": stage, "error": f"{type(exc).__name__}: {exc}"})
 

@@ -447,9 +447,11 @@ class TestLearnDictionary:
     def test_noise_floor_threshold(self, monkeypatch, noise, step, stops):
         # scripted objectives 1, 1 - step, 1 - 2 step, ...: the learner stops at
         # the second when step <= max(1e-12 * 1, 0.1 sigma^2 sqrt(2N(P - s alpha)));
-        # it codes Y * 2^-e, e the binary exponent of max|Y|, so the script does too
+        # it codes Y * 2^-e, e the binary exponent of max|Y|, so the script does too.
+        # A learner that runs to the cap codes the dictionary it returns once more,
+        # so the script holds learner_iterations + 1 codings
         config = small_config(noise_level=noise, learner_iterations=6)
-        objectives = iter(1.0 - step * np.arange(6))
+        objectives = iter(1.0 - step * np.arange(7))
         Y = np.random.default_rng(0).standard_normal((20, 60))
         e = int(np.frexp(np.abs(Y).max())[1])
 
@@ -462,6 +464,28 @@ class TestLearnDictionary:
         _, trace = learn_dictionary(Y, config)
         assert trace.stalled == stops
         assert len(trace.objectives) == (2 if stops else 6)
+        assert (next(objectives, None) is None) == (not stops)  # the cap used all 7 codings
+
+    def test_capped_learner_reports_the_returned_dictionarys_residuals(self):
+        # a learner that reaches its cap codes the blocks it returns, at its power-of-two scale
+        _, Y = criterion7_samples(1, noise=1e-3)
+        config = replace(criterion7_config(1, 1e-3), learner_iterations=2)
+        learned, trace = learn_dictionary(Y, config)
+        assert not trace.stalled and len(trace.objectives) == 2
+        e = int(np.frexp(np.abs(Y).max())[1])
+        fresh = np.ldexp(_code_all(learned, np.ldexp(Y, -e))[1], e)
+        assert trace.residuals.tobytes() == fresh.tobytes()
+
+    def test_capped_learner_past_the_squared_float_range(self):
+        # samples near 1e161, whose squares overflow, and a learner cut at 2 iterations: it
+        # codes at its power-of-two scale, so nothing warns and every residual is finite
+        config = replace(criterion7_config(1, 1e160), learner_iterations=2)
+        _, Y = criterion7_samples(1, noise=1e160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, trace = learn_dictionary(Y, config)
+        assert not trace.stalled
+        assert np.isfinite(trace.residuals).all()
 
     def test_shape_mismatch(self):
         config = small_config()
@@ -1055,8 +1079,9 @@ class TestRunExperiment:
         assert report.certificate["status"] == "equivalent"
 
     def test_final_coding_past_the_squared_float_range(self):
-        # samples near 1e161, whose squares overflow: the final coding runs at a power-of-two
-        # scale, so it warns of nothing and every residual is finite
+        # samples near 1e161, whose squares overflow: the capped learner codes the dictionary it
+        # returns at its power-of-two scale, so every residual is finite (run_experiment ignores
+        # warnings while learning; TestLearnDictionary's capped case checks that none is raised)
         config = replace(criterion7_config(1, 1e160), learner_iterations=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1069,10 +1094,11 @@ class TestRunExperiment:
         assert report.underdetermined
 
     @pytest.mark.parametrize("iterations, stalled", [(30, True), (2, False)])
-    def test_final_coding_reuses_a_stalled_learners_residuals(self, monkeypatch, iterations,
-                                                               stalled):
-        # a stalled learner coded the dictionary it returns last, so only a run that hits the
-        # iteration cap codes once more; either way the residuals are those of a fresh coding
+    def test_report_residuals_are_the_learners_last_coding(self, monkeypatch, iterations,
+                                                           stalled):
+        # the learner's last coding is of the dictionary it returns: a stalled learner codes it
+        # before it records its last objective, a capped one once more after its last objective;
+        # run_experiment codes nothing itself, and the residuals are those of a fresh coding
         calls, learned = [], {}
         code_all, learn = harness._code_all, harness.learn_dictionary
         monkeypatch.setattr(harness, "_code_all", lambda B, Y: calls.append(1) or code_all(B, Y))
@@ -1087,7 +1113,8 @@ class TestRunExperiment:
         assert report.stage_errors == [] and report.trace["stalled"] == stalled
         assert len(calls) == len(report.trace["objectives"]) + (not stalled)
         assert "residuals" not in report.trace
-        fresh = code_all(learned["B"], learned["Y"])[1]
+        e = int(np.frexp(np.abs(learned["Y"]).max())[1])
+        fresh = np.ldexp(code_all(learned["B"], np.ldexp(learned["Y"], -e))[1], e)
         assert np.array(report.coding_residuals).tobytes() == fresh.tobytes()
 
 
