@@ -3,9 +3,9 @@
 Two block dictionaries A and B are equivalent when A equals B after
 permuting whole blocks and multiplying each block by an invertible
 alpha x alpha matrix. `recover_equivalence` produces a certificate for
-that relation by matching block spans and solving per-block least
-squares; `construct_kappa` probes the support-to-support correspondence
-induced by exact block-sparse coding.
+that relation by matching block spans and solving all blocks' least
+squares from one stacked SVD; `construct_kappa` probes the
+support-to-support correspondence induced by exact block-sparse coding.
 """
 
 from __future__ import annotations
@@ -169,13 +169,23 @@ def match_blocks(A: BlockDict, B: BlockDict, tol: float = DEFAULT_RANK_TOL) -> M
     )
 
 
+def _block_transforms(As: np.ndarray, Bs: np.ndarray, rank_tol: float) -> tuple[np.ndarray, ...]:
+    """(M, relative residuals ||A - U U^T A||_F / ||A||_F, ranks of the B blocks) of stacked
+    (n, P, alpha) pairs from one `_bases` SVD U sv Vt of the B blocks: M = V sv^-1 U^T A."""
+    U, ranks, sv, Vt = _bases(Bs, rank_tol)
+    As = np.ascontiguousarray(As)  # each block's norm sums its entries in one order
+    Z = U.swapaxes(1, 2) @ As
+    rel = _relative(np.linalg.norm(As - U @ Z, axis=(1, 2)), np.linalg.norm(As, axis=(1, 2)))
+    return Vt.swapaxes(1, 2) @ (Z / sv[:, :, None]), rel, ranks
+
+
 def solve_block_transform(
     A_block, B_block, rank_tol: float = DEFAULT_RANK_TOL
 ) -> tuple[np.ndarray, float]:
     """Least-squares alpha x alpha transform M minimizing ||A_block - B_block M||_F.
 
-    Returns (M, relative Frobenius residual). Raises RankError when
-    B_block is column-rank-deficient.
+    The one-pair view of `_block_transforms`: returns (M, relative Frobenius residual), and
+    raises RankError when B_block is column-rank-deficient.
     """
     _check_tols(rank_tol=rank_tol)
     A_block = np.asarray(A_block, dtype=float)
@@ -184,12 +194,10 @@ def solve_block_transform(
         raise ValueError(
             f"blocks must share shape P x alpha, got {A_block.shape} and {B_block.shape}"
         )
-    svals = np.linalg.svd(B_block, compute_uv=False)
-    if _numerical_rank(svals, rank_tol) < svals.size:
+    M, rel, ranks = _block_transforms(A_block[None], B_block[None], rank_tol)
+    if ranks[0] < min(B_block.shape):
         raise RankError("target block is rank-deficient")
-    M, _, _, _ = np.linalg.lstsq(B_block, A_block, rcond=None)
-    err = float(np.linalg.norm(A_block - B_block @ M, "fro"))
-    return M, float(_relative(err, np.linalg.norm(A_block, "fro")))
+    return M[0], float(rel[0])
 
 
 def recover_equivalence(
@@ -200,31 +208,28 @@ def recover_equivalence(
 ) -> EquivalenceCertificate:
     """Recover a permutation and block transforms carrying B onto A.
 
-    Matches block spans, then solves one least-squares transform per
-    matched pair. The certificate is `equivalent` only when the matching
-    is a bijection, every transform is invertible, and the worst relative
-    block residual is at most tol. A rank-deficient matched pair leaves its
-    transform undetermined, so the certificate is `ambiguous`. Match
-    failures surface as certificate statuses, never exceptions.
+    Matches block spans, then solves every matched pair's least-squares transform in one
+    `_block_transforms` call on A's blocks and B's blocks permuted by pi. The certificate is
+    `equivalent` only when the matching is a bijection, every transform is invertible, and
+    the worst relative block residual is at most tol. A rank-deficient matched pair (rank
+    below min(P, alpha) at span_tol) leaves its transform undetermined, so the certificate
+    is `ambiguous`. Match failures surface as certificate statuses, never exceptions.
     """
     _check_tols(tol=tol, span_tol=span_tol)
     report = match_blocks(A, B, span_tol)
     if report.status != "matched":
         return EquivalenceCertificate(report.status, None, None, None)
     perm = report.permutation
-    blocks = []
-    residual = 0.0
-    for i in range(1, A.structure.K + 1):
-        try:
-            M, rel = solve_block_transform(A.block(i), B.block(perm(i)), span_tol)
-        except RankError:
-            return EquivalenceCertificate(STATUS_AMBIGUOUS, None, None, None)
-        blocks.append(M)
-        residual = max(residual, rel)
-    diag = BlockDiagonal(A.structure, tuple(blocks))
+    As = A.data.reshape(A.ambient_dim, A.structure.K, -1).swapaxes(0, 1)
+    Bs = B.data.reshape(B.ambient_dim, B.structure.K, -1).swapaxes(0, 1)[np.array(perm.pi) - 1]
+    M, rel, ranks = _block_transforms(As, Bs, span_tol)
+    if (ranks < min(Bs.shape[1:])).any():
+        return EquivalenceCertificate(STATUS_AMBIGUOUS, None, None, None)
+    residual = float(rel.max())
+    diag = BlockDiagonal(A.structure, tuple(M))
     ok = diag.is_invertible() and residual <= tol
     status = STATUS_EQUIVALENT if ok else STATUS_NOT_EQUIVALENT
-    return EquivalenceCertificate(status, perm, diag, float(residual))
+    return EquivalenceCertificate(status, perm, diag, residual)
 
 
 def apply_transform(B: BlockDict, perm: BlockPermutation, D: BlockDiagonal) -> BlockDict:

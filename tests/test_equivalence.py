@@ -317,6 +317,23 @@ class TestRecoverEquivalence:
         with pytest.raises(ValueError, match=f"^{name} must be nonnegative"):
             recover_equivalence(A, A, **{name: value})
 
+    @pytest.mark.parametrize("K, alpha, P", [(6, 2, 16), (5, 3, 12), (8, 1, 10)])
+    def test_stacked_transforms_equal_one_pair_solves(self, K, alpha, P):
+        # the K transforms come from one stacked solve: each equals solve_block_transform on its
+        # pair byte for byte, and the residual is the largest of theirs
+        st = BlockStructure(K=K, alpha=alpha, s=1)
+        for seed in range(40):
+            A = gen_dictionary(P, st, seed=seed)
+            B = make_equivalent_dict(A, gen_block_permutation(K, seed + 1000),
+                                     gen_block_diagonal(st, seed + 2000))
+            cert = recover_equivalence(A, B)
+            assert cert.status == "equivalent", seed
+            solves = [solve_block_transform(A.block(i), B.block(cert.permutation(i)))
+                      for i in range(1, K + 1)]
+            for got, (M, _) in zip(cert.diagonal.blocks, solves):
+                assert np.array_equal(got, M), seed
+            assert cert.residual == max(rel for _, rel in solves), seed
+
 
 class TestApplyTransform:
     def test_identity_transform(self):
