@@ -191,9 +191,8 @@ def solve_block_transform(
     A_block = np.asarray(A_block, dtype=float)
     B_block = np.asarray(B_block, dtype=float)
     if A_block.shape != B_block.shape or A_block.ndim != 2:
-        raise ValueError(
-            f"blocks must share shape P x alpha, got {A_block.shape} and {B_block.shape}"
-        )
+        raise ValueError(f"blocks must share shape P x alpha, got {A_block.shape} and "
+                         f"{B_block.shape}")
     M, rel, ranks = _block_transforms(A_block[None], B_block[None], rank_tol)
     if ranks[0] < min(B_block.shape):
         raise RankError("target block is rank-deficient")
@@ -347,7 +346,8 @@ def _probe_supports(A: BlockDict, F, sups, n_probes: int, seed, tol: float) -> l
                     raise HypothesisViolationError(f"probe {p} on support {sup} has " + (
                         f"no {len(sup)}-block-sparse code in B (relative residual {r[p]:.3e} > "
                         f"{tol:.1e})" if r[p] > tol else "tied codes in B"))
-                _unit_scale(Y[:, n : n + 1])  # names the overflowing probe's non-finite entries
+                if n < n_probes:  # probe n overflowed: name its non-finite entries
+                    _unit_scale(Y[:, n : n + 1])
                 counts = Counter(probes := tuple(found[i] for i in ids[on]))
                 winner = min(counts, key=lambda k: (-counts[k], k))  # majority, then least
                 out.append(KappaResult(sup, winner, len(counts) == 1, probes))
