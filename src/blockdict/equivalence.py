@@ -173,7 +173,7 @@ def _block_transforms(As: np.ndarray, Bs: np.ndarray, rank_tol: float) -> tuple[
     """(M, relative residuals ||A - U U^T A||_F / ||A||_F, ranks of the B blocks) of stacked
     (n, P, alpha) pairs from one `_bases` SVD U sv Vt of the B blocks: M = V sv^-1 U^T A."""
     U, ranks, sv, Vt = _bases(Bs, rank_tol)
-    As = np.ascontiguousarray(As)  # each block's norm sums its entries in one order
+    As = np.ascontiguousarray(As)  # C order: a block's norm sums as in a one-pair call
     Z = U.swapaxes(1, 2) @ As
     rel = _relative(np.linalg.norm(As - U @ Z, axis=(1, 2)), np.linalg.norm(As, axis=(1, 2)))
     return Vt.swapaxes(1, 2) @ (Z / sv[:, :, None]), rel, ranks

@@ -492,7 +492,7 @@ def learn_dictionary(
             trace.reseed_events.append(
                 {"iteration": it, "block": i, "sample": worst, "reason": "dead"}
             )
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # at the samples' scale, inf past the float range
         trace.residuals = np.ldexp(res, e)
     return B, trace
 

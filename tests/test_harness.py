@@ -464,9 +464,10 @@ class TestLearnDictionary:
         _, trace = learn_dictionary(Y, config)
         assert trace.stalled == stops
         assert len(trace.objectives) == (2 if stops else 6)
-        assert (next(objectives, None) is None) == (not stops)  # the cap used all 7 codings
+        if not stops:  # the capped learner coded the dictionary it returns: all 7 codings
+            assert next(objectives, None) is None
 
-    def test_capped_learner_reports_the_returned_dictionarys_residuals(self):
+    def test_capped_learner_codes_the_dictionary_it_returns(self):
         # a learner that reaches its cap codes the blocks it returns, at its power-of-two scale
         _, Y = criterion7_samples(1, noise=1e-3)
         config = replace(criterion7_config(1, 1e-3), learner_iterations=2)
