@@ -137,8 +137,9 @@ def _cmd_learn(args) -> int:
         write_matrix_text(args.out_dict, learned.data)
     if args.format == "csv":
         _emit(args, trace_to_csv(trace.to_dict()))
-    else:
-        _emit(args, json.dumps(trace.to_dict(), indent=2))
+    else:  # with the returned dictionary's coding residuals, as `experiment` reports carry them
+        report = {**trace.to_dict(), "coding_residuals": trace.residuals.tolist()}
+        _emit(args, json.dumps(report, indent=2))
     return 0
 
 

@@ -4,16 +4,15 @@ Both methods reject non-finite measurements, code y times the power of two that 
 its largest entry in [0.5, 1) (exact; ||y||^2 then neither overflows nor underflows), report
 the residual as ||y - A x||_2 relative to ||y||_2 (`_relative`: absolute when y = 0) and break
 ties toward the lowest block indices. Each is the one-column case of a kernel the learner runs
-on all its samples: `_omp_codes` for block-OMP, and for the oracle `_factor` once per
-(dictionary, s), then `_min_residual_codes`, the minimum-residual rule, which re-checks only
-what an energy ranking cannot settle. A support's residual is its projection residual, its
-lstsq residual at any rank (Golub & Van Loan 5.3); the winner's comes from its solve's SVD (5.5).
+on all its samples, each taking (A, Y, s, tol): `_omp_codes` for block-OMP, and for the oracle
+`_min_residual_codes`, the minimum-residual rule, which re-checks only what an energy ranking
+cannot settle. A support's residual is its projection residual, its lstsq residual at any rank
+(Golub & Van Loan 5.3); the winner's comes from its solve's SVD (5.5).
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,6 @@ METHOD_EXHAUSTIVE = "exhaustive-oracle"
 
 # supports x columns residual entries per chunk of the minimum-residual coder
 _CODE_CHUNK = 2**16
-_Factor = namedtuple("_Factor", "A rows Q")  # what `_factor` returns
 
 
 @dataclass(frozen=True)
@@ -158,67 +156,65 @@ def _qr(A: BlockDict, rows: np.ndarray) -> np.ndarray:
     return Q
 
 
-def _factor(A: BlockDict, s: int) -> _Factor:
-    """Factor step: the column table of A's size-s supports and, while they fit _CODE_CHUNK
-    entries, their stacked bases from `_qr` (else None). CapacityError past the cap."""
-    rows = _support_columns(_enumerate_supports(A.structure.K, s, DEFAULT_ENUMERATION_CAP),
-                            A.structure.alpha)
-    return _Factor(A, rows, _qr(A, rows) if rows.size * A.ambient_dim <= _CODE_CHUNK else None)
-
-
-def _support_residuals(F: _Factor, Y, ks, block, ysq=None) -> np.ndarray:
-    """Residuals ||y - Q Q^T y|| of supports ks on Y, from their `_qr` bases Q, inf elsewhere;
-    squared, as energies ||y||^2 - ||Q^T y||^2, given ysq = ||y||^2."""
-    R = np.full((len(F.rows), Y.shape[1]), np.inf)
+def _support_residuals(A: BlockDict, rows, bases, Y, ks, block, ysq=None) -> np.ndarray:
+    """Residuals ||y - Q Q^T y|| of supports ks of column table rows on Y, from their `_qr` bases
+    Q (bases: every row's, or None to make them per block), inf elsewhere; squared, as energies
+    ||y||^2 - ||Q^T y||^2, given ysq = ||y||^2."""
+    R = np.full((len(rows), Y.shape[1]), np.inf)
     for b in range(0, len(ks), block):
         kb = ks[b : b + block]
-        Q = _qr(F.A, F.rows[kb]) if F.Q is None else F.Q[kb]
+        Q = _qr(A, rows[kb]) if bases is None else bases[kb]
         Z = Q.transpose(0, 2, 1) @ Y
         R[kb] = np.linalg.norm(Y - Q @ Z, axis=1) if ysq is None else ysq - np.square(Z).sum(axis=1)
     return R
 
 
-def _min_residual_codes(F: _Factor, Y: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
-    """Minimum-residual s-block code of every column y of the P x N matrix Y, from F.
+def _min_residual_codes(A: BlockDict, Y: np.ndarray, s: int, tol: float) -> tuple[np.ndarray, ...]:
+    """Minimum-residual s-block code of every column y of the P x N matrix Y.
 
-    The code step, and the one rule behind `exhaustive_code` and the learner: the projection
-    residual on every size-s support's `_qr` basis (its lstsq residual, rank-short or not), the
-    smallest wins, and supports within tol*||y|| of it count as tied, going to the
-    lexicographically first. Supports are ranked by energy (`_support_residuals`), which misses
-    the squared residual by under margin = 2 (sqrt(s*alpha) + 2)(P + s*alpha) eps ||y||^2
-    (twice a first-order rounding bound; Higham, ch. 3). Candidates, energies at most
-    (sqrt(min energy + margin) + tol*||y||)^2 + margin, hold the tie window: a column with one
-    is decided, the rest get their candidates' exact residuals. One `_bases` SVD of the distinct
-    winners at lstsq's cut eps max(P, d) gives each column x = V sv^-1 U^T y and its residual
-    ||y - U U^T y|| by per-column stacked products, so a column's bytes do not depend on its
-    batch. Column chunks of about _CODE_CHUNK residuals or basis entries and support blocks of
-    about _CODE_CHUNK factor and projection entries bound memory. Returns (codes, residuals, ties).
+    The one rule behind `exhaustive_code` and the learner: the projection residual on every
+    size-s support's `_qr` basis (its lstsq residual, rank-short or not), the smallest wins, and
+    supports within tol*||y|| of it count as tied, going to the lexicographically first; the
+    supports' column table comes first (CapacityError past the enumeration cap), and while it
+    has at most _CODE_CHUNK basis entries their stacked bases are made once for the call. Supports
+    are ranked by energy (`_support_residuals`), which misses the squared residual by under
+    margin = 2 (sqrt(s*alpha) + 2)(P + s*alpha) eps ||y||^2 (twice a first-order rounding
+    bound; Higham, ch. 3). Candidates, energies at most (sqrt(min energy + margin) +
+    tol*||y||)^2 + margin, hold the tie window: a column with one is decided, the rest get
+    their candidates' exact residuals. One `_bases` SVD of the distinct winners at lstsq's cut
+    eps max(P, d) gives each column x = V sv^-1 U^T y and its residual ||y - U U^T y|| by
+    per-column stacked products, so a column's bytes do not depend on its batch. Column chunks
+    of about _CODE_CHUNK residuals or basis entries and support blocks of about _CODE_CHUNK
+    basis and projection entries bound memory. Returns (codes, residuals, ties).
     """
-    (P, N), width, fp = Y.shape, F.rows.shape[1], np.finfo(float)
-    X = np.zeros((F.A.structure.total_dim, N))
+    rows = _support_columns(_enumerate_supports(A.structure.K, s, DEFAULT_ENUMERATION_CAP),
+                            A.structure.alpha)
+    (P, N), width, fp = Y.shape, rows.shape[1], np.finfo(float)
+    Q = _qr(A, rows) if rows.size * P <= _CODE_CHUNK else None  # reused by every chunk
+    X = np.zeros((A.structure.total_dim, N))
     res, tied = np.empty(N), np.zeros(N, dtype=bool)
     ysq = np.einsum("ij,ij->j", Y, Y)
     window, margin = tol * np.sqrt(ysq), 2 * (math.sqrt(width) + 2) * (P + width) * fp.eps * ysq
     margin[margin < fp.tiny] = np.inf  # an underflowing margin bounds nothing
-    step = max(1, _CODE_CHUNK // max(len(F.rows), P * width))  # residuals, gathered bases
+    step = max(1, _CODE_CHUNK // max(len(rows), P * width))  # residuals, gathered bases
     block = max(1, _CODE_CHUNK // (P * (width + min(step, N))))
     for c in (slice(start, start + step) for start in range(0, N, step)):
-        E = _support_residuals(F, Y[:, c], np.arange(len(F.rows)), block, ysq[c])
+        E = _support_residuals(A, rows, Q, Y[:, c], np.arange(len(rows)), block, ysq[c])
         bound = (np.sqrt(np.abs(E.min(axis=0) + margin[c])) + window[c]) ** 2 + margin[c]
         cand = ~(E > bound)  # NaN energies and bounds make candidates
         winner = cand.argmax(axis=0)
         if (again := np.flatnonzero(cand.sum(axis=0) > 1)).size:
             ks = np.flatnonzero(cand[:, again].any(axis=1))
-            R = _support_residuals(F, Y[:, c.start + again], ks, block)
+            R = _support_residuals(A, rows, Q, Y[:, c.start + again], ks, block)
             # first support (lexicographic order) within each column's tie window
             near = R <= R.min(axis=0) + window[c.start + again]
             winner[again], tied[c.start + again] = near.argmax(axis=0), near.sum(axis=0) > 1
         ks, k = np.unique(winner, return_inverse=True)
-        U, _, sv, Vt = _bases(F.A.data.T[F.rows[ks]].transpose(0, 2, 1), fp.eps * max(P, width))
+        U, _, sv, Vt = _bases(A.data.T[rows[ks]].transpose(0, 2, 1), fp.eps * max(P, width))
         Yt = np.ascontiguousarray(Y[:, c].T)
         z = U[k].swapaxes(1, 2) @ Yt[:, :, None]
         x = Vt[k].swapaxes(1, 2) @ (z / sv[k, :, None])
-        X[F.rows[ks[k]], np.arange(N)[c, None]] = x[..., 0]
+        X[rows[ks[k]], np.arange(N)[c, None]] = x[..., 0]
         R = Yt - (U[k] @ z)[..., 0]
         res[c] = np.sqrt((R[:, None] @ R[:, :, None])[:, 0, 0])
     return X, res, tied
@@ -240,7 +236,7 @@ def exhaustive_code(
         When C(K, s) exceeds DEFAULT_ENUMERATION_CAP.
     """
     y, e, s = _check_measurement(A, y, s, tol)
-    X, res, tied = _min_residual_codes(_factor(A, s), y[:, None], tol)
+    X, res, tied = _min_residual_codes(A, y[:, None], s, tol)
     residual = float(_relative(res[0], np.linalg.norm(y)))
     return CodingResult(BlockSparseVec(A.structure, np.ldexp(X[:, 0], e)), residual,
                         METHOD_EXHAUSTIVE, bool(tied[0]))

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import (_CODE_CHUNK, DEFAULT_CODING_TOL, _factor, _min_residual_codes, _relative,
-                     _unit_scale)
+from .coding import _CODE_CHUNK, DEFAULT_CODING_TOL, _min_residual_codes, _relative, _unit_scale
 from .core import (BlockDict, BlockStructure, Support, _check_s, _check_tols, _numerical_rank,
                    as_support)
 from .errors import CapacityError, HypothesisViolationError, RankError
@@ -298,7 +297,7 @@ def construct_kappa(
     Raises
     ------
     CapacityError
-        When n_probes exceeds DEFAULT_ENUMERATION_CAP.
+        When n_probes or C(K, |S|) exceeds DEFAULT_ENUMERATION_CAP.
     HypothesisViolationError
         When some probe has no |S|-block-sparse code in B within tol (B cannot
         reproduce A's measurements on S) or tied ones (kappa is not unique).
@@ -310,18 +309,18 @@ def construct_kappa(
     sup = as_support(S, A.structure.K)
     if not sup:
         raise ValueError("support must be nonempty")
-    (res,) = _probe_supports(A, _factor(B, len(sup)), [sup], n_probes, seed, tol)
+    (res,) = _probe_supports(A, B, [sup], n_probes, seed, tol)
     if isinstance(res, Exception):
         raise res
     return res
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing probe is refused, not warned of
-def _probe_supports(A: BlockDict, F, sups, n_probes: int, seed, tol: float) -> list:
-    """`construct_kappa` on nonempty supports of one size against F, B's factor at that size: per
-    support, its KappaResult or its first failing probe's error (HypothesisViolationError, or an
-    overflow's ValueError). Each support draws from its own stream; the finite probes of as many
-    supports as fit max(n_probes, _CODE_CHUNK // P) columns share one kernel call."""
+def _probe_supports(A: BlockDict, B: BlockDict, sups, n_probes: int, seed, tol: float) -> list:
+    """`construct_kappa` on nonempty supports of one size: per support, its KappaResult or its
+    first failing probe's error (HypothesisViolationError, or an overflow's ValueError). Each
+    support draws from its own stream; the finite probes of as many supports as fit
+    max(n_probes, _CODE_CHUNK // P) columns share one kernel call, coded in B at that size."""
     if n_probes < 1:
         raise ValueError(f"n_probes must be >= 1, got {n_probes}")
     if n_probes > DEFAULT_ENUMERATION_CAP:  # refused before its draw is allocated
@@ -334,7 +333,7 @@ def _probe_supports(A: BlockDict, F, sups, n_probes: int, seed, tol: float) -> l
             for sup, c in zip(batch, _support_columns(np.array(batch), alpha))]
         n_ok = [int(np.argmin([*np.isfinite(Y).all(axis=0), False])) for Y in Ys]  # pre-overflow
         Z = _unit_scale(np.hstack([Y[:, :n] for Y, n in zip(Ys, n_ok)]))[0]
-        X, res, tied = _min_residual_codes(F, Z, min(tol, DEFAULT_CODING_TOL))
+        X, res, tied = _min_residual_codes(B, Z, len(sups[0]), min(tol, DEFAULT_CODING_TOL))
         res = _relative(res, np.linalg.norm(Z, axis=0))
         found, ids = np.unique(np.abs(X).reshape(A.structure.K, alpha, -1).max(axis=1).T > 0,
                                axis=0, return_inverse=True)  # each distinct support, read once
@@ -402,9 +401,9 @@ def verify_theorem_instance(
     family of size-s supports (all of them when there are at most
     MAX_HYPOTHESIS_SUPPORTS, else a seeded sample), (3) the recovered equivalence
     certificate, and (4) whether kappa restricted to singletons equals the
-    recovered permutation. B is factored once at s and once at 1; the family's probes
-    are coded against the first in one `_probe_supports` call, the K singletons' in
-    another. Findings are report fields; hypothesis violations are recorded, not raised.
+    recovered permutation. The family's probes are coded in one `_probe_supports` call,
+    the K singletons' in another. Findings are report fields; hypothesis violations are
+    recorded, not raised.
     No probe overflows: `rip_constant` refuses an A whose Gram A^T A is not finite
     (ValueError), and a finite Gram bounds every |A_ij| by sqrt(max float).
     """
@@ -416,13 +415,12 @@ def verify_theorem_instance(
     rip = rip_constant(A, min(2 * s, K), seed)
 
     def probe(sups) -> list[dict]:  # every support of one size in one `_probe_supports` call
-        found = _probe_supports(A, factors[len(sups[0])], sups, n_probes, seed, DEFAULT_PROBE_TOL)
+        found = _probe_supports(A, B, sups, n_probes, seed, DEFAULT_PROBE_TOL)
         return [{"support": list(sup), "error": str(res)} if isinstance(res, Exception) else
                 {"support": list(sup), "kappa": list(res.kappa), "consistent": res.consistent}
                 for sup, res in zip(sups, found)]
 
     family = sorted(map(tuple, _sample_supports(K, s, MAX_HYPOTHESIS_SUPPORTS, seed).tolist()))
-    factors = {k: _factor(B, k) for k in {s, 1}}  # every probe codes against one of these
     hypothesis = probe(family)
     holds = all(entry.get("consistent", False) for entry in hypothesis)
     certificate = recover_equivalence(A, B, tol)

@@ -24,7 +24,7 @@ from itertools import compress
 
 import numpy as np
 
-from .coding import _CODE_CHUNK, DEFAULT_CODING_TOL, _factor, _min_residual_codes, _omp_codes
+from .coding import _CODE_CHUNK, DEFAULT_CODING_TOL, _min_residual_codes, _omp_codes
 from .core import DEFAULT_RANK_TOL, BlockDict, BlockStructure
 from .equivalence import (
     DEFAULT_CERTIFICATE_TOL,
@@ -254,7 +254,7 @@ def _code_all(B: BlockDict, Y: np.ndarray):
     """
     s, tol = B.structure.s, DEFAULT_CODING_TOL
     if math.comb(B.structure.K, s) <= DEFAULT_ENUMERATION_CAP:
-        return _min_residual_codes(_factor(B, s), Y, tol)[:2]
+        return _min_residual_codes(B, Y, s, tol)[:2]
     return _omp_codes(B, Y, s, tol)[:2]
 
 

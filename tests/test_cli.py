@@ -286,6 +286,15 @@ class TestKappa:
             assert run_cli([*cmd, "--probes", DEFAULT_ENUMERATION_CAP + 1]) == 3
             assert "capacity error" in capsys.readouterr().err
 
+    def test_support_count_over_the_cap_exit_code(self, workdir, capsys):
+        # both code probes at |S| = 20 on the 40 blocks of eye(40): C(40, 20) is over the cap
+        write_matrix_text(workdir / "E40.txt", np.eye(40))
+        pair = [workdir / "E40.txt", workdir / "E40.txt", "--alpha", 1, "--probes", 2]
+        support = ",".join(map(str, range(1, 21)))
+        for cmd in (["kappa", *pair, "--support", support], ["verify", *pair, "--sparsity", 20]):
+            assert run_cli(cmd) == 3
+            assert "capacity error: C(40, 20) = 137846528820" in capsys.readouterr().err
+
     @staticmethod
     def overflowing_pair(workdir):
         # seed 1's first probe on block 1, whose entries are all the largest float, overflows
@@ -341,6 +350,16 @@ class TestLearnAndExperiment:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["objectives"]) >= 1
         assert read_matrix_text(workdir / "B.txt").shape == (20, 8)
+
+    def test_learn_reports_the_coding_residuals(self, workdir, capsys):
+        # the learner's last coding of the dictionary it returns, under experiment's key
+        cfg = self.make_config(workdir)
+        write_matrix_text(workdir / "Y.txt", np.random.default_rng(2).standard_normal((20, 50)))
+        assert run_cli(["learn", workdir / "Y.txt", "--config", cfg]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        Y, config = read_matrix_text(workdir / "Y.txt"), harness.ExperimentConfig.from_json_file(cfg)
+        expected = harness.learn_dictionary(Y, config)[1].residuals.tolist()
+        assert payload["coding_residuals"] == expected and len(expected) == 50
 
     def test_learn_csv_trace(self, workdir, capsys):
         cfg = self.make_config(workdir)

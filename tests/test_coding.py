@@ -19,9 +19,9 @@ from blockdict import (
 )
 
 from blockdict import coding
-from blockdict.coding import _factor, _min_residual_codes, _omp_codes
+from blockdict.coding import _min_residual_codes, _omp_codes
 from blockdict.core import _numerical_rank
-from blockdict.rip import _enumerate_supports
+from blockdict.rip import _enumerate_supports, _support_columns
 
 from conftest import (
     RANK_DEFICIENT_SVALS,
@@ -31,11 +31,6 @@ from conftest import (
     reference_block_omp,
     sequential_gen_codes,
 )
-
-
-def min_residual_codes(A, Y, s, tol):
-    """The kernel as `exhaustive_code` runs it: factor A at s, then code Y."""
-    return _min_residual_codes(_factor(A, s), Y, tol)
 
 
 class TestBlockOmp:
@@ -378,7 +373,7 @@ class TestBatchKernel:
         Y = Y + 1e-2 * rng.standard_normal(Y.shape)
         Y[:, 4] = 0.0
         monkeypatch.setattr(coding, "_CODE_CHUNK", chunk)
-        X, res, _ = min_residual_codes(A, Y, st.s, 1e-10)
+        X, res, _ = _min_residual_codes(A, Y, st.s, 1e-10)
         supports = list(combinations(range(1, 7), 2))
         for c in range(Y.shape[1]):
             one = exhaustive_code(A, Y[:, c], s=st.s, tol=1e-10)
@@ -435,14 +430,14 @@ class TestBatchKernel:
         monkeypatch.setattr(coding, "_CODE_CHUNK", chunk)
 
         def code(Z):
-            X, res, tied = min_residual_codes(A, Z, st.s, 1e-10)
+            X, res, tied = _min_residual_codes(A, Z, st.s, 1e-10)
             return [(X[:, c].tobytes(), res[c].tobytes(), tied[c]) for c in range(len(res))]
 
         batch = code(W)
         assert batch == [col for c in range(12) for col in code(W[:, [c]])]
         assert batch == code(W[:, ::-1])[::-1]
         assert batch == code(W[:, :5]) + code(W[:, 5:])
-        X, res, tied = min_residual_codes(A, W, st.s, 1e-10)
+        X, res, tied = _min_residual_codes(A, W, st.s, 1e-10)
         for c in range(12):
             one = exhaustive_code(A, Y[:, c], s=st.s, tol=1e-10)
             assert one.code.values.tobytes() == np.ldexp(X[:, c], e[c]).tobytes(), c
@@ -461,7 +456,7 @@ class TestBatchKernel:
         Y = np.random.default_rng(1).standard_normal((400, 4000))
         tracemalloc.start()
         try:
-            min_residual_codes(A, Y, st.s, 1e-10)
+            _min_residual_codes(A, Y, st.s, 1e-10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -470,57 +465,68 @@ class TestBatchKernel:
     def test_no_temporary_the_size_of_the_samples(self):
         # the column norms come from a stacked dot: squaring Y first would copy its 12.8 MB
         st = BlockStructure(K=4, alpha=2, s=1)
-        F = _factor(gen_dictionary(400, st, seed=1), st.s)
+        A = gen_dictionary(400, st, seed=1)
         Y = np.random.default_rng(1).standard_normal((400, 4000))
         tracemalloc.start()
         try:
-            _min_residual_codes(F, Y, 1e-10)
+            _min_residual_codes(A, Y, st.s, 1e-10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= Y.nbytes / 4
 
     def test_memory_stays_bounded(self):
-        # 15,504 supports: factored in blocks, not all at once
+        # 15,504 supports: their bases made per support block, not all at once
         st = BlockStructure(K=20, alpha=2, s=5)
         A = gen_dictionary(40, st, seed=1)
         Y = np.random.default_rng(1).standard_normal((40, 4))
         tracemalloc.start()
         try:
-            min_residual_codes(A, Y, st.s, 1e-10)
+            _min_residual_codes(A, Y, st.s, 1e-10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
 
-    def test_one_factor_codes_twice_within_the_bound(self):
-        # the factor keeps no stacked Q at this shape: each code step factors block by block
+    @staticmethod
+    def spy_qr(monkeypatch):
+        """Record (column table, bases) of every `_qr` call the coder makes."""
+        calls, qr = [], coding._qr
+
+        def spy(A, rows):
+            calls.append((rows, qr(A, rows)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(coding, "_qr", spy)
+        return calls
+
+    def test_one_qr_per_call_while_the_bases_fit(self, monkeypatch):
+        # 15 supports x 40 x 4 bases fit: made once, then read by the ranking and the re-check
+        st = BlockStructure(K=6, alpha=2, s=2)
+        A = gen_dictionary(40, st, seed=1).with_block(2, np.zeros((40, 2)))
+        Y = np.random.default_rng(1).standard_normal((40, 30))
+        Y[:, [4, 17]] = 0.0  # every support ties: the re-check runs
+        rechecks, calls = spy_rechecks(monkeypatch), self.spy_qr(monkeypatch)
+        _, _, tied = _min_residual_codes(A, Y, st.s, 1e-10)
+        assert np.flatnonzero(tied).tolist() == [4, 17] and len(rechecks) == 1
+        (rows, Q), = calls
+        supports = _enumerate_supports(6, 2, 10**6)
+        assert np.array_equal(rows, _support_columns(supports, 2)) and Q.shape == (15, 40, 4)
+        for k, sup in enumerate(supports):  # orthonormal up to the support's rank, zero past it
+            r = 2 * (2 - (2 in sup))
+            assert np.allclose(Q[k, :, :r].T @ Q[k, :, :r], np.eye(r)) and not Q[k, :, r:].any()
+
+    def test_qr_per_support_block_past_the_bound(self, monkeypatch):
+        # 15,504 supports x 40 x 10 bases exceed _CODE_CHUNK: each support block makes its own
         st = BlockStructure(K=20, alpha=2, s=5)
         A = gen_dictionary(40, st, seed=1)
         Y = np.random.default_rng(1).standard_normal((40, 4))
-        tracemalloc.start()
-        try:
-            F = _factor(A, st.s)
-            first = _min_residual_codes(F, Y, 1e-10)
-            second = _min_residual_codes(F, Y, 1e-10)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert F.Q is None
-        assert peak <= 16 * 2**20
-        assert all(np.array_equal(a, b) for a, b in zip(first, second))
-
-    @pytest.mark.parametrize("K, s, kept", [(6, 2, True), (20, 5, False)])
-    def test_factor_keeps_q_while_it_fits(self, K, s, kept):
-        A = gen_dictionary(40, BlockStructure(K=K, alpha=2, s=s), seed=1)
-        A = A.with_block(2, np.zeros((40, 2)))
-        F = _factor(A, s)
-        assert (F.Q is not None) == kept == (F.rows.size * 40 <= coding._CODE_CHUNK)
-        if kept:  # one basis per support, in lexicographic order; zero past a support's rank
-            assert F.Q.shape == (len(F.rows), 40, 2 * s)
-            for k, sup in enumerate(_enumerate_supports(K, s, 10**6)):
-                Q, r = F.Q[k], 2 * (s - (2 in sup))
-                assert np.allclose(Q[:, :r].T @ Q[:, :r], np.eye(r)) and not Q[:, r:].any()
+        calls = self.spy_qr(monkeypatch)
+        _min_residual_codes(A, Y, st.s, 1e-10)
+        block = max(1, coding._CODE_CHUNK // (40 * (10 + 4)))
+        sizes = [len(rows) for rows, _ in calls]
+        assert sizes == [min(block, 15504 - b) for b in range(0, 15504, block)]
+        assert max(sizes) < 15504
 
 
 def lstsq_reference_codes(A, Y, s, tol):
@@ -581,7 +587,7 @@ def assert_matches_references(A, Y, s, tol):
     """The coder against the lstsq coder: the same supports (its winners, rank-short or not) and
     tie flags; residuals and A x within 16 kappa eps ||y||, kappa the winner's condition
     number; and, byte for byte, `svd_solve_reference` on each column's winner."""
-    X, res, tied = min_residual_codes(A, Y, s, tol)
+    X, res, tied = _min_residual_codes(A, Y, s, tol)
     X_ref, res_ref = lstsq_reference_codes(A, Y, s, tol)
     window = reference_window(A, Y, s, tol)
     assert np.array_equal(tied, window.sum(axis=0) > 1)
@@ -624,7 +630,7 @@ class TestProjectionOracle:
         monkeypatch.setattr(coding, "_CODE_CHUNK", chunk)
         self.assert_same_bytes(A, np.column_stack([coder_inputs(A, 24, 7), y]), 2)
         if svals == (1.0, 1e-12):
-            X, res, _ = min_residual_codes(A, y[:, None], 2, 1e-10)
+            X, res, _ = _min_residual_codes(A, y[:, None], 2, 1e-10)
             assert X[:4, 0].all() and not X[4:, 0].any() and res[0] < 1e-12
 
     @pytest.mark.parametrize("chunk", [1, coding._CODE_CHUNK])
@@ -650,7 +656,7 @@ def test_reported_residual_is_the_winners_projection_residual(sigma):
     rng = np.random.default_rng(12)
     Y = A.data @ sequential_gen_codes(A.structure, 100, seed=12)
     Y = np.column_stack([Y + 1e-6 * rng.standard_normal(Y.shape), rng.standard_normal((12, 100))])
-    X, res, _ = min_residual_codes(A, Y, 2, 1e-10)
+    X, res, _ = _min_residual_codes(A, Y, 2, 1e-10)
     for c, y in enumerate(Y.T):
         blocks = np.flatnonzero(X[:, c].reshape(4, 2).any(axis=1)) + 1
         assert blocks.size == 2, c
@@ -666,10 +672,10 @@ def spy_rechecks(monkeypatch):
     calls = []
     support_residuals = coding._support_residuals
 
-    def spy(F, Y, ks, block, ysq=None):
+    def spy(A, rows, bases, Y, ks, block, ysq=None):
         if ysq is None:
             calls.append((ks.copy(), Y.copy()))
-        return support_residuals(F, Y, ks, block, ysq)
+        return support_residuals(A, rows, bases, Y, ks, block, ysq)
 
     monkeypatch.setattr(coding, "_support_residuals", spy)
     return calls
@@ -760,12 +766,14 @@ class TestEnergyRanking:
         A = gen_dictionary(12, BlockStructure(K=4, alpha=2, s=2), seed=3)
         A = A.with_block(3, A.block(1) @ np.array([[2.0, 1.0], [0.5, 3.0]]))
         Y = coder_inputs(A, 60, 11)
-        supports, F = _enumerate_supports(4, 2, 6), _factor(A, 2)
+        supports = _enumerate_supports(4, 2, 6)
+        rows = _support_columns(supports, 2)
+        bases = coding._qr(A, rows)
 
         def each_column(ysq=None):  # the kernel's residuals, one column at a time
             return np.column_stack([
                 coding._support_residuals(
-                    F, Y[:, [c]], np.arange(6), 6, None if ysq is None else ysq[[c]]
+                    A, rows, bases, Y[:, [c]], np.arange(6), 6, None if ysq is None else ysq[[c]]
                 )[:, 0]
                 for c in range(Y.shape[1])
             ])
@@ -774,7 +782,7 @@ class TestEnergyRanking:
         assert (E.argmin(axis=0) != R.argmin(axis=0)).any()  # energies misorder twins
         winners = (R <= R.min(axis=0)).argmax(axis=0)
         for c in np.flatnonzero(Y.any(axis=0)):
-            X, _, _ = min_residual_codes(A, Y[:, [c]], 2, 0.0)
+            X, _, _ = _min_residual_codes(A, Y[:, [c]], 2, 0.0)
             blocks = np.flatnonzero(X[:, 0].reshape(4, 2).any(axis=1)) + 1
             assert np.array_equal(blocks, supports[winners[c]])
 
@@ -796,7 +804,7 @@ class TestExactPathCount:
         Y += 1e-3 * np.random.default_rng(used).standard_normal(Y.shape)
         Y[:, [7, 150]] = 0.0
         calls = spy_rechecks(monkeypatch)
-        _, _, tied = min_residual_codes(A, Y, 2, 1e-10)
+        _, _, tied = _min_residual_codes(A, Y, 2, 1e-10)
         (ks, Yo), = calls
         assert np.array_equal(ks, np.arange(15)) and not Yo.any() and Yo.shape[1] == 2
         assert np.flatnonzero(tied).tolist() == [7, 150]
@@ -807,7 +815,7 @@ class TestExactPathCount:
         Y = A.data @ sequential_gen_codes(A.structure, 300, seed=used + 1)
         Y += 1e-3 * np.random.default_rng(used).standard_normal(Y.shape)
         calls = spy_rechecks(monkeypatch)
-        X, _, tied = min_residual_codes(A, Y, 2, 1e-10)
+        X, _, tied = _min_residual_codes(A, Y, 2, 1e-10)
         on_block_1 = np.flatnonzero(X[A.structure.block_slice(1)].any(axis=0))
         assert not X[A.structure.block_slice(4)].any()  # ties go to the first support
         (_, Yo), = calls

@@ -450,16 +450,30 @@ class TestConstructKappa:
             construct_kappa(A, B, (2, 4), n_probes=DEFAULT_ENUMERATION_CAP + 1)
         assert draws == []
 
+    def test_support_count_over_the_cap_refused(self):
+        # the kernel lists B's size-|S| supports: C(40, 20) are over the cap
+        A = BlockDict(BlockStructure(K=40, alpha=1, s=20), np.eye(40))
+        with pytest.raises(CapacityError, match=r"^C\(40, 20\) = 137846528820 supports exceeds"):
+            construct_kappa(A, A, range(1, 21), n_probes=2)
+        with pytest.raises(ValueError, match="n_probes must be >= 1"):  # checked first
+            construct_kappa(A, A, range(1, 21), n_probes=0)
+
     @pytest.mark.parametrize("tol", [-1.0, float("nan")])
     def test_bad_tol_rejected_before_probing(self, monkeypatch, tol):
         A, B, _, _, _ = make_equivalent_pair(16, 5, 2, 2, seed=510)
-        calls = spy_factor(monkeypatch)
+        calls = spy_codes(monkeypatch)
         with pytest.raises(ValueError, match="tol must be nonnegative"):
             construct_kappa(A, B, (2, 4), n_probes=2, tol=tol)
         assert calls == []
 
 
 class TestVerifyTheoremInstance:
+    def test_support_count_over_the_cap_refused(self):
+        # the family's probes are coded at s = 20: C(40, 20) supports are over the cap
+        A = BlockDict(BlockStructure(K=40, alpha=1, s=20), np.eye(40))
+        with pytest.raises(CapacityError, match=r"^C\(40, 20\) = 137846528820 supports exceeds"):
+            verify_theorem_instance(A, A, s=20, n_probes=2)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_equivalent_pair_passes_everything(self, seed):
         A, B, perm, _, _ = make_equivalent_pair(16, 5, 2, 2, seed=600 + 10 * seed)
@@ -522,15 +536,14 @@ class TestVerifyTheoremInstance:
     def test_bad_tol_rejected_before_probing(self, monkeypatch, tol):
         # tol=-1 used to report a holding hypothesis with a not-equivalent certificate
         A, B, _, _, _ = make_equivalent_pair(16, 5, 2, 2, seed=41)
-        calls = spy_factor(monkeypatch)
+        calls = spy_codes(monkeypatch)
         with pytest.raises(ValueError, match="tol must be nonnegative"):
             verify_theorem_instance(A, B, s=2, tol=tol)
         assert calls == []
 
 
-def per_probe_kappa(A, F, sup, n_probes, seed, tol):
-    """`construct_kappa` with each probe coded by the public `exhaustive_code`, unfactored."""
-    B = F.A
+def per_probe_kappa(A, B, sup, n_probes, seed, tol):
+    """`construct_kappa` with each probe coded by the public `exhaustive_code`, one at a time."""
     rng = np.random.default_rng([seed, *sup])
     found = []
     for p in range(n_probes):
@@ -563,8 +576,8 @@ def outcome(probe, *args):
 def per_probe_supports(probed):
     """`equivalence._probe_supports` as a loop of `per_probe_kappa`, one support at a time;
     appends each support it probes to probed."""
-    def probe_supports(A, F, sups, n_probes, seed, tol):
-        return [outcome(per_probe_kappa, A, F, probed.append(sup) or sup, n_probes, seed, tol)
+    def probe_supports(A, B, sups, n_probes, seed, tol):
+        return [outcome(per_probe_kappa, A, B, probed.append(sup) or sup, n_probes, seed, tol)
                 for sup in sups]
     return probe_supports
 
@@ -583,19 +596,20 @@ def spy_codes(monkeypatch):
     calls = []
     code = equivalence._min_residual_codes
     monkeypatch.setattr(equivalence, "_min_residual_codes",
-                        lambda F, Z, tol: calls.append(Z.shape[1]) or code(F, Z, tol))
+                        lambda B, Z, s, tol: calls.append(Z.shape[1]) or code(B, Z, s, tol))
     return calls
 
 
-def spy_factor(monkeypatch):
-    """Record the sparsity of every factor `equivalence` builds."""
+def spy_sparsities(monkeypatch):
+    """Record the sparsity of every `_min_residual_codes` call `equivalence` makes."""
     calls = []
-    factor = equivalence._factor
-    monkeypatch.setattr(equivalence, "_factor", lambda B, s: calls.append(s) or factor(B, s))
+    code = equivalence._min_residual_codes
+    monkeypatch.setattr(equivalence, "_min_residual_codes",
+                        lambda B, Z, s, tol: calls.append(s) or code(B, Z, s, tol))
     return calls
 
 
-def factored_fixture(name):
+def probe_fixture(name):
     """(A, B) at P=16, K=6, alpha=2, s=2: a planted pair, one with a corrupted block of B,
     or a planted pair whose B has a repeated or a zero block (rank-short supports)."""
     A, B, perm, diag, _ = make_equivalent_pair(16, 6, 2, 2, seed=800)
@@ -610,16 +624,16 @@ def factored_fixture(name):
 FIXTURES = ("planted", "corrupted", "repeated-block", "zero-block")
 
 
-class TestFactoredProbes:
-    """Probes coded against one factor of B give the per-probe coder's report."""
+class TestProbeReports:
+    """Probes coded in one kernel call per sparsity give the per-probe coder's report."""
 
     @pytest.mark.parametrize("name", FIXTURES)
     @pytest.mark.parametrize("s", [1, 2])
     def test_report_matches_per_probe_coding(self, monkeypatch, name, s):
-        A, B = factored_fixture(name)
-        factors = spy_factor(monkeypatch)
+        A, B = probe_fixture(name)
+        sparsities = spy_sparsities(monkeypatch)
         report = verify_theorem_instance(A, B, s=s, n_probes=4, seed=3).to_dict()
-        assert sorted(factors) == sorted({s, 1})  # once per sparsity
+        assert sparsities == [s, 1]  # the family, then the singletons
         probed = []
         monkeypatch.setattr(equivalence, "_probe_supports", per_probe_supports(probed))
         assert report == verify_theorem_instance(A, B, s=s, n_probes=4, seed=3).to_dict()
@@ -635,18 +649,18 @@ class TestFactoredProbes:
 
     @pytest.mark.parametrize("name", FIXTURES)
     @pytest.mark.parametrize("sup", [(2,), (1, 4), (2, 5), (3, 6)])
-    def test_construct_kappa_factors_once(self, monkeypatch, name, sup):
-        A, B = factored_fixture(name)
-        factors = spy_factor(monkeypatch)
+    def test_construct_kappa_codes_in_one_call(self, monkeypatch, name, sup):
+        A, B = probe_fixture(name)
+        sparsities = spy_sparsities(monkeypatch)
         try:
-            expected = per_probe_kappa(A, equivalence._factor(B, len(sup)), sup, 5, 7, 1e-8)
+            expected = per_probe_kappa(A, B, sup, 5, 7, 1e-8)
         except HypothesisViolationError as exc:
             with pytest.raises(HypothesisViolationError) as got:
                 construct_kappa(A, B, sup, n_probes=5, seed=7)
             assert str(got.value) == str(exc)
         else:
             assert construct_kappa(A, B, sup, n_probes=5, seed=7) == expected
-        assert factors == [len(sup), len(sup)]  # the reference's factor, then the call's
+        assert sparsities == [len(sup)]  # the reference codes through `exhaustive_code`
 
 
 def overflow_fixture(kind):
@@ -682,7 +696,7 @@ class TestProbeOrder:
                     rf"^probe 0 on support \({sup[0]},( 2)?\) has (no {len(sup)}-block|tied)")
         with np.errstate(over="ignore"):
             with pytest.raises((HypothesisViolationError, ValueError), match=expected) as ref:
-                per_probe_kappa(A, equivalence._factor(B, len(sup)), sup, 6, seed, 1e-8)
+                per_probe_kappa(A, B, sup, 6, seed, 1e-8)
             with pytest.raises(type(ref.value)) as got:
                 construct_kappa(A, B, sup, n_probes=6, seed=seed)
         assert str(got.value) == str(ref.value)
@@ -696,7 +710,7 @@ class TestBatchedProbes:
     @pytest.mark.parametrize("name", FIXTURES)
     @pytest.mark.parametrize("s", [1, 2])
     def test_verify_makes_one_call_per_sparsity(self, monkeypatch, name, s):
-        A, B = factored_fixture(name)
+        A, B = probe_fixture(name)
         calls = spy_codes(monkeypatch)
         report = verify_theorem_instance(A, B, s=s, n_probes=4, seed=3)
         K = A.structure.K
@@ -707,7 +721,7 @@ class TestBatchedProbes:
     @pytest.mark.parametrize("s", [1, 2])
     @pytest.mark.parametrize("n_probes", [4, 12])
     def test_calls_stay_within_the_column_budget(self, monkeypatch, name, s, n_probes):
-        A, B = factored_fixture(name)
+        A, B = probe_fixture(name)
         expected = verify_theorem_instance(A, B, s=s, n_probes=n_probes, seed=3).to_dict()
         budget = 10  # columns: _CODE_CHUNK // P at P = 16
         monkeypatch.setattr(equivalence, "_CODE_CHUNK", budget * A.ambient_dim)
@@ -721,14 +735,13 @@ class TestBatchedProbes:
     @pytest.mark.parametrize("name", ["corrupted", "repeated-block"])
     @pytest.mark.parametrize("s", [1, 2])
     def test_mixed_outcomes_match_one_support_coding(self, monkeypatch, name, s):
-        A, B = factored_fixture(name)
-        F = equivalence._factor(B, s)
+        A, B = probe_fixture(name)
         sups = list(combinations(range(1, 7), s))
         calls = spy_codes(monkeypatch)
-        got = equivalence._probe_supports(A, F, sups, 5, 7, 1e-8)
+        got = equivalence._probe_supports(A, B, sups, 5, 7, 1e-8)
         assert calls == [5 * len(sups)]
         for sup, res in zip(sups, got, strict=True):
-            assert_same_outcome(res, outcome(per_probe_kappa, A, F, sup, 5, 7, 1e-8))
+            assert_same_outcome(res, outcome(per_probe_kappa, A, B, sup, 5, 7, 1e-8))
         errors = [str(res) for res in got if isinstance(res, Exception)]
         assert errors and len(errors) < len(sups)  # failing and clean supports in one batch
         failure = "has no" if name == "corrupted" else "tied codes"
@@ -742,10 +755,9 @@ class TestBatchedProbes:
     @pytest.mark.parametrize("kind", ["no-code", "tied"])
     def test_violation_before_a_later_supports_overflow(self, kind, sups, seed):
         A, B = overflow_fixture(kind)
-        F = equivalence._factor(B, len(sups[0]))
         with np.errstate(over="ignore"):
-            got = equivalence._probe_supports(A, F, sups, 6, seed, 1e-8)
-            expected = [outcome(per_probe_kappa, A, F, sup, 6, seed, 1e-8) for sup in sups]
+            got = equivalence._probe_supports(A, B, sups, 6, seed, 1e-8)
+            expected = [outcome(per_probe_kappa, A, B, sup, 6, seed, 1e-8) for sup in sups]
         for res, ref in zip(got, expected, strict=True):
             assert_same_outcome(res, ref)
         assert isinstance(got[0], HypothesisViolationError)
@@ -764,13 +776,12 @@ class TestSingletonProbes:
     @pytest.mark.parametrize("name", FIXTURES)
     @pytest.mark.parametrize("seed", [0, 7])
     def test_every_singleton_matches_per_probe_coding(self, monkeypatch, name, seed):
-        A, B = factored_fixture(name)
-        F = equivalence._factor(B, 1)
+        A, B = probe_fixture(name)
         calls = spy_codes(monkeypatch)
         errors = []
         for i in range(1, 7):
             try:
-                expected = per_probe_kappa(A, F, (i,), 5, seed, 1e-8)
+                expected = per_probe_kappa(A, B, (i,), 5, seed, 1e-8)
             except HypothesisViolationError as exc:
                 with pytest.raises(HypothesisViolationError) as got:
                     construct_kappa(A, B, (i,), 5, seed, 1e-8)
@@ -789,10 +800,10 @@ class TestSingletonProbes:
         B = B.with_block(1, np.column_stack([np.ones(6), B.block(1)[:, 1]]))
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError) as ref:
-                per_probe_kappa(A, equivalence._factor(B, 1), (1,), n_probes, 0, 1e-8)
+                per_probe_kappa(A, B, (1,), n_probes, 0, 1e-8)
             with pytest.raises(type(ref.value)) as got:
                 construct_kappa(A, B, (1,), n_probes=n_probes, seed=0)
             assert construct_kappa(A, B, (1,), n_probes=4, seed=0) == per_probe_kappa(
-                A, equivalence._factor(B, 1), (1,), 4, 0, 1e-8)
+                A, B, (1,), 4, 0, 1e-8)
         assert str(got.value) == str(ref.value)
         assert str(got.value).startswith("measurement holds non-finite values")
