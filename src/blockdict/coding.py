@@ -1,10 +1,10 @@
 """Block-sparse coding: greedy block-OMP and an exhaustive oracle, each over a batched kernel.
 
-Both methods reject non-finite measurements, code y times the power of two that puts
-its largest entry in [0.5, 1) (exact; ||y||^2 then neither overflows nor underflows), report
-the residual as ||y - A x||_2 relative to ||y||_2 (`_relative`: absolute when y = 0) and break
-ties toward the lowest block indices. Each is the one-column case of a kernel the learner runs
-on all its samples, each taking (A, Y, s, tol): `_omp_codes` for block-OMP, and for the oracle
+Both methods reject non-finite measurements, code y at `_unit_scale` (||y||^2 then neither
+overflows nor underflows), report the residual as ||y - A x||_2 relative to ||y||_2
+(`_relative`: absolute when y = 0) and break ties toward the lowest block indices. Each is the
+one-column case of a kernel the learner runs on all its samples, each taking (A, Y, s, tol)
+with Y at the caller's scale: `_omp_codes` for block-OMP, and for the oracle
 `_min_residual_codes`, the minimum-residual rule, which re-checks only what an energy ranking
 cannot settle. A support's residual is its projection residual, its lstsq residual at any rank
 (Golub & Van Loan 5.3); the winner's comes from its solve's SVD (5.5).
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_RANK_TOL, BlockDict, BlockSparseVec, _check_s, _check_tols
-from .core import _numerical_rank
+from .core import _numerical_rank, _unit_scale
 from .errors import RankError
 from .rip import DEFAULT_ENUMERATION_CAP, _enumerate_supports, _support_columns
 from .subspace import _bases
@@ -56,25 +56,18 @@ def _relative(abs_residual, y_norm) -> np.ndarray:
                      where=np.asarray(y_norm) != 0)
 
 
-def _unit_scale(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(y * 2**-e, e) for the e that puts max |y| of each column in [0.5, 1) (e = 0 for a zero
-    column); exact. ValueError when y holds non-finite values."""
-    if not np.isfinite(y).all():
-        bad = np.flatnonzero(~np.isfinite(y)).tolist()
-        raise ValueError(f"measurement holds non-finite values at entries {bad}")
-    e = np.frexp(np.abs(y).max(axis=0, initial=0.0))[1]
-    return np.ldexp(y, -e), e
-
-
 def _check_measurement(A: BlockDict, y, s: int | None, tol: float) -> tuple[np.ndarray, int, int]:
-    """(y flat at `_unit_scale`, its exponent e, s defaulted to A.structure.s); tol >= 0."""
+    """(y flat at `_unit_scale`, its exponent e, s defaulted to A.structure.s); tol >= 0, and
+    ValueError when y holds non-finite values."""
     _check_tols(tol=tol)
     if (s := _check_s(A.structure, s)) > A.structure.s:
         raise ValueError(f"s={s} exceeds the dictionary's block sparsity s={A.structure.s}")
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape[0] != A.ambient_dim:
         raise ValueError(f"measurement has length {y.shape[0]}, expected {A.ambient_dim}")
-    return (*_unit_scale(y), s)
+    if bad := np.flatnonzero(~np.isfinite(y)).tolist():
+        raise ValueError(f"measurement holds non-finite values at entries {bad}")
+    return (*_unit_scale(y, 0), s)
 
 
 def block_omp(
@@ -102,23 +95,23 @@ def block_omp(
 def _omp_codes(A: BlockDict, Y: np.ndarray, s: int, tol: float) -> tuple[np.ndarray, ...]:
     """Block-OMP code of every column y of the P x N matrix Y, at most s blocks each.
 
-    `block_omp`'s rule, and the learner's above the enumeration cap, on y at `_unit_scale`: while
-    y's residual r exceeds tol ||y|| and y has fewer than s blocks, the block whose correlations
-    with r have the largest norm joins y's selection (the first such: equal columns tie exactly,
-    as each correlation is one dot product; none when all are 0), least squares on the selection
-    is solved from one stacked SVD at lstsq's cut eps max(P, d) under `_numerical_rank`, and r is
-    recomputed as y - A x; a rank-short selection stops with code 0 and residual ||y||. Every
-    product is per column (stacked matmuls on C-contiguous rows, norms as stacked dots), so a
-    column's bytes do not depend on its batch; column chunks of about _CODE_CHUNK selection
-    entries bound memory. Returns (codes, absolute residual norms, each block's step in each
-    column's selection (N x K, 0 = unselected), the rank of each column's last solve).
+    `block_omp`'s rule, and the learner's above the enumeration cap, on Y at the caller's scale
+    (2^k Y gets 2^k times the codes, exactly): while y's residual r exceeds tol ||y|| and y has
+    fewer than s blocks, the block whose correlations with r have the largest norm joins y's
+    selection (the first such: equal columns tie exactly, as each correlation is one dot product;
+    none when all are 0), least squares on the selection is solved from one stacked SVD at lstsq's
+    cut eps max(P, d) under `_numerical_rank`, and r is recomputed as y - A x; a rank-short
+    selection stops with code 0 and residual ||y||. Every product is per column (stacked matmuls
+    on C-contiguous rows, norms as stacked dots), so a column's bytes do not depend on its batch;
+    column chunks of about _CODE_CHUNK selection entries bound memory. Returns (codes, absolute
+    residual norms, each block's step in each column's selection (N x K, 0 = unselected), the rank
+    of each column's last solve).
     """
-    W, e = _unit_scale(Y)
     (P, N), (K, alpha) = Y.shape, (A.structure.K, A.structure.alpha)
-    Wt, AT = np.ascontiguousarray(W.T), np.ascontiguousarray(A.data.T)  # rows: each y, A's columns
-    R, X = Wt.copy(), np.zeros((N, A.structure.total_dim))  # residual and code rows
+    Yt, AT = np.ascontiguousarray(Y.T), np.ascontiguousarray(A.data.T)  # rows: each y, A's columns
+    R, X = Yt.copy(), np.zeros((N, A.structure.total_dim))  # residual and code rows
     steps, rank = np.zeros((N, K), dtype=int), np.zeros(N, dtype=int)
-    norm = np.sqrt((Wt[:, None] @ Wt[:, :, None])[:, 0, 0])
+    norm = np.sqrt((Yt[:, None] @ Yt[:, :, None])[:, 0, 0])
     res = norm.copy()
     step = max(1, _CODE_CHUNK // (P * s * alpha))
     for live in (np.arange(N)[b : b + step] for b in range(0, N, step)):
@@ -138,11 +131,11 @@ def _omp_codes(A: BlockDict, Y: np.ndarray, s: int, tol: float) -> tuple[np.ndar
             ok = rank[live] == t * alpha
             X[live[~ok]], res[live[~ok]] = 0.0, norm[live[~ok]]
             live, rows = live[ok], rows[ok]
-            z = (U[ok].swapaxes(1, 2) @ Wt[live, :, None]) / sv[ok, :, None]
+            z = (U[ok].swapaxes(1, 2) @ Yt[live, :, None]) / sv[ok, :, None]
             X[live[:, None], rows] = (Vt[ok].swapaxes(1, 2) @ z)[..., 0]
-            R[live] = Wt[live] - (A.data @ X[live, :, None])[..., 0]
+            R[live] = Yt[live] - (A.data @ X[live, :, None])[..., 0]
             res[live] = np.sqrt((R[live, None] @ R[live, :, None])[:, 0, 0])
-    return np.ldexp(X.T, e), np.ldexp(res, e), steps, rank
+    return X.T, res, steps, rank
 
 
 def _qr(A: BlockDict, rows: np.ndarray) -> np.ndarray:

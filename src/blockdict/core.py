@@ -7,7 +7,10 @@ after construction and all operations are pure functions.
 The library's one numerical-rank rule, `_numerical_rank`, lives here: the
 count of singular values above tol times the largest. So do the one
 tolerance check, `_check_tols`, that coding, matching and certificates run
-first, and the one sparsity check, `_check_s`.
+first, the one sparsity check, `_check_s`, and the one scale rule, `_unit_scale`, that each
+door (a coder's measurement, the learner's samples, a probe's support columns, a certificate's
+blocks, `check_lemma1`'s dictionary) applies once: an exact power of two (Higham, ch. 2), so no
+squared norm behind it overflows and its answer is the same down to the subnormal range.
 """
 
 from __future__ import annotations
@@ -65,6 +68,13 @@ def _numerical_rank(svals: np.ndarray, tol: float) -> np.ndarray:
     """
     top = svals[..., :1]
     return np.sum((svals > tol * top) & (top > 0), axis=-1)
+
+
+def _unit_scale(M: np.ndarray, axis) -> tuple[np.ndarray, np.ndarray]:
+    """(M * 2**-e, e): e, kept as M's dims, puts max |M| over axis (None: all) in [0.5, 1), or is
+    0 where M is 0. Exact unless an entry is below 2**-1022 times its max."""
+    e = np.frexp(np.abs(M).max(axis=axis, initial=0.0, keepdims=True))[1]
+    return np.ldexp(M, -e), e
 
 
 def _check_tols(**tols: float) -> None:

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import _CODE_CHUNK, DEFAULT_CODING_TOL, _min_residual_codes, _relative, _unit_scale
+from .coding import _CODE_CHUNK, DEFAULT_CODING_TOL, _min_residual_codes, _relative
 from .core import (BlockDict, BlockStructure, Support, _check_s, _check_tols, _numerical_rank,
-                   as_support)
+                   _unit_scale, as_support)
 from .errors import CapacityError, HypothesisViolationError, RankError
 from .rip import (DEFAULT_ENUMERATION_CAP, RipReport, _sample_supports, _support_columns,
                   rip_constant)
@@ -170,12 +170,14 @@ def match_blocks(A: BlockDict, B: BlockDict, tol: float = DEFAULT_RANK_TOL) -> M
 
 def _block_transforms(As: np.ndarray, Bs: np.ndarray, rank_tol: float) -> tuple[np.ndarray, ...]:
     """(M, relative residuals ||A - U U^T A||_F / ||A||_F, ranks of the B blocks) of stacked
-    (n, P, alpha) pairs from one `_bases` SVD U sv Vt of the B blocks: M = V sv^-1 U^T A."""
+    (n, P, alpha) pairs, each block at its own `_unit_scale` 2^-e, from one `_bases` SVD U sv Vt
+    of the B blocks: M = 2^(e_A - e_B) V sv^-1 U^T A, the same bytes at any common scale."""
+    (As, eA), (Bs, eB) = _unit_scale(As, (1, 2)), _unit_scale(Bs, (1, 2))
     U, ranks, sv, Vt = _bases(Bs, rank_tol)
     As = np.ascontiguousarray(As)  # C order: a block's norm sums as in a one-pair call
     Z = U.swapaxes(1, 2) @ As
     rel = _relative(np.linalg.norm(As - U @ Z, axis=(1, 2)), np.linalg.norm(As, axis=(1, 2)))
-    return Vt.swapaxes(1, 2) @ (Z / sv[:, :, None]), rel, ranks
+    return np.ldexp(Vt.swapaxes(1, 2) @ (Z / sv[:, :, None]), eA - eB), rel, ranks
 
 
 def solve_block_transform(
@@ -207,11 +209,12 @@ def recover_equivalence(
     """Recover a permutation and block transforms carrying B onto A.
 
     Matches block spans, then solves every matched pair's least-squares transform in one
-    `_block_transforms` call on A's blocks and B's blocks permuted by pi. The certificate is
-    `equivalent` only when the matching is a bijection, every transform is invertible, and
-    the worst relative block residual is at most tol. A rank-deficient matched pair (rank
-    below min(P, alpha) at span_tol) leaves its transform undetermined, so the certificate
-    is `ambiguous`. Match failures surface as certificate statuses, never exceptions.
+    `_block_transforms` call on A's blocks and B's blocks permuted by pi, each at its own power of
+    two, so 2^k A and 2^k B get A and B's certificate byte for byte down to the subnormal range.
+    The certificate is `equivalent` only when the matching is a bijection, every transform is
+    invertible, and the worst relative block residual is at most tol. A rank-deficient matched
+    pair (rank below min(P, alpha) at span_tol) leaves its transform undetermined, so the
+    certificate is `ambiguous`. Match failures surface as certificate statuses, never exceptions.
     """
     _check_tols(tol=tol, span_tol=span_tol)
     report = match_blocks(A, B, span_tol)
@@ -299,10 +302,10 @@ def construct_kappa(
     CapacityError
         When n_probes or C(K, |S|) exceeds DEFAULT_ENUMERATION_CAP.
     HypothesisViolationError
-        When some probe has no |S|-block-sparse code in B within tol (B cannot
-        reproduce A's measurements on S) or tied ones (kappa is not unique).
+        When some probe has no |S|-block-sparse code in B within tol (B cannot reproduce
+        A's measurements on S) or tied ones (kappa is not unique): the first such probe.
     ValueError
-        When S is empty, n_probes < 1, or a probe overflows. The first failing probe is reported.
+        When S is empty or n_probes < 1.
     """
     _check_tols(tol=tol)
     _check_same_shape(A, B)
@@ -315,12 +318,12 @@ def construct_kappa(
     return res
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflowing probe is refused, not warned of
 def _probe_supports(A: BlockDict, B: BlockDict, sups, n_probes: int, seed, tol: float) -> list:
     """`construct_kappa` on nonempty supports of one size: per support, its KappaResult or its
-    first failing probe's error (HypothesisViolationError, or an overflow's ValueError). Each
-    support draws from its own stream; the finite probes of as many supports as fit
-    max(n_probes, _CODE_CHUNK // P) columns share one kernel call, coded in B at that size."""
+    first failing probe's HypothesisViolationError. Each support draws from its own stream and
+    measures with its columns of A at their `_unit_scale`, so no probe overflows; the probes of
+    as many supports as fit max(n_probes, _CODE_CHUNK // P) columns share one kernel call, coded
+    in B at that size."""
     if n_probes < 1:
         raise ValueError(f"n_probes must be >= 1, got {n_probes}")
     if n_probes > DEFAULT_ENUMERATION_CAP:  # refused before its draw is allocated
@@ -328,30 +331,24 @@ def _probe_supports(A: BlockDict, B: BlockDict, sups, n_probes: int, seed, tol: 
                             f"{DEFAULT_ENUMERATION_CAP}")
     alpha, out, step = A.structure.alpha, [], max(1, _CODE_CHUNK // A.ambient_dim // n_probes)
     for batch in (sups[b : b + step] for b in range(0, len(sups), step)):
-        Ys = [A.data[:, c] @ np.random.default_rng([int(seed), *sup]).standard_normal(
-            (n_probes, c.size)).T
-            for sup, c in zip(batch, _support_columns(np.array(batch), alpha))]
-        n_ok = [int(np.argmin([*np.isfinite(Y).all(axis=0), False])) for Y in Ys]  # pre-overflow
-        Z = _unit_scale(np.hstack([Y[:, :n] for Y, n in zip(Ys, n_ok)]))[0]
+        Z = np.hstack([_unit_scale(A.data[:, c], None)[0] @ np.random.default_rng(
+            [int(seed), *sup]).standard_normal((n_probes, c.size)).T
+            for sup, c in zip(batch, _support_columns(np.array(batch), alpha))])
         X, res, tied = _min_residual_codes(B, Z, len(sups[0]), min(tol, DEFAULT_CODING_TOL))
-        res = _relative(res, np.linalg.norm(Z, axis=0))
+        res = _relative(res, np.linalg.norm(Z, axis=0)).reshape(len(batch), n_probes)
         found, ids = np.unique(np.abs(X).reshape(A.structure.K, alpha, -1).max(axis=1).T > 0,
                                axis=0, return_inverse=True)  # each distinct support, read once
-        found, ids = [tuple((np.flatnonzero(f) + 1).tolist()) for f in found], ids.ravel().tolist()
-        for sup, Y, n, end in zip(batch, Ys, n_ok, np.cumsum(n_ok).tolist()):
-            r, on = res[end - n : end], slice(end - n, end)
-            try:  # the first failing probe's error: a violation, else an overflow's ValueError
-                if (p := int(np.argmax([*(r > tol) | tied[on], True]))) < n:
-                    raise HypothesisViolationError(f"probe {p} on support {sup} has " + (
-                        f"no {len(sup)}-block-sparse code in B (relative residual {r[p]:.3e} > "
-                        f"{tol:.1e})" if r[p] > tol else "tied codes in B"))
-                if n < n_probes:  # probe n overflowed: name its non-finite entries
-                    _unit_scale(Y[:, n : n + 1])
-                counts = Counter(probes := tuple(found[i] for i in ids[on]))
-                winner = min(counts, key=lambda k: (-counts[k], k))  # majority, then least
-                out.append(KappaResult(sup, winner, len(counts) == 1, probes))
-            except (HypothesisViolationError, ValueError) as exc:
-                out.append(exc)
+        found = [tuple((np.flatnonzero(f) + 1).tolist()) for f in found]
+        for sup, r, tie, on in zip(batch, res, tied.reshape(res.shape), ids.reshape(res.shape)):
+            if (fail := (r > tol) | tie).any():  # the first failing probe
+                p = int(fail.argmax())
+                out.append(HypothesisViolationError(f"probe {p} on support {sup} has " + (
+                    f"no {len(sup)}-block-sparse code in B (relative residual {r[p]:.3e} > "
+                    f"{tol:.1e})" if r[p] > tol else "tied codes in B")))
+                continue
+            counts = Counter(probes := tuple(found[i] for i in on))
+            winner = min(counts, key=lambda k: (-counts[k], k))  # majority, then least
+            out.append(KappaResult(sup, winner, len(counts) == 1, probes))
     return out
 
 
@@ -404,8 +401,6 @@ def verify_theorem_instance(
     recovered permutation. The family's probes are coded in one `_probe_supports` call,
     the K singletons' in another. Findings are report fields; hypothesis violations are
     recorded, not raised.
-    No probe overflows: `rip_constant` refuses an A whose Gram A^T A is not finite
-    (ValueError), and a finite Gram bounds every |A_ij| by sqrt(max float).
     """
     _check_tols(tol=tol)
     _check_same_shape(A, B)

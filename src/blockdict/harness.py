@@ -25,7 +25,7 @@ from itertools import compress
 import numpy as np
 
 from .coding import _CODE_CHUNK, DEFAULT_CODING_TOL, _min_residual_codes, _omp_codes
-from .core import DEFAULT_RANK_TOL, BlockDict, BlockStructure
+from .core import DEFAULT_RANK_TOL, BlockDict, BlockStructure, _unit_scale
 from .equivalence import (
     DEFAULT_CERTIFICATE_TOL,
     BlockDiagonal,
@@ -433,8 +433,8 @@ def learn_dictionary(
             "recovery is under-determined",
             stacklevel=2,
         )
-    e = int(np.frexp(np.abs(Y).max(initial=0.0))[1])
-    Y, sigma = np.ldexp(Y, -e), math.ldexp(config.noise_level, -e)
+    Y, [[e]] = _unit_scale(Y, None)
+    sigma = math.ldexp(config.noise_level, -int(e))
     data = np.zeros((P, structure.total_dim))
     for i, basis in enumerate(_discover_block_spans(Y, structure, sigma), 1):
         data[:, structure.block_slice(i)] = basis

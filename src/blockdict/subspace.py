@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_RANK_TOL, BlockDict, _check_s, _check_tols, _numerical_rank, as_support
+from .core import _unit_scale
 from .errors import CapacityError
 from .rip import (DEFAULT_ENUMERATION_CAP, _enumerate_supports, _slack, _support_bounds,
                   _support_columns, _support_deltas)
@@ -153,8 +154,7 @@ def check_lemma1(A: BlockDict, s: int | None = None, tol: float = DEFAULT_RANK_T
     s = _check_s(A.structure, s)
     (P, n), K, alpha = A.data.shape, A.structure.K, A.structure.alpha
     supports = _pair_supports(K, s)
-    # an exact power-of-two scale to max |entry| in [0.5, 1): every span is kept
-    M = np.ldexp(A.data, -np.frexp(np.abs(A.data).max(initial=0.0))[1])
+    M = _unit_scale(A.data, None)[0]  # every span is kept
     if (s + 1) * alpha <= P:  # else every lmin is 0
         U, sv, _ = np.linalg.svd(M.reshape(P, K, alpha).swapaxes(0, 1), full_matrices=False)
         gram = (W := U.swapaxes(0, 1).reshape(P, n)).T @ W  # Q^T Q

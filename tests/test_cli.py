@@ -296,30 +296,38 @@ class TestKappa:
             assert "capacity error: C(40, 20) = 137846528820" in capsys.readouterr().err
 
     @staticmethod
-    def overflowing_pair(workdir):
-        # seed 1's first probe on block 1, whose entries are all the largest float, overflows
+    def max_float_pair(workdir, k=0):
+        # block 1 of A is all the largest float times 2^k; B is A's other blocks and a random one
         B = np.random.default_rng(0).standard_normal((6, 6))
         A = B.copy()
-        A[:, :2] = np.finfo(float).max
-        write_matrix_text(workdir / "A.txt", A)
+        A[:, :2] = np.ldexp(np.finfo(float).max, k)
+        write_matrix_text(workdir / f"A{k}.txt", A)
         write_matrix_text(workdir / "B.txt", B)
-        return [workdir / "A.txt", workdir / "B.txt",
+        return [workdir / f"A{k}.txt", workdir / "B.txt",
                 "--alpha", 2, "--support", "1", "--probes", 4, "--seed", 1]
 
-    def test_overflowing_probe_exit_code(self, workdir, capsys):
-        # filterwarnings = error: an overflow warning would make it exit 1
-        assert run_cli(["kappa", *self.overflowing_pair(workdir)]) == 2
-        assert "non-finite values" in capsys.readouterr().err
+    def test_max_float_block_probes_as_its_scaled_down_pair(self, workdir, capsys):
+        # probes are measured at their support's power-of-two scale, so block 1 times 2^-1024
+        # exits with the same code and text; filterwarnings = error: no overflow is warned of
+        outcomes = []
+        for k in (0, -1024):
+            rc = run_cli(["kappa", *self.max_float_pair(workdir, k)])
+            outcomes.append((rc, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 4 and "probe 0 on support (1,) has no" in outcomes[0][2]
 
-    def test_overflowing_probe_warns_of_nothing(self, workdir):
+    def test_max_float_block_warns_of_nothing(self, workdir):
         import blockdict
 
-        args = ["-W", "error", "-m", "blockdict", "kappa", *self.overflowing_pair(workdir)]
         env = {**os.environ, "PYTHONPATH": str(Path(blockdict.__file__).parents[1])}
-        proc = subprocess.run([sys.executable, *map(str, args)], capture_output=True,
-                              text=True, env=env)
-        assert proc.returncode == 2, proc.stderr
-        assert "non-finite values" in proc.stderr and "Warning" not in proc.stderr
+        outcomes = []
+        for k in (0, -1024):
+            args = ["-W", "error", "-m", "blockdict", "kappa", *self.max_float_pair(workdir, k)]
+            proc = subprocess.run([sys.executable, *map(str, args)], capture_output=True,
+                                  text=True, env=env)
+            outcomes.append((proc.returncode, proc.stdout, proc.stderr))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 4 and "Warning" not in outcomes[0][2]
 
 
 BASE_CONFIG = {
@@ -484,7 +492,7 @@ class TestVerify:
         assert payload["agreement"]["equal"] is None
 
     def test_overflowing_pair_is_refused_at_the_gram_check(self, workdir, capsys):
-        # kappa's overflowing pair: verify's restricted isometry constant comes first
+        # kappa's max-float pair: verify's restricted isometry constant comes first
         B = np.random.default_rng(0).standard_normal((6, 6))
         A = B.copy()
         A[:, :2] = np.finfo(float).max

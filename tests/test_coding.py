@@ -200,6 +200,7 @@ class TestOmpKernel:
         Y[:, 3] = 0.0
         Y[:, 7] = A.data[:, [0, 1, 8]] @ rng.standard_normal(3)  # an exact fit
         Y[:, 9] = A.block(2) @ [1.0, 0.5] + 2 * v  # selects blocks 6 and 2: rank 3 < 4
+        Y = coding._unit_scale(Y, 0)[0]  # the coder's input, as `block_omp` scales it
         monkeypatch.setattr(coding, "_CODE_CHUNK", chunk)
 
         def by_column(out):
@@ -426,7 +427,7 @@ class TestBatchKernel:
         Y[:, 7] = A.data[:, [2, 3, 6, 7]] @ rng.standard_normal(4)  # an exact fit on (2, 4)
         Y[:, 8] = A.data[:, [0, 1, 4, 5]] @ rng.standard_normal(4)  # ties (1, 3) with (3, 6)
         Y[:, 9] = A.block(2) @ [1.0, 0.5] + 2 * v  # fits (2, 5) alone: rank 3 < 4
-        W, e = coding._unit_scale(Y)  # the coder's input, as `exhaustive_code` scales it
+        W, e = coding._unit_scale(Y, 0)  # the coder's input, as `exhaustive_code` scales it
         monkeypatch.setattr(coding, "_CODE_CHUNK", chunk)
 
         def code(Z):
@@ -440,7 +441,7 @@ class TestBatchKernel:
         X, res, tied = _min_residual_codes(A, W, st.s, 1e-10)
         for c in range(12):
             one = exhaustive_code(A, Y[:, c], s=st.s, tol=1e-10)
-            assert one.code.values.tobytes() == np.ldexp(X[:, c], e[c]).tobytes(), c
+            assert one.code.values.tobytes() == np.ldexp(X[:, c], e[0, c]).tobytes(), c
             assert one.residual_norm == coding._relative(res[c], np.linalg.norm(W[:, c])), c
             assert one.tied == tied[c], c
         assert tied[[3, 8]].all() and not tied[[7, 9]].any()  # blocks 1 and 6 tie elsewhere too

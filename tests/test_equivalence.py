@@ -318,14 +318,16 @@ class TestRecoverEquivalence:
             recover_equivalence(A, A, **{name: value})
 
     @pytest.mark.parametrize("K, alpha, P", [(6, 2, 16), (5, 3, 12), (8, 1, 10)])
-    def test_stacked_transforms_equal_one_pair_solves(self, K, alpha, P):
+    @pytest.mark.parametrize("k", [0, -600, 460, 600])
+    def test_stacked_transforms_equal_one_pair_solves(self, K, alpha, P, k):
         # the K transforms come from one stacked solve: each equals solve_block_transform on its
-        # pair byte for byte, and the residual is the largest of theirs
+        # pair byte for byte, and the residual is the largest of theirs, at any common scale 2^k
         st = BlockStructure(K=K, alpha=alpha, s=1)
         for seed in range(40):
             A = gen_dictionary(P, st, seed=seed)
             B = make_equivalent_dict(A, gen_block_permutation(K, seed + 1000),
                                      gen_block_diagonal(st, seed + 2000))
+            A, B = (BlockDict(st, np.ldexp(D.data, k)) for D in (A, B))
             cert = recover_equivalence(A, B)
             assert cert.status == "equivalent", seed
             solves = [solve_block_transform(A.block(i), B.block(cert.permutation(i)))
@@ -333,6 +335,16 @@ class TestRecoverEquivalence:
             for got, (M, _) in zip(cert.diagonal.blocks, solves):
                 assert np.array_equal(got, M), seed
             assert cert.residual == max(rel for _, rel in solves), seed
+
+    @pytest.mark.parametrize("k", [-1000, -600, 460, 600, 1000])
+    def test_power_of_two_scaled_pair(self, k):
+        # each block is solved at its own power-of-two scale, so 2^k A and 2^k B have A and B's
+        # certificate byte for byte: no NaN residual past 2^511, no drift past 2^459
+        for seed in range(3):
+            A, B, _, _, _ = make_equivalent_pair(16, 6, 2, 2, seed=300 + 10 * seed)
+            cert = recover_equivalence(A, B)
+            A2, B2 = (BlockDict(D.structure, np.ldexp(D.data, k)) for D in (A, B))
+            assert recover_equivalence(A2, B2).to_dict() == cert.to_dict(), seed
 
 
 class TestApplyTransform:
@@ -396,7 +408,7 @@ class TestConstructKappa:
         with pytest.raises(HypothesisViolationError):
             construct_kappa(A, B, (1, 2), n_probes=4, seed=0)
 
-    @pytest.mark.parametrize("k", [-900, -520, 510, 900])
+    @pytest.mark.parametrize("k", [-1000, -900, -520, 510, 900, 1000])
     def test_power_of_two_scaled_pair(self, k):
         A, B, _, _, _ = make_equivalent_pair(16, 5, 2, 2, seed=510)
         A2, B2 = (BlockDict(D.structure, np.ldexp(D.data, k)) for D in (A, B))
@@ -412,13 +424,26 @@ class TestConstructKappa:
         report = verify_theorem_instance(A, A, s=3)
         assert report.hypothesis_holds and report.certificate.status == "equivalent"
 
-    def test_overflowing_probe_is_a_value_error(self):
-        # seed 1 draws t = (0.53, 1.24) on block 1, whose entries are all the largest float
-        B = gen_dictionary(6, BlockStructure(K=3, alpha=2, s=1), seed=0)
-        A = B.with_block(1, np.full((6, 2), np.finfo(float).max))
-        with np.errstate(over="ignore"), pytest.raises(
-                ValueError, match=r"^measurement holds non-finite values at entries \[0, 1,"):
-            construct_kappa(A, B, (1,), n_probes=4, seed=1)
+    # at A's own scale a coefficient above 2 takes block 1 past the largest float: (1,) and
+    # (1, 2) draw one first at seeds 23 and 43, and later at seeds 0 and 14
+    @pytest.mark.parametrize("seed", [0, 1, 14, 23, 43])
+    @pytest.mark.parametrize("kind", ["no-code", "tied", "codes-ones"])
+    def test_max_float_block_probes_as_its_scaled_down_pair(self, kind, seed):
+        # each support's probes are measured at its own power-of-two scale: with A's block 2
+        # zero, every support but (1, 3) probes as it does with block 1 times 2^-1024
+        A, B = big_block_fixture(kind)
+        small = A.with_block(1, np.ldexp(A.block(1), -1024))
+        for sups in ([(1,), (2,), (3,)], [(1, 2), (2, 3)]):
+            got = equivalence._probe_supports(A, B, sups, 6, seed, 1e-8)
+            for sup, res in zip(sups, got, strict=True):
+                assert_same_outcome(res, outcome(per_probe_kappa, small, B, sup, 6, seed, 1e-8))
+                assert_same_outcome(res, outcome(construct_kappa, A, B, sup, 6, seed, 1e-8))
+        first = outcome(construct_kappa, A, B, (1,), 6, seed, 1e-8)
+        if kind == "codes-ones":  # B codes ones on block 1 alone
+            assert first == KappaResult((1,), (1,), True, ((1,),) * 6)
+        else:
+            assert str(first).startswith("probe 0 on support (1,) has " + (
+                "tied" if kind == "tied" else "no 1-block"))
 
     @pytest.mark.parametrize("S, n_probes, message", [
         ((), 4, "support must be nonempty"),
@@ -663,15 +688,14 @@ class TestProbeReports:
         assert sparsities == [len(sup)]  # the reference codes through `exhaustive_code`
 
 
-def overflow_fixture(kind):
-    """(A, B) at P=6, K=3, alpha=2: A's block 1 is [max/2 * ones, 0] and its block 2 is zero,
-    so a probe on (1,) or (1, 2) overflows when its first coefficient exceeds 2 in size, and
-    is otherwise along ones; B has no code of ones on one or two blocks ("no-code"), or
-    several, with ones in blocks 2 and 3 ("tied")."""
+def big_block_fixture(kind):
+    """(A, B) at P=6, K=3, alpha=2: A's block 1 is [max/2 * ones, 0], at the top of the float
+    range, and its block 2 is zero, so a probe on (1,) or (1, 2) lies along ones; B has no code
+    of ones on one or two blocks ("no-code"), several, with ones in blocks 2 and 3 ("tied"), or
+    one, with ones in block 1 ("codes-ones")."""
     B = gen_dictionary(6, BlockStructure(K=3, alpha=2, s=2), seed=0)
-    if kind == "tied":
-        for i in (2, 3):
-            B = B.with_block(i, np.column_stack([np.ones(6), B.block(i)[:, 1]]))
+    for i in {"no-code": (), "tied": (2, 3), "codes-ones": (1,)}[kind]:
+        B = B.with_block(i, np.column_stack([np.ones(6), B.block(i)[:, 1]]))
     big = np.column_stack([np.full(6, np.finfo(float).max / 2), np.zeros(6)])
     return B.with_block(1, big).with_block(2, np.zeros((6, 2))), B
 
@@ -679,28 +703,18 @@ def overflow_fixture(kind):
 class TestProbeOrder:
     """Probes coded together report the first failing probe, as coded one at a time."""
 
-    # first coefficients: (1,) at seed 0 draws 0.10, -0.82, -0.57, 0.39, -2.68, so probe 0
-    # fails before probe 4 overflows, and at seed 23 draws 2.12 first; (1, 2) at seed 14
-    # draws -0.63, -2.36, so probe 1 overflows after probe 0, and at seed 43 draws 2.11 first
-    @pytest.mark.parametrize("sup, seed, overflow_first", [
-        ((1,), 0, False), ((1,), 23, True), ((1, 2), 14, False), ((1, 2), 43, True),
-    ])
+    # probe 0 fails on (1,) at seed 0 and on (1, 2) at seed 14, before larger draws
+    @pytest.mark.parametrize("sup, seed", [((1,), 0), ((1, 2), 14)])
     @pytest.mark.parametrize("kind", ["no-code", "tied"])
-    def test_first_failure_wins_over_a_later_overflow(self, kind, sup, seed, overflow_first):
-        A, B = overflow_fixture(kind)
-        draws = np.random.default_rng([seed, *sup]).standard_normal((6, 2 * len(sup)))[:, 0]
-        overflows = np.abs(draws) > 2
-        assert overflows.any() and overflows[0] == overflow_first
-        expected = (r"^measurement holds non-finite values at entries \[0, 1, 2, 3, 4, 5\]$"
-                    if overflow_first else
-                    rf"^probe 0 on support \({sup[0]},( 2)?\) has (no {len(sup)}-block|tied)")
-        with np.errstate(over="ignore"):
-            with pytest.raises((HypothesisViolationError, ValueError), match=expected) as ref:
-                per_probe_kappa(A, B, sup, 6, seed, 1e-8)
-            with pytest.raises(type(ref.value)) as got:
-                construct_kappa(A, B, sup, n_probes=6, seed=seed)
+    def test_first_failure_is_reported(self, kind, sup, seed):
+        A, B = big_block_fixture(kind)
+        expected = rf"^probe 0 on support \({sup[0]},( 2)?\) has (no {len(sup)}-block|tied)"
+        with pytest.raises(HypothesisViolationError, match=expected) as ref:
+            per_probe_kappa(A, B, sup, 6, seed, 1e-8)
+        with pytest.raises(HypothesisViolationError) as got:
+            construct_kappa(A, B, sup, n_probes=6, seed=seed)
         assert str(got.value) == str(ref.value)
-        assert ("tied" in str(got.value)) == (kind == "tied" and not overflow_first)
+        assert ("tied" in str(got.value)) == (kind == "tied")
 
 
 class TestBatchedProbes:
@@ -747,27 +761,15 @@ class TestBatchedProbes:
         failure = "has no" if name == "corrupted" else "tied codes"
         assert all(failure in e for e in errors)
 
-    # seed 23 draws an overflow first on (1,), seed 43 on (1, 2) (TestProbeOrder); (2,) and
-    # (2, 3) measure A's zero block 2 and fail first
-    @pytest.mark.parametrize("sups, seed", [
-        ([(2,), (1,), (3,)], 23), ([(2, 3), (1, 2), (1, 3)], 43), ([(2,), (1,), (3,)], 0),
-    ])
+    # (2,) measures A's zero block 2 and fails first
     @pytest.mark.parametrize("kind", ["no-code", "tied"])
-    def test_violation_before_a_later_supports_overflow(self, kind, sups, seed):
-        A, B = overflow_fixture(kind)
-        with np.errstate(over="ignore"):
-            got = equivalence._probe_supports(A, B, sups, 6, seed, 1e-8)
-            expected = [outcome(per_probe_kappa, A, B, sup, 6, seed, 1e-8) for sup in sups]
-        for res, ref in zip(got, expected, strict=True):
-            assert_same_outcome(res, ref)
+    def test_violation_before_a_later_support(self, kind):
+        A, B = big_block_fixture(kind)
+        sups = [(2,), (1,), (3,)]
+        got = equivalence._probe_supports(A, B, sups, 6, 0, 1e-8)
+        for res, sup in zip(got, sups, strict=True):
+            assert_same_outcome(res, outcome(per_probe_kappa, A, B, sup, 6, 0, 1e-8))
         assert isinstance(got[0], HypothesisViolationError)
-        overflow = isinstance(got[1], ValueError)
-        assert overflow == (seed != 0)  # at seed 0, (1,) fails before its probe 4 overflows
-        if overflow:
-            assert str(got[1]).startswith("measurement holds non-finite values at entries [0, 1,")
-            with pytest.raises(ValueError) as one:
-                construct_kappa(A, B, sups[1], 6, seed, 1e-8)
-            assert str(one.value) == str(got[1])
 
 
 class TestSingletonProbes:
@@ -792,18 +794,3 @@ class TestSingletonProbes:
         assert calls == [5] * 6  # one call per singleton, all five probes in it
         if name == "repeated-block":  # A's blocks over B's blocks 1 and 4 tie
             assert len(errors) == 2 and all("tied codes" in e for e in errors)
-
-    @pytest.mark.parametrize("n_probes", [5, 6])
-    def test_overflow_after_finite_probes(self, n_probes):
-        # B codes ones on block 1 alone: at seed 0 probes 0-3 decode to (1,), probe 4 overflows
-        A, B = overflow_fixture("no-code")
-        B = B.with_block(1, np.column_stack([np.ones(6), B.block(1)[:, 1]]))
-        with np.errstate(over="ignore"):
-            with pytest.raises(ValueError) as ref:
-                per_probe_kappa(A, B, (1,), n_probes, 0, 1e-8)
-            with pytest.raises(type(ref.value)) as got:
-                construct_kappa(A, B, (1,), n_probes=n_probes, seed=0)
-            assert construct_kappa(A, B, (1,), n_probes=4, seed=0) == per_probe_kappa(
-                A, B, (1,), 4, 0, 1e-8)
-        assert str(got.value) == str(ref.value)
-        assert str(got.value).startswith("measurement holds non-finite values")
