@@ -29,6 +29,7 @@ from .equivalence import (
     STATUS_AMBIGUOUS,
     STATUS_EQUIVALENT,
     STATUS_NOT_EQUIVALENT,
+    STATUS_OUT_OF_RANGE,
     BlockDiagonal,
     BlockPermutation,
     EquivalenceCertificate,

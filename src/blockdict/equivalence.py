@@ -34,6 +34,7 @@ MAX_HYPOTHESIS_SUPPORTS = 128
 STATUS_EQUIVALENT = "equivalent"
 STATUS_NOT_EQUIVALENT = "not-equivalent"
 STATUS_AMBIGUOUS = "ambiguous"
+STATUS_OUT_OF_RANGE = "out-of-range"
 
 
 @dataclass(frozen=True)
@@ -171,13 +172,15 @@ def match_blocks(A: BlockDict, B: BlockDict, tol: float = DEFAULT_RANK_TOL) -> M
 def _block_transforms(As: np.ndarray, Bs: np.ndarray, rank_tol: float) -> tuple[np.ndarray, ...]:
     """(M, relative residuals ||A - U U^T A||_F / ||A||_F, ranks of the B blocks) of stacked
     (n, P, alpha) pairs, each block at its own `_unit_scale` 2^-e, from one `_bases` SVD U sv Vt
-    of the B blocks: M = 2^(e_A - e_B) V sv^-1 U^T A, the same bytes at any common scale."""
+    of the B blocks: M = 2^(e_A - e_B) V sv^-1 U^T A, the same bytes at any common scale, inf
+    where it overflows."""
     (As, eA), (Bs, eB) = _unit_scale(As, (1, 2)), _unit_scale(Bs, (1, 2))
     U, ranks, sv, Vt = _bases(Bs, rank_tol)
     As = np.ascontiguousarray(As)  # C order: a block's norm sums as in a one-pair call
     Z = U.swapaxes(1, 2) @ As
     rel = _relative(np.linalg.norm(As - U @ Z, axis=(1, 2)), np.linalg.norm(As, axis=(1, 2)))
-    return np.ldexp(Vt.swapaxes(1, 2) @ (Z / sv[:, :, None]), eA - eB), rel, ranks
+    with np.errstate(over="ignore"):
+        return np.ldexp(Vt.swapaxes(1, 2) @ (Z / sv[:, :, None]), eA - eB), rel, ranks
 
 
 def solve_block_transform(
@@ -186,7 +189,7 @@ def solve_block_transform(
     """Least-squares alpha x alpha transform M minimizing ||A_block - B_block M||_F.
 
     The one-pair view of `_block_transforms`: returns (M, relative Frobenius residual), and
-    raises RankError when B_block is column-rank-deficient.
+    raises RankError when B_block is column-rank-deficient, ValueError when M overflows.
     """
     _check_tols(rank_tol=rank_tol)
     A_block = np.asarray(A_block, dtype=float)
@@ -197,6 +200,8 @@ def solve_block_transform(
     M, rel, ranks = _block_transforms(A_block[None], B_block[None], rank_tol)
     if ranks[0] < min(B_block.shape):
         raise RankError("target block is rank-deficient")
+    if not np.isfinite(M).all():
+        raise ValueError("the block transform overflows the float range")
     return M[0], float(rel[0])
 
 
@@ -214,7 +219,8 @@ def recover_equivalence(
     The certificate is `equivalent` only when the matching is a bijection, every transform is
     invertible, and the worst relative block residual is at most tol. A rank-deficient matched
     pair (rank below min(P, alpha) at span_tol) leaves its transform undetermined, so the
-    certificate is `ambiguous`. Match failures surface as certificate statuses, never exceptions.
+    certificate is `ambiguous`; a transform past the float range makes it `out-of-range`, with
+    pi and no transforms. Match failures surface as certificate statuses, never exceptions.
     """
     _check_tols(tol=tol, span_tol=span_tol)
     report = match_blocks(A, B, span_tol)
@@ -226,6 +232,8 @@ def recover_equivalence(
     M, rel, ranks = _block_transforms(As, Bs, span_tol)
     if (ranks < min(Bs.shape[1:])).any():
         return EquivalenceCertificate(STATUS_AMBIGUOUS, None, None, None)
+    if not np.isfinite(M).all():
+        return EquivalenceCertificate(STATUS_OUT_OF_RANGE, perm, None, None)
     residual = float(rel.max())
     diag = BlockDiagonal(A.structure, tuple(M))
     ok = diag.is_invertible() and residual <= tol

@@ -1,9 +1,7 @@
 """Synthetic instances, a baseline block dictionary learner, and experiments.
 
-The learner starts from block spans found by growing clusters of samples
-that share a support span, with tolerances scaled by the config's
-noise_level, and intersecting them; blocks the clustering cannot supply
-start at zero. It then alternates coding all samples in one batched kernel
+The learner starts from the block spans `discovery` finds; blocks it cannot
+supply start at zero. It then alternates coding all samples in one batched kernel
 call, by `exhaustive_code`'s minimum-residual rule (`block_omp`'s once
 C(K, s) exceeds the enumeration cap), with per-block least-squares
 dictionary updates (each updated block re-orthonormalized) until the
@@ -24,8 +22,9 @@ from itertools import compress
 
 import numpy as np
 
-from .coding import _CODE_CHUNK, DEFAULT_CODING_TOL, _min_residual_codes, _omp_codes
-from .core import DEFAULT_RANK_TOL, BlockDict, BlockStructure, _unit_scale
+from .coding import DEFAULT_CODING_TOL, _min_residual_codes, _omp_codes
+from .core import BlockDict, BlockStructure, _unit_scale
+from .discovery import _discover_block_spans
 from .equivalence import (
     DEFAULT_CERTIFICATE_TOL,
     BlockDiagonal,
@@ -34,7 +33,6 @@ from .equivalence import (
 )
 from .rip import DEFAULT_ENUMERATION_CAP, RipReport
 from .rip import _rayleigh_floors, _support_columns, rip_constant
-from .subspace import _bases, _spans_equal_stacked
 # not called here: bench/tracing.py rebinds these names in this module
 from .coding import block_omp  # noqa: F401
 from .rip import rip_constant_exact, rip_lower_bound_sampled  # noqa: F401
@@ -42,8 +40,6 @@ from .rip import rip_constant_exact, rip_lower_bound_sampled  # noqa: F401
 MODE_GAUSSIAN = "gaussian"
 MODE_BLOCK_ORTH = "per-block-orthonormal"
 MAX_GENERATION_RETRIES = 1000
-DISCOVERY_MEMBER_TOL = 1e-7  # relative residual of a verified cluster member
-DISCOVERY_RESTARTS = 3  # first partners a seed tries when s*alpha > 2
 
 # sub-stream tags so every pipeline stage gets an independent generator
 _STREAM_DICT = 0
@@ -258,113 +254,6 @@ def _code_all(B: BlockDict, Y: np.ndarray):
     return _omp_codes(B, Y, s, tol)[:2]
 
 
-def _discover_block_spans(Y: np.ndarray, structure: BlockStructure, noise_level: float = 0.0):
-    """Candidate block spans from sample clustering, with noise-scaled tolerances.
-
-    Samples sharing a support lie in one s*alpha-dimensional span up to noise. A
-    seed's hypothesis grows from its unit sample by nearest-subspace-neighbour steps
-    (Park, Caramanis & Sanghavi, NIPS 2014): restart t's first partner is the t-th
-    best by |cos|, each next vector the candidate with the most energy in the span,
-    and the last the one leaving the most samples within the loose cut. Each pick's
-    unit direction is deflated out of the samples' residuals, and candidates within
-    the screen cut of the span are skipped.
-
-    Noise outside a member's span has RMS norm nu = noise_level * sqrt(P - s*alpha),
-    so members lie within the relative residual DISCOVERY_MEMBER_TOL + 3 nu / ||y||
-    (tight cut; the loose cut doubles the noise term). Noiseless, clusters need
-    s*alpha + 2 members. Under noise it is LO-RANSAC (Chum, Matas & Kittler, 2003):
-    loose members are refit to their top s*alpha singular vectors at the tight cut
-    until the members repeat, at most three times; a cluster needs 2 s*alpha + 2
-    members and none between the cuts, and a seed's first hypothesis decides it.
-    An accepted cluster's basis is one `_bases` SVD of its refit span (noiseless: of its
-    members), and one SVD per pair intersects it with each earlier cluster (Lemma 2:
-    support spans meet in their shared blocks' span), within 1 - cos of the tight cut's
-    median angle. Each alpha-dimensional intersection that no kept block spans is a block
-    span, as an orthonormal P x alpha array, in acceptance order; seeding stops at K.
-    """
-    P = Y.shape[0]
-    dim = structure.s * structure.alpha
-    norms = np.linalg.norm(Y, axis=0)
-    keep = norms > 0
-    if structure.s >= structure.K or keep.sum() < dim + 2:
-        return []
-    Yk, norms_k = Y[:, keep], norms[keep]
-    Yn = Yk / norms_k
-    step = max(1, _CODE_CHUNK // Yk.shape[1])  # candidates per last-pick product
-
-    noisy = noise_level > 0
-    slack = 3 * noise_level * math.sqrt(P - dim) / norms_k
-    tight = DISCOVERY_MEMBER_TOL + slack
-    loose = DISCOVERY_MEMBER_TOL + 2 * slack
-    screen_cut = (10 * DISCOVERY_MEMBER_TOL + 2 * slack) ** 2
-    refits = 3 if noisy else 0
-    min_members = (2 if noisy else 1) * dim + 2
-    inter_tol = 1e-7 + float(np.median(slack)) ** 2 / 2
-    dedupe_tol = max(1e-6, inter_tol)
-    unit = np.einsum("ij,ij->j", Yn, Yn)
-
-    def cluster_of(seed_idx, cand):
-        """(noisy span or None, members) of the seed's first accepted hypothesis, or None."""
-        partners = cand[np.argsort(-np.abs(Yn[:, cand].T @ Yn[:, seed_idx]))]
-        for first in partners[partners != seed_idx][: DISCOVERY_RESTARTS if dim > 2 else 1]:
-            R, left, pick, Q = Yn.copy(), unit, seed_idx, None
-            for grown in range(1, dim + 1):  # deflate R by each pick's unit direction
-                u = R[:, pick] / np.sqrt(left[pick])
-                R -= np.outer(u, u @ R)
-                left = np.einsum("ij,ij->j", R, R)  # each unit sample's squared distance to it
-                pool = cand[left[cand] > screen_cut[cand]]  # candidates that add a dimension
-                if grown == dim or pool.size == 0:
-                    break
-                if grown < dim - 1:
-                    pick = first if grown == 1 and first in pool else pool[np.argmin(left[pool])]
-                else:  # adding c leaves y's squared residual left - (u^T R y)^2, u = R c / |R c|
-                    U = R[:, pool] / np.sqrt(left[pool])
-                    kept = [((U[:, k : k + step].T @ R) ** 2 > left - loose**2).sum(axis=1)
-                            for k in range(0, pool.size, step)]
-                    pick = pool[np.argmax(np.concatenate(kept))]
-            if grown < dim:  # no hypothesis: the candidates ran out
-                continue
-            r = np.sqrt(left)
-            members = r < loose
-            for _ in range(refits):
-                Q = np.linalg.svd(Yk[:, members], full_matrices=False)[0][:, :dim]
-                r = np.linalg.norm(Yk - Q @ (Q.T @ Yk), axis=0) / norms_k
-                fitted, members = members, r < tight
-                if np.array_equal(members, fitted):  # a fixed point: later refits repeat this one
-                    break
-            if members.sum() >= min_members and np.array_equal(members, r < loose):
-                return Q, members
-            if noisy:
-                return None
-        return None
-
-    unassigned = np.ones(Yk.shape[1], dtype=bool)
-    clusters, blocks = [], []
-    max_clusters = min(3 * math.comb(structure.K, structure.s), 60)
-    while (unassigned.sum() >= dim + 2 and len(clusters) < max_clusters
-           and len(blocks) < structure.K):
-        cand = np.nonzero(unassigned)[0]
-        seed_idx = cand[int(np.argmax(norms_k[cand]))]
-        hit = cluster_of(seed_idx, cand)
-        if hit is None:
-            unassigned[seed_idx] = False
-            continue
-        Q, found = hit
-        U, rank = _bases(Yk[:, found] if Q is None else Q, DEFAULT_RANK_TOL)[:2]
-        Q = U[:, : int(rank)]  # noiseless clusters can be rank-deficient
-        for earlier in clusters:  # each earlier cluster's span meets this one's in shared blocks
-            W, cos, _ = np.linalg.svd(earlier.T @ Q)
-            inter = earlier @ W[:, : structure.alpha]
-            if (cos >= 1.0 - inter_tol).sum() == structure.alpha and not (
-                    blocks and _spans_equal_stacked(inter, np.array(blocks), dedupe_tol).any()):
-                blocks.append(inter)
-                if len(blocks) == structure.K:
-                    break
-        clusters.append(Q)
-        unassigned &= ~found
-    return blocks
-
-
 def learn_dictionary(
     samples: np.ndarray, config: ExperimentConfig
 ) -> tuple[BlockDict, LearnTrace]:
@@ -395,25 +284,9 @@ def learn_dictionary(
     the scaling is exact, so samples and sigma times any power of two learn
     the same blocks, and a zero objective is one at most 1e-24 at that scale.
 
-    The initialization grows support-span clusters of samples greedily,
-    one seed at a time, intersects each accepted cluster's span with the
-    earlier ones, and stops once it holds K blocks: two overlapping support
-    spans meet in the span of their shared blocks, so discovered
-    intersections start blocks where cold alternation rarely arrives. The
-    clustering tolerances come from config.noise_level, the samples' noise
-    standard deviation: 0 asks for exact clusters, a positive level for
-    clusters fitted to within that noise (see `_discover_block_spans`).
-    Blocks the clustering cannot supply start at zero and are refilled in
-    iteration 0.
-
-    Parameters
-    ----------
-    samples : array, shape (P, N), finite
-    config : ExperimentConfig
-
-    Returns
-    -------
-    (BlockDict, LearnTrace): the trace reports the coding residuals of the dictionary it returns
+    The initialization is `discovery._discover_block_spans` at config.noise_level; blocks it
+    cannot supply start at zero and are refilled in iteration 0. samples is a finite P x N
+    array; the trace reports the coding residuals of the dictionary returned.
     """
     Y = np.asarray(samples, dtype=float)
     if Y.ndim != 2 or Y.shape[0] != config.ambient_dim:

@@ -114,9 +114,13 @@ def subspace_intersection(M1, M2, tol: float = DEFAULT_RANK_TOL) -> SubspaceBasi
     intersection, as from a dimension-0 input, is a valid (empty) basis.
     """
     Q1, Q2 = _two_bases(M1, M2, tol)
-    U, cos, _ = np.linalg.svd(Q1.basis.T @ Q2.basis)
-    keep = np.clip(cos, 0.0, 1.0) >= 1.0 - tol
-    return SubspaceBasis(Q1.ambient_dim, Q1.basis @ U[:, : int(np.sum(keep))])
+    return SubspaceBasis(Q1.ambient_dim, _intersect(Q1.basis, Q2.basis, tol))
+
+
+def _intersect(Q1: np.ndarray, Q2: np.ndarray, tol: float) -> np.ndarray:
+    """Basis of span Q1 & span Q2 (orthonormal): Q1's principal vectors of cosine >= 1 - tol."""
+    U, cos, _ = np.linalg.svd(Q1.T @ Q2)
+    return Q1 @ U[:, : int(np.sum(cos >= 1.0 - tol))]
 
 
 def _pair_supports(K: int, s: int) -> np.ndarray:

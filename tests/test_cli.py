@@ -12,6 +12,7 @@ from blockdict import (
     DEFAULT_ENUMERATION_CAP,
     BlockDict,
     BlockStructure,
+    gen_dictionary,
     read_matrix_text,
     rip_constant_exact,
     trace_to_csv,
@@ -234,6 +235,20 @@ class TestEquiv:
         rc = run_cli(["equiv", workdir / "A.txt", workdir / "A.txt", "--alpha", 2])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["status"] == "ambiguous"
+
+    def test_transform_out_of_range_exits_0_and_warns_of_nothing(self, workdir):
+        import blockdict
+
+        A = gen_dictionary(16, BlockStructure(K=6, alpha=2, s=2), seed=0)
+        write_matrix_text(workdir / "A.txt", A.with_block(1, np.ldexp(A.block(1), 1000)).data)
+        write_matrix_text(workdir / "B.txt", A.with_block(1, np.ldexp(A.block(1), -1000)).data)
+        env = {**os.environ, "PYTHONPATH": str(Path(blockdict.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "blockdict", "equiv",
+                               str(workdir / "A.txt"), str(workdir / "B.txt"), "--alpha", "2"],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout) == {"status": "out-of-range", "pi": [1, 2, 3, 4, 5, 6],
+                                           "D_blocks": None, "residual": None}
 
     def test_negative_span_tol_exit_code(self, workdir, capsys):
         A, _, _ = make_rip_instance(16, 5, 2, 2, seed=41)

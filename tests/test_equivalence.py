@@ -1,4 +1,5 @@
 import json
+import warnings
 from collections import Counter
 from itertools import combinations
 
@@ -35,6 +36,14 @@ from blockdict import (
 from conftest import (
     RANK_DEFICIENT_SVALS, make_equivalent_pair, make_rip_instance, rank_deficient_dict,
 )
+
+
+def out_of_range_pair():
+    """`gen_dictionary(16, K=6, alpha=2, s=2)` seed 0 as A and B, with A's block 1 times 2^1000
+    and B's times 2^-1000: blocks span-match, and block 1's transform, 2^2000 I, overflows."""
+    A = gen_dictionary(16, BlockStructure(K=6, alpha=2, s=2), seed=0)
+    return (A.with_block(1, np.ldexp(A.block(1), 1000)),
+            A.with_block(1, np.ldexp(A.block(1), -1000)))
 
 
 class TestBlockPermutation:
@@ -252,6 +261,15 @@ class TestSolveBlockTransform:
         with pytest.raises(ValueError, match="blocks must share shape P x alpha"):
             solve_block_transform(a, b)
 
+    def test_overflowing_transform_is_a_value_error(self):
+        A, B = out_of_range_pair()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="transform overflows"):
+                solve_block_transform(A.block(1), B.block(1))
+            M, residual = solve_block_transform(A.block(2), B.block(2))  # in range: solved
+        assert np.allclose(M, np.eye(2), atol=1e-12) and residual < 1e-13
+
     def test_negative_rank_tol_rejected(self):
         # a negative rank_tol counts every singular value, so rank 1 passed as full
         B = np.zeros((6, 2))
@@ -345,6 +363,16 @@ class TestRecoverEquivalence:
             cert = recover_equivalence(A, B)
             A2, B2 = (BlockDict(D.structure, np.ldexp(D.data, k)) for D in (A, B))
             assert recover_equivalence(A2, B2).to_dict() == cert.to_dict(), seed
+
+    def test_transform_out_of_range_is_a_status(self):
+        # a matched transform past the float range is reported, not raised, and not warned of
+        A, B = out_of_range_pair()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = recover_equivalence(A, B)
+        assert cert.status == equivalence.STATUS_OUT_OF_RANGE == "out-of-range"
+        assert cert.to_dict() == {"status": "out-of-range", "pi": [1, 2, 3, 4, 5, 6],
+                                  "D_blocks": None, "residual": None}
 
 
 class TestApplyTransform:

@@ -29,7 +29,7 @@ from blockdict import (
     run_experiment,
     trace_to_csv,
 )
-from blockdict import harness
+from blockdict import discovery, harness
 from blockdict.harness import _code_all, _discover_block_spans
 from blockdict.subspace import orthonormal_basis, spans_equal, subspace_intersection
 
@@ -774,14 +774,14 @@ class TestDiscoverBlockSpans:
         # one `_bases` call per accepted cluster; the clusters before the last one hold fewer
         # than K blocks between them, and all of them hold K
         st, Y = criterion7_samples(seed)
-        clusters, bases = [], harness._bases
+        clusters, bases = [], discovery._bases
 
         def record(M, tol):
             U, rank, *rest = bases(M, tol)
             clusters.append(U[:, : int(rank)])
             return (U, rank, *rest)
 
-        monkeypatch.setattr(harness, "_bases", record)
+        monkeypatch.setattr(discovery, "_bases", record)
         assert len(_discover_block_spans(Y, st)) == st.K
 
         def blocks_held(spans):
