@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Subcommands: gen, rip, code, equiv, kappa, learn, verify, experiment.
-Matrices travel in the shared text format; reports are JSON (`learn` and
-`experiment` also write convergence traces as CSV). Each subcommand takes
+Matrices travel in the shared text format; reports are one-line JSON from json's C encoder
+(`learn` and `experiment` also write convergence traces as CSV). Each subcommand takes
 only the flags it reads. Exit codes: 0 success, 2 bad arguments or an
 unknown flag, 3 capacity error, 4 hypothesis violation, 1 internal error.
 """
@@ -94,7 +94,7 @@ def _cmd_rip(args) -> int:
         report = rip_constant_exact(A, args.level)
     else:
         report = rip_lower_bound_sampled(A, args.level, args.samples, args.seed)
-    _emit(args, json.dumps(report.to_dict(), indent=2))
+    _emit(args, json.dumps(report.to_dict()))
     return 0
 
 
@@ -107,7 +107,7 @@ def _cmd_code(args) -> int:
         )
     coder = block_omp if args.method == "omp" else exhaustive_code
     result = coder(A, y, s=args.sparsity, tol=args.tol)
-    _emit(args, json.dumps(result.to_dict(), indent=2))
+    _emit(args, json.dumps(result.to_dict()))
     return 0
 
 
@@ -115,7 +115,7 @@ def _cmd_equiv(args) -> int:
     A = _load_dict(args.dict_a, args.alpha)
     B = _load_dict(args.dict_b, args.alpha)
     cert = recover_equivalence(A, B, tol=args.tol, span_tol=args.span_tol)
-    _emit(args, json.dumps(cert.to_dict(), indent=2))
+    _emit(args, json.dumps(cert.to_dict()))
     return 0
 
 
@@ -125,7 +125,7 @@ def _cmd_kappa(args) -> int:
     B = _load_dict(args.dict_b, args.alpha, max(len(support), 1))
     result = construct_kappa(A, B, support, n_probes=args.probes, seed=args.seed,
                              tol=args.tol)
-    _emit(args, json.dumps(result.to_dict(), indent=2))
+    _emit(args, json.dumps(result.to_dict()))
     return 0
 
 
@@ -139,7 +139,7 @@ def _cmd_learn(args) -> int:
         _emit(args, trace_to_csv(trace.to_dict()))
     else:  # with the returned dictionary's coding residuals, as `experiment` reports carry them
         report = {**trace.to_dict(), "coding_residuals": trace.residuals.tolist()}
-        _emit(args, json.dumps(report, indent=2))
+        _emit(args, json.dumps(report))
     return 0
 
 
@@ -149,7 +149,7 @@ def _cmd_verify(args) -> int:
     report = verify_theorem_instance(
         A, B, s=args.sparsity, n_probes=args.probes, seed=args.seed, tol=args.tol
     )
-    _emit(args, json.dumps(report.to_dict(), indent=2))
+    _emit(args, json.dumps(report.to_dict()))
     return 0
 
 
@@ -159,7 +159,7 @@ def _cmd_experiment(args) -> int:
     if args.format == "csv" and report.trace is not None:
         _emit(args, trace_to_csv(report.trace))
     else:
-        _emit(args, json.dumps(report.to_dict(), indent=2))
+        _emit(args, json.dumps(report.to_dict()))
     for err in report.stage_errors:
         sys.stderr.write(f"stage {err['stage']} failed: {err['error']}\n")
     return 1 if report.stage_errors else 0

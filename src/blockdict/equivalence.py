@@ -330,23 +330,27 @@ def _probe_supports(A: BlockDict, B: BlockDict, sups, n_probes: int, seed, tol: 
     """`construct_kappa` on nonempty supports of one size: per support, its KappaResult or its
     first failing probe's HypothesisViolationError. Each support draws from its own stream and
     measures with its columns of A at their `_unit_scale`, so no probe overflows; the probes of
-    as many supports as fit max(n_probes, _CODE_CHUNK // P) columns share one kernel call, coded
-    in B at that size."""
+    as many supports as fit max(n_probes, _CODE_CHUNK // P) columns are measured in one stacked
+    matmul, coded in B at that size in one kernel call and read by bit-packed block keys."""
     if n_probes < 1:
         raise ValueError(f"n_probes must be >= 1, got {n_probes}")
     if n_probes > DEFAULT_ENUMERATION_CAP:  # refused before its draw is allocated
         raise CapacityError(f"n_probes = {n_probes} exceeds the enumeration cap "
                             f"{DEFAULT_ENUMERATION_CAP}")
-    alpha, out, step = A.structure.alpha, [], max(1, _CODE_CHUNK // A.ambient_dim // n_probes)
+    P, K, alpha = A.ambient_dim, A.structure.K, A.structure.alpha
+    out, step = [], max(1, _CODE_CHUNK // P // n_probes)
     for batch in (sups[b : b + step] for b in range(0, len(sups), step)):
-        Z = np.hstack([_unit_scale(A.data[:, c], None)[0] @ np.random.default_rng(
-            [int(seed), *sup]).standard_normal((n_probes, c.size)).T
-            for sup, c in zip(batch, _support_columns(np.array(batch), alpha))])
+        cols = A.data[:, _support_columns(np.array(batch), alpha)].swapaxes(0, 1)  # (n, P, s*alpha)
+        T = np.stack([np.random.default_rng([int(seed), *sup]).standard_normal(
+            (n_probes, cols.shape[2])) for sup in batch])
+        Z = (_unit_scale(cols, (1, 2))[0] @ T.swapaxes(1, 2)).swapaxes(0, 1).reshape(P, -1)
         X, res, tied = _min_residual_codes(B, Z, len(sups[0]), min(tol, DEFAULT_CODING_TOL))
         res = _relative(res, np.linalg.norm(Z, axis=0)).reshape(len(batch), n_probes)
-        found, ids = np.unique(np.abs(X).reshape(A.structure.K, alpha, -1).max(axis=1).T > 0,
-                               axis=0, return_inverse=True)  # each distinct support, read once
-        found = [tuple((np.flatnonzero(f) + 1).tolist()) for f in found]
+        mask = np.abs(X).reshape(K, alpha, -1).max(axis=1).T > 0  # each probe's blocks
+        keys = np.ascontiguousarray(np.packbits(mask, axis=1))  # one bit a block: a key at any K
+        _, first, ids = np.unique(keys.view(f"V{keys.shape[1]}").ravel(), return_index=True,
+                                  return_inverse=True)  # each distinct support, read once
+        found = [tuple(b for b, on in enumerate(row, 1) if on) for row in mask[first].tolist()]
         for sup, r, tie, on in zip(batch, res, tied.reshape(res.shape), ids.reshape(res.shape)):
             if (fail := (r > tol) | tie).any():  # the first failing probe
                 p = int(fail.argmax())

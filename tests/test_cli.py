@@ -12,10 +12,12 @@ from blockdict import (
     DEFAULT_ENUMERATION_CAP,
     BlockDict,
     BlockStructure,
+    construct_kappa,
     gen_dictionary,
     read_matrix_text,
     rip_constant_exact,
     trace_to_csv,
+    verify_theorem_instance,
     write_matrix_text,
 )
 from blockdict import cli, harness
@@ -527,6 +529,62 @@ class TestVerify:
         assert hypothesis["holds"] is False
         errors = [e["support"] for e in hypothesis["details"] if "error" in e]
         assert errors == [[1, 2], [2, 3], [2, 4]]
+
+
+class TestJsonReports:
+    """Every JSON report is one line from json's C encoder, which refuses numpy scalars."""
+
+    def pair_files(self, workdir):
+        """Writes a planted pair at P=16, K=5, alpha=2 with block 3 of B replaced, so verify
+        records both kappas and hypothesis violations; returns A."""
+        A, B, _, _, _ = make_equivalent_pair(16, 5, 2, 2, seed=44)
+        Q = np.linalg.qr(np.random.default_rng(45).standard_normal((16, 2)))[0]
+        write_matrix_text(workdir / "A.txt", A.data)
+        write_matrix_text(workdir / "B.txt", B.with_block(3, Q).data)
+        return A
+
+    def args(self, workdir, command):
+        A = self.pair_files(workdir)
+        write_matrix_text(workdir / "y.txt", A.data[:, [0, 5]] @ np.array([1.0, -0.5]))
+        config = workdir / "config.json"
+        config.write_text(json.dumps(BASE_CONFIG))
+        write_matrix_text(workdir / "Y.txt", np.random.default_rng(2).standard_normal((20, 50)))
+        pair = [workdir / "A.txt", workdir / "B.txt", "--alpha", 2]
+        return {
+            "rip": ["rip", workdir / "A.txt", "--alpha", 2, "--level", 4],
+            "code": ["code", workdir / "A.txt", workdir / "y.txt", "--alpha", 2,
+                     "--sparsity", 2, "--method", "exhaustive"],
+            "equiv": ["equiv", *pair],
+            "kappa": ["kappa", *pair, "--support", "1,2", "--probes", 4],
+            "learn": ["learn", workdir / "Y.txt", "--config", config],
+            "verify": ["verify", *pair, "--sparsity", 2, "--probes", 4, "--seed", 2],
+            "experiment": ["experiment", "--config", config],
+        }[command]
+
+    @pytest.mark.parametrize(
+        "command", ["rip", "code", "equiv", "kappa", "learn", "verify", "experiment"])
+    def test_report_is_one_json_line(self, workdir, capsys, command):
+        assert run_cli(self.args(workdir, command)) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert json.dumps(json.loads(out)) + "\n" == out  # default separators, no indent
+
+    def test_verify_report_equals_the_library_report(self, workdir, capsys):
+        self.pair_files(workdir)
+        assert run_cli(["verify", workdir / "A.txt", workdir / "B.txt", "--alpha", 2,
+                        "--sparsity", 2, "--probes", 4, "--seed", 2]) == 0
+        report = json.loads(capsys.readouterr().out)
+        A, B = (BlockDict(BlockStructure(K=5, alpha=2, s=2), read_matrix_text(workdir / f))
+                for f in ("A.txt", "B.txt"))
+        assert report == verify_theorem_instance(A, B, s=2, n_probes=4, seed=2).to_dict()
+        details = report["hypothesis"]["details"] + report["agreement"]["kappa_singletons"]
+        assert any("error" in e for e in details) and any("kappa" in e for e in details)
+
+    def test_kappa_result_holds_python_scalars(self):
+        A, B, _, _, _ = make_equivalent_pair(16, 5, 2, 2, seed=44)
+        res = construct_kappa(A, B, (1, 4), n_probes=4, seed=1)
+        assert type(res.consistent) is bool
+        assert all(type(i) is int for sup in (res.kappa, *res.probe_supports) for i in sup)
 
 
 def test_console_entry_point(tmp_path):

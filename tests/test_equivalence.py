@@ -822,3 +822,34 @@ class TestSingletonProbes:
         assert calls == [5] * 6  # one call per singleton, all five probes in it
         if name == "repeated-block":  # A's blocks over B's blocks 1 and 4 tie
             assert len(errors) == 2 and all("tied codes" in e for e in errors)
+
+
+def wide_pair(K, alpha, s, corrupted, seed):
+    """(A, B) at P=24: A = B carried by a seeded block permutation pi and block mixing, with B's
+    block pi(1) replaced by a random orthonormal one when corrupted, so A's supports holding
+    block 1 have no code in B."""
+    B = gen_dictionary(24, BlockStructure(K=K, alpha=alpha, s=s), seed=seed)
+    perm = gen_block_permutation(K, seed=seed + 1)
+    A = apply_transform(B, perm, gen_block_diagonal(B.structure, seed=seed + 2))
+    if corrupted:
+        Q = np.linalg.qr(np.random.default_rng(seed + 3).standard_normal((24, alpha)))[0]
+        B = B.with_block(perm(1), Q)
+    return A, B
+
+
+class TestWideSupportKeys:
+    """Probe supports are read through bit-packed block keys: past K = 8 a key spans several
+    bytes, past K = 64 more than 64 bits, and each support keeps its one-support outcome."""
+
+    @pytest.mark.parametrize("K, alpha, s", [(12, 2, 1), (12, 2, 2), (70, 1, 1)])
+    @pytest.mark.parametrize("corrupted", [False, True])
+    def test_every_support_matches_per_probe_coding(self, K, alpha, s, corrupted):
+        A, B = wide_pair(K, alpha, s, corrupted, seed=5)
+        sups = list(combinations(range(1, K + 1), s))
+        got = equivalence._probe_supports(A, B, sups, 3, 9, 1e-8)
+        for sup, res in zip(sups, got, strict=True):
+            assert_same_outcome(res, outcome(per_probe_kappa, A, B, sup, 3, 9, 1e-8))
+        kappas = [b for res in got if isinstance(res, KappaResult) for b in res.kappa]
+        assert max(kappas) > (64 if K == 70 else 8)  # a key past its first byte or 64 bits
+        errors = [sup for sup, res in zip(sups, got) if isinstance(res, Exception)]
+        assert errors == ([sup for sup in sups if 1 in sup] if corrupted else [])
