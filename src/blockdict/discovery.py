@@ -114,8 +114,8 @@ def extract_blocks(spans, structure: BlockStructure, tol: float) -> list[np.ndar
     for Q in spans:
         for E in earlier:
             inter = _intersect(E, Q, tol)
-            if inter.shape[1] == structure.alpha and not (
-                    blocks and _spans_equal_stacked(inter, np.array(blocks), dedupe_tol).any()):
+            if inter.shape[1] == structure.alpha and not (blocks and _spans_equal_stacked(
+                    inter, np.array(blocks), dedupe_tol, structure.alpha).any()):
                 blocks.append(inter)
                 if len(blocks) == structure.K:
                     return blocks

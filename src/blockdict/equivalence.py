@@ -141,7 +141,7 @@ def match_blocks(A: BlockDict, B: BlockDict, tol: float = DEFAULT_RANK_TOL) -> M
     restricted isometry constant below 1 rules out); blocks with none, or
     a non-injective assignment, mark it not-equivalent.
     Spans compare as in `spans_equal`, from one `_bases` call on the 2K blocks
-    and one `_spans_equal_stacked` call per rank present on both sides. At
+    and one `_spans_equal_stacked` call on all K x K pairs, masked by equal rank. At
     tol = 0 a match is decided by the last bit of an SVD; tol > 0 (default
     1e-8) is the supported regime.
     """
@@ -150,10 +150,8 @@ def match_blocks(A: BlockDict, B: BlockDict, tol: float = DEFAULT_RANK_TOL) -> M
     P, K, alpha = A.ambient_dim, A.structure.K, A.structure.alpha
     blocks = np.hstack([A.data, B.data]).reshape(P, 2 * K, alpha).swapaxes(0, 1)
     U, ranks = _bases(blocks, tol)[:2]
-    equal = np.zeros((K, K), dtype=bool)
-    for r in set(ranks[:K].tolist()) & set(ranks[K:].tolist()):
-        a, b = np.flatnonzero(ranks[:K] == r), np.flatnonzero(ranks[K:] == r)
-        equal[np.ix_(a, b)] = _spans_equal_stacked(U[a, None, :, :r], U[None, K + b, :, :r], tol)
+    r = ranks[:K, None]
+    equal = (r == ranks[K:]) & _spans_equal_stacked(U[:K, None], U[None, K:], tol, r)
     matches = {i: tuple((np.flatnonzero(equal[i - 1]) + 1).tolist()) for i in range(1, K + 1)}
     unmatched = tuple(i for i in range(1, K + 1) if len(matches[i]) == 0)
     ambiguous = tuple(i for i in range(1, K + 1) if len(matches[i]) > 1)

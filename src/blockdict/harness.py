@@ -418,9 +418,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         stage = "synthesize"
         Y = truth.data @ X
         if config.noise_level > 0:
-            Y = Y + config.noise_level * _substream(
-                config.seed, _STREAM_NOISE
-            ).standard_normal(Y.shape)
+            with np.errstate(over="raise"):  # this stage's error under any warning filter
+                z = _substream(config.seed, _STREAM_NOISE).standard_normal(Y.shape)
+                Y = Y + config.noise_level * z
         report.underdetermined = config.n_samples < structure.total_dim
 
         stage = "learn"

@@ -2,10 +2,10 @@
 
 Subspaces are carried as orthonormal bases from one batched SVD, `_bases`, zero past their
 ranks under the library's one rank rule, `core._numerical_rank`. Span equality is decided by one
-kernel over stacked bases, `_spans_equal_stacked`: two spans of equal dimension are equal when
-every principal cosine is at least 1 - tol, i.e. every principal angle is below arccos(1 - tol)
-~ sqrt(2 tol). `check_lemma1` first tries a certificate from one Gram of the block-whitened A;
-where it fails, that kernel runs only on support pairs passing a Frobenius pre-screen.
+kernel over such stacks, `_spans_equal_stacked`: two spans of common rank r, stated by the caller,
+are equal when r principal cosines are at least 1 - tol, i.e. every principal angle is below
+arccos(1 - tol) ~ sqrt(2 tol). `check_lemma1` first tries a certificate from one Gram of the
+block-whitened A; where it fails, that kernel runs only on pairs passing a Frobenius pre-screen.
 """
 
 from __future__ import annotations
@@ -78,12 +78,11 @@ def _cosines(Q1: np.ndarray, Q2: np.ndarray) -> np.ndarray:
     return np.clip(np.linalg.svd(np.swapaxes(Q1, -1, -2) @ Q2, compute_uv=False), 0.0, 1.0)
 
 
-def _spans_equal_stacked(Q1: np.ndarray, Q2: np.ndarray, tol: float) -> np.ndarray:
-    """Per pair of stacked (..., P, d) orthonormal bases: every principal cosine >= 1 - tol.
-
-    Leading axes broadcast; pairs of dimension 0 are equal.
-    """
-    return np.all(_cosines(Q1, Q2) >= 1.0 - tol, axis=-1)
+def _spans_equal_stacked(Q1: np.ndarray, Q2: np.ndarray, tol: float, r) -> np.ndarray:
+    """Per pair of stacked (..., P, d) bases of common rank r, orthonormal up to r and zero past
+    it as `_bases` makes them: r principal cosines >= 1 - tol. Leading axes and r broadcast;
+    pairs of rank 0 are equal."""
+    return np.sum(_cosines(Q1, Q2) >= 1.0 - tol, axis=-1) >= r
 
 
 def _two_bases(M1, M2, tol: float) -> tuple[SubspaceBasis, SubspaceBasis]:
@@ -104,7 +103,7 @@ def spans_equal(M1, M2, tol: float = DEFAULT_RANK_TOL) -> bool:
     decided by the last bit of an SVD; tol > 0 (default 1e-8) is the supported regime.
     """
     Q1, Q2 = _two_bases(M1, M2, tol)
-    return Q1.dim == Q2.dim and bool(_spans_equal_stacked(Q1.basis, Q2.basis, tol))
+    return Q1.dim == Q2.dim and bool(_spans_equal_stacked(Q1.basis, Q2.basis, tol, Q1.dim))
 
 
 def subspace_intersection(M1, M2, tol: float = DEFAULT_RANK_TOL) -> SubspaceBasis:
@@ -149,8 +148,8 @@ def check_lemma1(A: BlockDict, s: int | None = None, tol: float = DEFAULT_RANK_T
 
     Otherwise every support's basis and rank come from one batched SVD (`_bases`) of A at
     the certificate's power-of-two scale, so the answer does not depend on A's scale; a
-    Frobenius pre-screen in O(C(K, s) P d) memory, d = s alpha, sends only the same-rank
-    pairs near equality to the exact kernel.
+    Frobenius pre-screen, in row blocks whose pairs stack about 2^20 entries, sends each block's
+    same-rank pairs near equality to the exact kernel in one call at their rank.
 
     Raises CapacityError when C(K, s)^2 exceeds DEFAULT_ENUMERATION_CAP.
     """
@@ -182,14 +181,14 @@ def check_lemma1(A: BlockDict, s: int | None = None, tol: float = DEFAULT_RANK_T
     # only pairs above that floor reach the kernel
     flat = U.transpose(0, 2, 1).reshape(n * d, P)
     floor = ranks * (1.0 - tol) ** 2 - 1e-9
-    step = max(1, P // (s * alpha))  # blocks of <= n P d entries
+    step = max(1, 2**20 // (n * P * d))  # a row block's pairs stack about 2^20 entries
     for lo in range(0, n, step):
         fro2 = np.square(flat[lo * d : (lo + step) * d] @ flat[lo * d :].T)
         fro2 = (fro2.reshape(-1, d) @ np.ones(d)).reshape(-1, d, n - lo).sum(axis=1)
         same = ranks[lo : lo + step, None] == ranks[lo:]
-        for a, b in lo + np.argwhere(np.triu(same & (fro2 >= floor[lo : lo + step, None]), 1)):
-            if _spans_equal_stacked(U[a, :, : ranks[a]], U[b, :, : ranks[a]], tol):
-                return False
+        a, b = lo + np.argwhere(np.triu(same & (fro2 >= floor[lo : lo + step, None]), 1)).T
+        if a.size and _spans_equal_stacked(U[a], U[b], tol, ranks[a]).any():
+            return False
     return True
 
 
@@ -206,7 +205,7 @@ def lemma2_all_pairs(A: BlockDict, s: int | None = None,
 def _lemma2_pairs(A: BlockDict, supports: np.ndarray, tol: float) -> np.ndarray:
     """Lemma 2 on all ordered pairs of the sorted rows of supports: batched SVDs give each support's
     basis U, each pair's A_(S & S') basis C (blocks of S outside S' zeroed) and cosines and vectors
-    W of U_a^T U_b; a pair holds when rank C of them are >= 1 - tol and U_a W_r spans C."""
+    W of U_a^T U_b; a pair holds when r = rank C of them are >= 1 - tol and U_a W_r spans C."""
     (P, _), n, alpha = A.data.shape, len(supports), A.structure.alpha
     M = A.data[:, _support_columns(supports, alpha)].transpose(1, 0, 2)
     keep = np.repeat((supports[:, None, :, None] == supports[None, :, None]).any(-1), alpha, -1)
@@ -219,9 +218,7 @@ def _lemma2_pairs(A: BlockDict, supports: np.ndarray, tol: float) -> np.ndarray:
         # cosines past min(rank a, rank b) come from the bases' zero padding
         r = np.minimum(np.sum(cos >= 1.0 - tol, axis=-1), np.minimum(ranks[a, None], ranks))
         inter = U[a, None] @ (W * (np.arange(d) < r[..., None, None]))  # zero past r, as C
-        pad = np.eye(d) * (np.arange(d) >= r[..., None, None])  # past r: one shared unit vector
-        inter, C = (np.concatenate([Q, pad], axis=-2) for Q in (inter, C))
-        holds[a] = (r == common) & _spans_equal_stacked(inter, C, tol)
+        holds[a] = (r == common) & _spans_equal_stacked(inter, C, tol, r)
     return holds
 
 

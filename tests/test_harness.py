@@ -1090,6 +1090,18 @@ class TestRunExperiment:
         assert report.stage_errors == [] and not report.trace["stalled"]
         assert np.isfinite(report.coding_residuals).all()
 
+    def test_synthesis_overflow_is_its_own_stage(self):
+        # noise 1e308 overflows Y + noise * z: under the default filter the report names the
+        # synthesis stage, as under -W error, and no RuntimeWarning escapes
+        config = ExperimentConfig(BlockStructure(K=6, alpha=2, s=2), ambient_dim=16,
+                                  n_samples=50, seed=1, noise_level=1e308)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            report = run_experiment(config)
+        assert caught == []
+        error = "FloatingPointError: overflow encountered in multiply"
+        assert report.stage_errors == [{"stage": "synthesize", "error": error}]
+
     def test_underdetermined_flagged(self):
         report = run_experiment(small_config(n_samples=2))
         assert report.underdetermined

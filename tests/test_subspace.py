@@ -112,6 +112,26 @@ class TestSpansEqual:
         assert spans_equal(np.zeros((4, 2)), np.zeros((4, 1)))
 
 
+@pytest.mark.parametrize("tol", [1e-8, 0.3, 1.0])
+def test_kernel_at_stated_rank_on_zero_padded_bases(tol):
+    # `_bases` of a zero block, two rank-1 blocks on one line, rank-2 and full-rank blocks, a
+    # mixed copy of one and a tilted copy: one broadcast call at the stated ranks, masked by
+    # equal rank, gives the table of per-pair calls on bases sliced to their rank
+    rng = np.random.default_rng(7)
+    v, G, H = rng.standard_normal(8), rng.standard_normal((8, 3)), rng.standard_normal((8, 3))
+    mix = np.array([[2.0, 1.0, 0.0], [-0.5, 1.0, 1.0], [0.0, 0.5, 3.0]])
+    stack = np.array([np.zeros((8, 3)), np.outer(v, [1.0, -2.0, 0.5]),
+                      np.outer(v, [3.0, 1.0, -1.0]), G, G @ mix, H, G + 0.3 * H, G[:, [0, 1, 1]]])
+    U, ranks = subspace._bases(stack, tol)[:2]
+    r = ranks[:, None]
+    table = (r == ranks) & subspace._spans_equal_stacked(U[:, None], U[None], tol, r)
+    expected = [[ranks[i] == ranks[j] and bool(subspace._spans_equal_stacked(
+        U[i, :, : ranks[i]], U[j, :, : ranks[j]], tol, ranks[i])) for j in range(8)]
+        for i in range(8)]
+    assert table.tolist() == expected
+    assert table[1, 2] and table[3, 6] == (tol > 1e-8) and table.all() == (tol == 1.0)
+
+
 @pytest.mark.parametrize("check", [spans_equal, subspace_intersection],
                          ids=lambda f: f.__name__)
 def test_ambient_dimension_mismatch(check):
@@ -276,6 +296,17 @@ class TestLemma1:
             assert check_lemma1(A, s)
         assert kernel_calls == []
 
+    def test_kernel_calls_stay_near_2_20_entries(self, monkeypatch):
+        # at tol 1 every span has rank 0 and every pair passes the screen: each row block's
+        # pairs go to the kernel in one call, and the blocks are sized to keep that call small
+        sizes = []
+        kernel = subspace._spans_equal_stacked
+        monkeypatch.setattr(subspace, "_spans_equal_stacked",
+                            lambda Q1, *args: sizes.append(Q1.size) or kernel(Q1, *args))
+        A = BlockDict(BlockStructure(K=300, alpha=1, s=1), np.eye(300))
+        assert not check_lemma1(A, 1, 1.0)
+        assert len(sizes) == 1 and 2**19 < sizes[0] <= 2**20
+
     def test_two_zero_blocks_share_the_zero_span(self):
         A = gen_dictionary(8, BlockStructure(K=4, alpha=2, s=1), seed=9)
         assert check_lemma1(A.with_block(1, np.zeros((8, 2))), 1)
@@ -307,7 +338,8 @@ def lemma1_all_svd(A, s, tol=1e-8):
         fro2 = fro2.reshape(-1, d, n - lo, d).sum(axis=(1, 3))
         same = ranks[lo : lo + step, None] == ranks[lo:]
         for a, b in lo + np.argwhere(np.triu(same & (fro2 >= floor[lo : lo + step, None]), 1)):
-            if subspace._spans_equal_stacked(U[a, :, : ranks[a]], U[b, :, : ranks[a]], tol):
+            if subspace._spans_equal_stacked(U[a, :, : ranks[a]], U[b, :, : ranks[a]], tol,
+                                             ranks[a]):
                 return False
     return True
 
