@@ -20,7 +20,7 @@ import numpy as np
 from .core import DEFAULT_RANK_TOL, BlockDict, BlockSparseVec, _check_s, _check_tols
 from .core import _numerical_rank, _unit_scale
 from .errors import RankError
-from .rip import DEFAULT_ENUMERATION_CAP, _enumerate_supports, _support_columns
+from .rip import _enumerate_supports, _support_columns
 from .subspace import _bases
 
 DEFAULT_CODING_TOL = 1e-10
@@ -180,8 +180,7 @@ def _min_residual_codes(A: BlockDict, Y: np.ndarray, s: int, tol: float) -> tupl
     of about _CODE_CHUNK residuals or basis entries and support blocks of about _CODE_CHUNK
     basis and projection entries bound memory. Returns (codes, residuals, ties).
     """
-    rows = _support_columns(_enumerate_supports(A.structure.K, s, DEFAULT_ENUMERATION_CAP),
-                            A.structure.alpha)
+    rows = _support_columns(_enumerate_supports(A.structure.K, s), A.structure.alpha)
     (P, N), width, fp = Y.shape, rows.shape[1], np.finfo(float)
     Q = _qr(A, rows) if rows.size * P <= _CODE_CHUNK else None  # reused by every chunk
     X = np.zeros((A.structure.total_dim, N))

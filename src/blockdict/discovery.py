@@ -107,16 +107,16 @@ def support_spans(Y: np.ndarray, structure: BlockStructure, noise_level: float =
 def extract_blocks(spans, structure: BlockStructure, tol: float) -> list[np.ndarray]:
     """Block spans from orthonormal support spans by Lemma 2, needing no clustering: support
     spans meet in their shared blocks' span. Each span meets each earlier one by
-    `subspace._intersect` at tol; an alpha-dimensional intersection that no kept block spans
-    within max(1e-6, tol) is kept, as an orthonormal P x alpha array. Returns once it holds K
-    blocks, pulling no further span, or when spans run out."""
+    `subspace._intersect` at tol and their lesser rank; an alpha-dimensional intersection that no
+    kept block spans within max(1e-6, tol) is kept, as an orthonormal P x alpha array. Returns
+    once it holds K blocks, pulling no further span, or when spans run out."""
     earlier, blocks, dedupe_tol = [], [], max(1e-6, tol)
     for Q in spans:
         for E in earlier:
-            inter = _intersect(E, Q, tol)
-            if inter.shape[1] == structure.alpha and not (blocks and _spans_equal_stacked(
-                    inter, np.array(blocks), dedupe_tol, structure.alpha).any()):
-                blocks.append(inter)
+            inter, k = _intersect(E, Q, tol, min(E.shape[1], Q.shape[1]))
+            if k == structure.alpha and not (blocks and _spans_equal_stacked(
+                    inter[:, :k], np.array(blocks), dedupe_tol, k).any()):
+                blocks.append(inter[:, :k])
                 if len(blocks) == structure.K:
                     return blocks
         earlier.append(Q)

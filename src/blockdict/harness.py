@@ -23,7 +23,7 @@ from itertools import compress
 import numpy as np
 
 from .coding import DEFAULT_CODING_TOL, _min_residual_codes, _omp_codes
-from .core import BlockDict, BlockStructure, _unit_scale
+from .core import BlockDict, BlockStructure, _numerical_rank, _unit_scale
 from .discovery import _discover_block_spans
 from .equivalence import (
     DEFAULT_CERTIFICATE_TOL,
@@ -357,7 +357,8 @@ def learn_dictionary(
                 M = R[:, np.argsort(-cos)[:alpha]]
                 if M.shape[1] < alpha:  # fewer samples than block columns
                     M = np.hstack([M, reseed_rng.standard_normal((P, alpha - M.shape[1]))])
-                if np.linalg.matrix_rank(M) < alpha:
+                sv = np.linalg.svd(M, compute_uv=False)  # ranked at numpy's matrix_rank cut
+                if _numerical_rank(sv, max(M.shape) * np.finfo(float).eps) < alpha:
                     M = M + 1e-8 * norms[worst] * reseed_rng.standard_normal(M.shape)
             Q = np.linalg.qr(M)[0]
             data[:, structure.block_slice(i)] = Q

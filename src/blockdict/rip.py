@@ -34,16 +34,14 @@ _RIP_CHUNK = 4096
 _RIP_HEAD = 16
 
 
-def _enumerate_supports(K: int, t: int, cap: int) -> np.ndarray:
+def _enumerate_supports(K: int, t: int) -> np.ndarray:
     """All C(K, t) size-t supports in lexicographic order, one per row, read-only.
 
-    Raises CapacityError when C(K, t) exceeds cap. Memoised up to _RIP_CHUNK rows.
+    Raises CapacityError when C(K, t) exceeds DEFAULT_ENUMERATION_CAP. Memoised up to _RIP_CHUNK.
     """
-    total = math.comb(K, t)
-    if total > cap:
-        raise CapacityError(
-            f"C({K}, {t}) = {total} supports exceeds the enumeration cap {cap}"
-        )
+    if (total := math.comb(K, t)) > DEFAULT_ENUMERATION_CAP:
+        raise CapacityError(f"C({K}, {t}) = {total} supports exceeds the enumeration cap "
+                            f"{DEFAULT_ENUMERATION_CAP}")
     return (_lexicographic if total <= _RIP_CHUNK else _lexicographic.__wrapped__)(K, t)
 
 
@@ -67,7 +65,7 @@ def _sample_supports(K: int, t: int, n: int, seed: int) -> np.ndarray:
     """
     total = math.comb(K, t)
     if n >= total:
-        return _enumerate_supports(K, t, DEFAULT_ENUMERATION_CAP)
+        return _enumerate_supports(K, t)
     if n > DEFAULT_ENUMERATION_CAP:
         raise CapacityError(f"n = {n} supports exceeds the enumeration cap {DEFAULT_ENUMERATION_CAP}")
     rng = np.random.default_rng(seed)
@@ -146,7 +144,7 @@ def _rayleigh_floors(data: np.ndarray, alpha: int, t: int) -> np.ndarray:
     constant less `_slack`: delta_T >= x^T G_T x / x^T x - 1 with x = G_T^6 1, for each
     size-t support T of one stacked Gram G. Column T of X holds x_T, zero off T, so
     G_T x_T is column T of mask * (G X)."""
-    supports = _enumerate_supports(data.shape[2] // alpha, t, DEFAULT_ENUMERATION_CAP)
+    supports = _enumerate_supports(data.shape[2] // alpha, t)
     gram, bound = np.swapaxes(data, 1, 2) @ data, -np.inf
     for start in range(0, len(supports), step := max(1, _RIP_CHUNK // len(data))):
         cols = _support_columns(supports[start : start + step], alpha)
@@ -259,7 +257,7 @@ def rip_constant_exact(A: BlockDict, t: int) -> RipReport:
         If C(K, t) > DEFAULT_ENUMERATION_CAP; use `rip_lower_bound_sampled` instead.
     """
     _check_level(A, t)
-    supports = _enumerate_supports(A.structure.K, t, DEFAULT_ENUMERATION_CAP)
+    supports = _enumerate_supports(A.structure.K, t)
     return _rip_report(A, t, supports, MODE_EXACT)
 
 

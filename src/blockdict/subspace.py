@@ -4,8 +4,9 @@ Subspaces are carried as orthonormal bases from one batched SVD, `_bases`, zero 
 ranks under the library's one rank rule, `core._numerical_rank`. Span equality is decided by one
 kernel over such stacks, `_spans_equal_stacked`: two spans of common rank r, stated by the caller,
 are equal when r principal cosines are at least 1 - tol, i.e. every principal angle is below
-arccos(1 - tol) ~ sqrt(2 tol). `check_lemma1` first tries a certificate from one Gram of the
-block-whitened A; where it fails, that kernel runs only on pairs passing a Frobenius pre-screen.
+arccos(1 - tol) ~ sqrt(2 tol); the one intersection kernel, `_intersect`, keeps the principal
+vectors of such cosines. `check_lemma1` first tries a certificate from one Gram of the
+block-whitened A; where it fails, span equality runs only on pairs passing a Frobenius pre-screen.
 """
 
 from __future__ import annotations
@@ -113,13 +114,17 @@ def subspace_intersection(M1, M2, tol: float = DEFAULT_RANK_TOL) -> SubspaceBasi
     intersection, as from a dimension-0 input, is a valid (empty) basis.
     """
     Q1, Q2 = _two_bases(M1, M2, tol)
-    return SubspaceBasis(Q1.ambient_dim, _intersect(Q1.basis, Q2.basis, tol))
+    inter, k = _intersect(Q1.basis, Q2.basis, tol, min(Q1.dim, Q2.dim))
+    return SubspaceBasis(Q1.ambient_dim, inter[:, :k])
 
 
-def _intersect(Q1: np.ndarray, Q2: np.ndarray, tol: float) -> np.ndarray:
-    """Basis of span Q1 & span Q2 (orthonormal): Q1's principal vectors of cosine >= 1 - tol."""
-    U, cos, _ = np.linalg.svd(Q1.T @ Q2)
-    return Q1 @ U[:, : int(np.sum(cos >= 1.0 - tol))]
+def _intersect(Q1: np.ndarray, Q2: np.ndarray, tol: float, r) -> tuple[np.ndarray, np.ndarray]:
+    """(basis, k) per pair of stacked (..., P, d) bases, zero past their ranks as `_bases` makes
+    them: Q1's k <= r principal vectors of cosine >= 1 - tol, an orthonormal basis of span Q1 &
+    span Q2, and zero past k. Leading axes and r broadcast; r = the lesser rank drops padding's."""
+    W, cos, _ = np.linalg.svd(np.swapaxes(Q1, -1, -2) @ Q2)
+    k = np.minimum(np.sum(cos >= 1.0 - tol, axis=-1), r)
+    return Q1 @ (W * (np.arange(W.shape[-1]) < k[..., None, None])), k
 
 
 def _pair_supports(K: int, s: int) -> np.ndarray:
@@ -127,7 +132,7 @@ def _pair_supports(K: int, s: int) -> np.ndarray:
     if (n_pairs := math.comb(K, s) ** 2) > DEFAULT_ENUMERATION_CAP:
         raise CapacityError(f"C({K}, {s})^2 = {n_pairs} pairs exceeds the enumeration cap "
                             f"{DEFAULT_ENUMERATION_CAP}")
-    return _enumerate_supports(K, s, DEFAULT_ENUMERATION_CAP)
+    return _enumerate_supports(K, s)
 
 
 def check_lemma1(A: BlockDict, s: int | None = None, tol: float = DEFAULT_RANK_TOL) -> bool:
@@ -161,7 +166,7 @@ def check_lemma1(A: BlockDict, s: int | None = None, tol: float = DEFAULT_RANK_T
     if (s + 1) * alpha <= P:  # else every lmin is 0
         U, sv, _ = np.linalg.svd(M.reshape(P, K, alpha).swapaxes(0, 1), full_matrices=False)
         gram = (W := U.swapaxes(0, 1).reshape(P, n)).T @ W  # Q^T Q
-        T = _enumerate_supports(K, s + 1, DEFAULT_ENUMERATION_CAP)
+        T = _enumerate_supports(K, s + 1)
         e = 16 * P * ((s + 1) * alpha) ** 2 * np.finfo(float).eps
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # NaN certifies nothing
             kappa, a = sv[:, -1].min() / sv[:, 0].max() - 2 * e, 5 * (s + 1) * e
@@ -204,8 +209,8 @@ def lemma2_all_pairs(A: BlockDict, s: int | None = None,
 
 def _lemma2_pairs(A: BlockDict, supports: np.ndarray, tol: float) -> np.ndarray:
     """Lemma 2 on all ordered pairs of the sorted rows of supports: batched SVDs give each support's
-    basis U, each pair's A_(S & S') basis C (blocks of S outside S' zeroed) and cosines and vectors
-    W of U_a^T U_b; a pair holds when r = rank C of them are >= 1 - tol and U_a W_r spans C."""
+    basis U and each pair's A_(S & S') basis C (blocks of S outside S' zeroed); a pair holds when
+    `_intersect` of U_a and U_b at their lesser rank keeps r = rank C vectors spanning C."""
     (P, _), n, alpha = A.data.shape, len(supports), A.structure.alpha
     M = A.data[:, _support_columns(supports, alpha)].transpose(1, 0, 2)
     keep = np.repeat((supports[:, None, :, None] == supports[None, :, None]).any(-1), alpha, -1)
@@ -214,10 +219,7 @@ def _lemma2_pairs(A: BlockDict, supports: np.ndarray, tol: float) -> np.ndarray:
     step = max(1, 2**20 // (n * P * d))  # stacked arrays of about 2^20 entries
     for a in (slice(lo, lo + step) for lo in range(0, n, step)):
         C, common = _bases(M[a, None] * keep[a, :, None], tol)[:2]
-        W, cos, _ = np.linalg.svd(np.swapaxes(U[a], 1, 2)[:, None] @ U)
-        # cosines past min(rank a, rank b) come from the bases' zero padding
-        r = np.minimum(np.sum(cos >= 1.0 - tol, axis=-1), np.minimum(ranks[a, None], ranks))
-        inter = U[a, None] @ (W * (np.arange(d) < r[..., None, None]))  # zero past r, as C
+        inter, r = _intersect(U[a, None], U, tol, np.minimum(ranks[a, None], ranks))
         holds[a] = (r == common) & _spans_equal_stacked(inter, C, tol, r)
     return holds
 

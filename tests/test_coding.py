@@ -511,7 +511,7 @@ class TestBatchKernel:
         _, _, tied = _min_residual_codes(A, Y, st.s, 1e-10)
         assert np.flatnonzero(tied).tolist() == [4, 17] and len(rechecks) == 1
         (rows, Q), = calls
-        supports = _enumerate_supports(6, 2, 10**6)
+        supports = _enumerate_supports(6, 2)
         assert np.array_equal(rows, _support_columns(supports, 2)) and Q.shape == (15, 40, 4)
         for k, sup in enumerate(supports):  # orthonormal up to the support's rank, zero past it
             r = 2 * (2 - (2 in sup))
@@ -767,7 +767,7 @@ class TestEnergyRanking:
         A = gen_dictionary(12, BlockStructure(K=4, alpha=2, s=2), seed=3)
         A = A.with_block(3, A.block(1) @ np.array([[2.0, 1.0], [0.5, 3.0]]))
         Y = coder_inputs(A, 60, 11)
-        supports = _enumerate_supports(4, 2, 6)
+        supports = _enumerate_supports(4, 2)
         rows = _support_columns(supports, 2)
         bases = coding._qr(A, rows)
 

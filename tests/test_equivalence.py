@@ -100,6 +100,20 @@ class TestMatchBlocks:
         with pytest.raises(ValueError, match="ambient dimensions differ: 8 vs 10"):
             check(A, B)
 
+    @pytest.mark.parametrize("check", [match_blocks, recover_equivalence,
+                                       lambda A, B: construct_kappa(A, B, (1, 2)),
+                                       verify_theorem_instance],
+                             ids=["match_blocks", "recover_equivalence", "construct_kappa",
+                                  "verify_theorem_instance"])
+    def test_block_structure_mismatch(self, check):
+        # one 16 x 12 matrix read as 6 blocks of width 2 and as 12 of width 1
+        data = gen_dictionary(16, BlockStructure(K=6, alpha=2, s=2), seed=0).data
+        A = BlockDict(BlockStructure(K=6, alpha=2, s=2), data)
+        B = BlockDict(BlockStructure(K=12, alpha=1, s=2), data)
+        with pytest.raises(ValueError, match="^block structures differ: "
+                                             "K=6, alpha=2 vs K=12, alpha=1$"):
+            check(A, B)
+
     def test_identity_match(self):
         A = gen_dictionary(16, BlockStructure(K=5, alpha=2, s=2), seed=0)
         report = match_blocks(A, A)

@@ -177,20 +177,24 @@ def _one_draw_at_a_time(K, t, n, seed):
 
 
 class TestSupportLayer:
-    def test_enumeration_is_lexicographic(self):
-        supports = _enumerate_supports(5, 3, cap=10)
+    def test_enumeration_is_lexicographic(self, monkeypatch):
+        monkeypatch.setattr(rip, "DEFAULT_ENUMERATION_CAP", 10)
+        supports = _enumerate_supports(5, 3)
         assert [tuple(map(int, row)) for row in supports] == list(
             combinations(range(1, 6), 3)
         )
 
-    def test_enumeration_of_the_empty_support(self):
+    def test_enumeration_of_the_empty_support(self, monkeypatch):
         # one empty row: C(K, 0) = 1, the empty support
-        assert _enumerate_supports(5, 0, cap=10).shape == (1, 0)
+        monkeypatch.setattr(rip, "DEFAULT_ENUMERATION_CAP", 10)
+        assert _enumerate_supports(5, 0).shape == (1, 0)
 
-    def test_enumeration_cap(self):
-        assert len(_enumerate_supports(6, 3, cap=20)) == 20
+    def test_enumeration_cap(self, monkeypatch):
+        monkeypatch.setattr(rip, "DEFAULT_ENUMERATION_CAP", 20)
+        assert len(_enumerate_supports(6, 3)) == 20
+        monkeypatch.setattr(rip, "DEFAULT_ENUMERATION_CAP", 19)
         with pytest.raises(CapacityError):
-            _enumerate_supports(6, 3, cap=19)
+            _enumerate_supports(6, 3)
 
     def test_sampler_distinct_sorted_and_seeded(self):
         drawn = _sample_supports(10, 4, 30, seed=5)
@@ -203,9 +207,9 @@ class TestSupportLayer:
         assert not np.array_equal(drawn, _sample_supports(10, 4, 30, seed=6))
 
     @pytest.mark.parametrize("n", [15, 16, 1000])
-    def test_sampler_returns_every_support_when_budget_allows(self, n):
-        assert np.array_equal(_sample_supports(6, 2, n, seed=0),
-                              _enumerate_supports(6, 2, cap=15))
+    def test_sampler_returns_every_support_when_budget_allows(self, n, monkeypatch):
+        monkeypatch.setattr(rip, "DEFAULT_ENUMERATION_CAP", 15)
+        assert np.array_equal(_sample_supports(6, 2, n, seed=0), _enumerate_supports(6, 2))
 
     @pytest.mark.parametrize("K, t, n", [(12, 4, 200), (6, 2, 5), (30, 4, 200),
                                          (6, 2, 15), (5, 3, 40)])
@@ -255,10 +259,10 @@ class TestSupportLayer:
         assert batches[0] == (0, 15)
 
     def test_small_tables_are_memoised_and_read_only(self, monkeypatch):
-        table = _enumerate_supports(12, 4, 10**6)
-        assert _enumerate_supports(12, 4, 10**6) is table and not table.flags.writeable
+        table = _enumerate_supports(12, 4)
+        assert _enumerate_supports(12, 4) is table and not table.flags.writeable
         monkeypatch.setattr(rip, "_RIP_CHUNK", 494)  # C(12, 4) = 495 rows: not memoised
-        big = _enumerate_supports(12, 4, 10**6)
+        big = _enumerate_supports(12, 4)
         assert big is not table and not big.flags.writeable
         assert np.array_equal(big, table)
 
@@ -317,7 +321,7 @@ class TestPrunedReport:
     @pytest.mark.parametrize("K,P", [(12, 48), (6, 16)])
     def test_seeded_dictionaries(self, K, P, mode):
         st = BlockStructure(K=K, alpha=2, s=2)
-        supports = _enumerate_supports(K, 4, math.comb(K, 4))
+        supports = _enumerate_supports(K, 4)
         for seed in range(100):
             A = gen_dictionary(P, st, seed=seed, mode=mode)
             assert pruned_report(A, 4, supports) == all_supports_report(A, supports), seed
@@ -327,7 +331,7 @@ class TestPrunedReport:
         # supports holding blocks 2 and 5, or block 9, all have delta about 1
         A = gen_dictionary(48, BlockStructure(K=12, alpha=2, s=2), seed=4)
         A = A.with_block(5, A.block(2)).with_block(9, np.zeros((48, 2)))
-        supports = _enumerate_supports(12, level, 10**6)
+        supports = _enumerate_supports(12, level)
         assert pruned_report(A, level, supports) == all_supports_report(A, supports)
         assert rip_constant_exact(A, level).delta >= 1.0
         for seed in range(5):
@@ -344,7 +348,7 @@ class TestPrunedReport:
     ])
     def test_block_widths_and_levels(self, K, alpha, P, t, mode):
         st = BlockStructure(K=K, alpha=alpha, s=1)
-        supports = _enumerate_supports(K, t, 10**6)
+        supports = _enumerate_supports(K, t)
         for seed in range(20):
             A = gen_dictionary(P, st, seed=seed, mode=mode)
             assert pruned_report(A, t, supports) == all_supports_report(A, supports), seed
@@ -355,7 +359,7 @@ class TestPrunedReport:
         # bound is an ulp below the computed delta, so only the margin keeps (1,)
         block = np.random.default_rng(seed).standard_normal((6, 2))
         A = BlockDict(BlockStructure(K=40, alpha=2, s=1), np.tile(block, 40))
-        supports = _enumerate_supports(40, 1, 10**6)
+        supports = _enumerate_supports(40, 1)
         assert pruned_report(A, 1, supports) == all_supports_report(A, supports)
         assert pruned_report(A, 1, supports)[1] == (1,)
 
@@ -363,7 +367,7 @@ class TestPrunedReport:
     def test_bounds_that_overflow_are_never_skipped(self, alpha):
         # the Gram is finite, but the bound's power steps overflow to inf / inf = NaN
         st = BlockStructure(K=24 // alpha, alpha=alpha, s=1)
-        supports = _enumerate_supports(st.K, 2, 10**6)
+        supports = _enumerate_supports(st.K, 2)
         for seed in range(3):
             A = BlockDict(st, np.random.default_rng(seed).standard_normal((8, 24)) * 1e150)
             assert np.isnan(_support_bounds(A.data.T @ A.data, supports, alpha)).any()
@@ -379,7 +383,7 @@ class TestPrunedReport:
     def test_small_chunks_and_head(self, monkeypatch):
         monkeypatch.setattr(rip, "_RIP_CHUNK", 3)
         st = BlockStructure(K=12, alpha=2, s=2)
-        supports = _enumerate_supports(12, 4, 10**6)
+        supports = _enumerate_supports(12, 4)
         for head in (1, 5, 16):
             monkeypatch.setattr(rip, "_RIP_HEAD", head)
             for seed in range(10):
@@ -406,7 +410,7 @@ class TestPrunedReport:
             A = gen_dictionary(3 * alpha + 4, st, seed=seed, mode=mode)
             gram = A.data.T @ A.data
             for t in (1, 2, 4, 7):
-                supports = _enumerate_supports(7, t, 10**6)
+                supports = _enumerate_supports(7, t)
                 deltas = rip._support_deltas(gram, supports, alpha)
                 assert np.all(_support_bounds(gram, supports, alpha) >= deltas - 1e-12)
 
@@ -438,7 +442,7 @@ class TestGelfandBounds:
     @staticmethod
     def bounds_and_deltas(A, t):
         gram, alpha = A.data.T @ A.data, A.structure.alpha
-        supports = _enumerate_supports(A.structure.K, t, 10**6)
+        supports = _enumerate_supports(A.structure.K, t)
         bounds = rip._gelfand_bounds(gram, supports, alpha)
         return supports, bounds, rip._slack(t, alpha, bounds), rip._support_deltas(gram, supports, alpha)
 

@@ -132,6 +132,32 @@ def test_kernel_at_stated_rank_on_zero_padded_bases(tol):
     assert table[1, 2] and table[3, 6] == (tol > 1e-8) and table.all() == (tol == 1.0)
 
 
+@pytest.mark.parametrize("tol", [1e-8, 0.3, 1.0])
+def test_intersect_stacked_at_lesser_rank(tol):
+    # `_bases` (at rank tol 1e-8) of a zero block, two rank-1 blocks on one line, full-rank
+    # blocks, a repeated span and blocks sharing one and two columns with G: one broadcast call
+    # at each pair's lesser rank gives the per-pair calls on bases sliced to their rank, and
+    # zeros past k
+    rng = np.random.default_rng(11)
+    v, w, G, H = rng.standard_normal(8), rng.standard_normal(8), *rng.standard_normal((2, 8, 3))
+    mix = np.array([[2.0, 1.0, 0.0], [-0.5, 1.0, 1.0], [0.0, 0.5, 3.0]])
+    stack = np.array([np.zeros((8, 3)), np.outer(v, [1.0, -2.0, 0.5]),
+                      np.outer(v, [3.0, 1.0, -1.0]), G, G @ mix, H, np.c_[G[:, 0], H[:, 0], w],
+                      np.c_[G[:, :2], v]])
+    U, ranks = subspace._bases(stack, 1e-8)[:2]
+    inter, k = subspace._intersect(U[:, None], U, tol, np.minimum(ranks[:, None], ranks))
+    for i, j in product(range(len(stack)), repeat=2):
+        one, k1 = subspace._intersect(U[i, :, : ranks[i]], U[j, :, : ranks[j]], tol,
+                                      min(ranks[i], ranks[j]))
+        assert k[i, j] == k1 and not inter[i, j, :, k1:].any() and not one[:, k1:].any()
+        assert subspace._spans_equal_stacked(inter[i, j, :, :k1], one[:, :k1], 1e-8, k1)
+    assert k[0].max() == 0 and k[1, 2] == 1 and k[3, 4] == 3 and np.array_equal(k, k.T)
+    if tol == 1e-8:
+        assert (k[3, 5], k[3, 6], k[3, 7], k[5, 6]) == (0, 1, 2, 1)
+    if tol == 1.0:  # every cosine reaches 0: the lesser rank caps k
+        assert np.array_equal(k, np.minimum(ranks[:, None], ranks))
+
+
 @pytest.mark.parametrize("check", [spans_equal, subspace_intersection],
                          ids=lambda f: f.__name__)
 def test_ambient_dimension_mismatch(check):
@@ -323,7 +349,7 @@ class TestLemma1:
 
 def lemma1_all_svd(A, s, tol=1e-8):
     """Reference: `check_lemma1` with every support's basis and rank from the SVD."""
-    supports = _enumerate_supports(A.structure.K, s, 10**6)
+    supports = _enumerate_supports(A.structure.K, s)
     cols = _support_columns(supports, A.structure.alpha)
     M = np.ldexp(A.data, -np.frexp(np.abs(A.data).max(initial=0.0))[1])  # check_lemma1's scale
     U, svals, _ = np.linalg.svd(M[:, cols].transpose(1, 0, 2), full_matrices=False)
@@ -574,7 +600,7 @@ class TestLemma2:
 def lemma2_one_pair(A, tol=1e-8):
     """Reference: Lemma 2 on every ordered pair of size-s supports, one pair at a time, as
     `subspace_intersection` and `spans_equal` decide it, on each block set's own SVD basis."""
-    supports = [tuple(S) for S in _enumerate_supports(A.structure.K, A.structure.s, 10**6).tolist()]
+    supports = [tuple(S) for S in _enumerate_supports(A.structure.K, A.structure.s).tolist()]
     bases = {}
 
     def basis(S):
