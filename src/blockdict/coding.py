@@ -201,7 +201,8 @@ def _min_residual_codes(A: BlockDict, Y: np.ndarray, s: int, tol: float) -> tupl
             # first support (lexicographic order) within each column's tie window
             near = R <= R.min(axis=0) + window[c.start + again]
             winner[again], tied[c.start + again] = near.argmax(axis=0), near.sum(axis=0) > 1
-        ks, k = np.unique(winner, return_inverse=True)
+        won = np.bincount(winner, minlength=len(rows)) > 0  # distinct winners, in order, unsorted
+        ks, k = np.flatnonzero(won), np.cumsum(won)[winner] - 1
         U, _, sv, Vt = _bases(A.data.T[rows[ks]].transpose(0, 2, 1), fp.eps * max(P, width))
         Yt = np.ascontiguousarray(Y[:, c].T)
         z = U[k].swapaxes(1, 2) @ Yt[:, :, None]

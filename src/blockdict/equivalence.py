@@ -152,7 +152,9 @@ def match_blocks(A: BlockDict, B: BlockDict, tol: float = DEFAULT_RANK_TOL) -> M
     U, ranks = _bases(blocks, tol)[:2]
     r = ranks[:K, None]
     equal = (r == ranks[K:]) & _spans_equal_stacked(U[:K, None], U[None, K:], tol, r)
-    matches = {i: tuple((np.flatnonzero(equal[i - 1]) + 1).tolist()) for i in range(1, K + 1)}
+    matches = {i: () for i in range(1, K + 1)}
+    for i, j in (np.argwhere(equal) + 1).tolist():  # row-major: each block's targets ascend
+        matches[i] += (j,)
     unmatched = tuple(i for i in range(1, K + 1) if len(matches[i]) == 0)
     ambiguous = tuple(i for i in range(1, K + 1) if len(matches[i]) > 1)
     if ambiguous:
@@ -311,7 +313,7 @@ def construct_kappa(
         When some probe has no |S|-block-sparse code in B within tol (B cannot reproduce
         A's measurements on S) or tied ones (kappa is not unique): the first such probe.
     ValueError
-        When S is empty or n_probes < 1.
+        When S is empty, n_probes < 1 or seed < 0.
     """
     _check_tols(tol=tol)
     _check_same_shape(A, B)
@@ -326,21 +328,30 @@ def construct_kappa(
 
 def _probe_supports(A: BlockDict, B: BlockDict, sups, n_probes: int, seed, tol: float) -> list:
     """`construct_kappa` on nonempty supports of one size: per support, its KappaResult or its
-    first failing probe's HypothesisViolationError. Each support draws from its own stream and
-    measures with its columns of A at their `_unit_scale`, so no probe overflows; the probes of
-    as many supports as fit max(n_probes, _CODE_CHUNK // P) columns are measured in one stacked
-    matmul, coded in B at that size in one kernel call and read by bit-packed block keys."""
+    first failing probe's HypothesisViolationError. Support S's probes come from its own stream,
+    seeded by the uint32 row (seed's little-endian 32-bit words, S), which is `SeedSequence`'s
+    reading of [seed, *S]; a negative seed is refused before any draw. Each probe is measured with
+    its support's columns of A at their `_unit_scale`, so none overflows; as many supports as fit
+    max(n_probes, _CODE_CHUNK // P) columns are drawn in place into one array, measured in one
+    stacked matmul, coded in B in one kernel call and read by bit-packed block keys; verdicts come
+    from arrays, with a count (majority, then least) only for split supports."""
     if n_probes < 1:
         raise ValueError(f"n_probes must be >= 1, got {n_probes}")
     if n_probes > DEFAULT_ENUMERATION_CAP:  # refused before its draw is allocated
         raise CapacityError(f"n_probes = {n_probes} exceeds the enumeration cap "
                             f"{DEFAULT_ENUMERATION_CAP}")
+    if (seed := int(seed)) < 0:  # numpy's own refusal of [seed, *S]
+        raise ValueError("expected non-negative integer")
     P, K, alpha = A.ambient_dim, A.structure.K, A.structure.alpha
+    words = np.frombuffer(seed.to_bytes(4 * max(1, -(-seed.bit_length() // 32)), "little"), "<u4")
+    entropy = np.hstack([np.tile(words, (len(sups), 1)), sups]).astype(np.uint32)
     out, step = [], max(1, _CODE_CHUNK // P // n_probes)
-    for batch in (sups[b : b + step] for b in range(0, len(sups), step)):
+    for start in range(0, len(sups), step):
+        batch = sups[start : start + step]
         cols = A.data[:, _support_columns(np.array(batch), alpha)].swapaxes(0, 1)  # (n, P, s*alpha)
-        T = np.stack([np.random.default_rng([int(seed), *sup]).standard_normal(
-            (n_probes, cols.shape[2])) for sup in batch])
+        T = np.empty((len(batch), n_probes, cols.shape[2]))
+        for row, t in zip(entropy[start : start + step], T):  # default_rng(row), drawn in place
+            np.random.Generator(np.random.PCG64(row)).standard_normal(out=t)
         Z = (_unit_scale(cols, (1, 2))[0] @ T.swapaxes(1, 2)).swapaxes(0, 1).reshape(P, -1)
         X, res, tied = _min_residual_codes(B, Z, len(sups[0]), min(tol, DEFAULT_CODING_TOL))
         res = _relative(res, np.linalg.norm(Z, axis=0)).reshape(len(batch), n_probes)
@@ -349,16 +360,19 @@ def _probe_supports(A: BlockDict, B: BlockDict, sups, n_probes: int, seed, tol: 
         _, first, ids = np.unique(keys.view(f"V{keys.shape[1]}").ravel(), return_index=True,
                                   return_inverse=True)  # each distinct support, read once
         found = [tuple(b for b, on in enumerate(row, 1) if on) for row in mask[first].tolist()]
-        for sup, r, tie, on in zip(batch, res, tied.reshape(res.shape), ids.reshape(res.shape)):
-            if (fail := (r > tol) | tie).any():  # the first failing probe
-                p = int(fail.argmax())
+        fail, ids = (res > tol) | tied.reshape(res.shape), ids.reshape(res.shape)
+        firsts, split = fail.argmax(axis=1).tolist(), (ids != ids[:, :1]).any(axis=1).tolist()
+        for k, (sup, p, head) in enumerate(zip(batch, firsts, ids[:, 0].tolist())):
+            if fail[k, p]:  # p: the first failing probe
                 out.append(HypothesisViolationError(f"probe {p} on support {sup} has " + (
-                    f"no {len(sup)}-block-sparse code in B (relative residual {r[p]:.3e} > "
-                    f"{tol:.1e})" if r[p] > tol else "tied codes in B")))
-                continue
-            counts = Counter(probes := tuple(found[i] for i in on))
-            winner = min(counts, key=lambda k: (-counts[k], k))  # majority, then least
-            out.append(KappaResult(sup, winner, len(counts) == 1, probes))
+                    f"no {len(sup)}-block-sparse code in B (relative residual {res[k, p]:.3e} > "
+                    f"{tol:.1e})" if res[k, p] > tol else "tied codes in B")))
+            elif split[k]:
+                counts = Counter(probes := tuple(found[i] for i in ids[k].tolist()))
+                winner = min(counts, key=lambda key: (-counts[key], key))  # majority, then least
+                out.append(KappaResult(sup, winner, False, probes))
+            else:
+                out.append(KappaResult(sup, found[head], True, (found[head],) * n_probes))
     return out
 
 

@@ -30,7 +30,9 @@ def write_matrix_text(path, M) -> None:
 
 
 def read_matrix_text(path) -> np.ndarray:
-    """Read a matrix written by `write_matrix_text`."""
+    """Read a matrix written by `write_matrix_text`: the body in one read, each row's count checked,
+    and the rows before the first bad count converted by one `np.array(tokens, dtype=float)`, which
+    parses as Python's `float` does, so every error keeps its text and its place in row order."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -41,16 +43,14 @@ def read_matrix_text(path) -> np.ndarray:
             raise ValueError(f"{path}: header must hold two integers, got {header!r}")
         if rows < 1 or cols < 1:
             raise ValueError(f"{path}: dimensions must be positive, got {rows}x{cols}")
-        data = np.empty((rows, cols))
-        for r in range(rows):
-            parts = fh.readline().split()
-            if len(parts) != cols:
-                raise ValueError(
-                    f"{path}: row {r + 1} has {len(parts)} values, expected {cols}"
-                )
-            data[r] = [float(p) for p in parts]
-        if fh.read().strip():
-            raise ValueError(f"{path}: data past the declared {rows} rows")
+        lines = fh.read().split("\n", rows) + [""] * rows  # as readline() reads; empty past EOF
+    tokens = [line.split() for line in lines[:rows]]
+    bad = next((r for r, parts in enumerate(tokens) if len(parts) != cols), rows)
+    data = np.array(tokens[:bad], dtype=float)
+    if bad < rows:
+        raise ValueError(f"{path}: row {bad + 1} has {len(tokens[bad])} values, expected {cols}")
+    if lines[rows].strip():
+        raise ValueError(f"{path}: data past the declared {rows} rows")
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: matrix entries must all be finite")
     return data

@@ -867,3 +867,52 @@ class TestWideSupportKeys:
         assert max(kappas) > (64 if K == 70 else 8)  # a key past its first byte or 64 bits
         errors = [sup for sup, res in zip(sups, got) if isinstance(res, Exception)]
         assert errors == ([sup for sup in sups if 1 in sup] if corrupted else [])
+
+
+class TestProbeStreams:
+    """Each support's probes come from the stream `default_rng([seed, *S])` would give it, drawn
+    here from one uint32 entropy array: the seed's 32-bit words, then S."""
+
+    # seeds of one, two, three and four 32-bit words, and the word boundaries between them
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**100 + 7])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_every_support_draws_its_listed_seed_stream(self, seed, s):
+        A, B = wide_pair(12, 2, s, True, seed=5)  # supports holding block 1 print a residual
+        sups = list(combinations(range(1, 13), s))[:: 1 if s < 3 else 5]
+        got = equivalence._probe_supports(A, B, sups, 3, seed, 1e-8)
+        for sup, res in zip(sups, got, strict=True):
+            assert_same_outcome(res, outcome(per_probe_kappa, A, B, sup, 3, seed, 1e-8))
+        assert any(isinstance(res, Exception) for res in got)
+        assert any(isinstance(res, KappaResult) for res in got)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**40)])
+    def test_negative_seed_rejected_before_any_draw(self, monkeypatch, seed):
+        # numpy refuses [seed, *S] with this text; the words of a negative seed never end
+        A, B, _, _, _ = make_equivalent_pair(16, 5, 2, 2, seed=510)
+        calls = spy_codes(monkeypatch)
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            construct_kappa(A, B, (1, 2), 4, seed)
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            verify_theorem_instance(A, B, s=2, seed=seed)
+        assert calls == []
+
+
+class TestSplitKappa:
+    """Supports whose probes decode to several B-supports: kappa is the most frequent, then the
+    least, the flag is cleared, and the probe supports keep their draw order."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_split_supports_match_per_probe_coding(self, seed):
+        # unrelated dictionaries at a probe tol of 0.99: every probe has a code, on varying blocks
+        st = BlockStructure(K=6, alpha=2, s=2)
+        A, B = gen_dictionary(16, st, seed=seed), gen_dictionary(16, st, seed=seed + 100)
+        sups = list(combinations(range(1, 7), 2))
+        got = equivalence._probe_supports(A, B, sups, 8, seed, 0.99)
+        for sup, res in zip(sups, got, strict=True):
+            assert_same_outcome(res, per_probe_kappa(A, B, sup, 8, seed, 0.99))
+        assert not got[0].consistent  # (1, 2) splits on every seed here
+        for res in got:
+            counts = Counter(res.probe_supports)
+            top = max(counts.values())
+            assert res.kappa == min(k for k, c in counts.items() if c == top)
+            assert res.consistent == (len(counts) == 1)

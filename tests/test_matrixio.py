@@ -62,6 +62,38 @@ def test_wrong_value_count(tmp_path):
         read_matrix_text(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("3 2\n1 2\n3\n5 6\n", "row 2 has 1 values, expected 2"),
+    ("3 2\n1 2 9\n3 4\n5 6\n", "row 1 has 3 values, expected 2"),
+    ("3 2\n1 2\n3 4\n", "row 3 has 0 values, expected 2"),
+    ("3 2\n1 2\n3 4", "row 3 has 0 values, expected 2"),
+    ("3 2\n1 2\n3 x\n5 6\n", "could not convert string to float: 'x'"),
+    # rows are read in order: an earlier row's token before a later row's count or stray data
+    ("3 2\n1 y\n3\n5 6\n", "could not convert string to float: 'y'"),
+    ("2 2\n1 2\n3 z\n5 6\n", "could not convert string to float: 'z'"),
+    ("2 2\n1 2\n3 4\n5\n", "data past the declared 2 rows"),
+])
+def test_row_errors_name_the_first_fault(tmp_path, text, message):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        read_matrix_text(path)
+    prefix = "" if message.startswith("could not") else f"{path}: "
+    assert str(err.value) == prefix + message
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("2 2\r\n1 2\r\n3 4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ("1 3\n1_0 -2.5e1 .5\n", [[10.0, -25.0, 0.5]]),
+    ("2 1\n\t7  \n  8\n \n", [[7.0], [8.0]]),
+])
+def test_crlf_underscores_and_blanks_accepted(tmp_path, text, expected):
+    path = tmp_path / "m.txt"
+    path.write_bytes(text.encode())
+    out = read_matrix_text(path)
+    assert out.dtype == float and out.tolist() == expected
+
+
 def test_non_finite_rejected(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("1 2\n1 nan\n")
