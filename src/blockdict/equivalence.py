@@ -5,7 +5,8 @@ permuting whole blocks and multiplying each block by an invertible
 alpha x alpha matrix. `recover_equivalence` produces a certificate for
 that relation by matching block spans and solving all blocks' least
 squares from one stacked SVD; `construct_kappa` probes the
-support-to-support correspondence induced by exact block-sparse coding.
+support-to-support correspondence induced by exact block-sparse coding, and
+`verify_theorem_instance` reads it, with no probe, from span containment.
 """
 
 from __future__ import annotations
@@ -15,17 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import _CODE_CHUNK, DEFAULT_CODING_TOL, _min_residual_codes, _relative
+from .coding import DEFAULT_CODING_TOL, _min_residual_codes, _relative
 from .core import (BlockDict, BlockStructure, Support, _check_s, _check_tols, _numerical_rank,
                    _unit_scale, as_support)
 from .errors import CapacityError, HypothesisViolationError, RankError
-from .rip import (DEFAULT_ENUMERATION_CAP, RipReport, _sample_supports, _support_columns,
-                  rip_constant)
+from .rip import (DEFAULT_ENUMERATION_CAP, RipReport, _enumerate_supports, _sample_supports,
+                  _support_columns, rip_constant)
 # not called here: bench/tracing.py rebinds these names in this module
 from .coding import exhaustive_code  # noqa: F401
 from .rip import rip_constant_exact, rip_lower_bound_sampled  # noqa: F401
 from .subspace import orthonormal_basis, spans_equal  # noqa: F401
-from .subspace import DEFAULT_RANK_TOL, _bases, _spans_equal_stacked
+from .subspace import DEFAULT_RANK_TOL, _bases, _containment, _spans_equal_stacked
 
 DEFAULT_CERTIFICATE_TOL = 1e-6
 DEFAULT_PROBE_TOL = 1e-8
@@ -155,18 +156,13 @@ def match_blocks(A: BlockDict, B: BlockDict, tol: float = DEFAULT_RANK_TOL) -> M
     matches = {i: () for i in range(1, K + 1)}
     for i, j in (np.argwhere(equal) + 1).tolist():  # row-major: each block's targets ascend
         matches[i] += (j,)
-    unmatched = tuple(i for i in range(1, K + 1) if len(matches[i]) == 0)
-    ambiguous = tuple(i for i in range(1, K + 1) if len(matches[i]) > 1)
-    if ambiguous:
-        return MatchReport(STATUS_AMBIGUOUS, None, matches, unmatched, ambiguous)
-    if unmatched:
-        return MatchReport(STATUS_NOT_EQUIVALENT, None, matches, unmatched, ambiguous)
-    targets = [matches[i][0] for i in range(1, K + 1)]
-    if len(set(targets)) != K:
-        return MatchReport(STATUS_NOT_EQUIVALENT, None, matches, unmatched, ambiguous)
-    return MatchReport(
-        "matched", BlockPermutation(K, tuple(targets)), matches, unmatched, ambiguous
-    )
+    unmatched = tuple(i for i, js in matches.items() if not js)
+    ambiguous = tuple(i for i, js in matches.items() if len(js) > 1)
+    targets = tuple(js[0] for js in matches.values() if js)
+    if ambiguous or unmatched or len(set(targets)) != K:
+        status = STATUS_AMBIGUOUS if ambiguous else STATUS_NOT_EQUIVALENT
+        return MatchReport(status, None, matches, unmatched, ambiguous)
+    return MatchReport("matched", BlockPermutation(K, targets), matches, unmatched, ambiguous)
 
 
 def _block_transforms(As: np.ndarray, Bs: np.ndarray, rank_tol: float) -> tuple[np.ndarray, ...]:
@@ -299,11 +295,11 @@ def construct_kappa(
     """Find the B-support spanning the same measurements as the A-blocks in S.
 
     Draws n_probes random coefficient vectors supported on S in one draw
-    (stream derived from seed and S), measures y = A t, and exactly codes
-    each y in B at block-sparsity |S|, all probes in one kernel call.
-    If every probe decodes to the same support, that support is returned
-    with the consistency flag set; otherwise the majority support is
-    returned with the flag cleared.
+    (stream `default_rng([seed, *S])`), measures y = A t with S's columns at
+    their `_unit_scale`, so none overflows, and exactly codes each y in B at
+    block-sparsity |S|, all probes in one kernel call. If every probe decodes
+    to the same support, that support is returned with the consistency flag
+    set; otherwise the majority support (then the least) with the flag cleared.
 
     Raises
     ------
@@ -320,60 +316,34 @@ def construct_kappa(
     sup = as_support(S, A.structure.K)
     if not sup:
         raise ValueError("support must be nonempty")
-    (res,) = _probe_supports(A, B, [sup], n_probes, seed, tol)
-    if isinstance(res, Exception):
-        raise res
-    return res
+    seed, (K, alpha) = _check_probes(n_probes, seed), (A.structure.K, A.structure.alpha)
+    cols = _unit_scale(A.data[:, _support_columns(np.array([sup]), alpha)[0]], None)[0]
+    Z = cols @ np.random.default_rng([seed, *sup]).standard_normal((n_probes, cols.shape[1])).T
+    X, res, tied = _min_residual_codes(B, Z, len(sup), min(tol, DEFAULT_CODING_TOL))
+    res = _relative(res, np.linalg.norm(Z, axis=0))
+    if (fail := (res > tol) | tied).any():
+        p = int(fail.argmax())  # the first failing probe
+        raise HypothesisViolationError(f"probe {p} on support {sup} has " + (
+            f"no {len(sup)}-block-sparse code in B (relative residual {res[p]:.3e} > {tol:.1e})"
+            if res[p] > tol else "tied codes in B"))
+    mask = np.abs(X).reshape(K, alpha, -1).max(axis=1).T > 0  # each probe's blocks
+    probes = tuple(tuple(b for b, on in enumerate(row, 1) if on) for row in mask.tolist())
+    counts = Counter(probes)
+    kappa = min(counts, key=lambda key: (-counts[key], key))  # majority, then least
+    return KappaResult(sup, kappa, len(counts) == 1, probes)
 
 
-def _probe_supports(A: BlockDict, B: BlockDict, sups, n_probes: int, seed, tol: float) -> list:
-    """`construct_kappa` on nonempty supports of one size: per support, its KappaResult or its
-    first failing probe's HypothesisViolationError. Support S's probes come from its own stream,
-    seeded by the uint32 row (seed's little-endian 32-bit words, S), which is `SeedSequence`'s
-    reading of [seed, *S]; a negative seed is refused before any draw. Each probe is measured with
-    its support's columns of A at their `_unit_scale`, so none overflows; as many supports as fit
-    max(n_probes, _CODE_CHUNK // P) columns are drawn in place into one array, measured in one
-    stacked matmul, coded in B in one kernel call and read by bit-packed block keys; verdicts come
-    from arrays, with a count (majority, then least) only for split supports."""
+def _check_probes(n_probes: int, seed) -> int:
+    """seed as an int: ValueError unless n_probes >= 1 and seed >= 0 (numpy's own refusal of
+    [seed, *S]), CapacityError when n_probes exceeds the enumeration cap."""
     if n_probes < 1:
         raise ValueError(f"n_probes must be >= 1, got {n_probes}")
-    if n_probes > DEFAULT_ENUMERATION_CAP:  # refused before its draw is allocated
+    if n_probes > DEFAULT_ENUMERATION_CAP:
         raise CapacityError(f"n_probes = {n_probes} exceeds the enumeration cap "
                             f"{DEFAULT_ENUMERATION_CAP}")
-    if (seed := int(seed)) < 0:  # numpy's own refusal of [seed, *S]
+    if (seed := int(seed)) < 0:
         raise ValueError("expected non-negative integer")
-    P, K, alpha = A.ambient_dim, A.structure.K, A.structure.alpha
-    words = np.frombuffer(seed.to_bytes(4 * max(1, -(-seed.bit_length() // 32)), "little"), "<u4")
-    entropy = np.hstack([np.tile(words, (len(sups), 1)), sups]).astype(np.uint32)
-    out, step = [], max(1, _CODE_CHUNK // P // n_probes)
-    for start in range(0, len(sups), step):
-        batch = sups[start : start + step]
-        cols = A.data[:, _support_columns(np.array(batch), alpha)].swapaxes(0, 1)  # (n, P, s*alpha)
-        T = np.empty((len(batch), n_probes, cols.shape[2]))
-        for row, t in zip(entropy[start : start + step], T):  # default_rng(row), drawn in place
-            np.random.Generator(np.random.PCG64(row)).standard_normal(out=t)
-        Z = (_unit_scale(cols, (1, 2))[0] @ T.swapaxes(1, 2)).swapaxes(0, 1).reshape(P, -1)
-        X, res, tied = _min_residual_codes(B, Z, len(sups[0]), min(tol, DEFAULT_CODING_TOL))
-        res = _relative(res, np.linalg.norm(Z, axis=0)).reshape(len(batch), n_probes)
-        mask = np.abs(X).reshape(K, alpha, -1).max(axis=1).T > 0  # each probe's blocks
-        keys = np.ascontiguousarray(np.packbits(mask, axis=1))  # one bit a block: a key at any K
-        _, first, ids = np.unique(keys.view(f"V{keys.shape[1]}").ravel(), return_index=True,
-                                  return_inverse=True)  # each distinct support, read once
-        found = [tuple(b for b, on in enumerate(row, 1) if on) for row in mask[first].tolist()]
-        fail, ids = (res > tol) | tied.reshape(res.shape), ids.reshape(res.shape)
-        firsts, split = fail.argmax(axis=1).tolist(), (ids != ids[:, :1]).any(axis=1).tolist()
-        for k, (sup, p, head) in enumerate(zip(batch, firsts, ids[:, 0].tolist())):
-            if fail[k, p]:  # p: the first failing probe
-                out.append(HypothesisViolationError(f"probe {p} on support {sup} has " + (
-                    f"no {len(sup)}-block-sparse code in B (relative residual {res[k, p]:.3e} > "
-                    f"{tol:.1e})" if res[k, p] > tol else "tied codes in B")))
-            elif split[k]:
-                counts = Counter(probes := tuple(found[i] for i in ids[k].tolist()))
-                winner = min(counts, key=lambda key: (-counts[key], key))  # majority, then least
-                out.append(KappaResult(sup, winner, False, probes))
-            else:
-                out.append(KappaResult(sup, found[head], True, (found[head],) * n_probes))
-    return out
+    return seed
 
 
 @dataclass(frozen=True)
@@ -418,34 +388,45 @@ def verify_theorem_instance(
 
     The report carries (1) the restricted isometry constant of A at level
     min(2s, K) (`rip_constant`: exact up to the enumeration cap, else
-    sampled from seed), (2) a hypothesis section probing construct_kappa on a
-    family of size-s supports (all of them when there are at most
+    sampled from seed), (2) a hypothesis section with kappa on a family of
+    size-s supports (all of them when there are at most
     MAX_HYPOTHESIS_SUPPORTS, else a seeded sample), (3) the recovered equivalence
     certificate, and (4) whether kappa restricted to singletons equals the
-    recovered permutation. The family's probes are coded in one `_probe_supports` call,
-    the K singletons' in another. Findings are report fields; hypothesis violations are
+    recovered permutation. Findings are report fields; hypothesis violations are
     recorded, not raised.
+
+    Every A_S t has an |S|-block-sparse code in B exactly when span A_S lies in one span B_T,
+    |T| = |S| (a vector space is not a finite union of proper subspaces), so no entry probes: per
+    size, `_containment` reads the listed supports of A against all of B's, each at its
+    `_unit_scale`. kappa(S) is the one T within sine DEFAULT_PROBE_TOL; with none, the error names
+    the nearest T (least Frobenius residual) and its sine, and with several it is a tie. n_probes
+    is range-checked as in `construct_kappa` but changes nothing.
     """
     _check_tols(tol=tol)
     _check_same_shape(A, B)
     s = _check_s(A.structure, s)
-    K = A.structure.K
+    seed, K = _check_probes(n_probes, seed), A.structure.K
+
+    def entries(sups: np.ndarray) -> list[dict]:  # the supports' entries, all of one size
+        T, tol = _enumerate_supports(K, sups.shape[1]), DEFAULT_PROBE_TOL
+        found, first, near, sine = _containment(A, sups, B, T, tol)
+        out = []
+        for sup, n, t, x, y in zip(sups.tolist(), found.tolist(), T[first].tolist(),
+                                   T[near].tolist(), sine.tolist()):
+            why = "tied codes in B" if n else (f"no {len(sup)}-block-sparse code in B (nearest "
+                                              f"support {tuple(x)} at sine {y:.3e} > {tol:.1e})")
+            out.append({"support": sup, "kappa": t, "consistent": True} if n == 1 else
+                       {"support": sup, "error": f"support {tuple(sup)} has {why}"})
+        return out
 
     rip = rip_constant(A, min(2 * s, K), seed)
-
-    def probe(sups) -> list[dict]:  # every support of one size in one `_probe_supports` call
-        found = _probe_supports(A, B, sups, n_probes, seed, DEFAULT_PROBE_TOL)
-        return [{"support": list(sup), "error": str(res)} if isinstance(res, Exception) else
-                {"support": list(sup), "kappa": list(res.kappa), "consistent": res.consistent}
-                for sup, res in zip(sups, found)]
-
     family = sorted(map(tuple, _sample_supports(K, s, MAX_HYPOTHESIS_SUPPORTS, seed).tolist()))
-    hypothesis = probe(family)
+    hypothesis = entries(np.array(family))
     holds = all(entry.get("consistent", False) for entry in hypothesis)
     certificate = recover_equivalence(A, B, tol)
-    singles = probe([(i,) for i in range(1, K + 1)])
+    singles = entries(np.arange(1, K + 1)[:, None])
     agreement = None if certificate.permutation is None else all(
-        entry.get("consistent", False) and entry["kappa"] == [certificate.permutation(i)]
+        entry.get("kappa") == [certificate.permutation(i)]
         for i, entry in enumerate(singles, start=1)
     )
 

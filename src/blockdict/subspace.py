@@ -6,7 +6,9 @@ kernel over such stacks, `_spans_equal_stacked`: two spans of common rank r, sta
 are equal when r principal cosines are at least 1 - tol, i.e. every principal angle is below
 arccos(1 - tol) ~ sqrt(2 tol); the one intersection kernel, `_intersect`, keeps the principal
 vectors of such cosines. `check_lemma1` first tries a certificate from one Gram of the
-block-whitened A; where it fails, span equality runs only on pairs passing a Frobenius pre-screen.
+block-whitened A; where it fails, span equality runs only on pairs passing a Frobenius pre-screen,
+`_screen`. The same screen feeds `_containment`, the residual sines of span Q_S inside span Q_T
+from which `verify_theorem_instance` reads the theorem's hypothesis.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from .core import _unit_scale
 from .errors import CapacityError
 from .rip import (DEFAULT_ENUMERATION_CAP, _enumerate_supports, _slack, _support_bounds,
                   _support_columns, _support_deltas)
+
+_STACK = 2**20  # about the entries a stacked array of bases holds
 
 
 @dataclass(frozen=True)
@@ -127,6 +131,64 @@ def _intersect(Q1: np.ndarray, Q2: np.ndarray, tol: float, r) -> tuple[np.ndarra
     return Q1 @ (W * (np.arange(W.shape[-1]) < k[..., None, None])), k
 
 
+def _screen(Q1: np.ndarray, r1, Q2: np.ndarray, r2, floor, upper: bool = False):
+    """Frobenius pre-screen of stacked (n1, P, d1) and (n2, P, d2) bases, zero past their ranks r1
+    and r2 as `_bases` makes them: per block of Q1's rows whose pairs stack about _STACK basis
+    entries, (sums, a, b), sums[i, b - c] = ||Q2_b^T Q1_(lo + i)||_F^2 the squared principal
+    cosines summed, and (a, b) the block's pairs with a sum of at least floor[a] and r2[b] >= r1[a];
+    c = 0, or with upper the block's first row lo, so that no b below it is screened."""
+    (n1, P, d1), (n2, _, d2) = Q1.shape, Q2.shape
+    flat1, flat2 = (Q.transpose(0, 2, 1).reshape(-1, P) for Q in (Q1, Q2))
+    for lo in range(0, n1, step := max(1, _STACK // (n2 * P * d2))):
+        c = lo if upper else 0
+        np.square(sums := flat1[lo * d1 : (lo + step) * d1] @ flat2[c * d2 :].T, out=sums)
+        sums = (sums.reshape(-1, d2) @ np.ones(d2)).reshape(-1, d1, n2 - c).sum(axis=1)
+        rows = slice(lo, lo + step)
+        a, b = np.nonzero((sums >= floor[rows, None]) & (r2[c:] >= r1[rows, None]))
+        yield sums, a + lo, b + c
+
+
+def _support_bases(*lists) -> tuple[np.ndarray, np.ndarray]:
+    """(bases, ranks): one `_bases` SVD of the columns of every support of each (D, supports) pair,
+    in order, each support's columns at their `_unit_scale`."""
+    M = np.concatenate([D.data[:, _support_columns(x, D.structure.alpha)].transpose(1, 0, 2)
+                        for D, x in lists])
+    return _bases(_unit_scale(M, (1, 2))[0], DEFAULT_RANK_TOL)[:2]
+
+
+def _containment(A: BlockDict, S: np.ndarray, B: BlockDict, T: np.ndarray, tol: float) -> tuple:
+    """(found, first, near, sine) per support of A in S against B's supports T, all of one size,
+    from their `_support_bases` Q_S and Q_T (S's in the SVD of T's first block), T in blocks whose
+    bases and (S, T) tables hold about _STACK entries each: how many T hold span Q_S within sine
+    tol and the first of them (any index when none), and the T of greatest ||Q_T^T Q_S||_F^2 (the
+    least Frobenius residual) and its sine. A sine is ||Q_S - Q_T Q_T^T Q_S||_2, taken on the pairs
+    `_screen` keeps at floor rank_S - 1/2 (every pair whose largest principal angle has sine below
+    1 / sqrt(2 rank_S)) and on each S's nearest T: a residual resolves sines near 0 that
+    sqrt(1 - cos^2) does not (below about 1e-8)."""
+    (m, width), P = S.shape, A.ambient_dim
+    size, parts, r = P * min(P, width * A.structure.alpha), [], np.arange(m)  # size: a basis's
+    for lo in range(0, len(T), step := max(1, _STACK // (size + m))):
+        head = [(A, S)] if lo == 0 else []
+        QT, rT = _support_bases(*head, (B, T[lo : lo + step]))
+        if head:
+            (QS, rS), QT, rT = (QT[:m], rT[:m]), QT[m:], rT[m:]
+        sums, a, b = map(np.concatenate, zip(*_screen(QS, rS, QT, rT, rS - 0.5)))
+        keep, j = np.zeros(sums.shape, dtype=bool), sums.argmax(axis=1)
+        keep[a, b] = keep[r, j] = True
+        a, b = np.nonzero(keep)
+        sines = np.full(sums.shape, np.inf)
+        for c in (slice(i, i + step) for i in range(0, len(a), step)):
+            Qa, Qb = QS[a[c]], QT[b[c]]
+            R = Qa - Qb @ (Qb.swapaxes(1, 2) @ Qa)
+            R = np.linalg.eigvalsh(R.swapaxes(1, 2) @ R)[:, -1]
+            sines[a[c], b[c]] = np.sqrt(np.maximum(R, 0.0))
+        hit = sines <= tol
+        parts.append((hit.sum(axis=1), lo + hit.argmax(axis=1), sums[r, j], lo + j, sines[r, j]))
+    count, first, best, near, sine = map(np.array, zip(*parts))  # (blocks, m) each
+    k = best.argmax(axis=0)  # the first block of greatest sum holds the first such T
+    return count.sum(axis=0), first[(count > 0).argmax(axis=0), r], near[k, r], sine[k, r]
+
+
 def _pair_supports(K: int, s: int) -> np.ndarray:
     """The size-s supports; CapacityError when their C(K, s)^2 ordered pairs exceed the cap."""
     if (n_pairs := math.comb(K, s) ** 2) > DEFAULT_ENUMERATION_CAP:
@@ -152,9 +214,9 @@ def check_lemma1(A: BlockDict, s: int | None = None, tol: float = DEFAULT_RANK_T
     lmin(Q_T^T Q_T) from `rip._support_bounds`, else eigvalsh, less `rip._slack` and e.
 
     Otherwise every support's basis and rank come from one batched SVD (`_bases`) of A at
-    the certificate's power-of-two scale, so the answer does not depend on A's scale; a
-    Frobenius pre-screen, in row blocks whose pairs stack about 2^20 entries, sends each block's
-    same-rank pairs near equality to the exact kernel in one call at their rank.
+    the certificate's power-of-two scale, so the answer does not depend on A's scale; the
+    Frobenius pre-screen `_screen` sends each row block's same-rank pairs near equality to the
+    exact kernel in one call at their rank.
 
     Raises CapacityError when C(K, s)^2 exceeds DEFAULT_ENUMERATION_CAP.
     """
@@ -180,18 +242,10 @@ def check_lemma1(A: BlockDict, s: int | None = None, tol: float = DEFAULT_RANK_T
                 if ok.all():
                     return True
     U, ranks = _bases(M[:, _support_columns(supports, alpha)].transpose(1, 0, 2), tol)[:2]
-    n, P, d = U.shape
-    # with columns past each rank zeroed, ||U_a^T U_b||_F^2 sums the squared principal
-    # cosines, >= r (1 - tol)^2 for equal rank-r spans (every r is 0 once tol >= 1):
-    # only pairs above that floor reach the kernel
-    flat = U.transpose(0, 2, 1).reshape(n * d, P)
-    floor = ranks * (1.0 - tol) ** 2 - 1e-9
-    step = max(1, 2**20 // (n * P * d))  # a row block's pairs stack about 2^20 entries
-    for lo in range(0, n, step):
-        fro2 = np.square(flat[lo * d : (lo + step) * d] @ flat[lo * d :].T)
-        fro2 = (fro2.reshape(-1, d) @ np.ones(d)).reshape(-1, d, n - lo).sum(axis=1)
-        same = ranks[lo : lo + step, None] == ranks[lo:]
-        a, b = lo + np.argwhere(np.triu(same & (fro2 >= floor[lo : lo + step, None]), 1)).T
+    # equal rank-r spans have r squared principal cosines >= (1 - tol)^2 (every r is 0 once
+    # tol >= 1): only pairs above that floor reach the kernel
+    for _, a, b in _screen(U, ranks, U, ranks, ranks * (1.0 - tol) ** 2 - 1e-9, upper=True):
+        a, b = a[pair := (a < b) & (ranks[a] == ranks[b])], b[pair]
         if a.size and _spans_equal_stacked(U[a], U[b], tol, ranks[a]).any():
             return False
     return True
@@ -216,7 +270,7 @@ def _lemma2_pairs(A: BlockDict, supports: np.ndarray, tol: float) -> np.ndarray:
     keep = np.repeat((supports[:, None, :, None] == supports[None, :, None]).any(-1), alpha, -1)
     U, ranks = _bases(M, tol)[:2]
     d, holds = U.shape[-1], np.empty((n, n), dtype=bool)
-    step = max(1, 2**20 // (n * P * d))  # stacked arrays of about 2^20 entries
+    step = max(1, _STACK // (n * P * d))
     for a in (slice(lo, lo + step) for lo in range(0, n, step)):
         C, common = _bases(M[a, None] * keep[a, :, None], tol)[:2]
         inter, r = _intersect(U[a, None], U, tol, np.minimum(ranks[a, None], ranks))

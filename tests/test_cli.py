@@ -303,6 +303,15 @@ class TestKappa:
             assert run_cli([*cmd, "--probes", DEFAULT_ENUMERATION_CAP + 1]) == 3
             assert "capacity error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("probes", [0, -1])
+    def test_probe_count_below_one_exit_code(self, workdir, capsys, probes):
+        # verify reads no probe, yet range-checks --probes as kappa does
+        gen_files(workdir)
+        pair = [workdir / "A.txt", workdir / "A.txt", "--alpha", 2]
+        for cmd in (["kappa", *pair, "--support", "1,3"], ["verify", *pair, "--sparsity", 2]):
+            assert run_cli([*cmd, "--probes", probes]) == 2
+            assert f"n_probes must be >= 1, got {probes}" in capsys.readouterr().err
+
     def test_support_count_over_the_cap_exit_code(self, workdir, capsys):
         # both code probes at |S| = 20 on the 40 blocks of eye(40): C(40, 20) is over the cap
         write_matrix_text(workdir / "E40.txt", np.eye(40))

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 from collections import Counter
 from itertools import combinations
@@ -32,6 +33,8 @@ from blockdict import (
     spans_equal,
     verify_theorem_instance,
 )
+from blockdict import subspace
+from blockdict.rip import _enumerate_supports
 
 from conftest import (
     RANK_DEFICIENT_SVALS, make_equivalent_pair, make_rip_instance, rank_deficient_dict,
@@ -475,11 +478,9 @@ class TestConstructKappa:
         # zero, every support but (1, 3) probes as it does with block 1 times 2^-1024
         A, B = big_block_fixture(kind)
         small = A.with_block(1, np.ldexp(A.block(1), -1024))
-        for sups in ([(1,), (2,), (3,)], [(1, 2), (2, 3)]):
-            got = equivalence._probe_supports(A, B, sups, 6, seed, 1e-8)
-            for sup, res in zip(sups, got, strict=True):
-                assert_same_outcome(res, outcome(per_probe_kappa, small, B, sup, 6, seed, 1e-8))
-                assert_same_outcome(res, outcome(construct_kappa, A, B, sup, 6, seed, 1e-8))
+        for sup in [(1,), (2,), (3,), (1, 2), (2, 3)]:
+            assert_same_outcome(outcome(construct_kappa, A, B, sup, 6, seed, 1e-8),
+                                outcome(per_probe_kappa, small, B, sup, 6, seed, 1e-8))
         first = outcome(construct_kappa, A, B, (1,), 6, seed, 1e-8)
         if kind == "codes-ones":  # B codes ones on block 1 alone
             assert first == KappaResult((1,), (1,), True, ((1,),) * 6)
@@ -640,15 +641,6 @@ def outcome(probe, *args):
         return exc
 
 
-def per_probe_supports(probed):
-    """`equivalence._probe_supports` as a loop of `per_probe_kappa`, one support at a time;
-    appends each support it probes to probed."""
-    def probe_supports(A, B, sups, n_probes, seed, tol):
-        return [outcome(per_probe_kappa, A, B, probed.append(sup) or sup, n_probes, seed, tol)
-                for sup in sups]
-    return probe_supports
-
-
 def assert_same_outcome(got, expected):
     """Equal KappaResults, or errors of one type and text."""
     assert type(got) is type(expected)
@@ -692,27 +684,7 @@ FIXTURES = ("planted", "corrupted", "repeated-block", "zero-block")
 
 
 class TestProbeReports:
-    """Probes coded in one kernel call per sparsity give the per-probe coder's report."""
-
-    @pytest.mark.parametrize("name", FIXTURES)
-    @pytest.mark.parametrize("s", [1, 2])
-    def test_report_matches_per_probe_coding(self, monkeypatch, name, s):
-        A, B = probe_fixture(name)
-        sparsities = spy_sparsities(monkeypatch)
-        report = verify_theorem_instance(A, B, s=s, n_probes=4, seed=3).to_dict()
-        assert sparsities == [s, 1]  # the family, then the singletons
-        probed = []
-        monkeypatch.setattr(equivalence, "_probe_supports", per_probe_supports(probed))
-        assert report == verify_theorem_instance(A, B, s=s, n_probes=4, seed=3).to_dict()
-        details = report["hypothesis"]["details"] + report["agreement"]["kappa_singletons"]
-        assert probed == [tuple(e["support"]) for e in details]  # the reference, once per support
-        errors = [e["error"] for e in report["hypothesis"]["details"] if "error" in e]
-        if name == "planted":
-            assert report["hypothesis"]["holds"] and report["agreement"]["equal"] is True
-        elif name == "corrupted":
-            assert errors and all("has no" in e for e in errors)
-        else:  # rank-short supports and tied codes: the same text and probe index
-            assert errors and all("tied codes" in e for e in errors)
+    """A support's probes coded in one kernel call give the per-probe coder's outcome."""
 
     @pytest.mark.parametrize("name", FIXTURES)
     @pytest.mark.parametrize("sup", [(2,), (1, 4), (2, 5), (3, 6)])
@@ -760,33 +732,8 @@ class TestProbeOrder:
 
 
 class TestBatchedProbes:
-    """All probes of one sparsity share one kernel call, within a bounded column budget, and
-    each support keeps the outcome it has when coded alone."""
-
-    @pytest.mark.parametrize("name", FIXTURES)
-    @pytest.mark.parametrize("s", [1, 2])
-    def test_verify_makes_one_call_per_sparsity(self, monkeypatch, name, s):
-        A, B = probe_fixture(name)
-        calls = spy_codes(monkeypatch)
-        report = verify_theorem_instance(A, B, s=s, n_probes=4, seed=3)
-        K = A.structure.K
-        assert len(report.hypothesis_supports) == (K if s == 1 else 15)
-        assert calls == [4 * len(report.hypothesis_supports), 4 * K]
-
-    @pytest.mark.parametrize("name", FIXTURES)
-    @pytest.mark.parametrize("s", [1, 2])
-    @pytest.mark.parametrize("n_probes", [4, 12])
-    def test_calls_stay_within_the_column_budget(self, monkeypatch, name, s, n_probes):
-        A, B = probe_fixture(name)
-        expected = verify_theorem_instance(A, B, s=s, n_probes=n_probes, seed=3).to_dict()
-        budget = 10  # columns: _CODE_CHUNK // P at P = 16
-        monkeypatch.setattr(equivalence, "_CODE_CHUNK", budget * A.ambient_dim)
-        calls = spy_codes(monkeypatch)
-        report = verify_theorem_instance(A, B, s=s, n_probes=n_probes, seed=3).to_dict()
-        assert report == expected
-        n_supports = report["hypothesis"]["supports_checked"] + A.structure.K
-        assert sum(calls) == n_probes * n_supports
-        assert max(calls) <= max(n_probes, budget) and len(calls) > 2
+    """Failing and clean supports of one dictionary pair each keep the per-probe coder's outcome,
+    one `construct_kappa` kernel call each."""
 
     @pytest.mark.parametrize("name", ["corrupted", "repeated-block"])
     @pytest.mark.parametrize("s", [1, 2])
@@ -794,24 +741,14 @@ class TestBatchedProbes:
         A, B = probe_fixture(name)
         sups = list(combinations(range(1, 7), s))
         calls = spy_codes(monkeypatch)
-        got = equivalence._probe_supports(A, B, sups, 5, 7, 1e-8)
-        assert calls == [5 * len(sups)]
+        got = [outcome(construct_kappa, A, B, sup, 5, 7, 1e-8) for sup in sups]
+        assert calls == [5] * len(sups)
         for sup, res in zip(sups, got, strict=True):
             assert_same_outcome(res, outcome(per_probe_kappa, A, B, sup, 5, 7, 1e-8))
         errors = [str(res) for res in got if isinstance(res, Exception)]
-        assert errors and len(errors) < len(sups)  # failing and clean supports in one batch
+        assert errors and len(errors) < len(sups)  # failing and clean supports of one pair
         failure = "has no" if name == "corrupted" else "tied codes"
         assert all(failure in e for e in errors)
-
-    # (2,) measures A's zero block 2 and fails first
-    @pytest.mark.parametrize("kind", ["no-code", "tied"])
-    def test_violation_before_a_later_support(self, kind):
-        A, B = big_block_fixture(kind)
-        sups = [(2,), (1,), (3,)]
-        got = equivalence._probe_supports(A, B, sups, 6, 0, 1e-8)
-        for res, sup in zip(got, sups, strict=True):
-            assert_same_outcome(res, outcome(per_probe_kappa, A, B, sup, 6, 0, 1e-8))
-        assert isinstance(got[0], HypothesisViolationError)
 
 
 class TestSingletonProbes:
@@ -852,26 +789,26 @@ def wide_pair(K, alpha, s, corrupted, seed):
 
 
 class TestWideSupportKeys:
-    """Probe supports are read through bit-packed block keys: past K = 8 a key spans several
-    bytes, past K = 64 more than 64 bits, and each support keeps its one-support outcome."""
+    """Probe supports are read from the code's blocks: past K = 8 and past K = 64 each support
+    keeps its per-probe outcome."""
 
     @pytest.mark.parametrize("K, alpha, s", [(12, 2, 1), (12, 2, 2), (70, 1, 1)])
     @pytest.mark.parametrize("corrupted", [False, True])
     def test_every_support_matches_per_probe_coding(self, K, alpha, s, corrupted):
         A, B = wide_pair(K, alpha, s, corrupted, seed=5)
         sups = list(combinations(range(1, K + 1), s))
-        got = equivalence._probe_supports(A, B, sups, 3, 9, 1e-8)
+        got = [outcome(construct_kappa, A, B, sup, 3, 9, 1e-8) for sup in sups]
         for sup, res in zip(sups, got, strict=True):
             assert_same_outcome(res, outcome(per_probe_kappa, A, B, sup, 3, 9, 1e-8))
         kappas = [b for res in got if isinstance(res, KappaResult) for b in res.kappa]
-        assert max(kappas) > (64 if K == 70 else 8)  # a key past its first byte or 64 bits
+        assert max(kappas) > (64 if K == 70 else 8)  # a block past the first byte or 64 bits
         errors = [sup for sup, res in zip(sups, got) if isinstance(res, Exception)]
         assert errors == ([sup for sup in sups if 1 in sup] if corrupted else [])
 
 
 class TestProbeStreams:
-    """Each support's probes come from the stream `default_rng([seed, *S])` would give it, drawn
-    here from one uint32 entropy array: the seed's 32-bit words, then S."""
+    """Each support's probes come from the stream `default_rng([seed, *S])`: the seed's 32-bit
+    words, then S."""
 
     # seeds of one, two, three and four 32-bit words, and the word boundaries between them
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**100 + 7])
@@ -879,7 +816,7 @@ class TestProbeStreams:
     def test_every_support_draws_its_listed_seed_stream(self, seed, s):
         A, B = wide_pair(12, 2, s, True, seed=5)  # supports holding block 1 print a residual
         sups = list(combinations(range(1, 13), s))[:: 1 if s < 3 else 5]
-        got = equivalence._probe_supports(A, B, sups, 3, seed, 1e-8)
+        got = [outcome(construct_kappa, A, B, sup, 3, seed, 1e-8) for sup in sups]
         for sup, res in zip(sups, got, strict=True):
             assert_same_outcome(res, outcome(per_probe_kappa, A, B, sup, 3, seed, 1e-8))
         assert any(isinstance(res, Exception) for res in got)
@@ -907,7 +844,7 @@ class TestSplitKappa:
         st = BlockStructure(K=6, alpha=2, s=2)
         A, B = gen_dictionary(16, st, seed=seed), gen_dictionary(16, st, seed=seed + 100)
         sups = list(combinations(range(1, 7), 2))
-        got = equivalence._probe_supports(A, B, sups, 8, seed, 0.99)
+        got = [construct_kappa(A, B, sup, 8, seed, 0.99) for sup in sups]
         for sup, res in zip(sups, got, strict=True):
             assert_same_outcome(res, per_probe_kappa(A, B, sup, 8, seed, 0.99))
         assert not got[0].consistent  # (1, 2) splits on every seed here
@@ -916,3 +853,147 @@ class TestSplitKappa:
             top = max(counts.values())
             assert res.kappa == min(k for k, c in counts.items() if c == top)
             assert res.consistent == (len(counts) == 1)
+
+
+class TestContainmentTable:
+    """`verify_theorem_instance` reads every hypothesis and singleton entry from one table of
+    span-containment sines, with no probe: its kappa where `construct_kappa` finds one, an error
+    where that raises, a tie where its probes tie."""
+
+    @staticmethod
+    def assert_entries_match_construct_kappa(A, B, report):
+        entries = report.hypothesis_supports + report.kappa_singletons
+        for entry in entries:
+            res = outcome(construct_kappa, A, B, entry["support"], 4, 3, 1e-8)
+            if isinstance(res, Exception):
+                assert set(entry) == {"support", "error"}, entry
+                assert ("tied codes" in entry["error"]) == ("tied codes" in str(res)), entry
+            else:
+                assert res.consistent
+                assert entry == {"support": entry["support"], "kappa": list(res.kappa),
+                                 "consistent": True}
+        return entries
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_fixture_entries_match_construct_kappa(self, monkeypatch, name, s):
+        A, B = probe_fixture(name)
+        calls = spy_codes(monkeypatch)
+        report = verify_theorem_instance(A, B, s=s, n_probes=4, seed=3)
+        assert calls == []  # no `_min_residual_codes` call
+        self.assert_entries_match_construct_kappa(A, B, report)
+        errors = [e["error"] for e in report.hypothesis_supports if "error" in e]
+        if name == "planted":
+            assert report.hypothesis_holds and report.agreement is True
+        elif name == "corrupted":
+            assert errors and all("has no" in e for e in errors)
+        else:  # rank-short supports: every span holding theirs ties
+            assert errors and all("tied codes" in e for e in errors)
+
+    @pytest.mark.parametrize("K, alpha, s", [(12, 2, 1), (12, 2, 2), (12, 2, 3), (70, 1, 1)])
+    @pytest.mark.parametrize("corrupted", [False, True])
+    def test_wide_entries_match_construct_kappa(self, monkeypatch, K, alpha, s, corrupted):
+        A, B = wide_pair(K, alpha, s, corrupted, seed=5)
+        calls = spy_codes(monkeypatch)
+        report = verify_theorem_instance(A, B, s=s, seed=9)
+        assert calls == []
+        entries = self.assert_entries_match_construct_kappa(A, B, report)
+        failed = [e["support"] for e in entries if "error" in e]
+        assert failed == ([e["support"] for e in entries if 1 in e["support"]] if corrupted else [])
+        assert report.hypothesis_holds != corrupted
+
+    @pytest.mark.parametrize("K, alpha, s", [(6, 2, 2), (12, 2, 2), (12, 2, 3), (70, 1, 1)])
+    def test_planted_pairs_read_residual_sines_near_zero(self, K, alpha, s):
+        A, B = wide_pair(K, alpha, s, False, seed=5)
+        perm = gen_block_permutation(K, seed=6)  # wide_pair's: span A_S = span B_perm(S)
+        sups = _enumerate_supports(K, s)
+        found, first, near, sine = subspace._containment(A, sups, B, sups, 1e-8)
+        assert (found == 1).all() and np.array_equal(near, first)
+        assert sups[first].tolist() == [sorted(map(perm, sup)) for sup in sups.tolist()]
+        assert sine.max() <= 1e-13
+
+    # rank-0 singletons of A (zero-block) lie in every span B_T: every pair passes the screen
+    @pytest.mark.parametrize("name", ["planted", "corrupted", "zero-block"])
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_stacks_stay_within_the_entry_budget(self, monkeypatch, name, s):
+        A, B = probe_fixture(name)
+        expected = verify_theorem_instance(A, B, s=s).to_dict()
+        budget = 100  # entries: at P = 16, alpha = 2, three singletons' bases, or one pair's
+        monkeypatch.setattr(subspace, "_STACK", budget)
+        stacks, screen = [], subspace._screen  # each block's bases and (S, T) table entries
+        monkeypatch.setattr(subspace, "_screen", lambda Q1, r1, Q2, *rest: stacks.append(
+            max(Q2.size, len(Q1) * len(Q2))) or screen(Q1, r1, Q2, *rest))
+        eig, sines = np.linalg.eigvalsh, []
+
+        def spy(G):  # `rip` takes level-2s Grams, wider than the residuals' R^T R
+            if G.shape[-1] <= s * 2:
+                sines.append(len(G) * 16 * G.shape[-1])  # the residual stack's entries
+            return eig(G)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        assert verify_theorem_instance(A, B, s=s).to_dict() == expected
+        assert max(stacks) <= budget and max(sines) <= budget
+        # every size-t support is listed (m = C(6, t)): blocks of budget // (P t alpha + m) T's
+        assert len(stacks) == sum(-(-math.comb(6, t) // (budget // (32 * t + math.comb(6, t))))
+                                  for t in (s, 1))
+        if name == "zero-block" and s == 1:  # every T, in blocks of 2, for the zero block
+            assert sum(sines) >= 2 * 6 * 16 * 2
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_error_names_the_nearest_support_and_its_sine(self, s):
+        A, B = probe_fixture("corrupted")
+        report = verify_theorem_instance(A, B, s=s)
+        sups = list(combinations(range(1, 7), s))
+        errors = [e for e in report.hypothesis_supports if "error" in e]
+        assert len(errors) == math.comb(5, s - 1)  # those holding A's block over B's block 3
+        for e in errors:
+            QS = orthonormal_basis(A.restrict(e["support"])).basis
+            residuals = [QS - QT @ (QT.T @ QS) for QT in
+                         (orthonormal_basis(B.restrict(sup)).basis for sup in sups)]
+            near = int(np.argmin([np.linalg.norm(R) for R in residuals]))  # least Frobenius
+            sine = np.linalg.norm(residuals[near], 2)
+            assert e["error"] == (f"support {tuple(e['support'])} has no {s}-block-sparse code in B "
+                                  f"(nearest support {sups[near]} at sine {sine:.3e} > 1.0e-08)")
+
+    def test_tie_text(self):
+        # block 2 zeroed: span A_(1, 2) = span A_1 lies in every span B_T with T holding 1
+        A = rank_deficient_dict((0.0, 0.0))
+        entry = verify_theorem_instance(A, A, s=2).hypothesis_supports[0]
+        assert entry == {"support": [1, 2], "error": "support (1, 2) has tied codes in B"}
+
+    def test_probe_count_is_checked_and_changes_nothing(self):
+        A, B = probe_fixture("corrupted")
+        with pytest.raises(ValueError, match="^n_probes must be >= 1, got 0$"):
+            verify_theorem_instance(A, B, s=2, n_probes=0)
+        with pytest.raises(CapacityError, match="^n_probes = 1000001 exceeds the enumeration"):
+            verify_theorem_instance(A, B, s=2, n_probes=DEFAULT_ENUMERATION_CAP + 1)
+        report = verify_theorem_instance(A, B, s=2, n_probes=1).to_dict()
+        assert report == verify_theorem_instance(A, B, s=2, n_probes=50).to_dict()
+
+    def test_seed_changes_nothing_below_the_caps(self):
+        # every size-2 support is checked and delta_4 is exact: the seed reaches neither
+        A, B = probe_fixture("corrupted")
+        report = verify_theorem_instance(A, B, s=2, seed=0).to_dict()
+        assert report == verify_theorem_instance(A, B, s=2, seed=2**40 + 5).to_dict()
+
+    # shapes whose screens run in one block of rows, and in several
+    @pytest.mark.parametrize("K, alpha, s", [(6, 2, 2), (12, 2, 3), (30, 1, 2), (12, 2, 2)])
+    @pytest.mark.parametrize("floor", ["containment", "equality", "equality-upper"])
+    def test_screen_keeps_exactly_the_pairs_above_the_floor(self, K, alpha, s, floor):
+        A, B = wide_pair(K, alpha, s, True, seed=5)
+        if K == 12 and s == 2:  # rank-short supports on both sides
+            A, B = A.with_block(2, np.zeros((24, 2))), B.with_block(5, np.zeros((24, 2)))
+        sups, upper = _enumerate_supports(K, s), floor == "equality-upper"
+        (QS, rS), (QT, rT) = (subspace._support_bases((D, sups)) for D in (A, A if upper else B))
+        bound = rS - 0.5 if floor == "containment" else rS * (1 - 1e-8) ** 2 - 1e-9
+        blocks = list(subspace._screen(QS, rS, QT, rT, bound, upper))
+        sums = np.square(np.einsum("apd,bpe->abde", QS, QT)).sum(axis=(2, 3))
+        lo, kept = 0, set()
+        for blk, a, b in blocks:  # upper: a block's columns start at its first row
+            assert np.allclose(blk, sums[lo : lo + len(blk), lo if upper else 0 :], atol=1e-12)
+            assert (b >= (lo if upper else 0)).all()
+            lo, kept = lo + len(blk), kept | set(zip(a.tolist(), b.tolist()))
+        expected = set(map(tuple, np.argwhere((sums >= bound[:, None]) & (rT >= rS[:, None]))))
+        assert kept <= expected and len(kept) > 0
+        assert (kept >= {(a, b) for a, b in expected if a < b}) if upper else kept == expected
+        assert (len(blocks) > 1) == ((K, s) in {(12, 3), (30, 2)})
