@@ -51,7 +51,7 @@ for S in [(1, 2), (2, 4), (3, 5)]:
     res = construct_kappa(A, B, S, n_probes=8, seed=0)
     print(f"  kappa{S} = {res.kappa}  consistent={res.consistent}")
 
-report = verify_theorem_instance(A, B, s=2, n_probes=4, seed=0)
+report = verify_theorem_instance(A, B, s=2, seed=0)
 print("\nend-to-end check: hypothesis holds =", report.hypothesis_holds,
       "| certificate =", report.certificate.status,
       "| kappa singletons agree with pi =", report.agreement)
@@ -59,6 +59,6 @@ print("\nend-to-end check: hypothesis holds =", report.hypothesis_holds,
 # negative control: corrupt one block and the hypothesis fails exactly there
 rng = np.random.default_rng(1)
 B_bad = A.with_block(3, np.linalg.qr(rng.standard_normal((16, 2)))[0])
-report = verify_theorem_instance(A, B_bad, s=2, n_probes=3, seed=0)
+report = verify_theorem_instance(A, B_bad, s=2, seed=0)
 failing = [tuple(e["support"]) for e in report.hypothesis_supports if "error" in e]
 print("\nafter corrupting block 3, hypothesis fails on supports:", failing)

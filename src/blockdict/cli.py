@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 
 import numpy as np
@@ -54,9 +56,11 @@ def _load_dict(path, alpha: int, s: int = 1) -> BlockDict:
 
 def _emit(args, text: str) -> None:
     text = text if text.endswith("\n") else text + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if args.out:  # written in place, then cut to its length: cheaper than a truncating open
+        with open(os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # os.devnull refuses truncation
+                fh.truncate()
     else:
         sys.stdout.write(text)
 
@@ -146,9 +150,7 @@ def _cmd_learn(args) -> int:
 def _cmd_verify(args) -> int:
     A = _load_dict(args.dict_a, args.alpha, args.sparsity)
     B = _load_dict(args.dict_b, args.alpha, args.sparsity)
-    report = verify_theorem_instance(
-        A, B, s=args.sparsity, n_probes=args.probes, seed=args.seed, tol=args.tol
-    )
+    report = verify_theorem_instance(A, B, s=args.sparsity, seed=args.seed, tol=args.tol)
     _emit(args, json.dumps(report.to_dict()))
     return 0
 
@@ -172,13 +174,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=Parser)
 
     # each subcommand lists, as parents, exactly the shared flags its handler reads
-    seed, out, fmt, alpha, sparsity, probes, pair = (Parser(add_help=False) for _ in range(7))
+    seed, out, fmt, alpha, sparsity, pair = (Parser(add_help=False) for _ in range(6))
     seed.add_argument("--seed", type=int, default=0, help="RNG seed")
     out.add_argument("--out", help="output path (default: stdout)")
     fmt.add_argument("--format", choices=["json", "csv"], default="json")
     alpha.add_argument("--alpha", type=int, required=True, help="block width")
     sparsity.add_argument("--sparsity", type=int, required=True, help="active blocks s")
-    probes.add_argument("--probes", type=int, default=8)
     pair.add_argument("dict_a")
     pair.add_argument("dict_b")
 
@@ -217,9 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--span-tol", type=float, default=DEFAULT_RANK_TOL)
     p.set_defaults(func=_cmd_equiv)
 
-    p = sub.add_parser("kappa", parents=[seed, out, alpha, probes, pair],
+    p = sub.add_parser("kappa", parents=[seed, out, alpha, pair],
                        help="support correspondence by probing")
     p.add_argument("--support", required=True, help="comma-separated 1-based blocks")
+    p.add_argument("--probes", type=int, default=8)
     p.add_argument("--tol", type=float, default=DEFAULT_PROBE_TOL, help="tolerance")
     p.set_defaults(func=_cmd_kappa)
 
@@ -229,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dict", help="write the learned dictionary here")
     p.set_defaults(func=_cmd_learn)
 
-    p = sub.add_parser("verify", parents=[seed, out, alpha, sparsity, probes, pair],
+    p = sub.add_parser("verify", parents=[seed, out, alpha, sparsity, pair],
                        help="end-to-end identifiability report for a pair")
     p.add_argument("--tol", type=float, default=DEFAULT_CERTIFICATE_TOL, help="tolerance")
     p.set_defaults(func=_cmd_verify)

@@ -316,7 +316,12 @@ def construct_kappa(
     sup = as_support(S, A.structure.K)
     if not sup:
         raise ValueError("support must be nonempty")
-    seed, (K, alpha) = _check_probes(n_probes, seed), (A.structure.K, A.structure.alpha)
+    if n_probes < 1:
+        raise ValueError(f"n_probes must be >= 1, got {n_probes}")
+    if n_probes > DEFAULT_ENUMERATION_CAP:
+        raise CapacityError(f"n_probes = {n_probes} exceeds the enumeration cap "
+                            f"{DEFAULT_ENUMERATION_CAP}")
+    K, alpha = A.structure.K, A.structure.alpha
     cols = _unit_scale(A.data[:, _support_columns(np.array([sup]), alpha)[0]], None)[0]
     Z = cols @ np.random.default_rng([seed, *sup]).standard_normal((n_probes, cols.shape[1])).T
     X, res, tied = _min_residual_codes(B, Z, len(sup), min(tol, DEFAULT_CODING_TOL))
@@ -331,19 +336,6 @@ def construct_kappa(
     counts = Counter(probes)
     kappa = min(counts, key=lambda key: (-counts[key], key))  # majority, then least
     return KappaResult(sup, kappa, len(counts) == 1, probes)
-
-
-def _check_probes(n_probes: int, seed) -> int:
-    """seed as an int: ValueError unless n_probes >= 1 and seed >= 0 (numpy's own refusal of
-    [seed, *S]), CapacityError when n_probes exceeds the enumeration cap."""
-    if n_probes < 1:
-        raise ValueError(f"n_probes must be >= 1, got {n_probes}")
-    if n_probes > DEFAULT_ENUMERATION_CAP:
-        raise CapacityError(f"n_probes = {n_probes} exceeds the enumeration cap "
-                            f"{DEFAULT_ENUMERATION_CAP}")
-    if (seed := int(seed)) < 0:
-        raise ValueError("expected non-negative integer")
-    return seed
 
 
 @dataclass(frozen=True)
@@ -380,7 +372,6 @@ def verify_theorem_instance(
     A: BlockDict,
     B: BlockDict,
     s: int | None = None,
-    n_probes: int = 8,
     seed: int = 0,
     tol: float = DEFAULT_CERTIFICATE_TOL,
 ) -> TheoremReport:
@@ -399,13 +390,12 @@ def verify_theorem_instance(
     |T| = |S| (a vector space is not a finite union of proper subspaces), so no entry probes: per
     size, `_containment` reads the listed supports of A against all of B's, each at its
     `_unit_scale`. kappa(S) is the one T within sine DEFAULT_PROBE_TOL; with none, the error names
-    the nearest T (least Frobenius residual) and its sine, and with several it is a tie. n_probes
-    is range-checked as in `construct_kappa` but changes nothing.
+    the nearest T (least Frobenius residual) and its sine, and with several it is a tie. The
+    family is drawn first, so `_sample_supports` refuses a negative seed before any other work.
     """
     _check_tols(tol=tol)
     _check_same_shape(A, B)
-    s = _check_s(A.structure, s)
-    seed, K = _check_probes(n_probes, seed), A.structure.K
+    s, K = _check_s(A.structure, s), A.structure.K
 
     def entries(sups: np.ndarray) -> list[dict]:  # the supports' entries, all of one size
         T, tol = _enumerate_supports(K, sups.shape[1]), DEFAULT_PROBE_TOL
@@ -419,8 +409,8 @@ def verify_theorem_instance(
                        {"support": sup, "error": f"support {tuple(sup)} has {why}"})
         return out
 
-    rip = rip_constant(A, min(2 * s, K), seed)
     family = sorted(map(tuple, _sample_supports(K, s, MAX_HYPOTHESIS_SUPPORTS, seed).tolist()))
+    rip = rip_constant(A, min(2 * s, K), seed)
     hypothesis = entries(np.array(family))
     holds = all(entry.get("consistent", False) for entry in hypothesis)
     certificate = recover_equivalence(A, B, tol)

@@ -397,8 +397,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     enumeration cap, else sampled), synthesizes noisy or exact samples,
     learns a dictionary, and recovers the equivalence certificate against
     the truth. The coding residuals are the learner's, of the dictionary it returns.
-    Stage failures are recorded in the report, not raised. The report is
-    identical across runs with the same config except for wall_clock_sec.
+    Stage failures are recorded in the report, not raised; the learner's warnings, all but its
+    under-determined one, meet the caller's filters, so under -W error each is the learn stage's
+    error. The report is identical across runs with the same config except for wall_clock_sec.
     """
     start = time.perf_counter()
     report = ExperimentReport(config=config.to_dict())
@@ -425,8 +426,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         report.underdetermined = config.n_samples < structure.total_dim
 
         stage = "learn"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with warnings.catch_warnings():  # the report carries this one as `underdetermined`
+            warnings.filterwarnings("ignore", r"only \d+ samples for", UserWarning)
             learned, trace = learn_dictionary(Y, config)
         report.trace = trace.to_dict()
         report.coding_residuals = trace.residuals.tolist()

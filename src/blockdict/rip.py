@@ -60,9 +60,11 @@ def _sample_supports(K: int, t: int, n: int, seed: int) -> np.ndarray:
     sorted; repeats (keyed by the int64 sum of 2^(b - 1), by row bytes past K = 63)
     are skipped; draws come first in a batch of C ln((C + 1/2) / (C - n + 1/2)), at most
     C = C(K, t), then of the missing times C / (C - found): the stream of one at a time.
-    Every support, in lexicographic order, when n >= C(K, t). Raises
-    CapacityError when min(n, C(K, t)) exceeds DEFAULT_ENUMERATION_CAP.
+    Every support, in lexicographic order, when n >= C(K, t). Raises CapacityError when
+    min(n, C(K, t)) exceeds DEFAULT_ENUMERATION_CAP, and numpy's ValueError for a negative seed.
     """
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
     total = math.comb(K, t)
     if n >= total:
         return _enumerate_supports(K, t)

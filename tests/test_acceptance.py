@@ -199,7 +199,7 @@ class TestCriterion6:
             corrupted = int(rng.integers(1, 7))
             block = np.linalg.qr(rng.standard_normal((16, 2)))[0]
             B = A.with_block(corrupted, block)
-            report = verify_theorem_instance(A, B, s=2, n_probes=3, seed=seed)
+            report = verify_theorem_instance(A, B, s=2, seed=seed)
             for entry in report.hypothesis_supports:
                 has_block = corrupted in entry["support"]
                 failed = "error" in entry

@@ -298,26 +298,34 @@ class TestKappa:
     def test_probe_count_over_the_cap_exit_code(self, workdir, capsys):
         # as rip --samples: more probes than the enumeration cap exit 3 before any draw
         gen_files(workdir)
-        pair = [workdir / "A.txt", workdir / "A.txt", "--alpha", 2]
-        for cmd in (["kappa", *pair, "--support", "1,3"], ["verify", *pair, "--sparsity", 2]):
-            assert run_cli([*cmd, "--probes", DEFAULT_ENUMERATION_CAP + 1]) == 3
-            assert "capacity error" in capsys.readouterr().err
+        assert run_cli(["kappa", workdir / "A.txt", workdir / "A.txt", "--alpha", 2,
+                        "--support", "1,3", "--probes", DEFAULT_ENUMERATION_CAP + 1]) == 3
+        assert "capacity error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("probes", [0, -1])
     def test_probe_count_below_one_exit_code(self, workdir, capsys, probes):
-        # verify reads no probe, yet range-checks --probes as kappa does
         gen_files(workdir)
-        pair = [workdir / "A.txt", workdir / "A.txt", "--alpha", 2]
-        for cmd in (["kappa", *pair, "--support", "1,3"], ["verify", *pair, "--sparsity", 2]):
-            assert run_cli([*cmd, "--probes", probes]) == 2
-            assert f"n_probes must be >= 1, got {probes}" in capsys.readouterr().err
+        assert run_cli(["kappa", workdir / "A.txt", workdir / "A.txt", "--alpha", 2,
+                        "--support", "1,3", "--probes", probes]) == 2
+        assert f"n_probes must be >= 1, got {probes}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("probes", [8, 0, DEFAULT_ENUMERATION_CAP + 1])
+    def test_verify_refuses_probes(self, workdir, capsys, probes):
+        # verify reads kappa from span containment and draws no probe: --probes is not its flag
+        gen_files(workdir)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["verify", workdir / "A.txt", workdir / "A.txt", "--alpha", 2,
+                     "--sparsity", 2, "--probes", probes])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --probes" in capsys.readouterr().err
 
     def test_support_count_over_the_cap_exit_code(self, workdir, capsys):
         # both code probes at |S| = 20 on the 40 blocks of eye(40): C(40, 20) is over the cap
         write_matrix_text(workdir / "E40.txt", np.eye(40))
-        pair = [workdir / "E40.txt", workdir / "E40.txt", "--alpha", 1, "--probes", 2]
+        pair = [workdir / "E40.txt", workdir / "E40.txt", "--alpha", 1]
         support = ",".join(map(str, range(1, 21)))
-        for cmd in (["kappa", *pair, "--support", support], ["verify", *pair, "--sparsity", 20]):
+        for cmd in (["kappa", *pair, "--support", support, "--probes", 2],
+                    ["verify", *pair, "--sparsity", 20]):
             assert run_cli(cmd) == 3
             assert "capacity error: C(40, 20) = 137846528820" in capsys.readouterr().err
 
@@ -499,7 +507,7 @@ class TestVerify:
         write_matrix_text(workdir / "B.txt", B.data)
         rc = run_cli([
             "verify", workdir / "A.txt", workdir / "B.txt",
-            "--alpha", 2, "--sparsity", 2, "--probes", 3,
+            "--alpha", 2, "--sparsity", 2,
         ])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
@@ -511,7 +519,7 @@ class TestVerify:
     def test_rank_deficient_block_is_ambiguous(self, workdir, capsys, svals):
         write_matrix_text(workdir / "A.txt", rank_deficient_dict(svals).data)
         rc = run_cli(["verify", workdir / "A.txt", workdir / "A.txt",
-                      "--alpha", 2, "--sparsity", 2, "--probes", 2])
+                      "--alpha", 2, "--sparsity", 2])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["conclusion"]["status"] == "ambiguous"
@@ -566,7 +574,7 @@ class TestJsonReports:
             "equiv": ["equiv", *pair],
             "kappa": ["kappa", *pair, "--support", "1,2", "--probes", 4],
             "learn": ["learn", workdir / "Y.txt", "--config", config],
-            "verify": ["verify", *pair, "--sparsity", 2, "--probes", 4, "--seed", 2],
+            "verify": ["verify", *pair, "--sparsity", 2, "--seed", 2],
             "experiment": ["experiment", "--config", config],
         }[command]
 
@@ -581,11 +589,11 @@ class TestJsonReports:
     def test_verify_report_equals_the_library_report(self, workdir, capsys):
         self.pair_files(workdir)
         assert run_cli(["verify", workdir / "A.txt", workdir / "B.txt", "--alpha", 2,
-                        "--sparsity", 2, "--probes", 4, "--seed", 2]) == 0
+                        "--sparsity", 2, "--seed", 2]) == 0
         report = json.loads(capsys.readouterr().out)
         A, B = (BlockDict(BlockStructure(K=5, alpha=2, s=2), read_matrix_text(workdir / f))
                 for f in ("A.txt", "B.txt"))
-        assert report == verify_theorem_instance(A, B, s=2, n_probes=4, seed=2).to_dict()
+        assert report == verify_theorem_instance(A, B, s=2, seed=2).to_dict()
         details = report["hypothesis"]["details"] + report["agreement"]["kappa_singletons"]
         assert any("error" in e for e in details) and any("kappa" in e for e in details)
 
@@ -684,6 +692,21 @@ def test_negative_seed_exit_code(command, extra, out, tmp_path, capsys):
     assert main([*argv, "--seed", "-1"]) == 2
     assert capsys.readouterr().err == "error: --seed must be nonnegative, got -1\n"
     assert not (tmp_path / "out.txt").exists()
+
+
+def test_out_is_written_in_place(tmp_path, capsys):
+    # a longer stale file is cut to the report, a new one is created, os.devnull is written
+    A, B, _, _, _ = make_equivalent_pair(16, 5, 2, 2, seed=44)
+    write_matrix_text(tmp_path / "A.txt", A.data)
+    write_matrix_text(tmp_path / "B.txt", B.data)
+    argv = ["verify", tmp_path / "A.txt", tmp_path / "B.txt", "--alpha", 2, "--sparsity", 2]
+    assert run_cli(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    stale, new = tmp_path / "stale.json", tmp_path / "new.json"
+    stale.write_bytes(b"x" * (3 * len(expected)))
+    for path in (stale, new, os.devnull):
+        assert run_cli([*argv, "--out", path]) == 0
+    assert stale.read_bytes() == new.read_bytes() == expected
 
 
 def test_main_builds_its_parser_once(tmp_path, monkeypatch, capsys):

@@ -332,7 +332,7 @@ class TestRecoverEquivalence:
         cert = recover_equivalence(A, A)
         assert cert.to_dict() == {"status": "ambiguous", "pi": None, "D_blocks": None,
                                   "residual": None}
-        report = verify_theorem_instance(A, A, s=2, n_probes=2)
+        report = verify_theorem_instance(A, A, s=2)
         assert report.certificate == cert and report.agreement is None
 
     def test_certificate_json_shape(self):
@@ -540,12 +540,12 @@ class TestVerifyTheoremInstance:
         # the family's probes are coded at s = 20: C(40, 20) supports are over the cap
         A = BlockDict(BlockStructure(K=40, alpha=1, s=20), np.eye(40))
         with pytest.raises(CapacityError, match=r"^C\(40, 20\) = 137846528820 supports exceeds"):
-            verify_theorem_instance(A, A, s=20, n_probes=2)
+            verify_theorem_instance(A, A, s=20)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_equivalent_pair_passes_everything(self, seed):
         A, B, perm, _, _ = make_equivalent_pair(16, 5, 2, 2, seed=600 + 10 * seed)
-        report = verify_theorem_instance(A, B, s=2, n_probes=4, seed=seed)
+        report = verify_theorem_instance(A, B, s=2, seed=seed)
         assert report.hypothesis_holds
         assert report.certificate.status == "equivalent"
         assert report.certificate.permutation.pi == perm.pi
@@ -557,14 +557,14 @@ class TestVerifyTheoremInstance:
     def test_single_block_dictionary(self):
         A, _, _ = make_rip_instance(6, 1, 2, 1, seed=3)
         cert = recover_equivalence(A, A)
-        report = verify_theorem_instance(A, A, s=1, n_probes=3, seed=0)
+        report = verify_theorem_instance(A, A, s=1, seed=0)
         assert cert.permutation.pi == (1,)
         assert report.certificate.status == "equivalent"
         assert report.agreement is True
 
     def test_tied_probes_fail_exactly_on_the_zero_blocks_supports(self):
         A = rank_deficient_dict((0.0, 0.0))
-        report = verify_theorem_instance(A, A, s=2, n_probes=8)
+        report = verify_theorem_instance(A, A, s=2)
         assert not report.hypothesis_holds
         for entry in report.hypothesis_supports + report.kappa_singletons:
             assert ("error" in entry) == (2 in entry["support"])
@@ -575,7 +575,7 @@ class TestVerifyTheoremInstance:
         rng = np.random.default_rng(used + 1)
         corrupted = 3
         B = A.with_block(corrupted, np.linalg.qr(rng.standard_normal((16, 2)))[0])
-        report = verify_theorem_instance(A, B, s=2, n_probes=3, seed=0)
+        report = verify_theorem_instance(A, B, s=2, seed=0)
         assert not report.hypothesis_holds
         for entry in report.hypothesis_supports:
             if corrupted in entry["support"]:
@@ -589,7 +589,7 @@ class TestVerifyTheoremInstance:
         A, B, _, _, _ = make_equivalent_pair(16, 5, 2, 2, seed=600)
 
         def family(seed):
-            report = verify_theorem_instance(A, B, s=2, n_probes=2, seed=seed)
+            report = verify_theorem_instance(A, B, s=2, seed=seed)
             assert report.hypothesis_holds
             return [tuple(entry["support"]) for entry in report.hypothesis_supports]
 
@@ -824,11 +824,15 @@ class TestProbeStreams:
 
     @pytest.mark.parametrize("seed", [-1, -(2**40)])
     def test_negative_seed_rejected_before_any_draw(self, monkeypatch, seed):
-        # numpy refuses [seed, *S] with this text; the words of a negative seed never end
+        # numpy refuses [seed, *S] with this text; the words of a negative seed never end. verify
+        # lists all C(5, 2) supports and delta_4 is exact, so it draws nothing: its family's
+        # sampler refuses the seed before the RIP constant, any table or the certificate
         A, B, _, _, _ = make_equivalent_pair(16, 5, 2, 2, seed=510)
         calls = spy_codes(monkeypatch)
         with pytest.raises(ValueError, match="^expected non-negative integer$"):
             construct_kappa(A, B, (1, 2), 4, seed)
+        for name in ("rip_constant", "_containment", "recover_equivalence"):
+            monkeypatch.setattr(equivalence, name, lambda *a, **k: calls.append(a))
         with pytest.raises(ValueError, match="^expected non-negative integer$"):
             verify_theorem_instance(A, B, s=2, seed=seed)
         assert calls == []
@@ -879,7 +883,7 @@ class TestContainmentTable:
     def test_fixture_entries_match_construct_kappa(self, monkeypatch, name, s):
         A, B = probe_fixture(name)
         calls = spy_codes(monkeypatch)
-        report = verify_theorem_instance(A, B, s=s, n_probes=4, seed=3)
+        report = verify_theorem_instance(A, B, s=s, seed=3)
         assert calls == []  # no `_min_residual_codes` call
         self.assert_entries_match_construct_kappa(A, B, report)
         errors = [e["error"] for e in report.hypothesis_supports if "error" in e]
@@ -961,14 +965,13 @@ class TestContainmentTable:
         entry = verify_theorem_instance(A, A, s=2).hypothesis_supports[0]
         assert entry == {"support": [1, 2], "error": "support (1, 2) has tied codes in B"}
 
-    def test_probe_count_is_checked_and_changes_nothing(self):
-        A, B = probe_fixture("corrupted")
-        with pytest.raises(ValueError, match="^n_probes must be >= 1, got 0$"):
-            verify_theorem_instance(A, B, s=2, n_probes=0)
-        with pytest.raises(CapacityError, match="^n_probes = 1000001 exceeds the enumeration"):
-            verify_theorem_instance(A, B, s=2, n_probes=DEFAULT_ENUMERATION_CAP + 1)
-        report = verify_theorem_instance(A, B, s=2, n_probes=1).to_dict()
-        assert report == verify_theorem_instance(A, B, s=2, n_probes=50).to_dict()
+    @pytest.mark.parametrize("K", [3, 6, 70, 128])
+    def test_singletons_are_the_hypothesis_at_s_1(self, K):
+        # at s = 1 the family is every singleton (K <= MAX_HYPOTHESIS_SUPPORTS): one table
+        A, B = wide_pair(K, 1 if K > 12 else 2, 1, True, seed=5)
+        report = verify_theorem_instance(A, B, s=1, seed=4)
+        assert report.hypothesis_supports == report.kappa_singletons
+        assert len(report.kappa_singletons) == K
 
     def test_seed_changes_nothing_below_the_caps(self):
         # every size-2 support is checked and delta_4 is exact: the seed reaches neither

@@ -1081,8 +1081,7 @@ class TestRunExperiment:
 
     def test_final_coding_past_the_squared_float_range(self):
         # samples near 1e161, whose squares overflow: the capped learner codes the dictionary it
-        # returns at its power-of-two scale, so every residual is finite (run_experiment ignores
-        # warnings while learning; TestLearnDictionary's capped case checks that none is raised)
+        # returns at its power-of-two scale, so every residual is finite and nothing is warned of
         config = replace(criterion7_config(1, 1e160), learner_iterations=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1103,8 +1102,23 @@ class TestRunExperiment:
         assert report.stage_errors == [{"stage": "synthesize", "error": error}]
 
     def test_underdetermined_flagged(self):
+        # its warning is the one the learn stage ignores: no stage error under filterwarnings
         report = run_experiment(small_config(n_samples=2))
-        assert report.underdetermined
+        assert report.underdetermined and report.stage_errors == []
+
+    def test_learner_warnings_reach_the_callers_filter(self, monkeypatch):
+        # only the under-determined warning is ignored while learning: under filterwarnings =
+        # error a numeric warning from the learner's coder is the learn stage's error
+        code_all = harness._code_all
+
+        def warn(B, Y):
+            warnings.warn("overflow encountered in matmul", RuntimeWarning)
+            return code_all(B, Y)
+
+        monkeypatch.setattr(harness, "_code_all", warn)
+        report = run_experiment(criterion7_config(1, 0.0))
+        assert report.stage_errors == [
+            {"stage": "learn", "error": "RuntimeWarning: overflow encountered in matmul"}]
 
     @pytest.mark.parametrize("iterations, stalled", [(30, True), (2, False)])
     def test_report_residuals_are_the_learners_last_coding(self, monkeypatch, iterations,

@@ -134,6 +134,13 @@ class TestSampled:
         with pytest.raises(ValueError, match=f"n_samples must be >= 1, got {n}"):
             rip_lower_bound_sampled(A, 3, n_samples=n, seed=0)
 
+    @pytest.mark.parametrize("n", [5, 15, 16])
+    def test_negative_seed_refused_even_when_every_support_is_listed(self, n):
+        # C(6, 2) = 15: at n >= 15 the sampler lists every support and draws nothing
+        A = gen_dictionary(16, BlockStructure(K=6, alpha=2, s=2), seed=5)
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            rip_lower_bound_sampled(A, 2, n, seed=-1)
+
     def test_orthonormal_is_zero(self):
         A = orthonormal_dict(12, 5, 2, 2)
         report = rip_lower_bound_sampled(A, 3, n_samples=4, seed=7)
@@ -162,6 +169,8 @@ class TestLevelRule:
         assert rip.rip_constant(A, 4, seed=0) == rip_constant_exact(A, 4)
         monkeypatch.setattr(rip, "DEFAULT_ENUMERATION_CAP", 209)
         assert rip.rip_constant(A, 4, seed=0) == rip_lower_bound_sampled(A, 4, 200, seed=0)
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            rip.rip_constant(A, 4, seed=-1)
 
 
 def _one_draw_at_a_time(K, t, n, seed):
