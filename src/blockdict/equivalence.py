@@ -141,16 +141,27 @@ def match_blocks(A: BlockDict, B: BlockDict, tol: float = DEFAULT_RANK_TOL) -> M
     targets mark the report ambiguous (B has duplicated spans, which a
     restricted isometry constant below 1 rules out); blocks with none, or
     a non-injective assignment, mark it not-equivalent.
-    Spans compare as in `spans_equal`, from one `_bases` call on the 2K blocks
-    and one `_spans_equal_stacked` call on all K x K pairs, masked by equal rank. At
-    tol = 0 a match is decided by the last bit of an SVD; tol > 0 (default
-    1e-8) is the supported regime.
+    Spans compare as in `spans_equal`, from the one `_block_bases` SVD of the 2K blocks, each at its
+    own power of two (so 2^k A and 2^k B match as A and B do, up to the float range's top), and one
+    `_spans_equal_stacked` call on all K x K pairs, masked by equal rank. At tol = 0 a match is
+    decided by the last bit of an SVD; tol > 0 (default 1e-8) is the supported regime.
     """
     _check_tols(tol=tol)
     _check_same_shape(A, B)
-    P, K, alpha = A.ambient_dim, A.structure.K, A.structure.alpha
-    blocks = np.hstack([A.data, B.data]).reshape(P, 2 * K, alpha).swapaxes(0, 1)
-    U, ranks = _bases(blocks, tol)[:2]
+    return _match(*_block_bases(A.data, B.data, A.structure.K, tol)[2:4], tol)
+
+
+def _block_bases(A: np.ndarray, B: np.ndarray, K: int, tol: float) -> tuple[np.ndarray, ...]:
+    """(blocks, e, U, ranks, sv, Vt): A's K equal column blocks then B's, each at its own
+    `_unit_scale` 2^-e, and their one `_bases` SVD at tol, which matching and transforms share."""
+    M = np.hstack([A, B]).reshape(len(A), 2 * K, A.shape[1] // K)
+    blocks, e = _unit_scale(M.swapaxes(0, 1), (1, 2))
+    return (blocks, e, *_bases(blocks, tol))
+
+
+def _match(U: np.ndarray, ranks: np.ndarray, tol: float) -> MatchReport:
+    """`match_blocks`' report from `_block_bases`' U and ranks of A's blocks then B's."""
+    K = len(U) // 2
     r = ranks[:K, None]
     equal = (r == ranks[K:]) & _spans_equal_stacked(U[:K, None], U[None, K:], tol, r)
     matches = {i: () for i in range(1, K + 1)}
@@ -165,23 +176,22 @@ def match_blocks(A: BlockDict, B: BlockDict, tol: float = DEFAULT_RANK_TOL) -> M
     return MatchReport("matched", BlockPermutation(K, targets), matches, unmatched, ambiguous)
 
 
-def _block_transforms(As: np.ndarray, Bs: np.ndarray, rank_tol: float) -> tuple[np.ndarray, ...]:
-    """(M, relative residuals ||A - U U^T A||_F / ||A||_F, ranks of the B blocks) of stacked
-    (n, P, alpha) pairs, each block at its own `_unit_scale` 2^-e, from one `_bases` SVD U sv Vt
-    of the B blocks: M = 2^(e_A - e_B) V sv^-1 U^T A, the same bytes at any common scale, inf
-    where it overflows."""
-    (As, eA), (Bs, eB) = _unit_scale(As, (1, 2)), _unit_scale(Bs, (1, 2))
-    U, ranks, sv, Vt = _bases(Bs, rank_tol)
-    As = np.ascontiguousarray(As)  # C order: a block's norm sums as in a one-pair call
+def _block_transforms(bases: tuple, pi) -> tuple[np.ndarray, ...]:
+    """(M, relative residuals ||A_i - U U^T A_i||_F / ||A_i||_F, B's ranks) of A's blocks i against
+    B's blocks pi(i), from `_block_bases`' blocks, B's U sv Vt and scales 2^-e: M = 2^(e_A - e_B) V
+    sv^-1 U^T A_i, the same bytes at any common scale, inf where it overflows."""
+    blocks, e, U, ranks, sv, Vt = bases
+    K, b = len(pi), len(pi) - 1 + np.asarray(pi)  # b: B's blocks, permuted by pi
+    U, sv, Vt = U[b], sv[b], Vt[b]
+    As = np.ascontiguousarray(blocks[:K])  # C order: a block's norm sums as in a one-pair call
     Z = U.swapaxes(1, 2) @ As
     rel = _relative(np.linalg.norm(As - U @ Z, axis=(1, 2)), np.linalg.norm(As, axis=(1, 2)))
     with np.errstate(over="ignore"):
-        return np.ldexp(Vt.swapaxes(1, 2) @ (Z / sv[:, :, None]), eA - eB), rel, ranks
+        return np.ldexp(Vt.swapaxes(1, 2) @ (Z / sv[:, :, None]), e[:K] - e[b]), rel, ranks[b]
 
 
-def solve_block_transform(
-    A_block, B_block, rank_tol: float = DEFAULT_RANK_TOL
-) -> tuple[np.ndarray, float]:
+def solve_block_transform(A_block, B_block,
+                          rank_tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndarray, float]:
     """Least-squares alpha x alpha transform M minimizing ||A_block - B_block M||_F.
 
     The one-pair view of `_block_transforms`: returns (M, relative Frobenius residual), and
@@ -193,7 +203,7 @@ def solve_block_transform(
     if A_block.shape != B_block.shape or A_block.ndim != 2:
         raise ValueError(f"blocks must share shape P x alpha, got {A_block.shape} and "
                          f"{B_block.shape}")
-    M, rel, ranks = _block_transforms(A_block[None], B_block[None], rank_tol)
+    M, rel, ranks = _block_transforms(_block_bases(A_block, B_block, 1, rank_tol), [1])
     if ranks[0] < min(B_block.shape):
         raise RankError("target block is rank-deficient")
     if not np.isfinite(M).all():
@@ -201,17 +211,15 @@ def solve_block_transform(
     return M[0], float(rel[0])
 
 
-def recover_equivalence(
-    A: BlockDict,
-    B: BlockDict,
-    tol: float = DEFAULT_CERTIFICATE_TOL,
-    span_tol: float = DEFAULT_RANK_TOL,
-) -> EquivalenceCertificate:
+def recover_equivalence(A: BlockDict, B: BlockDict, tol: float = DEFAULT_CERTIFICATE_TOL,
+                        span_tol: float = DEFAULT_RANK_TOL, *,
+                        _bases: tuple | None = None) -> EquivalenceCertificate:
     """Recover a permutation and block transforms carrying B onto A.
 
-    Matches block spans, then solves every matched pair's least-squares transform in one
-    `_block_transforms` call on A's blocks and B's blocks permuted by pi, each at its own power of
-    two, so 2^k A and 2^k B get A and B's certificate byte for byte down to the subnormal range.
+    Matches block spans and solves each matched pair's least-squares transform (A's blocks against
+    B's permuted by pi) from one `_block_bases` SVD of the 2K blocks, each at its own power of two:
+    2^k A and 2^k B get A and B's certificate byte for byte from the top binade down to subnormals.
+    `verify_theorem_instance`, which reads that SVD too, passes it as _bases, so it runs once.
     The certificate is `equivalent` only when the matching is a bijection, every transform is
     invertible, and the worst relative block residual is at most tol. A rank-deficient matched
     pair (rank below min(P, alpha) at span_tol) leaves its transform undetermined, so the
@@ -219,14 +227,14 @@ def recover_equivalence(
     pi and no transforms. Match failures surface as certificate statuses, never exceptions.
     """
     _check_tols(tol=tol, span_tol=span_tol)
-    report = match_blocks(A, B, span_tol)
+    _check_same_shape(A, B)
+    bases = _bases or _block_bases(A.data, B.data, A.structure.K, span_tol)
+    report = _match(*bases[2:4], span_tol)
     if report.status != "matched":
         return EquivalenceCertificate(report.status, None, None, None)
     perm = report.permutation
-    As = A.data.reshape(A.ambient_dim, A.structure.K, -1).swapaxes(0, 1)
-    Bs = B.data.reshape(B.ambient_dim, B.structure.K, -1).swapaxes(0, 1)[np.array(perm.pi) - 1]
-    M, rel, ranks = _block_transforms(As, Bs, span_tol)
-    if (ranks < min(Bs.shape[1:])).any():
+    M, rel, ranks = _block_transforms(bases, perm.pi)
+    if (ranks < min(bases[0].shape[1:])).any():
         return EquivalenceCertificate(STATUS_AMBIGUOUS, None, None, None)
     if not np.isfinite(M).all():
         return EquivalenceCertificate(STATUS_OUT_OF_RANGE, perm, None, None)
@@ -368,13 +376,8 @@ class TheoremReport:
         }
 
 
-def verify_theorem_instance(
-    A: BlockDict,
-    B: BlockDict,
-    s: int | None = None,
-    seed: int = 0,
-    tol: float = DEFAULT_CERTIFICATE_TOL,
-) -> TheoremReport:
+def verify_theorem_instance(A: BlockDict, B: BlockDict, s: int | None = None, seed: int = 0,
+                            tol: float = DEFAULT_CERTIFICATE_TOL) -> TheoremReport:
     """Check that block-sparse representability of B implies equivalence to A.
 
     The report carries (1) the restricted isometry constant of A at level
@@ -392,14 +395,15 @@ def verify_theorem_instance(
     `_unit_scale`. kappa(S) is the one T within sine DEFAULT_PROBE_TOL; with none, the error names
     the nearest T (least Frobenius residual) and its sine, and with several it is a tie. The
     family is drawn first, so `_sample_supports` refuses a negative seed before any other work.
+    The certificate and the singletons' table (at s = 1, the hypothesis's) share one `_block_bases`.
     """
     _check_tols(tol=tol)
     _check_same_shape(A, B)
     s, K = _check_s(A.structure, s), A.structure.K
 
-    def entries(sups: np.ndarray) -> list[dict]:  # the supports' entries, all of one size
+    def entries(sups: np.ndarray, bases=None) -> list[dict]:  # the entries, all of one size
         T, tol = _enumerate_supports(K, sups.shape[1]), DEFAULT_PROBE_TOL
-        found, first, near, sine = _containment(A, sups, B, T, tol)
+        found, first, near, sine = _containment(A, sups, B, T, tol, bases)
         out = []
         for sup, n, t, x, y in zip(sups.tolist(), found.tolist(), T[first].tolist(),
                                    T[near].tolist(), sine.tolist()):
@@ -411,13 +415,12 @@ def verify_theorem_instance(
 
     family = sorted(map(tuple, _sample_supports(K, s, MAX_HYPOTHESIS_SUPPORTS, seed).tolist()))
     rip = rip_constant(A, min(2 * s, K), seed)
-    hypothesis = entries(np.array(family))
+    bases = _block_bases(A.data, B.data, K, DEFAULT_RANK_TOL)
+    singles = entries(np.arange(1, K + 1)[:, None], bases[2:4])
+    hypothesis = singles if s == 1 and len(family) == K else entries(np.array(family))
     holds = all(entry.get("consistent", False) for entry in hypothesis)
-    certificate = recover_equivalence(A, B, tol)
-    singles = entries(np.arange(1, K + 1)[:, None])
+    certificate = recover_equivalence(A, B, tol, _bases=bases)
     agreement = None if certificate.permutation is None else all(
-        entry.get("kappa") == [certificate.permutation(i)]
-        for i, entry in enumerate(singles, start=1)
-    )
+        entry.get("kappa") == [j] for entry, j in zip(singles, certificate.permutation.pi))
 
     return TheoremReport(rip, tuple(hypothesis), holds, certificate, tuple(singles), agreement)

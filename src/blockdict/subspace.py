@@ -1,14 +1,14 @@
 """Span algebra over column-blocks.
 
-Subspaces are carried as orthonormal bases from one batched SVD, `_bases`, zero past their
-ranks under the library's one rank rule, `core._numerical_rank`. Span equality is decided by one
-kernel over such stacks, `_spans_equal_stacked`: two spans of common rank r, stated by the caller,
-are equal when r principal cosines are at least 1 - tol, i.e. every principal angle is below
-arccos(1 - tol) ~ sqrt(2 tol); the one intersection kernel, `_intersect`, keeps the principal
-vectors of such cosines. `check_lemma1` first tries a certificate from one Gram of the
-block-whitened A; where it fails, span equality runs only on pairs passing a Frobenius pre-screen,
-`_screen`. The same screen feeds `_containment`, the residual sines of span Q_S inside span Q_T
-from which `verify_theorem_instance` reads the theorem's hypothesis.
+Subspaces are carried as orthonormal bases from one batched SVD, `_bases`, zero past their ranks
+under the library's one rank rule, `core._numerical_rank` (`_support_bases` keeps a QR's Q where R
+proves that rank). Span equality is decided by one kernel over such stacks, `_spans_equal_stacked`:
+two spans of common rank r, stated by the caller, are equal when r principal cosines are at least
+1 - tol, i.e. every principal angle is below arccos(1 - tol) ~ sqrt(2 tol); the one intersection
+kernel, `_intersect`, keeps the principal vectors of such cosines. `check_lemma1` first tries a
+certificate from one Gram of the block-whitened A; where it fails, span equality runs only on pairs
+passing a Frobenius pre-screen, `_screen`. The same screen feeds `_containment`, the residual sines
+of span Q_S inside span Q_T from which `verify_theorem_instance` reads the theorem's hypothesis.
 """
 
 from __future__ import annotations
@@ -149,29 +149,45 @@ def _screen(Q1: np.ndarray, r1, Q2: np.ndarray, r2, floor, upper: bool = False):
 
 
 def _support_bases(*lists) -> tuple[np.ndarray, np.ndarray]:
-    """(bases, ranks): one `_bases` SVD of the columns of every support of each (D, supports) pair,
-    in order, each support's columns at their `_unit_scale`."""
+    """(bases, ranks) of the columns M of every support of each (D, supports) pair, in order, each
+    at its `_unit_scale`, with `_bases`' ranks and spans: one stacked QR M = Q R keeps Q where R
+    proves full rank, one `_bases` SVD serves the rest. Let c be R's largest column norm and rho =
+    min |r_kk| / c: R = diag(r_kk) (I + N), |N_ij| <= 1/rho, and |(I + N)^-1| is at most its
+    comparison matrix's inverse, whose rows and columns sum to at most (1 + 1/rho)^(n-1) (Higham,
+    ch. 8), so sigma_min(R) >= rho c / (1 + 1/rho)^(n-1); as sigma_max(R) <= sqrt(n) c, sigma_min /
+    sigma_max >= b = rho / (n (1 + 1/rho)^(n-1)). QR and SVD err by at most e sigma_max, e = 16 P
+    n^2 eps (Higham, ch. 19), so b > DEFAULT_RANK_TOL + 2e gives the rank rule's n; a zero (rho
+    NaN), rank-short or ill-conditioned support, or n > P (R is not square), takes the SVD."""
     M = np.concatenate([D.data[:, _support_columns(x, D.structure.alpha)].transpose(1, 0, 2)
                         for D, x in lists])
-    return _bases(_unit_scale(M, (1, 2))[0], DEFAULT_RANK_TOL)[:2]
+    M, (P, n) = _unit_scale(M, (1, 2))[0], M.shape[1:]
+    Q, R = np.linalg.qr(M)  # Q: P x min(P, n), as `_bases`' U
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # NaN certifies nothing
+        rho = np.abs(np.diagonal(R, axis1=1, axis2=2)).min(1) / np.linalg.norm(R, axis=1).max(1)
+        b = rho / (n * (1 + 1 / rho) ** (n - 1))
+        fall = (n > P) | ~(b > DEFAULT_RANK_TOL + 2 * 16 * P * n**2 * np.finfo(float).eps)  # 2e
+    ranks = np.full(len(M), n)
+    if fall.any():
+        Q[fall], ranks[fall] = _bases(M[fall], DEFAULT_RANK_TOL)[:2]
+    return Q, ranks
 
 
-def _containment(A: BlockDict, S: np.ndarray, B: BlockDict, T: np.ndarray, tol: float) -> tuple:
+def _containment(A: BlockDict, S: np.ndarray, B: BlockDict, T: np.ndarray, tol: float, bases=None):
     """(found, first, near, sine) per support of A in S against B's supports T, all of one size,
-    from their `_support_bases` Q_S and Q_T (S's in the SVD of T's first block), T in blocks whose
-    bases and (S, T) tables hold about _STACK entries each: how many T hold span Q_S within sine
-    tol and the first of them (any index when none), and the T of greatest ||Q_T^T Q_S||_F^2 (the
-    least Frobenius residual) and its sine. A sine is ||Q_S - Q_T Q_T^T Q_S||_2, taken on the pairs
-    `_screen` keeps at floor rank_S - 1/2 (every pair whose largest principal angle has sine below
-    1 / sqrt(2 rank_S)) and on each S's nearest T: a residual resolves sines near 0 that
-    sqrt(1 - cos^2) does not (below about 1e-8)."""
+    from bases Q_S and Q_T (given as S's then every T's, else `_support_bases`, S's in the call of
+    T's first block), T in blocks whose bases and (S, T) tables hold about _STACK entries each: how
+    many T hold span Q_S within sine tol and the first of them (any index when none), and the T of
+    greatest ||Q_T^T Q_S||_F^2 (the least Frobenius residual) and its sine. A sine is ||Q_S - Q_T
+    Q_T^T Q_S||_2, taken on the pairs `_screen` keeps at floor rank_S - 1/2 (every pair whose
+    largest principal angle has sine below 1 / sqrt(2 rank_S)) and on each S's nearest T: a residual
+    resolves sines near 0 that sqrt(1 - cos^2) does not (below about 1e-8)."""
     (m, width), P = S.shape, A.ambient_dim
     size, parts, r = P * min(P, width * A.structure.alpha), [], np.arange(m)  # size: a basis's
-    for lo in range(0, len(T), step := max(1, _STACK // (size + m))):
-        head = [(A, S)] if lo == 0 else []
-        QT, rT = _support_bases(*head, (B, T[lo : lo + step]))
-        if head:
-            (QS, rS), QT, rT = (QT[:m], rT[:m]), QT[m:], rT[m:]
+    step = max(1, _STACK // (size + m))
+    (QS, Q), (rS, rk) = ((x[:m], x[m:]) for x in bases or _support_bases((A, S), (B, T[:step])))
+    for lo in range(0, len(T), step):
+        QT, rT = ((Q[lo : lo + step], rk[lo : lo + step]) if lo < len(Q)  # given, or the first
+                  else _support_bases((B, T[lo : lo + step])))
         sums, a, b = map(np.concatenate, zip(*_screen(QS, rS, QT, rT, rS - 0.5)))
         keep, j = np.zeros(sums.shape, dtype=bool), sums.argmax(axis=1)
         keep[a, b] = keep[r, j] = True

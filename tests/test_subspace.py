@@ -18,7 +18,7 @@ from blockdict import (
 )
 
 from blockdict import subspace
-from blockdict.core import _numerical_rank
+from blockdict.core import _numerical_rank, _unit_scale
 from blockdict.rip import _enumerate_supports, _support_columns
 
 from conftest import ge_rank, in_span, make_rip_instance, nullspace_intersection, projector
@@ -707,3 +707,96 @@ def test_negative_or_nan_tol_rejected(entry, tol):
     A, _, _ = make_rip_instance(16, 5, 2, 2, seed=41)
     with pytest.raises(ValueError, match="tol"):
         entry(A, tol)
+
+
+def kahan(n, c):
+    """Kahan's n x n upper triangular matrix at cos theta = c: diag(1, s, ..., s^(n-1)) times
+    I - c (the strictly upper ones), whose small singular value its diagonal hides."""
+    s = np.sqrt(1.0 - c * c)
+    return np.diag(s ** np.arange(n)) @ (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+
+
+def qr_cases():
+    """{name: list of P x n supports, one (P, n) per name}: random; nearly dependent (last column
+    the first plus 10^-k noise, k = 2..12); Kahan-type; columns scaled by 10^+-3; a zero and a
+    rank-1 block; supports wider than P."""
+    rng = np.random.default_rng(48)
+    cases = {f"random-{P}x{n}": list(rng.standard_normal((40, P, n)))
+             for P, n in [(16, 1), (16, 2), (16, 4), (16, 6), (6, 6), (48, 6)]}
+    near = []
+    for k, _ in product(range(2, 13), range(4)):
+        M = rng.standard_normal((16, 4))
+        M[:, -1] = M[:, 0] + 10.0**-k * rng.standard_normal(16)
+        near.append(M)
+    cases["nearly-dependent"] = near
+    for n in (4, 6, 8):  # an orthonormal frame times Kahan's matrix: its R is Kahan's up to signs
+        cases[f"kahan-{n}"] = [np.linalg.qr(rng.standard_normal((16, n)))[0] @ kahan(n, c)
+                               for c in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99)]
+    cases["scaled-columns"] = [rng.standard_normal((16, 4)) * 10.0 ** rng.choice([-3, 0, 3], 4)
+                               for _ in range(40)]
+    a = rng.standard_normal(16)
+    cases["zero-and-rank-1"] = [np.zeros((16, 2)), np.outer(a, [1.0, 2.0]),
+                                rng.standard_normal((16, 2))]
+    cases["wider-than-P"] = list(rng.standard_normal((10, 3, 4))) + [np.zeros((3, 4))]
+    return cases
+
+
+def triangular_bound(M):
+    """rho / (n (1 + 1/rho)^(n-1)), rho = min |r_kk| / R's largest column norm, per (P, n) matrix
+    of the stack M with n <= P: a lower bound on sigma_min / sigma_max; 0 where rho is 0 or NaN."""
+    R, n = np.linalg.qr(M)[1], M.shape[-1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rho = np.abs(np.diagonal(R, axis1=1, axis2=2)).min(1) / np.linalg.norm(R, axis=1).max(1)
+        return np.nan_to_num(rho / (n * (1 + 1 / rho) ** (n - 1)))
+
+
+class TestSupportBasesQR:
+    """`_support_bases` keeps a stacked QR's Q where R proves full rank under the rank rule: every
+    rank is `_bases`' rank, every basis spans what `_bases`' does, and a support the bound does not
+    certify gets `_bases`' bytes."""
+
+    @staticmethod
+    def support_bases(mats, monkeypatch):
+        """`_support_bases` of the matrices as the singletons of one dictionary, the unit-scaled
+        stack, and the supports of each `_bases` call it makes."""
+        P, n = mats[0].shape
+        D = BlockDict(BlockStructure(K=len(mats), alpha=n, s=1), np.hstack(mats))
+        calls, bases = [], subspace._bases
+        monkeypatch.setattr(subspace, "_bases", lambda M, tol: calls.append(M) or bases(M, tol))
+        Q, ranks = subspace._support_bases((D, np.arange(1, len(mats) + 1)[:, None]))
+        monkeypatch.undo()
+        return Q, ranks, _unit_scale(np.stack(mats), (1, 2))[0], calls
+
+    @pytest.mark.parametrize("name", list(qr_cases()))
+    def test_ranks_and_spans_are_the_svds(self, monkeypatch, name):
+        mats = qr_cases()[name]
+        Q, ranks, M, calls = self.support_bases(mats, monkeypatch)
+        (P, n), e = M.shape[1:], 16 * M.shape[1] * M.shape[2] ** 2 * np.finfo(float).eps
+        U, expected = subspace._bases(M, 1e-8)[:2]
+        assert Q.shape == U.shape and np.array_equal(ranks, expected)
+        assert subspace._spans_equal_stacked(Q, U, 1e-8, ranks).all()
+        proved = (triangular_bound(M) > 1e-8 + 2 * e) if n <= P else np.zeros(len(M), bool)
+        assert (ranks[proved] == n).all()
+        assert np.array_equal(Q[~proved], U[~proved])  # `_bases`' bytes
+        assert np.array_equal(np.concatenate(calls) if calls else M[:0], M[~proved])
+        # a rank-short support never passes as full rank (a >= test took 0 >= 0 as proof)
+        assert not proved[expected < n].any()
+        if name == "zero-and-rank-1":  # and one random block
+            assert proved.tolist() == [False, False, True] and len(calls) == 1
+        if name == "wider-than-P":
+            assert not proved.any() and len(calls) == 1
+        if name in ("random-16x1", "random-16x2", "random-16x4"):  # verify's usual supports
+            assert proved.all() and not calls
+
+    def test_the_bound_holds_on_every_case(self):
+        # brute force: sigma_min / sigma_max of each support is at least the bound
+        ratios, bounds = [], []
+        for mats in qr_cases().values():
+            M = _unit_scale(np.stack(mats), (1, 2))[0]
+            if M.shape[2] > M.shape[1]:
+                continue
+            sv, bound = np.linalg.svd(M, compute_uv=False), triangular_bound(M)
+            assert (sv[:, -1] >= bound * sv[:, 0]).all()
+            ratios += (sv[bound > 0, -1] / sv[bound > 0, 0]).tolist()
+            bounds += bound[bound > 0].tolist()
+        assert len(ratios) > 300 and min(np.divide(ratios, bounds)) >= 1.0
