@@ -6,8 +6,9 @@ overflows nor underflows), report the residual as ||y - A x||_2 relative to ||y|
 one-column case of a kernel the learner runs on all its samples, each taking (A, Y, s, tol)
 with Y at the caller's scale: `_omp_codes` for block-OMP, and for the oracle
 `_min_residual_codes`, the minimum-residual rule, which re-checks only what an energy ranking
-cannot settle. A support's residual is its projection residual, its lstsq residual at any rank
-(Golub & Van Loan 5.3); the winner's comes from its solve's SVD (5.5).
+cannot settle. A support's residual is its projection residual on its `subspace._support_bases`
+basis at lstsq's cut, its lstsq residual at any rank (Golub & Van Loan 5.3); the winner's comes
+from its solve's SVD (5.5).
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_RANK_TOL, BlockDict, BlockSparseVec, _check_s, _check_tols
-from .core import _numerical_rank, _unit_scale
+from .core import BlockDict, BlockSparseVec, _check_s, _check_tols, _unit_scale
 from .errors import RankError
 from .rip import _enumerate_supports, _support_columns
-from .subspace import _bases
+from .subspace import _bases, _support_bases
 
 DEFAULT_CODING_TOL = 1e-10
 
@@ -138,25 +138,15 @@ def _omp_codes(A: BlockDict, Y: np.ndarray, s: int, tol: float) -> tuple[np.ndar
     return X.T, res, steps, rank
 
 
-def _qr(A: BlockDict, rows: np.ndarray) -> np.ndarray:
-    """Stacked orthonormal bases of the supports with column table rows: Q of one stacked QR,
-    or, where sorted |diag R| is rank-short, the SVD basis at lstsq's cut eps max(P, d)."""
-    Q, T = np.linalg.qr(M := A.data.T[rows].transpose(0, 2, 1))
-    diag = np.sort(np.abs(np.diagonal(T, axis1=1, axis2=2)))[:, ::-1]
-    short = _numerical_rank(diag, DEFAULT_RANK_TOL) < rows.shape[1]
-    if short.any():  # spares full-rank blocks the fixed cost of an empty SVD call
-        Q[short] = _bases(M[short], np.finfo(float).eps * max(M.shape[1:]))[0]
-    return Q
-
-
-def _support_residuals(A: BlockDict, rows, bases, Y, ks, block, ysq=None) -> np.ndarray:
-    """Residuals ||y - Q Q^T y|| of supports ks of column table rows on Y, from their `_qr` bases
-    Q (bases: every row's, or None to make them per block), inf elsewhere; squared, as energies
-    ||y||^2 - ||Q^T y||^2, given ysq = ||y||^2."""
-    R = np.full((len(rows), Y.shape[1]), np.inf)
+def _support_residuals(A: BlockDict, sups, bases, Y, ks, block, ysq=None) -> np.ndarray:
+    """Residuals ||y - Q Q^T y|| of supports ks of the rows of sups on Y, from their
+    `_support_bases` Q at lstsq's cut eps max(P, d) (bases: every row's, or None to make them per
+    block), inf elsewhere; squared, as energies ||y||^2 - ||Q^T y||^2, given ysq = ||y||^2."""
+    cut = np.finfo(float).eps * max(Y.shape[0], sups.shape[1] * A.structure.alpha)
+    R = np.full((len(sups), Y.shape[1]), np.inf)
     for b in range(0, len(ks), block):
         kb = ks[b : b + block]
-        Q = _qr(A, rows[kb]) if bases is None else bases[kb]
+        Q = _support_bases((A, sups[kb]), tol=cut)[0] if bases is None else bases[kb]
         Z = Q.transpose(0, 2, 1) @ Y
         R[kb] = np.linalg.norm(Y - Q @ Z, axis=1) if ysq is None else ysq - np.square(Z).sum(axis=1)
     return R
@@ -166,23 +156,24 @@ def _min_residual_codes(A: BlockDict, Y: np.ndarray, s: int, tol: float) -> tupl
     """Minimum-residual s-block code of every column y of the P x N matrix Y.
 
     The one rule behind `exhaustive_code` and the learner: the projection residual on every
-    size-s support's `_qr` basis (its lstsq residual, rank-short or not), the smallest wins, and
+    size-s support's basis, `_support_bases` at lstsq's cut eps max(P, d) (a QR's Q where R proves
+    full rank, else the SVD's U: its lstsq residual, rank-short or not), the smallest wins, and
     supports within tol*||y|| of it count as tied, going to the lexicographically first; the
-    supports' column table comes first (CapacityError past the enumeration cap), and while it
-    has at most _CODE_CHUNK basis entries their stacked bases are made once for the call. Supports
-    are ranked by energy (`_support_residuals`), which misses the squared residual by under
-    margin = 2 (sqrt(s*alpha) + 2)(P + s*alpha) eps ||y||^2 (twice a first-order rounding
-    bound; Higham, ch. 3). Candidates, energies at most (sqrt(min energy + margin) +
-    tol*||y||)^2 + margin, hold the tie window: a column with one is decided, the rest get
-    their candidates' exact residuals. One `_bases` SVD of the distinct winners at lstsq's cut
-    eps max(P, d) gives each column x = V sv^-1 U^T y and its residual ||y - U U^T y|| by
-    per-column stacked products, so a column's bytes do not depend on its batch. Column chunks
-    of about _CODE_CHUNK residuals or basis entries and support blocks of about _CODE_CHUNK
-    basis and projection entries bound memory. Returns (codes, residuals, ties).
+    supports come first (CapacityError past the enumeration cap), and while their bases hold at
+    most _CODE_CHUNK entries they are made once for the call. Supports are ranked by energy
+    (`_support_residuals`), which misses the squared residual by under margin = 2 (sqrt(s*alpha)
+    + 2)(P + s*alpha) eps ||y||^2 (twice a first-order rounding bound; Higham, ch. 3).
+    Candidates, energies at most (sqrt(min energy + margin) + tol*||y||)^2 + margin, hold the tie
+    window: a column with one is decided, the rest get their candidates' exact residuals. One
+    `_bases` SVD of the distinct winners at that cut gives each column x = V sv^-1 U^T y and its
+    residual ||y - U U^T y|| by per-column stacked products, so a column's bytes do not depend on
+    its batch. Column chunks of about _CODE_CHUNK residuals or basis entries and support blocks of
+    about _CODE_CHUNK basis and projection entries bound memory. Returns (codes, residuals, ties).
     """
-    rows = _support_columns(_enumerate_supports(A.structure.K, s), A.structure.alpha)
+    rows = _support_columns(sups := _enumerate_supports(A.structure.K, s), A.structure.alpha)
     (P, N), width, fp = Y.shape, rows.shape[1], np.finfo(float)
-    Q = _qr(A, rows) if rows.size * P <= _CODE_CHUNK else None  # reused by every chunk
+    cut = fp.eps * max(P, width)  # lstsq's
+    Q = _support_bases((A, sups), tol=cut)[0] if rows.size * P <= _CODE_CHUNK else None
     X = np.zeros((A.structure.total_dim, N))
     res, tied = np.empty(N), np.zeros(N, dtype=bool)
     ysq = np.einsum("ij,ij->j", Y, Y)
@@ -191,19 +182,19 @@ def _min_residual_codes(A: BlockDict, Y: np.ndarray, s: int, tol: float) -> tupl
     step = max(1, _CODE_CHUNK // max(len(rows), P * width))  # residuals, gathered bases
     block = max(1, _CODE_CHUNK // (P * (width + min(step, N))))
     for c in (slice(start, start + step) for start in range(0, N, step)):
-        E = _support_residuals(A, rows, Q, Y[:, c], np.arange(len(rows)), block, ysq[c])
+        E = _support_residuals(A, sups, Q, Y[:, c], np.arange(len(rows)), block, ysq[c])
         bound = (np.sqrt(np.abs(E.min(axis=0) + margin[c])) + window[c]) ** 2 + margin[c]
         cand = ~(E > bound)  # NaN energies and bounds make candidates
         winner = cand.argmax(axis=0)
         if (again := np.flatnonzero(cand.sum(axis=0) > 1)).size:
             ks = np.flatnonzero(cand[:, again].any(axis=1))
-            R = _support_residuals(A, rows, Q, Y[:, c.start + again], ks, block)
+            R = _support_residuals(A, sups, Q, Y[:, c.start + again], ks, block)
             # first support (lexicographic order) within each column's tie window
             near = R <= R.min(axis=0) + window[c.start + again]
             winner[again], tied[c.start + again] = near.argmax(axis=0), near.sum(axis=0) > 1
         won = np.bincount(winner, minlength=len(rows)) > 0  # distinct winners, in order, unsorted
         ks, k = np.flatnonzero(won), np.cumsum(won)[winner] - 1
-        U, _, sv, Vt = _bases(A.data.T[rows[ks]].transpose(0, 2, 1), fp.eps * max(P, width))
+        U, _, sv, Vt = _bases(A.data.T[rows[ks]].transpose(0, 2, 1), cut)
         Yt = np.ascontiguousarray(Y[:, c].T)
         z = U[k].swapaxes(1, 2) @ Yt[:, :, None]
         x = Vt[k].swapaxes(1, 2) @ (z / sv[k, :, None])

@@ -5,12 +5,12 @@ output; internal storage is plain 0-based numpy. All types are immutable
 after construction and all operations are pure functions.
 
 The library's one numerical-rank rule, `_numerical_rank`, lives here: the count of singular values
-above tol times the largest. So do the one tolerance check, `_check_tols`, that coding, matching
-and certificates run first, the one sparsity check, `_check_s`, and the one scale rule,
-`_unit_scale`, that each door (a coder's measurement, the learner's samples, a probe's support
-columns, `verify`'s support bases, the blocks that `match_blocks` and a certificate compare,
-`check_lemma1`'s dictionary) applies once: an exact power of two (Higham, ch. 2), so no squared
-norm behind it overflows and its answer is the same down to the subnormal range.
+above tol times the largest. So do the one tolerance check, `_check_tols`, that coding, matching and
+certificates run first, the one sparsity check, `_check_s`, and the one scale rule, `_unit_scale`,
+that each door (a coder's measurement, the learner's samples, a probe's support columns, the support
+bases of `verify` and the minimum-residual coder, the blocks that `match_blocks` and a certificate
+compare, `check_lemma1`'s dictionary) applies once: an exact power of two (Higham, ch. 2), so no
+squared norm behind it overflows and its answer is the same down to the subnormal range.
 """
 
 from __future__ import annotations

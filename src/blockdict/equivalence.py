@@ -195,7 +195,8 @@ def solve_block_transform(A_block, B_block,
     """Least-squares alpha x alpha transform M minimizing ||A_block - B_block M||_F.
 
     The one-pair view of `_block_transforms`: returns (M, relative Frobenius residual), and
-    raises RankError when B_block is column-rank-deficient, ValueError when M overflows.
+    raises RankError when B_block is column-rank-deficient, ValueError when either block holds a
+    non-finite entry (checked before any SVD) or M overflows.
     """
     _check_tols(rank_tol=rank_tol)
     A_block = np.asarray(A_block, dtype=float)
@@ -203,6 +204,8 @@ def solve_block_transform(A_block, B_block,
     if A_block.shape != B_block.shape or A_block.ndim != 2:
         raise ValueError(f"blocks must share shape P x alpha, got {A_block.shape} and "
                          f"{B_block.shape}")
+    if not (np.isfinite(A_block).all() and np.isfinite(B_block).all()):
+        raise ValueError("blocks hold non-finite entries")
     M, rel, ranks = _block_transforms(_block_bases(A_block, B_block, 1, rank_tol), [1])
     if ranks[0] < min(B_block.shape):
         raise RankError("target block is rank-deficient")

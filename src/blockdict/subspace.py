@@ -1,14 +1,16 @@
 """Span algebra over column-blocks.
 
 Subspaces are carried as orthonormal bases from one batched SVD, `_bases`, zero past their ranks
-under the library's one rank rule, `core._numerical_rank` (`_support_bases` keeps a QR's Q where R
-proves that rank). Span equality is decided by one kernel over such stacks, `_spans_equal_stacked`:
-two spans of common rank r, stated by the caller, are equal when r principal cosines are at least
-1 - tol, i.e. every principal angle is below arccos(1 - tol) ~ sqrt(2 tol); the one intersection
-kernel, `_intersect`, keeps the principal vectors of such cosines. `check_lemma1` first tries a
-certificate from one Gram of the block-whitened A; where it fails, span equality runs only on pairs
-passing a Frobenius pre-screen, `_screen`. The same screen feeds `_containment`, the residual sines
-of span Q_S inside span Q_T from which `verify_theorem_instance` reads the theorem's hypothesis.
+under the library's one rank rule, `core._numerical_rank`. The one support-basis kernel,
+`_support_bases`, keeps a QR's Q where R proves that rank at its caller's cut (`verify`'s 1e-8, the
+minimum-residual coder's lstsq cut) and takes `_bases` elsewhere. Span equality is decided by one
+kernel over such stacks, `_spans_equal_stacked`: two spans of common rank r, stated by the caller,
+are equal when r principal cosines are at least 1 - tol, i.e. every principal angle is below
+arccos(1 - tol) ~ sqrt(2 tol); the one intersection kernel, `_intersect`, keeps the principal
+vectors of such cosines. `check_lemma1` first tries a certificate from one Gram of the
+block-whitened A; where it fails, span equality runs only on pairs passing a Frobenius pre-screen,
+`_screen`. The same screen feeds `_containment`, the residual sines of span Q_S inside span Q_T from
+which `verify_theorem_instance` reads the theorem's hypothesis.
 """
 
 from __future__ import annotations
@@ -148,16 +150,16 @@ def _screen(Q1: np.ndarray, r1, Q2: np.ndarray, r2, floor, upper: bool = False):
         yield sums, a + lo, b + c
 
 
-def _support_bases(*lists) -> tuple[np.ndarray, np.ndarray]:
+def _support_bases(*lists, tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
     """(bases, ranks) of the columns M of every support of each (D, supports) pair, in order, each
-    at its `_unit_scale`, with `_bases`' ranks and spans: one stacked QR M = Q R keeps Q where R
-    proves full rank, one `_bases` SVD serves the rest. Let c be R's largest column norm and rho =
-    min |r_kk| / c: R = diag(r_kk) (I + N), |N_ij| <= 1/rho, and |(I + N)^-1| is at most its
+    at its `_unit_scale`, with `_bases`' ranks and spans at cut tol: one stacked QR M = Q R keeps Q
+    where R proves full rank, one `_bases` SVD serves the rest. Let c be R's largest column norm and
+    rho = min |r_kk| / c: R = diag(r_kk) (I + N), |N_ij| <= 1/rho, and |(I + N)^-1| is at most its
     comparison matrix's inverse, whose rows and columns sum to at most (1 + 1/rho)^(n-1) (Higham,
     ch. 8), so sigma_min(R) >= rho c / (1 + 1/rho)^(n-1); as sigma_max(R) <= sqrt(n) c, sigma_min /
     sigma_max >= b = rho / (n (1 + 1/rho)^(n-1)). QR and SVD err by at most e sigma_max, e = 16 P
-    n^2 eps (Higham, ch. 19), so b > DEFAULT_RANK_TOL + 2e gives the rank rule's n; a zero (rho
-    NaN), rank-short or ill-conditioned support, or n > P (R is not square), takes the SVD."""
+    n^2 eps (Higham, ch. 19), so b > tol + 2e gives the rank rule's n; a zero (rho NaN),
+    rank-short or ill-conditioned support, or n > P (R is not square), takes the SVD."""
     M = np.concatenate([D.data[:, _support_columns(x, D.structure.alpha)].transpose(1, 0, 2)
                         for D, x in lists])
     M, (P, n) = _unit_scale(M, (1, 2))[0], M.shape[1:]
@@ -165,10 +167,10 @@ def _support_bases(*lists) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # NaN certifies nothing
         rho = np.abs(np.diagonal(R, axis1=1, axis2=2)).min(1) / np.linalg.norm(R, axis=1).max(1)
         b = rho / (n * (1 + 1 / rho) ** (n - 1))
-        fall = (n > P) | ~(b > DEFAULT_RANK_TOL + 2 * 16 * P * n**2 * np.finfo(float).eps)  # 2e
+        fall = (n > P) | ~(b > tol + 2 * 16 * P * n**2 * np.finfo(float).eps)  # 2e
     ranks = np.full(len(M), n)
     if fall.any():
-        Q[fall], ranks[fall] = _bases(M[fall], DEFAULT_RANK_TOL)[:2]
+        Q[fall], ranks[fall] = _bases(M[fall], tol)[:2]
     return Q, ranks
 
 

@@ -18,10 +18,10 @@ from blockdict import (
     gen_dictionary,
 )
 
-from blockdict import coding
+from blockdict import coding, subspace
 from blockdict.coding import _min_residual_codes, _omp_codes
 from blockdict.core import _numerical_rank
-from blockdict.rip import _enumerate_supports, _support_columns
+from blockdict.rip import _enumerate_supports
 
 from conftest import (
     RANK_DEFICIENT_SVALS,
@@ -404,12 +404,15 @@ class TestBatchKernel:
         assert M.shape == (1, 14, 4)
 
     def test_rank_short_supports_take_svd_bases(self, monkeypatch):
-        # block 2 zeroed: its 5 supports take SVD bases in one call, only the winner is solved
+        # block 2 zeroed: its 5 supports take SVD bases in one `_support_bases` fallback call,
+        # only the winner is solved
         A = gen_dictionary(14, BlockStructure(K=6, alpha=2, s=2), seed=2)
         A = A.with_block(2, np.zeros((14, 2)))
-        calls = self.spy_svds(monkeypatch)
+        calls, fallback = self.spy_svds(monkeypatch), []
+        svd = subspace._bases
+        monkeypatch.setattr(subspace, "_bases", lambda M, tol: fallback.append(M) or svd(M, tol))
         exhaustive_code(A, np.random.default_rng(2).standard_normal(14), s=2)
-        bases, solved = calls  # bases: the supports (1, 2) and (2, j), j > 2
+        (bases,), (solved,) = fallback, calls  # bases: the supports (1, 2) and (2, j), j > 2
         assert np.linalg.matrix_rank(bases).tolist() == [2] * 5
         assert np.linalg.matrix_rank(solved).tolist() == [4]
 
@@ -490,15 +493,16 @@ class TestBatchKernel:
         assert peak <= 16 * 2**20
 
     @staticmethod
-    def spy_qr(monkeypatch):
-        """Record (column table, bases) of every `_qr` call the coder makes."""
-        calls, qr = [], coding._qr
+    def spy_support_bases(monkeypatch):
+        """Record (supports, bases) of every `_support_bases` call the coder makes."""
+        calls, support_bases = [], coding._support_bases
 
-        def spy(A, rows):
-            calls.append((rows, qr(A, rows)))
+        def spy(*lists, tol):
+            (_, sups), = lists
+            calls.append((sups, support_bases(*lists, tol=tol)))
             return calls[-1][1]
 
-        monkeypatch.setattr(coding, "_qr", spy)
+        monkeypatch.setattr(coding, "_support_bases", spy)
         return calls
 
     def test_one_qr_per_call_while_the_bases_fit(self, monkeypatch):
@@ -507,12 +511,12 @@ class TestBatchKernel:
         A = gen_dictionary(40, st, seed=1).with_block(2, np.zeros((40, 2)))
         Y = np.random.default_rng(1).standard_normal((40, 30))
         Y[:, [4, 17]] = 0.0  # every support ties: the re-check runs
-        rechecks, calls = spy_rechecks(monkeypatch), self.spy_qr(monkeypatch)
+        rechecks, calls = spy_rechecks(monkeypatch), self.spy_support_bases(monkeypatch)
         _, _, tied = _min_residual_codes(A, Y, st.s, 1e-10)
         assert np.flatnonzero(tied).tolist() == [4, 17] and len(rechecks) == 1
-        (rows, Q), = calls
+        (sups, (Q, _)), = calls
         supports = _enumerate_supports(6, 2)
-        assert np.array_equal(rows, _support_columns(supports, 2)) and Q.shape == (15, 40, 4)
+        assert np.array_equal(sups, supports) and Q.shape == (15, 40, 4)
         for k, sup in enumerate(supports):  # orthonormal up to the support's rank, zero past it
             r = 2 * (2 - (2 in sup))
             assert np.allclose(Q[k, :, :r].T @ Q[k, :, :r], np.eye(r)) and not Q[k, :, r:].any()
@@ -522,10 +526,10 @@ class TestBatchKernel:
         st = BlockStructure(K=20, alpha=2, s=5)
         A = gen_dictionary(40, st, seed=1)
         Y = np.random.default_rng(1).standard_normal((40, 4))
-        calls = self.spy_qr(monkeypatch)
+        calls = self.spy_support_bases(monkeypatch)
         _min_residual_codes(A, Y, st.s, 1e-10)
         block = max(1, coding._CODE_CHUNK // (40 * (10 + 4)))
-        sizes = [len(rows) for rows, _ in calls]
+        sizes = [len(sups) for sups, _ in calls]
         assert sizes == [min(block, 15504 - b) for b in range(0, 15504, block)]
         assert max(sizes) < 15504
 
@@ -641,6 +645,20 @@ class TestProjectionOracle:
         monkeypatch.setattr(coding, "_CODE_CHUNK", chunk)
         self.assert_same_bytes(A, coder_inputs(A, 24, 8), 2)
 
+    @pytest.mark.parametrize("chunk", [1, coding._CODE_CHUNK])
+    def test_hidden_rank_block(self, monkeypatch, chunk):
+        # block 2 = [2e-8 a, a + 2e-8 b]: sigma_min / sigma_max ~ 4e-16 is below lstsq's cut,
+        # though each |r_kk| of its QR passes a 1e-8 rank test; a support basis that takes Q
+        # there misses the least projection residual of y along b
+        A = gen_dictionary(12, BlockStructure(K=4, alpha=2, s=2), seed=3)
+        a, b = A.block(2).T
+        A = A.with_block(2, np.column_stack([2e-8 * a, a + 2e-8 * b]))
+        sv = np.linalg.svd(A.block(2), compute_uv=False)
+        assert sv[1] / sv[0] < np.finfo(float).eps * 12
+        y = b + 0.3 * A.block(1)[:, 0]
+        monkeypatch.setattr(coding, "_CODE_CHUNK", chunk)
+        self.assert_same_bytes(A, np.column_stack([coder_inputs(A, 24, 7), y]), 2)
+
     def test_learner_shape(self):
         # the learner's coding call: K=6, alpha=2, s=2, P=16, N=300 at noise 1e-3
         A, _, used = make_rip_instance(16, 6, 2, 2, seed=1)
@@ -673,10 +691,10 @@ def spy_rechecks(monkeypatch):
     calls = []
     support_residuals = coding._support_residuals
 
-    def spy(A, rows, bases, Y, ks, block, ysq=None):
+    def spy(A, sups, bases, Y, ks, block, ysq=None):
         if ysq is None:
             calls.append((ks.copy(), Y.copy()))
-        return support_residuals(A, rows, bases, Y, ks, block, ysq)
+        return support_residuals(A, sups, bases, Y, ks, block, ysq)
 
     monkeypatch.setattr(coding, "_support_residuals", spy)
     return calls
@@ -768,14 +786,12 @@ class TestEnergyRanking:
         A = A.with_block(3, A.block(1) @ np.array([[2.0, 1.0], [0.5, 3.0]]))
         Y = coder_inputs(A, 60, 11)
         supports = _enumerate_supports(4, 2)
-        rows = _support_columns(supports, 2)
-        bases = coding._qr(A, rows)
+        bases = coding._support_bases((A, supports), tol=np.finfo(float).eps * 12)[0]
 
         def each_column(ysq=None):  # the kernel's residuals, one column at a time
             return np.column_stack([
-                coding._support_residuals(
-                    A, rows, bases, Y[:, [c]], np.arange(6), 6, None if ysq is None else ysq[[c]]
-                )[:, 0]
+                coding._support_residuals(A, supports, bases, Y[:, [c]], np.arange(6), 6,
+                                          None if ysq is None else ysq[[c]])[:, 0]
                 for c in range(Y.shape[1])
             ])
 

@@ -302,6 +302,18 @@ class TestSolveBlockTransform:
         with pytest.raises(ValueError, match="blocks must share shape P x alpha"):
             solve_block_transform(a, b)
 
+    @pytest.mark.parametrize("where", ["nan-in-A", "nan-in-B", "inf-in-B"])
+    def test_non_finite_block_is_a_value_error(self, where):
+        # refused before the pair's SVD, where a NaN fails to converge and an inf in B_block
+        # reads as rank-short
+        blocks = {"A": np.random.default_rng(2).standard_normal((6, 2)), "B": np.eye(6)[:, :2]}
+        bad, block = where.split("-in-")
+        blocks[block][3, 1] = float(bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="blocks hold non-finite entries"):
+                solve_block_transform(blocks["A"], blocks["B"])
+
     def test_overflowing_transform_is_a_value_error(self):
         A, B = out_of_range_pair()
         with warnings.catch_warnings():

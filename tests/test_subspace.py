@@ -756,26 +756,28 @@ class TestSupportBasesQR:
     certify gets `_bases`' bytes."""
 
     @staticmethod
-    def support_bases(mats, monkeypatch):
-        """`_support_bases` of the matrices as the singletons of one dictionary, the unit-scaled
-        stack, and the supports of each `_bases` call it makes."""
+    def support_bases(mats, monkeypatch, tol=1e-8):
+        """`_support_bases` at tol of the matrices as the singletons of one dictionary, the
+        unit-scaled stack, and the supports of each `_bases` call it makes."""
         P, n = mats[0].shape
         D = BlockDict(BlockStructure(K=len(mats), alpha=n, s=1), np.hstack(mats))
         calls, bases = [], subspace._bases
         monkeypatch.setattr(subspace, "_bases", lambda M, tol: calls.append(M) or bases(M, tol))
-        Q, ranks = subspace._support_bases((D, np.arange(1, len(mats) + 1)[:, None]))
+        Q, ranks = subspace._support_bases((D, np.arange(1, len(mats) + 1)[:, None]), tol=tol)
         monkeypatch.undo()
         return Q, ranks, _unit_scale(np.stack(mats), (1, 2))[0], calls
 
+    @pytest.mark.parametrize("cut", ["rank-rule", "lstsq"])  # 1e-8, or eps max(P, n)
     @pytest.mark.parametrize("name", list(qr_cases()))
-    def test_ranks_and_spans_are_the_svds(self, monkeypatch, name):
+    def test_ranks_and_spans_are_the_svds(self, monkeypatch, name, cut):
         mats = qr_cases()[name]
-        Q, ranks, M, calls = self.support_bases(mats, monkeypatch)
+        tol = 1e-8 if cut == "rank-rule" else np.finfo(float).eps * max(mats[0].shape)
+        Q, ranks, M, calls = self.support_bases(mats, monkeypatch, tol)
         (P, n), e = M.shape[1:], 16 * M.shape[1] * M.shape[2] ** 2 * np.finfo(float).eps
-        U, expected = subspace._bases(M, 1e-8)[:2]
+        U, expected = subspace._bases(M, tol)[:2]
         assert Q.shape == U.shape and np.array_equal(ranks, expected)
         assert subspace._spans_equal_stacked(Q, U, 1e-8, ranks).all()
-        proved = (triangular_bound(M) > 1e-8 + 2 * e) if n <= P else np.zeros(len(M), bool)
+        proved = (triangular_bound(M) > tol + 2 * e) if n <= P else np.zeros(len(M), bool)
         assert (ranks[proved] == n).all()
         assert np.array_equal(Q[~proved], U[~proved])  # `_bases`' bytes
         assert np.array_equal(np.concatenate(calls) if calls else M[:0], M[~proved])
