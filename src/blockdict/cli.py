@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .coding import DEFAULT_CODING_TOL, block_omp, exhaustive_code
-from .core import BlockDict, BlockStructure
+from .core import BlockDict, BlockStructure, _check_ints
 from .equivalence import (
     DEFAULT_CERTIFICATE_TOL,
     DEFAULT_PROBE_TOL,
@@ -44,9 +44,8 @@ from .subspace import DEFAULT_RANK_TOL
 
 
 def _load_dict(path, alpha: int, s: int = 1) -> BlockDict:
+    _check_ints(1, alpha=alpha)
     data = read_matrix_text(path)
-    if alpha < 1:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
     if data.shape[1] % alpha != 0:
         raise ValueError(
             f"matrix has {data.shape[1]} columns, not divisible by alpha={alpha}"

@@ -96,19 +96,20 @@ def _omp_codes(A: BlockDict, Y: np.ndarray, s: int, tol: float) -> tuple[np.ndar
     """Block-OMP code of every column y of the P x N matrix Y, at most s blocks each.
 
     `block_omp`'s rule, and the learner's above the enumeration cap, on Y at the caller's scale
-    (2^k Y gets 2^k times the codes, exactly): while y's residual r exceeds tol ||y|| and y has
-    fewer than s blocks, the block whose correlations with r have the largest norm joins y's
-    selection (the first such: equal columns tie exactly, as each correlation is one dot product;
-    none when all are 0), least squares on the selection is solved from one stacked SVD at lstsq's
-    cut eps max(P, d) under `_numerical_rank`, and r is recomputed as y - A x; a rank-short
-    selection stops with code 0 and residual ||y||. Every product is per column (stacked matmuls
-    on C-contiguous rows, norms as stacked dots), so a column's bytes do not depend on its batch;
-    column chunks of about _CODE_CHUNK selection entries bound memory. Returns (codes, absolute
-    residual norms, each block's step in each column's selection (N x K, 0 = unselected), the rank
-    of each column's last solve).
+    (2^k Y gets 2^k times the codes, exactly) and on A's `_unit_scale` (codes scaled back): while
+    y's residual r exceeds tol ||y|| and y has fewer than s blocks, the block whose correlations
+    with r have the largest norm joins y's selection (the first such: equal columns tie exactly, as
+    each correlation is one dot product; none when all are 0), least squares on the selection is
+    solved from one stacked SVD at lstsq's cut eps max(P, d) under `_numerical_rank`, and r is
+    recomputed as y - A x; a rank-short selection stops with code 0 and residual ||y||. Every
+    product is per column (stacked matmuls on C-contiguous rows, norms as stacked dots), so a
+    column's bytes do not depend on its batch; column chunks of about _CODE_CHUNK selection entries
+    bound memory. Returns (codes, absolute residual norms, each block's step in each column's
+    selection (N x K, 0 = unselected), the rank of each column's last solve).
     """
     (P, N), (K, alpha) = Y.shape, (A.structure.K, A.structure.alpha)
-    Yt, AT = np.ascontiguousarray(Y.T), np.ascontiguousarray(A.data.T)  # rows: each y, A's columns
+    D, e = _unit_scale(A.data, None)
+    Yt, AT = np.ascontiguousarray(Y.T), np.ascontiguousarray(D.T)  # rows: each y, D's columns
     R, X = Yt.copy(), np.zeros((N, A.structure.total_dim))  # residual and code rows
     steps, rank = np.zeros((N, K), dtype=int), np.zeros(N, dtype=int)
     norm = np.sqrt((Yt[:, None] @ Yt[:, :, None])[:, 0, 0])
@@ -133,9 +134,9 @@ def _omp_codes(A: BlockDict, Y: np.ndarray, s: int, tol: float) -> tuple[np.ndar
             live, rows = live[ok], rows[ok]
             z = (U[ok].swapaxes(1, 2) @ Yt[live, :, None]) / sv[ok, :, None]
             X[live[:, None], rows] = (Vt[ok].swapaxes(1, 2) @ z)[..., 0]
-            R[live] = Yt[live] - (A.data @ X[live, :, None])[..., 0]
+            R[live] = Yt[live] - (D @ X[live, :, None])[..., 0]
             res[live] = np.sqrt((R[live, None] @ R[live, :, None])[:, 0, 0])
-    return X.T, res, steps, rank
+    return np.ldexp(X.T, -e), res, steps, rank
 
 
 def _support_residuals(A: BlockDict, sups, bases, Y, ks, block, ysq=None) -> np.ndarray:

@@ -5,12 +5,14 @@ output; internal storage is plain 0-based numpy. All types are immutable
 after construction and all operations are pure functions.
 
 The library's one numerical-rank rule, `_numerical_rank`, lives here: the count of singular values
-above tol times the largest. So do the one tolerance check, `_check_tols`, that coding, matching and
+above tol times the largest. So do the one integer rule, `_check_ints` (an int or numpy integer, not
+a bool, never truncated), the one tolerance check, `_check_tols`, that coding, matching and
 certificates run first, the one sparsity check, `_check_s`, and the one scale rule, `_unit_scale`,
-that each door (a coder's measurement, the learner's samples, a probe's support columns, the support
-bases of `verify` and the minimum-residual coder, the blocks that `match_blocks` and a certificate
-compare, `check_lemma1`'s dictionary) applies once: an exact power of two (Higham, ch. 2), so no
-squared norm behind it overflows and its answer is the same down to the subnormal range.
+that each door (a coder's measurement, block-OMP's dictionary, the learner's samples, a probe's
+support columns, `verify`'s and the minimum-residual coder's support bases, the blocks that
+`match_blocks` and a certificate compare, `check_lemma1`'s dictionary) applies once: an exact power
+of two (Higham, ch. 2), so no squared norm behind it overflows and its answer is the same down to
+the subnormal range.
 """
 
 from __future__ import annotations
@@ -39,14 +41,7 @@ class BlockStructure:
     s: int
 
     def __post_init__(self):
-        for name in ("K", "alpha", "s"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-        if self.K < 1:
-            raise ValueError(f"K must be >= 1, got {self.K}")
-        if self.alpha < 1:
-            raise ValueError(f"alpha must be >= 1, got {self.alpha}")
+        _check_ints(1, K=self.K, alpha=self.alpha)
         _check_s(self, self.s)
 
     @property
@@ -84,26 +79,36 @@ def _check_tols(**tols: float) -> None:
             raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
+def _check_ints(least: int | None, **values) -> None:
+    """ValueError naming the first value that is not an integer (nor a bool) or is below least."""
+    for name, value in values.items():
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if least is not None and value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def _check_s(structure: BlockStructure, s: int | None) -> int:
-    """s defaulted to structure.s; ValueError unless 1 <= s <= K."""
-    s = structure.s if s is None else int(s)
+    """s defaulted to structure.s; ValueError unless s is an integer with 1 <= s <= K."""
+    s = structure.s if s is None else s
+    _check_ints(None, s=s)
     if not 1 <= s <= structure.K:
         raise ValueError(f"s must satisfy 1 <= s <= K, got s={s}, K={structure.K}")
-    return s
+    return int(s)
 
 
 def as_support(indices, K: int) -> Support:
     """Normalize a collection of 1-based block indices to a sorted tuple.
 
-    Raises ValueError on duplicates or indices outside 1..K.
+    Raises ValueError on a non-integer index, duplicates or indices outside 1..K.
     """
-    idx = [int(i) for i in indices]
-    if len(set(idx)) != len(idx):
-        raise ValueError(f"support has duplicate indices: {sorted(idx)}")
-    for i in idx:
+    for i in (idx := list(indices)):
+        _check_ints(None, **{"block index": i})
         if not 1 <= i <= K:
             raise ValueError(f"block index {i} out of range 1..{K}")
-    return tuple(sorted(idx))
+    if len(set(idx)) != len(idx):
+        raise ValueError(f"support has duplicate indices: {sorted(map(int, idx))}")
+    return tuple(sorted(map(int, idx)))
 
 
 def _as_readonly_matrix(data) -> np.ndarray:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coding import DEFAULT_CODING_TOL, _min_residual_codes, _relative
-from .core import (BlockDict, BlockStructure, Support, _check_s, _check_tols, _numerical_rank,
-                   _unit_scale, as_support)
+from .core import (BlockDict, BlockStructure, Support, _check_ints, _check_s, _check_tols,
+                   _numerical_rank, _unit_scale, as_support)
 from .errors import CapacityError, HypothesisViolationError, RankError
 from .rip import (DEFAULT_ENUMERATION_CAP, RipReport, _enumerate_supports, _sample_supports,
                   _support_columns, rip_constant)
@@ -46,6 +46,7 @@ class BlockPermutation:
     pi: tuple[int, ...]
 
     def __post_init__(self):
+        _check_ints(None, K=self.K, **{f"pi({i})": v for i, v in enumerate(self.pi, 1)})
         pi = tuple(int(v) for v in self.pi)
         if len(pi) != self.K or sorted(pi) != list(range(1, self.K + 1)):
             raise ValueError(f"pi must be a permutation of 1..{self.K}, got {pi}")
@@ -327,8 +328,7 @@ def construct_kappa(
     sup = as_support(S, A.structure.K)
     if not sup:
         raise ValueError("support must be nonempty")
-    if n_probes < 1:
-        raise ValueError(f"n_probes must be >= 1, got {n_probes}")
+    _check_ints(1, n_probes=n_probes)
     if n_probes > DEFAULT_ENUMERATION_CAP:
         raise CapacityError(f"n_probes = {n_probes} exceeds the enumeration cap "
                             f"{DEFAULT_ENUMERATION_CAP}")

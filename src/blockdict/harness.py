@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -23,7 +24,7 @@ from itertools import compress
 import numpy as np
 
 from .coding import DEFAULT_CODING_TOL, _min_residual_codes, _omp_codes
-from .core import BlockDict, BlockStructure, _numerical_rank, _unit_scale
+from .core import BlockDict, BlockStructure, _check_ints, _numerical_rank, _unit_scale
 from .discovery import _discover_block_spans
 from .equivalence import (
     DEFAULT_CERTIFICATE_TOL,
@@ -62,13 +63,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_ambient(self.ambient_dim, self.structure)
-        for name, least in (("seed", 0), ("n_samples", 1), ("learner_iterations", 1)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        _check_ints(0, seed=self.seed)
+        _check_ints(1, n_samples=self.n_samples, learner_iterations=self.learner_iterations)
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "float" and not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{f.name} must be finite and nonnegative, got {value}")
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if f.type == "float" and not (real and math.isfinite(value) and value >= 0):
+                raise ValueError(f"{f.name} must be finite and nonnegative, got {value!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -87,12 +88,8 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
 
-# JSON types each annotation accepts: bools are not numbers, floats not ints
-_JSON_TYPES = {"int": (int,), "float": (int, float)}
-
-
 def _check_keys(d, cls, what: str) -> None:
-    """ValueError unless d is a dict of the fields of cls, none missing, typed right."""
+    """ValueError unless d is a dict of the fields of cls, none missing."""
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
     known = {f.name for f in fields(cls)}
@@ -104,14 +101,11 @@ def _check_keys(d, cls, what: str) -> None:
     ]
     if problems:
         raise ValueError(f"{what}: {'; '.join(problems)}")
-    for f in fields(cls):
-        accepted = _JSON_TYPES.get(f.type, object)
-        if f.name in d and (isinstance(d[f.name], bool) or not isinstance(d[f.name], accepted)):
-            raise ValueError(f"{what}: key {f.name!r} must be {f.type}, got {d[f.name]!r}")
 
 
 def _check_ambient(ambient_dim: int, structure: BlockStructure) -> None:
     """ValueError when every level-min(2s, K) sub-dictionary is rank-deficient."""
+    _check_ints(None, ambient_dim=ambient_dim)
     bound = min(2 * structure.s, structure.K) * structure.alpha
     if ambient_dim < bound:
         raise ValueError(
@@ -121,7 +115,7 @@ def _check_ambient(ambient_dim: int, structure: BlockStructure) -> None:
 
 
 def _substream(seed: int, tag: int) -> np.random.Generator:
-    return np.random.default_rng([int(seed), tag])
+    return np.random.default_rng([seed, tag])
 
 
 def _draw_dictionaries(ambient_dim: int, structure: BlockStructure, rng, n, mode=MODE_BLOCK_ORTH):
@@ -197,8 +191,7 @@ def gen_codes(
     magnitudes and signs, times coefficient_scale, so each is bounded away
     from zero. `BlockSparseVec(structure, X[:, c])` reads a column's support.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    _check_ints(1, n_samples=n_samples)
     if not (math.isfinite(coefficient_scale) and coefficient_scale > 0):
         raise ValueError(f"coefficient_scale must be finite and positive, got {coefficient_scale}")
     rng, N, alpha, s = np.random.default_rng(seed), n_samples, structure.alpha, structure.s

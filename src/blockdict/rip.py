@@ -23,7 +23,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .core import BlockDict, Support, as_support
+from .core import BlockDict, Support, _check_ints, as_support
 from .errors import CapacityError
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -61,8 +61,9 @@ def _sample_supports(K: int, t: int, n: int, seed: int) -> np.ndarray:
     are skipped; draws come first in a batch of C ln((C + 1/2) / (C - n + 1/2)), at most
     C = C(K, t), then of the missing times C / (C - found): the stream of one at a time.
     Every support, in lexicographic order, when n >= C(K, t). Raises CapacityError when
-    min(n, C(K, t)) exceeds DEFAULT_ENUMERATION_CAP, and numpy's ValueError for a negative seed.
+    min(n, C(K, t)) exceeds DEFAULT_ENUMERATION_CAP, and ValueError for a seed not an integer >= 0.
     """
+    _check_ints(None, seed=seed)
     if seed < 0:
         raise ValueError("expected non-negative integer")
     total = math.comb(K, t)
@@ -217,9 +218,9 @@ def _rip_report(A: BlockDict, t: int, supports: np.ndarray, mode: str) -> RipRep
 
 
 def _check_level(A: BlockDict, t: int) -> None:
-    K = A.structure.K
-    if not 1 <= t <= K:
-        raise ValueError(f"level t must satisfy 1 <= t <= K, got t={t}, K={K}")
+    _check_ints(None, t=t)
+    if not 1 <= t <= A.structure.K:
+        raise ValueError(f"level t must satisfy 1 <= t <= K, got t={t}, K={A.structure.K}")
 
 
 def rip_constant_for_support(A: BlockDict, T) -> float:
@@ -275,8 +276,7 @@ def rip_lower_bound_sampled(
     min(n_samples, C(K, t)) exceeds DEFAULT_ENUMERATION_CAP.
     """
     _check_level(A, t)
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    _check_ints(1, n_samples=n_samples)
     supports = _sample_supports(A.structure.K, t, n_samples, seed)
     return _rip_report(A, t, supports, MODE_SAMPLED)
 
@@ -284,6 +284,7 @@ def rip_lower_bound_sampled(
 def rip_constant(A: BlockDict, t: int, seed: int) -> RipReport:
     """Level-t constant: exact while C(K, t) <= DEFAULT_ENUMERATION_CAP, else
     the sampled lower bound over 200 supports drawn from seed."""
+    _check_level(A, t)
     if math.comb(A.structure.K, t) <= DEFAULT_ENUMERATION_CAP:
         return rip_constant_exact(A, t)
     return rip_lower_bound_sampled(A, t, n_samples=200, seed=seed)

@@ -463,15 +463,16 @@ class TestLearnAndExperiment:
             ({k: v for k, v in BASE_CONFIG.items() if k != "structure"},
              "missing keys ['structure']"),
             ([BASE_CONFIG], "must be a JSON object"),
-            ({**BASE_CONFIG, "n_samples": "50"}, "key 'n_samples' must be int"),
-            ({**BASE_CONFIG, "noise_level": "0.1"}, "key 'noise_level' must be float"),
+            ({**BASE_CONFIG, "n_samples": "50"}, "n_samples must be an integer, got '50'"),
+            ({**BASE_CONFIG, "noise_level": "0.1"},
+             "noise_level must be finite and nonnegative, got '0.1'"),
             ({**BASE_CONFIG, "learner_iterations": None},
-             "key 'learner_iterations' must be int"),
+             "learner_iterations must be an integer, got None"),
             ({**BASE_CONFIG, "structure": {**BASE_CONFIG["structure"], "K": 4.7}},
-             "structure: key 'K' must be int"),
+             "K must be an integer, got 4.7"),
             ({**BASE_CONFIG, "structure": {**BASE_CONFIG["structure"], "alpha": True}},
-             "structure: key 'alpha' must be int"),
-            ({**BASE_CONFIG, "seed": 1.5}, "key 'seed' must be int"),
+             "alpha must be an integer, got True"),
+            ({**BASE_CONFIG, "seed": 1.5}, "seed must be an integer, got 1.5"),
             ({**BASE_CONFIG, "seed": -1}, "seed must be >= 0, got -1"),
             # removed keys are unknown, whatever their value
             ({**BASE_CONFIG, "coefficient_scale": 0}, "unknown keys ['coefficient_scale']"),

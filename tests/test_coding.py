@@ -343,6 +343,20 @@ class TestScale:
         assert greedy.code.support == ref.code.support == (3, 4)  # greedy's miss, at any scale
         assert greedy.residual_norm == pytest.approx(ref.residual_norm, rel=1e-12)
 
+    @pytest.mark.parametrize("k", [900, -900, 1000, -1000])
+    def test_omp_on_power_of_two_dictionaries(self, k):
+        # block-OMP scores and solves on A's own power-of-two scale, so 2^k A codes 2^k y to
+        # y's support, residual and code on A, with no warning (filterwarnings = error); the code
+        # passes through 2^-k, where its roundoff-sized entries may lose bits to the subnormals
+        st = BlockStructure(K=6, alpha=2, s=2)
+        A = gen_dictionary(16, st, seed=1)
+        B = BlockDict(st, np.ldexp(A.data, k))
+        ref = block_omp(A, A.data[:, 1] + A.data[:, 11])
+        got = block_omp(B, B.data[:, 1] + B.data[:, 11])
+        assert got.code.support == ref.code.support == (1, 6)
+        assert got.residual_norm == ref.residual_norm < 1e-15
+        np.testing.assert_allclose(got.code.values, ref.code.values, rtol=1e-15, atol=1e-20)
+
 
 @pytest.mark.parametrize("coder", [block_omp, exhaustive_code])
 def test_s_above_the_structure_is_refused(coder):

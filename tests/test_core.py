@@ -1,4 +1,5 @@
 import inspect
+import os
 
 import numpy as np
 import pytest
@@ -7,19 +8,29 @@ from blockdict import (
     DEFAULT_RANK_TOL,
     BlockDiagonal,
     BlockDict,
+    BlockPermutation,
     BlockSparseVec,
     BlockStructure,
+    ExperimentConfig,
     RankError,
     as_support,
     block_omp,
     block_support,
+    check_lemma1,
+    construct_kappa,
     exhaustive_code,
+    gen_codes,
     gen_dictionary,
     make_indicator,
     orthonormal_basis,
+    rip_constant,
+    rip_constant_exact,
+    rip_lower_bound_sampled,
     solve_block_transform,
+    verify_theorem_instance,
+    write_matrix_text,
 )
-from blockdict import core, subspace
+from blockdict import cli, core, subspace
 from blockdict.core import _numerical_rank
 
 from conftest import rank_deficient_dict
@@ -280,3 +291,86 @@ def test_rank_rule_stacked():
     svals = np.array([[[4.0, 2.0, 0.0], [0.0, 0.0, 0.0]], [[1.0, 1.0, 1.0], [3.0, 3e-9, 0.0]]])
     assert _numerical_rank(svals, 1e-8).tolist() == [[2, 0], [3, 1]]
     assert _numerical_rank(np.empty((3, 0)), 1e-8).tolist() == [0, 0, 0]
+
+
+class TestIntegerRule:
+    """Every count, index, sparsity, level and seed meets `core._check_ints`: an int or numpy
+    integer, never a bool, and never truncated; anything else is a ValueError naming it."""
+
+    @staticmethod
+    def instance():
+        st = BlockStructure(K=6, alpha=2, s=2)
+        A = gen_dictionary(16, st, seed=1)
+        return st, A, A.data[:, 1] + A.data[:, 11]
+
+    @staticmethod
+    def config(**kwargs):
+        base = dict(structure=BlockStructure(K=6, alpha=2, s=2), ambient_dim=16, n_samples=300,
+                    seed=7)
+        return ExperimentConfig(**{**base, **kwargs})
+
+    # (name, call, the argument the error names, its repr): each was truncated, or raised a
+    # TypeError or an error naming another argument, before the rule
+    CASES = [
+        ("as-support-floats", lambda st, A, y: as_support([1.5, 2.9], 6), "block index", "1.5"),
+        ("as-support-str", lambda st, A, y: as_support(["2", 3.9], 6), "block index", "'2'"),
+        ("as-support-bool", lambda st, A, y: as_support([True, 3], 6), "block index", "True"),
+        ("restrict", lambda st, A, y: A.restrict([2.0]), "block index", "2.0"),
+        ("exhaustive-s", lambda st, A, y: exhaustive_code(A, y, s=1.5), "s", "1.5"),
+        ("omp-s", lambda st, A, y: block_omp(A, y, s=2.0), "s", "2.0"),
+        ("verify-s", lambda st, A, y: verify_theorem_instance(A, A, s=1.9), "s", "1.9"),
+        ("lemma1-s", lambda st, A, y: check_lemma1(A, s=1.5), "s", "1.5"),
+        ("permutation", lambda st, A, y: BlockPermutation(3, (1.5, 2, 3)), r"pi\(1\)", "1.5"),
+        ("config-seed", lambda st, A, y: TestIntegerRule.config(seed=1.5), "seed", "1.5"),
+        ("config-samples", lambda st, A, y: TestIntegerRule.config(n_samples=300.5),
+         "n_samples", "300.5"),
+        ("config-ambient", lambda st, A, y: TestIntegerRule.config(ambient_dim=16.5),
+         "ambient_dim", "16.5"),
+        ("config-iterations", lambda st, A, y: TestIntegerRule.config(learner_iterations=True),
+         "learner_iterations", "True"),
+        ("rip-exact-level", lambda st, A, y: rip_constant_exact(A, 2.5), "t", "2.5"),
+        ("rip-level", lambda st, A, y: rip_constant(A, 2.5, 0), "t", "2.5"),
+        ("rip-sampled-count", lambda st, A, y: rip_lower_bound_sampled(A, 2, 2.5, 0),
+         "n_samples", "2.5"),
+        ("rip-sampled-seed", lambda st, A, y: rip_lower_bound_sampled(A, 2, 5, 1.5), "seed", "1.5"),
+        ("verify-seed", lambda st, A, y: verify_theorem_instance(A, A, seed=1.5), "seed", "1.5"),
+        ("gen-codes", lambda st, A, y: gen_codes(st, 2.5, 0), "n_samples", "2.5"),
+        ("kappa-probes", lambda st, A, y: construct_kappa(A, A, (1, 2), n_probes=2.5),
+         "n_probes", "2.5"),
+        ("cli-alpha", lambda st, A, y: cli._load_dict(os.devnull, 1.5), "alpha", "1.5"),
+    ]
+
+    @pytest.mark.parametrize("call, name, value", [c[1:] for c in CASES],
+                             ids=[c[0] for c in CASES])
+    def test_refused_with_the_argument_named(self, call, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value}$"):
+            call(*self.instance())
+
+    @pytest.mark.parametrize("value", ["0.1", None, True, False])
+    def test_float_config_keys_take_finite_nonnegative_numbers(self, value):
+        for key in ("noise_level", "certificate_tol"):
+            with pytest.raises(ValueError, match=f"^{key} must be finite and nonnegative, got"):
+                self.config(**{key: value})
+
+    def test_numpy_integers_accepted_everywhere(self, tmp_path):
+        st, A, y = self.instance()
+        i = np.int64
+        assert as_support(np.array([3, 1]), 6) == (1, 3)
+        assert all(type(b) is int for b in as_support(np.array([3, 1]), 6))
+        assert BlockPermutation(i(3), tuple(np.array([2, 3, 1]))).pi == (2, 3, 1)
+        for coder in (exhaustive_code, block_omp):
+            assert coder(A, y, s=np.int32(2)).to_dict() == coder(A, y, s=2).to_dict()
+        assert check_lemma1(A, s=i(1)) == check_lemma1(A, s=1)
+        report = verify_theorem_instance(A, A, s=i(2), seed=i(3))
+        assert report.to_dict() == verify_theorem_instance(A, A, s=2, seed=3).to_dict()
+        assert rip_constant_exact(A, i(2)) == rip_constant_exact(A, 2)
+        assert rip_constant(A, i(2), i(0)) == rip_constant(A, 2, 0)
+        assert rip_lower_bound_sampled(A, i(2), i(5), i(4)) == rip_lower_bound_sampled(A, 2, 5, 4)
+        assert np.array_equal(gen_codes(st, i(5), i(0)), gen_codes(st, 5, 0))
+        kappa = construct_kappa(A, A, np.array([1, 2]), n_probes=i(2), seed=i(0))
+        assert kappa.to_dict() == construct_kappa(A, A, (1, 2), n_probes=2, seed=0).to_dict()
+        config = self.config(ambient_dim=i(16), n_samples=i(300), seed=i(7),
+                             learner_iterations=i(30), noise_level=i(0))
+        assert config == self.config()
+        write_matrix_text(tmp_path / "A.txt", A.data)
+        assert np.array_equal(cli._load_dict(tmp_path / "A.txt", i(2)).data, A.data)
