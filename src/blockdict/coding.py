@@ -1,14 +1,14 @@
 """Block-sparse coding: greedy block-OMP and an exhaustive oracle, each over a batched kernel.
 
-Both methods reject non-finite measurements, code y at `_unit_scale` (||y||^2 then neither
-overflows nor underflows), report the residual as ||y - A x||_2 relative to ||y||_2
-(`_relative`: absolute when y = 0) and break ties toward the lowest block indices. Each is the
-one-column case of a kernel the learner runs on all its samples, each taking (A, Y, s, tol)
-with Y at the caller's scale: `_omp_codes` for block-OMP, and for the oracle
-`_min_residual_codes`, the minimum-residual rule, which re-checks only what an energy ranking
-cannot settle. A support's residual is its projection residual on its `subspace._support_bases`
-basis at lstsq's cut, its lstsq residual at any rank (Golub & Van Loan 5.3); the winner's comes
-from its solve's SVD (5.5).
+Both methods reject non-finite measurements, code y and A each at its `_unit_scale` (||y||^2 then
+neither overflows nor underflows), scale the code once (ValueError past the float range), report the
+residual as ||y - A x||_2 relative to ||y||_2 (`_relative`: absolute when y = 0) and break ties
+toward the lowest block indices. Each is the one-column case of a kernel the learner runs on all its
+samples, each taking (A, Y, s, tol) with Y at the caller's scale: `_omp_codes` for block-OMP, and
+for the oracle `_min_residual_codes`, the minimum-residual rule, which re-checks only what an energy
+ranking cannot settle. A support's residual is its projection residual on its
+`subspace._support_bases` basis at lstsq's cut, its lstsq residual at any rank (Golub & Van Loan
+5.3); the winner's comes from its solve's SVD (5.5).
 """
 
 from __future__ import annotations
@@ -70,6 +70,18 @@ def _check_measurement(A: BlockDict, y, s: int | None, tol: float) -> tuple[np.n
     return (*_unit_scale(y, 0), s)
 
 
+def _code_one(kernel, A: BlockDict, y, s: int | None, tol: float):
+    """(code, relative residual, kernel's other outputs) of y on A by kernel, run on y and A at
+    their `_unit_scale`s; the code is 2**(e_y - e_A) times kernel's, ValueError past float range."""
+    y, e, s = _check_measurement(A, y, s, tol)
+    D, [[d]] = _unit_scale(A.data, None)
+    X, res, *rest = kernel(BlockDict(A.structure, D), y[:, None], s, tol)
+    with np.errstate(over="ignore"):
+        if np.isfinite(x := np.ldexp(X[:, 0], e - d)).all():
+            return BlockSparseVec(A.structure, x), float(_relative(res[0], np.linalg.norm(y))), rest
+    raise ValueError("the code overflows the float range")
+
+
 def block_omp(
     A: BlockDict, y, s: int | None = None, tol: float = DEFAULT_CODING_TOL
 ) -> CodingResult:
@@ -82,14 +94,12 @@ def block_omp(
     or no block correlates with r at all. Every block should have full column
     rank: RankError when the selected sub-dictionary is rank-deficient.
     """
-    y, e, s = _check_measurement(A, y, s, tol)
-    X, res, steps, rank = _omp_codes(A, y[:, None], s, tol)
+    code, residual, (steps, rank) = _code_one(_omp_codes, A, y, s, tol)
     order = np.argsort(steps[0])[A.structure.K - np.count_nonzero(steps) :]  # selection order
     if rank[0] < (width := order.size * A.structure.alpha):
         raise RankError(f"selected sub-dictionary on blocks {tuple((order + 1).tolist())} is "
                         f"rank-deficient (rank {rank[0]} < {width} columns)")
-    code = BlockSparseVec(A.structure, np.ldexp(X[:, 0], e))
-    return CodingResult(code, float(_relative(res[0], np.linalg.norm(y))), METHOD_OMP)
+    return CodingResult(code, residual, METHOD_OMP)
 
 
 def _omp_codes(A: BlockDict, Y: np.ndarray, s: int, tol: float) -> tuple[np.ndarray, ...]:
@@ -220,8 +230,5 @@ def exhaustive_code(
     CapacityError
         When C(K, s) exceeds DEFAULT_ENUMERATION_CAP.
     """
-    y, e, s = _check_measurement(A, y, s, tol)
-    X, res, tied = _min_residual_codes(A, y[:, None], s, tol)
-    residual = float(_relative(res[0], np.linalg.norm(y)))
-    return CodingResult(BlockSparseVec(A.structure, np.ldexp(X[:, 0], e)), residual,
-                        METHOD_EXHAUSTIVE, bool(tied[0]))
+    code, residual, (tied,) = _code_one(_min_residual_codes, A, y, s, tol)
+    return CodingResult(code, residual, METHOD_EXHAUSTIVE, bool(tied[0]))

@@ -105,18 +105,26 @@ def support_spans(Y: np.ndarray, structure: BlockStructure, noise_level: float =
 
 
 def extract_blocks(spans, structure: BlockStructure, tol: float) -> list[np.ndarray]:
-    """Block spans from orthonormal support spans by Lemma 2, needing no clustering: support
-    spans meet in their shared blocks' span. Each span meets each earlier one by
-    `subspace._intersect` at tol and their lesser rank; an alpha-dimensional intersection that no
-    kept block spans within max(1e-6, tol) is kept, as an orthonormal P x alpha array. Returns
-    once it holds K blocks, pulling no further span, or when spans run out."""
-    earlier, blocks, dedupe_tol = [], [], max(1e-6, tol)
+    """Block spans from orthonormal support spans by Lemma 2: support spans meet in their shared
+    blocks' span. A span meets the earlier ones of each width in one stacked `subspace._intersect`
+    at tol and each pair's lesser rank; its alpha-dimensional meets, in the earlier spans' order,
+    face the kept blocks and each other in one `_spans_equal_stacked` call at max(1e-6, tol), and
+    each that no block kept before it spans is kept (P x alpha, orthonormal). Returns once it holds
+    K blocks, pulling no further span, or when spans run out."""
+    earlier, blocks, alpha, dedupe_tol = [], [], structure.alpha, max(1e-6, tol)
     for Q in spans:
-        for E in earlier:
-            inter, k = _intersect(E, Q, tol, min(E.shape[1], Q.shape[1]))
-            if k == structure.alpha and not (blocks and _spans_equal_stacked(
-                    inter[:, :k], np.array(blocks), dedupe_tol, k).any()):
-                blocks.append(inter[:, :k])
+        meets = {}  # earlier span's index -> its alpha-dimensional intersection with Q
+        for w in {E.shape[1] for E in earlier}:
+            at = [j for j, E in enumerate(earlier) if E.shape[1] == w]
+            inter, k = _intersect(np.array([earlier[j] for j in at]), Q, tol, min(w, Q.shape[1]))
+            meets.update((j, B[:, :alpha]) for j, B, r in zip(at, inter, k) if r == alpha)
+        new, keep = [meets[j] for j in sorted(meets)], list(range(len(blocks)))
+        same = new and _spans_equal_stacked(np.array(new)[:, None], np.array(blocks + new),
+                                            dedupe_tol, alpha)
+        for c, (B, row) in enumerate(zip(new, same), len(blocks)):  # row: B against blocks + new
+            if not row[keep].any():
+                keep.append(c)
+                blocks.append(B)
                 if len(blocks) == structure.K:
                     return blocks
         earlier.append(Q)

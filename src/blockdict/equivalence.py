@@ -321,8 +321,9 @@ def construct_kappa(
         When some probe has no |S|-block-sparse code in B within tol (B cannot reproduce
         A's measurements on S) or tied ones (kappa is not unique): the first such probe.
     ValueError
-        When S is empty, n_probes < 1 or seed < 0.
+        When S is empty, n_probes < 1 or seed is not an integer >= 0.
     """
+    _check_ints(None, seed=seed)  # a negative seed keeps numpy's text, as verify's sampler
     _check_tols(tol=tol)
     _check_same_shape(A, B)
     sup = as_support(S, A.structure.K)

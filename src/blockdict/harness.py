@@ -143,6 +143,7 @@ def gen_dictionary(
     block's alpha columns are orthonormalized (one QR over the stack of
     blocks), so every block Gram is the identity.
     """
+    _check_ints(0, seed=seed)
     rng = np.random.default_rng(seed)
     return BlockDict(structure, _draw_dictionaries(ambient_dim, structure, rng, 1, mode)[0])
 
@@ -161,6 +162,7 @@ def gen_rip_dictionary(
     number of draws before it); raises ValueError after
     MAX_GENERATION_RETRIES + 1 draws.
     """
+    _check_ints(0, seed=seed)
     _check_ambient(ambient_dim, structure)
     rng, level = np.random.default_rng(seed), min(2 * structure.s, structure.K)
     exact = math.comb(structure.K, level) <= DEFAULT_ENUMERATION_CAP
@@ -191,6 +193,7 @@ def gen_codes(
     magnitudes and signs, times coefficient_scale, so each is bounded away
     from zero. `BlockSparseVec(structure, X[:, c])` reads a column's support.
     """
+    _check_ints(0, seed=seed)
     _check_ints(1, n_samples=n_samples)
     if not (math.isfinite(coefficient_scale) and coefficient_scale > 0):
         raise ValueError(f"coefficient_scale must be finite and positive, got {coefficient_scale}")
@@ -205,6 +208,7 @@ def gen_codes(
 
 def gen_block_permutation(K: int, seed: int) -> BlockPermutation:
     """Uniformly random block permutation, deterministic given seed."""
+    _check_ints(0, seed=seed)
     rng = np.random.default_rng(seed)
     return BlockPermutation(K, tuple(int(v) + 1 for v in rng.permutation(K)))
 
@@ -212,6 +216,7 @@ def gen_block_permutation(K: int, seed: int) -> BlockPermutation:
 def gen_block_diagonal(structure: BlockStructure, seed: int) -> BlockDiagonal:
     """Random invertible block transforms U diag(sigma) V^T, each with condition number at
     most 10: U and V orthonormalize two (K, alpha, alpha) normal draws, sigma ~ U[1, 10]."""
+    _check_ints(0, seed=seed)
     rng, shape = np.random.default_rng(seed), (structure.K, structure.alpha, structure.alpha)
     U, V = (np.linalg.qr(rng.standard_normal(shape))[0] for _ in range(2))
     svals = rng.uniform(1.0, 10.0, shape[:2])
@@ -254,10 +259,10 @@ def learn_dictionary(
 
     Each iteration codes all samples against the current dictionary with
     `_code_all` and records the objective (sum of squared coding
-    residuals), then sweeps the blocks: each block is refit to the
-    residual that keeps its own contribution by the best orthonormal
-    rank-alpha factorization (truncated SVD, the closed form of the
-    per-block least-squares update followed by re-orthonormalization).
+    residuals), then sweeps the blocks: each block's residual R, which keeps
+    its own contribution, is refit by its best orthonormal rank-alpha fit
+    U (U^T R), U the top alpha eigenvectors of the P x P Gram R R^T (the
+    truncated SVD's U: the per-block least-squares update, orthonormalized).
     A block active in fewer than alpha samples cannot be fitted and is
     dead, whether unused or under-used; its codes are dropped, so the
     residual holds what it coded. Dead blocks are then refilled,
@@ -332,10 +337,10 @@ def learn_dictionary(
                 continue
             # residual that keeps block i's own contribution
             R = Y[:, active] - data @ X[:, active] + data[:, sl] @ Xi[:, active]
-            # best orthonormal rank-alpha fit of R and its coefficients
-            U, svals, Vt = np.linalg.svd(R, full_matrices=False)
-            data[:, sl] = U[:, :alpha]
-            X[sl, active] = svals[:alpha, None] * Vt[:alpha, :]
+            # best orthonormal rank-alpha fit U U^T R: U the top alpha eigenvectors of R R^T
+            U = np.linalg.eigh(R @ R.T)[1][:, : -alpha - 1 : -1]
+            data[:, sl] = U
+            X[sl, active] = U.T @ R
         # refill dead blocks farthest point first: each is projected out of
         # the residuals before the next picks its worst sample
         R = Y - data @ X

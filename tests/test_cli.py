@@ -212,6 +212,22 @@ class TestCode:
         assert "--tol must be nonnegative" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("method", ["omp", "exhaustive"])
+    def test_overflowing_code_exit_code(self, workdir, capsys, method):
+        # the seed-1 K = 6 dictionary at 2^-1060 and y at scale 1: a code of order 2^1060
+        A = gen_dictionary(16, BlockStructure(K=6, alpha=2, s=2), seed=1)
+        write_matrix_text(workdir / "A.txt", np.ldexp(A.data, -1060))
+        write_matrix_text(workdir / "y.txt", A.data[:, 1] + A.data[:, 11])
+        assert np.array_equal(read_matrix_text(workdir / "A.txt"), np.ldexp(A.data, -1060))
+        rc = run_cli([
+            "code", workdir / "A.txt", workdir / "y.txt", "--alpha", 2, "--sparsity", 2,
+            "--method", method, "--out", workdir / "code.json",
+        ])
+        assert rc == 2
+        assert "the code overflows the float range" in capsys.readouterr().err
+        assert not (workdir / "code.json").exists()
+
+
 class TestEquiv:
     def test_equivalent_pair(self, workdir, capsys):
         A, B, perm, _, _ = make_equivalent_pair(16, 5, 2, 2, seed=41)

@@ -19,7 +19,7 @@ from blockdict import (
 )
 
 from blockdict import coding, subspace
-from blockdict.coding import _min_residual_codes, _omp_codes
+from blockdict.coding import DEFAULT_CODING_TOL, _min_residual_codes, _omp_codes
 from blockdict.core import _numerical_rank
 from blockdict.rip import _enumerate_supports
 
@@ -356,6 +356,38 @@ class TestScale:
         assert got.code.support == ref.code.support == (1, 6)
         assert got.residual_norm == ref.residual_norm < 1e-15
         np.testing.assert_allclose(got.code.values, ref.code.values, rtol=1e-15, atol=1e-20)
+
+
+    @staticmethod
+    def near_subnormal():
+        # the seed-1 K = 6 dictionary at 2^-1060, its columns' entries in the subnormals
+        A = gen_dictionary(16, BlockStructure(K=6, alpha=2, s=2), seed=1)
+        return A, BlockDict(A.structure, np.ldexp(A.data, -1060))
+
+    @pytest.mark.parametrize("coder", [exhaustive_code, block_omp])
+    def test_dictionary_near_the_subnormals_codes_as_at_scale_one(self, coder):
+        # both coders solve on the dictionary's power-of-two scale and scale the code once by
+        # 2^(e_y - e_A), so y at the dictionary's scale gets its code of order 1 with no warning
+        # (filterwarnings = error), where each coder overflowed on the way
+        _, B = self.near_subnormal()
+        got = coder(B, B.data[:, 1] + B.data[:, 11])
+        assert got.code.support == (1, 6) and got.residual_norm < 1e-14
+        np.testing.assert_allclose(got.code.values, np.eye(12)[1] + np.eye(12)[11], atol=1e-14)
+
+    @pytest.mark.parametrize("coder", [exhaustive_code, block_omp])
+    def test_code_past_the_float_range_is_a_value_error(self, coder):
+        # y at scale 1 on the dictionary at 2^-1060 has a code of order 2^1060
+        A, B = self.near_subnormal()
+        with pytest.raises(ValueError, match="^the code overflows the float range$"):
+            coder(B, A.data[:, 1] + A.data[:, 11])
+
+    @pytest.mark.parametrize("kernel", [_min_residual_codes, _omp_codes])
+    def test_kernels_leave_overflow_warnings_to_the_caller(self, kernel):
+        # only the one-column coders silence the overflow they report: the learner's kernels on
+        # the same inputs warn, so the learner's warnings reach its caller
+        A, B = self.near_subnormal()
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            kernel(B, (A.data[:, 1] + A.data[:, 11])[:, None], 2, DEFAULT_CODING_TOL)
 
 
 @pytest.mark.parametrize("coder", [block_omp, exhaustive_code])

@@ -1,5 +1,7 @@
 import inspect
 import os
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -19,8 +21,11 @@ from blockdict import (
     check_lemma1,
     construct_kappa,
     exhaustive_code,
+    gen_block_diagonal,
+    gen_block_permutation,
     gen_codes,
     gen_dictionary,
+    gen_rip_dictionary,
     make_indicator,
     orthonormal_basis,
     rip_constant,
@@ -345,6 +350,34 @@ class TestIntegerRule:
     def test_refused_with_the_argument_named(self, call, name, value):
         with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value}$"):
             call(*self.instance())
+
+    # every generator's seed, and construct_kappa's: 1.5 raised numpy's TypeError and True ran as
+    # seed 1 before the rule
+    SEEDED = [
+        ("gen-dictionary", lambda st, A, seed: gen_dictionary(16, st, seed)),
+        ("gen-rip-dictionary", lambda st, A, seed: gen_rip_dictionary(16, st, seed)),
+        ("gen-codes", lambda st, A, seed: gen_codes(st, 5, seed)),
+        ("gen-block-permutation", lambda st, A, seed: gen_block_permutation(6, seed)),
+        ("gen-block-diagonal", lambda st, A, seed: gen_block_diagonal(st, seed)),
+        ("construct-kappa", lambda st, A, seed: construct_kappa(A, A, (1, 2), seed=seed)),
+    ]
+
+    @pytest.mark.parametrize("value, message", [
+        (1.5, "seed must be an integer, got 1.5"), (True, "seed must be an integer, got True"),
+        ("3", "seed must be an integer, got '3'"), (-1, "seed must be >= 0, got -1"),
+    ], ids=["float", "bool", "str", "negative"])
+    @pytest.mark.parametrize("call", [c[1] for c in SEEDED], ids=[c[0] for c in SEEDED])
+    def test_seeds_meet_the_rule(self, call, value, message):
+        if call is self.SEEDED[-1][1] and value == -1:
+            message = "expected non-negative integer"  # numpy's, as verify's sampler refuses it
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(*self.instance()[:2], value)
+
+    @pytest.mark.parametrize("call", [c[1] for c in SEEDED], ids=[c[0] for c in SEEDED])
+    def test_numpy_integer_seeds_draw_as_ints(self, call):
+        st, A, _ = self.instance()
+        got, expected = (call(st, A, seed) for seed in (np.uint8(3), 3))
+        assert pickle.dumps(got) == pickle.dumps(expected)
 
     @pytest.mark.parametrize("value", ["0.1", None, True, False])
     def test_float_config_keys_take_finite_nonnegative_numbers(self, value):

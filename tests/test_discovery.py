@@ -1,10 +1,14 @@
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 from blockdict import BlockStructure, gen_dictionary, orthonormal_basis, spans_equal
+from blockdict import discovery
 from blockdict.discovery import (DISCOVERY_MEMBER_TOL, _discover_block_spans, extract_blocks,
                                  support_spans)
+
+from blockdict.subspace import _intersect, _spans_equal_stacked
 
 from conftest import sequential_gen_codes
 
@@ -19,6 +23,22 @@ def true_block_owners(A, blocks):
     """Per found block, the true blocks whose span it equals."""
     return [[i for i in range(1, A.structure.K + 1) if spans_equal(b, A.block(i))]
             for b in blocks]
+
+
+def one_pair_extract_blocks(spans, structure, tol):
+    """`extract_blocks` one pair at a time: each span meets each earlier one by `_intersect`, and
+    each alpha-dimensional meet is checked against the blocks kept so far on its own."""
+    earlier, blocks = [], []
+    for Q in spans:
+        for E in earlier:
+            inter, k = _intersect(E, Q, tol, min(E.shape[1], Q.shape[1]))
+            if k == structure.alpha and not (blocks and _spans_equal_stacked(
+                    inter[:, :k], np.array(blocks), max(1e-6, tol), k).any()):
+                blocks.append(inter[:, :k])
+                if len(blocks) == structure.K:
+                    return blocks
+        earlier.append(Q)
+    return blocks
 
 
 class TestExtractBlocks:
@@ -63,6 +83,44 @@ class TestExtractBlocks:
         blocks = extract_blocks(prefix_then_fail(), ST, DISCOVERY_MEMBER_TOL)
         assert [b.tobytes() for b in blocks] == [
             b.tobytes() for b in extract_blocks(spans, ST, DISCOVERY_MEMBER_TOL)]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_mixed_widths_give_the_one_pair_loops_bytes(self, monkeypatch, seed):
+        # widths 2 (supports holding the zeroed block 4), 3 (block i and one column of block j)
+        # and 4, in a seeded order: one stacked meet per width of the earlier spans and one
+        # dedupe call per span with meets, and the bytes of meeting one pair at a time
+        A = gen_dictionary(16, ST, seed=seed)
+        data = A.data.copy()
+        data[:, 6:8] = 0.0
+        spans = [orthonormal_basis(data[:, [2 * b + j for b in S for j in (0, 1)]]).basis
+                 for S in combinations(range(ST.K), ST.s)]
+        spans += [orthonormal_basis(np.column_stack([A.block(i), A.block(j)[:, 0]])).basis
+                  for i, j in ((1, 2), (3, 5), (6, 1), (5, 6))]
+        spans = [spans[k] for k in np.random.default_rng(seed).permutation(len(spans))]
+        assert {Q.shape[1] for Q in spans} == {2, 3, 4}
+        calls = {"meets": [], "dedupes": 0}
+
+        def meets(E, Q, tol, r):
+            calls["meets"].append(E.shape[0])
+            return _intersect(E, Q, tol, r)
+
+        def dedupes(*args):
+            calls["dedupes"] += 1
+            return _spans_equal_stacked(*args)
+
+        monkeypatch.setattr(discovery, "_intersect", meets)
+        monkeypatch.setattr(discovery, "_spans_equal_stacked", dedupes)
+        for tol in (DISCOVERY_MEMBER_TOL, 1e-3):
+            calls["meets"], calls["dedupes"] = [], 0
+            blocks = extract_blocks(iter(spans), ST, tol)
+            expected = one_pair_extract_blocks(spans, ST, tol)
+            assert [b.tobytes() for b in blocks] == [b.tobytes() for b in expected]
+            assert 0 < len(blocks) <= ST.K
+            pulled = next((m for m in range(1, len(spans) + 1)
+                           if len(one_pair_extract_blocks(spans[:m], ST, tol)) == ST.K), len(spans))
+            widths = [len({Q.shape[1] for Q in spans[:m]}) for m in range(pulled)]
+            assert len(calls["meets"]) <= sum(widths) and sum(calls["meets"]) <= sum(range(pulled))
+            assert calls["dedupes"] <= pulled
 
     def test_disjoint_spans_give_no_block(self):
         A = gen_dictionary(16, ST, seed=0)

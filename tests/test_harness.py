@@ -500,6 +500,76 @@ class TestLearnDictionary:
             learn_dictionary(Y, small_config())
 
 
+def svd_sweep(data, X, Y, alpha):
+    """The learner's block sweep by truncated SVD, one block after another: per block, its
+    residual R (the block's own contribution kept) and the top alpha left singular vectors U of
+    R, which replace the block while sv Vt replace its codes. No block may be dead."""
+    data, X, fits = data.copy(), X.copy(), []
+    for sl in (slice(a, a + alpha) for a in range(0, X.shape[0], alpha)):
+        active = np.nonzero(np.any(X[sl] != 0, axis=0))[0]
+        assert active.size >= alpha
+        R = Y[:, active] - data @ X[:, active] + data[:, sl] @ X[sl, active]
+        U, sv, Vt = np.linalg.svd(R, full_matrices=False)
+        data[:, sl] = U[:, :alpha]
+        X[sl, active] = sv[:alpha, None] * Vt[:alpha]
+        fits.append((R, U[:, :alpha], active.size))
+    return fits
+
+
+def block_update_instance(case):
+    """(start dictionary, samples, one-sweep config) of a learner sweep from a perturbed truth.
+    noisy: the criterion-7 shape at noise 1e-3. Otherwise 60 samples on blocks 1-3 and two on
+    blocks 1 and 4, so block 4 is fitted to a 20 x 2 residual: of rank 2 (alpha), or of rank 1
+    when the two samples are equal (rank-deficient)."""
+    rng = np.random.default_rng(8)
+    if case == "noisy":
+        st, Y = criterion7_samples(5, noise=1e-3)
+        truth, config = gen_dictionary(16, st, seed=5), criterion7_config(5, 1e-3)
+    else:
+        truth, _, used = make_rip_instance(20, 4, 2, 2, seed=21)
+        X = np.zeros((8, 62))
+        X[:6, :60] = sequential_gen_codes(BlockStructure(K=3, alpha=2, s=2), 60, seed=used + 1)
+        X[[0, 1, 6, 7], 60:] = rng.uniform(0.5, 1.0, (4, 2)) * rng.choice([-1, 1], (4, 2))
+        if case == "rank-deficient":
+            X[:, 61] = X[:, 60]
+        Y, config = truth.data @ X, small_config(seed=used, n_samples=62)
+    start = BlockDict(truth.structure, truth.data + 1e-3 * rng.standard_normal(truth.data.shape))
+    return start, Y, replace(config, learner_iterations=1)
+
+
+class TestBlockUpdate:
+    @pytest.mark.parametrize("case", ["noisy", "n-active-alpha", "rank-deficient"])
+    def test_sweep_matches_the_truncated_svd(self, monkeypatch, case):
+        # the eigen-solve of each P x P Gram R R^T fits U U^T R as the truncated SVD of R does,
+        # and the block spans where R has rank alpha (below it, the rest of U is any basis
+        # orthogonal to R's span)
+        start, Y, config = block_update_instance(case)
+        alpha, codings, code_all = start.structure.alpha, [], harness._code_all
+
+        def spy(B, Ys):
+            X, res = code_all(B, Ys)
+            codings.append((X.copy(), Ys))
+            return X, res
+
+        start_learner_at(monkeypatch, start)
+        monkeypatch.setattr(harness, "_code_all", spy)
+        learned, trace = learn_dictionary(Y, config)
+        assert len(trace.objectives) == 1 and trace.reseed_events == []
+        fits = svd_sweep(start.data, *codings[0], alpha)
+        ranks = []
+        for i, (R, U, n_active) in enumerate(fits, 1):
+            V, rank = learned.block(i), np.linalg.matrix_rank(R)
+            assert np.abs(V.T @ V - np.eye(alpha)).max() <= 1e-12
+            assert np.linalg.norm(V @ (V.T @ R) - U @ (U.T @ R), 2) <= 1e-12 * np.linalg.norm(R, 2)
+            if rank >= alpha:
+                assert np.linalg.norm(V @ V.T - U @ U.T, 2) <= 1e-12
+            ranks.append((n_active, int(rank)))
+        if case == "noisy":
+            assert all(n > 16 and r == 16 for n, r in ranks), ranks
+        else:
+            assert ranks[-1] == (2, 2 if case == "n-active-alpha" else 1), ranks
+
+
 class TestLearnerCoding:
     def test_matches_exhaustive_code_per_sample(self):
         A, _, used = make_rip_instance(16, 6, 2, 2, seed=40)
