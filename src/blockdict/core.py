@@ -9,8 +9,8 @@ above tol times the largest. So do the one integer rule, `_check_ints` (an int o
 a bool, never truncated), the one tolerance check, `_check_tols`, that coding, matching and
 certificates run first, the one sparsity check, `_check_s`, and the one scale rule, `_unit_scale`,
 that each door (a coder's measurement and dictionary, the block-OMP kernel's dictionary, the
-learner's samples, a probe's support columns, `verify`'s and the minimum-residual coder's support
-bases, the blocks that `match_blocks` and a certificate compare, `check_lemma1`'s dictionary)
+learner's samples, a probe's support columns, the support bases of `verify` and of the nearest-span
+kernel, the blocks that `match_blocks` and a certificate compare, `check_lemma1`'s dictionary)
 applies once: an exact power of two (Higham, ch. 2), so no squared norm behind it overflows and its
 answer is the same down to the subnormal range.
 """

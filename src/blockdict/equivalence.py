@@ -4,9 +4,9 @@ Two block dictionaries A and B are equivalent when A equals B after
 permuting whole blocks and multiplying each block by an invertible
 alpha x alpha matrix. `recover_equivalence` produces a certificate for
 that relation by matching block spans and solving all blocks' least
-squares from one stacked SVD; `construct_kappa` probes the
-support-to-support correspondence induced by exact block-sparse coding, and
-`verify_theorem_instance` reads it, with no probe, from span containment.
+squares from one stacked SVD; `construct_kappa` probes the support-to-support correspondence
+induced by exact block-sparse coding, and `verify_theorem_instance` reads it, with no probe, from
+span containment: both through one kernel, `subspace._nearest_spans`, at rank 1 and rank |S| alpha.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .rip import (DEFAULT_ENUMERATION_CAP, RipReport, _enumerate_supports, _samp
 from .coding import exhaustive_code  # noqa: F401
 from .rip import rip_constant_exact, rip_lower_bound_sampled  # noqa: F401
 from .subspace import orthonormal_basis, spans_equal  # noqa: F401
-from .subspace import DEFAULT_RANK_TOL, _bases, _containment, _spans_equal_stacked
+from .subspace import DEFAULT_RANK_TOL, _bases, _nearest_spans, _spans_equal_stacked, _support_bases
 
 DEFAULT_CERTIFICATE_TOL = 1e-6
 DEFAULT_PROBE_TOL = 1e-8
@@ -58,10 +58,7 @@ class BlockPermutation:
         return self.pi[i - 1]
 
     def inverse(self) -> BlockPermutation:
-        inv = [0] * self.K
-        for i, v in enumerate(self.pi, start=1):
-            inv[v - 1] = i
-        return BlockPermutation(self.K, tuple(inv))
+        return BlockPermutation(self.K, tuple((np.argsort(self.pi) + 1).tolist()))
 
 
 @dataclass(frozen=True)
@@ -323,7 +320,7 @@ def construct_kappa(
     ValueError
         When S is empty, n_probes < 1 or seed is not an integer >= 0.
     """
-    _check_ints(None, seed=seed)  # a negative seed keeps numpy's text, as verify's sampler
+    _check_ints(0, seed=seed)
     _check_tols(tol=tol)
     _check_same_shape(A, B)
     sup = as_support(S, A.structure.K)
@@ -395,33 +392,36 @@ def verify_theorem_instance(A: BlockDict, B: BlockDict, s: int | None = None, se
 
     Every A_S t has an |S|-block-sparse code in B exactly when span A_S lies in one span B_T,
     |T| = |S| (a vector space is not a finite union of proper subspaces), so no entry probes: per
-    size, `_containment` reads the listed supports of A against all of B's, each at its
-    `_unit_scale`. kappa(S) is the one T within sine DEFAULT_PROBE_TOL; with none, the error names
-    the nearest T (least Frobenius residual) and its sine, and with several it is a tie. The
-    family is drawn first, so `_sample_supports` refuses a negative seed before any other work.
+    size, `subspace._nearest_spans` reads the bases Q_S of the listed supports of A against all of
+    B's, each at its `_unit_scale`, by their sines ||Q_S - Q_T Q_T^T Q_S||_2. kappa(S) is the one T
+    within sine DEFAULT_PROBE_TOL; with none, the error names the nearest T (least Frobenius
+    residual) and its sine, and with several it is a tie. The family is drawn first, so
+    `_sample_supports` refuses a negative seed before any other work.
     The certificate and the singletons' table (at s = 1, the hypothesis's) share one `_block_bases`.
     """
     _check_tols(tol=tol)
     _check_same_shape(A, B)
     s, K = _check_s(A.structure, s), A.structure.K
 
-    def entries(sups: np.ndarray, bases=None) -> list[dict]:  # the entries, all of one size
-        T, tol = _enumerate_supports(K, sups.shape[1]), DEFAULT_PROBE_TOL
-        found, first, near, sine = _containment(A, sups, B, T, tol, bases)
-        out = []
+    def entries(sups: np.ndarray, QS=None, QT=None):  # the entries, all of one size
+        T, tol, m = _enumerate_supports(K, sups.shape[1]), DEFAULT_PROBE_TOL, len(sups)
+        if QS is None:  # B's bases too when every support is listed (at most 128), in one call
+            Q = _support_bases((A, sups), *([(B, T)] if len(T) == m else []))[0]
+            QS, QT = Q[:m], (Q[m:] if len(Q) > m else None)
+        *_, found, first, near, sine = _nearest_spans(B, T, QS, tol, DEFAULT_RANK_TOL, tol, QT)
         for sup, n, t, x, y in zip(sups.tolist(), found.tolist(), T[first].tolist(),
                                    T[near].tolist(), sine.tolist()):
             why = "tied codes in B" if n else (f"no {len(sup)}-block-sparse code in B (nearest "
                                               f"support {tuple(x)} at sine {y:.3e} > {tol:.1e})")
-            out.append({"support": sup, "kappa": t, "consistent": True} if n == 1 else
-                       {"support": sup, "error": f"support {tuple(sup)} has {why}"})
-        return out
+            yield ({"support": sup, "kappa": t, "consistent": True} if n == 1 else
+                   {"support": sup, "error": f"support {tuple(sup)} has {why}"})
 
-    family = sorted(map(tuple, _sample_supports(K, s, MAX_HYPOTHESIS_SUPPORTS, seed).tolist()))
+    family = np.array(sorted(map(tuple, _sample_supports(K, s, MAX_HYPOTHESIS_SUPPORTS,
+                                                         seed).tolist())))
     rip = rip_constant(A, min(2 * s, K), seed)
     bases = _block_bases(A.data, B.data, K, DEFAULT_RANK_TOL)
-    singles = entries(np.arange(1, K + 1)[:, None], bases[2:4])
-    hypothesis = singles if s == 1 and len(family) == K else entries(np.array(family))
+    singles = [*entries(np.arange(1, K + 1)[:, None], bases[2][:K], bases[2][K:])]
+    hypothesis = singles if s == 1 and len(family) == K else [*entries(family)]
     holds = all(entry.get("consistent", False) for entry in hypothesis)
     certificate = recover_equivalence(A, B, tol, _bases=bases)
     agreement = None if certificate.permutation is None else all(

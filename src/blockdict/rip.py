@@ -63,9 +63,7 @@ def _sample_supports(K: int, t: int, n: int, seed: int) -> np.ndarray:
     Every support, in lexicographic order, when n >= C(K, t). Raises CapacityError when
     min(n, C(K, t)) exceeds DEFAULT_ENUMERATION_CAP, and ValueError for a seed not an integer >= 0.
     """
-    _check_ints(None, seed=seed)
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
+    _check_ints(0, seed=seed)
     total = math.comb(K, t)
     if n >= total:
         return _enumerate_supports(K, t)

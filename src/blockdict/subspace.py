@@ -9,8 +9,10 @@ are equal when r principal cosines are at least 1 - tol, i.e. every principal an
 arccos(1 - tol) ~ sqrt(2 tol); the one intersection kernel, `_intersect`, keeps the principal
 vectors of such cosines. `check_lemma1` first tries a certificate from one Gram of the
 block-whitened A; where it fails, span equality runs only on pairs passing a Frobenius pre-screen,
-`_screen`. The same screen feeds `_containment`, the residual sines of span Q_S inside span Q_T from
-which `verify_theorem_instance` reads the theorem's hypothesis.
+`_screen`. The one nearest-support-span kernel, `_nearest_spans`, ranks D's support spans by their
+residual energy against stacked query groups of g columns and rechecks the near ones by exact
+residual: the minimum-residual coder's samples at g = 1, `verify_theorem_instance`'s bases Q_S of
+A's supports at their width.
 """
 
 from __future__ import annotations
@@ -40,10 +42,8 @@ class SubspaceBasis:
         arr = np.array(self.basis, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != self.ambient_dim:
             raise ValueError(f"basis must be {self.ambient_dim} x dim, got shape {arr.shape}")
-        if arr.shape[1]:
-            gram = arr.T @ arr
-            if not np.allclose(gram, np.eye(arr.shape[1]), atol=1e-8):
-                raise ValueError("basis columns are not orthonormal")
+        if not np.allclose(arr.T @ arr, np.eye(arr.shape[1]), atol=1e-8):  # dimension 0 passes
+            raise ValueError("basis columns are not orthonormal")
         arr.setflags(write=False)
         object.__setattr__(self, "basis", arr)
 
@@ -80,16 +80,12 @@ def _bases(M: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
     return U, ranks, sv, Vt
 
 
-def _cosines(Q1: np.ndarray, Q2: np.ndarray) -> np.ndarray:
-    """Principal cosines, descending, of stacked orthonormal bases (..., P, d)."""
-    return np.clip(np.linalg.svd(np.swapaxes(Q1, -1, -2) @ Q2, compute_uv=False), 0.0, 1.0)
-
-
 def _spans_equal_stacked(Q1: np.ndarray, Q2: np.ndarray, tol: float, r) -> np.ndarray:
     """Per pair of stacked (..., P, d) bases of common rank r, orthonormal up to r and zero past
-    it as `_bases` makes them: r principal cosines >= 1 - tol. Leading axes and r broadcast;
-    pairs of rank 0 are equal."""
-    return np.sum(_cosines(Q1, Q2) >= 1.0 - tol, axis=-1) >= r
+    it as `_bases` makes them: r principal cosines (singular values of Q1^T Q2) >= 1 - tol.
+    Leading axes and r broadcast; pairs of rank 0 are equal."""
+    cos = np.linalg.svd(np.swapaxes(Q1, -1, -2) @ Q2, compute_uv=False)
+    return np.sum(cos >= 1.0 - tol, axis=-1) >= r
 
 
 def _two_bases(M1, M2, tol: float) -> tuple[SubspaceBasis, SubspaceBasis]:
@@ -133,21 +129,19 @@ def _intersect(Q1: np.ndarray, Q2: np.ndarray, tol: float, r) -> tuple[np.ndarra
     return Q1 @ (W * (np.arange(W.shape[-1]) < k[..., None, None])), k
 
 
-def _screen(Q1: np.ndarray, r1, Q2: np.ndarray, r2, floor, upper: bool = False):
-    """Frobenius pre-screen of stacked (n1, P, d1) and (n2, P, d2) bases, zero past their ranks r1
-    and r2 as `_bases` makes them: per block of Q1's rows whose pairs stack about _STACK basis
-    entries, (sums, a, b), sums[i, b - c] = ||Q2_b^T Q1_(lo + i)||_F^2 the squared principal
-    cosines summed, and (a, b) the block's pairs with a sum of at least floor[a] and r2[b] >= r1[a];
-    c = 0, or with upper the block's first row lo, so that no b below it is screened."""
-    (n1, P, d1), (n2, _, d2) = Q1.shape, Q2.shape
-    flat1, flat2 = (Q.transpose(0, 2, 1).reshape(-1, P) for Q in (Q1, Q2))
-    for lo in range(0, n1, step := max(1, _STACK // (n2 * P * d2))):
-        c = lo if upper else 0
-        np.square(sums := flat1[lo * d1 : (lo + step) * d1] @ flat2[c * d2 :].T, out=sums)
-        sums = (sums.reshape(-1, d2) @ np.ones(d2)).reshape(-1, d1, n2 - c).sum(axis=1)
+def _screen(Q: np.ndarray, r, floor):
+    """Frobenius pre-screen of stacked (n, P, d) bases, zero past their ranks r as `_bases` makes
+    them: per block of rows lo.. whose pairs stack about _STACK basis entries, (sums, a, b), sums[i,
+    b - lo] = ||Q_b^T Q_(lo + i)||_F^2 the squared principal cosines summed over b >= lo, and (a, b)
+    the block's pairs with a sum of at least floor[a] and r[b] >= r[a]."""
+    n, P, d = Q.shape
+    flat = Q.transpose(0, 2, 1).reshape(-1, P)
+    for lo in range(0, n, step := max(1, _STACK // (n * P * d))):
+        np.square(sums := flat[lo * d : (lo + step) * d] @ flat[lo * d :].T, out=sums)
+        sums = (sums.reshape(-1, d) @ np.ones(d)).reshape(-1, d, n - lo).sum(axis=1)
         rows = slice(lo, lo + step)
-        a, b = np.nonzero((sums >= floor[rows, None]) & (r2[c:] >= r1[rows, None]))
-        yield sums, a + lo, b + c
+        a, b = np.nonzero((sums >= floor[rows, None]) & (r[lo:] >= r[rows, None]))
+        yield sums, a + lo, b + lo
 
 
 def _support_bases(*lists, tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -174,37 +168,55 @@ def _support_bases(*lists, tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndarray, n
     return Q, ranks
 
 
-def _containment(A: BlockDict, S: np.ndarray, B: BlockDict, T: np.ndarray, tol: float, bases=None):
-    """(found, first, near, sine) per support of A in S against B's supports T, all of one size,
-    from bases Q_S and Q_T (given as S's then every T's, else `_support_bases`, S's in the call of
-    T's first block), T in blocks whose bases and (S, T) tables hold about _STACK entries each: how
-    many T hold span Q_S within sine tol and the first of them (any index when none), and the T of
-    greatest ||Q_T^T Q_S||_F^2 (the least Frobenius residual) and its sine. A sine is ||Q_S - Q_T
-    Q_T^T Q_S||_2, taken on the pairs `_screen` keeps at floor rank_S - 1/2 (every pair whose
-    largest principal angle has sine below 1 / sqrt(2 rank_S)) and on each S's nearest T: a residual
-    resolves sines near 0 that sqrt(1 - cos^2) does not (below about 1e-8)."""
-    (m, width), P = S.shape, A.ambient_dim
-    size, parts, r = P * min(P, width * A.structure.alpha), [], np.arange(m)  # size: a basis's
-    step = max(1, _STACK // (size + m))
-    (QS, Q), (rS, rk) = ((x[:m], x[m:]) for x in bases or _support_bases((A, S), (B, T[:step])))
-    for lo in range(0, len(T), step):
-        QT, rT = ((Q[lo : lo + step], rk[lo : lo + step]) if lo < len(Q)  # given, or the first
-                  else _support_bases((B, T[lo : lo + step])))
-        sums, a, b = map(np.concatenate, zip(*_screen(QS, rS, QT, rT, rS - 0.5)))
-        keep, j = np.zeros(sums.shape, dtype=bool), sums.argmax(axis=1)
-        keep[a, b] = keep[r, j] = True
-        a, b = np.nonzero(keep)
-        sines = np.full(sums.shape, np.inf)
-        for c in (slice(i, i + step) for i in range(0, len(a), step)):
-            Qa, Qb = QS[a[c]], QT[b[c]]
-            R = Qa - Qb @ (Qb.swapaxes(1, 2) @ Qa)
-            R = np.linalg.eigvalsh(R.swapaxes(1, 2) @ R)[:, -1]
-            sines[a[c], b[c]] = np.sqrt(np.maximum(R, 0.0))
-        hit = sines <= tol
-        parts.append((hit.sum(axis=1), lo + hit.argmax(axis=1), sums[r, j], lo + j, sines[r, j]))
-    count, first, best, near, sine = map(np.array, zip(*parts))  # (blocks, m) each
-    k = best.argmax(axis=0)  # the first block of greatest sum holds the first such T
-    return count.sum(axis=0), first[(count > 0).argmax(axis=0), r], near[k, r], sine[k, r]
+def _nearest_spans(D: BlockDict, sups: np.ndarray, Y: np.ndarray, tol: float, cut: float,
+                   limit: float | None = None, bases=None, budget: int | None = None):
+    """Which of D's support spans (rows of sups) hold, or lie nearest to, each of the m stacked
+    groups Q (P x g) of Y: the coder's samples at g = 1, `verify`'s bases Q_S (zero past their
+    ranks). T's residual is ||R||_2, R = Q - Q_T Q_T^T Q on its basis Q_T (bases, else
+    `_support_bases` at cut); its energy ||R||_F^2 = ||Q||_F^2 - ||Q_T^T Q||_F^2 errs by under
+    margin = 2 (sqrt(s alpha) + 2)(P + s alpha) eps ||Q||_F^2 (twice a first-order rounding bound;
+    Higham, ch. 3). So the candidates, energies at most (sqrt(least + margin) + tol ||Q||_F)^2 +
+    margin, hold every T within tol ||Q||_F of the least residual, and every T of residual at most
+    tol ||Q||_F / sqrt(rank Q). Their exact residuals are taken where a group has several, or for
+    every group given a limit; counted are the T's at most limit, else within tol ||Q||_F of the
+    least (or the lone candidate). Stacks hold about budget (default _STACK) entries: bases (made
+    once while they fit, else per support block), a group chunk's energies and projections, and
+    residual pairs. Returns (T, group, residual) of every exact check, then per group the count,
+    the first T counted (any if none), the T of least energy and its residual (inf unchecked)."""
+    (m, P, g), fp, budget = Y.shape, np.finfo(float), budget or _STACK
+    width = sups.shape[1] * D.structure.alpha
+    d = min(P, width)  # a basis's columns
+    if bases is None and len(sups) * P * d <= budget:
+        bases = _support_bases((D, sups), tol=cut)[0]
+
+    def basis(ks):  # the bases of supports ks
+        return _support_bases((D, sups[ks]), tol=cut)[0] if bases is None else bases[ks]
+
+    flat = Y.transpose(1, 0, 2).reshape(P, -1)  # the groups side by side
+    qsq = np.einsum("ij,ij->j", flat, flat).reshape(m, g).sum(axis=1)  # ||Q||_F^2
+    window, margin = tol * np.sqrt(qsq), 2 * (math.sqrt(width) + 2) * (P + width) * fp.eps * qsq
+    margin[margin < fp.tiny] = np.inf  # an underflowing margin bounds nothing
+    parts, step, pairs = [], max(1, budget // len(sups)), max(1, budget // (P * (d + g)))
+    for c in (slice(lo, lo + step) for lo in range(0, m, step)):
+        Yc = flat[:, c.start * g : c.stop * g]
+        block = max(1, budget // (d * (P + Yc.shape[1])))  # bases and projections
+        Z = [np.square(basis(slice(lo, lo + block)).swapaxes(1, 2) @ Yc).reshape(
+            -1, d, Yc.shape[1] // g, g).sum(axis=(1, 3)) for lo in range(0, len(sups), block)]
+        E = qsq[c] - np.concatenate(Z)
+        bound = (np.sqrt(np.abs(E.min(axis=0) + margin[c])) + window[c]) ** 2 + margin[c]
+        cand = ~(E > bound)  # NaN energies and bounds make candidates
+        again = cand.sum(axis=0) > (limit is None)  # several candidates, or any under a limit
+        k, j = np.divmod(np.flatnonzero(cand & again), E.shape[1])
+        R = np.full(E.shape, np.inf)
+        for p in (slice(i, i + pairs) for i in range(0, len(k), pairs)):
+            QT, Q = basis(k[p]), Y[c.start + j[p]]
+            W = Q - QT @ (QT.swapaxes(1, 2) @ Q)  # each pair's R
+            R[k[p], j[p]] = np.sqrt(np.maximum(np.linalg.eigvalsh(W.swapaxes(1, 2) @ W)[:, -1], 0))
+        within = np.where(again, R <= (R.min(axis=0) + window[c] if limit is None else limit), cand)
+        near = E.argmin(axis=0)
+        parts.append((k, j + c.start, R[k, j], within.sum(axis=0), within.argmax(axis=0), near,
+                      R[near, np.arange(len(near))]))
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def _pair_supports(K: int, s: int) -> np.ndarray:
@@ -262,7 +274,7 @@ def check_lemma1(A: BlockDict, s: int | None = None, tol: float = DEFAULT_RANK_T
     U, ranks = _bases(M[:, _support_columns(supports, alpha)].transpose(1, 0, 2), tol)[:2]
     # equal rank-r spans have r squared principal cosines >= (1 - tol)^2 (every r is 0 once
     # tol >= 1): only pairs above that floor reach the kernel
-    for _, a, b in _screen(U, ranks, U, ranks, ranks * (1.0 - tol) ** 2 - 1e-9, upper=True):
+    for _, a, b in _screen(U, ranks, ranks * (1.0 - tol) ** 2 - 1e-9):
         a, b = a[pair := (a < b) & (ranks[a] == ranks[b])], b[pair]
         if a.size and _spans_equal_stacked(U[a], U[b], tol, ranks[a]).any():
             return False

@@ -540,15 +540,15 @@ class TestBatchKernel:
 
     @staticmethod
     def spy_support_bases(monkeypatch):
-        """Record (supports, bases) of every `_support_bases` call the coder makes."""
-        calls, support_bases = [], coding._support_bases
+        """Record (supports, bases) of every `_support_bases` call the coder's kernel makes."""
+        calls, support_bases = [], subspace._support_bases
 
         def spy(*lists, tol):
             (_, sups), = lists
             calls.append((sups, support_bases(*lists, tol=tol)))
             return calls[-1][1]
 
-        monkeypatch.setattr(coding, "_support_bases", spy)
+        monkeypatch.setattr(subspace, "_support_bases", spy)
         return calls
 
     def test_one_qr_per_call_while_the_bases_fit(self, monkeypatch):
@@ -568,13 +568,14 @@ class TestBatchKernel:
             assert np.allclose(Q[k, :, :r].T @ Q[k, :, :r], np.eye(r)) and not Q[k, :, r:].any()
 
     def test_qr_per_support_block_past_the_bound(self, monkeypatch):
-        # 15,504 supports x 40 x 10 bases exceed _CODE_CHUNK: each support block makes its own
+        # 15,504 supports x 40 x 10 bases exceed _CODE_CHUNK: each support block makes its own,
+        # a block's bases and its projections of the 4 columns holding about _CODE_CHUNK entries
         st = BlockStructure(K=20, alpha=2, s=5)
         A = gen_dictionary(40, st, seed=1)
         Y = np.random.default_rng(1).standard_normal((40, 4))
         calls = self.spy_support_bases(monkeypatch)
         _min_residual_codes(A, Y, st.s, 1e-10)
-        block = max(1, coding._CODE_CHUNK // (40 * (10 + 4)))
+        block = max(1, coding._CODE_CHUNK // (10 * (40 + 4)))
         sizes = [len(sups) for sups, _ in calls]
         assert sizes == [min(block, 15504 - b) for b in range(0, 15504, block)]
         assert max(sizes) < 15504
@@ -733,16 +734,17 @@ def test_reported_residual_is_the_winners_projection_residual(sigma):
 
 
 def spy_rechecks(monkeypatch):
-    """Record (support indices, columns) of every exact re-check the kernel makes."""
-    calls = []
-    support_residuals = coding._support_residuals
+    """Record (supports, columns) of the exact re-checks in every kernel call the coder makes."""
+    calls, kernel = [], coding._nearest_spans
 
-    def spy(A, sups, bases, Y, ks, block, ysq=None):
-        if ysq is None:
-            calls.append((ks.copy(), Y.copy()))
-        return support_residuals(A, sups, bases, Y, ks, block, ysq)
+    def spy(D, sups, Y, *args, **kwargs):
+        out = kernel(D, sups, Y, *args, **kwargs)
+        k, j, _ = out[:3]  # (support, column, residual) of every exact re-check
+        if j.size:
+            calls.append((np.unique(k), Y[np.unique(j), :, 0].T))
+        return out
 
-    monkeypatch.setattr(coding, "_support_residuals", spy)
+    monkeypatch.setattr(coding, "_nearest_spans", spy)
     return calls
 
 
@@ -832,17 +834,14 @@ class TestEnergyRanking:
         A = A.with_block(3, A.block(1) @ np.array([[2.0, 1.0], [0.5, 3.0]]))
         Y = coder_inputs(A, 60, 11)
         supports = _enumerate_supports(4, 2)
-        bases = coding._support_bases((A, supports), tol=np.finfo(float).eps * 12)[0]
-
-        def each_column(ysq=None):  # the kernel's residuals, one column at a time
-            return np.column_stack([
-                coding._support_residuals(A, supports, bases, Y[:, [c]], np.arange(6), 6,
-                                          None if ysq is None else ysq[[c]])[:, 0]
-                for c in range(Y.shape[1])
-            ])
-
-        R, E = each_column(), each_column(np.square(Y).sum(axis=0))
-        assert (E.argmin(axis=0) != R.argmin(axis=0)).any()  # energies misorder twins
+        bases = subspace._support_bases((A, supports), tol=np.finfo(float).eps * 12)[0]
+        R, near = np.empty((6, Y.shape[1])), np.empty(Y.shape[1], dtype=int)
+        for c in range(Y.shape[1]):  # the kernel one column at a time: a window of 1 holds every
+            # support, whose exact residuals a limit makes it take, and the one of least energy
+            k, _, R[:, c], _, _, (near[c],), _ = subspace._nearest_spans(
+                A, supports, Y.T[[c], :, None], 1.0, 0.0, np.inf, bases)
+            assert np.array_equal(k, np.arange(6))
+        assert (near != R.argmin(axis=0)).any()  # energies misorder twins
         winners = (R <= R.min(axis=0)).argmax(axis=0)
         for c in np.flatnonzero(Y.any(axis=0)):
             X, _, _ = _min_residual_codes(A, Y[:, [c]], 2, 0.0)
@@ -857,6 +856,23 @@ class TestEnergyRanking:
         assert_matches_references(A, Y, 2, 1e-10)
         (ks, Yo), = calls
         assert np.array_equal(ks, np.arange(15)) and np.array_equal(Yo, Y)
+
+
+@pytest.mark.parametrize("K, s, P, N, noise", [
+    (6, 2, 16, 300, 0.0), (6, 2, 16, 300, 1e-3), (12, 3, 48, 200, 1e-2)])
+def test_kernel_fed_as_verify_feeds_it_agrees_with_the_coder(K, s, P, N, noise):
+    # unit samples as rank-1 query groups, at verify's tolerances: the nearest support span by
+    # energy is the coder's winner, and its sine the coder's relative residual
+    A, _, used = make_rip_instance(P, K, 2, s, seed=1)
+    Y = A.data @ sequential_gen_codes(A.structure, N, seed=used + 1)
+    Y += noise * np.random.default_rng(used).standard_normal(Y.shape)
+    Y /= np.linalg.norm(Y, axis=0)
+    X, res, tied = _min_residual_codes(A, Y, s, DEFAULT_CODING_TOL)
+    sups = _enumerate_supports(K, s)
+    *_, near, sine = subspace._nearest_spans(A, sups, Y.T[..., None], 1e-8, 1e-8, 1e-8)
+    winners = [tuple(np.flatnonzero(x.reshape(K, 2).any(axis=1)) + 1) for x in X.T]
+    assert [tuple(sup) for sup in sups[near].tolist()] == winners and not tied.any()
+    assert np.abs(sine - coding._relative(res, np.linalg.norm(Y, axis=0))).max() <= 1e-14
 
 
 class TestExactPathCount:

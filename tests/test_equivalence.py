@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from collections import Counter
 from itertools import combinations
@@ -879,16 +880,17 @@ class TestProbeStreams:
 
     @pytest.mark.parametrize("seed", [-1, -(2**40)])
     def test_negative_seed_rejected_before_any_draw(self, monkeypatch, seed):
-        # numpy refuses [seed, *S] with this text; the words of a negative seed never end. verify
-        # lists all C(5, 2) supports and delta_4 is exact, so it draws nothing: its family's
-        # sampler refuses the seed before the RIP constant, any table or the certificate
+        # the integer rule refuses the seed before [seed, *S] reaches numpy. verify lists all
+        # C(5, 2) supports and delta_4 is exact, so it draws nothing: its family's sampler
+        # refuses the seed before the RIP constant, any table or the certificate
         A, B, _, _, _ = make_equivalent_pair(16, 5, 2, 2, seed=510)
         calls = spy_codes(monkeypatch)
-        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        message = f"^seed must be >= 0, got {re.escape(str(seed))}$"
+        with pytest.raises(ValueError, match=message):
             construct_kappa(A, B, (1, 2), 4, seed)
-        for name in ("rip_constant", "_containment", "recover_equivalence"):
+        for name in ("rip_constant", "_nearest_spans", "recover_equivalence"):
             monkeypatch.setattr(equivalence, name, lambda *a, **k: calls.append(a))
-        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        with pytest.raises(ValueError, match=message):
             verify_theorem_instance(A, B, s=2, seed=seed)
         assert calls == []
 
@@ -961,49 +963,92 @@ class TestContainmentTable:
         assert failed == ([e["support"] for e in entries if 1 in e["support"]] if corrupted else [])
         assert report.hypothesis_holds != corrupted
 
+    @staticmethod
+    def table(A, B, sups):
+        """The kernel's table, as verify reads it: (k, j, r) checked, found, first, near, sine."""
+        QS = subspace._support_bases((A, sups))[0]
+        T = _enumerate_supports(B.structure.K, sups.shape[1])
+        return subspace._nearest_spans(B, T, QS, 1e-8, 1e-8, 1e-8)
+
     @pytest.mark.parametrize("K, alpha, s", [(6, 2, 2), (12, 2, 2), (12, 2, 3), (70, 1, 1)])
     def test_planted_pairs_read_residual_sines_near_zero(self, K, alpha, s):
         A, B = wide_pair(K, alpha, s, False, seed=5)
         perm = gen_block_permutation(K, seed=6)  # wide_pair's: span A_S = span B_perm(S)
         sups = _enumerate_supports(K, s)
-        found, first, near, sine = subspace._containment(A, sups, B, sups, 1e-8)
+        *_, found, first, near, sine = self.table(A, B, sups)
         assert (found == 1).all() and np.array_equal(near, first)
         assert sups[first].tolist() == [sorted(map(perm, sup)) for sup in sups.tolist()]
         assert sine.max() <= 1e-13
 
-    # rank-0 singletons of A (zero-block) lie in every span B_T: every pair passes the screen
+    @pytest.mark.parametrize("K, alpha, s", [(6, 2, 2), (12, 2, 3), (30, 1, 2), (12, 2, 2)])
+    @pytest.mark.parametrize("corrupted", [False, True])
+    def test_candidates_hold_every_contained_span(self, K, alpha, s, corrupted):
+        # per S, against every T's sine ||Q_S - Q_T Q_T^T Q_S||_2 from numpy's SVD bases: the T's
+        # within 1e-8 are counted and exactly checked, the first is the least, and the nearest T
+        # has the least Frobenius residual
+        A, B = wide_pair(K, alpha, s, corrupted, seed=5)
+        if K == 12 and s == 2:  # rank-short supports on both sides
+            A, B = A.with_block(2, np.zeros((24, 2))), B.with_block(5, np.zeros((24, 2)))
+        sups = _enumerate_supports(K, s)
+        k, j, r, found, first, near, sine = self.table(A, B, sups)
+        bases = [orthonormal_basis(D.restrict(sup)).basis for D in (A, B) for sup in sups]
+        R = [[QS - QT @ (QT.T @ QS) for QT in bases[len(sups):]] for QS in bases[: len(sups)]]
+        sines = np.array([[np.linalg.norm(x, 2) for x in row] for row in R])
+        frob = np.array([[np.linalg.norm(x) for x in row] for row in R])
+        hit = sines <= 1e-8
+        assert np.array_equal(found, hit.sum(axis=1)) and (found == 1).any()
+        assert np.array_equal(first[found > 0], hit.argmax(axis=1)[found > 0])
+        assert set(zip(*np.nonzero(hit))) <= set(zip(j.tolist(), k.tolist()))
+        assert np.abs(r - sines[j, k]).max() <= 1e-12
+        if corrupted:  # a failing S reads the T of least Frobenius residual, and its sine
+            miss = found == 0
+            assert miss.any() and np.array_equal(near[miss], frob.argmin(axis=1)[miss])
+            assert np.abs(sine[miss] - sines[miss, near[miss]]).max() <= 1e-12
+
+    @staticmethod
+    def spy_stacks(monkeypatch, budget, P, width):
+        """Set the kernel's budget; record the entries of each stack of bases the kernel builds
+        and of each stack of residuals R (P x width pairs) it eigen-solves."""
+        monkeypatch.setattr(subspace, "_STACK", budget)
+        eig, sines = np.linalg.eigvalsh, []
+
+        def spy(G):  # `rip` takes level-2s Grams, wider than the residuals' R^T R
+            if G.shape[-1] <= width:
+                sines.append(len(G) * P * G.shape[-1])  # the residual stack's entries
+            return eig(G)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        built, bases = [], subspace._support_bases
+        monkeypatch.setattr(subspace, "_support_bases", lambda *lists, **kw: built.append(
+            bases(*lists, **kw)[0].size) or bases(*lists, **kw))
+        return built, sines
+
+    # rank-0 singletons of A (zero-block) lie in every span B_T: every T is exactly checked
     @pytest.mark.parametrize("name", ["planted", "corrupted", "zero-block"])
     @pytest.mark.parametrize("s", [1, 2])
     def test_stacks_stay_within_the_entry_budget(self, monkeypatch, name, s):
         A, B = probe_fixture(name)
         expected = verify_theorem_instance(A, B, s=s).to_dict()
         budget = 100  # entries: at P = 16, alpha = 2, three singletons' bases, or one pair's
-        monkeypatch.setattr(subspace, "_STACK", budget)
-        stacks, screen = [], subspace._screen  # each block's bases and (S, T) table entries
-        monkeypatch.setattr(subspace, "_screen", lambda Q1, r1, Q2, *rest: stacks.append(
-            max(Q2.size, len(Q1) * len(Q2))) or screen(Q1, r1, Q2, *rest))
-        eig, sines = np.linalg.eigvalsh, []
-
-        def spy(G):  # `rip` takes level-2s Grams, wider than the residuals' R^T R
-            if G.shape[-1] <= s * 2:
-                sines.append(len(G) * 16 * G.shape[-1])  # the residual stack's entries
-            return eig(G)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        built, bases = [], subspace._support_bases  # the supports of each `_support_bases` call
-        monkeypatch.setattr(subspace, "_support_bases", lambda *lists: built.append(
-            sum(len(x) for _, x in lists)) or bases(*lists))
+        built, sines = self.spy_stacks(monkeypatch, budget, 16, 2 * s)
         assert verify_theorem_instance(A, B, s=s).to_dict() == expected
-        assert max(stacks) <= budget and max(sines) <= budget
-        # every size-t support is listed (m = C(6, t)): blocks of budget // (P t alpha + m) T's;
-        # at s = 1 the singletons' table is the hypothesis's, one table in all
-        blocks = {t: -(-math.comb(6, t) // (budget // (32 * t + math.comb(6, t)))) for t in {s, 1}}
-        assert len(stacks) == sum(blocks.values())
-        # the singletons' table builds no basis: it slices the blocks' one factorization; the
-        # size-s table builds each T's once, and S's in the call of the first block
-        assert built == [] if s == 1 else (len(built), sum(built)) == (blocks[s], 2 * 15)
-        if name == "zero-block" and s == 1:  # every T, in blocks of 2, for the zero block
-            assert sum(sines) >= 2 * 6 * 16 * 2
+        assert max(sines) <= budget
+        # the kernel builds no basis: the singletons' come from the blocks' one factorization,
+        # and with all C(6, 2) = 15 size-2 supports listed, verify makes B's with A's
+        assert built == []
+        if name == "zero-block" and s == 1:  # every T for the zero block
+            assert sum(sines) >= 6 * 16 * 2
+
+    def test_wide_table_builds_bases_within_the_entry_budget(self, monkeypatch):
+        # C(12, 3) = 220 size-3 supports, 128 of them listed: the kernel builds B's 24 x 6 bases
+        # (31,680 entries) per support block, and again per chunk of listed supports
+        A, B = wide_pair(12, 2, 3, True, seed=5)
+        expected = verify_theorem_instance(A, B, s=3, seed=9).to_dict()
+        budget = 4000
+        built, sines = self.spy_stacks(monkeypatch, budget, 24, 6)
+        assert verify_theorem_instance(A, B, s=3, seed=9).to_dict() == expected
+        assert len(built) > 220 // (budget // 144) and max(built) <= budget
+        assert max(sines) <= budget and sum(sines) >= 128 * 24 * 6
 
     @pytest.mark.parametrize("s", [1, 2])
     def test_error_names_the_nearest_support_and_its_sine(self, s):
@@ -1053,24 +1098,23 @@ class TestContainmentTable:
 
     # shapes whose screens run in one block of rows, and in several
     @pytest.mark.parametrize("K, alpha, s", [(6, 2, 2), (12, 2, 3), (30, 1, 2), (12, 2, 2)])
-    @pytest.mark.parametrize("floor", ["containment", "equality", "equality-upper"])
-    def test_screen_keeps_exactly_the_pairs_above_the_floor(self, K, alpha, s, floor):
-        A, B = wide_pair(K, alpha, s, True, seed=5)
-        if K == 12 and s == 2:  # rank-short supports on both sides
-            A, B = A.with_block(2, np.zeros((24, 2))), B.with_block(5, np.zeros((24, 2)))
-        sups, upper = _enumerate_supports(K, s), floor == "equality-upper"
-        (QS, rS), (QT, rT) = (subspace._support_bases((D, sups)) for D in (A, A if upper else B))
-        bound = rS - 0.5 if floor == "containment" else rS * (1 - 1e-8) ** 2 - 1e-9
-        blocks = list(subspace._screen(QS, rS, QT, rT, bound, upper))
-        sums = np.square(np.einsum("apd,bpe->abde", QS, QT)).sum(axis=(2, 3))
+    def test_screen_keeps_exactly_the_pairs_above_the_floor(self, K, alpha, s):
+        # `check_lemma1`'s floor, on the pairs (a, b) of one stack with b at or past a's block
+        A, _ = wide_pair(K, alpha, s, True, seed=5)
+        if K == 12 and s == 2:  # rank-short supports
+            A = A.with_block(2, np.zeros((24, 2)))
+        Q, r = subspace._support_bases((A, _enumerate_supports(K, s)))
+        bound = r * (1 - 1e-8) ** 2 - 1e-9
+        blocks = list(subspace._screen(Q, r, bound))
+        sums = np.square(np.einsum("apd,bpe->abde", Q, Q)).sum(axis=(2, 3))
         lo, kept = 0, set()
-        for blk, a, b in blocks:  # upper: a block's columns start at its first row
-            assert np.allclose(blk, sums[lo : lo + len(blk), lo if upper else 0 :], atol=1e-12)
-            assert (b >= (lo if upper else 0)).all()
+        for blk, a, b in blocks:  # a block's columns start at its first row
+            assert np.allclose(blk, sums[lo : lo + len(blk), lo:], atol=1e-12)
+            assert (b >= lo).all()
             lo, kept = lo + len(blk), kept | set(zip(a.tolist(), b.tolist()))
-        expected = set(map(tuple, np.argwhere((sums >= bound[:, None]) & (rT >= rS[:, None]))))
+        expected = set(map(tuple, np.argwhere((sums >= bound[:, None]) & (r >= r[:, None]))))
         assert kept <= expected and len(kept) > 0
-        assert (kept >= {(a, b) for a, b in expected if a < b}) if upper else kept == expected
+        assert kept >= {(a, b) for a, b in expected if a < b}
         assert (len(blocks) > 1) == ((K, s) in {(12, 3), (30, 2)})
 
 

@@ -138,7 +138,7 @@ class TestSampled:
     def test_negative_seed_refused_even_when_every_support_is_listed(self, n):
         # C(6, 2) = 15: at n >= 15 the sampler lists every support and draws nothing
         A = gen_dictionary(16, BlockStructure(K=6, alpha=2, s=2), seed=5)
-        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
             rip_lower_bound_sampled(A, 2, n, seed=-1)
 
     def test_orthonormal_is_zero(self):
@@ -169,7 +169,7 @@ class TestLevelRule:
         assert rip.rip_constant(A, 4, seed=0) == rip_constant_exact(A, 4)
         monkeypatch.setattr(rip, "DEFAULT_ENUMERATION_CAP", 209)
         assert rip.rip_constant(A, 4, seed=0) == rip_lower_bound_sampled(A, 4, 200, seed=0)
-        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
             rip.rip_constant(A, 4, seed=-1)
 
 
